@@ -697,6 +697,10 @@ def _load_constraints(ctx, path):
     for i, c in enumerate(data.get("constraints", [])):
         mode = c.get("mode")
         q = c.get("q")
+        if isinstance(q, bool) or not isinstance(q, int) or not is_prime(q) or q == 13:
+            raise ValueError(
+                f"constraints[{i}].q: expected a prime other than 13, got {q!r}"
+            )
         if mode in ("parity-only", "unconstrained"):
             out.append(SieveConstraint(q=q, mode=mode))
             continue
@@ -728,7 +732,9 @@ def cmd_sieve(args, ctx) -> int:
             report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e)))
             return _emit(args, report)
         raise
+    t0 = time.monotonic()
     survivors = sieve_case(case, constraints)
+    ms = int((time.monotonic() - t0) * 1000)
     idx = sorted(u.index for u in survivors)
     first = [list(UnitClass.from_index(i).exps) for i in idx[:10]]
     report.checks.append(
@@ -736,6 +742,7 @@ def cmd_sieve(args, ctx) -> int:
             "sieve",
             STATUS_PASS,
             f"case {case}: {len(idx)} of {UNIT_CLASS_COUNT} classes survive; first {first}",
+            ms=ms,
         )
     )
     if args.out:

@@ -11,12 +11,21 @@ Two independent routes compute survivor sets: the production route
 enumerates affine solution sets by linear algebra mod 7, the reference
 route walks all 16807 classes comparing 7th-power residues directly.
 Their agreement is an acceptance criterion.
+
+The production route never exponentiates a pair element. The character
+is multiplicative and a + b zeta = b (a/b + zeta), so every pair value
+is chi(b) + chi(a/b + zeta): q "line" values chi(c + zeta) per prime Q,
+plus a character of F_q^* that vanishes unless 7 | q - 1 and is
+otherwise read off one primitive root. That is about q exponentiations
+in the residue field per prime instead of one per pair (q^2 - 1).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 from .elimination import FreyFamily, _family_local_data
 from .exactarith import FFElement, factorize
@@ -92,12 +101,37 @@ class LocalCharacterTable:
     prime: PrimeIdealData
     exponent: int  # (N - 1) // 7
     omega: FFElement
+    dlog: dict = field(compare=False, repr=False)  # omega^k -> k
     unit_chars: tuple  # chi(u_a), a = 2..6
     chi_one_minus_zeta: object  # int, or None above 13
 
     @property
     def q(self) -> int:
         return self.prime.q
+
+    @cached_property
+    def line_chars(self) -> tuple:
+        """chi(c + zeta) for c = 0..q-1, None where c + zeta lies in Q."""
+        return tuple(char_value(self, _pair_element(c, 1)) for c in range(self.q))
+
+    @cached_property
+    def scalar_chars(self) -> tuple:
+        """chi(b) for b = 0..q-1 (None at 0), a character of F_q^*.
+
+        b^((N-1)/7) is a power of b, so its order divides q - 1 as well
+        as 7: the character is 0 unless 7 | q - 1, and otherwise the
+        value at one primitive root g gives chi(g^j) = j chi(g).
+        """
+        q = self.q
+        out = [None] + [0] * (q - 1)
+        if (q - 1) % 7 == 0:
+            g = _primitive_root(q)
+            chi_g = char_value(self, get_order("Zzeta13").from_int(g))
+            b = 1
+            for j in range(q - 1):
+                out[b] = j * chi_g % 7
+                b = b * g % q
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -132,6 +166,14 @@ class SieveConstraint:
 
 # ---------------------------------------------------------------------------
 # characters
+
+
+def _primitive_root(q: int) -> int:
+    """Least generator of (Z/q)^* for an odd prime q."""
+    factors = factorize(q - 1)
+    return next(
+        g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1 for r in factors)
+    )
 
 
 def _group_prime_factors(q: int, f: int):
@@ -198,34 +240,37 @@ def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
     exponent = n1 // 7
     g = _lex_least_generator(Q.residue_field)
     omega = g**exponent
-    powers = {}
+    dlog = {}
     acc = Q.residue_field.one()
     for k in range(7):
-        powers[acc] = k
+        dlog[acc] = k
         acc = acc * omega
-
-    def chi(x: FFElement) -> int:
-        y = x**exponent
-        k = powers.get(y)
-        if k is None:
-            raise AssertionError("character value outside the order-7 subgroup")
-        return k
-
-    unit_chars = tuple(chi(reduce_element(u, Q)) for u in cyclotomic_unit_generators())
+    unit_chars = tuple(
+        _residue_char(reduce_element(u, Q), exponent, dlog)
+        for u in cyclotomic_unit_generators()
+    )
     order = get_order("Zzeta13")
-    omz = order.one() - order.theta()
-    red = reduce_element(omz, Q)
-    chi_omz = None if red.is_zero else chi(red)
+    red = reduce_element(order.one() - order.theta(), Q)
+    chi_omz = None if red.is_zero else _residue_char(red, exponent, dlog)
     table = LocalCharacterTable(
         prime=Q,
         exponent=exponent,
         omega=omega,
+        dlog=dlog,
         unit_chars=unit_chars,
         chi_one_minus_zeta=chi_omz,
     )
     with _table_lock:
         _table_cache[Q] = table
     return table
+
+
+def _residue_char(red: FFElement, exponent: int, dlog: dict) -> int:
+    """Discrete log base omega of red^((N-1)/7), for a nonzero residue."""
+    k = dlog.get(red**exponent)
+    if k is None:
+        raise AssertionError("character value outside the order-7 subgroup")
+    return k
 
 
 def char_value(table: LocalCharacterTable, x) -> object:
@@ -235,13 +280,7 @@ def char_value(table: LocalCharacterTable, x) -> object:
     red = reduce_element(x, table.prime)
     if red.is_zero:
         return None
-    y = red**table.exponent
-    acc = table.prime.residue_field.one()
-    for k in range(7):
-        if y == acc:
-            return k
-        acc = acc * table.omega
-    raise AssertionError("character value outside the order-7 subgroup")
+    return _residue_char(red, table.exponent, table.dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +346,23 @@ def _pair_element(a: int, b: int):
     return get_order("Zzeta13").element([a, b])
 
 
-def _affine_solutions(rows, vals):
-    """Solution indices of the system rows . e = vals over F_7, e in
-    (Z/7)^5; index encoding is base 7, first generator least significant."""
-    m = [list(r) + [v] for r, v in zip(rows, vals)]
-    ncol = 5
+def _pair_char(table: LocalCharacterTable, a: int, b: int) -> object:
+    """chi_Q(a + b zeta) from the table's line and scalar values: for
+    b != 0, a + b zeta = b (a/b + zeta) and b is a unit at Q."""
+    if b == 0:
+        return table.scalar_chars[a]
+    q = table.q
+    line = table.line_chars[a * pow(b, -1, q) % q]
+    return None if line is None else (table.scalar_chars[b] + line) % 7
+
+
+def _row_reduce(m, ncol: int) -> list:
+    """Gauss-Jordan over F_7 on the first ncol columns of the rows m, in
+    place; returns the pivot columns, whose rows now lead m."""
     pivots = []
-    r = 0
     for col in range(ncol):
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][col] % 7:
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col] % 7), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
@@ -330,31 +373,26 @@ def _affine_solutions(rows, vals):
                 f = m[i][col]
                 m[i] = [(a - f * b) % 7 for a, b in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncol] % 7:
-            return set()  # inconsistent
-    free = [c for c in range(ncol) if c not in pivots]
+    return pivots
+
+
+def _affine_solutions(rows, vals):
+    """Solution indices of the system rows . e = vals over F_7, e in
+    (Z/7)^5; index encoding is base 7, first generator least significant."""
+    m = [list(r) + [v] for r, v in zip(rows, vals)]
+    pivots = _row_reduce(m, 5)
+    if any(row[5] % 7 for row in m[len(pivots):]):
+        return set()  # inconsistent
+    free = [c for c in range(5) if c not in pivots]
+    bound = [(col, row[5], [row[fc] for fc in free]) for row, col in zip(m, pivots)]
     out = set()
-    assign = [0] * ncol
-
-    def rec(k):
-        if k == len(free):
-            for row, col in zip(m, pivots):
-                acc = row[ncol]
-                for fc in free:
-                    acc -= row[fc] * assign[fc]
-                assign[col] = acc % 7
-            idx = 0
-            for e in reversed(assign):
-                idx = idx * 7 + e
-            out.add(idx)
-            return
-        for v in range(7):
-            assign[free[k]] = v
-            rec(k + 1)
-
-    rec(0)
+    e = [0] * 5
+    for assign in product(range(7), repeat=len(free)):
+        for fc, v in zip(free, assign):
+            e[fc] = v
+        for col, val, coeffs in bound:
+            e[col] = (val - sum(map(int.__mul__, coeffs, assign))) % 7
+        out.add(e[0] + 7 * (e[1] + 7 * (e[2] + 7 * (e[3] + 7 * e[4]))))
     return out
 
 
@@ -375,10 +413,9 @@ def _local_survivors(constraint: SieveConstraint, delta: int):
         raise AssertionError("chi(1 - zeta) undefined away from 13; broken table")
     rhs_set = set()
     for a, b in admissible_pairs(constraint):
-        elt = _pair_element(a, b)
         rhs = []
         for t in tables:
-            cv = char_value(t, elt)
+            cv = _pair_char(t, a, b)
             if cv is None:
                 rhs.append(None)
             elif delta:
@@ -497,34 +534,6 @@ def sieve_case_exhaustive(descent_case: str, constraints) -> set:
 
 
 def generator_independence_rank(primes) -> int:
-    """Rank over F_7 of the character matrix [chi_Q(u_a)] with one column
+    """Rank over F_7 of the character matrix [chi_Q(u_a)] with one row
     per supplied prime; rank 5 means the 16807 classes are separated."""
-    cols = []
-    for Q in primes:
-        t = build_character(Q)
-        cols.append(t.unit_chars)
-    if not cols:
-        return 0
-    # rows indexed by generator, columns by prime
-    rows = [[col[i] for col in cols] for i in range(5)]
-    rank = 0
-    ncol = len(cols)
-    rr = list(rows)
-    used = [False] * len(rr)
-    for col in range(ncol):
-        sel = None
-        for i, row in enumerate(rr):
-            if not used[i] and row[col] % 7:
-                sel = i
-                break
-        if sel is None:
-            continue
-        used[sel] = True
-        rank += 1
-        inv = pow(rr[sel][col], 5, 7)
-        rr[sel] = [(v * inv) % 7 for v in rr[sel]]
-        for i, row in enumerate(rr):
-            if i != sel and row[col] % 7:
-                f = row[col]
-                rr[i] = [(a - f * b) % 7 for a, b in zip(row, rr[sel])]
-    return rank
+    return len(_row_reduce([list(build_character(Q).unit_chars) for Q in primes], 5))

@@ -83,6 +83,23 @@ class TestBasicCommands:
             "--constraints", "constraints/demo_sieve.json", "--out", str(out_file))
         assert out_file.read_bytes() == first
 
+    def test_sieve_reports_its_time(self, capsys):
+        code, out, _ = run(capsys, "--json", "sieve", "--case", "div13",
+                           "--constraints", "constraints/demo_sieve.json")
+        assert code == 0
+        d = json.loads(out)
+        ms = d["checks"][0].pop("ms")
+        assert isinstance(ms, int) and ms >= 1
+        assert d["checks"] == [{
+            "name": "sieve",
+            "status": "pass",
+            "detail": "case divisible-13: 504 of 16807 classes survive; first "
+                      "[[2, 4, 0, 0, 0], [0, 6, 0, 0, 0], [0, 0, 2, 0, 0], "
+                      "[2, 5, 2, 0, 0], [2, 2, 3, 0, 0], [0, 4, 3, 0, 0], "
+                      "[0, 1, 4, 0, 0], [2, 3, 5, 0, 0], [0, 5, 5, 0, 0], "
+                      "[2, 0, 6, 0, 0]]",
+        }]
+
     def test_sieve_proof_constraints_skip(self, capsys):
         code, out, _ = run(
             capsys, "sieve", "--case", "coprime13",
@@ -121,6 +138,15 @@ class TestErrors:
         code, _, err = run(capsys, "sieve", "--case", "nope",
                            "--constraints", "constraints/demo_sieve.json")
         assert code == 2
+
+    @pytest.mark.parametrize("q", ["11", 12, True, 13, None])
+    def test_sieve_constraint_q_must_be_a_prime(self, capsys, tmp_path, q):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"constraints": [
+            {"q": 2, "mode": "parity-only"}, {"q": q, "mode": "unconstrained"}]}))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert "constraints[1].q:" in err
 
 
 class TestFullReport:

@@ -128,6 +128,45 @@ class TestCharacters:
         assert len(split_prime(ZZ13, 29)) == 4
 
 
+class TestPairCharacters:
+    """The production route's chi(a + b zeta) = chi(b) + chi(a/b + zeta)
+    against direct exponentiation of the pair element."""
+
+    @pytest.mark.parametrize("q", [11, 23, 29])
+    def test_identity_matches_char_value(self, q):
+        from fermatkit.unitsieve import _pair_char, _pair_element
+
+        for Q in split_prime(ZZ13, q):
+            t = build_character(Q)
+            for a in range(q):
+                for b in range(q):
+                    if a or b:
+                        direct = char_value(t, _pair_element(a, b))
+                        assert _pair_char(t, a, b) == direct, (Q.key, a, b)
+            # residue degree > 1: zeta is not in F_q, so no pair lies in Q
+            assert None not in t.line_chars
+
+    def test_identity_at_degree_one_primes(self):
+        """q = 547 = 1 mod 91: twelve primes of degree 1, each containing
+        c + zeta for one c, and a nonzero scalar character. Checks the
+        whole line of pairs in Q (all None) and a sample of the rest."""
+        from fermatkit.unitsieve import _pair_char, _pair_element
+
+        q = 547
+        rng = random.Random(14)
+        primes = split_prime(ZZ13, q)
+        assert [Q.fdeg for Q in primes] == [1] * 12
+        for Q in primes:
+            t = build_character(Q)
+            zeros = [c for c, v in enumerate(t.line_chars) if v is None]
+            assert len(zeros) == 1
+            pairs = [(zeros[0] * b % q, b) for b in range(1, q)]
+            pairs += [(rng.randrange(1, q), rng.randrange(q)) for _ in range(40)]
+            for a, b in pairs:
+                direct = char_value(t, _pair_element(a, b))
+                assert _pair_char(t, a, b) == direct, (Q.key, a, b)
+
+
 class TestAdmissiblePairs:
     def test_parity(self):
         c = SieveConstraint(q=2, mode="parity-only")
@@ -285,6 +324,22 @@ class TestSieve:
                         assert cw == (lhs + delta * t.chi_one_minus_zeta) % 7
 
 
+def test_oracle_needs_no_character_tables(monkeypatch):
+    """The exhaustive route stays independent of the discrete-log tables
+    the linear route is built on."""
+    from fermatkit import unitsieve
+
+    cons = [SieveConstraint(q=11, mode="unconstrained")]
+    linear = sieve_case("divisible-13", cons)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use character tables")
+
+    monkeypatch.setattr(unitsieve, "char_value", forbidden)
+    monkeypatch.setattr(unitsieve, "build_character", forbidden)
+    assert sieve_case_exhaustive("divisible-13", cons) == linear
+
+
 class TestRank:
     def test_verified_values(self):
         primes = [P for q in (2, 11, 23, 29) for P in split_prime(ZZ13, q)]
@@ -360,12 +415,16 @@ def test_character_tables_thread_safe_and_shared():
 
     def work():
         Q = split_prime(ZZ13, 23)[0]
-        got.append(build_character(Q))
+        t = build_character(Q)
+        got.append((t, t.line_chars))
 
     threads = [threading.Thread(target=work) for _ in range(6)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert all(t.unit_chars == got[0].unit_chars for t in got)
-    assert all(t.omega == got[0].omega for t in got)
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert len(got) == 6
+    assert all(t.unit_chars == got[0][0].unit_chars for t, _ in got)
+    assert all(t.omega == got[0][0].omega for t, _ in got)
+    assert all(line == got[0][1] for _, line in got)
