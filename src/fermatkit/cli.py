@@ -693,8 +693,12 @@ def _load_constraints(ctx, path):
     p = ctx.path(path)
     ctx.record_input(p)
     data = json.loads(p.read_text())
+    if not isinstance(data, dict) or not isinstance(data.get("constraints", []), list):
+        raise ValueError("constraints: expected an object with a list of constraints")
     out = []
     for i, c in enumerate(data.get("constraints", [])):
+        if not isinstance(c, dict):
+            raise ValueError(f"constraints[{i}]: expected an object, got {c!r}")
         mode = c.get("mode")
         q = c.get("q")
         if isinstance(q, bool) or not isinstance(q, int) or not is_prime(q) or q == 13:
@@ -711,9 +715,18 @@ def _load_constraints(ctx, path):
             curve = _load_curve(ctx, c["targets_from_curve"])
             targets = modular_targets_from_curve(curve, q)
         else:
-            targets = tuple(
-                sorted((k, frozenset(v)) for k, v in c["targets"].items())
-            )
+            targets = c["targets"]
+            if not isinstance(targets, dict):
+                raise ValueError(f"constraints[{i}].targets: expected an object")
+            for key, v in targets.items():
+                if not isinstance(v, list) or not all(
+                    isinstance(r, int) and not isinstance(r, bool) for r in v
+                ):
+                    raise ValueError(
+                        f"constraints[{i}].targets[{json.dumps(key)}]: expected a "
+                        f"list of residues mod 7, got {v!r}"
+                    )
+            targets = tuple(sorted((k, frozenset(v)) for k, v in targets.items()))
         out.append(SieveConstraint(q=q, mode="modular", family=fam, targets=targets))
     return out
 

@@ -96,7 +96,24 @@ class FreyFamily:
         return "multiplicative" if self.mult_rule(a, b) % q == 0 else "good"
 
 
+def _check_nested(value, pos: str, depth: int, width: int = None):
+    """Require `depth` levels of lists with integers at the bottom; the
+    innermost lists (coordinate vectors) hold at most `width` entries."""
+    if not isinstance(value, list):
+        raise FamilyConfigError(f"{pos}: expected a list, got {value!r}")
+    if depth == 1:
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
+            raise FamilyConfigError(f"{pos}: expected a list of integers, got {value!r}")
+        if width is not None and len(value) > width:
+            raise FamilyConfigError(f"{pos}: more than {width} coordinates")
+        return
+    for i, v in enumerate(value):
+        _check_nested(v, f"{pos}[{i}]", depth - 1, width)
+
+
 def family_from_dict(data: dict) -> FreyFamily:
+    if not isinstance(data, dict):
+        raise FamilyConfigError("family config: expected an object")
     if data.get("status") == "external":
         raise FamilyConfigError(
             f"family {data.get('label')!r} is an external-data slot; its "
@@ -109,10 +126,13 @@ def family_from_dict(data: dict) -> FreyFamily:
     except KeyError as e:
         raise FamilyConfigError(f"family config is missing field {e}") from None
     n = order.degree
+    if not isinstance(coeffs_in, dict):
+        raise FamilyConfigError("coefficients: expected an object")
     per_name = []
     for name in _COEFF_NAMES:
         rows = coeffs_in.get(name, [])
         # rows[j][i] = coordinate vector; split into one BiPoly per coordinate
+        _check_nested(rows, f"coefficients.{name}", 3, n)
         basis_polys = []
         for m in range(n):
             bp_rows = []
@@ -122,25 +142,33 @@ def family_from_dict(data: dict) -> FreyFamily:
                 ])
             basis_polys.append(BiPoly.from_nested(bp_rows))
         per_name.append(tuple(basis_polys))
-    rule = BiPoly.from_nested(data.get("multiplicative_iff_zero", []))
+    rule_in = data.get("multiplicative_iff_zero", [])
+    _check_nested(rule_in, "multiplicative_iff_zero", 2)
+    rule = BiPoly.from_nested(rule_in)
     if rule.is_zero:
         raise FamilyConfigError(
             "multiplicative_iff_zero must be a nonzero bivariate polynomial"
         )
     adm = data.get("admissibility", {})
-    conds = tuple(
-        (int(c["mod"]), tuple(int(v) for v in c["forbidden"]))
-        for c in adm.get("residue_conditions", [])
-    )
-    fam = FreyFamily(
+    try:
+        conds = tuple(
+            (int(c["mod"]), tuple(int(v) for v in c["forbidden"]))
+            for c in adm.get("residue_conditions", [])
+        )
+        excluded = tuple(int(q) for q in adm.get("excluded_primes", []))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise FamilyConfigError(
+            "admissibility: expected {\"excluded_primes\": [int], "
+            "\"residue_conditions\": [{\"mod\": int, \"forbidden\": [int]}]}"
+        ) from None
+    return FreyFamily(
         label=label,
         order=order,
         coeffs=tuple(per_name),
         mult_rule=rule,
-        excluded_primes=tuple(int(q) for q in adm.get("excluded_primes", [])),
+        excluded_primes=excluded,
         residue_conditions=conds,
     )
-    return fam
 
 
 def load_family(path) -> FreyFamily:

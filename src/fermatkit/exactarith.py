@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import ceil
+from operator import mul
+from typing import NamedTuple
 
 __all__ = [
     "UniPoly",
@@ -21,7 +25,6 @@ __all__ = [
     "FFElement",
     "QuadExt",
     "QuadExtElement",
-    "ff_pow",
     "is_nth_power_residue",
     "poly_factor_mod_p",
     "is_prime",
@@ -31,8 +34,11 @@ __all__ = [
     "poly_discriminant",
     "real_root_count",
     "tarski_query",
+    "integer_roots",
     "field_nonsquare",
     "field_sqrt",
+    "ZechTables",
+    "zech_tables",
 ]
 
 
@@ -247,9 +253,6 @@ class BiPoly:
         for row in reversed(self.rows):
             acc = acc * y + row(x)
         return acc
-
-    def to_nested(self):
-        return [list(row.coeffs) for row in self.rows]
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.rows == other.rows
@@ -851,13 +854,6 @@ class QuadExtElement:
         return f"QuadExtElt({self.a!r} + ({self.b!r})*t)"
 
 
-def ff_pow(x, e: int):
-    """x^e by square and multiply; works for any field element here."""
-    if e < 0:
-        raise ValueError("ff_pow wants a nonnegative exponent")
-    return x**e
-
-
 def is_nth_power_residue(x, n: int) -> bool:
     """True iff the nonzero element x is an n-th power, via x^((N-1)/n)."""
     if x.is_zero:
@@ -893,6 +889,92 @@ def field_sqrt(field, d):
         if x * x == d:
             return x
     return None
+
+
+# ---------------------------------------------------------------------------
+# discrete-log (Zech) tables of small odd-characteristic fields
+
+
+class ZechTables(NamedTuple):
+    """Discrete logarithms of a field of order N, keyed by `index()`.
+
+    g is the first generator in index order; exp[n] is the index of g^n,
+    log[i] is n for the element of index i (None at zero), and
+    zech[n] = log(1 + g^n), None where 1 + g^n = 0, i.e. at n = (N-1)/2.
+    For odd N a nonzero element is a square exactly when its log is even.
+    """
+
+    exp: tuple
+    log: tuple
+    zech: tuple
+
+
+def _digit_count(field) -> int:
+    """Dimension over F_p of a FiniteField or a tower of QuadExt over one."""
+    if isinstance(field, FiniteField):
+        return field.k
+    return 2 * _digit_count(field.base)
+
+
+def _mul_matrix(field, idx: int):
+    """Rows of the F_p-matrix of multiplication by the element of index
+    `idx`, acting on base-p digit vectors (the order of `index()`).
+
+    FiniteField: column j is x^j times the element, built by repeated
+    companion-matrix steps. QuadExt: (a + bt)(u + wt) = (au + s b w) +
+    (bu + aw)t gives the block matrix [[A, S B], [B, A]].
+    """
+    p = field.char
+    if isinstance(field, FiniteField):
+        m = field._mod_c
+        col = [(idx // p**i) % p for i in range(field.k)]
+        cols = []
+        for _ in range(field.k):
+            cols.append(col)
+            top = col[-1]
+            col = [(c - top * mc) % p for c, mc in zip([0] + col[:-1], m)]
+        return [list(row) for row in zip(*cols)]
+    base = field.base
+    A = _mul_matrix(base, idx % base.order)
+    B = _mul_matrix(base, idx // base.order)
+    S = _mul_matrix(base, field.s.index())
+    SB = [[sum(r * c for r, c in zip(row, col)) % p for col in zip(*B)] for row in S]
+    return [ra + rs for ra, rs in zip(A, SB)] + [rb + ra for rb, ra in zip(B, A)]
+
+
+@lru_cache(maxsize=None)
+def zech_tables(field) -> ZechTables:
+    """Zech-log tables of an odd-characteristic field given as a FiniteField
+    or a QuadExt tower over one.
+
+    The powers of each candidate generator are walked on digit vectors by
+    its multiplication matrix over F_p; no field element is multiplied.
+    Three tuples of N entries each: meant for fields of up to about 5*10^4
+    elements.
+    """
+    p, N = field.char, field.order
+    if p == 2:
+        raise ValueError("Zech tables here need odd characteristic")
+    pw = [p**i for i in range(_digit_count(field))]
+    # the base of a QuadExt is a proper subfield, so no generator lies there
+    first = field.base.order if isinstance(field, QuadExt) else 2
+    for cand in range(first, N):
+        M = _mul_matrix(field, cand)
+        v, exp = [1] + [0] * (len(pw) - 1), [1]
+        while True:
+            v = [sum(map(mul, row, v)) % p for row in M]
+            i = sum(map(mul, v, pw))
+            if i == 1:
+                break
+            exp.append(i)
+        if len(exp) == N - 1:
+            break
+    log = [None] * N
+    for n, i in enumerate(exp):
+        log[i] = n
+    # 1 + g^n: add one to the lowest base-p digit of g^n's index
+    zech = [log[i + 1 if i % p != p - 1 else i + 1 - p] for i in exp]
+    return ZechTables(tuple(exp), tuple(log), tuple(zech))
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1178,48 @@ def real_root_count(poly) -> int:
     neg = _variations([_sign_at_inf(c, -1) for c in chain])
     pos = _variations([_sign_at_inf(c, +1) for c in chain])
     return neg - pos
+
+
+def _sign_at(c, x) -> int:
+    acc = Fraction(0)
+    for a in reversed(c):
+        acc = acc * x + a
+    return (acc > 0) - (acc < 0)
+
+
+def integer_roots(poly: UniPoly) -> list:
+    """Sorted integer roots of a nonconstant integer polynomial.
+
+    Bisection on Sturm counts between half-integers inside the Cauchy
+    bound: only intervals that hold a real root are split, so the cost
+    is polynomial in the degree and in the size of the coefficients.
+    """
+    f = _to_fracs(poly)
+    if len(f) <= 1:
+        raise ValueError("integer_roots wants a nonconstant polynomial")
+    sq = _fp_gcd(f, _fp_derivative(f))
+    if len(sq) > 1:
+        f = _fp_divmod(f, sq)[0]
+    chain = _sturm_chain(f)
+    bound = 1 + ceil(max(abs(c / f[-1]) for c in f[:-1]))
+
+    def variations(h):  # at h + 1/2, so no integer sits on an interval end
+        x = Fraction(2 * h + 1, 2)
+        return _variations([_sign_at(c, x) for c in chain])
+
+    roots = []
+    todo = [(-bound - 1, bound)]  # the open interval (lo + 1/2, hi + 1/2)
+    while todo:
+        lo, hi = todo.pop()
+        if variations(lo) == variations(hi):
+            continue
+        if hi - lo == 1:
+            if poly(hi) == 0:
+                roots.append(hi)
+        else:
+            mid = (lo + hi) // 2
+            todo += [(lo, mid), (mid, hi)]
+    return sorted(roots)
 
 
 def tarski_query(h, g) -> int:

@@ -30,6 +30,7 @@ from .exactarith import (
     FiniteField,
     UniPoly,
     count_real_roots_where_positive,
+    integer_roots,
     is_prime,
     poly_discriminant,
     poly_factor_mod_p,
@@ -125,16 +126,10 @@ def _check_irreducible(h: UniPoly, pos: str):
     disc = poly_discriminant(h)
     if disc == 0:
         raise PacketFormatError(f"{pos}: coeff_poly is not squarefree")
-    c0 = h.coeffs[0]
-    for r in range(1, abs(c0) + 1):
-        if c0 % r == 0:
-            for cand in (r, -r):
-                if h(cand) == 0:
-                    raise PacketFormatError(
-                        f"{pos}: coeff_poly has the rational root {cand}"
-                    )
-    if h(0) == 0:
-        raise PacketFormatError(f"{pos}: coeff_poly has the rational root 0")
+    roots = integer_roots(h)  # a monic h has only integral rational roots
+    if roots:
+        r = min(roots, key=lambda r: (abs(r), r < 0))
+        raise PacketFormatError(f"{pos}: coeff_poly has the rational root {r}")
     if n <= 3:
         return None
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):

@@ -148,6 +148,21 @@ class TestErrors:
         assert code == 2
         assert "constraints[1].q:" in err
 
+    @pytest.mark.parametrize("data,where", [
+        ([{"q": 2, "mode": "parity-only"}], "constraints:"),
+        ({"constraints": [{"q": 2, "mode": "parity-only"}, 11]}, "constraints[1]:"),
+        ({"constraints": [{"q": 11, "mode": "modular",
+                           "family": "families/demo_sum_rule_sqrt13.json",
+                           "targets": {"11.0": 3}}]},
+         'constraints[0].targets["11.0"]:'),
+    ], ids=["top-level-list", "entry-not-object", "targets-not-lists"])
+    def test_malformed_constraints_name_their_position(self, capsys, tmp_path, data, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert where in err
+
 
 class TestFullReport:
     FAST = "euler-rm-at-3,invariant-valuations-at-2,contradiction-checkers"

@@ -81,6 +81,40 @@ def brute_count_sextic(coeffs, field):
     return n
 
 
+def _naive_one_plus_chi(v, squares):
+    return 1 if v.is_zero else 2 if v.index() in squares else 0
+
+
+def _naive_squares(field):
+    return {(y * y).index() for y in field.elements() if not y.is_zero}
+
+
+def naive_count_weierstrass(coeffs, field):
+    """Oracle: the enumeration that Zech-log counting replaced. Each x
+    evaluates x^3 + a2 x^2 + a4 x + a6 + (a1 x + a3)^2 / 4 with generic
+    field arithmetic and looks it up in the set {y*y} (odd p only)."""
+    a1, a2, a3, a4, a6 = coeffs
+    squares = _naive_squares(field)
+    inv4 = field.from_int(4).inverse()
+    n = 1
+    for x in field.elements():
+        c = a1 * x + a3
+        n += _naive_one_plus_chi(((x + a2) * x + a4) * x + a6 + c * c * inv4, squares)
+    return n
+
+
+def naive_count_sextic(coeffs, field):
+    """Oracle: the same enumeration for y^2 = f(x), plus 1 + chi(c6) at infinity."""
+    squares = _naive_squares(field)
+    n = _naive_one_plus_chi(coeffs[6], squares)
+    for x in field.elements():
+        v = coeffs[6]
+        for c in reversed(coeffs[:6]):
+            v = v * x + c
+        n += _naive_one_plus_chi(v, squares)
+    return n
+
+
 class TestInvariants:
     def test_textbook_curve(self):
         E = EllipticCurveNF(
@@ -185,6 +219,16 @@ class TestPointCounting:
                 coeffs, field
             )
 
+    @pytest.mark.parametrize("p,modulus", [(5, [3, 3, 0, 1]), (11, [4, 1, 0, 1])])
+    def test_cubic_extension_vs_naive_oracle(self, p, modulus):
+        field = FiniteField(p, UniPoly(modulus))  # F_{5^3}, F_{11^3}
+        rng = random.Random(p)
+        for _ in range(5):
+            coeffs = [field.from_index(rng.randrange(field.order)) for _ in range(5)]
+            assert count_weierstrass_points(coeffs, field) == naive_count_weierstrass(
+                coeffs, field
+            )
+
     def test_extension_count_relation(self):
         # #E(F_{N^2}) = N^2 + 1 - (a^2 - 2N)
         P = split_prime(K13, 5)[0]
@@ -239,6 +283,32 @@ class TestHyperelliptic:
             ext = QuadExt(base, field_nonsquare(base))
             red2 = [ext.embed(c) for c in red]
             assert hyp_count_points(C_FIX, P, 2) == brute_count_sextic(red2, ext)
+
+    @pytest.mark.parametrize("key", ["5.0", "7.0"])
+    def test_inert_counts_vs_naive_oracle(self, key):
+        # F_{p^2} and its QuadExt F_{p^4}: the Zech-log path at ext 1 and 2
+        from fermatkit.numberfield import reduce_element
+
+        P = prime_by_key(K13, key)
+        base = P.residue_field
+        assert P.fdeg == 2
+        red = [reduce_element(c, P) for c in C_FIX.coeffs]
+        assert hyp_count_points(C_FIX, P, 1) == naive_count_sextic(red, base)
+        ext = QuadExt(base, field_nonsquare(base))
+        red2 = [ext.embed(c) for c in red]
+        assert hyp_count_points(C_FIX, P, 2) == naive_count_sextic(red2, ext)
+
+    def test_leading_coefficient_rule_vs_naive_oracle(self):
+        # over F_25: c6 = 0 (one point at infinity), a non-square c6 (none)
+        # and a nonzero square c6 (two)
+        from fermatkit.numberfield import reduce_element
+
+        P = prime_by_key(K13, "5.0")
+        base = P.residue_field
+        for c6 in (K13.from_int(5), K13.element([0, 1]), K13.element([3, 1])):
+            C = HyperellipticCurveNF(coeffs=C_FIX.coeffs[:6] + (c6,))
+            red = [reduce_element(c, P) for c in C.coeffs]
+            assert hyp_count_points(C, P, 1) == naive_count_sextic(red, base)
 
     def test_twist_equal_over_quadratic_extension(self):
         P = prime_by_key(K13, "17.0")

@@ -104,6 +104,35 @@ class TestFamilyConfig:
         with pytest.raises(ValueError, match="not admissible"):
             Aq(raw_packet("K13cubic", [0, 1], {}), fam, 13)
 
+    @pytest.mark.parametrize("over,where", [
+        ({"coefficients": {"a1": [1]}}, r"coefficients\.a1\[0\]:"),
+        ({"coefficients": {"a6": [[[0], 1]]}}, r"coefficients\.a6\[0\]\[1\]:"),
+        ({"coefficients": {"a1": [[["1"]]]}}, r"coefficients\.a1\[0\]\[0\]:"),
+        ({"coefficients": {"a1": [[[1, 0, 0, 0]]]}}, r"coefficients\.a1\[0\]\[0\]: more than 3"),
+        ({"coefficients": [1]}, r"coefficients:"),
+        ({"multiplicative_iff_zero": [1, 2]}, r"multiplicative_iff_zero\[0\]:"),
+        ({"multiplicative_iff_zero": 5}, r"multiplicative_iff_zero:"),
+        ({"admissibility": {"residue_conditions": [5]}}, r"admissibility:"),
+        ({"admissibility": [2, 3]}, r"admissibility:"),
+    ])
+    def test_malformed_shapes_name_their_position(self, over, where):
+        with pytest.raises(FamilyConfigError, match=where):
+            demo_family(**over)
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(FamilyConfigError, match="expected an object"):
+            family_from_dict([DEMO])
+
+    def test_malformed_family_exits_2_from_the_cli(self, tmp_path, capsys):
+        from fermatkit.cli import main
+
+        bad = tmp_path / "fam.json"
+        bad.write_text(json.dumps(dict(DEMO, coefficients={"a1": [1]})))
+        code = main(["eliminate", "--family", str(bad),
+                     "--packets", "packets/demo_self_1_3.json", "--q", "5"])
+        assert code == 2
+        assert "coefficients.a1[0]:" in capsys.readouterr().err
+
 
 class TestBq:
     def test_self_pair_gives_zero(self):

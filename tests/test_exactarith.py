@@ -12,9 +12,9 @@ from fermatkit.exactarith import (
     bareiss_det,
     count_real_roots_where_positive,
     factorize,
-    ff_pow,
     field_nonsquare,
     field_sqrt,
+    integer_roots,
     is_nth_power_residue,
     is_prime,
     poly_discriminant,
@@ -23,6 +23,7 @@ from fermatkit.exactarith import (
     real_root_count,
     resultant,
     tarski_query,
+    zech_tables,
 )
 
 PHI13 = UniPoly([1] * 13)
@@ -144,19 +145,12 @@ class TestFiniteField:
         for x in F25.elements():
             assert x**F25.order == x
 
-    def test_ff_pow_lagrange(self):
-        rng = random.Random(1)
-        for _ in range(10):
-            x = F25.from_index(rng.randrange(1, 25))
-            assert ff_pow(x, F25.order - 1) == F25.one()
-        assert ff_pow(F25.zero(), 5) == F25.zero()
-
     def test_order7_element_in_F4096(self):
         f2 = poly_factor_mod_p(PHI13, 2)
         assert len(f2) == 1 and f2[0][0].degree == 12
         F = FiniteField(2, f2[0][0], check=False)
         z = F.gen()
-        w = ff_pow(z, (2**12 - 1) // 7)
+        w = z ** ((2**12 - 1) // 7)
         acc = w
         order = 1
         while acc != F.one():
@@ -204,6 +198,49 @@ class TestQuadExt:
             QuadExt(F4, F4.one())
 
 
+def _quad_ext_from_index(E, i):
+    base = E.base
+    return E.element(base.from_index(i % base.order), base.from_index(i // base.order))
+
+
+class TestZechTables:
+    @pytest.mark.parametrize("field", [
+        F25,
+        FiniteField(3, UniPoly([1, 2, 0, 1])),  # F_27
+        QuadExt(F25, field_nonsquare(F25)),  # F_625
+    ], ids=["F25", "F27", "F625"])
+    def test_tables(self, field):
+        T = zech_tables(field)
+        N = field.order
+        assert sorted(T.exp) == list(range(1, N))  # a bijection onto the nonzero indices
+        assert T.log[0] is None
+        assert all(T.log[T.exp[n]] == n for n in range(N - 1))
+        assert [n for n, z in enumerate(T.zech) if z is None] == [(N - 1) // 2]
+        elt = field.from_index if isinstance(field, FiniteField) else (
+            lambda i: _quad_ext_from_index(field, i))
+        g = elt(T.exp[1])
+        # g is the first generator in index order
+        for i in range(2, T.exp[1]):
+            x = elt(i)
+            assert any(x ** ((N - 1) // r) == 1 for r in factorize(N - 1))
+        assert all(g ** ((N - 1) // r) != 1 for r in factorize(N - 1))
+        rng = random.Random(N)
+        for _ in range(40):
+            n, m = rng.randrange(N - 1), rng.randrange(N - 1)
+            assert (elt(T.exp[n]) * elt(T.exp[m])).index() == T.exp[(n + m) % (N - 1)]
+            one_plus = elt(T.exp[n]) + 1
+            if T.zech[n] is not None:
+                assert one_plus.index() == T.exp[T.zech[n]]
+        assert (elt(T.exp[(N - 1) // 2]) + 1).is_zero
+
+    def test_cached_per_field(self):
+        assert zech_tables(F25) is zech_tables(FiniteField(5, F25.modulus))
+
+    def test_char2_refused(self):
+        with pytest.raises(ValueError):
+            zech_tables(FiniteField(2, UniPoly([1, 1, 1])))
+
+
 class TestIntegerLinearAlgebra:
     def test_bareiss(self):
         assert bareiss_det([[1, 2], [3, 4]]) == -2
@@ -247,6 +284,21 @@ class TestRealRootCounting:
         # roots of x^2 - 2 at +-sqrt(2); sign of x there: one +, one -
         assert tarski_query([-2, 0, 1], [0, 1]) == 0
         assert tarski_query([-2, 0, 1], [1]) == 2
+
+    def test_integer_roots_vs_scan(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            p = UniPoly([rng.randrange(-4, 5) for _ in range(rng.randrange(3))] + [rng.choice([1, 2, -3])])
+            for r in (rng.randrange(-40, 41) for _ in range(rng.randrange(1, 4))):
+                p = p * UniPoly([-r, 1])
+            assert integer_roots(p) == [x for x in range(-400, 401) if p(x) == 0]
+
+    def test_integer_roots_far_out(self):
+        assert integer_roots(UniPoly([-10**18, 0, 1])) == [-10**9, 10**9]
+        assert integer_roots(UniPoly([10**9 + 7, 0, 1])) == []
+        assert integer_roots(UniPoly([0, 0, -1, 1])) == [0, 1]  # double root at 0
+        with pytest.raises(ValueError):
+            integer_roots(UniPoly([5]))
 
     def test_positive_count(self):
         # g = x: positive at sqrt(2) only

@@ -94,6 +94,18 @@ class TestLoading:
         with pytest.raises(PacketFormatError, match="rational root"):
             packet_from_dict(base_packet(coeff_poly=[-2, 1, 1]))  # (x-1)(x+2)
 
+    def test_large_constant_term_validates_quickly(self):
+        import time
+
+        t0 = time.perf_counter()
+        p = packet_from_dict(base_packet(coeff_poly=[10**9 + 7, 0, 1]))
+        assert time.perf_counter() - t0 < 1.0
+        assert p.coeff_poly == UniPoly([10**9 + 7, 0, 1])
+
+    def test_large_rational_root_named(self):
+        with pytest.raises(PacketFormatError, match="rational root 1000000000$"):
+            packet_from_dict(base_packet(coeff_poly=[-10**18, 0, 1]))
+
     def test_level_mismatch_rejected(self):
         with pytest.raises(PacketFormatError, match="level"):
             packet_from_dict(base_packet(level={"norm": 100, "primes": ["2.0", "13.0"]}))
