@@ -12,6 +12,8 @@ share between threads.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
@@ -484,7 +486,7 @@ def _is_irreducible_mod_p(c, p):
     n = len(c) - 1
     if n <= 0:
         return False
-    x = (0, 1)
+    x = _pm_mod((0, 1), c, p)  # a constant when the modulus is linear
     h = _pm_powmod(x, p**n, c, p)
     if _pm_sub(h, x, p):
         return False
@@ -500,6 +502,54 @@ def _is_irreducible_mod_p(c, p):
 # finite fields F_{p^k} = F_p[x]/(m)
 
 
+def _mul_kernel(p: int, m: tuple):
+    """Multiplication of coefficient tuples in F_p[x]/(m), m monic of
+    degree k, by Kronecker substitution (von zur Gathen and Gerhard,
+    Modern Computer Algebra, section 8.4).
+
+    Each tuple is packed into one int, `w` bits per coefficient, and the
+    two ints are multiplied once. The product's slots k..2k-2, each
+    reduced mod p, fold back in through the packed rows x^j mod m; no
+    slot ever carries, because every slot stays at most
+    k(p-1)^2 + (k-1)(p-1)^2 < 2^w. w is the smallest array item size
+    that holds that bound (16 bits for every field of the unit sieve);
+    past 64 bits the schoolbook product and division take over.
+    """
+    k = len(m) - 1
+    if k == 1:
+        return lambda a, b: (a[0] * b[0] % p,)
+    bound = (2 * k - 1) * (p - 1) ** 2
+    code = next((c for c in "HILQ" if bound < 1 << 8 * array(c).itemsize), None)
+    if code is None:
+        def schoolbook(a, b):
+            r = _pm_mod(_pm_mul(_pm_trim(a), _pm_trim(b), p), m, p)
+            return r + (0,) * (k - len(r))
+
+        return schoolbook
+    w = array(code).itemsize
+    order = sys.byteorder
+    from_bytes = int.from_bytes
+    rows = []  # x^j mod m for j = k..2k-2, by companion-matrix steps
+    col = [0] * (k - 1) + [1]
+    for _ in range(k - 1):
+        top = col[-1]
+        col = [(c - top * mc) % p for c, mc in zip([0] + col[:-1], m)]
+        rows.append(from_bytes(array(code, col).tobytes(), order))
+    shift = 8 * w * k
+    low = (1 << shift) - 1
+
+    def mul(a, b):
+        prod = (from_bytes(array(code, a).tobytes(), order)
+                * from_bytes(array(code, b).tobytes(), order))
+        acc = prod & low
+        for h, row in zip(array(code, (prod >> shift).to_bytes(w * (k - 1), order)), rows):
+            if h:
+                acc += h % p * row
+        return tuple([c % p for c in array(code, acc.to_bytes(w * k, order))])
+
+    return mul
+
+
 class FiniteField:
     """Explicit finite field F_p[x]/(modulus); order N = p^k.
 
@@ -509,7 +559,7 @@ class FiniteField:
     rely on this order being stable.
     """
 
-    __slots__ = ("p", "modulus", "k", "order", "_mod_c")
+    __slots__ = ("p", "modulus", "k", "order", "_mod_c", "_kernel")
 
     def __init__(self, p: int, modulus: UniPoly, check: bool = True):
         if not is_prime(p):
@@ -525,6 +575,15 @@ class FiniteField:
         self.modulus = UniPoly(c)
         self.k = len(c) - 1
         self.order = p ** self.k
+        self._kernel = None  # built on the first multiply
+
+    def mul_kernel(self):
+        """This field's multiply on coefficient tuples (see `_mul_kernel`),
+        built on the first call and kept on the field. Threads that race
+        here build equal kernels, and either one may be kept."""
+        if self._kernel is None:
+            self._kernel = _mul_kernel(self.p, self._mod_c)
+        return self._kernel
 
     @property
     def char(self) -> int:
@@ -596,7 +655,7 @@ class FFElement:
 
     def _coerce(self, other):
         if isinstance(other, FFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, int):
@@ -635,9 +694,7 @@ class FFElement:
         if o is None:
             return NotImplemented
         F = self.field
-        prod = _pm_mul(_pm_trim(self.coeffs), _pm_trim(o.coeffs), F.p)
-        red = _pm_mod(prod, F._mod_c, F.p)
-        return F.element(red)
+        return FFElement(F, F.mul_kernel()(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -660,14 +717,15 @@ class FFElement:
         if e < 0:
             return self.inverse() ** (-e)
         F = self.field
-        acc = F.one()
-        base = self
+        mul = F.mul_kernel()
+        acc, base = F.one().coeffs, self.coeffs
         while e:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = mul(acc, base)
             e >>= 1
-        return acc
+            if e:
+                base = mul(base, base)
+        return FFElement(F, acc)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -419,10 +419,13 @@ def reduce_element(x: NFElement, P: PrimeIdealData) -> FFElement:
     """Image of x in the residue field of P (theta goes to the stored root)."""
     if x.order != P.order:
         raise ValueError("element and prime belong to different orders")
-    acc = P.residue_field.zero()
+    F = P.residue_field
+    if P.fdeg > 1:  # the root is the class of x: reduce the coordinate polynomial
+        return F.element(x.coords)
+    r, acc = P.theta_image.coeffs[0], 0
     for c in reversed(x.coords):
-        acc = acc * P.theta_image + c
-    return acc
+        acc = (acc * r + c) % P.q
+    return F.from_int(acc)
 
 
 def element_norm(x: NFElement) -> int:

@@ -458,20 +458,49 @@ def sieve_case(descent_case: str, constraints) -> set:
     return {UnitClass.from_index(i) for i in surv}
 
 
+def _class_tables(Q: PrimeIdealData, E: int):
+    """(mul, lo, hi) at Q for the exhaustive walk, on coefficient tuples:
+    mul is the residue field's multiply, lo[e0 + 7 e1] is
+    (u_2^e0 u_3^e1)^E and hi[e2 + 7 e3 + 49 e4] is
+    (u_4^e2 u_5^e3 u_6^e4)^E, both reduced at Q. Built from the powers
+    (reduced u_a)^(eE) by multiplication only."""
+    F = Q.residue_field
+    mul = F.mul_kernel()
+    powers = []
+    for g in cyclotomic_unit_generators():
+        base = (reduce_element(g, Q) ** E).coeffs
+        row = [F.one().coeffs]
+        for _ in range(6):
+            row.append(mul(row[-1], base))
+        powers.append(row)
+    p2, p3, p4, p5, p6 = powers
+    lo = [mul(x3, x2) for x3 in p3 for x2 in p2]
+    hi = [mul(mul(x6, x5), x4) for x6 in p6 for x5 in p5 for x4 in p4]
+    return mul, lo, hi
+
+
+def _class_residues(tables, idx: int) -> tuple:
+    """Coefficients of eps^E at each prime for the unit class of index idx
+    (base 7, u_2 least significant): one product lo[idx % 49] *
+    hi[idx // 49] per prime, for the tables of `_class_tables`."""
+    i, j = idx % 49, idx // 49
+    return tuple(mul(lo[i], hi[j]) for mul, lo, hi in tables)
+
+
 def sieve_case_exhaustive(descent_case: str, constraints) -> set:
     """Reference implementation: walk all 16807 classes and compare
     7th-power residues directly (no discrete logs, no linear algebra).
 
-    Kept as the independent oracle for the linear-algebra route; slower
-    but still batch-friendly because eps^((N-1)/7) is a product of five
-    precomputed subgroup elements.
+    Kept as the independent oracle for the linear-algebra route. Each
+    class costs one field multiply per prime: eps^((N-1)/7) is the
+    product of a precomputed (u_2, u_3) part and a (u_4, u_5, u_6) part.
     """
     if descent_case not in _DESCENT_CASES:
         raise ValueError(f"descent_case must be one of {_DESCENT_CASES}")
     _validate_constraints(constraints)
     delta = 1 if descent_case == "divisible-13" else 0
     order = get_order("Zzeta13")
-    gens = cyclotomic_unit_generators()
+    omz = order.one() - order.theta()
     surv = set(range(UNIT_CLASS_COUNT))
     for c in constraints:
         primes = split_prime(order, c.q)
@@ -479,47 +508,33 @@ def sieve_case_exhaustive(descent_case: str, constraints) -> set:
             if (Q.norm - 1) % 7:
                 raise ValueError(f"7 does not divide the residue group order at {Q.key}")
         exps = [(Q.norm - 1) // 7 for Q in primes]
-        # eps^E tables: powtab[prime][gen][e] = (reduced gen)^(e*E)
-        powtab = []
-        for Q, E in zip(primes, exps):
-            per_gen = []
-            for g in gens:
-                base = reduce_element(g, Q) ** E
-                row = [Q.residue_field.one()]
-                for _ in range(6):
-                    row.append(row[-1] * base)
-                per_gen.append(row)
-            powtab.append(per_gen)
-        omz = order.one() - order.theta()
+        tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
         # target per pair and prime: (a + zeta b)^E * ((1-zeta)^E)^(-delta)
+        shifts = [
+            (reduce_element(omz, Q) ** E).inverse() if delta else None
+            for Q, E in zip(primes, exps)
+        ]
         exact_targets = set()
         wildcard_targets = []
         for a, b in admissible_pairs(c):
             elt = _pair_element(a, b)
             tup = []
-            for Q, E in zip(primes, exps):
+            for Q, E, shift in zip(primes, exps, shifts):
                 red = reduce_element(elt, Q)
                 if red.is_zero:
                     tup.append(None)
                     continue
                 t = red**E
-                if delta:
-                    t = t * (reduce_element(omz, Q) ** E).inverse()
-                tup.append(t)
+                if shift is not None:
+                    t = t * shift
+                tup.append(t.coeffs)
             if None in tup:
                 wildcard_targets.append(tuple(tup))
             else:
                 exact_targets.add(tuple(tup))
         alive = set()
         for idx in surv:
-            e = UnitClass.from_index(idx).exps
-            mine = []
-            for per_gen in powtab:
-                acc = per_gen[0][e[0]]
-                for gi in range(1, 5):
-                    acc = acc * per_gen[gi][e[gi]]
-                mine.append(acc)
-            tup = tuple(mine)
+            tup = _class_residues(tables, idx)
             if tup in exact_targets:
                 alive.add(idx)
                 continue

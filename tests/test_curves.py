@@ -178,7 +178,7 @@ class TestReductionType:
 
 class TestPointCounting:
     def test_supersingular_example(self):
-        F5 = FiniteField(5, UniPoly([0, 1]), check=False)
+        F5 = FiniteField(5, UniPoly([0, 1]))
         coeffs = [F5.zero(), F5.zero(), F5.zero(), F5.zero(), F5.one()]
         assert count_weierstrass_points(coeffs, F5) == 6  # a = 0
 
@@ -201,7 +201,7 @@ class TestPointCounting:
     def test_counting_vs_oracle(self, p, k):
         rng = random.Random(100 * p + k)
         if k == 1:
-            field = FiniteField(p, UniPoly([0, 1]), check=False)
+            field = FiniteField(p, UniPoly([0, 1]))
         else:
             from fermatkit.exactarith import poly_factor_mod_p
 
@@ -542,15 +542,15 @@ class TestWeightedPPEqual:
 
 class TestFrobeniusProjectiveOrder:
     def test_a_zero_gives_order_2(self):
-        F7 = FiniteField(7, UniPoly([0, 1]), check=False)
+        F7 = FiniteField(7, UniPoly([0, 1]))
         assert frobenius_projective_order(F7.zero(), 3) == 2
 
     def test_repeated_root_convention(self):
-        F7 = FiniteField(7, UniPoly([0, 1]), check=False)
+        F7 = FiniteField(7, UniPoly([0, 1]))
         assert frobenius_projective_order(F7.from_int(2), 1) == 7
 
     def test_char_divides_det_rejected(self):
-        F7 = FiniteField(7, UniPoly([0, 1]), check=False)
+        F7 = FiniteField(7, UniPoly([0, 1]))
         with pytest.raises(ValueError):
             frobenius_projective_order(F7.one(), 14)
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -25,6 +26,8 @@ from fermatkit.exactarith import (
     tarski_query,
     zech_tables,
 )
+from fermatkit.exactarith import _pm_mod, _pm_mul, _pm_trim
+from fermatkit.numberfield import get_order, split_prime
 
 PHI13 = UniPoly([1] * 13)
 
@@ -117,7 +120,7 @@ class TestFactorModP:
 
 
 F25 = FiniteField(5, UniPoly([3, 0, 1]), check=False)  # x^2 + 3 irreducible mod 5
-F29 = FiniteField(29, UniPoly([0, 1]), check=False)
+F29 = FiniteField(29, UniPoly([0, 1]))
 
 
 class TestFiniteField:
@@ -171,6 +174,100 @@ class TestFiniteField:
     def test_division(self):
         a, b = F25.from_index(7), F25.from_index(13)
         assert (a / b) * b == a
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 11, 29, 101])
+    def test_linear_moduli_accepted(self, p):
+        for c in range(min(p, 6)):
+            F = FiniteField(p, UniPoly([c, 1]))
+            assert (F.k, F.order) == (1, p)
+            assert F.gen() == F.from_int(-c)
+        assert FiniteField(7, UniPoly([3, 5])).gen() == FiniteField(7, UniPoly([2, 1])).gen()
+
+    def test_reducible_and_bad_characteristic_rejected(self):
+        with pytest.raises(ValueError, match="reducible"):
+            FiniteField(5, UniPoly([4, 0, 1]))
+        with pytest.raises(ValueError, match="not prime"):
+            FiniteField(4, UniPoly([1, 1]))
+        with pytest.raises(ValueError, match="not prime"):
+            FiniteField(4, UniPoly([1, 1, 1]))
+
+
+def _first_irreducible(p, k):
+    """Least c with x^k + x + c irreducible mod p."""
+    for c in range(p):
+        f = UniPoly([c, 1] + [0] * (k - 2) + [1])
+        fs = poly_factor_mod_p(f, p)
+        if len(fs) == 1 and fs[0][0].degree == k:
+            return FiniteField(p, f)
+    raise AssertionError("no irreducible trinomial")
+
+
+M61 = 2**61 - 1  # a prime
+# The kernel's slots hold (2k - 1)(p - 1)^2: below 2^16 for every sieve
+# field (23 * 40^2 for F_{41^12}), 70000 for F_{101^4}, past 2^64 for F_{M61^2}.
+KERNEL_FIELDS = {
+    # the sieve's residue fields, with the moduli the sieve uses
+    "F2^12": lambda: split_prime(get_order("Zzeta13"), 2)[0].residue_field,
+    "F29^3": lambda: split_prime(get_order("Zzeta13"), 29)[0].residue_field,
+    "F23^6": lambda: split_prime(get_order("Zzeta13"), 23)[0].residue_field,
+    "F11^12": lambda: split_prime(get_order("Zzeta13"), 11)[0].residue_field,
+    "F19^12": lambda: split_prime(get_order("Zzeta13"), 19)[0].residue_field,
+    "F41^12": lambda: split_prime(get_order("Zzeta13"), 41)[0].residue_field,
+    "F29": lambda: F29,
+    "F101^4": lambda: _first_irreducible(101, 4),  # 32-bit slots
+    "FM61^2": lambda: FiniteField(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback
+}
+
+
+@functools.cache
+def _kernel_field(name):
+    return KERNEL_FIELDS[name]()
+
+
+def _schoolbook(x, y):
+    """Coefficients of x * y by plain convolution and long division."""
+    F = x.field
+    r = _pm_mod(_pm_mul(_pm_trim(x.coeffs), _pm_trim(y.coeffs), F.p), F._mod_c, F.p)
+    return r + (0,) * (F.k - len(r))
+
+
+class TestMulKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_schoolbook(self, name, data):
+        F = _kernel_field(name)
+        index = st.integers(min_value=0, max_value=F.order - 1)
+        x, y = F.from_index(data.draw(index)), F.from_index(data.draw(index))
+        assert (x * y).coeffs == _schoolbook(x, y)
+        assert F.mul_kernel()(x.coeffs, y.coeffs) == (y * x).coeffs
+
+    @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+    def test_extreme_coefficients(self, name):
+        F = _kernel_field(name)
+        top = F.from_index(F.order - 1)  # every coefficient p - 1: the largest slots
+        for x, y in [(top, top), (top, F.one()), (top, F.zero()), (F.gen(), top)]:
+            assert (x * y).coeffs == _schoolbook(x, y)
+
+    def test_built_on_first_multiply(self):
+        F = FiniteField(29, split_prime(get_order("Zzeta13"), 29)[0].residue_field.modulus)
+        assert F._kernel is None
+        F.gen() * F.gen()
+        assert F._kernel is F.mul_kernel()
+
+    @pytest.mark.parametrize("name", ["F2^12", "F29^3", "F23^6", "F41^12", "F29", "F101^4"])
+    def test_pow_vs_repeated_multiplication(self, name):
+        F = _kernel_field(name)
+        rng = random.Random(name)
+        x = F.from_index(rng.randrange(1, F.order))
+        acc = F.one()
+        for e in range(14):
+            assert x**e == acc
+            acc = acc * x
+        inv = x.inverse()
+        assert x * inv == F.one()
+        assert x**-1 == inv and x**-3 == inv * inv * inv
+        assert F.zero() ** 0 == F.one() and F.zero() ** 5 == F.zero()
 
 
 class TestQuadExt:

@@ -118,6 +118,20 @@ class TestReduction:
             assert reduce_element(a * b, P) == reduce_element(a, P) * reduce_element(b, P)
 
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 23, 29, 53])
+    def test_matches_horner_at_the_root(self, q):
+        """reduce_element is the coordinate polynomial evaluated at the
+        stored image of theta, at primes of every residue degree."""
+        rng = random.Random(q)
+        for P in split_prime(ZZ13, q):
+            for _ in range(10):
+                x = ZZ13.element([rng.randrange(-50, 51) for _ in range(12)])
+                acc = P.residue_field.zero()
+                for c in reversed(x.coords):
+                    acc = acc * P.theta_image + c
+                assert reduce_element(x, P) == acc
+
+
 class TestNorms:
     def test_examples(self):
         assert element_norm(K13.one()) == 1

@@ -340,6 +340,22 @@ def test_oracle_needs_no_character_tables(monkeypatch):
     assert sieve_case_exhaustive("divisible-13", cons) == linear
 
 
+@pytest.mark.parametrize("q", [11, 29])
+def test_class_residues_match_direct_powers(q):
+    """The oracle's split-table product lo[i % 49] * hi[i // 49] is the
+    unit's own reduction raised to (N - 1)/7, at every prime above q."""
+    from fermatkit.unitsieve import _class_residues, _class_tables
+
+    primes = split_prime(ZZ13, q)
+    exps = [(Q.norm - 1) // 7 for Q in primes]
+    tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
+    rng = random.Random(q)
+    for idx in [0, UNIT_CLASS_COUNT - 1] + rng.sample(range(1, UNIT_CLASS_COUNT - 1), 38):
+        unit = UnitClass.from_index(idx).unit()
+        want = tuple((reduce_element(unit, Q) ** E).coeffs for Q, E in zip(primes, exps))
+        assert _class_residues(tables, idx) == want
+
+
 class TestRank:
     def test_verified_values(self):
         primes = [P for q in (2, 11, 23, 29) for P in split_prime(ZZ13, q)]
