@@ -135,6 +135,7 @@ class _Ctx:
         self.fixtures = Path(fixtures)
         self.seed = seed
         self.report = None  # set per command
+        self.curves = {}  # path -> curve, each fixture parsed and validated once
 
     def path(self, rel) -> Path:
         p = Path(rel)
@@ -154,7 +155,9 @@ class _Ctx:
 def _load_curve(ctx: _Ctx, rel):
     p = ctx.path(rel)
     ctx.record_input(p)
-    return load_curve(p)
+    if p not in ctx.curves:
+        ctx.curves[p] = load_curve(p)
+    return ctx.curves[p]
 
 
 def _fixture_curve_E(ctx):

@@ -1,8 +1,10 @@
 """Elliptic and genus-2 curves over number-field orders.
 
 Point counting sums 1 + chi(f(x)) over the counting field, chi the
-quadratic character. Prime fields, and F_{q^2} over a prime residue
-field, use plain integers; any other odd-characteristic field (F_{p^k},
+quadratic character. Prime fields evaluate f at every x at once on
+packed integers; F_{q^2} over a prime residue field is counted over F_q
+through the norm, chi_{q^2}(z) = chi_q(N(z)), one norm polynomial per
+conjugate pair of rows. Any other odd-characteristic field (F_{p^k},
 k > 1, and QuadExt towers over one) uses the field's Zech-log tables
 (`exactarith.zech_tables`), built once per field and meant for fields of
 up to about 5*10^4 elements. Characteristic 2 uses the Artin-Schreier
@@ -14,6 +16,8 @@ exact rational arithmetic. All functions are pure; inputs are immutable.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -190,32 +194,60 @@ def ec_reduction_type(E: EllipticCurveNF, P: PrimeIdealData) -> str:
 
 
 @lru_cache(maxsize=None)
-def _prime_squares(q):
-    return frozenset(x * x % q for x in range(1, q))
+def _prime_field_tables(q):
+    """Packed power columns of F_q, and 1 + chi(r) for every residue r as
+    bytes.
+
+    Column k is sum_x (x^k mod q) << (w x) for k = 0..12, w bits per
+    slot: 32 while 13 (q-1)^2 < 2^32 (every q < 18000), else 64, so a
+    polynomial of degree at most 12 with coefficients in [0, q) never
+    carries out of a slot.
+    """
+    code = next((c for c in "IQ" if 13 * (q - 1) ** 2 < 1 << 8 * array(c).itemsize), None)
+    if code is None:
+        raise ValueError(f"F_{q} is too large to enumerate")
+    cols = []
+    row = [1] * q
+    for _ in range(13):
+        cols.append(int.from_bytes(array(code, row).tobytes(), sys.byteorder))
+        row = [r * x % q for x, r in enumerate(row)]
+    table = bytearray(q)
+    for x in range(1, (q + 1) // 2):
+        table[x * x % q] = 2
+    table[0] = 1
+    return code, tuple(cols), bytes(table)
+
+
+def _prime_count(poly, q) -> int:
+    """Sum over x in F_q of 1 + chi(poly(x)), poly a list of at most 13
+    integers, lowest degree first.
+
+    The values at every x come from one packed integer, sum_k a_k col_k
+    (see `_prime_field_tables`), unpacked once and read through the
+    1 + chi table.
+    """
+    code, cols, table = _prime_field_tables(q)
+    if len(poly) > len(cols):
+        raise ValueError("packed evaluation takes degree at most 12")
+    packed = sum(a % q * col for a, col in zip(poly, cols))
+    values = array(code)
+    values.frombytes(packed.to_bytes(q * values.itemsize, sys.byteorder))
+    return sum([table[v % q] for v in values])
 
 
 def _affine_count(coeffs, field) -> int:
     """Sum over x in `field` of 1 + chi(f(x)), f = sum coeffs[i] x^i.
 
     chi is the quadratic character of an odd-characteristic field. A
-    prime field works on plain integers; any other field works on its
-    Zech-log tables: x runs over the logs n, Horner's rule is a log
-    addition plus one Zech lookup (v + c = g^v (1 + g^(c - v))), zero is
-    None, and a value is a square exactly when its log is even. Logs are
-    reduced only where they index the table; the group order is even, so
-    parity survives.
+    prime field evaluates f at every x at once on packed integers
+    (`_prime_count`); any other field works on its Zech-log tables: x
+    runs over the logs n, Horner's rule is a log addition plus one Zech
+    lookup (v + c = g^v (1 + g^(c - v))), zero is None, and a value is a
+    square exactly when its log is even. Logs are reduced only where
+    they index the table; the group order is even, so parity survives.
     """
     if isinstance(field, FiniteField) and field.k == 1:
-        q = field.char
-        squares = _prime_squares(q)
-        c = [a.coeffs[0] for a in reversed(coeffs)]
-        count = 0
-        for x in range(q):
-            v = 0
-            for a in c:
-                v = (v * x + a) % q
-            count += 1 if v == 0 else 2 if v in squares else 0
-        return count
+        return _prime_count([a.coeffs[0] for a in coeffs], field.char)
     T = zech_tables(field)
     zech, M = T.zech, len(T.zech)
     c = [T.log[a.index()] for a in coeffs]
@@ -247,8 +279,7 @@ def _one_plus_chi(log):
 def _field_one_plus_chi(c, field):
     """1 + chi(c) for an element of an odd-characteristic counting field."""
     if isinstance(field, FiniteField) and field.k == 1:
-        v = c.coeffs[0]
-        return 1 if v == 0 else 2 if v in _prime_squares(field.char) else 0
+        return _prime_field_tables(field.char)[2][c.coeffs[0]]
     return _one_plus_chi(zech_tables(field).log[c.index()])
 
 
@@ -355,41 +386,35 @@ def _reduced_sextic_ok(red, field):
     return not r.is_zero
 
 
-@lru_cache(maxsize=None)
-def _qext_prime_squares(q, s):
-    """Encodings a + q*b of nonzero squares of F_q[t]/(t^2 - s)."""
-    return frozenset(
-        (a * a + b * b * s) % q + q * ((2 * a * b) % q)
-        for a in range(q)
-        for b in range(q)
-        if a or b
-    )
+def _count_sextic_ext2_prime(c, q, s) -> int:
+    """Points of y^2 = sum c[k] x^k (integers) over F_{q^2} = F_q[t]/(t^2 - s).
 
-
-def _smallest_nonsquare(q):
-    for s in range(2, q):
-        if pow(s, (q - 1) // 2, q) == q - 1:
-            return s
-    raise AssertionError("no non-square mod an odd prime")
-
-
-def _count_sextic_ext2_prime(c, q) -> int:
-    """Count over F_{q^2} built as F_q[t]/(t^2 - s), plain integers."""
-    s = _smallest_nonsquare(q)
-    squares = _qext_prime_squares(q, s)
-    count = 0
-    for xa in range(q):
-        for xb in range(q):
-            va, vb = c[6] % q, 0
-            for k in range(5, -1, -1):
-                va, vb = (va * xa + vb * xb * s + c[k]) % q, (va * xb + vb * xa) % q
-            if va == 0 and vb == 0:
-                count += 1
-            elif va + q * vb in squares:
-                count += 2
-    # every element of F_q is a square in F_{q^2}, so a nonzero leading
-    # coefficient always contributes both points at infinity here
-    count += 1 if c[6] % q == 0 else 2
+    A nonzero z = P + Qt is a square in F_{q^2} exactly when its norm
+    P^2 - s Q^2 is a square in F_q, so chi_{q^2}(z) = chi_q(N(z)). For
+    x = a + bt, six Horner steps in F_q[t]/(t^2 - s)[X] give
+    f(X + bt) = P_b(X) + Q_b(X) t, and the row of b adds
+    sum_a 1 + chi_q(N_b(a)) for the degree-12 norm polynomial
+    N_b = P_b^2 - s Q_b^2, evaluated by `_prime_count`. Frobenius fixes
+    f, so the rows of b and -b are equal and only b <= (q-1)/2 is
+    evaluated. Every element of F_q is a square in F_{q^2} (the b = 0
+    row is f^2), so a nonzero leading coefficient always contributes
+    both points at infinity.
+    """
+    c = [x % q for x in c]
+    count = 1 if c[6] == 0 else 2
+    for b in range((q + 1) // 2):
+        sb = s * b
+        P, Q = [c[6]], [0]
+        for ck in reversed(c[:6]):  # (P + Qt)(X + bt) + ck
+            P, Q = (
+                [(x + sb * y) % q for x, y in zip([ck] + P, Q + [0])],
+                [(x + b * y) % q for x, y in zip([0] + Q, P + [0])],
+            )
+        N = [0] * 13
+        for i, (pi, qi) in enumerate(zip(P, Q)):
+            for j, (pj, qj) in enumerate(zip(P, Q)):
+                N[i + j] += pi * pj - s * qi * qj
+        count += _prime_count(N, q) * (2 if b else 1)
     return count
 
 
@@ -399,8 +424,9 @@ def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -
     Affine part is sum over x of 1 + chi(f(x)); points at infinity follow
     the image of the leading coefficient: two if it is a nonzero square
     in the counting field, one if it vanishes (degree drops to five),
-    none if it is a non-square. F_{q^2} over a prime residue field takes
-    a plain-integer path; every other counting field goes through
+    none if it is a non-square. F_{q^2} over a prime residue field is
+    counted over F_q, one norm polynomial per conjugate pair of rows
+    (`_count_sextic_ext2_prime`); every other counting field goes through
     `_affine_count`.
     """
     if ext not in (1, 2):
@@ -413,10 +439,11 @@ def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -
         raise SingularReductionError(f"singular reduction at {P.key}")
     if ext == 1:
         field, coeffs = base, red
-    elif P.fdeg == 1:
-        return _count_sextic_ext2_prime([x.coeffs[0] for x in red], P.q)
     else:
-        field = QuadExt(base, field_nonsquare(base))
+        s = field_nonsquare(base)
+        if P.fdeg == 1:
+            return _count_sextic_ext2_prime([x.coeffs[0] for x in red], P.q, s.coeffs[0])
+        field = QuadExt(base, s)
         coeffs = [field.embed(c) for c in red]
     return _affine_count(coeffs, field) + _field_one_plus_chi(coeffs[6], field)
 

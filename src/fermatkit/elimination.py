@@ -26,8 +26,8 @@ Family config (JSON)::
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .curves import EllipticCurveNF, ec_invariants, ec_trace
@@ -217,17 +217,13 @@ class _LocalData:
     traces: dict  # pair -> {prime key -> trace}, good pairs only
 
 
-_local_cache: dict = {}
-_local_lock = threading.Lock()
-
-
 def _family_local_data(family: FreyFamily, q: int) -> _LocalData:
     family.require_admissible(q)
-    ck = (family, q)
-    with _local_lock:
-        hit = _local_cache.get(ck)
-    if hit is not None:
-        return hit
+    return _local_data(family, q)
+
+
+@lru_cache(maxsize=None)
+def _local_data(family: FreyFamily, q: int) -> _LocalData:
     primes = tuple(split_prime(family.order, q))
     cases = {}
     traces = {}
@@ -253,10 +249,7 @@ def _family_local_data(family: FreyFamily, q: int) -> _LocalData:
                         f"family {family.label}: rule says multiplicative at q={q}, "
                         f"pair {pair}, but the discriminant is a unit at {P.key}"
                     )
-    data = _LocalData(primes=primes, cases=cases, traces=traces)
-    with _local_lock:
-        _local_cache[ck] = data
-    return data
+    return _LocalData(primes=primes, cases=cases, traces=traces)
 
 
 def _eigen_poly(packet: NewformPacket, key: str) -> UniPoly:

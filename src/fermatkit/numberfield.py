@@ -9,9 +9,9 @@ which covers every valuation this toolkit needs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactarith import (
     FFElement,
@@ -359,15 +359,11 @@ def known_orders():
     return dict(_ORDERS)
 
 
-_split_cache: dict = {}
-_split_lock = threading.Lock()
-
-
 def split_prime(order: NumberFieldOrder, q: int):
     """Primes of the order above q, one per irreducible factor mod q.
 
-    Results are memoized; PrimeIdealData values are immutable, so the
-    cached list is shared freely.
+    Results are memoized per (order, q); PrimeIdealData values are
+    immutable, so the cached list is shared freely.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -375,11 +371,11 @@ def split_prime(order: NumberFieldOrder, q: int):
         raise UnsupportedPrimeError(
             f"unsupported prime {q} for order {order.label} (index divisor risk)"
         )
-    key = (order.label, order.poly.coeffs, q)
-    with _split_lock:
-        hit = _split_cache.get(key)
-    if hit is not None:
-        return hit
+    return _split_prime(order, q)
+
+
+@lru_cache(maxsize=None)
+def _split_prime(order: NumberFieldOrder, q: int):
     factors = poly_factor_mod_p(order.poly, q)
     primes = []
     for i, (g, mult) in enumerate(factors):
@@ -397,8 +393,6 @@ def split_prime(order: NumberFieldOrder, q: int):
             )
         )
     assert sum(p.e * p.fdeg for p in primes) == order.degree
-    with _split_lock:
-        _split_cache[key] = primes
     return primes
 
 

@@ -22,9 +22,8 @@ in the residue field per prime instead of one per pair (q^2 - 1).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .elimination import FreyFamily, _family_local_data
@@ -194,16 +193,9 @@ def _group_prime_factors(q: int, f: int):
     return sorted(primes)
 
 
-_gen_cache: dict = {}
-_gen_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _lex_least_generator(field) -> FFElement:
     """First multiplicative generator in the frozen enumeration order."""
-    with _gen_lock:
-        hit = _gen_cache.get(field)
-    if hit is not None:
-        return hit
     n1 = field.order - 1
     prime_factors = _group_prime_factors(field.p, field.k)
     one = field.one()
@@ -217,21 +209,12 @@ def _lex_least_generator(field) -> FFElement:
             break
     if g is None:
         raise AssertionError("no generator found; field arithmetic is broken")
-    with _gen_lock:
-        _gen_cache[field] = g
     return g
 
 
-_table_cache: dict = {}
-_table_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
-    """Character table at Q; requires 7 | N(Q) - 1."""
-    with _table_lock:
-        hit = _table_cache.get(Q)
-    if hit is not None:
-        return hit
+    """Character table at Q, memoized per prime; requires 7 | N(Q) - 1."""
     n1 = Q.norm - 1
     if n1 % 7:
         raise ValueError(
@@ -252,7 +235,7 @@ def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
     order = get_order("Zzeta13")
     red = reduce_element(order.one() - order.theta(), Q)
     chi_omz = None if red.is_zero else _residue_char(red, exponent, dlog)
-    table = LocalCharacterTable(
+    return LocalCharacterTable(
         prime=Q,
         exponent=exponent,
         omega=omega,
@@ -260,9 +243,6 @@ def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
         unit_chars=unit_chars,
         chi_one_minus_zeta=chi_omz,
     )
-    with _table_lock:
-        _table_cache[Q] = table
-    return table
 
 
 def _residue_char(red: FFElement, exponent: int, dlog: dict) -> int:

@@ -204,6 +204,29 @@ class TestFullReport:
         assert rep.checks[0].status == "pass"
         assert set(CHECK_NAMES) >= {"euler-rm-at-3", "sieve-soundness"}
 
+    def test_fixture_curves_loaded_once_per_run(self, monkeypatch):
+        import hashlib
+
+        import fermatkit.cli as cli
+
+        loaded = []
+
+        def counting_load_curve(path):
+            loaded.append(Path(path).name)
+            return load_curve(path)
+
+        load_curve = cli.load_curve
+        monkeypatch.setattr(cli, "load_curve", counting_load_curve)
+        names = ["euler-rm-at-3", "invariant-valuations-at-2", "igusa-proportionality",
+                 "projective-frobenius-orders"]
+        for _ in range(2):  # a fresh run parses again
+            rep = run_checks(names=names)
+            assert [c.status for c in rep.checks] == ["pass"] * 4
+            for name in ("C_eq51.curve", "E_1_-1.curve"):
+                digest = hashlib.sha256((FIXTURES / "curves" / name).read_bytes()).hexdigest()
+                assert rep.inputs[name] == digest
+        assert sorted(loaded) == ["C_eq51.curve", "C_eq51.curve", "E_1_-1.curve", "E_1_-1.curve"]
+
 
 class TestFixtureOverride:
     def test_fixtures_dir_flag(self, capsys, tmp_path):

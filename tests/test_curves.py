@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatkit.curves import (
     BadReductionError,
@@ -26,6 +29,7 @@ from fermatkit.curves import (
     rm_split_to_euler,
     weighted_pp_equal,
 )
+from fermatkit.curves import _count_sextic_ext2_prime, _prime_count, _prime_field_tables
 from fermatkit.exactarith import FiniteField, QuadExt, UniPoly, field_nonsquare
 from fermatkit.numberfield import (
     QElement,
@@ -113,6 +117,64 @@ def naive_count_sextic(coeffs, field):
             v = v * x + c
         n += _naive_one_plus_chi(v, squares)
     return n
+
+
+# The plain-integer F_{q^2} enumeration that the norm-polynomial count
+# replaced, kept unchanged as its oracle: every x = xa + xb t of
+# F_q[t]/(t^2 - s) by Horner's rule, looked up in the set of nonzero squares.
+
+
+@lru_cache(maxsize=None)
+def _qext_prime_squares(q, s):
+    """Encodings a + q*b of nonzero squares of F_q[t]/(t^2 - s)."""
+    return frozenset(
+        (a * a + b * b * s) % q + q * ((2 * a * b) % q)
+        for a in range(q)
+        for b in range(q)
+        if a or b
+    )
+
+
+def _smallest_nonsquare(q):
+    for s in range(2, q):
+        if pow(s, (q - 1) // 2, q) == q - 1:
+            return s
+    raise AssertionError("no non-square mod an odd prime")
+
+
+def enum_count_sextic_ext2_prime(c, q) -> int:
+    """Count over F_{q^2} built as F_q[t]/(t^2 - s), plain integers."""
+    s = _smallest_nonsquare(q)
+    squares = _qext_prime_squares(q, s)
+    count = 0
+    for xa in range(q):
+        for xb in range(q):
+            va, vb = c[6] % q, 0
+            for k in range(5, -1, -1):
+                va, vb = (va * xa + vb * xb * s + c[k]) % q, (va * xb + vb * xa) % q
+            if va == 0 and vb == 0:
+                count += 1
+            elif va + q * vb in squares:
+                count += 2
+    # every element of F_q is a square in F_{q^2}, so a nonzero leading
+    # coefficient always contributes both points at infinity here
+    count += 1 if c[6] % q == 0 else 2
+    return count
+
+
+def horner_prime_count(poly, q):
+    """Oracle for `_prime_count`: Horner's rule at each x, Euler's criterion."""
+    count = 0
+    for x in range(q):
+        v = 0
+        for a in reversed(poly):
+            v = (v * x + a) % q
+        count += 1 if v == 0 else 2 if pow(v, (q - 1) // 2, q) == 1 else 0
+    return count
+
+
+def _prime_nonsquare(q):
+    return field_nonsquare(FiniteField(q, UniPoly([0, 1]))).coeffs[0]
 
 
 class TestInvariants:
@@ -298,6 +360,18 @@ class TestHyperelliptic:
         red2 = [ext.embed(c) for c in red]
         assert hyp_count_points(C_FIX, P, 2) == naive_count_sextic(red2, ext)
 
+    @pytest.mark.parametrize("key", ["23.0", "23.1", "43.0"])
+    def test_split_ext2_vs_naive_oracle(self, key):
+        # F_{q^2} at split primes past the brute-force oracle's reach
+        from fermatkit.numberfield import reduce_element
+
+        P = prime_by_key(K13, key)
+        base = P.residue_field
+        assert P.fdeg == 1
+        ext = QuadExt(base, field_nonsquare(base))
+        red2 = [ext.embed(reduce_element(c, P)) for c in C_FIX.coeffs]
+        assert hyp_count_points(C_FIX, P, 2) == naive_count_sextic(red2, ext)
+
     def test_leading_coefficient_rule_vs_naive_oracle(self):
         # over F_25: c6 = 0 (one point at infinity), a non-square c6 (none)
         # and a nonzero square c6 (two)
@@ -328,6 +402,70 @@ class TestHyperelliptic:
         # C has bad reduction at the ramified prime above 13
         with pytest.raises(SingularReductionError):
             hyp_count_points(C_FIX, split_prime(K13, 13)[0], 1)
+
+
+SPLIT_EXT2_PRIMES = (3, 5, 7, 11, 13, 23, 199)
+
+
+class TestNormPolynomialCount:
+    """`_count_sextic_ext2_prime` against the enumeration it replaced, and
+    the packed prime-field evaluator against Horner's rule."""
+
+    @pytest.mark.parametrize("q", SPLIT_EXT2_PRIMES)
+    def test_nonsquare_matches_smallest(self, q):
+        assert _prime_nonsquare(q) == _smallest_nonsquare(q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        q=st.sampled_from(SPLIT_EXT2_PRIMES),
+        c=st.lists(st.integers(-(10**6), 10**6), min_size=7, max_size=7),
+        drop_lead=st.booleans(),
+    )
+    def test_random_sextics_vs_enumeration(self, q, c, drop_lead):
+        if drop_lead:
+            c[6] = 0
+        assert _count_sextic_ext2_prime(c, q, _prime_nonsquare(q)) == (
+            enum_count_sextic_ext2_prime(c, q)
+        )
+
+    @pytest.mark.parametrize("q", SPLIT_EXT2_PRIMES)
+    def test_degenerate_sextics_vs_enumeration(self, q):
+        s = _prime_nonsquare(q)
+        rng = random.Random(q)
+        g = [rng.randrange(q) for _ in range(3)] + [1]
+        g_squared = [sum(g[i] * g[k - i] for i in range(4) if 0 <= k - i < 4) for k in range(7)]
+        cases = {
+            "zero": [0] * 7,
+            "constant non-square": [s] + [0] * 6,
+            "repeated roots": g_squared,
+            "degree five": [rng.randrange(q) for _ in range(6)] + [q],
+        }
+        for name, c in cases.items():
+            assert _count_sextic_ext2_prime(c, q, s) == enum_count_sextic_ext2_prime(c, q), name
+        # f = 0: each of the q^2 affine x once, one point at infinity;
+        # a constant non-square of F_q is a square in F_{q^2}
+        assert _count_sextic_ext2_prime(cases["zero"], q, s) == q * q + 1
+        assert _count_sextic_ext2_prime(cases["constant non-square"], q, s) == 2 * q * q + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.sampled_from((3, 5, 7, 11, 13, 23, 101, 199)),
+        poly=st.lists(st.integers(-(10**9), 10**9), min_size=0, max_size=13),
+    )
+    def test_prime_count_vs_horner(self, q, poly):
+        assert _prime_count(poly, q) == horner_prime_count(poly, q)
+
+    @pytest.mark.parametrize("q,code", [(18169, "I"), (18181, "Q")])
+    def test_slot_width_limit(self, q, code):
+        # the largest prime with 13 (q-1)^2 < 2^32 and the next one; every
+        # coefficient q - 1 makes the slot sums as large as they get
+        assert _prime_field_tables(q)[0] == code
+        for poly in ([q - 1] * 13, [1, 0, 1], [q - 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5]):
+            assert _prime_count(poly, q) == horner_prime_count(poly, q)
+
+    def test_degree_above_twelve_refused(self):
+        with pytest.raises(ValueError):
+            _prime_count([1] * 14, 5)
 
 
 class TestEulerFactors:

@@ -274,3 +274,15 @@ def test_split_cache_thread_safety():
     for t in threads:
         t.join()
     assert len(set(results)) == 1
+
+
+def test_split_cache_shared_by_equal_orders_and_checked_first():
+    twin = NumberFieldOrder("Qsqrt13", UniPoly([-3, -1, 1]))
+    assert twin == K13
+    assert split_prime(twin, 17) is split_prime(K13, 17)
+    guarded = NumberFieldOrder("Qsqrt13", UniPoly([-3, -1, 1]), excluded_primes=(3,))
+    split_prime(K13, 3)  # cached for the unguarded order first
+    with pytest.raises(UnsupportedPrimeError):
+        split_prime(guarded, 3)
+    with pytest.raises(ValueError, match="not prime"):
+        split_prime(K13, 15)
