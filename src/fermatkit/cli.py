@@ -65,10 +65,11 @@ from .unitsieve import (
     SieveConstraint,
     UnitClass,
     build_character,
+    class_indices,
     generator_independence_rank,
     modular_targets_from_curve,
-    sieve_case,
-    sieve_case_exhaustive,
+    sieve_case_bits,
+    sieve_case_exhaustive_bits,
 )
 
 __all__ = ["main", "RunReport", "CheckResult", "run_checks", "CHECK_NAMES"]
@@ -308,8 +309,8 @@ def check_mod7_congruence(ctx) -> CheckResult:
 def check_unit_classes_and_rank(ctx) -> CheckResult:
     """As stated in the acceptance list: 16807 classes and rank 5 over
     the primes above {2, 11, 23, 29}. The recomputed rank over that set
-    is 4, by two independent routes (matrix elimination, and direct
-    7th-power-residue tests of the null-vector unit combination); rank 5
+    is 4, by two independent routes (the count of classes with every
+    character 0, and plain row reduction in the test suite); rank 5
     needs the six-prime set including 19. See the companion check."""
     count_ok = UnitClass.from_index(UNIT_CLASS_COUNT - 1).index == UNIT_CLASS_COUNT - 1
     Zz = get_order("Zzeta13")
@@ -344,15 +345,13 @@ def check_unit_rank_verified(ctx) -> CheckResult:
 def check_sieve_soundness(ctx) -> CheckResult:
     rng = random.Random(ctx.seed)
     problems = []
-    # linear-algebra route == exhaustive route, one prime at a time
+    # character route == exact-residue route, one prime at a time
     for q in (2, 11, 19, 23, 29, 41):
         cons = [
             SieveConstraint(q=q, mode="parity-only" if q == 2 else "unconstrained")
         ]
         for case in ("coprime-13", "divisible-13"):
-            a = {u.index for u in sieve_case(case, cons)}
-            b = {u.index for u in sieve_case_exhaustive(case, cons)}
-            if a != b:
+            if sieve_case_bits(case, cons) != sieve_case_exhaustive_bits(case, cons):
                 problems.append(f"routes disagree at q={q} ({case})")
     # planted trivial solutions survive sieves containing their pairs
     cons_u = [
@@ -364,14 +363,14 @@ def check_sieve_soundness(ctx) -> CheckResult:
         ("divisible-13", UnitClass((0, 0, 0, 0, 0))), # 1 - zeta = 1 * (1-zeta) * 1^7
         ("coprime-13", UnitClass((1, 0, 0, 0, 0))),   # 1 + zeta = u2 * 1^7
     ):
-        if cls not in sieve_case(case, cons_u):
+        if not sieve_case_bits(case, cons_u) >> cls.index & 1:
             problems.append(f"planted class {cls.exps} died ({case})")
     # monotonicity under an added constraint
     base = [SieveConstraint(q=11, mode="unconstrained")]
     more = base + [SieveConstraint(q=2, mode="parity-only")]
-    s_base = {u.index for u in sieve_case("divisible-13", base)}
-    s_more = {u.index for u in sieve_case("divisible-13", more)}
-    if not s_more <= s_base:
+    s_base = sieve_case_bits("divisible-13", base)
+    s_more = sieve_case_bits("divisible-13", more)
+    if s_more & ~s_base:
         problems.append("adding a constraint enlarged the survivor set")
     _ = rng  # seed reserved for future randomized extensions
     ok = not problems
@@ -749,28 +748,26 @@ def cmd_sieve(args, ctx) -> int:
             return _emit(args, report)
         raise
     t0 = time.monotonic()
-    survivors = sieve_case(case, constraints)
+    bits = sieve_case_bits(case, constraints)
     ms = int((time.monotonic() - t0) * 1000)
-    idx = sorted(u.index for u in survivors)
-    first = [list(UnitClass.from_index(i).exps) for i in idx[:10]]
+    count = bits.bit_count()
+    first = [list(UnitClass.from_index(i).exps) for i in class_indices(bits)[:10]]
     report.checks.append(
         CheckResult(
             "sieve",
             STATUS_PASS,
-            f"case {case}: {len(idx)} of {UNIT_CLASS_COUNT} classes survive; first {first}",
+            f"case {case}: {count} of {UNIT_CLASS_COUNT} classes survive; first {first}",
             ms=ms,
         )
     )
     if args.out:
-        bits = bytearray((UNIT_CLASS_COUNT + 7) // 8)
-        for i in idx:
-            bits[i // 8] |= 1 << (i % 8)
-        Path(args.out).write_bytes(bytes(bits))
+        data = bits.to_bytes((UNIT_CLASS_COUNT + 7) // 8, "little")
+        Path(args.out).write_bytes(data)
         summary = {
             "case": case,
-            "count": len(idx),
+            "count": count,
             "first": first,
-            "bitset_sha256": hashlib.sha256(bytes(bits)).hexdigest(),
+            "bitset_sha256": hashlib.sha256(data).hexdigest(),
         }
         Path(str(args.out) + ".json").write_text(json.dumps(summary, indent=2) + "\n")
         report.checks.append(

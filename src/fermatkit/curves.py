@@ -418,7 +418,19 @@ def _count_sextic_ext2_prime(c, q, s) -> int:
     return count
 
 
-def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -> int:
+def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
+    """The seven coefficients of C reduced at P, checked to stay smooth."""
+    if P.q == 2:
+        raise SingularReductionError("genus-2 counting in characteristic 2 is unsupported")
+    red = [reduce_element(c, P) for c in C.coeffs]
+    if not _reduced_sextic_ok(red, P.residue_field):
+        raise SingularReductionError(f"singular reduction at {P.key}")
+    return red
+
+
+def hyp_count_points(
+    C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1, reduced: list = None
+) -> int:
     """Points of the smooth projective genus-2 model over F_{N^ext}.
 
     Affine part is sum over x of 1 + chi(f(x)); points at infinity follow
@@ -427,16 +439,13 @@ def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -
     none if it is a non-square. F_{q^2} over a prime residue field is
     counted over F_q, one norm polynomial per conjugate pair of rows
     (`_count_sextic_ext2_prime`); every other counting field goes through
-    `_affine_count`.
+    `_affine_count`. `reduced` is C's reduction at P from
+    `_reduce_sextic`, for a caller that counts over both fields.
     """
     if ext not in (1, 2):
         raise ValueError("ext must be 1 or 2")
-    if P.q == 2:
-        raise SingularReductionError("genus-2 counting in characteristic 2 is unsupported")
+    red = _reduce_sextic(C, P) if reduced is None else reduced
     base = P.residue_field
-    red = [reduce_element(c, P) for c in C.coeffs]
-    if not _reduced_sextic_ok(red, base):
-        raise SingularReductionError(f"singular reduction at {P.key}")
     if ext == 1:
         field, coeffs = base, red
     else:
@@ -450,8 +459,9 @@ def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -
 
 def g2_euler_factor(C: HyperellipticCurveNF, P: PrimeIdealData) -> EulerFactorG2:
     """Euler-factor data (N, a1, a2) from counts over F_N and F_{N^2}."""
-    n1 = hyp_count_points(C, P, 1)
-    n2 = hyp_count_points(C, P, 2)
+    red = _reduce_sextic(C, P)
+    n1 = hyp_count_points(C, P, 1, red)
+    n2 = hyp_count_points(C, P, 2, red)
     N = P.norm
     a1 = N + 1 - n1
     s2 = N * N + 1 - n2  # sum of squared Frobenius eigenvalues

@@ -502,6 +502,13 @@ def _is_irreducible_mod_p(c, p):
 # finite fields F_{p^k} = F_p[x]/(m)
 
 
+def _slot_code(p: int, k: int):
+    """Smallest array type code whose items hold (2k-1)(p-1)^2, the
+    largest slot of a packed product in F_{p^k}; None past 64 bits."""
+    bound = (2 * k - 1) * (p - 1) ** 2
+    return next((c for c in "HILQ" if bound < 1 << 8 * array(c).itemsize), None)
+
+
 def _mul_kernel(p: int, m: tuple):
     """Multiplication of coefficient tuples in F_p[x]/(m), m monic of
     degree k, by Kronecker substitution (von zur Gathen and Gerhard,
@@ -518,8 +525,7 @@ def _mul_kernel(p: int, m: tuple):
     k = len(m) - 1
     if k == 1:
         return lambda a, b: (a[0] * b[0] % p,)
-    bound = (2 * k - 1) * (p - 1) ** 2
-    code = next((c for c in "HILQ" if bound < 1 << 8 * array(c).itemsize), None)
+    code = _slot_code(p, k)
     if code is None:
         def schoolbook(a, b):
             r = _pm_mod(_pm_mul(_pm_trim(a), _pm_trim(b), p), m, p)
@@ -584,6 +590,26 @@ class FiniteField:
         if self._kernel is None:
             self._kernel = _mul_kernel(self.p, self._mod_c)
         return self._kernel
+
+    def frobenius_kernel(self, e: int):
+        """x -> x^(p^e) on coefficient tuples. The map is F_p-linear, so
+        x = sum x_j t^j goes to sum x_j (t^(p^e))^j: one packed row per j,
+        in the layout of `_mul_kernel`, with every slot below k (p-1)^2."""
+        p, k, mul = self.p, self.k, self.mul_kernel()
+        t, cols = (self.gen() ** p**e).coeffs, [self.one().coeffs]
+        for _ in range(k - 1):
+            cols.append(mul(cols[-1], t))
+        code = _slot_code(p, k)
+        if code is None:
+            return lambda a: tuple(sum(map(int.__mul__, a, row)) % p for row in zip(*cols))
+        order, size = sys.byteorder, array(code).itemsize * k
+        rows = [int.from_bytes(array(code, col).tobytes(), order) for col in cols]
+
+        def frob(a):
+            acc = sum(map(int.__mul__, a, rows))
+            return tuple([c % p for c in array(code, acc.to_bytes(size, order))])
+
+        return frob
 
     @property
     def char(self) -> int:

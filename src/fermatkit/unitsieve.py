@@ -2,29 +2,25 @@
 
 Unit classes are exponent vectors in (Z/7)^5 over the cyclotomic-unit
 generators u_a = 1 + zeta + ... + zeta^(a-1), a = 2..6 (16807 classes in
-all). At a prime Q above q with 7 dividing the residue-field group
-order, the 7th-power residue character turns the descent equation into
-one linear condition per prime on the exponent vector; survivors of a
-constraint are unions of affine subspaces, intersected across primes.
+all). A class eps survives a constraint at q when, at every prime Q
+above q (7 must divide N(Q) - 1), eps (1 - zeta)^delta has the 7th-power
+residue of one admissible pair a + b zeta; survivors of the constraints
+intersect. A survivor set is one 16807-bit int, bit i for class i, and
+at each Q the classes are grouped into one mask per value.
 
-Two independent routes compute survivor sets: the production route
-enumerates affine solution sets by linear algebra mod 7, the reference
-route walks all 16807 classes comparing 7th-power residues directly.
-Their agreement is an acceptance criterion.
-
-The production route never exponentiates a pair element. The character
-is multiplicative and a + b zeta = b (a/b + zeta), so every pair value
-is chi(b) + chi(a/b + zeta): q "line" values chi(c + zeta) per prime Q,
-plus a character of F_q^* that vanishes unless 7 | q - 1 and is
-otherwise read off one primitive root. That is about q exponentiations
-in the residue field per prime instead of one per pair (q^2 - 1).
+Two independent routes supply the values; their agreement is an
+acceptance criterion. The production route compares characters in Z/7,
+chi_Q(eps) = unit_chars . e, and reads every pair's off chi(b) +
+chi(a/b + zeta): about q exponentiations per prime, not q^2 - 1. The
+reference route compares the exact residues x^((N-1)/7) of every pair
+and unit, with no discrete logs, characters or linear algebra mod 7,
+each through the norm to F_{q^d}, d the order of q mod 7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .elimination import FreyFamily, _family_local_data
 from .exactarith import FFElement, factorize
@@ -44,13 +40,17 @@ __all__ = [
     "build_character",
     "char_value",
     "admissible_pairs",
+    "class_indices",
     "sieve_case",
+    "sieve_case_bits",
     "sieve_case_exhaustive",
+    "sieve_case_exhaustive_bits",
     "generator_independence_rank",
     "modular_targets_from_curve",
 ]
 
 UNIT_CLASS_COUNT = 7**5  # 16807
+_ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
 _DESCENT_CASES = ("coprime-13", "divisible-13")
 
 
@@ -61,23 +61,17 @@ class UnitClass:
     exps: tuple
 
     def __post_init__(self):
-        if len(self.exps) != 5 or not all(0 <= e < 7 for e in self.exps):
+        if len(self.exps) != 5 or not 0 <= min(self.exps) <= max(self.exps) < 7:
             raise ValueError("a unit class is five exponents in [0, 7)")
 
     @property
     def index(self) -> int:
-        acc = 0
-        for e in reversed(self.exps):
-            acc = acc * 7 + e
-        return acc
+        e0, e1, e2, e3, e4 = self.exps
+        return e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4)))
 
     @classmethod
     def from_index(cls, n: int) -> "UnitClass":
-        exps = []
-        for _ in range(5):
-            exps.append(n % 7)
-            n //= 7
-        return cls(exps=tuple(exps))
+        return cls((n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401 % 7))
 
     def unit(self):
         """The actual unit of Z[zeta_13] this class represents."""
@@ -336,199 +330,171 @@ def _pair_char(table: LocalCharacterTable, a: int, b: int) -> object:
     return None if line is None else (table.scalar_chars[b] + line) % 7
 
 
-def _row_reduce(m, ncol: int) -> list:
-    """Gauss-Jordan over F_7 on the first ncol columns of the rows m, in
-    place; returns the pivot columns, whose rows now lead m."""
-    pivots = []
-    for col in range(ncol):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(m)) if m[i][col] % 7), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][col], 5, 7)  # inverse mod 7
-        m[r] = [(v * inv) % 7 for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] % 7:
-                f = m[i][col]
-                m[i] = [(a - f * b) % 7 for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return pivots
+def _class_masks(powers, start, combine) -> dict:
+    """Map each value of eps (1 - zeta)^delta at one prime to the mask of
+    the classes eps taking it. powers[a][e] is the value of u_(a+2)^e,
+    `start` that of (1 - zeta)^delta, and `combine` multiplies values.
+
+    One generator at a time: classes agreeing on the exponents so far
+    share a mask, and exponent e of place value 7^a shifts it by e 7^a
+    bits. A step has at most 7 values (a coset of a group of order 7),
+    so it costs at most 49 combines.
+    """
+    masks = {start: 1}
+    for a, row in enumerate(powers):
+        step, grown = 7**a, {}
+        for v, m in masks.items():
+            for e, x in enumerate(row):
+                w = combine(v, x)
+                grown[w] = grown.get(w, 0) | m << e * step
+        masks = grown
+    return masks
 
 
-def _affine_solutions(rows, vals):
-    """Solution indices of the system rows . e = vals over F_7, e in
-    (Z/7)^5; index encoding is base 7, first generator least significant."""
-    m = [list(r) + [v] for r, v in zip(rows, vals)]
-    pivots = _row_reduce(m, 5)
-    if any(row[5] % 7 for row in m[len(pivots):]):
-        return set()  # inconsistent
-    free = [c for c in range(5) if c not in pivots]
-    bound = [(col, row[5], [row[fc] for fc in free]) for row, col in zip(m, pivots)]
-    out = set()
-    e = [0] * 5
-    for assign in product(range(7), repeat=len(free)):
-        for fc, v in zip(free, assign):
-            e[fc] = v
-        for col, val, coeffs in bound:
-            e[col] = (val - sum(map(int.__mul__, coeffs, assign))) % 7
-        out.add(e[0] + 7 * (e[1] + 7 * (e[2] + 7 * (e[3] + 7 * e[4]))))
-    return out
+def _char_masks(table: LocalCharacterTable, start: int) -> dict:
+    """`_class_masks` of the characters chi_Q(eps) + start at one prime."""
+    rows = [[c * e % 7 for e in range(7)] for c in table.unit_chars]
+    return _class_masks(rows, start, lambda x, y: (x + y) % 7)
 
 
-def _validate_constraints(constraints):
-    if not constraints:
-        raise ValueError("the sieve needs at least one constraint")
-    qs = [c.q for c in constraints]
-    if len(set(qs)) != len(qs):
-        raise ValueError("constraint primes must be distinct")
+def _survivor_bits(masks, targets) -> int:
+    """Classes whose values match some target tuple at every prime: the
+    OR over the tuples of the AND over primes k of masks[k][t_k]. An
+    entry None (the pair lies in that prime) imposes nothing there."""
+    bits = 0
+    for t in targets:
+        acc = _ALL_CLASSES
+        for m, v in zip(masks, t):
+            if v is not None:
+                acc &= m.get(v, 0)
+        bits |= acc
+        if bits == _ALL_CLASSES:
+            break
+    return bits
 
 
-def _local_survivors(constraint: SieveConstraint, delta: int):
-    """Survivor indices of one constraint: union over admissible pairs of
-    the affine solution sets of the per-prime character conditions."""
+def _local_survivors(constraint: SieveConstraint, delta: int) -> int:
+    """Survivor bits of one constraint by characters: chi_Q(eps) plus
+    delta chi_Q(1 - zeta) against chi_Q of each admissible pair."""
     primes = split_prime(get_order("Zzeta13"), constraint.q)
     tables = [build_character(Q) for Q in primes]
     if delta and any(t.chi_one_minus_zeta is None for t in tables):
         raise AssertionError("chi(1 - zeta) undefined away from 13; broken table")
-    rhs_set = set()
+    pairs = admissible_pairs(constraint)
+    targets = {tuple(_pair_char(t, a, b) for t in tables) for a, b in pairs}
+    masks = [_char_masks(t, t.chi_one_minus_zeta if delta else 0) for t in tables]
+    return _survivor_bits(masks, targets)
+
+
+def _norm_power(Q: PrimeIdealData):
+    """x -> x^((N-1)/7) on coefficient tuples of the residue field at Q.
+
+    With d the order of q mod 7, x^((N-1)/(q^d-1)) is the norm of x to
+    F_{q^d}, the product of its conjugates x^(q^(d i)), i < f/d, each an
+    F_q-linear map built once (Itoh and Tsujii; von zur Gathen and Shoup,
+    "Computing Frobenius maps and factoring polynomials", 1992). That
+    leaves a power below q^d, one in F_q itself when d = 1.
+    """
+    F, q = Q.residue_field, Q.q
+    d = next(d for d in range(1, 7) if pow(q, d, 7) == 1)
+    maps = [F.frobenius_kernel(d * i) for i in range(1, Q.fdeg // d)]
+    mul, e = F.mul_kernel(), (q**d - 1) // 7
+
+    def power(x):
+        acc = x
+        for frob in maps:
+            acc = mul(acc, frob(x))
+        if d == 1:
+            return (pow(acc[0], e, q),) + acc[1:]
+        return (FFElement(F, acc) ** e).coeffs
+
+    return power
+
+
+def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
+    """Survivor bits of one constraint by residues: (eps (1 - zeta)^delta)
+    to the (N-1)/7 against the same power of each admissible pair."""
+    order = get_order("Zzeta13")
+    omz = order.one() - order.theta()
+    primes = split_prime(order, constraint.q)
+    masks, powers = [], []
+    for Q in primes:
+        if (Q.norm - 1) % 7:
+            raise ValueError(f"7 does not divide the residue group order at {Q.key}")
+        F, power = Q.residue_field, _norm_power(Q)
+        mul, one = F.mul_kernel(), F.one().coeffs
+        rows = []
+        for g in cyclotomic_unit_generators():
+            base, row = power(reduce_element(g, Q).coeffs), [one]
+            for _ in range(6):
+                row.append(mul(row[-1], base))
+            rows.append(row)
+        start = power(reduce_element(omz, Q).coeffs) if delta else one
+        masks.append(_class_masks(rows, start, mul))
+        powers.append(power)
+    targets = set()
     for a, b in admissible_pairs(constraint):
-        rhs = []
-        for t in tables:
-            cv = _pair_char(t, a, b)
-            if cv is None:
-                rhs.append(None)
-            elif delta:
-                rhs.append((cv - t.chi_one_minus_zeta) % 7)
-            else:
-                rhs.append(cv)
-        rhs_set.add(tuple(rhs))
-    local = set()
-    full = set(range(UNIT_CLASS_COUNT))
-    for rhs in rhs_set:
-        rows = [t.unit_chars for t, r in zip(tables, rhs) if r is not None]
-        vals = [r for r in rhs if r is not None]
-        if not rows:
-            return full  # the pair imposed no condition at any prime
-        local |= _affine_solutions(rows, vals)
-        if len(local) == UNIT_CLASS_COUNT:
+        reds = [reduce_element(_pair_element(a, b), Q) for Q in primes]
+        targets.add(tuple(None if r.is_zero else p(r.coeffs) for r, p in zip(reds, powers)))
+    return _survivor_bits(masks, targets)
+
+
+def _sieve_bits(descent_case: str, constraints, local) -> int:
+    if descent_case not in _DESCENT_CASES:
+        raise ValueError(f"descent_case must be one of {_DESCENT_CASES}")
+    if not constraints:
+        raise ValueError("the sieve needs at least one constraint")
+    if len({c.q for c in constraints}) != len(constraints):
+        raise ValueError("constraint primes must be distinct")
+    surv = _ALL_CLASSES
+    for c in constraints:
+        surv &= local(c, 1 if descent_case == "divisible-13" else 0)
+        if not surv:
             break
-    return local
+    return surv
 
 
-def sieve_case(descent_case: str, constraints) -> set:
-    """Unit classes surviving every local constraint.
+def class_indices(bits: int) -> list:
+    """Indices of the classes in a survivor int, in increasing order."""
+    return [i for i, c in enumerate(reversed(f"{bits:b}")) if c == "1"]
+
+
+def sieve_case_bits(descent_case: str, constraints) -> int:
+    """Unit classes surviving every local constraint, bit i for class i.
 
     descent_case "coprime-13" sieves a + zeta b = eps beta^7;
     "divisible-13" sieves a + zeta b = eps (1 - zeta) beta^7. A class
     survives a prime q when SOME admissible pair satisfies, at EVERY
-    prime Q above q where the pair element is a unit, the linear
-    character condition; the result intersects over the constraints.
+    prime Q above q where the pair element is a unit, the character
+    condition; the result intersects over the constraints.
     """
-    if descent_case not in _DESCENT_CASES:
-        raise ValueError(f"descent_case must be one of {_DESCENT_CASES}")
-    _validate_constraints(constraints)
-    delta = 1 if descent_case == "divisible-13" else 0
-    surv = None
-    for c in constraints:
-        local = _local_survivors(c, delta)
-        surv = local if surv is None else surv & local
-        if not surv:
-            break
-    return {UnitClass.from_index(i) for i in surv}
+    return _sieve_bits(descent_case, constraints, _local_survivors)
 
 
-def _class_tables(Q: PrimeIdealData, E: int):
-    """(mul, lo, hi) at Q for the exhaustive walk, on coefficient tuples:
-    mul is the residue field's multiply, lo[e0 + 7 e1] is
-    (u_2^e0 u_3^e1)^E and hi[e2 + 7 e3 + 49 e4] is
-    (u_4^e2 u_5^e3 u_6^e4)^E, both reduced at Q. Built from the powers
-    (reduced u_a)^(eE) by multiplication only."""
-    F = Q.residue_field
-    mul = F.mul_kernel()
-    powers = []
-    for g in cyclotomic_unit_generators():
-        base = (reduce_element(g, Q) ** E).coeffs
-        row = [F.one().coeffs]
-        for _ in range(6):
-            row.append(mul(row[-1], base))
-        powers.append(row)
-    p2, p3, p4, p5, p6 = powers
-    lo = [mul(x3, x2) for x3 in p3 for x2 in p2]
-    hi = [mul(mul(x6, x5), x4) for x6 in p6 for x5 in p5 for x4 in p4]
-    return mul, lo, hi
+def sieve_case_exhaustive_bits(descent_case: str, constraints) -> int:
+    """Reference implementation of `sieve_case_bits`, kept as its
+    independent oracle: it compares exact residues x^((N-1)/7) of every
+    pair and unit class, where the character route compares dlogs."""
+    return _sieve_bits(descent_case, constraints, _local_survivors_exhaustive)
 
 
-def _class_residues(tables, idx: int) -> tuple:
-    """Coefficients of eps^E at each prime for the unit class of index idx
-    (base 7, u_2 least significant): one product lo[idx % 49] *
-    hi[idx // 49] per prime, for the tables of `_class_tables`."""
-    i, j = idx % 49, idx // 49
-    return tuple(mul(lo[i], hi[j]) for mul, lo, hi in tables)
+def sieve_case(descent_case: str, constraints) -> set:
+    """`sieve_case_bits` as a set of UnitClass."""
+    bits = sieve_case_bits(descent_case, constraints)
+    return {UnitClass.from_index(i) for i in class_indices(bits)}
 
 
 def sieve_case_exhaustive(descent_case: str, constraints) -> set:
-    """Reference implementation: walk all 16807 classes and compare
-    7th-power residues directly (no discrete logs, no linear algebra).
-
-    Kept as the independent oracle for the linear-algebra route. Each
-    class costs one field multiply per prime: eps^((N-1)/7) is the
-    product of a precomputed (u_2, u_3) part and a (u_4, u_5, u_6) part.
-    """
-    if descent_case not in _DESCENT_CASES:
-        raise ValueError(f"descent_case must be one of {_DESCENT_CASES}")
-    _validate_constraints(constraints)
-    delta = 1 if descent_case == "divisible-13" else 0
-    order = get_order("Zzeta13")
-    omz = order.one() - order.theta()
-    surv = set(range(UNIT_CLASS_COUNT))
-    for c in constraints:
-        primes = split_prime(order, c.q)
-        for Q in primes:
-            if (Q.norm - 1) % 7:
-                raise ValueError(f"7 does not divide the residue group order at {Q.key}")
-        exps = [(Q.norm - 1) // 7 for Q in primes]
-        tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
-        # target per pair and prime: (a + zeta b)^E * ((1-zeta)^E)^(-delta)
-        shifts = [
-            (reduce_element(omz, Q) ** E).inverse() if delta else None
-            for Q, E in zip(primes, exps)
-        ]
-        exact_targets = set()
-        wildcard_targets = []
-        for a, b in admissible_pairs(c):
-            elt = _pair_element(a, b)
-            tup = []
-            for Q, E, shift in zip(primes, exps, shifts):
-                red = reduce_element(elt, Q)
-                if red.is_zero:
-                    tup.append(None)
-                    continue
-                t = red**E
-                if shift is not None:
-                    t = t * shift
-                tup.append(t.coeffs)
-            if None in tup:
-                wildcard_targets.append(tuple(tup))
-            else:
-                exact_targets.add(tuple(tup))
-        alive = set()
-        for idx in surv:
-            tup = _class_residues(tables, idx)
-            if tup in exact_targets:
-                alive.add(idx)
-                continue
-            for wt in wildcard_targets:
-                if all(w is None or w == m for w, m in zip(wt, tup)):
-                    alive.add(idx)
-                    break
-        surv = alive
-        if not surv:
-            break
-    return {UnitClass.from_index(i) for i in surv}
+    """`sieve_case_exhaustive_bits` as a set of UnitClass."""
+    bits = sieve_case_exhaustive_bits(descent_case, constraints)
+    return {UnitClass.from_index(i) for i in class_indices(bits)}
 
 
 def generator_independence_rank(primes) -> int:
     """Rank over F_7 of the character matrix [chi_Q(u_a)] with one row
-    per supplied prime; rank 5 means the 16807 classes are separated."""
-    return len(_row_reduce([list(build_character(Q).unit_chars) for Q in primes], 5))
+    per supplied prime; rank 5 means the 16807 classes are separated.
+    The classes with every character 0 are its kernel, 7^(5 - rank) of them."""
+    kernel = _ALL_CLASSES
+    for Q in primes:
+        kernel &= _char_masks(build_character(Q), 0)[0]
+    return 5 - [7**j for j in range(6)].index(kernel.bit_count())

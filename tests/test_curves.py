@@ -502,6 +502,26 @@ class TestEulerFactors:
             s = g2_rm_split(e)
             assert rm_split_to_euler(s, e.N) == e
 
+    def test_reduces_and_checks_once(self, monkeypatch):
+        """One smoothness check per prime for both counts, with the same
+        counts as two separate calls; bad primes still raise."""
+        from fermatkit import curves
+
+        calls = []
+        check = curves._reduced_sextic_ok
+        monkeypatch.setattr(curves, "_reduced_sextic_ok",
+                            lambda *a: calls.append(1) or check(*a))
+        for key in ("3.0", "5.0", "17.1"):
+            P = prime_by_key(K13, key)
+            calls.clear()
+            e = g2_euler_factor(C_FIX, P)
+            assert len(calls) == 1
+            n1, n2 = hyp_count_points(C_FIX, P, 1), hyp_count_points(C_FIX, P, 2)
+            assert (e.a1, e.a1 * e.a1 - 2 * e.a2) == (P.norm + 1 - n1, P.norm**2 + 1 - n2)
+        for q in (2, 13):
+            with pytest.raises(SingularReductionError):
+                g2_euler_factor(C_FIX, split_prime(K13, q)[0])
+
     def test_weil_bound_on_fixture_primes(self):
         for key in ("3.0", "5.0", "17.0", "23.0", "29.0"):
             P = prime_by_key(K13, key)

@@ -249,6 +249,19 @@ class TestMulKernel:
         for x, y in [(top, top), (top, F.one()), (top, F.zero()), (F.gen(), top)]:
             assert (x * y).coeffs == _schoolbook(x, y)
 
+    @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+    def test_frobenius_kernel_is_a_power(self, name):
+        """x -> x^(p^e) on packed rows (unpacked rows past 64-bit slots)
+        against plain exponentiation, for every e up to k."""
+        F = _kernel_field(name)
+        rng = random.Random(name)
+        xs = [F.one(), F.gen(), F.from_index(F.order - 1)]
+        xs += [F.from_index(rng.randrange(F.order)) for _ in range(3)]
+        for e in range(F.k + 1):
+            frob = F.frobenius_kernel(e)
+            for x in xs:
+                assert frob(x.coeffs) == (x ** F.p**e).coeffs, (e, x)
+
     def test_built_on_first_multiply(self):
         F = FiniteField(29, split_prime(get_order("Zzeta13"), 29)[0].residue_field.modulus)
         assert F._kernel is None

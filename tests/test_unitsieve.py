@@ -15,16 +15,89 @@ from fermatkit.unitsieve import (
     LocalCharacterTable,
     SieveConstraint,
     UnitClass,
+    _char_masks,
+    _class_masks,
+    _norm_power,
+    _pair_element,
+    _survivor_bits,
     admissible_pairs,
     build_character,
     char_value,
+    class_indices,
     generator_independence_rank,
     modular_targets_from_curve,
     sieve_case,
+    sieve_case_bits,
     sieve_case_exhaustive,
+    sieve_case_exhaustive_bits,
 )
 
 ZZ13 = get_order("Zzeta13")
+ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
+
+
+# ---------------------------------------------------------------------------
+# naive oracle: walk all 16807 classes, one field multiply per class and prime
+
+
+def _class_tables(Q, E: int):
+    """(mul, lo, hi) at Q for the exhaustive walk, on coefficient tuples:
+    mul is the residue field's multiply, lo[e0 + 7 e1] is
+    (u_2^e0 u_3^e1)^E and hi[e2 + 7 e3 + 49 e4] is
+    (u_4^e2 u_5^e3 u_6^e4)^E, both reduced at Q. Built from the powers
+    (reduced u_a)^(eE) by multiplication only."""
+    F = Q.residue_field
+    mul = F.mul_kernel()
+    powers = []
+    for g in cyclotomic_unit_generators():
+        base = (reduce_element(g, Q) ** E).coeffs
+        row = [F.one().coeffs]
+        for _ in range(6):
+            row.append(mul(row[-1], base))
+        powers.append(row)
+    p2, p3, p4, p5, p6 = powers
+    lo = [mul(x3, x2) for x3 in p3 for x2 in p2]
+    hi = [mul(mul(x6, x5), x4) for x6 in p6 for x5 in p5 for x4 in p4]
+    return mul, lo, hi
+
+
+def _class_residues(tables, idx: int) -> tuple:
+    """Coefficients of eps^E at each prime for the unit class of index idx
+    (base 7, u_2 least significant): one product lo[idx % 49] *
+    hi[idx // 49] per prime, for the tables of `_class_tables`."""
+    i, j = idx % 49, idx // 49
+    return tuple(mul(lo[i], hi[j]) for mul, lo, hi in tables)
+
+
+def naive_sieve_bits(descent_case: str, constraints) -> int:
+    """Survivors by a per-class walk: each class's residues eps^E against
+    every pair's (a + zeta b)^E ((1 - zeta)^E)^(-delta), by plain powers."""
+    delta = 1 if descent_case == "divisible-13" else 0
+    omz = ZZ13.one() - ZZ13.theta()
+    surv = set(range(UNIT_CLASS_COUNT))
+    for c in constraints:
+        primes = split_prime(ZZ13, c.q)
+        exps = [(Q.norm - 1) // 7 for Q in primes]
+        tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
+        shifts = [(reduce_element(omz, Q) ** E).inverse() for Q, E in zip(primes, exps)]
+        targets = set()
+        for a, b in admissible_pairs(c):
+            tup = []
+            for Q, E, shift in zip(primes, exps, shifts):
+                red = reduce_element(_pair_element(a, b), Q)
+                tup.append(None if red.is_zero else (red**E * shift**delta).coeffs)
+            targets.add(tuple(tup))
+        exact = {t for t in targets if None not in t}
+        wild = [t for t in targets if None in t]
+        alive = set()
+        for idx in surv:
+            tup = _class_residues(tables, idx)
+            if tup in exact or any(
+                all(w is None or w == m for w, m in zip(wt, tup)) for wt in wild
+            ):
+                alive.add(idx)
+        surv = alive
+    return sum(1 << i for i in surv)
 
 
 def curve_C():
@@ -134,7 +207,7 @@ class TestPairCharacters:
 
     @pytest.mark.parametrize("q", [11, 23, 29])
     def test_identity_matches_char_value(self, q):
-        from fermatkit.unitsieve import _pair_char, _pair_element
+        from fermatkit.unitsieve import _pair_char
 
         for Q in split_prime(ZZ13, q):
             t = build_character(Q)
@@ -150,7 +223,7 @@ class TestPairCharacters:
         """q = 547 = 1 mod 91: twelve primes of degree 1, each containing
         c + zeta for one c, and a nonzero scalar character. Checks the
         whole line of pairs in Q (all None) and a sample of the rest."""
-        from fermatkit.unitsieve import _pair_char, _pair_element
+        from fermatkit.unitsieve import _pair_char
 
         q = 547
         rng = random.Random(14)
@@ -342,10 +415,8 @@ def test_oracle_needs_no_character_tables(monkeypatch):
 
 @pytest.mark.parametrize("q", [11, 29])
 def test_class_residues_match_direct_powers(q):
-    """The oracle's split-table product lo[i % 49] * hi[i // 49] is the
-    unit's own reduction raised to (N - 1)/7, at every prime above q."""
-    from fermatkit.unitsieve import _class_residues, _class_tables
-
+    """The naive walk's split-table product lo[i % 49] * hi[i // 49] is
+    the unit's own reduction raised to (N - 1)/7, at every prime above q."""
     primes = split_prime(ZZ13, q)
     exps = [(Q.norm - 1) // 7 for Q in primes]
     tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
@@ -356,7 +427,99 @@ def test_class_residues_match_direct_powers(q):
         assert _class_residues(tables, idx) == want
 
 
+@pytest.mark.parametrize("q", [11, 23, 29])
+def test_mask_routes_match_naive_walk(q):
+    """Both mask routes against the per-class walk, at one unconstrained
+    prime, in both descent cases."""
+    cons = [SieveConstraint(q=q, mode="unconstrained")]
+    for case in ("coprime-13", "divisible-13"):
+        want = naive_sieve_bits(case, cons)
+        assert sieve_case_bits(case, cons) == want, case
+        assert sieve_case_exhaustive_bits(case, cons) == want, case
+
+
+@pytest.mark.parametrize("q", [11, 19, 23, 29, 41, 547])
+def test_norm_power_matches_plain_power(q):
+    """x^((N-1)/7) through the norm to F_{q^d} equals the plain power, on
+    1, on random elements and on elements of the subfield F_{q^d}."""
+    rng = random.Random(q)
+    d = next(d for d in range(1, 7) if pow(q, d, 7) == 1)
+    for Q in split_prime(ZZ13, q):
+        F, E = Q.residue_field, (Q.norm - 1) // 7
+        power = _norm_power(Q)
+        xs = [F.one()] + [F.from_index(rng.randrange(1, F.order)) for _ in range(8)]
+        # y^((N-1)/(q^d-1)) lies in F_{q^d}, and 1 + it usually is not 0
+        sub = [F.from_index(rng.randrange(1, F.order)) ** ((Q.norm - 1) // (q**d - 1))
+               for _ in range(4)]
+        xs += sub + [x + 1 for x in sub if not (x + 1).is_zero]
+        for x in xs:
+            assert power(x.coeffs) == (x**E).coeffs, (Q.key, x)
+
+
+def test_survivor_bits_match_per_class_loop():
+    """The mask combiner against a plain per-class loop, on target tuples
+    with None entries, over the four primes above 29."""
+    tables = [build_character(Q) for Q in split_prime(ZZ13, 29)]
+    masks = [_char_masks(t, t.chi_one_minus_zeta) for t in tables]
+    rng = random.Random(29)
+    targets = [(None, None, None, None)] + [
+        tuple(rng.choice([None, rng.randrange(7)]) for _ in tables) for _ in range(12)
+    ]
+
+    def values(i):
+        e = UnitClass.from_index(i).exps
+        return [(sum(map(int.__mul__, e, t.unit_chars)) + t.chi_one_minus_zeta) % 7
+                for t in tables]
+
+    for chosen in (targets[1:], targets):
+        want = 0
+        for i in range(UNIT_CLASS_COUNT):
+            vals = values(i)
+            if any(all(v is None or v == w for v, w in zip(t, vals)) for t in chosen):
+                want |= 1 << i
+        assert _survivor_bits(masks, chosen) == want
+    assert _survivor_bits(masks, targets) == ALL_CLASSES
+    assert _survivor_bits(masks, []) == 0
+
+
+def test_bits_and_class_sets_agree():
+    cons = [SieveConstraint(q=2, mode="parity-only")]
+    bits = sieve_case_bits("coprime-13", cons)
+    idx = class_indices(bits)
+    assert idx == sorted(idx) and len(idx) == bits.bit_count() == 2401
+    assert {u.index for u in sieve_case("coprime-13", cons)} == set(idx)
+    assert {u.index for u in sieve_case_exhaustive("coprime-13", cons)} == set(idx)
+    assert class_indices(0) == [] and class_indices(ALL_CLASSES) == list(range(16807))
+
+
+def gauss_jordan_rank(rows) -> int:
+    """Rank over F_7 by plain row reduction, the naive oracle for the
+    kernel count of `generator_independence_rank`."""
+    m, rank = [list(r) for r in rows], 0
+    for col in range(5):
+        sel = next((i for i in range(rank, len(m)) if m[i][col] % 7), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        inv = pow(m[rank][col], 5, 7)  # inverse mod 7
+        m[rank] = [v * inv % 7 for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] % 7:
+                f = m[i][col]
+                m[i] = [(a - f * b) % 7 for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 class TestRank:
+    def test_kernel_count_matches_row_reduction(self):
+        primes = [P for q in (2, 11, 19, 23, 29, 41) for P in split_prime(ZZ13, q)]
+        rng = random.Random(41)
+        for n in (1, 1, 2, 2, 3, 3, 4, 5, 6):
+            chosen = rng.sample(primes, n)
+            want = gauss_jordan_rank([build_character(Q).unit_chars for Q in chosen])
+            assert generator_independence_rank(chosen) == want, [Q.key for Q in chosen]
+
     def test_verified_values(self):
         primes = [P for q in (2, 11, 23, 29) for P in split_prime(ZZ13, q)]
         assert generator_independence_rank(primes) == 4
@@ -376,8 +539,6 @@ class TestBasisIndependence:
         """Any basis of the same (Z/7)-span gives the same surviving units:
         rerun one local sieve in a transformed generator basis and map the
         exponent vectors back."""
-        from fermatkit.unitsieve import _affine_solutions, _pair_element
-
         M = [  # unit upper triangular, invertible mod 7; columns = new gens
             [1, 1, 0, 0, 0],
             [0, 1, 1, 0, 0],
@@ -408,19 +569,20 @@ class TestBasisIndependence:
                 row.append(via_matrix)
             new_chars.append(tuple(row))
 
+        masks = [
+            _class_masks([[c * e % 7 for e in range(7)] for c in row],
+                         t.chi_one_minus_zeta, lambda x, y: (x + y) % 7)
+            for row, t in zip(new_chars, tables)
+        ]
+        targets = {
+            tuple(char_value(t, _pair_element(a, b)) for t in tables)
+            for a, b in admissible_pairs(constraint)
+        }
         transformed = set()
-        rhs_set = set()
-        for a, b in admissible_pairs(constraint):
-            elt = _pair_element(a, b)
-            rhs = tuple(
-                (char_value(t, elt) - t.chi_one_minus_zeta) % 7 for t in tables
-            )
-            rhs_set.add(rhs)
-        for rhs in rhs_set:
-            for idx in _affine_solutions(new_chars, list(rhs)):
-                f = UnitClass.from_index(idx).exps
-                e = tuple(sum(M[a][j] * f[j] for j in range(5)) % 7 for a in range(5))
-                transformed.add(UnitClass(e).index)
+        for idx in class_indices(_survivor_bits(masks, targets)):
+            f = UnitClass.from_index(idx).exps
+            e = tuple(sum(M[a][j] * f[j] for j in range(5)) % 7 for a in range(5))
+            transformed.add(UnitClass(e).index)
         assert transformed == standard
 
 
