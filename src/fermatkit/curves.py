@@ -2,17 +2,24 @@
 
 Point counting sums 1 + chi(f(x)) over the counting field, chi the
 quadratic character. Prime fields evaluate f at every x at once on
-packed integers; F_{q^2} over a prime residue field is counted over F_q
-through the norm, chi_{q^2}(z) = chi_q(N(z)), one norm polynomial per
-conjugate pair of rows. Any other odd-characteristic field (F_{p^k},
-k > 1, and QuadExt towers over one) uses the field's Zech-log tables
-(`exactarith.zech_tables`), built once per field and meant for fields of
-up to about 5*10^4 elements. Characteristic 2 uses the Artin-Schreier
-trace. Euler factors come from counts over F_N and F_{N^2}, and
-Igusa-Clebsch invariants are computed by classical transvectants in
-exact rational arithmetic. All functions are pure; inputs are immutable.
+packed integers, one slot per x, and reduce every slot mod q in place
+with one multiply, shift and mask (division by an invariant integer),
+so no Python loop runs per point. F_{q^2} over a prime residue field is
+counted over F_q through the norm, chi_{q^2}(z) = chi_q(N(z)): the norm
+of f(a + bt) is G(a, s b^2) for one bivariate polynomial G per prime,
+and the whole (a, b) grid is evaluated in packed blocks. Any other
+odd-characteristic field (F_{p^k}, k > 1, and QuadExt towers over one)
+uses the field's Zech-log tables (`exactarith.zech_tables`), built once
+per field and meant for fields of up to about 5*10^4 elements.
+Characteristic 2 uses the Artin-Schreier trace. Euler factors come from
+counts over F_N and F_{N^2}. A sextic model is smooth when the binary
+sextic has no repeated root, decided by gcd(f, f') = 1 through a
+pseudo-remainder sequence over the order, both for the curve over K and
+for each reduction. Igusa-Clebsch invariants are computed by classical
+transvectants in exact rational arithmetic, and projective Frobenius
+orders by a two-term recurrence. All functions are pure; inputs are
+immutable.
 """
-
 from __future__ import annotations
 
 import json
@@ -22,8 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
+from typing import NamedTuple
 
-from .exactarith import FiniteField, QuadExt, field_nonsquare, field_sqrt, zech_tables
+from .exactarith import FiniteField, QuadExt, field_nonsquare, zech_tables
 from .numberfield import (
     NFElement,
     PrimeIdealData,
@@ -106,7 +114,7 @@ class HyperellipticCurveNF:
         for c in self.coeffs:
             if c.order != order:
                 raise ValueError("curve coefficients live in different orders")
-        if igusa_clebsch(list(self.coeffs))[3].is_zero:
+        if not _squarefree_sextic(self.coeffs):
             raise ValueError("singular sextic (discriminant invariant vanishes)")
 
     @property
@@ -193,46 +201,132 @@ def ec_reduction_type(E: EllipticCurveNF, P: PrimeIdealData) -> str:
 # point counting
 
 
-@lru_cache(maxsize=None)
-def _prime_field_tables(q):
-    """Packed power columns of F_q, and 1 + chi(r) for every residue r as
-    bytes.
+_BLOCK_SLOTS = 1 << 12  # slots reduced and classified at once; bounds memory
 
-    Column k is sum_x (x^k mod q) << (w x) for k = 0..12, w bits per
-    slot: 32 while 13 (q-1)^2 < 2^32 (every q < 18000), else 64, so a
-    polynomial of degree at most 12 with coefficients in [0, q) never
-    carries out of a slot.
+
+class _PackedField(NamedTuple):
+    """Packed evaluation data of F_q, from `_prime_field_tables`."""
+
+    width: int  # bytes per slot
+    code: str  # array code of the smallest item that holds a residue
+    shift: int
+    magic: int  # ceil(2^shift / q)
+    low: bytes  # one slot of the quotient mask
+    cols: tuple  # col_k = sum_x (x^k mod q) << (8 width x), k = 0..12
+    table: bytes  # 1 + chi(r) at index r < q, zero beyond; at least 256 long
+
+
+@lru_cache(maxsize=None)
+def _prime_field_tables(q) -> _PackedField:
+    """Packed power columns of F_q and the constants that reduce every
+    slot of a packed integer mod q at once.
+
+    Every packed value the evaluator reduces has slots below
+    13 (q-1)^2 < 2^bound: sum_k g_k col_k with k <= 12 and g_k in [0, q),
+    or a row sum_j y_j H_j with j <= 6 and y_j and the slots of H_j in
+    [0, q). Division by the constant q (Granlund and Montgomery,
+    "Division by invariant integers using multiplication", 1994): with
+    shift = bound + bitlen(q) and magic = ceil(2^shift / q),
+    floor(v / q) = (v magic) >> shift for every v < 2^bound. Since
+    magic <= 2^(bound + 1), v magic < 2^(2 bound + 1), so slots of
+    2 bound + 1 bits, rounded up to whole bytes, never carry into the
+    next slot. After the shift the low bits of the next slot's product
+    start at bit 8 width - shift >= bound - bitlen(q) + 1 of each slot,
+    and the quotient below them is less than 2^(bound - bitlen(q) + 1),
+    so a mask of the low 8 width - shift bits separates the two.
     """
-    code = next((c for c in "IQ" if 13 * (q - 1) ** 2 < 1 << 8 * array(c).itemsize), None)
-    if code is None:
-        raise ValueError(f"F_{q} is too large to enumerate")
-    cols = []
-    row = [1] * q
+    bound = (13 * (q - 1) ** 2).bit_length()
+    shift = bound + q.bit_length()
+    width = (2 * bound + 1 + 7) // 8
+    cols, row = [], [1] * q
     for _ in range(13):
-        cols.append(int.from_bytes(array(code, row).tobytes(), sys.byteorder))
+        if q < 256:
+            col = bytearray(q * width)
+            col[::width] = bytes(row)
+        else:
+            col = b"".join(r.to_bytes(width, "little") for r in row)
+        cols.append(int.from_bytes(col, "little"))
         row = [r * x % q for x, r in enumerate(row)]
-    table = bytearray(q)
+    table = bytearray(max(q, 256))
     for x in range(1, (q + 1) // 2):
         table[x * x % q] = 2
     table[0] = 1
-    return code, tuple(cols), bytes(table)
+    low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")
+    code = next(c for c in "BHIQ" if 256 ** array(c).itemsize >= q)
+    return _PackedField(width, code, shift, -(-(1 << shift) // q), low, tuple(cols), bytes(table))
+
+
+def _reduce_slots(V, n, q, T: _PackedField) -> int:
+    """V with each of its n slots v replaced by v mod q: one multiply,
+    shift and mask give every quotient (see `_prime_field_tables`)."""
+    return V - q * ((V * T.magic >> T.shift) & int.from_bytes(T.low * n, "little"))
+
+
+def _slot_residues(V, n, q, T: _PackedField):
+    """v mod q for each of the n slots v of V, as bytes for q < 256 and
+    otherwise as an array read from the slots' low bytes."""
+    raw = _reduce_slots(V, n, q, T).to_bytes(n * T.width, "little")
+    if q < 256:
+        return raw[:: T.width]
+    out = array(T.code)
+    size = out.itemsize
+    buf = bytearray(n * size)
+    for i in range(size):
+        buf[i::size] = raw[i :: T.width]
+    out.frombytes(buf)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _chi_sum(V, n, q, T: _PackedField) -> int:
+    """Sum of 1 + chi(v mod q) over the n slots v of V, with no loop per slot."""
+    r = _slot_residues(V, n, q, T)
+    ones = r.translate(T.table) if q < 256 else bytes(map(T.table.__getitem__, r))
+    return ones.count(1) + 2 * ones.count(2)
+
+
+def _grid_count(G, ys, q) -> int:
+    """Sum of 1 + chi(G(x, y)) over x in F_q and y in ys.
+
+    G(X, Y) = sum_j G[j](X) Y^j is given as at most 7 lists G[j] of at
+    most 13 integers, lowest degree first. H_j = sum_k G[j][k] col_k
+    holds G_j(x) at every x (see `_prime_field_tables`), reduced mod q in
+    place when there is more than one, and the row of y is
+    sum_j (y^j mod q) H_j:
+    seven multiplies of a packed integer by a small one. The rows of a
+    block of at most `_BLOCK_SLOTS` slots are concatenated into one
+    integer, reduced mod q in place and read through the 1 + chi table
+    (`_chi_sum`), so memory stays O(block).
+    """
+    T = _prime_field_tables(q)
+    if len(G) > 7 or any(len(g) > 13 for g in G):
+        raise ValueError("packed evaluation takes X-degree at most 12 and Y-degree at most 6")
+    H = [sum(a % q * col for a, col in zip(g, T.cols)) for g in G]
+    if len(H) > 1:  # rows sum y^j H_j stay below 13 (q-1)^2 only for reduced H_j
+        H = [_reduce_slots(h, q, q, T) for h in H]
+    size, per = q * T.width, max(1, _BLOCK_SLOTS // q)
+    count = 0
+    for i in range(0, len(ys), per):
+        rows = []
+        for y in ys[i : i + per]:
+            acc, yj = 0, 1
+            for h in H:
+                acc += yj * h
+                yj = yj * y % q
+            rows.append(acc)
+        if len(rows) == 1:
+            V = rows[0]
+        else:
+            V = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rows), "little")
+        count += _chi_sum(V, len(rows) * q, q, T)
+    return count
 
 
 def _prime_count(poly, q) -> int:
     """Sum over x in F_q of 1 + chi(poly(x)), poly a list of at most 13
-    integers, lowest degree first.
-
-    The values at every x come from one packed integer, sum_k a_k col_k
-    (see `_prime_field_tables`), unpacked once and read through the
-    1 + chi table.
-    """
-    code, cols, table = _prime_field_tables(q)
-    if len(poly) > len(cols):
-        raise ValueError("packed evaluation takes degree at most 12")
-    packed = sum(a % q * col for a, col in zip(poly, cols))
-    values = array(code)
-    values.frombytes(packed.to_bytes(q * values.itemsize, sys.byteorder))
-    return sum([table[v % q] for v in values])
+    integers, lowest degree first: the one-row case of `_grid_count`."""
+    return _grid_count([poly], [0], q)
 
 
 def _affine_count(coeffs, field) -> int:
@@ -279,7 +373,7 @@ def _one_plus_chi(log):
 def _field_one_plus_chi(c, field):
     """1 + chi(c) for an element of an odd-characteristic counting field."""
     if isinstance(field, FiniteField) and field.k == 1:
-        return _prime_field_tables(field.char)[2][c.coeffs[0]]
+        return _prime_field_tables(field.char).table[c.coeffs[0]]
     return _one_plus_chi(zech_tables(field).log[c.index()])
 
 
@@ -334,88 +428,70 @@ def ec_trace(E: EllipticCurveNF, P: PrimeIdealData) -> int:
     return a
 
 
-def _field_resultant(fc, gc, field):
-    """Resultant of two polynomials with coefficients in a field."""
-    f = list(fc)
-    g = list(gc)
+def _squarefree_sextic(coeffs) -> bool:
+    """True when f = sum coeffs[i] x^i has degree at least five and
+    gcd(f, f') = 1: the binary sextic has no repeated root on P^1.
+
+    Over a field that is smoothness of y^2 = f(x) (a degree below five
+    puts a repeated root at infinity); in characteristic 0 it is I10 != 0.
+    The coefficients may lie in any integral domain with +, -, * and
+    is_zero (an order of a number field, a finite field): a
+    pseudo-remainder sequence, which multiplies by leading coefficients
+    instead of dividing, has the degrees of Euclid's remainders over the
+    fraction field.
+    """
 
     def trim(c):
         while c and c[-1].is_zero:
             c.pop()
         return c
 
-    f, g = trim(f), trim(g)
-    res = field.one()
-    while True:
-        if not g:
-            if len(f) <= 1:
-                return res if f else field.zero()
-            return field.zero()
-        if len(g) == 1:
-            return res * g[0] ** (len(f) - 1) if len(f) > 1 else res
-        if len(f) < len(g):
-            if ((len(f) - 1) * (len(g) - 1)) % 2:
-                res = -res
-            f, g = g, f
-        # r = f mod g
-        r = list(f)
-        glead_inv = g[-1].inverse()
-        for i in range(len(f) - len(g), -1, -1):
-            c = r[i + len(g) - 1] * glead_inv
-            if not c.is_zero:
-                for j in range(len(g)):
-                    r[i + j] = r[i + j] - c * g[j]
-        r = trim(r)
-        d = len(r) - 1 if r else -1
-        if ((len(f) - 1) * (len(g) - 1)) % 2:
-            res = -res
-        res = res * g[-1] ** ((len(f) - 1) - d)
-        f, g = g, r
-
-
-def _reduced_sextic_ok(red, field):
-    """Check the reduced model defines a smooth genus-2 curve."""
-    c = list(red)
-    while c and c[-1].is_zero:
-        c.pop()
-    deg = len(c) - 1
-    if deg < 5:
+    f = trim(list(coeffs))
+    if len(f) < 6:
         return False
-    der = [i * c[i] for i in range(1, len(c))]
-    r = _field_resultant(c, der, field)
-    return not r.is_zero
+    g = trim([i * f[i] for i in range(1, len(f))])
+    while len(g) > 1:
+        r = f
+        while len(r) >= len(g):  # r <- lc(g) r - lc(r) x^d g
+            c, d = r[-1], len(r) - len(g)
+            r = [x * g[-1] for x in r]
+            for j, y in enumerate(g):
+                r[d + j] = r[d + j] - c * y
+            r = trim(r[:-1])
+        if not r:
+            return False
+        f, g = g, r
+    return bool(g)
 
 
 def _count_sextic_ext2_prime(c, q, s) -> int:
     """Points of y^2 = sum c[k] x^k (integers) over F_{q^2} = F_q[t]/(t^2 - s).
 
     A nonzero z = P + Qt is a square in F_{q^2} exactly when its norm
-    P^2 - s Q^2 is a square in F_q, so chi_{q^2}(z) = chi_q(N(z)). For
-    x = a + bt, six Horner steps in F_q[t]/(t^2 - s)[X] give
-    f(X + bt) = P_b(X) + Q_b(X) t, and the row of b adds
-    sum_a 1 + chi_q(N_b(a)) for the degree-12 norm polynomial
-    N_b = P_b^2 - s Q_b^2, evaluated by `_prime_count`. Frobenius fixes
-    f, so the rows of b and -b are equal and only b <= (q-1)/2 is
-    evaluated. Every element of F_q is a square in F_{q^2} (the b = 0
-    row is f^2), so a nonzero leading coefficient always contributes
-    both points at infinity.
+    P^2 - s Q^2 is a square in F_q, so chi_{q^2}(z) = chi_q(N(z)). At
+    x = a + bt the norm of f(x) is f(a + bt) f(a - bt) = G(a, s b^2) for
+    one bivariate polynomial per prime, G(X, u^2) = f(X + u) f(X - u):
+    with D_i the Hasse derivatives of f (f(X + u) = sum_i D_i(X) u^i),
+    G_e = sum_i (-1)^i D_i D_(2e-i), X-degree 12 - 2e, e = 0..6. The whole
+    (a, b) grid is evaluated on packed integers by `_grid_count`.
+    Frobenius fixes f, so the rows of b and -b are equal: row 0 (f^2)
+    counts once and b = 1..(q-1)/2 count twice. Every element of F_q is
+    a square in F_{q^2}, so a nonzero leading coefficient always
+    contributes both points at infinity.
     """
     c = [x % q for x in c]
-    count = 1 if c[6] == 0 else 2
-    for b in range((q + 1) // 2):
-        sb = s * b
-        P, Q = [c[6]], [0]
-        for ck in reversed(c[:6]):  # (P + Qt)(X + bt) + ck
-            P, Q = (
-                [(x + sb * y) % q for x, y in zip([ck] + P, Q + [0])],
-                [(x + b * y) % q for x, y in zip([0] + Q, P + [0])],
-            )
-        N = [0] * 13
-        for i, (pi, qi) in enumerate(zip(P, Q)):
-            for j, (pj, qj) in enumerate(zip(P, Q)):
-                N[i + j] += pi * pj - s * qi * qj
-        count += _prime_count(N, q) * (2 if b else 1)
-    return count
+    D = [[comb(k, i) * c[k] for k in range(i, 7)] for i in range(7)]
+    G = []
+    for e in range(7):
+        g = [0] * (13 - 2 * e)
+        for i in range(max(0, 2 * e - 6), min(2 * e, 6) + 1):
+            sign = -1 if i & 1 else 1
+            for a, u in enumerate(D[i]):
+                for b, v in enumerate(D[2 * e - i]):
+                    g[a + b] += sign * u * v
+        G.append(g)
+    ys = [s * b * b % q for b in range(1, (q + 1) // 2)]
+    return (1 if c[6] == 0 else 2) + _grid_count(G[:1], [0], q) + 2 * _grid_count(G, ys, q)
 
 
 def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
@@ -423,7 +499,7 @@ def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
     if P.q == 2:
         raise SingularReductionError("genus-2 counting in characteristic 2 is unsupported")
     red = [reduce_element(c, P) for c in C.coeffs]
-    if not _reduced_sextic_ok(red, P.residue_field):
+    if not _squarefree_sextic(red):
         raise SingularReductionError(f"singular reduction at {P.key}")
     return red
 
@@ -437,7 +513,7 @@ def hyp_count_points(
     the image of the leading coefficient: two if it is a nonzero square
     in the counting field, one if it vanishes (degree drops to five),
     none if it is a non-square. F_{q^2} over a prime residue field is
-    counted over F_q, one norm polynomial per conjugate pair of rows
+    counted over F_q on one packed grid of norm values
     (`_count_sextic_ext2_prime`); every other counting field goes through
     `_affine_count`. `reduced` is C's reduction at P from
     `_reduce_sextic`, for a caller that counts over both fields.
@@ -654,11 +730,16 @@ def frobenius_projective_order(a, N: int) -> int:
     """Multiplicative order of the root ratio of x^2 - a x + N over the
     field of a (odd characteristic).
 
-    For a repeated root the map is unipotent-times-scalar under the
-    non-semisimple reading and the function returns the characteristic;
-    a scalar (semisimple) Frobenius would have order 1 instead. Callers
-    that report this value flag the degenerate case; it never occurs in
-    the shipped fixtures.
+    For distinct roots l1, l2, write x^k = c1 x + c0 mod x^2 - a x + N;
+    then l1^k - l2^k = c1 (l1 - l2), so the order is the smallest k with
+    c1 = 0. Multiplying by x steps (c0, c1) -> (-N c1, c0 + a c1), from
+    (0, 1) at k = 1: no square root and no extension field. For a
+    repeated root l, x^k = k l^(k-1) x + (1 - k) l^k, so the same
+    recurrence returns the characteristic: the map is
+    unipotent-times-scalar under the non-semisimple reading, and a scalar
+    (semisimple) Frobenius would have order 1 instead. Callers that
+    report this value flag the degenerate case; it never occurs in the
+    shipped fixtures.
     """
     F = a.field
     ell = F.char
@@ -666,26 +747,15 @@ def frobenius_projective_order(a, N: int) -> int:
         raise ValueError("odd characteristic only")
     if N % ell == 0:
         raise ValueError("the characteristic must not divide the determinant")
-    disc = a * a - 4 * F.from_int(N)
-    if disc.is_zero:
-        return ell
-    E = QuadExt(F, field_nonsquare(F))
-    root = field_sqrt(E, E.embed(disc))
-    if root is None:
-        raise AssertionError("discriminant has no square root in the quadratic extension")
-    inv2 = E.from_int(2).inverse()
-    l1 = (E.embed(a) + root) * inv2
-    l2 = (E.embed(a) - root) * inv2
-    ratio = l1 * l2.inverse()
-    one = E.one()
-    orderv = 1
-    acc = ratio
-    while acc != one:
-        acc = acc * ratio
-        orderv += 1
-        if orderv > E.order:
-            raise AssertionError("order search exceeded the group size")
-    return orderv
+    n = F.from_int(N)
+    c0, c1 = F.zero(), F.one()
+    # the ratio lies in F^* or in the norm-1 subgroup of its quadratic
+    # extension, so its order is at most |F| + 1
+    for k in range(1, F.order + 2):
+        if c1.is_zero:
+            return k
+        c0, c1 = -(n * c1), c0 + a * c1
+    raise AssertionError("order search exceeded the group size")
 
 
 # ---------------------------------------------------------------------------

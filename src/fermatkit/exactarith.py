@@ -38,7 +38,6 @@ __all__ = [
     "tarski_query",
     "integer_roots",
     "field_nonsquare",
-    "field_sqrt",
     "ZechTables",
     "zech_tables",
 ]
@@ -616,11 +615,16 @@ class FiniteField:
         return self.p
 
     def element(self, coeffs) -> "FFElement":
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.k:
-            c = list(_pm_mod(_pm_trim(c), self._mod_c, self.p))
-        c = c + [0] * (self.k - len(c))
-        return FFElement(self, tuple(c[: self.k]))
+        """The class of sum coeffs[i] x^i. Zero top coefficients are
+        trimmed first, so only a polynomial of degree at least k is
+        divided by the modulus."""
+        p, k = self.p, self.k
+        c = [x % p for x in coeffs]
+        while len(c) > k and not c[-1]:
+            c.pop()
+        if len(c) > k:
+            c = list(_pm_mod(c, self._mod_c, p))
+        return FFElement(self, tuple(c) + (0,) * (k - len(c)))
 
     def from_int(self, n: int) -> "FFElement":
         return self.element([n])
@@ -959,20 +963,6 @@ def field_nonsquare(field):
         if x**e != field.one():
             return x
     raise AssertionError("no non-square found; field is broken")
-
-
-def field_sqrt(field, d):
-    """A square root of d in `field` by direct search, or None.
-
-    Only used on small fields (projective Frobenius orders), where
-    enumeration beats any cleverness.
-    """
-    if d.is_zero:
-        return field.zero()
-    for x in field.elements():
-        if x * x == d:
-            return x
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,9 @@ from fermatkit.curves import (
     rm_split_to_euler,
     weighted_pp_equal,
 )
+from fermatkit import curves
 from fermatkit.curves import _count_sextic_ext2_prime, _prime_count, _prime_field_tables
-from fermatkit.exactarith import FiniteField, QuadExt, UniPoly, field_nonsquare
+from fermatkit.exactarith import FiniteField, QuadExt, UniPoly, _pm_gcd, _pm_trim, field_nonsquare
 from fermatkit.numberfield import (
     QElement,
     get_order,
@@ -404,12 +406,18 @@ class TestHyperelliptic:
             hyp_count_points(C_FIX, split_prime(K13, 13)[0], 1)
 
 
-SPLIT_EXT2_PRIMES = (3, 5, 7, 11, 13, 23, 199)
+SPLIT_EXT2_PRIMES = (3, 5, 7, 11, 13, 23, 199, 251, 257, 263)
+
+
+def _packed(values, q):
+    """values packed into the slots of `_prime_field_tables(q)`."""
+    width = _prime_field_tables(q).width
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
 class TestNormPolynomialCount:
     """`_count_sextic_ext2_prime` against the enumeration it replaced, and
-    the packed prime-field evaluator against Horner's rule."""
+    the packed evaluator against Horner's rule and plain `%`."""
 
     @pytest.mark.parametrize("q", SPLIT_EXT2_PRIMES)
     def test_nonsquare_matches_smallest(self, q):
@@ -439,6 +447,7 @@ class TestNormPolynomialCount:
             "constant non-square": [s] + [0] * 6,
             "repeated roots": g_squared,
             "degree five": [rng.randrange(q) for _ in range(6)] + [q],
+            "all q - 1": [q - 1] * 7,
         }
         for name, c in cases.items():
             assert _count_sextic_ext2_prime(c, q, s) == enum_count_sextic_ext2_prime(c, q), name
@@ -447,19 +456,54 @@ class TestNormPolynomialCount:
         assert _count_sextic_ext2_prime(cases["zero"], q, s) == q * q + 1
         assert _count_sextic_ext2_prime(cases["constant non-square"], q, s) == 2 * q * q + 1
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        q=st.sampled_from((7, 11, 13, 23)),
+        c=st.lists(st.integers(0, 10**6), min_size=7, max_size=7),
+        per=st.integers(1, 2),
+        spare=st.integers(0, 6),
+    )
+    def test_rows_across_blocks(self, q, c, per, spare):
+        # blocks of `per` rows (spare slots short of a row do not add one),
+        # fewer than the (q-1)/2 >= 3 rows of every prime here
+        with mock.patch.object(curves, "_BLOCK_SLOTS", per * q + spare):
+            got = _count_sextic_ext2_prime(c, q, _prime_nonsquare(q))
+        assert got == enum_count_sextic_ext2_prime(c, q)
+
+    def test_rows_across_default_blocks(self):
+        # 50 rows of 101 slots do not fit in one block of 2^12 slots
+        q = 101
+        assert (q - 1) // 2 > curves._BLOCK_SLOTS // q
+        c = [q - 1, 5, 0, 17, q - 2, 1, 3]
+        assert _count_sextic_ext2_prime(c, q, _prime_nonsquare(q)) == (
+            enum_count_sextic_ext2_prime(c, q)
+        )
+
+    @pytest.mark.parametrize("q", (3, 5, 13, 199, 251, 257, 263, 18181))
+    def test_slot_reduction_at_the_bound(self, q):
+        # slots up to the largest value the evaluator reduces, 13 (q-1)^2,
+        # multiples of q among them, reduce to v mod q
+        T = _prime_field_tables(q)
+        top = 13 * (q - 1) ** 2
+        rng = random.Random(q)
+        values = [top, 0, q, top - top % q, top - 1, q - 1] + [
+            rng.randrange(top + 1) for _ in range(200)
+        ] + [q * rng.randrange(top // q + 1) for _ in range(50)] + [top]
+        got = curves._slot_residues(_packed(values, q), len(values), q, T)
+        assert list(got) == [v % q for v in values]
+
     @settings(max_examples=60, deadline=None)
     @given(
-        q=st.sampled_from((3, 5, 7, 11, 13, 23, 101, 199)),
+        q=st.sampled_from((3, 5, 7, 11, 13, 23, 101, 199, 257)),
         poly=st.lists(st.integers(-(10**9), 10**9), min_size=0, max_size=13),
     )
     def test_prime_count_vs_horner(self, q, poly):
         assert _prime_count(poly, q) == horner_prime_count(poly, q)
 
-    @pytest.mark.parametrize("q,code", [(18169, "I"), (18181, "Q")])
-    def test_slot_width_limit(self, q, code):
-        # the largest prime with 13 (q-1)^2 < 2^32 and the next one; every
-        # coefficient q - 1 makes the slot sums as large as they get
-        assert _prime_field_tables(q)[0] == code
+    @pytest.mark.parametrize("q", (18169, 18181))
+    def test_prime_count_at_large_q(self, q):
+        # two-byte residues; every coefficient q - 1 makes the slot sums
+        # as large as a single polynomial makes them
         for poly in ([q - 1] * 13, [1, 0, 1], [q - 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5]):
             assert _prime_count(poly, q) == horner_prime_count(poly, q)
 
@@ -508,8 +552,8 @@ class TestEulerFactors:
         from fermatkit import curves
 
         calls = []
-        check = curves._reduced_sextic_ok
-        monkeypatch.setattr(curves, "_reduced_sextic_ok",
+        check = curves._squarefree_sextic
+        monkeypatch.setattr(curves, "_squarefree_sextic",
                             lambda *a: calls.append(1) or check(*a))
         for key in ("3.0", "5.0", "17.1"):
             P = prime_by_key(K13, key)
@@ -612,6 +656,64 @@ def sextic_from_roots(lc, roots, order):
     return [QElement(order, [c]) for c in coeffs]
 
 
+def _poly_mul(f, g, zero):
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+class TestSmoothness:
+    """`_squarefree_sextic` (the validation of every sextic) against the
+    Igusa-Clebsch discriminant over Q(sqrt13) and gcd(f, f') mod p."""
+
+    def test_matches_igusa_clebsch_i10(self):
+        rng = random.Random(51)
+        zero = K13.zero()
+
+        def rand(n):
+            return [K13.element([rng.randrange(-9, 10), rng.randrange(-9, 10)]) for _ in range(n)]
+
+        cases = []
+        for _ in range(10):
+            g, g1, g2 = rand(2), rand(2), rand(3)
+            cases += [
+                rand(7),
+                rand(6) + [zero],  # c6 = 0
+                rand(5) + [zero, zero],  # c6 = c5 = 0
+                _poly_mul(_poly_mul(g, g, zero), rand(5), zero),  # a square linear factor
+                _poly_mul(_poly_mul(g2, g2, zero), rand(3), zero),  # a square quadratic factor
+                _poly_mul(_poly_mul(g1, g1, zero), rand(4), zero) + [zero],  # degree 5, square factor
+            ]
+        smooth = 0
+        for c in cases:
+            want = not igusa_clebsch(c)[3].is_zero
+            assert curves._squarefree_sextic(c) == want, c
+            smooth += want
+        assert 0 < smooth < len(cases)
+
+    def test_singular_curve_refused_with_the_same_message(self):
+        square_times_quartic = _poly_mul([1, -2, 1], [1, 3, 0, 0, 1], 0)  # (x - 1)^2 divides
+        sext = [K13.from_int(v) for v in square_times_quartic]
+        with pytest.raises(ValueError, match=r"^singular sextic \(discriminant invariant vanishes\)$"):
+            HyperellipticCurveNF(coeffs=tuple(sext))
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11))
+    def test_matches_gcd_mod_p(self, p):
+        F = FiniteField(p, UniPoly([0, 1]))
+        rng = random.Random(p)
+        for _ in range(150):
+            c = [rng.randrange(p) for _ in range(7)]
+            if rng.random() < 0.4:  # force a square factor
+                g = [rng.randrange(p), 1]
+                c = _poly_mul(_poly_mul(g, g, 0), [rng.randrange(p) for _ in range(5)], 0)
+            f = _pm_trim([x % p for x in c])
+            df = _pm_trim([i * f[i] % p for i in range(1, len(f))])
+            want = len(f) >= 6 and bool(df) and _pm_gcd(f, df, p) == (1,)
+            assert curves._squarefree_sextic([F.from_int(x) for x in c]) == want, c
+
+
 class TestIgusaClebsch:
     def test_root_difference_oracle(self):
         # igusa_clebsch attaches the binary form 4f to y^2 = f, so the
@@ -698,6 +800,33 @@ class TestWeightedPPEqual:
             weighted_pp_equal(v, z)
 
 
+def field_sqrt(field, d):
+    """A square root of d in `field` by direct search, or None."""
+    if d.is_zero:
+        return field.zero()
+    for x in field.elements():
+        if x * x == d:
+            return x
+    return None
+
+
+def quadext_projective_order(a, N):
+    """Oracle: the order of l1 / l2 found by search in the quadratic
+    extension, the computation the two-term recurrence replaced."""
+    F = a.field
+    disc = a * a - 4 * F.from_int(N)
+    if disc.is_zero:
+        return F.char
+    E = QuadExt(F, field_nonsquare(F))
+    root = field_sqrt(E, E.embed(disc))
+    inv2 = E.from_int(2).inverse()
+    ratio = (E.embed(a) + root) * inv2 * ((E.embed(a) - root) * inv2).inverse()
+    order, acc = 1, ratio
+    while acc != E.one():
+        acc, order = acc * ratio, order + 1
+    return order
+
+
 class TestFrobeniusProjectiveOrder:
     def test_a_zero_gives_order_2(self):
         F7 = FiniteField(7, UniPoly([0, 1]))
@@ -725,3 +854,18 @@ class TestFrobeniusProjectiveOrder:
                 assert len(per_prime) == 1  # conjugates share the order
                 orders |= per_prime
         assert {2, 4, 5} <= orders
+
+    @pytest.mark.parametrize(
+        "field",
+        [FiniteField(p, UniPoly([0, 1])) for p in (3, 5, 7, 11, 13)]
+        + [FiniteField(3, UniPoly([1, 0, 1]))],  # F_9
+        ids=lambda F: f"F{F.order}",
+    )
+    def test_recurrence_vs_quadext_search(self, field):
+        repeated = 0
+        for a in field.elements():
+            for N in range(1, 2 * field.char):
+                if N % field.char:
+                    repeated += (a * a - 4 * field.from_int(N)).is_zero
+                    assert frobenius_projective_order(a, N) == quadext_projective_order(a, N)
+        assert repeated  # a = 2, N = 1 has the double root 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fermatkit.exactarith import UniPoly
+from fermatkit.exactarith import UniPoly, _pm_mod, _pm_trim
 from fermatkit.numberfield import (
     NumberFieldOrder,
     QElement,
@@ -130,6 +130,29 @@ class TestReduction:
                 for c in reversed(x.coords):
                     acc = acc * P.theta_image + c
                 assert reduce_element(x, P) == acc
+
+
+    @pytest.mark.parametrize("q", [11, 23, 29, 547])
+    def test_trimmed_element_matches_full_division(self, q):
+        """`FiniteField.element` divides only a trimmed polynomial of
+        degree at least k; its result is the full remainder by the
+        modulus, as before, for a + b zeta and for 12-coordinate vectors
+        with every coordinate nonzero."""
+        rng = random.Random(q)
+        fdegs = set()
+        for P in split_prime(ZZ13, q):
+            F = P.residue_field
+            fdegs.add(F.k)
+            xs = [ZZ13.element([a, b]) for a in (-3, 0, 1, 12) for b in (-1, 0, 1, q)]
+            xs += [
+                ZZ13.element([rng.choice([-1, 1]) * rng.randrange(1, 10**6) for _ in range(12)])
+                for _ in range(8)
+            ]
+            for x in xs:
+                rem = _pm_mod(_pm_trim([c % q for c in x.coords]), F._mod_c, q)
+                want = tuple(rem) + (0,) * (F.k - len(rem))
+                assert reduce_element(x, P).coeffs == want
+        assert fdegs == {12 // len(split_prime(ZZ13, q))}
 
 
 class TestNorms:
