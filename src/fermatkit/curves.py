@@ -1,37 +1,36 @@
 """Elliptic and genus-2 curves over number-field orders.
 
 Point counting sums 1 + chi(f(x)) over the counting field, chi the
-quadratic character. Prime fields evaluate f at every x at once on
-packed integers, one slot per x, and reduce every slot mod q in place
-with one multiply, shift and mask (division by an invariant integer),
-so no Python loop runs per point. F_{q^2} over a prime residue field is
-counted over F_q through the norm, chi_{q^2}(z) = chi_q(N(z)): the norm
-of f(a + bt) is G(a, s b^2) for one bivariate polynomial G per prime,
-and the whole (a, b) grid is evaluated in packed blocks. Any other
-odd-characteristic field (F_{p^k}, k > 1, and QuadExt towers over one)
-uses the field's Zech-log tables (`exactarith.zech_tables`), built once
-per field and meant for fields of up to about 5*10^4 elements.
-Characteristic 2 uses the Artin-Schreier trace. Euler factors come from
-counts over F_N and F_{N^2}. A sextic model is smooth when the binary
-sextic has no repeated root, decided by gcd(f, f') = 1 through a
-pseudo-remainder sequence over the order, both for the curve over K and
-for each reduction. Igusa-Clebsch invariants are computed by classical
-transvectants in exact rational arithmetic, and projective Frobenius
-orders by a two-term recurrence. All functions are pure; inputs are
-immutable.
+quadratic character. Every odd residue field F = F_q[w]/(m) of degree
+k is counted by one packed evaluator: f is evaluated at every x of F at
+once on packed integers, one slot per x and one integer per component
+over F_q, a coefficient acting by its k x k multiplication matrix; every
+slot is reduced mod q in place with one multiply, shift and mask
+(division by an invariant integer), the components are folded into the
+element index, and the index is read through a 1 + chi table, so no
+Python loop runs per point. F_{N^2} over a residue field F of order N
+is counted over F through the norm, chi_{N^2}(z) = chi_N(N(z)): the
+norm of f(a + bt) is G(a, S b^2) for one bivariate polynomial G over F,
+and the whole (a, b) grid is evaluated in packed blocks, at split and
+inert primes alike. Characteristic 2 uses the Artin-Schreier trace.
+Euler factors come from counts over F_N and F_{N^2}. A sextic model is
+smooth when the binary sextic has no repeated root, decided by
+gcd(f, f') = 1 through a pseudo-remainder sequence over the order, both
+for the curve over K and for each reduction. Igusa-Clebsch invariants
+are computed by classical transvectants in exact rational arithmetic,
+and projective Frobenius orders by a two-term recurrence. All functions
+are pure; inputs are immutable.
 """
 from __future__ import annotations
 
 import json
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
+from operator import add, mul
 from typing import NamedTuple
 
-from .exactarith import FiniteField, QuadExt, field_nonsquare, zech_tables
 from .numberfield import (
     NFElement,
     PrimeIdealData,
@@ -93,8 +92,11 @@ class EllipticCurveNF:
         for a in (self.a2, self.a3, self.a4, self.a6):
             if a.order != order:
                 raise ValueError("curve coefficients live in different orders")
-        if ec_invariants(self)[2].is_zero:
+        invariants = _covariants(self)
+        if invariants[2].is_zero:
             raise ValueError("singular Weierstrass model (discriminant is zero)")
+        # kept on the instance, outside the fields: eq, hash and repr ignore it
+        object.__setattr__(self, "_invariants", invariants)
 
     @property
     def order(self):
@@ -158,7 +160,12 @@ class RMSplit:
 
 
 def ec_invariants(E: EllipticCurveNF):
-    """Standard covariants (c4, c6, Delta); c4^3 - c6^2 = 1728 Delta."""
+    """Standard covariants (c4, c6, Delta); c4^3 - c6^2 = 1728 Delta.
+    Computed once, when the curve is built."""
+    return E._invariants
+
+
+def _covariants(E: EllipticCurveNF):
     a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -205,27 +212,70 @@ _BLOCK_SLOTS = 1 << 12  # slots reduced and classified at once; bounds memory
 
 
 class _PackedField(NamedTuple):
-    """Packed evaluation data of F_q, from `_prime_field_tables`."""
+    """Packed evaluation data of an odd residue field F = F_q[w]/(m) of
+    degree k, from `_field_tables`. Slot s of a packed integer holds a
+    value at the element of index s (`FFElement.index`). Lists of
+    elements are kept as k lists of components, one per power of w."""
 
+    q: int
+    m: tuple  # the monic modulus, lowest degree first; (0, 1) when k = 1
+    order: int  # q^k
     width: int  # bytes per slot
-    code: str  # array code of the smallest item that holds a residue
     shift: int
     magic: int  # ceil(2^shift / q)
     low: bytes  # one slot of the quotient mask
-    cols: tuple  # col_k = sum_x (x^k mod q) << (8 width x), k = 0..12
-    table: bytes  # 1 + chi(r) at index r < q, zero beyond; at least 256 long
+    table: bytes  # 1 + chi(z) at index(z)
+    planes: tuple  # 1 + chi as 0, 1, 3 (its bit count), 256 indices each
+    squares: tuple  # the nonzero squares of F, as component lists
+
+
+def _fold(A, q, m) -> list:
+    """Elements given by lists A[t] of their coefficients of w^t (any
+    ints, k <= t + 1 <= 2k - 1) as k lists of components in [0, q):
+    w^t = -(m_0 w^(t-k) + ... + m_(k-1) w^(t-1)), from the top down."""
+    A, k = list(A), len(m) - 1
+    while len(A) > k:
+        top = A.pop()
+        for j, mj in enumerate(m[:k], len(A) - k):
+            if mj:
+                A[j] = [u - mj * v for u, v in zip(A[j], top)]
+    return [[u % q for u in a] for a in A]
+
+
+def _slot_mul(A, X, q, m) -> list:
+    """Element-wise products of two equally long element lists."""
+    conv = [None] * (2 * len(A) - 1)
+    for i, u in enumerate(A):
+        for j, v in enumerate(X):
+            p = list(map(mul, u, v))
+            conv[i + j] = p if conv[i + j] is None else list(map(add, conv[i + j], p))
+    return _fold(conv, q, m)
 
 
 @lru_cache(maxsize=None)
-def _prime_field_tables(q) -> _PackedField:
-    """Packed power columns of F_q and the constants that reduce every
-    slot of a packed integer mod q at once.
+def _power_values(q, m, e) -> list:
+    """x^e for every x of F_q[w]/(m) in index order, as k lists of
+    components."""
+    k = len(m) - 1
+    if e == 0:
+        return [[1] * q**k] + [[0] * q**k] * (k - 1)
+    if e == 1:
+        return [[d for d in range(q) for _ in range(q**i)] * q ** (k - 1 - i) for i in range(k)]
+    return _slot_mul(_power_values(q, m, e - 1), _power_values(q, m, 1), q, m)
 
-    Every packed value the evaluator reduces has slots below
-    13 (q-1)^2 < 2^bound: sum_k g_k col_k with k <= 12 and g_k in [0, q),
-    or a row sum_j y_j H_j with j <= 6 and y_j and the slots of H_j in
-    [0, q). Division by the constant q (Granlund and Montgomery,
-    "Division by invariant integers using multiplication", 1994): with
+
+@lru_cache(maxsize=None)
+def _packed_field(q, m) -> _PackedField:
+    """Constants that reduce every slot of a packed integer mod q at once,
+    and the 1 + chi table of the field, marked from the x^2 column.
+
+    Every packed component the evaluator reduces has slots below
+    13 k (q-1)^2 < 2^bound: sum over e <= 12 and l < k of
+    M(g_e)[i][l] (x^e)_l, with M(g) the matrix of multiplication by g
+    over F_q and every entry and component in [0, q), or a row
+    sum_j M(y^j) H_j with j <= 6 and the components of H_j in [0, q).
+    Division by the constant q (Granlund and Montgomery, "Division by
+    invariant integers using multiplication", 1994): with
     shift = bound + bitlen(q) and magic = ceil(2^shift / q),
     floor(v / q) = (v magic) >> shift for every v < 2^bound. Since
     magic <= 2^(bound + 1), v magic < 2^(2 bound + 1), so slots of
@@ -233,148 +283,159 @@ def _prime_field_tables(q) -> _PackedField:
     next slot. After the shift the low bits of the next slot's product
     start at bit 8 width - shift >= bound - bitlen(q) + 1 of each slot,
     and the quotient below them is less than 2^(bound - bitlen(q) + 1),
-    so a mask of the low 8 width - shift bits separates the two.
+    so a mask of the low 8 width - shift bits separates the two. A slot
+    also holds an element index sum_i R_i q^i < q^k.
     """
-    bound = (13 * (q - 1) ** 2).bit_length()
+    k = len(m) - 1
+    if q == 2:
+        raise ValueError("packed counting needs odd characteristic")
+    N = q**k
+    bound = (13 * k * (q - 1) ** 2).bit_length()
     shift = bound + q.bit_length()
-    width = (2 * bound + 1 + 7) // 8
-    cols, row = [], [1] * q
-    for _ in range(13):
-        if q < 256:
-            col = bytearray(q * width)
-            col[::width] = bytes(row)
-        else:
-            col = b"".join(r.to_bytes(width, "little") for r in row)
-        cols.append(int.from_bytes(col, "little"))
-        row = [r * x % q for x, r in enumerate(row)]
-    table = bytearray(max(q, 256))
-    for x in range(1, (q + 1) // 2):
-        table[x * x % q] = 2
-    table[0] = 1
+    width = max((2 * bound + 1 + 7) // 8, ((N - 1).bit_length() + 7) // 8)
     low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")
-    code = next(c for c in "BHIQ" if 256 ** array(c).itemsize >= q)
-    return _PackedField(width, code, shift, -(-(1 << shift) // q), low, tuple(cols), bytes(table))
+    sq = _power_values(q, m, 2)
+    index = list(sq[0])
+    for i in range(1, k):
+        index = [s + q**i * v for s, v in zip(index, sq[i])]
+    table = bytearray(N)
+    for s in index:
+        table[s] = 2
+    table[0] = 1
+    planes = ()
+    if N <= 1 << 16:
+        encoded = bytes(table).translate(bytes([0, 1, 3]) + bytes(253)) + bytes(-N % 256)
+        planes = tuple(encoded[h : h + 256] for h in range(0, N, 256))
+    squares = tuple([s // q**i % q for s in range(N) if table[s] == 2] for i in range(k))
+    magic = -(-(1 << shift) // q)
+    return _PackedField(q, m, N, width, shift, magic, low, bytes(table), planes, squares)
 
 
-def _reduce_slots(V, n, q, T: _PackedField) -> int:
+def _field_tables(field) -> _PackedField:
+    """`_packed_field` of a residue field; every prime field shares the
+    tables of F_q[w]/(w), since its elements are their constant terms."""
+    return _packed_field(field.p, field.modulus.coeffs if field.k > 1 else (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _power_column(q, m, e) -> tuple:
+    """x^e at every x of F_q[w]/(m), packed into the slots of
+    `_packed_field(q, m)`: one int per component."""
+    width = _packed_field(q, m).width
+    out = []
+    for v in _power_values(q, m, e):
+        buf = bytearray(len(v) * width)
+        for i in range((q - 1).bit_length() + 7 >> 3):
+            buf[i::width] = bytes([x >> 8 * i & 255 for x in v])
+        out.append(int.from_bytes(buf, "little"))
+    return tuple(out)
+
+
+def _mul_rows(A, T: _PackedField) -> list:
+    """The multiplication matrices M(a) of the elements a of A side by
+    side: row i lists, element after element, component i of a w^l for
+    l < k."""
+    A = [[a % T.q for a in c] for c in A]
+    if len(A) == 1:
+        return A
+    cols = [A]
+    for _ in range(len(A) - 1):  # a w^(l+1) from a w^l, shifted up and folded
+        cols.append(_fold([[0] * len(A[0])] + cols[-1], T.q, T.m))
+    return [[v for vs in zip(*(c[i] for c in cols)) for v in vs] for i in range(len(A))]
+
+
+def _power_rows(Y, J, T: _PackedField) -> list:
+    """For each y of Y and each component i, the row i of
+    M(y^0), ..., M(y^(J-1)) side by side, as a tuple."""
+    k = len(Y)
+    p = [[1] * len(Y[0])] + [[0] * len(Y[0])] * (k - 1)
+    lists = [[] for _ in range(k)]
+    for _ in range(J):
+        c = p
+        for _ in range(k):
+            for i in range(k):
+                lists[i].append(c[i])
+            c = _fold([[0] * len(Y[0])] + c, T.q, T.m)
+        p = _slot_mul(p, Y, T.q, T.m)
+    return [list(zip(*ls)) for ls in lists]
+
+
+def _reduce_slots(V, n, T: _PackedField) -> int:
     """V with each of its n slots v replaced by v mod q: one multiply,
-    shift and mask give every quotient (see `_prime_field_tables`)."""
-    return V - q * ((V * T.magic >> T.shift) & int.from_bytes(T.low * n, "little"))
+    shift and mask give every quotient (see `_packed_field`)."""
+    return V - T.q * ((V * T.magic >> T.shift) & int.from_bytes(T.low * n, "little"))
 
 
-def _slot_residues(V, n, q, T: _PackedField):
-    """v mod q for each of the n slots v of V, as bytes for q < 256 and
-    otherwise as an array read from the slots' low bytes."""
-    raw = _reduce_slots(V, n, q, T).to_bytes(n * T.width, "little")
-    if q < 256:
-        return raw[:: T.width]
-    out = array(T.code)
-    size = out.itemsize
-    buf = bytearray(n * size)
-    for i in range(size):
-        buf[i::size] = raw[i :: T.width]
-    out.frombytes(buf)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
+def _chi_sum(R, n, T: _PackedField) -> int:
+    """Sum of 1 + chi over n slots, R the k packed components of the
+    values: each is reduced mod q in place, they are folded into the
+    element index sum_i R_i q^i, and the index is read through the
+    1 + chi table. Up to 2^16 elements the low index byte goes through
+    one 256-entry plane per high byte, ANDed with a selector of the slots
+    that have that high byte, and the bit count of the 0, 1, 3 codes is
+    the sum; past that each index is looked up."""
+    V = _reduce_slots(R[0], n, T)
+    for i in range(1, len(R)):
+        V += T.q**i * _reduce_slots(R[i], n, T)
+    w = T.width
+    raw = V.to_bytes(n * w, "little")
+    if not T.planes:
+        return sum(T.table[int.from_bytes(raw[s : s + w], "little")] for s in range(0, n * w, w))
+    lo = raw[::w]
+    if len(T.planes) == 1:
+        return int.from_bytes(lo.translate(T.planes[0]), "little").bit_count()
+    hi = raw[1::w]
+    acc = 0
+    for h, plane in enumerate(T.planes):  # the selector maps byte h to 0xff, others to 0
+        acc |= int.from_bytes(lo.translate(plane), "little") & int.from_bytes(
+            hi.translate(bytes(h) + b"\xff" + bytes(255 - h)), "little"
+        )
+    return acc.bit_count()
 
 
-def _chi_sum(V, n, q, T: _PackedField) -> int:
-    """Sum of 1 + chi(v mod q) over the n slots v of V, with no loop per slot."""
-    r = _slot_residues(V, n, q, T)
-    ones = r.translate(T.table) if q < 256 else bytes(map(T.table.__getitem__, r))
-    return ones.count(1) + 2 * ones.count(2)
+def _grid_count(G, Y, T: _PackedField) -> int:
+    """Sum of 1 + chi(G(x, y)) over x in F and y in Y.
 
-
-def _grid_count(G, ys, q) -> int:
-    """Sum of 1 + chi(G(x, y)) over x in F_q and y in ys.
-
-    G(X, Y) = sum_j G[j](X) Y^j is given as at most 7 lists G[j] of at
-    most 13 integers, lowest degree first. H_j = sum_k G[j][k] col_k
-    holds G_j(x) at every x (see `_prime_field_tables`), reduced mod q in
-    place when there is more than one, and the row of y is
-    sum_j (y^j mod q) H_j:
-    seven multiplies of a packed integer by a small one. The rows of a
-    block of at most `_BLOCK_SLOTS` slots are concatenated into one
-    integer, reduced mod q in place and read through the 1 + chi table
-    (`_chi_sum`), so memory stays O(block).
+    G(X, Y) = sum_j G[j](X) Y^j is given as at most 7 element lists G[j]
+    (coefficients lowest degree first, at most 13) and Y as an element
+    list. Component i of H_j = G_j(x) at every x is
+    sum_e sum_l M(G[j][e])[i][l] (x^e)_l on the packed power columns,
+    reduced mod q in place when there is more than one H_j, and the row
+    of y is sum_j M(y^j) H_j: multiplies of packed integers by small
+    ones. The rows of a block of at most `_BLOCK_SLOTS` slots are
+    concatenated component by component, reduced and read through the
+    1 + chi table (`_chi_sum`), so memory stays O(block).
     """
-    T = _prime_field_tables(q)
-    if len(G) > 7 or any(len(g) > 13 for g in G):
+    if len(G) > 7 or any(len(g[0]) > 13 for g in G):
         raise ValueError("packed evaluation takes X-degree at most 12 and Y-degree at most 6")
-    H = [sum(a % q * col for a, col in zip(g, T.cols)) for g in G]
-    if len(H) > 1:  # rows sum y^j H_j stay below 13 (q-1)^2 only for reduced H_j
-        H = [_reduce_slots(h, q, q, T) for h in H]
-    size, per = q * T.width, max(1, _BLOCK_SLOTS // q)
+    n = T.order
+    cols = [_power_column(T.q, T.m, e) for e in range(max(len(g[0]) for g in G))]
+    H = []
+    for g in G:
+        flat = [c for col in cols[: len(g[0])] for c in col]
+        H.append([sum(map(mul, row, flat)) for row in _mul_rows(g, T)])
+    if len(H) == 1:  # every row is G[0](x)
+        return len(Y[0]) * _chi_sum(H[0], n, T)
+    # rows sum_j M(y^j) H_j stay below 13 k (q-1)^2 only for reduced H_j
+    flat = [_reduce_slots(c, n, T) for h in H for c in h]
+    coefs = _power_rows(Y, len(H), T)
+    size, per = n * T.width, max(1, _BLOCK_SLOTS // n)
     count = 0
-    for i in range(0, len(ys), per):
-        rows = []
-        for y in ys[i : i + per]:
-            acc, yj = 0, 1
-            for h in H:
-                acc += yj * h
-                yj = yj * y % q
-            rows.append(acc)
-        if len(rows) == 1:
-            V = rows[0]
-        else:
-            V = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rows), "little")
-        count += _chi_sum(V, len(rows) * q, q, T)
+    for s in range(0, len(Y[0]), per):
+        R = []
+        for rows in coefs:
+            vals = [sum(map(mul, r, flat)) for r in rows[s : s + per]]
+            R.append(vals[0] if len(vals) == 1 else int.from_bytes(
+                b"".join(v.to_bytes(size, "little") for v in vals), "little"))
+        count += _chi_sum(R, min(per, len(Y[0]) - s) * n, T)
     return count
-
-
-def _prime_count(poly, q) -> int:
-    """Sum over x in F_q of 1 + chi(poly(x)), poly a list of at most 13
-    integers, lowest degree first: the one-row case of `_grid_count`."""
-    return _grid_count([poly], [0], q)
 
 
 def _affine_count(coeffs, field) -> int:
-    """Sum over x in `field` of 1 + chi(f(x)), f = sum coeffs[i] x^i.
-
-    chi is the quadratic character of an odd-characteristic field. A
-    prime field evaluates f at every x at once on packed integers
-    (`_prime_count`); any other field works on its Zech-log tables: x
-    runs over the logs n, Horner's rule is a log addition plus one Zech
-    lookup (v + c = g^v (1 + g^(c - v))), zero is None, and a value is a
-    square exactly when its log is even. Logs are reduced only where
-    they index the table; the group order is even, so parity survives.
-    """
-    if isinstance(field, FiniteField) and field.k == 1:
-        return _prime_count([a.coeffs[0] for a in coeffs], field.char)
-    T = zech_tables(field)
-    zech, M = T.zech, len(T.zech)
-    c = [T.log[a.index()] for a in coeffs]
-    while c and c[-1] is None:
-        c.pop()
-    if not c:
-        return field.order
-    count = _one_plus_chi(c[0])  # x = 0
-    top, rest = c[-1], c[-2::-1]
-    for n in range(M):
-        v = top
-        for a in rest:
-            if v is None:
-                v = a
-            else:
-                v += n
-                if a is not None:
-                    z = zech[(a - v) % M]
-                    v = None if z is None else v + z
-        count += _one_plus_chi(v)
-    return count
-
-
-def _one_plus_chi(log):
-    """1 + chi of the element with this discrete log (None for zero)."""
-    return 1 if log is None else 2 - 2 * (log & 1)
-
-
-def _field_one_plus_chi(c, field):
-    """1 + chi(c) for an element of an odd-characteristic counting field."""
-    if isinstance(field, FiniteField) and field.k == 1:
-        return _prime_field_tables(field.char).table[c.coeffs[0]]
-    return _one_plus_chi(zech_tables(field).log[c.index()])
+    """Sum over x in `field` of 1 + chi(f(x)), f = sum coeffs[i] x^i, for an
+    odd-characteristic field: the one-row case of `_grid_count`."""
+    T = _field_tables(field)
+    return _grid_count([[list(c) for c in zip(*(a.coeffs for a in coeffs))]], [[0]], T)
 
 
 def _abs_trace_to_f2(x):
@@ -464,34 +525,47 @@ def _squarefree_sextic(coeffs) -> bool:
     return bool(g)
 
 
-def _count_sextic_ext2_prime(c, q, s) -> int:
-    """Points of y^2 = sum c[k] x^k (integers) over F_{q^2} = F_q[t]/(t^2 - s).
+def _count_sextic_ext2(c, T: _PackedField) -> int:
+    """Points of y^2 = sum c[n] x^n over F_{N^2} = F[t]/(t^2 - S), c the
+    seven coefficients over the residue field F of order N (k-tuples, see
+    `_field_tables`) and S the first non-square of F.
 
-    A nonzero z = P + Qt is a square in F_{q^2} exactly when its norm
-    P^2 - s Q^2 is a square in F_q, so chi_{q^2}(z) = chi_q(N(z)). At
-    x = a + bt the norm of f(x) is f(a + bt) f(a - bt) = G(a, s b^2) for
-    one bivariate polynomial per prime, G(X, u^2) = f(X + u) f(X - u):
-    with D_i the Hasse derivatives of f (f(X + u) = sum_i D_i(X) u^i),
-    G_e = sum_i (-1)^i D_i D_(2e-i), X-degree 12 - 2e, e = 0..6. The whole
-    (a, b) grid is evaluated on packed integers by `_grid_count`.
-    Frobenius fixes f, so the rows of b and -b are equal: row 0 (f^2)
-    counts once and b = 1..(q-1)/2 count twice. Every element of F_q is
-    a square in F_{q^2}, so a nonzero leading coefficient always
-    contributes both points at infinity.
+    A nonzero z = P + Qt is a square in F_{N^2} exactly when its norm
+    P^2 - S Q^2 is a square in F, so chi_{N^2}(z) = chi_N(N(z)). At
+    x = a + bt the norm of f(x) is f(a + bt) f(a - bt) = G(a, S b^2) for
+    one bivariate polynomial over F, G(X, u^2) = f(X + u) f(X - u): with
+    D_i the Hasse derivatives of f (f(X + u) = sum_i D_i(X) u^i),
+    G_e = sum_i (-1)^i D_i D_(2e-i), X-degree 12 - 2e, e = 0..6. Its
+    coefficients are multiplied as integers, an element of F packed as
+    sum_t a_t 2^(B t) (one B-bit digit per power of w), with the sign
+    folded into the first factor mod q, so that a digit of G_e sums at
+    most 49 products of at most k (20 (q-1))^2, comb(6, 3) = 20 being
+    the largest binomial of the D_i. The (a, b) grid is evaluated
+    by `_grid_count`, with rows y = S z over the nonzero squares z of F:
+    b and -b give the same b^2, so each row counts twice, and row 0 (f^2)
+    once. Every element of F is a square in F_{N^2}, so a nonzero
+    leading coefficient always contributes both points at infinity.
     """
-    c = [x % q for x in c]
-    D = [[comb(k, i) * c[k] for k in range(i, 7)] for i in range(7)]
+    q, k = T.q, len(T.m) - 1
+    B = (19600 * k * (q - 1) ** 2).bit_length()
+    mask = (1 << B) - 1
+    plus = [sum(a % q << B * t for t, a in enumerate(x)) for x in c]
+    minus = [sum(-a % q << B * t for t, a in enumerate(x)) for x in c]
+    D = [[comb(n, i) * plus[n] for n in range(i, 7)] for i in range(7)]
+    Dsigned = [[comb(n, i) * minus[n] for n in range(i, 7)] if i & 1 else D[i] for i in range(7)]
     G = []
     for e in range(7):
         g = [0] * (13 - 2 * e)
         for i in range(max(0, 2 * e - 6), min(2 * e, 6) + 1):
-            sign = -1 if i & 1 else 1
-            for a, u in enumerate(D[i]):
+            for a, u in enumerate(Dsigned[i]):
                 for b, v in enumerate(D[2 * e - i]):
-                    g[a + b] += sign * u * v
-        G.append(g)
-    ys = [s * b * b % q for b in range(1, (q + 1) // 2)]
-    return (1 if c[6] == 0 else 2) + _grid_count(G[:1], [0], q) + 2 * _grid_count(G, ys, q)
+                    g[a + b] += u * v
+        G.append(_fold([[x >> B * t & mask for x in g] for t in range(2 * k - 1)], q, T.m))
+    s = T.table.index(0)
+    S = _mul_rows([[s // q**i % q] for i in range(k)], T)
+    Y = [[sum(map(mul, r, z)) % q for z in zip(*T.squares)] for r in S]
+    lead = 2 if any(a % q for a in c[6]) else 1
+    return lead + _grid_count(G[:1], [[0]], T) + 2 * _grid_count(G, Y, T)
 
 
 def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
@@ -512,25 +586,19 @@ def hyp_count_points(
     Affine part is sum over x of 1 + chi(f(x)); points at infinity follow
     the image of the leading coefficient: two if it is a nonzero square
     in the counting field, one if it vanishes (degree drops to five),
-    none if it is a non-square. F_{q^2} over a prime residue field is
-    counted over F_q on one packed grid of norm values
-    (`_count_sextic_ext2_prime`); every other counting field goes through
-    `_affine_count`. `reduced` is C's reduction at P from
-    `_reduce_sextic`, for a caller that counts over both fields.
+    none if it is a non-square. F_N is counted by `_affine_count`, and
+    F_{N^2} over the residue field F_N on one packed grid of norm values
+    down to F_N (`_count_sextic_ext2`), at split and inert primes alike.
+    `reduced` is C's reduction at P from `_reduce_sextic`, for a caller
+    that counts over both fields.
     """
     if ext not in (1, 2):
         raise ValueError("ext must be 1 or 2")
     red = _reduce_sextic(C, P) if reduced is None else reduced
-    base = P.residue_field
-    if ext == 1:
-        field, coeffs = base, red
-    else:
-        s = field_nonsquare(base)
-        if P.fdeg == 1:
-            return _count_sextic_ext2_prime([x.coeffs[0] for x in red], P.q, s.coeffs[0])
-        field = QuadExt(base, s)
-        coeffs = [field.embed(c) for c in red]
-    return _affine_count(coeffs, field) + _field_one_plus_chi(coeffs[6], field)
+    T = _field_tables(P.residue_field)
+    if ext == 2:
+        return _count_sextic_ext2([x.coeffs for x in red], T)
+    return _affine_count(red, P.residue_field) + T.table[red[6].index()]
 
 
 def g2_euler_factor(C: HyperellipticCurveNF, P: PrimeIdealData) -> EulerFactorG2:

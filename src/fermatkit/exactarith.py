@@ -15,10 +15,7 @@ import random
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil
-from operator import mul
-from typing import NamedTuple
 
 __all__ = [
     "UniPoly",
@@ -38,8 +35,6 @@ __all__ = [
     "tarski_query",
     "integer_roots",
     "field_nonsquare",
-    "ZechTables",
-    "zech_tables",
 ]
 
 
@@ -777,8 +772,9 @@ class QuadExt:
     """Quadratic extension B[t]/(t^2 - s) of a base field object.
 
     s must be a non-square in the base, which requires odd
-    characteristic. The base can itself be a QuadExt, so degree-4
-    towers used for genus-2 point counts come for free.
+    characteristic; the base can itself be a QuadExt. No point count
+    goes through it (see `curves`): it serves field-arithmetic probes
+    and naive test oracles.
     """
 
     __slots__ = ("base", "s", "order", "p")
@@ -963,92 +959,6 @@ def field_nonsquare(field):
         if x**e != field.one():
             return x
     raise AssertionError("no non-square found; field is broken")
-
-
-# ---------------------------------------------------------------------------
-# discrete-log (Zech) tables of small odd-characteristic fields
-
-
-class ZechTables(NamedTuple):
-    """Discrete logarithms of a field of order N, keyed by `index()`.
-
-    g is the first generator in index order; exp[n] is the index of g^n,
-    log[i] is n for the element of index i (None at zero), and
-    zech[n] = log(1 + g^n), None where 1 + g^n = 0, i.e. at n = (N-1)/2.
-    For odd N a nonzero element is a square exactly when its log is even.
-    """
-
-    exp: tuple
-    log: tuple
-    zech: tuple
-
-
-def _digit_count(field) -> int:
-    """Dimension over F_p of a FiniteField or a tower of QuadExt over one."""
-    if isinstance(field, FiniteField):
-        return field.k
-    return 2 * _digit_count(field.base)
-
-
-def _mul_matrix(field, idx: int):
-    """Rows of the F_p-matrix of multiplication by the element of index
-    `idx`, acting on base-p digit vectors (the order of `index()`).
-
-    FiniteField: column j is x^j times the element, built by repeated
-    companion-matrix steps. QuadExt: (a + bt)(u + wt) = (au + s b w) +
-    (bu + aw)t gives the block matrix [[A, S B], [B, A]].
-    """
-    p = field.char
-    if isinstance(field, FiniteField):
-        m = field._mod_c
-        col = [(idx // p**i) % p for i in range(field.k)]
-        cols = []
-        for _ in range(field.k):
-            cols.append(col)
-            top = col[-1]
-            col = [(c - top * mc) % p for c, mc in zip([0] + col[:-1], m)]
-        return [list(row) for row in zip(*cols)]
-    base = field.base
-    A = _mul_matrix(base, idx % base.order)
-    B = _mul_matrix(base, idx // base.order)
-    S = _mul_matrix(base, field.s.index())
-    SB = [[sum(r * c for r, c in zip(row, col)) % p for col in zip(*B)] for row in S]
-    return [ra + rs for ra, rs in zip(A, SB)] + [rb + ra for rb, ra in zip(B, A)]
-
-
-@lru_cache(maxsize=None)
-def zech_tables(field) -> ZechTables:
-    """Zech-log tables of an odd-characteristic field given as a FiniteField
-    or a QuadExt tower over one.
-
-    The powers of each candidate generator are walked on digit vectors by
-    its multiplication matrix over F_p; no field element is multiplied.
-    Three tuples of N entries each: meant for fields of up to about 5*10^4
-    elements.
-    """
-    p, N = field.char, field.order
-    if p == 2:
-        raise ValueError("Zech tables here need odd characteristic")
-    pw = [p**i for i in range(_digit_count(field))]
-    # the base of a QuadExt is a proper subfield, so no generator lies there
-    first = field.base.order if isinstance(field, QuadExt) else 2
-    for cand in range(first, N):
-        M = _mul_matrix(field, cand)
-        v, exp = [1] + [0] * (len(pw) - 1), [1]
-        while True:
-            v = [sum(map(mul, row, v)) % p for row in M]
-            i = sum(map(mul, v, pw))
-            if i == 1:
-                break
-            exp.append(i)
-        if len(exp) == N - 1:
-            break
-    log = [None] * N
-    for n, i in enumerate(exp):
-        log[i] = n
-    # 1 + g^n: add one to the lowest base-p digit of g^n's index
-    zech = [log[i + 1 if i % p != p - 1 else i + 1 - p] for i in exp]
-    return ZechTables(tuple(exp), tuple(log), tuple(zech))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from fermatkit.curves import (
     weighted_pp_equal,
 )
 from fermatkit import curves
-from fermatkit.curves import _count_sextic_ext2_prime, _prime_count, _prime_field_tables
+from fermatkit.curves import _affine_count, _count_sextic_ext2, _field_tables, _grid_count, _packed_field
 from fermatkit.exactarith import FiniteField, QuadExt, UniPoly, _pm_gcd, _pm_trim, field_nonsquare
 from fermatkit.numberfield import (
     QElement,
@@ -179,6 +179,16 @@ def _prime_nonsquare(q):
     return field_nonsquare(FiniteField(q, UniPoly([0, 1]))).coeffs[0]
 
 
+def _prime_count(poly, q):
+    """The packed evaluator's one-row count of an integer polynomial over F_q."""
+    return _grid_count([[list(poly)]], [[0]], _packed_field(q, (0, 1)))
+
+
+def _count_sextic_ext2_prime(c, q):
+    """The packed F_{q^2} count of an integer sextic over F_q."""
+    return _count_sextic_ext2([(x,) for x in c], _packed_field(q, (0, 1)))
+
+
 class TestInvariants:
     def test_textbook_curve(self):
         E = EllipticCurveNF(
@@ -211,6 +221,20 @@ class TestInvariants:
             valuation_at(c6, P2),
             valuation_at(disc, P2),
         ) == (5, 5, 4)
+
+    def test_invariants_computed_once(self):
+        coeffs = dict(a1=E_FIX.a1, a2=E_FIX.a2, a3=E_FIX.a3, a4=E_FIX.a4, a6=E_FIX.a6)
+        with mock.patch.object(curves, "_covariants", wraps=curves._covariants) as cov:
+            E = EllipticCurveNF(**coeffs)
+            for q in (5, 17, 23):
+                for P in split_prime(K13, q):
+                    if ec_reduction_type(E, P) == "good":
+                        ec_trace(E, P)
+            assert cov.call_count == 1
+        assert ec_invariants(E) == curves._covariants(E)
+        # kept outside the fields: eq, hash and repr are those of the model
+        assert E == E_FIX and hash(E) == hash(E_FIX)
+        assert repr(E) == repr(E_FIX) and "_invariants" not in repr(E)
 
     def test_singular_model_rejected(self):
         with pytest.raises(ValueError):
@@ -305,7 +329,7 @@ class TestPointCounting:
             E2.embed(reduce_element(v, P))
             for v in (E_FIX.a1, E_FIX.a2, E_FIX.a3, E_FIX.a4, E_FIX.a6)
         ]
-        n2 = count_weierstrass_points(coeffs, E2)
+        n2 = naive_count_weierstrass(coeffs, E2)
         N = P.norm
         assert n2 == N * N + 1 - (a * a - 2 * N)
 
@@ -350,7 +374,7 @@ class TestHyperelliptic:
 
     @pytest.mark.parametrize("key", ["5.0", "7.0"])
     def test_inert_counts_vs_naive_oracle(self, key):
-        # F_{p^2} and its QuadExt F_{p^4}: the Zech-log path at ext 1 and 2
+        # F_{p^2} at ext 1, and F_{p^4} at ext 2 as a norm grid over F_{p^2}
         from fermatkit.numberfield import reduce_element
 
         P = prime_by_key(K13, key)
@@ -409,10 +433,26 @@ class TestHyperelliptic:
 SPLIT_EXT2_PRIMES = (3, 5, 7, 11, 13, 23, 199, 251, 257, 263)
 
 
-def _packed(values, q):
-    """values packed into the slots of `_prime_field_tables(q)`."""
-    width = _prime_field_tables(q).width
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+def _packed(values, T):
+    """values packed into the slots of the field tables T."""
+    return int.from_bytes(b"".join(v.to_bytes(T.width, "little") for v in values), "little")
+
+
+def _slots(V, n, T):
+    """The n slots of the packed integer V."""
+    raw = V.to_bytes(n * T.width, "little")
+    return [int.from_bytes(raw[i : i + T.width], "little") for i in range(0, len(raw), T.width)]
+
+
+def check_slot_reduction(T, top):
+    """Slots up to `top`, multiples of q among them, reduce to v mod q."""
+    q = T.q
+    rng = random.Random(q + len(T.m))
+    values = [top, 0, q, top - top % q, top - 1, q - 1] + [
+        rng.randrange(top + 1) for _ in range(200)
+    ] + [q * rng.randrange(top // q + 1) for _ in range(50)] + [top]
+    got = _slots(curves._reduce_slots(_packed(values, T), len(values), T), len(values), T)
+    assert got == [v % q for v in values]
 
 
 class TestNormPolynomialCount:
@@ -421,7 +461,9 @@ class TestNormPolynomialCount:
 
     @pytest.mark.parametrize("q", SPLIT_EXT2_PRIMES)
     def test_nonsquare_matches_smallest(self, q):
+        # the count takes t^2 = S for the first non-square S of the table
         assert _prime_nonsquare(q) == _smallest_nonsquare(q)
+        assert _packed_field(q, (0, 1)).table.index(0) == _smallest_nonsquare(q)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -432,9 +474,7 @@ class TestNormPolynomialCount:
     def test_random_sextics_vs_enumeration(self, q, c, drop_lead):
         if drop_lead:
             c[6] = 0
-        assert _count_sextic_ext2_prime(c, q, _prime_nonsquare(q)) == (
-            enum_count_sextic_ext2_prime(c, q)
-        )
+        assert _count_sextic_ext2_prime(c, q) == enum_count_sextic_ext2_prime(c, q)
 
     @pytest.mark.parametrize("q", SPLIT_EXT2_PRIMES)
     def test_degenerate_sextics_vs_enumeration(self, q):
@@ -450,11 +490,11 @@ class TestNormPolynomialCount:
             "all q - 1": [q - 1] * 7,
         }
         for name, c in cases.items():
-            assert _count_sextic_ext2_prime(c, q, s) == enum_count_sextic_ext2_prime(c, q), name
+            assert _count_sextic_ext2_prime(c, q) == enum_count_sextic_ext2_prime(c, q), name
         # f = 0: each of the q^2 affine x once, one point at infinity;
         # a constant non-square of F_q is a square in F_{q^2}
-        assert _count_sextic_ext2_prime(cases["zero"], q, s) == q * q + 1
-        assert _count_sextic_ext2_prime(cases["constant non-square"], q, s) == 2 * q * q + 1
+        assert _count_sextic_ext2_prime(cases["zero"], q) == q * q + 1
+        assert _count_sextic_ext2_prime(cases["constant non-square"], q) == 2 * q * q + 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -467,7 +507,7 @@ class TestNormPolynomialCount:
         # blocks of `per` rows (spare slots short of a row do not add one),
         # fewer than the (q-1)/2 >= 3 rows of every prime here
         with mock.patch.object(curves, "_BLOCK_SLOTS", per * q + spare):
-            got = _count_sextic_ext2_prime(c, q, _prime_nonsquare(q))
+            got = _count_sextic_ext2_prime(c, q)
         assert got == enum_count_sextic_ext2_prime(c, q)
 
     def test_rows_across_default_blocks(self):
@@ -475,22 +515,13 @@ class TestNormPolynomialCount:
         q = 101
         assert (q - 1) // 2 > curves._BLOCK_SLOTS // q
         c = [q - 1, 5, 0, 17, q - 2, 1, 3]
-        assert _count_sextic_ext2_prime(c, q, _prime_nonsquare(q)) == (
-            enum_count_sextic_ext2_prime(c, q)
-        )
+        assert _count_sextic_ext2_prime(c, q) == enum_count_sextic_ext2_prime(c, q)
 
     @pytest.mark.parametrize("q", (3, 5, 13, 199, 251, 257, 263, 18181))
     def test_slot_reduction_at_the_bound(self, q):
         # slots up to the largest value the evaluator reduces, 13 (q-1)^2,
         # multiples of q among them, reduce to v mod q
-        T = _prime_field_tables(q)
-        top = 13 * (q - 1) ** 2
-        rng = random.Random(q)
-        values = [top, 0, q, top - top % q, top - 1, q - 1] + [
-            rng.randrange(top + 1) for _ in range(200)
-        ] + [q * rng.randrange(top // q + 1) for _ in range(50)] + [top]
-        got = curves._slot_residues(_packed(values, q), len(values), q, T)
-        assert list(got) == [v % q for v in values]
+        check_slot_reduction(_packed_field(q, (0, 1)), 13 * (q - 1) ** 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -512,7 +543,122 @@ class TestNormPolynomialCount:
             _prime_count([1] * 14, 5)
 
 
+def _first_irreducible(q, k):
+    """F_q[w]/(m) for the lex-least irreducible monic m of degree k."""
+    for n in range(q**k):
+        try:
+            return FiniteField(q, UniPoly([n // q**i % q for i in range(k)] + [1]))
+        except ValueError:
+            continue
+    raise AssertionError("no irreducible polynomial found")
+
+
+def naive_affine_count(coeffs, field):
+    """Oracle: sum over x of 1 + chi(f(x)), Horner's rule in generic field
+    arithmetic and a lookup in the set {y*y}."""
+    squares = _naive_squares(field)
+    n = 0
+    for x in field.elements():
+        v = field.zero()
+        for c in reversed(coeffs):
+            v = v * x + c
+        n += _naive_one_plus_chi(v, squares)
+    return n
+
+
+def naive_count_sextic_ext2(coeffs, field):
+    """Oracle: y^2 = f(x) over the QuadExt of F_{q^k} by its first non-square."""
+    ext = QuadExt(field, field_nonsquare(field))
+    return naive_count_sextic([ext.embed(c) for c in coeffs], ext)
+
+
+def _packed_ext2(coeffs, field):
+    return _count_sextic_ext2([c.coeffs for c in coeffs], _field_tables(field))
+
+
+class TestPackedExtensionFields:
+    """The packed evaluator over F_{q^k}, k > 1: one-row counts, the norm
+    grid over F_{q^2}, slot reduction and the index lookup."""
+
+    @pytest.mark.parametrize("q", (3, 5, 7))
+    def test_ext2_sextics_vs_quadext_enumeration(self, q):
+        F = _first_irreducible(q, 2)
+        rng = random.Random(q)
+        rand = lambda: [F.from_index(rng.randrange(F.order)) for _ in range(7)]
+        nonsquare = field_nonsquare(F)
+        zero, constant = [F.zero()] * 7, [nonsquare] + [F.zero()] * 6
+        cases = {
+            "random": rand(),
+            "c6 = 0": rand()[:6] + [F.zero()],
+            "all q - 1": [F.from_index(F.order - 1)] * 7,
+        }
+        if q < 7:  # the oracle enumerates F_{q^4}; 2401 elements take seconds
+            cases.update({"zero": zero, "constant non-square": constant})
+            cases.update({f"random {i}": rand() for i in range(3)})
+        for name, coeffs in cases.items():
+            assert _packed_ext2(coeffs, F) == naive_count_sextic_ext2(coeffs, F), name
+        # f = 0: each x once and one point at infinity; a non-square of
+        # F_{q^2} is a square in F_{q^4}
+        N = F.order
+        assert _packed_ext2(zero, F) == N * N + 1
+        assert _packed_ext2(constant, F) == 2 * N * N + 1
+
+    @pytest.mark.parametrize("q,k", [(5, 2), (7, 2), (11, 2), (17, 2), (3, 3), (5, 3), (7, 3), (11, 3)])
+    def test_one_row_vs_naive(self, q, k):
+        # 17^2, 7^3 and 11^3 elements take 2, 2 and 6 index planes
+        F = _first_irreducible(q, k)
+        rng = random.Random(100 * q + k)
+        top = F.from_index(F.order - 1)  # every component q - 1
+        polys = [
+            [F.from_index(rng.randrange(F.order)) for _ in range(13)],
+            [top] * 13,
+            [F.from_index(rng.randrange(F.order)) for _ in range(3)] + [F.one()],
+            [F.zero()],
+        ]
+        for coeffs in polys:
+            assert _affine_count(coeffs, F) == naive_affine_count(coeffs, F)
+
+    @pytest.mark.parametrize("q,per,spare", [(3, 1, 0), (3, 2, 5), (5, 1, 7), (5, 3, 0)])
+    def test_rows_across_blocks(self, q, per, spare):
+        # blocks of `per` rows of q^2 slots, fewer than the (q^2-1)/2 rows
+        F = _first_irreducible(q, 2)
+        rng = random.Random(q * per + spare)
+        for _ in range(2):
+            coeffs = [F.from_index(rng.randrange(F.order)) for _ in range(7)]
+            with mock.patch.object(curves, "_BLOCK_SLOTS", per * F.order + spare):
+                got = _packed_ext2(coeffs, F)
+            assert got == naive_count_sextic_ext2(coeffs, F)
+
+    @pytest.mark.parametrize("q,k", [(3, 2), (5, 2), (41, 2), (199, 2), (257, 2), (3, 3), (7, 3), (61, 3)])
+    def test_slot_reduction_at_the_bound(self, q, k):
+        check_slot_reduction(_field_tables(_first_irreducible(q, k)), 13 * k * (q - 1) ** 2)
+
+    def test_field_beyond_two_byte_indices(self):
+        # F_{257^2} has 66049 > 2^16 elements, so every index is looked up:
+        # #E(F_{q^2}) = q^2 + 1 - (a^2 - 2q) for E over F_q with trace a
+        q = 257
+        Fq = FiniteField(q, UniPoly([0, 1]))
+        F = FiniteField(q, UniPoly([-3, 0, 1]))  # 3 is a non-square mod 257
+        assert not _field_tables(F).planes
+        for a4, a6 in ((1, 3), (0, 5), (7, 0)):
+            coeffs = [0, 0, 0, a4, a6]
+            a = q + 1 - count_weierstrass_points([Fq.from_int(v) for v in coeffs], Fq)
+            n2 = count_weierstrass_points([F.from_int(v) for v in coeffs], F)
+            assert n2 == q * q + 1 - (a * a - 2 * q)
+
+    def test_char2_refused(self):
+        with pytest.raises(ValueError):
+            _packed_field(2, (1, 1, 1))
+
+
 class TestEulerFactors:
+    @pytest.mark.parametrize("key,a1,a2", [("19.0", -20, 822), ("41.0", -42, 3515)])
+    def test_inert_proof_primes(self, key, a1, a2):
+        # F_{q^4} as a norm grid over F_{q^2}; values of the Zech-log count
+        P = prime_by_key(K13, key)
+        assert P.fdeg == 2
+        assert g2_euler_factor(C_FIX, P) == EulerFactorG2(N=P.norm, a1=a1, a2=a2)
+
     def test_fixture_at_3(self):
         v2 = prime_by_key(K13, "3.0")
         v1 = prime_by_key(K13, "3.1")

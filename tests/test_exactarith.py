@@ -23,7 +23,6 @@ from fermatkit.exactarith import (
     real_root_count,
     resultant,
     tarski_query,
-    zech_tables,
 )
 from fermatkit.exactarith import _pm_mod, _pm_mul, _pm_trim
 from fermatkit.numberfield import get_order, split_prime
@@ -305,49 +304,6 @@ class TestQuadExt:
         F4 = FiniteField(2, UniPoly([1, 1, 1]), check=False)
         with pytest.raises(ValueError):
             QuadExt(F4, F4.one())
-
-
-def _quad_ext_from_index(E, i):
-    base = E.base
-    return E.element(base.from_index(i % base.order), base.from_index(i // base.order))
-
-
-class TestZechTables:
-    @pytest.mark.parametrize("field", [
-        F25,
-        FiniteField(3, UniPoly([1, 2, 0, 1])),  # F_27
-        QuadExt(F25, field_nonsquare(F25)),  # F_625
-    ], ids=["F25", "F27", "F625"])
-    def test_tables(self, field):
-        T = zech_tables(field)
-        N = field.order
-        assert sorted(T.exp) == list(range(1, N))  # a bijection onto the nonzero indices
-        assert T.log[0] is None
-        assert all(T.log[T.exp[n]] == n for n in range(N - 1))
-        assert [n for n, z in enumerate(T.zech) if z is None] == [(N - 1) // 2]
-        elt = field.from_index if isinstance(field, FiniteField) else (
-            lambda i: _quad_ext_from_index(field, i))
-        g = elt(T.exp[1])
-        # g is the first generator in index order
-        for i in range(2, T.exp[1]):
-            x = elt(i)
-            assert any(x ** ((N - 1) // r) == 1 for r in factorize(N - 1))
-        assert all(g ** ((N - 1) // r) != 1 for r in factorize(N - 1))
-        rng = random.Random(N)
-        for _ in range(40):
-            n, m = rng.randrange(N - 1), rng.randrange(N - 1)
-            assert (elt(T.exp[n]) * elt(T.exp[m])).index() == T.exp[(n + m) % (N - 1)]
-            one_plus = elt(T.exp[n]) + 1
-            if T.zech[n] is not None:
-                assert one_plus.index() == T.exp[T.zech[n]]
-        assert (elt(T.exp[(N - 1) // 2]) + 1).is_zero
-
-    def test_cached_per_field(self):
-        assert zech_tables(F25) is zech_tables(FiniteField(5, F25.modulus))
-
-    def test_char2_refused(self):
-        with pytest.raises(ValueError):
-            zech_tables(FiniteField(2, UniPoly([1, 1, 1])))
 
 
 class TestIntegerLinearAlgebra:

@@ -307,6 +307,15 @@ class TestAdmissiblePairs:
         assert got == want
 
 
+@pytest.mark.parametrize("q,targets", [(19, {"19.0": {4}}), (41, {"41.0": {1, 6}})])
+def test_curve_targets_at_inert_proof_primes(q, targets):
+    # C_eq51 at the inert primes of the proof sieves, whose Euler factors
+    # count points over F_{q^4}; the values the earlier Zech-log count
+    # over a QuadExt tower gave
+    got = modular_targets_from_curve(curve_C(), q)
+    assert got == tuple((key, frozenset(v)) for key, v in targets.items())
+
+
 UNCONSTRAINED_11_19 = [
     SieveConstraint(q=11, mode="unconstrained"),
     SieveConstraint(q=19, mode="unconstrained"),
