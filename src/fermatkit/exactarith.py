@@ -559,7 +559,7 @@ class FiniteField:
     rely on this order being stable.
     """
 
-    __slots__ = ("p", "modulus", "k", "order", "_mod_c", "_kernel")
+    __slots__ = ("p", "modulus", "k", "order", "_mod_c", "_kernel", "_frob")
 
     def __init__(self, p: int, modulus: UniPoly, check: bool = True):
         if not is_prime(p):
@@ -576,6 +576,7 @@ class FiniteField:
         self.k = len(c) - 1
         self.order = p ** self.k
         self._kernel = None  # built on the first multiply
+        self._frob = None  # x -> x^p, built on the first Frobenius map
 
     def mul_kernel(self):
         """This field's multiply on coefficient tuples (see `_mul_kernel`),
@@ -586,24 +587,40 @@ class FiniteField:
         return self._kernel
 
     def frobenius_kernel(self, e: int):
-        """x -> x^(p^e) on coefficient tuples. The map is F_p-linear, so
-        x = sum x_j t^j goes to sum x_j (t^(p^e))^j: one packed row per j,
-        in the layout of `_mul_kernel`, with every slot below k (p-1)^2."""
+        """x -> x^(p^e) on coefficient tuples, as `_substitution_kernel` of
+        t^(p^e). That image is t pushed e times through the map for e = 1,
+        which is built from t^p on the first call and kept on the field
+        (threads that race here build equal maps), so no power beyond t^p
+        is ever taken."""
+        if self._frob is None:
+            self._frob = self._substitution_kernel((self.gen() ** self.p).coeffs)
+        if e == 1:
+            return self._frob
+        image = self.gen().coeffs
+        for _ in range(e):
+            image = self._frob(image)
+        return self._substitution_kernel(image)
+
+    def _substitution_kernel(self, image):
+        """x = sum x_j t^j -> sum x_j image^j on coefficient tuples: an
+        F_p-linear map, one packed row image^j per j in the layout of
+        `_mul_kernel`, with every slot below k (p-1)^2. With image =
+        t^(p^e) it is the Frobenius power x -> x^(p^e)."""
         p, k, mul = self.p, self.k, self.mul_kernel()
-        t, cols = (self.gen() ** p**e).coeffs, [self.one().coeffs]
+        cols = [self.one().coeffs]
         for _ in range(k - 1):
-            cols.append(mul(cols[-1], t))
+            cols.append(mul(cols[-1], image))
         code = _slot_code(p, k)
         if code is None:
             return lambda a: tuple(sum(map(int.__mul__, a, row)) % p for row in zip(*cols))
         order, size = sys.byteorder, array(code).itemsize * k
         rows = [int.from_bytes(array(code, col).tobytes(), order) for col in cols]
 
-        def frob(a):
+        def subst(a):
             acc = sum(map(int.__mul__, a, rows))
             return tuple([c % p for c in array(code, acc.to_bytes(size, order))])
 
-        return frob
+        return subst
 
     @property
     def char(self) -> int:

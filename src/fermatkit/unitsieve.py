@@ -88,13 +88,15 @@ class LocalCharacterTable:
 
     omega is the fixed primitive 7th root: the (N-1)/7 power of the
     first multiplicative generator in the frozen element enumeration
-    order, so survivor sets are byte-identical across runs.
+    order, which freezes the character values. (Survivor sets do not
+    depend on it: omega^k in its place scales every value by 1/k mod 7.)
     """
 
     prime: PrimeIdealData
     exponent: int  # (N - 1) // 7
     omega: FFElement
-    dlog: dict = field(compare=False, repr=False)  # omega^k -> k
+    power: object = field(compare=False, repr=False)  # `_norm_power` for r = 7
+    dlog: dict = field(compare=False, repr=False)  # omega^k coefficients -> k
     unit_chars: tuple  # chi(u_a), a = 2..6
     chi_one_minus_zeta: object  # int, or None above 13
 
@@ -187,23 +189,82 @@ def _group_prime_factors(q: int, f: int):
     return sorted(primes)
 
 
-@lru_cache(maxsize=None)
-def _lex_least_generator(field) -> FFElement:
-    """First multiplicative generator in the frozen enumeration order."""
-    n1 = field.order - 1
-    prime_factors = _group_prime_factors(field.p, field.k)
-    one = field.one()
-    g = None
-    for idx in range(1, field.order):
-        x = field.from_index(idx)
-        if x.is_zero:
-            continue
-        if all(x ** (n1 // r) != one for r in prime_factors):
-            g = x
-            break
-    if g is None:
-        raise AssertionError("no generator found; field arithmetic is broken")
-    return g
+def _norm_power(F, rs):
+    """x -> the powers x^((N-1)/r), r in rs, on coefficient tuples of
+    F = F_{q^f}, N = q^f, yielded one at a time so that a test can stop
+    at the first it needs; every r divides N - 1.
+
+    With d the least exponent such that every r divides q^d - 1 (the
+    order of q mod r for one r), x^((N-1)/r) is y^((q^d-1)/r) for the
+    norm y = x^((N-1)/(q^d-1)) of x to F_{q^d}: one norm per x, then a
+    power below q^d per r, an int `pow` mod q when d = 1. The norm is
+    the product of the n = f/d conjugates x^(q^(d i)), by Itoh-Tsujii
+    doubling: a_(2m) = a_m sigma^(d m)(a_m) and a_(m+1) = x sigma^d(a_m)
+    for a_m = x sigma^d(x) ... sigma^(d (m-1))(x), sigma the q-power map,
+    so about 2 log2(n) multiplies, and one precomputed F_q-linear map per
+    Frobenius power used (Itoh and Tsujii, 1988; von zur Gathen and
+    Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
+    When d = 1 and x = c0 + c1 t has degree at most 1 in the field's
+    generator t, the norm is the resultant of x and the modulus m,
+    (-c1)^f m(-c0/c1), or c0^f when c1 = 0, computed in ints. That
+    covers the generator candidates below index q^2 and, when
+    7 | q - 1, every pair a + b zeta (zeta maps to t at a prime of
+    degree f > 1).
+    """
+    q, f = F.p, F.k
+    d = next(d for d in range(1, f + 1) if all(pow(q, d, r) == 1 for r in rs))
+    exps = [(q**d - 1) // r for r in rs]
+    steps, m = [], 1
+    for bit in bin(f // d)[3:]:
+        steps.append((False, m))
+        m *= 2
+        if bit == "1":
+            steps.append((True, 1))
+            m += 1
+    maps = {j: F.frobenius_kernel(d * j) for _, j in steps}
+    steps = [(by_x, maps[j]) for by_x, j in steps]
+    mul, zeros = F.mul_kernel(), (0,) * (f - 1)
+
+    def powers(x):
+        if d == 1 and f > 1 and not any(x[2:]):
+            c0, c1 = x[0], x[1]
+            n = pow(-c1, f, q) * F.modulus(-c0 * pow(c1, -1, q)) if c1 else c0**f
+            y = (n % q,)
+        else:
+            y = x
+            for by_x, frob in steps:
+                y = mul(x if by_x else y, frob(y))
+        if d == 1:
+            for e in exps:
+                yield (pow(y[0], e, q),) + zeros
+        else:
+            y = FFElement(F, y)
+            for e in exps:
+                yield (y**e).coeffs
+
+    return powers
+
+
+def _lex_least_generator(F) -> FFElement:
+    """First multiplicative generator in the frozen enumeration order.
+
+    x generates when x^((N-1)/r) != 1 for every prime r | N - 1. The
+    primes are tested grouped by d = ord_r(q), smallest d first, with
+    one `_norm_power` norm per candidate and group: nearly every
+    candidate fails at some d <= 3, where the norm and power are short.
+    """
+    q, f = F.p, F.k
+    groups = {}
+    for r in _group_prime_factors(q, f):
+        d = next(d for d in range(1, f + 1) if pow(q, d, r) == 1)
+        groups.setdefault(d, []).append(r)
+    tests = [_norm_power(F, groups[d]) for d in sorted(groups)]
+    one = F.one().coeffs
+    for idx in range(1, F.order):
+        x = F.from_index(idx).coeffs
+        if all(one not in powers(x) for powers in tests):
+            return FFElement(F, x)
+    raise AssertionError("no generator found; field arithmetic is broken")
 
 
 @lru_cache(maxsize=None)
@@ -214,34 +275,35 @@ def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
         raise ValueError(
             f"7 does not divide the residue group order at {Q.key} (N = {Q.norm})"
         )
-    exponent = n1 // 7
-    g = _lex_least_generator(Q.residue_field)
-    omega = g**exponent
-    dlog = {}
-    acc = Q.residue_field.one()
+    F = Q.residue_field
+    power = _norm_power(F, (7,))
+    omega = FFElement(F, next(power(_lex_least_generator(F).coeffs)))
+    dlog, acc = {}, F.one()
     for k in range(7):
-        dlog[acc] = k
+        dlog[acc.coeffs] = k
         acc = acc * omega
     unit_chars = tuple(
-        _residue_char(reduce_element(u, Q), exponent, dlog)
+        _residue_char(power, dlog, reduce_element(u, Q))
         for u in cyclotomic_unit_generators()
     )
     order = get_order("Zzeta13")
-    red = reduce_element(order.one() - order.theta(), Q)
-    chi_omz = None if red.is_zero else _residue_char(red, exponent, dlog)
+    omz = reduce_element(order.one() - order.theta(), Q)
     return LocalCharacterTable(
         prime=Q,
-        exponent=exponent,
+        exponent=n1 // 7,
         omega=omega,
+        power=power,
         dlog=dlog,
         unit_chars=unit_chars,
-        chi_one_minus_zeta=chi_omz,
+        chi_one_minus_zeta=_residue_char(power, dlog, omz),
     )
 
 
-def _residue_char(red: FFElement, exponent: int, dlog: dict) -> int:
-    """Discrete log base omega of red^((N-1)/7), for a nonzero residue."""
-    k = dlog.get(red**exponent)
+def _residue_char(power, dlog: dict, red: FFElement) -> object:
+    """Discrete log base omega of red^((N-1)/7), None when red is zero."""
+    if red.is_zero:
+        return None
+    k = dlog.get(next(power(red.coeffs)))
     if k is None:
         raise AssertionError("character value outside the order-7 subgroup")
     return k
@@ -251,10 +313,7 @@ def char_value(table: LocalCharacterTable, x) -> object:
     """chi_Q(x) in Z/7, or None when x reduces to zero at Q (the prime
     then imposes no condition; the 7th-power content is absorbed by the
     ideal equation)."""
-    red = reduce_element(x, table.prime)
-    if red.is_zero:
-        return None
-    return _residue_char(red, table.exponent, table.dlog)
+    return _residue_char(table.power, table.dlog, reduce_element(x, table.prime))
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +445,6 @@ def _local_survivors(constraint: SieveConstraint, delta: int) -> int:
     return _survivor_bits(masks, targets)
 
 
-def _norm_power(Q: PrimeIdealData):
-    """x -> x^((N-1)/7) on coefficient tuples of the residue field at Q.
-
-    With d the order of q mod 7, x^((N-1)/(q^d-1)) is the norm of x to
-    F_{q^d}, the product of its conjugates x^(q^(d i)), i < f/d, each an
-    F_q-linear map built once (Itoh and Tsujii; von zur Gathen and Shoup,
-    "Computing Frobenius maps and factoring polynomials", 1992). That
-    leaves a power below q^d, one in F_q itself when d = 1.
-    """
-    F, q = Q.residue_field, Q.q
-    d = next(d for d in range(1, 7) if pow(q, d, 7) == 1)
-    maps = [F.frobenius_kernel(d * i) for i in range(1, Q.fdeg // d)]
-    mul, e = F.mul_kernel(), (q**d - 1) // 7
-
-    def power(x):
-        acc = x
-        for frob in maps:
-            acc = mul(acc, frob(x))
-        if d == 1:
-            return (pow(acc[0], e, q),) + acc[1:]
-        return (FFElement(F, acc) ** e).coeffs
-
-    return power
-
-
 def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
     """Survivor bits of one constraint by residues: (eps (1 - zeta)^delta)
     to the (N-1)/7 against the same power of each admissible pair."""
@@ -421,21 +455,22 @@ def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
     for Q in primes:
         if (Q.norm - 1) % 7:
             raise ValueError(f"7 does not divide the residue group order at {Q.key}")
-        F, power = Q.residue_field, _norm_power(Q)
+        F = Q.residue_field
+        power = _norm_power(F, (7,))
         mul, one = F.mul_kernel(), F.one().coeffs
         rows = []
         for g in cyclotomic_unit_generators():
-            base, row = power(reduce_element(g, Q).coeffs), [one]
+            base, row = next(power(reduce_element(g, Q).coeffs)), [one]
             for _ in range(6):
                 row.append(mul(row[-1], base))
             rows.append(row)
-        start = power(reduce_element(omz, Q).coeffs) if delta else one
+        start = next(power(reduce_element(omz, Q).coeffs)) if delta else one
         masks.append(_class_masks(rows, start, mul))
         powers.append(power)
     targets = set()
     for a, b in admissible_pairs(constraint):
         reds = [reduce_element(_pair_element(a, b), Q) for Q in primes]
-        targets.add(tuple(None if r.is_zero else p(r.coeffs) for r, p in zip(reds, powers)))
+        targets.add(tuple(None if r.is_zero else next(p(r.coeffs)) for r, p in zip(reds, powers)))
     return _survivor_bits(masks, targets)
 
 

@@ -260,6 +260,27 @@ class TestMulKernel:
             for x in xs:
                 assert frob(x.coeffs) == (x ** F.p**e).coeffs, (e, x)
 
+    @pytest.mark.parametrize("name", ["F2^12", "F41^12", "FM61^2"])
+    def test_frobenius_kernel_takes_only_t_to_the_p(self, name, monkeypatch):
+        """Every map x -> x^(p^e) is built from the field's one map for
+        e = 1, itself built from t^p: one power per field, never a fresh
+        t^(p^e)."""
+        from fermatkit.exactarith import FFElement
+
+        cached = _kernel_field(name)
+        F = FiniteField(cached.p, cached.modulus)
+        exps = []
+        plain = FFElement.__pow__
+
+        def recorded(x, e):
+            exps.append(e)
+            return plain(x, e)
+
+        monkeypatch.setattr(FFElement, "__pow__", recorded)
+        for e in range(F.k + 1):
+            F.frobenius_kernel(e)
+        assert exps == [F.p]
+
     def test_built_on_first_multiply(self):
         F = FiniteField(29, split_prime(get_order("Zzeta13"), 29)[0].residue_field.modulus)
         assert F._kernel is None

@@ -17,6 +17,8 @@ from fermatkit.unitsieve import (
     UnitClass,
     _char_masks,
     _class_masks,
+    _group_prime_factors,
+    _lex_least_generator,
     _norm_power,
     _pair_element,
     _survivor_bits,
@@ -98,6 +100,20 @@ def naive_sieve_bits(descent_case: str, constraints) -> int:
                 alive.add(idx)
         surv = alive
     return sum(1 << i for i in surv)
+
+
+def naive_lex_least_generator(F):
+    """The frozen generator convention stated directly: the first x in
+    index order with x^((N-1)/r) != 1, a full-field power, for every
+    prime r | N - 1."""
+    n1 = F.order - 1
+    primes = _group_prime_factors(F.p, F.k)
+    one = F.one()
+    for idx in range(1, F.order):
+        x = F.from_index(idx)
+        if all(x ** (n1 // r) != one for r in primes):
+            return x
+    raise AssertionError("no generator found; field arithmetic is broken")
 
 
 def curve_C():
@@ -447,22 +463,118 @@ def test_mask_routes_match_naive_walk(q):
         assert sieve_case_exhaustive_bits(case, cons) == want, case
 
 
+def _order_mod(q: int, r: int) -> int:
+    return next(d for d in range(1, r) if pow(q, d, r) == 1)
+
+
 @pytest.mark.parametrize("q", [11, 19, 23, 29, 41, 547])
 def test_norm_power_matches_plain_power(q):
-    """x^((N-1)/7) through the norm to F_{q^d} equals the plain power, on
-    1, on random elements and on elements of the subfield F_{q^d}."""
+    """x^((N-1)/r) through the norm to F_{q^d}, d = ord_r(q), equals the
+    plain power for every prime factor r of N - 1, on 1, on random
+    elements, on random c0 + c1 t (the resultant norm when d = 1) and on
+    elements of the subfield F_{q^d}; a group of primes yields its
+    powers in order."""
     rng = random.Random(q)
-    d = next(d for d in range(1, 7) if pow(q, d, 7) == 1)
     for Q in split_prime(ZZ13, q):
-        F, E = Q.residue_field, (Q.norm - 1) // 7
-        power = _norm_power(Q)
+        F, n1 = Q.residue_field, Q.norm - 1
         xs = [F.one()] + [F.from_index(rng.randrange(1, F.order)) for _ in range(8)]
-        # y^((N-1)/(q^d-1)) lies in F_{q^d}, and 1 + it usually is not 0
-        sub = [F.from_index(rng.randrange(1, F.order)) ** ((Q.norm - 1) // (q**d - 1))
-               for _ in range(4)]
-        xs += sub + [x + 1 for x in sub if not (x + 1).is_zero]
+        xs += [F.from_index(rng.randrange(1, min(q * q, F.order))) for _ in range(4)]
+        primes = _group_prime_factors(q, Q.fdeg)
+        assert 7 in primes
+        for r in primes:
+            d = _order_mod(q, r)
+            # y^((N-1)/(q^d-1)) lies in F_{q^d}, and 1 + it usually is not 0
+            sub = [F.from_index(rng.randrange(1, F.order)) ** (n1 // (q**d - 1))
+                   for _ in range(4)]
+            power = _norm_power(F, [r])
+            for x in xs + sub + [x + 1 for x in sub if not (x + 1).is_zero]:
+                assert list(power(x.coeffs)) == [(x ** (n1 // r)).coeffs], (Q.key, r, x)
         for x in xs:
-            assert power(x.coeffs) == (x**E).coeffs, (Q.key, x)
+            assert list(_norm_power(F, primes)(x.coeffs)) == [
+                (x ** (n1 // r)).coeffs for r in primes
+            ], (Q.key, x)
+
+
+# ---------------------------------------------------------------------------
+# the frozen generator convention
+
+PROOF_SET_QS = (2, 11, 19, 23, 29, 41)
+
+# Index of the lex-least generator g and the coefficients of
+# omega = g^((N-1)/7) at the ten proof-set primes, as first computed by
+# the naive full-power search. The survivor bitsets do not depend on the
+# choice of omega (omega^k relabels every character by the same factor),
+# so these literals are what pins the character values.
+FROZEN_OMEGA = {
+    "2.0": (11, (1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0)),
+    "11.0": (19, (6, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1)),
+    "19.0": (21, (15, 0, 14, 11, 3, 7, 18, 18, 7, 3, 11, 14)),
+    "23.0": (28, (4, 19, 8, 0, 11, 3)),
+    "23.1": (534, (7, 8, 9, 2, 4, 18)),
+    "29.0": (30, (7, 0, 0)),
+    "29.1": (30, (25, 0, 0)),
+    "29.2": (30, (7, 0, 0)),
+    "29.3": (30, (25, 0, 0)),
+    "41.0": (45, (23, 0, 32, 0, 0, 32, 32, 32, 32, 0, 0, 32)),
+}
+
+
+@pytest.mark.parametrize("q", PROOF_SET_QS + (547,))
+def test_generator_matches_naive_search(q):
+    """The norm-grouped generator test picks the same generator as the
+    plain index-order search with full-field powers."""
+    for Q in split_prime(ZZ13, q):
+        F = Q.residue_field
+        assert _lex_least_generator(F) == naive_lex_least_generator(F), Q.key
+
+
+def test_frozen_omega_literals():
+    primes = [Q for q in PROOF_SET_QS for Q in split_prime(ZZ13, q)]
+    assert sorted(Q.key for Q in primes) == sorted(FROZEN_OMEGA)
+    for Q in primes:
+        index, omega = FROZEN_OMEGA[Q.key]
+        assert _lex_least_generator(Q.residue_field).index() == index, Q.key
+        assert build_character(Q).omega.coeffs == omega, Q.key
+
+
+@pytest.mark.parametrize("q", PROOF_SET_QS + (547,))
+def test_char_value_is_dlog_of_plain_power(q):
+    """chi_Q(x) is the k with reduce(x)^((N-1)/7) = omega^k, the power
+    taken in the full field, on random elements at every prime above q."""
+    rng = random.Random(100 + q)
+    for Q in split_prime(ZZ13, q):
+        t = build_character(Q)
+        subgroup = [(t.omega**k).coeffs for k in range(7)]
+        xs = [ZZ13.element([rng.randrange(-q, q) for _ in range(12)]) for _ in range(12)]
+        xs.append(ZZ13.from_int(q))  # lies in Q
+        for x in xs:
+            red = reduce_element(x, Q)
+            want = None if red.is_zero else subgroup.index((red**t.exponent).coeffs)
+            assert char_value(t, x) == want, (Q.key, x)
+
+
+def test_character_work_count(monkeypatch):
+    """A work count, not a timing: `unit-rank-verified` from an empty
+    table cache makes at most 500 `FFElement.__pow__` calls. It made 1237
+    when the generator test and every character were full-field powers;
+    through subfield norms, with int powers in F_q, it makes 369 in a
+    fresh process (359 once each field holds its map x -> x^q)."""
+    from fermatkit import unitsieve
+    from fermatkit.cli import run_checks
+    from fermatkit.exactarith import FFElement
+
+    calls = []
+    plain = FFElement.__pow__
+
+    def counted(self, e):
+        calls.append(e)
+        return plain(self, e)
+
+    monkeypatch.setattr(FFElement, "__pow__", counted)
+    unitsieve.build_character.cache_clear()
+    report = run_checks(names=["unit-rank-verified"])
+    assert report.checks[0].status == "pass"
+    assert len(calls) <= 500, len(calls)
 
 
 def test_survivor_bits_match_per_class_loop():
