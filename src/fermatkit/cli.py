@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -88,6 +89,12 @@ class CheckResult:
     status: str
     detail: str
     ms: int = 0
+
+
+def _elapsed_ms(t0: float) -> int:
+    """Whole milliseconds since t0 on the monotonic clock, rounded up, so
+    a step that ran never reads as the untimed 0."""
+    return math.ceil((time.monotonic() - t0) * 1000)
 
 
 @dataclass
@@ -527,7 +534,7 @@ def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport
             res = fn(ctx)
         except Exception as e:  # a crash is a failed check, not a crashed report
             res = CheckResult(name, STATUS_FAIL, f"{type(e).__name__}: {e}")
-        res.ms = int((time.monotonic() - t0) * 1000)
+        res.ms = _elapsed_ms(t0)
         report.checks.append(res)
     return report
 
@@ -749,7 +756,7 @@ def cmd_sieve(args, ctx) -> int:
         raise
     t0 = time.monotonic()
     bits = sieve_case_bits(case, constraints)
-    ms = int((time.monotonic() - t0) * 1000)
+    ms = _elapsed_ms(t0)
     count = bits.bit_count()
     first = [list(UnitClass.from_index(i).exps) for i in class_indices(bits)[:10]]
     report.checks.append(

@@ -89,6 +89,28 @@ def factorize(n: int) -> dict:
     return out
 
 
+def chain_pow(mul, x, e: int, memo=None):
+    """x^e for e >= 1 under the associative product `mul`, by left-to-right
+    square-and-multiply: x^m for each leading part m of e's binary digits
+    in turn, from the last by one squaring and, on a 1 digit, one
+    multiply by x; e.bit_length() + e.bit_count() - 2 products.
+
+    `memo` maps exponents to their powers (x itself is never stored):
+    an x^m found there costs nothing, and each one made is added, so
+    the powers for several exponents of the same x share one chain.
+    """
+    if memo is None:
+        memo = {}
+    acc, m = x, 1
+    for bit in bin(e)[3:]:
+        m *= 2
+        acc = memo[m] if m in memo else memo.setdefault(m, mul(acc, acc))
+        if bit == "1":
+            m += 1
+            acc = memo[m] if m in memo else memo.setdefault(m, mul(acc, x))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials
 
@@ -180,13 +202,7 @@ class UniPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        acc, base = UniPoly((1,)), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return chain_pow(UniPoly.__mul__, self, e) if e else UniPoly((1,))
 
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
@@ -334,14 +350,9 @@ def _pm_gcd(a, b, p):
 
 
 def _pm_powmod(a, e, mod, p):
-    acc = (1,)
-    a = _pm_mod(a, mod, p)
-    while e:
-        if e & 1:
-            acc = _pm_mod(_pm_mul(acc, a, p), mod, p)
-        a = _pm_mod(_pm_mul(a, a, p), mod, p)
-        e >>= 1
-    return acc
+    if not e:
+        return (1,)
+    return chain_pow(lambda u, v: _pm_mod(_pm_mul(u, v, p), mod, p), _pm_mod(a, mod, p), e)
 
 
 def _pm_xgcd(a, b, p):
@@ -759,15 +770,7 @@ class FFElement:
         if e < 0:
             return self.inverse() ** (-e)
         F = self.field
-        mul = F.mul_kernel()
-        acc, base = F.one().coeffs, self.coeffs
-        while e:
-            if e & 1:
-                acc = mul(acc, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return FFElement(F, acc)
+        return FFElement(F, chain_pow(F.mul_kernel(), self.coeffs, e)) if e else F.one()
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -929,14 +932,7 @@ class QuadExtElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        acc = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return chain_pow(QuadExtElement.__mul__, self, e) if e else self.field.one()
 
     def __eq__(self, other):
         if isinstance(other, int):

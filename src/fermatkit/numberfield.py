@@ -17,6 +17,7 @@ from .exactarith import (
     FFElement,
     FiniteField,
     UniPoly,
+    chain_pow,
     is_prime,
     poly_discriminant,
     poly_factor_mod_p,
@@ -178,14 +179,7 @@ class NFElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("order elements have no inverses in general")
-        acc = self.order.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return chain_pow(NFElement.__mul__, self, e) if e else self.order.one()
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -278,14 +272,7 @@ class QElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers not supported")
-        acc = QElement(self.order, [1])
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return chain_pow(QElement.__mul__, self, e) if e else QElement(self.order, [1])
 
     def __eq__(self, other):
         try:

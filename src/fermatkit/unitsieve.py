@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .elimination import FreyFamily, _family_local_data
-from .exactarith import FFElement, factorize
+from .exactarith import FFElement, chain_pow, factorize
 from .numberfield import (
     PrimeIdealData,
     cyclotomic_unit_generators,
@@ -54,24 +54,33 @@ _ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
 _DESCENT_CASES = ("coprime-13", "divisible-13")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitClass:
     """Exponent vector e in (Z/7)^5 over the generators u_2..u_6."""
 
     exps: tuple
+    index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.exps) != 5 or not 0 <= min(self.exps) <= max(self.exps) < 7:
             raise ValueError("a unit class is five exponents in [0, 7)")
-
-    @property
-    def index(self) -> int:
         e0, e1, e2, e3, e4 = self.exps
-        return e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4)))
+        object.__setattr__(self, "index", e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4))))
+
+    def __reduce__(self):
+        # through the validating constructor, on every Python version
+        return UnitClass, (self.exps,)
 
     @classmethod
     def from_index(cls, n: int) -> "UnitClass":
-        return cls((n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401 % 7))
+        """The class of index n mod 16807, built without re-validating; an
+        index in range is stored as the caller's own int object."""
+        if not 0 <= n < UNIT_CLASS_COUNT:
+            n %= UNIT_CLASS_COUNT
+        u = object.__new__(cls)
+        object.__setattr__(u, "exps", (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401))
+        object.__setattr__(u, "index", n)
+        return u
 
     def unit(self):
         """The actual unit of Z[zeta_13] this class represents."""
@@ -197,25 +206,29 @@ def _norm_power(F, rs):
     With d the least exponent such that every r divides q^d - 1 (the
     order of q mod r for one r), x^((N-1)/r) is y^((q^d-1)/r) for the
     norm y = x^((N-1)/(q^d-1)) of x to F_{q^d}: one norm per x, then a
-    power below q^d per r, an int `pow` mod q when d = 1. The norm is
-    the product of the n = f/d conjugates x^(q^(d i)), by Itoh-Tsujii
-    doubling: a_(2m) = a_m sigma^(d m)(a_m) and a_(m+1) = x sigma^d(a_m)
-    for a_m = x sigma^d(x) ... sigma^(d (m-1))(x), sigma the q-power map,
-    so about 2 log2(n) multiplies, and one precomputed F_q-linear map per
+    power below q^d per r, an int `pow` mod q when d = 1 and otherwise
+    the cheaper of `_power_plan`'s two chains.
+
+    The norm is the product of the n = f/d conjugates sigma^(d i)(x),
+    sigma the q-power map. For x = c0 + c1 t, of degree at most 1 in
+    the field's generator t (every pair a + b zeta, where zeta maps to
+    t, and the generator candidates below index q^2), it is
+    sum_k c0^(n-k) c1^k e_k, the e_k the elementary symmetric functions
+    of the conjugates of t: at d = 1 the modulus coefficients
+    (-1)^k m_(f-k), otherwise the coefficients of the product of the
+    X + sigma^(d i)(t), made on the first linear x. Any other x takes
+    Itoh-Tsujii doubling, a_(2m) = a_m sigma^(d m)(a_m) and
+    a_(m+1) = x sigma^d(a_m) for a_m = x sigma^d(x) ... sigma^(d (m-1))(x),
+    about 2 log2(n) multiplies over one precomputed F_q-linear map per
     Frobenius power used (Itoh and Tsujii, 1988; von zur Gathen and
     Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
-    When d = 1 and x = c0 + c1 t has degree at most 1 in the field's
-    generator t, the norm is the resultant of x and the modulus m,
-    (-c1)^f m(-c0/c1), or c0^f when c1 = 0, computed in ints. That
-    covers the generator candidates below index q^2 and, when
-    7 | q - 1, every pair a + b zeta (zeta maps to t at a prime of
-    degree f > 1).
     """
     q, f = F.p, F.k
     d = next(d for d in range(1, f + 1) if all(pow(q, d, r) == 1 for r in rs))
+    n = f // d
     exps = [(q**d - 1) // r for r in rs]
     steps, m = [], 1
-    for bit in bin(f // d)[3:]:
+    for bit in bin(n)[3:]:
         steps.append((False, m))
         m *= 2
         if bit == "1":
@@ -224,12 +237,37 @@ def _norm_power(F, rs):
     maps = {j: F.frobenius_kernel(d * j) for _, j in steps}
     steps = [(by_x, maps[j]) for by_x, j in steps]
     mul, zeros = F.mul_kernel(), (0,) * (f - 1)
+    plans = None if d == 1 else [_power_plan(F, e) for e in exps]
+    cols = None  # (j, (e_0[j], ..., e_n[j])) wherever some e_k[j] != 0
+
+    def symmetric():
+        if d == 1:
+            mod = F.modulus.coeffs
+            return [(0, tuple((-1) ** k * mod[f - k] % q for k in range(n + 1)))]
+        conj, frob = [F.gen().coeffs], F.frobenius_kernel(d)
+        for _ in range(n - 1):
+            conj.append(frob(conj[-1]))
+        es = [F.one().coeffs]
+        for c in conj:
+            prods = [mul(c, e) for e in es]
+            es = [es[0]] + [
+                tuple([(u + v) % q for u, v in zip(e, p)]) for e, p in zip(es[1:], prods)
+            ] + [prods[-1]]
+        return [(j, col) for j, col in enumerate(zip(*es)) if any(col)]
 
     def powers(x):
-        if d == 1 and f > 1 and not any(x[2:]):
-            c0, c1 = x[0], x[1]
-            n = pow(-c1, f, q) * F.modulus(-c0 * pow(c1, -1, q)) if c1 else c0**f
-            y = (n % q,)
+        nonlocal cols
+        if n > 1 and not any(x[2:]):
+            if cols is None:
+                cols = symmetric()
+            p0, p1 = [1], [1]
+            for _ in range(n):
+                p0.append(p0[-1] * x[0] % q)
+                p1.append(p1[-1] * x[1] % q)
+            coef = [u * v for u, v in zip(reversed(p0), p1)]
+            y = [0] * f
+            for j, col in cols:
+                y[j] = sum(map(int.__mul__, coef, col)) % q
         else:
             y = x
             for by_x, frob in steps:
@@ -238,11 +276,49 @@ def _norm_power(F, rs):
             for e in exps:
                 yield (pow(y[0], e, q),) + zeros
         else:
-            y = FFElement(F, y)
-            for e in exps:
-                yield (y**e).coeffs
+            y = tuple(y)
+            for plan in plans:
+                yield plan(y)
 
     return powers
+
+
+def _power_plan(F, e: int):
+    """y -> y^e on coefficient tuples of F = F_{q^f}, e >= 1, by the
+    cheaper of two chains, a Frobenius map counted as one multiply (it
+    costs less); on a tie the plain one.
+
+    The plain chain is `chain_pow`. The Frobenius-Horner plan reads the
+    base-q digits g_i of e: y^e is the product of the sigma^i(y^(g_i)),
+    sigma the q-power map, taken as acc = sigma(acc) y^(g_i) from the
+    top digit down, with every y^(g_i) from one memoised binary chain
+    (for q = 23 the digits 13, 6 and 3 of (23^3 - 1)/7 cost 5 multiplies
+    together). For e below q^d that is d - 1 maps where the plain chain
+    has about log2(e) squarings.
+    """
+    q, mul = F.p, F.mul_kernel()
+    digits, rest = [], e
+    while rest:
+        rest, g = divmod(rest, q)
+        digits.append(g)
+    chain = {}  # the same memoised chain on exponents: one entry per multiply
+    for g in filter(None, digits):
+        chain_pow(int.__add__, 1, g, chain)
+    horner = len(chain) + 2 * (len(digits) - 1) - digits[:-1].count(0)
+    if e.bit_length() + e.bit_count() - 2 <= horner:
+        return lambda y: chain_pow(mul, y, e)
+    frob, top, low = F.frobenius_kernel(1), digits[-1], digits[-2::-1]
+
+    def power(y):
+        memo = {}
+        acc = chain_pow(mul, y, top, memo)
+        for g in low:
+            acc = frob(acc)
+            if g:
+                acc = mul(acc, chain_pow(mul, y, g, memo))
+        return acc
+
+    return power
 
 
 def _lex_least_generator(F) -> FFElement:
@@ -432,6 +508,25 @@ def _survivor_bits(masks, targets) -> int:
     return bits
 
 
+def _char_targets(tables, constraint: SieveConstraint) -> set:
+    """The tuples (chi_Q(a + b zeta))_Q, one entry per table, of the
+    admissible pairs. Unconstrained, every pair with b != 0 is
+    b (c + zeta), so the set is each line tuple (chi_Q(c + zeta))_Q
+    shifted by each scalar tuple (chi_Q(b))_Q, together with the scalar
+    tuples themselves (the pairs (a, 0)): there are at most 7 scalar
+    tuples, one per class of F_q^*/(F_q^*)^7. Other modes go pair by pair."""
+    if constraint.mode != "unconstrained":
+        return {
+            tuple(_pair_char(t, a, b) for t in tables) for a, b in admissible_pairs(constraint)
+        }
+    scalars = {tuple(t.scalar_chars[b] for t in tables) for b in range(1, constraint.q)}
+    return scalars | {
+        tuple(None if c is None else (s + c) % 7 for s, c in zip(scalar, line))
+        for line in zip(*(t.line_chars for t in tables))
+        for scalar in scalars
+    }
+
+
 def _local_survivors(constraint: SieveConstraint, delta: int) -> int:
     """Survivor bits of one constraint by characters: chi_Q(eps) plus
     delta chi_Q(1 - zeta) against chi_Q of each admissible pair."""
@@ -439,10 +534,17 @@ def _local_survivors(constraint: SieveConstraint, delta: int) -> int:
     tables = [build_character(Q) for Q in primes]
     if delta and any(t.chi_one_minus_zeta is None for t in tables):
         raise AssertionError("chi(1 - zeta) undefined away from 13; broken table")
-    pairs = admissible_pairs(constraint)
-    targets = {tuple(_pair_char(t, a, b) for t in tables) for a, b in pairs}
     masks = [_char_masks(t, t.chi_one_minus_zeta if delta else 0) for t in tables]
-    return _survivor_bits(masks, targets)
+    return _survivor_bits(masks, _char_targets(tables, constraint))
+
+
+def _pair_reduction(Q: PrimeIdealData):
+    """(a, b) -> the coefficient tuple of a + b zeta reduced at Q, formed
+    as a + b zeta_Q on tuples from the one reduction zeta_Q of zeta:
+    reduction is a ring homomorphism, at every residue degree."""
+    q, one = Q.q, Q.residue_field.one().coeffs
+    zeta = reduce_element(get_order("Zzeta13").theta(), Q).coeffs
+    return lambda a, b: tuple([(a * u + b * z) % q for u, z in zip(one, zeta)])
 
 
 def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
@@ -451,7 +553,7 @@ def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
     order = get_order("Zzeta13")
     omz = order.one() - order.theta()
     primes = split_prime(order, constraint.q)
-    masks, powers = [], []
+    masks, powers, pairs = [], [], []
     for Q in primes:
         if (Q.norm - 1) % 7:
             raise ValueError(f"7 does not divide the residue group order at {Q.key}")
@@ -467,10 +569,11 @@ def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
         start = next(power(reduce_element(omz, Q).coeffs)) if delta else one
         masks.append(_class_masks(rows, start, mul))
         powers.append(power)
+        pairs.append(_pair_reduction(Q))
     targets = set()
     for a, b in admissible_pairs(constraint):
-        reds = [reduce_element(_pair_element(a, b), Q) for Q in primes]
-        targets.add(tuple(None if r.is_zero else next(p(r.coeffs)) for r, p in zip(reds, powers)))
+        reds = [pair(a, b) for pair in pairs]
+        targets.add(tuple(next(p(r)) if any(r) else None for r, p in zip(reds, powers)))
     return _survivor_bits(masks, targets)
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from fermatkit.exactarith import (
     UniPoly,
     BiPoly,
     bareiss_det,
+    chain_pow,
     count_real_roots_where_positive,
     factorize,
     field_nonsquare,
@@ -24,8 +26,8 @@ from fermatkit.exactarith import (
     resultant,
     tarski_query,
 )
-from fermatkit.exactarith import _pm_mod, _pm_mul, _pm_trim
-from fermatkit.numberfield import get_order, split_prime
+from fermatkit.exactarith import _pm_mod, _pm_mul, _pm_powmod, _pm_trim
+from fermatkit.numberfield import QElement, get_order, split_prime
 
 PHI13 = UniPoly([1] * 13)
 
@@ -448,3 +450,66 @@ def test_f625_field_laws(i, j):
     assert x * y == y * x
     if not y.is_zero:
         assert (x * y) / y == x
+
+
+class TestChainPow:
+    """The one square-and-multiply every power in the package goes through."""
+
+    def test_products_counted(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b % 1009
+
+        for e in range(1, 300):
+            calls.clear()
+            assert chain_pow(mul, 3, e) == pow(3, e, 1009)
+            assert len(calls) == e.bit_length() + e.bit_count() - 2, e
+
+    def test_memo_shares_one_chain(self):
+        memo, mul = {}, lambda a, b: a * b % 1009
+        assert [chain_pow(mul, 5, g, memo) for g in (13, 6, 3, 1)] == [
+            pow(5, g, 1009) for g in (13, 6, 3, 1)
+        ]
+        assert sorted(memo) == [2, 3, 6, 12, 13]  # 5 products for all four
+
+    def test_ffelement_pow_kernel_count(self):
+        """x^e takes e.bit_length() + e.bit_count() - 2 kernel multiplies:
+        no product with 1 to start the chain."""
+        cached = split_prime(get_order("Zzeta13"), 23)[0].residue_field
+        F = FiniteField(cached.p, cached.modulus)
+        kernel, calls = F.mul_kernel(), []
+
+        def counted(a, b):
+            calls.append(1)
+            return kernel(a, b)
+
+        F._kernel = counted
+        x = F.from_index(98765)
+        for e in (1, 2, 7, 1738, (F.order - 1) // 7):
+            calls.clear()
+            x**e
+            assert len(calls) == e.bit_length() + e.bit_count() - 2, e
+        calls.clear()
+        assert x**0 == F.one() and not calls
+
+    def test_other_powers_vs_repeated_multiplication(self):
+        E = QuadExt(F25, field_nonsquare(F25))
+        K = get_order("Zzeta13")
+        mod = F25._mod_c
+        elements = [
+            E.element(F25.from_index(7), F25.from_index(3)),
+            UniPoly([2, -1, 1]),
+            K.element([1, 2, 0, -1]),
+            QElement(K, [Fraction(1, 2), 3]),
+        ]
+        for x in elements:
+            acc = x ** 0
+            for e in range(1, 9):
+                acc = acc * x
+                assert x**e == acc, (x, e)
+        a, acc = (3, 4, 1), (1,)
+        for e in range(9):
+            assert _pm_powmod(a, e, mod, 5) == acc, e
+            acc = _pm_mod(_pm_mul(acc, a, 5), mod, 5)

@@ -1,9 +1,10 @@
+import pickle
 import random
 
 import pytest
 
 from fermatkit.elimination import family_from_dict
-from fermatkit.exactarith import is_nth_power_residue
+from fermatkit.exactarith import FFElement, FiniteField, is_nth_power_residue
 from fermatkit.numberfield import (
     cyclotomic_unit_generators,
     get_order,
@@ -16,11 +17,15 @@ from fermatkit.unitsieve import (
     SieveConstraint,
     UnitClass,
     _char_masks,
+    _char_targets,
     _class_masks,
     _group_prime_factors,
     _lex_least_generator,
     _norm_power,
+    _pair_char,
     _pair_element,
+    _pair_reduction,
+    _power_plan,
     _survivor_bits,
     admissible_pairs,
     build_character,
@@ -36,6 +41,7 @@ from fermatkit.unitsieve import (
 
 ZZ13 = get_order("Zzeta13")
 ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
+PROOF_SET_QS = (2, 11, 19, 23, 29, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +145,30 @@ class TestUnitClass:
             UnitClass((7, 0, 0, 0, 0))
         with pytest.raises(ValueError):
             UnitClass((0, 0, 0, 0))
+
+    def test_bad_exponents_rejected(self):
+        for exps in [(0, 0, 0, 0, -1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 9)]:
+            with pytest.raises(ValueError, match="five exponents"):
+                UnitClass(exps)
+
+    def test_slotted_and_cheap_from_index(self):
+        u = UnitClass((1, 0, 0, 0, 0))
+        assert not hasattr(u, "__dict__")
+        assert repr(u) == "UnitClass(exps=(1, 0, 0, 0, 0))"
+        rng = random.Random(5)
+        for n in [0, 1, 48, 16806] + rng.sample(range(UNIT_CLASS_COUNT), 40):
+            v = UnitClass.from_index(n)
+            w = UnitClass(v.exps)
+            assert v == w and hash(v) == hash(w) and w.index == n
+            assert repr(v) == repr(w)
+        # the index neither takes part in equality nor is set by hand
+        with pytest.raises(TypeError):
+            UnitClass((0,) * 5, index=3)
+
+    def test_pickle_round_trip(self):
+        for u in (UnitClass((1, 2, 3, 4, 5)), UnitClass.from_index(16806)):
+            v = pickle.loads(pickle.dumps(u))
+            assert v == u and v.index == u.index and hash(v) == hash(u)
 
     def test_unit_value(self):
         u = UnitClass((1, 0, 0, 0, 0)).unit()
@@ -495,10 +525,132 @@ def test_norm_power_matches_plain_power(q):
             ], (Q.key, x)
 
 
+@pytest.mark.parametrize("q", (2, 11, 19, 23, 29, 41, 547))
+def test_linear_norm_matches_itoh_tsujii(q):
+    """The norm of x = c0 + c1 t to F_{q^d}, for every d | f, by the
+    conjugates' symmetric functions (at d = 1 the modulus coefficients,
+    at d = f x itself) equals the full-field power x^((N-1)/(q^d-1)),
+    and N(x) N(w) equals the Itoh-Tsujii norm of the nonlinear x w.
+    `_norm_power(F, [q^d - 1])` yields the norm itself (its exponent
+    below q^d is 1); d = 1 is left out at q = 2, where F_2^* is trivial."""
+    rng = random.Random(200 + q)
+    for Q in split_prime(ZZ13, q):
+        F, n1, f = Q.residue_field, Q.norm - 1, Q.fdeg
+        pairs = [(1, 0), (0, 1), (q - 1, 1), (2 % q, q - 1)]
+        pairs += [(rng.randrange(q), rng.randrange(1, q)) for _ in range(4)]
+        xs = [F.element(list(c)) for c in pairs]
+        pool = [F.from_index(rng.randrange(q * q, F.order)) for _ in range(6)] if f > 2 else []
+        for d in (d for d in range(1, f + 1) if f % d == 0 and q**d > 2):
+            norm = _norm_power(F, [q**d - 1])
+            for x in xs:
+                nx = next(norm(x.coeffs))
+                assert nx == (x ** (n1 // (q**d - 1))).coeffs, (Q.key, d, x)
+                # w and x w nonlinear: both norms take the Itoh-Tsujii path
+                ws = [w for w in pool if any((x * w).coeffs[2:])][:2]
+                assert len(ws) == len(pool[:2])
+                for w in ws:
+                    xw = x * w
+                    assert next(norm(xw.coeffs)) == (FFElement(F, nx) * FFElement(
+                        F, next(norm(w.coeffs)))).coeffs, (Q.key, d, x, w)
+
+
+@pytest.mark.parametrize("q", (2, 11, 19, 23, 29, 41))
+def test_power_plan_matches_plain_power(q):
+    """`_power_plan(F, e)` against plain `__pow__` on the exponents
+    (q^d - 1)/r the character helpers use, on exponents with zero base-q
+    digits (q^2, 5 q^2 + 3) and on ones with fewer digits than f."""
+    F = split_prime(ZZ13, q)[0].residue_field
+    f, rng = F.k, random.Random(300 + q)
+    exps = {(q**d - 1) // r for d in range(1, f + 1) if f % d == 0
+            for r in _group_prime_factors(q, d)}
+    exps |= {1, q - 1, q**2, 5 * q**2 + 3, q ** (f - 1) + 1}
+    exps |= {rng.randrange(1, q**d) for d in (2, 3, f) for _ in range(2)}
+    xs = [F.one(), F.gen()] + [F.from_index(rng.randrange(1, F.order)) for _ in range(3)]
+    for e in sorted(exps):
+        plan = _power_plan(F, e)
+        for x in xs:
+            assert plan(x.coeffs) == (x**e).coeffs, (q, e, x)
+
+
+def test_power_plan_shares_one_digit_chain():
+    """(23^3 - 1)/7 = 1738 has base-23 digits 13, 6, 3: the plan takes
+    5 multiplies for their powers (y^2, y^3, y^6, y^12, y^13), then two
+    Frobenius maps and two multiplies, where the plain chain takes 15."""
+    cached = split_prime(ZZ13, 23)[0].residue_field
+    F = FiniteField(cached.p, cached.modulus)
+    kernel = F.mul_kernel()
+    F.frobenius_kernel(1)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return kernel(a, b)
+
+    F._kernel = counted
+    plan = _power_plan(F, 1738)
+    x = F.from_index(123456)
+    assert plan(x.coeffs) == (x**1738).coeffs
+    assert len(calls) == 7 + 15
+
+
+@pytest.mark.parametrize("q", (2, 11, 23, 29, 53))
+def test_pair_reduction_by_linearity(q):
+    """The oracle's a + b zeta_Q on tuples equals the reduction of the
+    pair element, for every pair, at every prime above q (twelve of
+    degree 1 above 53 = 1 mod 13)."""
+    primes = split_prime(ZZ13, q)
+    if q == 53:
+        assert [Q.fdeg for Q in primes] == [1] * 12
+    for Q in primes:
+        pair = _pair_reduction(Q)
+        for a in range(q):
+            for b in range(q):
+                assert pair(a, b) == reduce_element(_pair_element(a, b), Q).coeffs
+
+
+def test_oracle_work_count(monkeypatch):
+    """A work count, not a timing: the exhaustive route at q = 23 makes
+    at most 9000 kernel multiplies and 2 `FFElement.__pow__` calls (the
+    fields' maps x -> x^q, when not yet built). With a full-field power
+    per pair and unit it made 18,616 and 1,070; the linear norms, the
+    Frobenius-Horner powers and the pairs formed on tuples make 7,958."""
+    calls, pows = [], []
+    for Q in split_prime(ZZ13, 23):
+        F = Q.residue_field
+        kernel = F.mul_kernel()
+
+        def counted(a, b, kernel=kernel):
+            calls.append(1)
+            return kernel(a, b)
+
+        monkeypatch.setattr(F, "_kernel", counted)
+    plain = FFElement.__pow__
+
+    def counted_pow(x, e):
+        pows.append(e)
+        return plain(x, e)
+
+    monkeypatch.setattr(FFElement, "__pow__", counted_pow)
+    cons = [SieveConstraint(q=23, mode="unconstrained")]
+    bits = sieve_case_exhaustive_bits("divisible-13", cons)
+    assert len(calls) <= 9000, len(calls)
+    assert len(pows) <= 2, len(pows)
+    monkeypatch.undo()
+    assert bits == sieve_case_bits("divisible-13", cons)
+
+
+@pytest.mark.parametrize("q", PROOF_SET_QS)
+def test_char_targets_line_shift_matches_pairs(q):
+    """The unconstrained target set, built as line tuples shifted by the
+    scalar tuples, equals the pair-by-pair set of chi tuples."""
+    c = SieveConstraint(q=q, mode="unconstrained")
+    tables = [build_character(Q) for Q in split_prime(ZZ13, q)]
+    want = {tuple(_pair_char(t, a, b) for t in tables) for a, b in admissible_pairs(c)}
+    assert _char_targets(tables, c) == want
+
+
 # ---------------------------------------------------------------------------
 # the frozen generator convention
-
-PROOF_SET_QS = (2, 11, 19, 23, 29, 41)
 
 # Index of the lex-least generator g and the coefficients of
 # omega = g^((N-1)/7) at the ten proof-set primes, as first computed by
@@ -561,8 +713,6 @@ def test_character_work_count(monkeypatch):
     fresh process (359 once each field holds its map x -> x^q)."""
     from fermatkit import unitsieve
     from fermatkit.cli import run_checks
-    from fermatkit.exactarith import FFElement
-
     calls = []
     plain = FFElement.__pow__
 
