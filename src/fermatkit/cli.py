@@ -18,7 +18,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +52,6 @@ from .newformdata import (
     trace_contradiction_check,
 )
 from .numberfield import (
-    QElement,
     element_norm,
     get_order,
     known_orders,
@@ -176,17 +174,44 @@ def _fixture_curve_C(ctx):
     return _load_curve(ctx, "curves/C_eq51.curve")
 
 
+_IGUSA_WEIGHTS = (2, 4, 6, 10)
+
+
+def _ratio(text: str):
+    """An "n/d" or "n" string as the integers (n, d), d > 0."""
+    n, _, d = str(text).partition("/")
+    n, d = int(n), int(d or 1)
+    if d <= 0:
+        raise ValueError(f"expected a positive denominator in {text!r}")
+    return n, d
+
+
 def _reference_invariants(ctx):
+    """The reference (I2, I4, I6, I10) as integral elements mu^k I_k
+    (k = 2, 4, 6, 10), mu the lcm of their denominators, which is the
+    same weighted projective point; with the integral alpha and mu."""
     p = ctx.path("invariants/humbert_rm8_reference.json")
     ctx.record_input(p)
     data = json.loads(p.read_text())
     order = get_order(data["order"])
+    fracs = [[_ratio(s) for s in data["invariants"][k]] for k in ("I2", "I4", "I6", "I10")]
+    mu = math.lcm(*(d for inv in fracs for _, d in inv))
     inv = tuple(
-        QElement(order, [Fraction(s) for s in data["invariants"][k]])
-        for k in ("I2", "I4", "I6", "I10")
+        order.element([n * mu**k // d for n, d in coords])
+        for k, coords in zip(_IGUSA_WEIGHTS, fracs)
     )
-    alpha = QElement(order, [Fraction(s) for s in data["alpha"]])
-    return inv, alpha
+    alpha = [_ratio(s) for s in data["alpha"]]
+    if any(n % d for n, d in alpha):
+        raise ValueError(f"{p}: alpha must be integral")
+    return inv, order.element([n // d for n, d in alpha]), mu
+
+
+def _reference_comparison(ctx, mine):
+    """(weighted-projective equality with the reference, exact equality
+    mine_k == I_k alpha^k with the reference alpha)."""
+    ref, alpha, mu = _reference_invariants(ctx)
+    exact = all(m * mu**k == r * alpha**k for m, r, k in zip(mine, ref, _IGUSA_WEIGHTS))
+    return weighted_pp_equal(mine, ref), exact
 
 
 def _fmt_nf(x) -> str:
@@ -235,13 +260,7 @@ def check_invariant_valuations(ctx) -> CheckResult:
 
 def check_igusa_proportionality(ctx) -> CheckResult:
     C = _fixture_curve_C(ctx)
-    ref, alpha = _reference_invariants(ctx)
-    mine = igusa_clebsch(C)
-    proj = weighted_pp_equal(mine, ref)
-    exact = all(
-        mine[i] == ref[i] * alpha ** (2 * d)
-        for i, d in ((0, 1), (1, 2), (2, 3), (3, 5))
-    )
+    proj, exact = _reference_comparison(ctx, igusa_clebsch(C))
     ok = proj and exact
     return CheckResult(
         "igusa-proportionality",
@@ -619,12 +638,7 @@ def cmd_igusa(args, ctx) -> int:
             CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]")
         )
     if args.reference:
-        ref, alpha = _reference_invariants(ctx)
-        proj = weighted_pp_equal(inv, ref)
-        exact = all(
-            inv[i] == ref[i] * alpha ** (2 * d)
-            for i, d in ((0, 1), (1, 2), (2, 3), (3, 5))
-        )
+        proj, exact = _reference_comparison(ctx, inv)
         report.checks.append(
             CheckResult(
                 "reference-comparison",
@@ -698,10 +712,20 @@ def cmd_eliminate(args, ctx) -> int:
     return _emit(args, report)
 
 
+# The largest auxiliary prime a constraint file may name. The shipped
+# files stop at 41. The cost grows with q: the modular mode walks all
+# q^2 - 1 Frey curves (about 3.5 s at q = 103 on the demo family), and
+# every mode factors q^f - 1 and builds residue fields of degree f <= 12.
+MAX_CONSTRAINT_Q = 200
+
+
 def _load_constraints(ctx, path):
     p = ctx.path(path)
     ctx.record_input(p)
-    data = json.loads(p.read_text())
+    try:
+        data = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{p}: not valid JSON at line {e.lineno} column {e.colno}") from None
     if not isinstance(data, dict) or not isinstance(data.get("constraints", []), list):
         raise ValueError("constraints: expected an object with a list of constraints")
     out = []
@@ -710,21 +734,29 @@ def _load_constraints(ctx, path):
             raise ValueError(f"constraints[{i}]: expected an object, got {c!r}")
         mode = c.get("mode")
         q = c.get("q")
-        if isinstance(q, bool) or not isinstance(q, int) or not is_prime(q) or q == 13:
+        if (
+            isinstance(q, bool) or not isinstance(q, int) or q > MAX_CONSTRAINT_Q
+            or not is_prime(q) or q == 13
+        ):
             raise ValueError(
-                f"constraints[{i}].q: expected a prime other than 13, got {q!r}"
+                f"constraints[{i}].q: expected a prime other than 13, at most "
+                f"{MAX_CONSTRAINT_Q}, got {q!r}"
             )
         if mode in ("parity-only", "unconstrained"):
             out.append(SieveConstraint(q=q, mode=mode))
             continue
         if mode != "modular":
             raise ValueError(f"constraints[{i}]: unknown mode {mode!r}")
+        if not isinstance(c.get("family"), str):
+            raise ValueError(f"constraints[{i}].family: expected a file path")
+        if not isinstance(c.get("targets_from_curve", ""), str):
+            raise ValueError(f"constraints[{i}].targets_from_curve: expected a file path")
         fam = load_family(ctx.path(c["family"]))  # may raise external-slot error
         if "targets_from_curve" in c:
             curve = _load_curve(ctx, c["targets_from_curve"])
             targets = modular_targets_from_curve(curve, q)
         else:
-            targets = c["targets"]
+            targets = c.get("targets")
             if not isinstance(targets, dict):
                 raise ValueError(f"constraints[{i}].targets: expected an object")
             for key, v in targets.items():

@@ -17,7 +17,7 @@ Euler factors come from counts over F_N and F_{N^2}. A sextic model is
 smooth when the binary sextic has no repeated root, decided by
 gcd(f, f') = 1 through a pseudo-remainder sequence over the order, both
 for the curve over K and for each reduction. Igusa-Clebsch invariants
-are computed by classical transvectants in exact rational arithmetic,
+are computed by classical transvectants over the order, in integers,
 and projective Frobenius orders by a two-term recurrence. All functions
 are pure; inputs are immutable.
 """
@@ -25,17 +25,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, isqrt, prod
 from operator import add, mul
 from typing import NamedTuple
 
 from .numberfield import (
     NFElement,
     PrimeIdealData,
-    QElement,
     get_order,
+    known_orders,
     reduce_element,
 )
 
@@ -664,18 +663,33 @@ def rm_residues_mod_p7(split: RMSplit) -> frozenset:
 # ---------------------------------------------------------------------------
 # Igusa-Clebsch invariants via classical transvectants
 #
-# The conversion constants below were derived by solving the exact linear
-# relation between transvectant invariants and the root-difference
-# definitions on rational-rooted sextics; the test suite re-checks that
-# relation as an independent oracle.
+# _transvectant is the k-th transvectant without its rational scale
+# (m-k)!(n-k)!/(m!n!), so every value stays in the order. Clebsch's A, B,
+# C, D are fixed rational multiples of the four unscaled invariants
+# below, and each I_k of the binary form 4f is a fixed rational
+# combination of monomials in A, B, C, D; _IC_WEIGHTS folds both, and
+# the factor 4^k, into integer weights over one denominator per
+# invariant. I_k(4f) has integer coefficients as a polynomial in the
+# coefficients of f, so the one division is exact. The test suite
+# re-derives the weights from the Clebsch-to-Igusa relations and pins
+# the invariants with the root-difference oracle.
 
-_IC_FROM_CLEBSCH = {
-    "I2": -120,
-    "I4": (-720, 6750),  # A^2, B
-    "I6": (8640, -108000, 202500),  # A^3, AB, C
-    "I10": (-62208, 972000, 1620000, -3037500, -6075000, -4556250),
-    # A^5, A^3 B, A^2 C, A B^2, B C, D
-}
+_IC_WEIGHTS = (  # (denominator, ((weight, (a, b, c, d)) for A^a B^b C^c D^d, ...))
+    (270, ((-1, (1, 0, 0, 0)),)),
+    (139968000, ((-96, (2, 0, 0, 0)), (25, (0, 1, 0, 0)))),
+    (27209779200000, ((6912, (3, 0, 0, 0)), (-2400, (1, 1, 0, 0)), (125, (0, 0, 1, 0)))),
+    (
+        856912134389760000000000,
+        (
+            (-1492992, (5, 0, 0, 0)),
+            (648000, (3, 1, 0, 0)),
+            (30000, (2, 0, 1, 0)),
+            (-56250, (1, 2, 0, 0)),
+            (-3125, (0, 1, 1, 0)),
+            (-84375, (0, 0, 0, 1)),
+        ),
+    ),
+)
 
 
 def _form_mixed_derivative(f, m, a, b):
@@ -687,62 +701,48 @@ def _form_mixed_derivative(f, m, a, b):
     for _ in range(b):
         cur = [(deg - i) * cur[i] for i in range(deg)]
         deg -= 1
-    return cur, deg
+    return cur
 
 
-def _form_mul(f, g, zero):
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] = out[i + j] + x * y
+def _transvectant(f, m, g, n, k):
+    """(f, g)_k times m!n!/((m-k)!(n-k)!), for forms of degrees m and n."""
+    out = [0] * (m + n - 2 * k + 1)
+    for j in range(k + 1):
+        fa = _form_mixed_derivative(f, m, k - j, j)
+        ga = _form_mixed_derivative(g, n, j, k - j)
+        w = comb(k, j) * (-1) ** j
+        for i, x in enumerate(fa):
+            for l, y in enumerate(ga):
+                out[i + l] = out[i + l] + x * y * w
     return out
 
 
-def _transvectant(f, m, g, n, k, zero):
-    if k > m or k > n:
-        return [zero], 0
-    scale = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-    deg = m + n - 2 * k
-    out = [zero] * (deg + 1)
-    for j in range(k + 1):
-        fa, _ = _form_mixed_derivative(f, m, k - j, j)
-        ga, _ = _form_mixed_derivative(g, n, j, k - j)
-        prod = _form_mul(fa, ga, zero)
-        sgn = -1 if j % 2 else 1
-        w = comb(k, j) * sgn
-        for i, c in enumerate(prod):
-            out[i] = out[i] + c * w
-    return [c * scale for c in out], deg
-
-
-def clebsch_invariants(sextic):
-    """Clebsch invariants (A, B, C, D) of a QElement sextic."""
-    order = sextic[0].order
-    zero = QElement(order, [])
-    f = list(sextic)
-    i, di = _transvectant(f, 6, f, 6, 4, zero)
-    A = _transvectant(f, 6, f, 6, 6, zero)[0][0]
-    B = _transvectant(i, di, i, di, 4, zero)[0][0]
-    ii, dii = _transvectant(i, di, i, di, 2, zero)
-    C = _transvectant(i, di, ii, dii, 4, zero)[0][0]
-    y1, dy1 = _transvectant(f, 6, i, di, 4, zero)
-    y2, dy2 = _transvectant(i, di, y1, dy1, 2, zero)
-    y3, dy3 = _transvectant(i, di, y2, dy2, 2, zero)
-    D = _transvectant(y3, dy3, y1, dy1, 2, zero)[0][0]
-    return A, B, C, D
+def _clebsch_integral(f):
+    """Rational multiples of Clebsch's (A, B, C, D) of the sextic f, in
+    the ring of its coefficients."""
+    i = _transvectant(f, 6, f, 6, 4)
+    y1 = _transvectant(f, 6, i, 4, 4)
+    y3 = _transvectant(i, 4, _transvectant(i, 4, y1, 2, 2), 2, 2)
+    return (
+        _transvectant(f, 6, f, 6, 6)[0],
+        _transvectant(i, 4, i, 4, 4)[0],
+        _transvectant(i, 4, _transvectant(i, 4, i, 4, 2), 4, 4)[0],
+        _transvectant(y3, 2, y1, 2, 2)[0],
+    )
 
 
 def igusa_clebsch(curve):
-    """Igusa-Clebsch invariants (I2, I4, I6, I10) as QElements.
+    """Igusa-Clebsch invariants (I2, I4, I6, I10) as NFElements.
 
     Follows the integral-model convention: the binary form attached to
     y^2 = f(x) is 4f (that is, h^2 + 4f with h = 0), which matches the
     normalization of the standard computer-algebra implementations. The
     invariants of the bare sextic differ by the pattern 16^(weight/2).
+    They are integral: polynomials with integer coefficients in those
+    of f.
 
-    Accepts a HyperellipticCurveNF or a raw 7-coefficient sequence
-    (NFElement or QElement); raw input may be degenerate, in which case
-    I10 comes back zero.
+    Accepts a HyperellipticCurveNF or seven NFElement coefficients; raw
+    input may be degenerate, in which case I10 comes back zero.
     """
     if isinstance(curve, HyperellipticCurveNF):
         coeffs = curve.coeffs
@@ -750,25 +750,18 @@ def igusa_clebsch(curve):
         coeffs = list(curve)
         if len(coeffs) != 7:
             raise ValueError("need 7 sextic coefficients")
-    qc = [
-        (c if isinstance(c, QElement) else QElement.from_nf(c)) * 4 for c in coeffs
-    ]
-    A, B, C, D = clebsch_invariants(qc)
-    I2 = A * _IC_FROM_CLEBSCH["I2"]
-    c1, c2 = _IC_FROM_CLEBSCH["I4"]
-    I4 = A * A * c1 + B * c2
-    c1, c2, c3 = _IC_FROM_CLEBSCH["I6"]
-    I6 = A * A * A * c1 + A * B * c2 + C * c3
-    k1, k2, k3, k4, k5, k6 = _IC_FROM_CLEBSCH["I10"]
-    I10 = (
-        A ** 5 * k1
-        + A ** 3 * B * k2
-        + A * A * C * k3
-        + A * B * B * k4
-        + B * C * k5
-        + D * k6
-    )
-    return I2, I4, I6, I10
+    order = coeffs[0].order
+    clebsch = _clebsch_integral(coeffs)
+    out = []
+    for den, terms in _IC_WEIGHTS:
+        num = sum(
+            (prod(v**e for v, e in zip(clebsch, exps) if e) * w for w, exps in terms),
+            order.zero(),
+        )
+        if any(c % den for c in num.coords):
+            raise ArithmeticError("Igusa-Clebsch weight table is not integral")
+        out.append(NFElement(order, tuple(c // den for c in num.coords)))
+    return tuple(out)
 
 
 def weighted_pp_equal(v, w) -> bool:
@@ -830,30 +823,49 @@ def frobenius_projective_order(a, N: int) -> int:
 # fixture files
 
 
-def curve_from_dict(data: dict):
-    """Build a curve from the fixture-file dictionary format."""
-    try:
-        order = get_order(data["order"])
-        model = data["model"]
-        coeffs = data["coefficients"]
-    except KeyError as e:
-        raise ValueError(f"curve file is missing field {e}") from None
-    if model == "weierstrass":
-        names = ("a1", "a2", "a3", "a4", "a6")
-        missing = [n for n in names if n not in coeffs]
-        if missing:
-            raise ValueError(f"curve file coefficients missing {missing}")
-        vals = {n: order.element(coeffs[n]) for n in names}
-        return EllipticCurveNF(**vals)
-    if model == "sextic":
-        names = tuple(f"c{i}" for i in range(7))
-        missing = [n for n in names if n not in coeffs]
-        if missing:
-            raise ValueError(f"curve file coefficients missing {missing}")
-        return HyperellipticCurveNF(
-            coeffs=tuple(order.element(coeffs[n]) for n in names)
+def _json_element(order, value, where: str) -> NFElement:
+    """A coordinate list from a curve file as an element of the order."""
+    if (
+        not isinstance(value, list)
+        or len(value) > order.degree
+        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValueError(
+            f"{where}: expected a list of at most {order.degree} integers, "
+            f"got {json.dumps(value)}"
         )
-    raise ValueError(f"unknown curve model {model!r}")
+    return order.element(value)
+
+
+def curve_from_dict(data: dict):
+    """Build a curve from the fixture-file dictionary format. Malformed
+    data raises a ValueError that names the offending field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    missing = [k for k in ("order", "model", "coefficients") if k not in data]
+    if missing:
+        raise ValueError(f"curve file is missing field {missing[0]!r}")
+    label, model, coeffs = data["order"], data["model"], data["coefficients"]
+    if not isinstance(label, str) or label not in known_orders():
+        raise ValueError(
+            f"order: expected one of {sorted(known_orders())}, got {json.dumps(label)}"
+        )
+    if not isinstance(coeffs, dict):
+        raise ValueError(f"coefficients: expected an object, got {json.dumps(coeffs)}")
+    names = {
+        "weierstrass": ("a1", "a2", "a3", "a4", "a6"),
+        "sextic": tuple(f"c{i}" for i in range(7)),
+    }
+    if not isinstance(model, str) or model not in names:
+        raise ValueError(f"unknown curve model {model!r}")
+    missing = [n for n in names[model] if n not in coeffs]
+    if missing:
+        raise ValueError(f"curve file coefficients missing {missing}")
+    order = get_order(label)
+    vals = [_json_element(order, coeffs[n], f"coefficients.{n}") for n in names[model]]
+    if model == "weierstrass":
+        return EllipticCurveNF(*vals)
+    return HyperellipticCurveNF(coeffs=tuple(vals))
 
 
 def load_curve(path):

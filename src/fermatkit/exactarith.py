@@ -14,8 +14,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from fractions import Fraction
-from math import ceil
+from math import gcd
 
 __all__ = [
     "UniPoly",
@@ -28,7 +27,6 @@ __all__ = [
     "poly_factor_mod_p",
     "is_prime",
     "bareiss_det",
-    "resultant",
     "poly_norm",
     "poly_discriminant",
     "real_root_count",
@@ -975,7 +973,7 @@ def field_nonsquare(field):
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra: Bareiss determinant, resultants, norms
+# exact integer linear algebra: Bareiss determinant, norms, discriminants
 
 
 def bareiss_det(rows) -> int:
@@ -1005,32 +1003,12 @@ def bareiss_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def resultant(f: UniPoly, g: UniPoly) -> int:
-    """Resultant of two integer polynomials via the Sylvester matrix."""
-    if f.is_zero or g.is_zero:
-        return 0
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
-    return bareiss_det(rows)
-
-
 def poly_discriminant(f: UniPoly) -> int:
     """Discriminant of a monic integer polynomial."""
     if not f.is_monic:
         raise ValueError("discriminant implemented for monic polynomials only")
     n = f.degree
-    r = resultant(f, f.derivative())
+    r = poly_norm(f, f.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * r
 
@@ -1082,68 +1060,69 @@ def _zshift_mod(coords, f: UniPoly):
 
 
 # ---------------------------------------------------------------------------
-# real-root counting for rational polynomials (Sturm / Tarski)
+# real-root counting for integer polynomials (Sturm / Tarski)
+#
+# Every chain is a sign-preserving primitive pseudo-remainder sequence
+# (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 8):
+# each term is a positive multiple of the Sturm term that Euclid's
+# algorithm gives over Q, so it has the same signs, and all of it is in Z.
 
 
-def _fp_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _zcoeffs(poly):
+    return _pm_trim(poly.coeffs if isinstance(poly, UniPoly) else poly)
 
 
-def _fp_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return _fp_trim(q), _fp_trim(a)
+def _zprimitive(a):
+    """a divided by the positive gcd of its coefficients."""
+    g = gcd(*a)
+    return tuple(c // g for c in a) if g > 1 else a
 
 
-def _fp_derivative(a):
-    return _fp_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def _fp_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _zsprem(a, b):
+    """|lc(b)|^(deg a - deg b + 1) * a mod b: the remainder of a by b
+    times a positive integer, in Z."""
+    a, lead = list(a), b[-1]
+    m, s = abs(lead), (1 if lead > 0 else -1)
+    for i in range(len(a) - len(b), -1, -1):  # r <- |lc(b)| r - sgn(lc(b)) lc(r) x^i b
+        c = a[i + len(b) - 1] * s
+        a = [x * m for x in a]
         for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _fp_trim(out)
+            a[i + j] -= c * y
+    return _pm_trim(a)
 
 
-def _fp_gcd(a, b):
+def _zgcd(a, b):
+    """A primitive gcd of two integer polynomials (any sign)."""
     while b:
-        a, b = b, _fp_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
+        a, b = b, _zprimitive(_zsprem(a, b))
+    return _zprimitive(a)
 
 
-def _to_fracs(poly):
-    if isinstance(poly, UniPoly):
-        return _fp_trim([Fraction(c) for c in poly.coeffs])
-    return _fp_trim([Fraction(c) for c in poly])
+def _zderivative(a):
+    return tuple(i * c for i, c in enumerate(a))[1:]
 
 
-def _sturm_chain(f, g=None):
-    """Sturm sequence of f (or the Sturm-Tarski chain for f, f'*g)."""
-    f = _fp_trim(f)
-    first = f
-    second = _fp_derivative(f) if g is None else _fp_mul(_fp_derivative(f), g)
-    chain = [first, second]
+def _squarefree(poly):
+    """The coefficients of poly divided by a primitive gcd(poly, poly'):
+    the same distinct roots, each simple. The division is exact in Z by
+    Gauss's lemma."""
+    f = _zcoeffs(poly)
+    g = _zgcd(f, _zderivative(f)) if len(f) > 2 else ()
+    if len(g) <= 1:
+        return f
+    f, q = list(f), [0] * (len(f) - len(g) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = f[i + len(g) - 1] // g[-1]
+        for j, y in enumerate(g):
+            f[i + j] -= q[i] * y
+    return tuple(q)
+
+
+def _sturm_chain(f, g):
+    """The Sturm-Tarski chain of squarefree f and f' * g."""
+    chain = [f, (UniPoly(_zderivative(f)) * UniPoly(g)).coeffs]
     while chain[-1]:
-        rem = _fp_divmod(chain[-2], chain[-1])[1]
-        chain.append(tuple(-c for c in rem))
+        chain.append(tuple(-c for c in _zprimitive(_zsprem(chain[-2], chain[-1]))))
     chain.pop()
     return chain
 
@@ -1163,25 +1142,28 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def real_root_count(poly) -> int:
-    """Number of distinct real roots of a rational polynomial."""
-    f = _to_fracs(poly)
+def tarski_query(h, g) -> int:
+    """Sum of sign(g(r)) over the distinct real roots r of the integer
+    polynomial h (a UniPoly or an ascending coefficient sequence)."""
+    f = _squarefree(h)
     if len(f) <= 1:
         return 0
-    sq = _fp_gcd(f, _fp_derivative(f))
-    if len(sq) > 1:
-        f = _fp_divmod(f, sq)[0]
-    chain = _sturm_chain(f)
+    chain = _sturm_chain(f, _zcoeffs(g))
     neg = _variations([_sign_at_inf(c, -1) for c in chain])
     pos = _variations([_sign_at_inf(c, +1) for c in chain])
     return neg - pos
 
 
-def _sign_at(c, x) -> int:
-    acc = Fraction(0)
-    for a in reversed(c):
-        acc = acc * x + a
-    return (acc > 0) - (acc < 0)
+def real_root_count(poly) -> int:
+    """Number of distinct real roots of an integer polynomial."""
+    return tarski_query(poly, (1,))
+
+
+def _sign_at_half(c, x) -> int:
+    """Sign of c(x / 2), read off the integer 2^deg(c) c(x / 2)."""
+    n = len(c) - 1
+    v = sum(a * x**i << (n - i) for i, a in enumerate(c))
+    return (v > 0) - (v < 0)
 
 
 def integer_roots(poly: UniPoly) -> list:
@@ -1191,18 +1173,14 @@ def integer_roots(poly: UniPoly) -> list:
     bound: only intervals that hold a real root are split, so the cost
     is polynomial in the degree and in the size of the coefficients.
     """
-    f = _to_fracs(poly)
+    f = _squarefree(poly)
     if len(f) <= 1:
         raise ValueError("integer_roots wants a nonconstant polynomial")
-    sq = _fp_gcd(f, _fp_derivative(f))
-    if len(sq) > 1:
-        f = _fp_divmod(f, sq)[0]
-    chain = _sturm_chain(f)
-    bound = 1 + ceil(max(abs(c / f[-1]) for c in f[:-1]))
+    chain = _sturm_chain(f, (1,))
+    bound = 1 + max(-(-abs(c) // abs(f[-1])) for c in f[:-1])
 
     def variations(h):  # at h + 1/2, so no integer sits on an interval end
-        x = Fraction(2 * h + 1, 2)
-        return _variations([_sign_at(c, x) for c in chain])
+        return _variations([_sign_at_half(c, 2 * h + 1) for c in chain])
 
     roots = []
     todo = [(-bound - 1, bound)]  # the open interval (lo + 1/2, hi + 1/2)
@@ -1219,33 +1197,11 @@ def integer_roots(poly: UniPoly) -> list:
     return sorted(roots)
 
 
-def tarski_query(h, g) -> int:
-    """Sum of sign(g(r)) over the distinct real roots r of h.
-
-    Standard Sturm-Tarski query; h is made squarefree internally.
-    """
-    hf = _to_fracs(h)
-    gf = _to_fracs(g)
-    if len(hf) <= 1:
-        return 0
-    sq = _fp_gcd(hf, _fp_derivative(hf))
-    if len(sq) > 1:
-        hf = _fp_divmod(hf, sq)[0]
-    chain = _sturm_chain(hf, gf)
-    neg = _variations([_sign_at_inf(c, -1) for c in chain])
-    pos = _variations([_sign_at_inf(c, +1) for c in chain])
-    return neg - pos
-
-
 def count_real_roots_where_positive(h, g) -> int:
     """Number of distinct real roots r of h with g(r) > 0."""
-    hf = _to_fracs(h)
-    gf = _to_fracs(g)
-    total = real_root_count(hf)
-    common = _fp_gcd(hf, gf)
+    common = _zgcd(_zcoeffs(h), _zcoeffs(g))
     zeros = real_root_count(common) if len(common) > 1 else 0
-    tq = tarski_query(hf, gf)
-    twice_pos = total - zeros + tq
+    twice_pos = real_root_count(h) - zeros + tarski_query(h, g)
     if twice_pos % 2 != 0:
         raise AssertionError("parity failure in root counting")
     return twice_pos // 2

@@ -1,8 +1,8 @@
 """Monogenic orders Z[theta], prime splitting, reductions, and norms.
 
 Elements carry exact integer coordinates in the power basis of theta;
-rational denominators are rejected on construction (use QElement for
-fraction-field work, e.g. Igusa-Clebsch invariants). Valuations are
+rational denominators are rejected on construction, and nothing in the
+toolkit needs them (Igusa-Clebsch invariants are integral). Valuations are
 implemented only at primes that are alone above their rational prime,
 which covers every valuation this toolkit needs.
 """
@@ -10,7 +10,6 @@ which covers every valuation this toolkit needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactarith import (
@@ -27,7 +26,6 @@ from .exactarith import (
 __all__ = [
     "NumberFieldOrder",
     "NFElement",
-    "QElement",
     "PrimeIdealData",
     "UnsupportedPrimeError",
     "UnsupportedValuationError",
@@ -97,11 +95,11 @@ class NumberFieldOrder:
         return f"NumberFieldOrder({self.label!r}, {self.poly!r})"
 
 
-def _reduce_mul(order: NumberFieldOrder, a, b, zero, coerce):
-    """Schoolbook product of two coordinate tuples reduced mod the
-    defining polynomial; works for int and Fraction coordinates."""
+def _reduce_mul(order: NumberFieldOrder, a, b):
+    """Schoolbook product of two integer coordinate tuples reduced mod
+    the defining polynomial."""
     n = order.degree
-    prod = [zero] * (2 * n - 1)
+    prod = [0] * (2 * n - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -111,7 +109,7 @@ def _reduce_mul(order: NumberFieldOrder, a, b, zero, coerce):
         top = prod[i]
         if top:
             for j in range(n):
-                prod[i - n + j] -= top * coerce(fc[j])
+                prod[i - n + j] -= top * fc[j]
         prod.pop()
     return tuple(prod[:n])
 
@@ -171,7 +169,7 @@ class NFElement:
         if o is None:
             return NotImplemented
         return NFElement(
-            self.order, _reduce_mul(self.order, self.coords, o.coords, 0, int)
+            self.order, _reduce_mul(self.order, self.coords, o.coords)
         )
 
     __rmul__ = __mul__
@@ -195,97 +193,6 @@ class NFElement:
 
     def __repr__(self):
         return f"NF({self.order.label}; {list(self.coords)})"
-
-
-class QElement:
-    """Order element with rational coordinates (fraction-field arithmetic).
-
-    Used where invariants genuinely need denominators, e.g. the
-    Igusa-Clebsch computation; NFElement stays integral by contract.
-    """
-
-    __slots__ = ("order", "coords")
-
-    def __init__(self, order: NumberFieldOrder, coords):
-        c = [Fraction(v) for v in coords]
-        if len(c) > order.degree:
-            raise ValueError("coordinate vector longer than the field degree")
-        c += [Fraction(0)] * (order.degree - len(c))
-        self.order = order
-        self.coords = tuple(c)
-
-    @classmethod
-    def from_nf(cls, x: NFElement) -> "QElement":
-        return cls(x.order, x.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _coerce(self, other):
-        if isinstance(other, QElement):
-            if other.order != self.order:
-                raise ValueError("elements of different orders")
-            return other
-        if isinstance(other, NFElement):
-            return QElement.from_nf(other)
-        if isinstance(other, (int, Fraction)):
-            return QElement(self.order, [other])
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QElement(self.order, [a + b for a, b in zip(self.coords, o.coords)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QElement(self.order, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QElement(self.order, [a * other for a in self.coords])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QElement(
-            self.order,
-            _reduce_mul(self.order, self.coords, o.coords, Fraction(0), Fraction),
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        return chain_pow(QElement.__mul__, self, e) if e else QElement(self.order, [1])
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        return o is not None and self.coords == o.coords
-
-    def __hash__(self):
-        return hash((self.order.label, self.order.poly, self.coords))
-
-    def __repr__(self):
-        return f"QNF({self.order.label}; {[str(c) for c in self.coords]})"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .elimination import FreyFamily, _family_local_data
+from .elimination import FreyFamily, _family_local_data, residue_pairs
 from .exactarith import FFElement, chain_pow, factorize
 from .numberfield import (
     PrimeIdealData,
@@ -396,17 +396,13 @@ def char_value(table: LocalCharacterTable, x) -> object:
 # admissible residue pairs
 
 
-def _all_pairs(q: int):
-    return {(a, b) for a in range(q) for b in range(q) if a or b}
-
-
 def admissible_pairs(constraint: SieveConstraint):
     """Residue pairs (a, b) mod q surviving the local constraint."""
     q = constraint.q
     if constraint.mode == "parity-only":
         return {(0, 1), (1, 0)}
     if constraint.mode == "unconstrained":
-        return _all_pairs(q)
+        return set(residue_pairs(q))
     # modular
     family = constraint.family
     targets = constraint.targets_dict()
@@ -419,7 +415,7 @@ def admissible_pairs(constraint: SieveConstraint):
         if P.key not in targets:
             raise ValueError(f"modular constraint at q={q}: no target for {P.key}")
     out = set()
-    for pair in _all_pairs(q):
+    for pair in residue_pairs(q):
         case = data.cases[pair]
         if case == "good":
             ok = all(

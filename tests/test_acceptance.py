@@ -8,7 +8,6 @@ red is the correct outcome; 6c pins the verified values.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -42,7 +41,6 @@ from fermatkit.newformdata import (
     trace_contradiction_check,
 )
 from fermatkit.numberfield import (
-    QElement,
     get_order,
     prime_by_key,
     split_prime,
@@ -114,15 +112,19 @@ def test_03_igusa_clebsch_proportionality():
         "I6": ["-5484934104/531441", "2386589920/531441"],
         "I10": ["-1222121472/3486784401", "532320256/3486784401"],
     }
-    prim = tuple(
-        QElement(K13, [Fraction(s) for s in ref[k]]) for k in ("I2", "I4", "I6", "I10")
-    )
-    alpha = QElement(K13, [-48, -60])
+    # mu^k I_k for k = 2, 4, 6, 10 is the same weighted projective point;
+    # mu = 9 makes every coordinate integral (each denominator is 3^(2k))
+    mu = 9
+    scaled = []
+    for k, key in zip((2, 4, 6, 10), ("I2", "I4", "I6", "I10")):
+        coords = [tuple(map(int, s.split("/"))) for s in ref[key]]
+        assert all(n * mu**k % d == 0 for n, d in coords)
+        scaled.append(K13.element([n * mu**k // d for n, d in coords]))
+    alpha = K13.element([-48, -60])
     mine = igusa_clebsch(C_FIX)
-    proj = weighted_pp_equal(mine, prim)
+    proj = weighted_pp_equal(mine, scaled)
     exact = all(
-        mine[i] == prim[i] * alpha ** (2 * d)
-        for i, d in ((0, 1), (1, 2), (2, 3), (3, 5))
+        m * mu**k == r * alpha**k for m, r, k in zip(mine, scaled, (2, 4, 6, 10))
     )
     ok = proj and exact
     report(3, ok, f"weighted-projective: {proj}, exact with alpha = -60u-48: {exact}")

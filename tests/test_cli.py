@@ -134,6 +134,22 @@ class TestErrors:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize("edit,where", [
+        (lambda d: [d], "expected a JSON object, got list"),
+        (lambda d: d["coefficients"].update(a4=5) or d, "coefficients.a4: expected a list"),
+        (lambda d: d["coefficients"].update(a4="abc") or d, "coefficients.a4: expected a list"),
+        (lambda d: d.update(order=5) or d, "order: expected one of"),
+        (lambda d: d["coefficients"].update(a4=[True]) or d, "coefficients.a4: expected a list"),
+    ], ids=["top-level-list", "int-coefficient", "string-coefficient", "int-order",
+            "bool-coordinate"])
+    def test_malformed_curve_files_name_their_position(self, capsys, tmp_path, edit, where):
+        data = json.loads((FIXTURES / "curves" / "E_1_-1.curve").read_text())
+        bad = tmp_path / "bad.curve"
+        bad.write_text(json.dumps(edit(data)))
+        code, _, err = run(capsys, "trace", str(bad), "3")
+        assert code == 2
+        assert err.startswith(f"error: {bad}: {where}")
+
     def test_bad_sieve_case(self, capsys):
         code, _, err = run(capsys, "sieve", "--case", "nope",
                            "--constraints", "constraints/demo_sieve.json")
@@ -159,6 +175,46 @@ class TestErrors:
     def test_malformed_constraints_name_their_position(self, capsys, tmp_path, data, where):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert where in err
+
+
+    @pytest.fixture
+    def no_sieve(self, monkeypatch):
+        import fermatkit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sieve started on a malformed constraint file")
+
+        monkeypatch.setattr(cli, "sieve_case_bits", refuse)
+
+    def test_constraint_q_above_the_cap(self, capsys, tmp_path, no_sieve):
+        from fermatkit.cli import MAX_CONSTRAINT_Q
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"constraints": [{"q": 1000003, "mode": "unconstrained"}]}))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert "constraints[0].q:" in err and f"at most {MAX_CONSTRAINT_Q}" in err
+        shipped = [json.loads(f.read_text()) for f in (FIXTURES / "constraints").glob("*.json")]
+        assert max(c["q"] for d in shipped for c in d["constraints"]) <= MAX_CONSTRAINT_Q
+
+    def test_constraint_json_error_names_the_file(self, capsys, tmp_path, no_sieve):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{broken")
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert str(bad) in err and "line 1" in err
+
+    @pytest.mark.parametrize("entry,where", [
+        ({"targets": {}}, "constraints[0].family:"),
+        ({"family": "families/demo_sum_rule_sqrt13.json", "targets_from_curve": 5},
+         "constraints[0].targets_from_curve:"),
+    ], ids=["missing-family", "curve-not-a-path"])
+    def test_constraint_file_paths_named(self, capsys, tmp_path, no_sieve, entry, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"constraints": [{"q": 11, "mode": "modular", **entry}]}))
         code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
         assert code == 2
         assert where in err
@@ -199,6 +255,18 @@ class TestFullReport:
         code, _, err = run(capsys, "full-report", "--only", "bogus-check")
         assert code == 2
 
+    def test_report_body_is_pinned(self):
+        # the deterministic body of a default full report, compact and
+        # key-sorted as perfbench hashes it; a change to any check's
+        # status or detail must update this digest on purpose
+        import hashlib
+
+        body = run_checks().to_dict(with_timings=False)
+        blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "cc8f56cb428a3c3451188b3cafd40216905f8f0a2f3847728594d72f518d663d"
+        )
+
     def test_run_checks_api(self):
         rep = run_checks(names=["unit-rank-verified"])
         assert rep.checks[0].status == "pass"
@@ -238,6 +306,29 @@ class TestFixtureOverride:
             capsys, "--fixtures", str(tmp_path), "trace", "curves/E_1_-1.curve", "5"
         )
         assert code == 0 and "a = -2" in out
+
+    @pytest.mark.parametrize("key,index,want", [
+        ("alpha", 0, "weighted-projective equal: True; exact with alpha: False"),
+        ("I2", 0, "weighted-projective equal: False; exact with alpha: False"),
+        (None, None, "weighted-projective equal: True; exact with alpha: True"),
+    ], ids=["wrong-alpha", "wrong-I2", "unchanged"])
+    def test_igusa_reference_comparison(self, capsys, tmp_path, key, index, want):
+        import shutil
+
+        for sub in ("curves", "invariants"):
+            (tmp_path / sub).mkdir()
+        shutil.copy(FIXTURES / "curves" / "C_eq51.curve", tmp_path / "curves")
+        data = json.loads((FIXTURES / "invariants" / "humbert_rm8_reference.json").read_text())
+        if key == "alpha":
+            data["alpha"][index] = "-47"
+        elif key:
+            data["invariants"][key][index] = "-38831/81"
+        (tmp_path / "invariants" / "humbert_rm8_reference.json").write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, "--fixtures", str(tmp_path), "igusa", "curves/C_eq51.curve", "--reference"
+        )
+        assert want in out
+        assert code == (0 if key is None else 1)
 
     def test_seed_changes_are_reported(self, capsys):
         code, out, _ = run(capsys, "--seed", "99", "full-report", "--only", "euler-rm-at-3")

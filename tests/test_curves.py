@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,6 @@ from fermatkit import curves
 from fermatkit.curves import _affine_count, _count_sextic_ext2, _field_tables, _grid_count, _packed_field
 from fermatkit.exactarith import FiniteField, QuadExt, UniPoly, _pm_gcd, _pm_trim, field_nonsquare
 from fermatkit.numberfield import (
-    QElement,
     get_order,
     prime_by_key,
     split_prime,
@@ -746,9 +746,9 @@ class TestRMReduction:
 
 
 def ic_from_roots(lc, roots):
-    """Classical root-difference definitions, exact over Q."""
-    lc = Fraction(lc)
-    r = [Fraction(x) for x in roots]
+    """Classical root-difference definitions, exact over Z for integer
+    roots and leading coefficient."""
+    r = roots
     idx = set(range(6))
     d2 = {(i, j): (r[i] - r[j]) ** 2 for i in range(6) for j in range(6) if i != j}
 
@@ -767,18 +767,18 @@ def ic_from_roots(lc, roots):
     I2 = lc**2 * sum(d2[p0] * d2[p1] * d2[p2] for p0, p1, p2 in pairings)
 
     trips = [t for t in combinations(range(6), 3) if 0 in t]
-    I4 = Fraction(0)
-    I6 = Fraction(0)
+    I4 = 0
+    I6 = 0
     for t in trips:
         c = tuple(sorted(idx - set(t)))
-        base = Fraction(1)
+        base = 1
         for a, b in combinations(t, 2):
             base *= d2[(a, b)]
         for a, b in combinations(c, 2):
             base *= d2[(a, b)]
         I4 += base
         for perm in permutations(c):
-            cross = Fraction(1)
+            cross = 1
             for a, b in zip(t, perm):
                 cross *= d2[(a, b)]
             I6 += base * cross
@@ -792,14 +792,14 @@ def ic_from_roots(lc, roots):
 
 
 def sextic_from_roots(lc, roots, order):
-    coeffs = [Fraction(lc)]
+    coeffs = [lc]
     for root in roots:
-        new = [Fraction(0)] * (len(coeffs) + 1)
+        new = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             new[i + 1] += c
-            new[i] -= Fraction(root) * c
+            new[i] -= root * c
         coeffs = new
-    return [QElement(order, [c]) for c in coeffs]
+    return [order.from_int(c) for c in coeffs]
 
 
 def _poly_mul(f, g, zero):
@@ -872,11 +872,12 @@ class TestIgusaClebsch:
             mine = igusa_clebsch(sext)
             want = ic_from_roots(4 * lc, roots)
             for got, ref in zip(mine, want):
-                assert got == QElement(K13, [ref])
+                assert got == K13.from_int(ref)
+                assert all(type(c) is int for c in got.coords)
 
     def test_scaling_the_form(self):
         # I_{2i}(c * f) = c^{2i} I_{2i}(f)
-        base = [QElement(K13, [c]) for c in (1, 0, 0, 0, 0, 0, 1)]  # x^6 + 1
+        base = [K13.from_int(c) for c in (1, 0, 0, 0, 0, 0, 1)]  # x^6 + 1
         scaled = [c * 9 for c in base]  # c = lambda^2 with lambda = 3
         i_base = igusa_clebsch(base)
         i_scaled = igusa_clebsch(scaled)
@@ -884,23 +885,62 @@ class TestIgusaClebsch:
             assert b == a * (9**d)
 
     def test_substitution_covariance(self):
+        # I_k(f(lam x + mu)) = lam^(3k) I_k(f); f(lam x + mu) has rational
+        # coefficients, so compare c * f(lam x + mu), c clearing the
+        # denominators, through I_k(c g) = c^k I_k(g)
         rng = random.Random(23)
-        base = [
-            QElement(K13, [Fraction(rng.randrange(-4, 5)), Fraction(rng.randrange(-4, 5))])
-            for _ in range(7)
-        ]
+        base = [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(7)]
         lam = Fraction(3, 2)
         mu = Fraction(-1, 3)
-        # compose f(lam*x + mu)
-        out = [QElement(K13, []) for _ in range(7)]
-        for i in range(7):
-            ci = base[i]
-            for j in range(i + 1):
-                out[j] = out[j] + ci * (comb(i, j) * lam**j * mu ** (i - j))
-        i_base = igusa_clebsch(base)
+        c = 6**6
+        out = []
+        for j in range(7):
+            coords = [
+                c * sum(base[i][t] * comb(i, j) * lam**j * mu ** (i - j) for i in range(j, 7))
+                for t in range(2)
+            ]
+            assert all(x.denominator == 1 for x in coords)
+            out.append(K13.element([int(x) for x in coords]))
+        i_base = igusa_clebsch([K13.element(list(b)) for b in base])
         i_sub = igusa_clebsch(out)
+        factor = c * lam**3
+        assert factor.denominator == 1
         for d, (a, b) in zip((2, 4, 6, 10), zip(i_base, i_sub)):
-            assert b == a * lam ** (3 * d)
+            assert b == a * int(factor) ** d
+
+    def test_weight_table_from_the_clebsch_relations(self):
+        # Clebsch's A, B, C, D are the unscaled invariants of
+        # curves._clebsch_integral times products of the transvectant
+        # scales (m-k)!(n-k)!/(m!n!), and I_k of the form 4f is the
+        # classical combination below of A, B, C, D; folding both, and
+        # 4^k, over one reduced denominator per invariant gives the table
+        def s(m, n, k):
+            f = math.factorial
+            return Fraction(f(m - k) * f(n - k), f(m) * f(n))
+
+        s_i = s(6, 6, 4)  # i = (f, f)_4
+        s_y1 = s(6, 4, 4) * s_i  # y1 = (f, i)_4, y3 = (i, (i, y1)_2)_2
+        s_y3 = s(4, 2, 2) ** 2 * s_i**2 * s_y1
+        scale = (
+            s(6, 6, 6),
+            s(4, 4, 4) * s_i**2,
+            s(4, 4, 4) * s(4, 4, 2) * s_i**3,
+            s(2, 2, 2) * s_y3 * s_y1,
+        )
+        clebsch_to_igusa = (
+            ((-120, (1, 0, 0, 0)),),
+            ((-720, (2, 0, 0, 0)), (6750, (0, 1, 0, 0))),
+            ((8640, (3, 0, 0, 0)), (-108000, (1, 1, 0, 0)), (202500, (0, 0, 1, 0))),
+            (
+                (-62208, (5, 0, 0, 0)), (972000, (3, 1, 0, 0)), (1620000, (2, 0, 1, 0)),
+                (-3037500, (1, 2, 0, 0)), (-6075000, (0, 1, 1, 0)), (-4556250, (0, 0, 0, 1)),
+            ),
+        )
+        for k, terms, (den, table) in zip((2, 4, 6, 10), clebsch_to_igusa, curves._IC_WEIGHTS):
+            want = [w * 4**k * math.prod(x**e for x, e in zip(scale, exps)) for w, exps in terms]
+            assert [Fraction(n, den) for n, _ in table] == want
+            assert [e for _, e in table] == [e for _, e in terms]
+            assert math.gcd(den, *(n for n, _ in table)) == 1
 
     def test_double_root_kills_I10(self):
         sext = sextic_from_roots(1, [1, 1, 2, 3, 4, 5], K13)
@@ -913,21 +953,26 @@ class TestIgusaClebsch:
             "I6": ["-5484934104/531441", "2386589920/531441"],
             "I10": ["-1222121472/3486784401", "532320256/3486784401"],
         }
+        fracs = [[tuple(map(int, s.split("/"))) for s in ref[k]] for k in ("I2", "I4", "I6", "I10")]
+        # with mu the lcm of the denominators, mu^k I_k (k = 2, 4, 6, 10)
+        # is integral and the same weighted projective point
+        mu = math.lcm(*(d for coords in fracs for _, d in coords))
+        weights = (2, 4, 6, 10)
         prim = tuple(
-            QElement(K13, [Fraction(s) for s in ref[k]]) for k in ("I2", "I4", "I6", "I10")
+            K13.element([n * mu**k // d for n, d in coords]) for k, coords in zip(weights, fracs)
         )
-        alpha = QElement(K13, [-48, -60])
+        alpha = K13.element([-48, -60])
         mine = igusa_clebsch(C_FIX)
         assert weighted_pp_equal(mine, prim)
-        for i, d in ((0, 1), (1, 2), (2, 3), (3, 5)):
-            assert mine[i] == prim[i] * alpha ** (2 * d)
+        for m, r, k in zip(mine, prim, weights):
+            assert m * mu**k == r * alpha**k
 
 
 class TestWeightedPPEqual:
     def test_trivial_and_scaled(self):
         v = igusa_clebsch(C_FIX)
         assert weighted_pp_equal(v, v)
-        beta = QElement(K13, [2])
+        beta = K13.from_int(2)
         w = tuple(x * beta**d for x, d in zip(v, (1, 2, 3, 5)))
         assert weighted_pp_equal(v, w)
         # alpha = 2 scaling with the full alpha^{2i} pattern
@@ -941,7 +986,7 @@ class TestWeightedPPEqual:
 
     def test_zero_I10_rejected(self):
         v = igusa_clebsch(C_FIX)
-        z = (v[0], v[1], v[2], QElement(K13, []))
+        z = (v[0], v[1], v[2], K13.zero())
         with pytest.raises(ValueError):
             weighted_pp_equal(v, z)
 

@@ -5,7 +5,6 @@ import pytest
 from fermatkit.exactarith import UniPoly, _pm_mod, _pm_trim
 from fermatkit.numberfield import (
     NumberFieldOrder,
-    QElement,
     UnsupportedPrimeError,
     UnsupportedValuationError,
     cyclotomic_unit_generators,
@@ -240,18 +239,6 @@ class TestGaloisAction:
     def test_non_automorphism_rejected(self):
         with pytest.raises(ValueError):
             prime_key_action(KC, 5, UniPoly([0, 2]))
-
-
-class TestQElement:
-    def test_arithmetic(self):
-        from fractions import Fraction
-
-        a = QElement(K13, [Fraction(1, 2), Fraction(1, 3)])
-        b = QElement(K13, [2, 0])
-        assert (a * b).coords == (Fraction(1), Fraction(2, 3))
-        u2 = QElement(K13, [0, 1]) ** 2
-        assert u2 == QElement(K13, [3, 1])  # u^2 = u + 3
-        assert a - a == QElement(K13, [])
 
 
 from hypothesis import given, settings
