@@ -447,45 +447,65 @@ def _abs_trace_to_f2(x):
     return tot
 
 
-def count_weierstrass_points(coeffs, field) -> int:
-    """Points (with infinity) of a long Weierstrass model over `field`.
+def _weierstrass_count(a, field):
+    """Points (with infinity) over `field` of y^2 + a1 xy + a3 y = x^3 +
+    a2 x^2 + a4 x + a6, the a_i given as coefficient tuples, and whether
+    its discriminant vanishes. The b_i and Delta are the integer formulas
+    (b8 = b2 a6 - a1 a3 a4 + a2 a3^2 - a4^2) taken mod p, so they hold in
+    every characteristic. p = 2 counts by the Artin-Schreier trace; odd p
+    counts (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 by summing
+    1 + chi over x."""
+    p, k, mul = field.p, field.k, field.mul_kernel()
 
-    Works in every characteristic: p = 2 uses the Artin-Schreier trace;
-    odd p completes the square, y'^2 = x^3 + (a2 + a1^2/4) x^2 +
-    (a4 + a1 a3/2) x + (a6 + a3^2/4), and sums 1 + chi over x.
-    """
-    a1, a2, a3, a4, a6 = coeffs
-    if field.char == 2:
-        count = 1  # point at infinity
-        for x in field.elements():
-            c = a1 * x + a3
-            d = ((x + a2) * x + a4) * x + a6
-            if c.is_zero:
-                count += 1  # squaring is a bijection
-            else:
-                z = d * (c * c).inverse()
-                if _abs_trace_to_f2(z).is_zero:
-                    count += 2
-        return count
-    inv2 = field.from_int(2).inverse()
-    inv4 = inv2 * inv2
-    f = (a6 + a3 * a3 * inv4, a4 + a1 * a3 * inv2, a2 + a1 * a1 * inv4, field.one())
-    return 1 + _affine_count(f, field)
+    def comb(*terms):  # sum of c x over the (c, x) pairs
+        return tuple([sum(c * x[j] for c, x in terms) % p for j in range(k)])
+
+    a1, a2, a3, a4, a6 = a
+    a13, a33 = mul(a1, a3), mul(a3, a3)
+    b2, b4, b6 = comb((1, mul(a1, a1)), (4, a2)), comb((2, a4), (1, a13)), comb((1, a33), (4, a6))
+    b8 = comb((1, mul(b2, a6)), (-1, mul(a13, a4)), (1, mul(a2, a33)), (-1, mul(a4, a4)))
+    disc = comb((-1, mul(mul(b2, b2), b8)), (-8, mul(mul(b4, b4), b4)),
+                (-27, mul(b6, b6)), (9, mul(mul(b2, b4), b6)))
+    if p > 2:
+        f = (b6, [2 * c for c in b4], b2, (4,) + (0,) * (k - 1))
+        return 1 + _grid_count([list(zip(*f))], [[0]], _field_tables(field)), not any(disc)
+    a1, a2, a3, a4, a6 = (field.element(c) for c in a)
+    count = 1  # point at infinity
+    for x in field.elements():
+        c = a1 * x + a3
+        d = ((x + a2) * x + a4) * x + a6
+        if c.is_zero:
+            count += 1  # squaring is a bijection
+        elif _abs_trace_to_f2(d * (c * c).inverse()).is_zero:
+            count += 2
+    return count, not any(disc)
+
+
+def count_weierstrass_points(coeffs, field) -> int:
+    """Points (with infinity) of a long Weierstrass model over `field`,
+    its coefficients given as `FFElement`s, in every characteristic."""
+    return _weierstrass_count(tuple(c.coeffs for c in coeffs), field)[0]
+
+
+def _reduced_trace(a, field):
+    """Frobenius trace N + 1 - #E(F_N) of the model with coefficient
+    tuples a over F_N, or None when its discriminant vanishes there."""
+    n, singular = _weierstrass_count(a, field)
+    if singular:
+        return None
+    t = field.order + 1 - n
+    if t * t > 4 * field.order:
+        raise AssertionError("Hasse bound violated; counting bug")
+    return t
 
 
 def ec_trace(E: EllipticCurveNF, P: PrimeIdealData) -> int:
     """Frobenius trace a_P = N + 1 - #E(F_N) at a prime of good reduction."""
-    if ec_reduction_type(E, P) != "good":
+    coeffs = (E.a1, E.a2, E.a3, E.a4, E.a6)
+    t = _reduced_trace(tuple(reduce_element(c, P).coeffs for c in coeffs), P.residue_field)
+    if t is None:
         raise BadReductionError(f"{E!r} has bad reduction at {P.key}")
-    field = P.residue_field
-    coeffs = tuple(
-        reduce_element(a, P) for a in (E.a1, E.a2, E.a3, E.a4, E.a6)
-    )
-    n = count_weierstrass_points(coeffs, field)
-    a = field.order + 1 - n
-    if a * a > 4 * field.order:
-        raise AssertionError("Hasse bound violated; counting bug")
-    return a
+    return t
 
 
 def _squarefree_sextic(coeffs) -> bool:

@@ -29,8 +29,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
-from .curves import EllipticCurveNF, ec_invariants, ec_trace
+from .curves import EllipticCurveNF, _reduced_trace, ec_invariants
 from .exactarith import BiPoly, UniPoly, is_prime, poly_norm
 from .newformdata import (
     MissingEigenvalueError,
@@ -39,7 +40,7 @@ from .newformdata import (
     primes_above_in_Qf,
     reduce_eigenvalue,
 )
-from .numberfield import NumberFieldOrder, get_order, reduce_element, split_prime
+from .numberfield import NumberFieldOrder, get_order, known_orders, reduce_element, split_prime
 
 __all__ = [
     "FreyFamily",
@@ -120,14 +121,24 @@ def family_from_dict(data: dict) -> FreyFamily:
             "coefficient polynomials are not distributed with this toolkit"
         )
     try:
-        label = data["label"]
-        order = get_order(data["order"])
-        coeffs_in = data["coefficients"]
+        label, order_label, coeffs_in = data["label"], data["order"], data["coefficients"]
     except KeyError as e:
         raise FamilyConfigError(f"family config is missing field {e}") from None
+    if not isinstance(label, str):
+        raise FamilyConfigError(f"label: expected a string, got {label!r}")
+    if not isinstance(order_label, str) or order_label not in known_orders():
+        raise FamilyConfigError(
+            f"order: expected one of {sorted(known_orders())}, got {order_label!r}"
+        )
+    order = get_order(order_label)
     n = order.degree
     if not isinstance(coeffs_in, dict):
         raise FamilyConfigError("coefficients: expected an object")
+    unknown = [name for name in coeffs_in if name not in _COEFF_NAMES]
+    if unknown:
+        raise FamilyConfigError(
+            f"coefficients.{unknown[0]}: unknown coefficient; expected one of {list(_COEFF_NAMES)}"
+        )
     per_name = []
     for name in _COEFF_NAMES:
         rows = coeffs_in.get(name, [])
@@ -161,6 +172,11 @@ def family_from_dict(data: dict) -> FreyFamily:
             "admissibility: expected {\"excluded_primes\": [int], "
             "\"residue_conditions\": [{\"mod\": int, \"forbidden\": [int]}]}"
         ) from None
+    for i, (mod, _) in enumerate(conds):
+        if mod < 1:
+            raise FamilyConfigError(
+                f"admissibility.residue_conditions[{i}].mod: expected an integer >= 1, got {mod}"
+            )
     return FreyFamily(
         label=label,
         order=order,
@@ -224,31 +240,40 @@ def _family_local_data(family: FreyFamily, q: int) -> _LocalData:
 
 @lru_cache(maxsize=None)
 def _local_data(family: FreyFamily, q: int) -> _LocalData:
-    primes = tuple(split_prime(family.order, q))
+    """Reduction is a ring homomorphism, so a good pair's model mod P has
+    coefficients sum_i bp_i(a, b) red(w_i), red(w_i) the image of the
+    order's basis in F_P, taken once per prime; its discriminant and
+    trace come from those tuples (`curves._reduced_trace`). Pairs the
+    rule calls multiplicative (about q of them) are specialized over the
+    order, so a singular member still raises there."""
+    order, primes = family.order, tuple(split_prime(family.order, q))
+    basis = [order.element([0] * i + [1]) for i in range(order.degree)]
+    # per prime, column j lists component j of the images of the basis
+    images = [list(zip(*(reduce_element(w, P).coeffs for w in basis))) for P in primes]
     cases = {}
     traces = {}
     for pair in residue_pairs(q):
-        case = family.reduction_case(q, *pair)
-        cases[pair] = case
-        E = family.specialize(*pair)
-        disc = ec_invariants(E)[2]
-        if case == "good":
-            row = {}
-            for P in primes:
-                if reduce_element(disc, P).is_zero:
-                    raise FamilyConfigError(
-                        f"family {family.label}: rule says good at q={q}, "
-                        f"pair {pair}, but the discriminant vanishes at {P.key}"
-                    )
-                row[P.key] = ec_trace(E, P)
-            traces[pair] = row
-        else:
+        case = cases[pair] = family.reduction_case(q, *pair)
+        if case == "multiplicative":
+            disc = ec_invariants(family.specialize(*pair))[2]
             for P in primes:
                 if not reduce_element(disc, P).is_zero:
                     raise FamilyConfigError(
                         f"family {family.label}: rule says multiplicative at q={q}, "
                         f"pair {pair}, but the discriminant is a unit at {P.key}"
                     )
+            continue
+        values = [[bp(*pair) for bp in per_basis] for per_basis in family.coeffs]
+        row = traces[pair] = {}
+        for P, red in zip(primes, images):
+            a = tuple(tuple([sum(map(mul, vs, col)) % q for col in red]) for vs in values)
+            t = _reduced_trace(a, P.residue_field)
+            if t is None:
+                raise FamilyConfigError(
+                    f"family {family.label}: rule says good at q={q}, "
+                    f"pair {pair}, but the discriminant vanishes at {P.key}"
+                )
+            row[P.key] = t
     return _LocalData(primes=primes, cases=cases, traces=traces)
 
 
@@ -257,6 +282,19 @@ def _eigen_poly(packet: NewformPacket, key: str) -> UniPoly:
     if vec is None:
         raise MissingEigenvalueError(f"packet {packet.label} has no eigenvalue at {key}")
     return UniPoly(vec)
+
+
+def _trace_gcd(packet: NewformPacket, primes, row: dict, norms: dict) -> int:
+    """gcd over the primes P above q of |Norm(a_P(f) - t_P)|, t = row;
+    each norm is kept in `norms` under (P key, t)."""
+    g = 0
+    for P in primes:
+        key = (P.key, row[P.key])
+        if key not in norms:
+            diff = _eigen_poly(packet, P.key) - key[1]
+            norms[key] = abs(poly_norm(packet.coeff_poly, diff))
+        g = gcd(g, norms[key])
+    return g
 
 
 def Bq(family: FreyFamily, pair, packet: NewformPacket, q: int) -> int:
@@ -268,25 +306,19 @@ def Bq(family: FreyFamily, pair, packet: NewformPacket, q: int) -> int:
     data = _family_local_data(family, q)
     if data.cases.get(tuple(pair)) != "good":
         raise ValueError(f"pair {pair} has multiplicative reduction at q={q}")
-    h = packet.coeff_poly
-    g = 0
-    for P in data.primes:
-        t = data.traces[tuple(pair)][P.key]
-        diff = _eigen_poly(packet, P.key) - t
-        g = gcd(g, abs(poly_norm(h, diff)))
-    return g
+    return _trace_gcd(packet, data.primes, data.traces[tuple(pair)], {})
 
 
 def Aq(packet: NewformPacket, family: FreyFamily, q: int) -> int:
     """q times the product of Bq over good pairs times the level-raising
     norms at the primes above q. Zero propagates: the auxiliary prime
-    then carries no elimination power for this packet."""
+    then carries no elimination power for this packet. The local data
+    are looked up once, and each |Norm(a_P(f) - t)| is taken once."""
     data = _family_local_data(family, q)
     h = packet.coeff_poly
-    acc = q
-    for pair, case in data.cases.items():
-        if case == "good":
-            acc *= Bq(family, pair, packet, q)
+    acc, norms = q, {}
+    for row in data.traces.values():
+        acc *= _trace_gcd(packet, data.primes, row, norms)
     for P in data.primes:
         v = _eigen_poly(packet, P.key)
         diff = v * v - (P.norm + 1) ** 2

@@ -1198,8 +1198,12 @@ def integer_roots(poly: UniPoly) -> list:
 
 
 def count_real_roots_where_positive(h, g) -> int:
-    """Number of distinct real roots r of h with g(r) > 0."""
-    common = _zgcd(_zcoeffs(h), _zcoeffs(g))
+    """Number of distinct real roots r of h with g(r) > 0; h must be
+    nonzero, since every real number is a root of 0."""
+    hc = _zcoeffs(h)
+    if not hc:
+        raise ValueError("count_real_roots_where_positive needs a nonzero h")
+    common = _zgcd(hc, _zcoeffs(g))
     zeros = real_root_count(common) if len(common) > 1 else 0
     twice_pos = real_root_count(h) - zeros + tarski_query(h, g)
     if twice_pos % 2 != 0:

@@ -133,6 +133,27 @@ class TestFamilyConfig:
         assert code == 2
         assert "coefficients.a1[0]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over,where", [
+        ({"admissibility": {"residue_conditions": [{"mod": 0, "forbidden": [1]}]}},
+         "admissibility.residue_conditions[0].mod: expected an integer >= 1, got 0"),
+        ({"label": [1]}, "label: expected a string, got [1]"),
+        ({"order": "nope"}, "order: expected one of ["),
+        ({"coefficients": {"a1": [[[1]]], "a5": [[[1]]]}}, "coefficients.a5: unknown coefficient"),
+    ], ids=["mod-zero", "list-label", "unknown-order", "unknown-coefficient"])
+    def test_family_files_that_crashed_exit_2(self, tmp_path, capsys, over, where):
+        from fermatkit.cli import main
+
+        bad = tmp_path / "fam.json"
+        bad.write_text(json.dumps(dict(DEMO, **over)))
+        with pytest.raises(FamilyConfigError) as exc:
+            load_family(bad)
+        assert str(exc.value).startswith(f"{bad}: ") and where in str(exc.value)
+        code = main(["eliminate", "--family", str(bad),
+                     "--packets", "packets/demo_self_1_3.json", "--q", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and where in err
+
 
 class TestBq:
     def test_self_pair_gives_zero(self):
@@ -416,3 +437,97 @@ class TestConsistencyFixture:
         fam_file.write_text(json.dumps(d))
         with pytest.raises(FamilyConfigError, match="j-invariants differ"):
             load_family(fam_file)
+
+
+def old_route_local_data(fam, q):
+    """The per-pair route over the order: specialize, then ec_invariants,
+    then ec_trace at each prime above q."""
+    from fermatkit.curves import ec_invariants, ec_trace
+
+    primes = split_prime(fam.order, q)
+    cases, traces = {}, {}
+    for pair in residue_pairs(q):
+        cases[pair] = fam.reduction_case(q, *pair)
+        E = fam.specialize(*pair)
+        zero = [reduce_element(ec_invariants(E)[2], P).is_zero for P in primes]
+        assert all(zero) if cases[pair] == "multiplicative" else not any(zero)
+        if cases[pair] == "good":
+            traces[pair] = {P.key: ec_trace(E, P) for P in primes}
+    return cases, traces
+
+
+class TestLocalDataOracle:
+    @pytest.mark.parametrize("name", ["demo_sum_rule_cubic", "demo_sum_rule_sqrt13"])
+    def test_reduced_tuples_match_the_order_route(self, name):
+        from fermatkit.elimination import _local_data
+
+        fam = load_family(FIXTURES / "families" / f"{name}.json")
+        qs = [q for q in range(2, 24) if fam.is_admissible(q)]
+        assert qs == [5, 7, 11, 17, 19, 23]
+        for q in qs:
+            data = _local_data(fam, q)
+            assert (data.cases, data.traces) == old_route_local_data(fam, q), q
+
+    @pytest.mark.parametrize("order", ["K13cubic", "Qsqrt13"])
+    def test_characteristics_two_and_three(self, order):
+        from fermatkit.elimination import _local_data
+
+        # Delta = -s(432 s + 1), s = a + b, so the rule is exact at 2 and 3 too
+        fam = demo_family(label=f"demo-{order}-small-q", order=order,
+                          admissibility={"excluded_primes": [13]})
+        for q in (2, 3):
+            data = _local_data(fam, q)
+            assert (data.cases, data.traces) == old_route_local_data(fam, q), q
+
+    def test_rule_that_calls_a_bad_pair_good(self):
+        from fermatkit.elimination import _local_data
+
+        # constant rule: every pair "good", but Delta = -s(432 s + 1), s = a + b,
+        # vanishes mod 5 at s = 2 (865 = 5 * 173) first
+        liar = family_from_dict(dict(DEMO, label="liar-good", multiplicative_iff_zero=[[1]]))
+        with pytest.raises(FamilyConfigError,
+                           match=r"rule says good at q=5, pair \(0, 2\), but the "
+                                 r"discriminant vanishes at 5\.0"):
+            _local_data(liar, 5)
+
+    def test_rule_that_calls_a_good_pair_multiplicative(self):
+        from fermatkit.elimination import _local_data
+
+        # rule a: (0, 1) is "multiplicative", but Delta = -433 is a unit mod 5
+        liar = family_from_dict(dict(DEMO, label="liar-mult", multiplicative_iff_zero=[[0, 1]]))
+        with pytest.raises(FamilyConfigError,
+                           match=r"rule says multiplicative at q=5, pair \(0, 1\), "
+                                 r"but the discriminant is a unit at 5\.0"):
+            _local_data(liar, 5)
+
+    def test_member_singular_over_the_order_still_raises(self):
+        from fermatkit.elimination import _local_data
+
+        # a6 = a: the member at (0, b) is y^2 + xy = x^3, singular over the order
+        d = dict(DEMO, label="singular-member", coefficients={"a1": [[[1]]], "a6": [[[0], [1]]]},
+                 multiplicative_iff_zero=[[0, 1, 432]])
+        with pytest.raises(ValueError, match="singular Weierstrass model") as exc:
+            _local_data(family_from_dict(d), 5)
+        assert not isinstance(exc.value, FamilyConfigError)
+
+
+def test_every_cli_seed_of_the_elimination_workload():
+    """All 32 frozen CLI seeds of perfbench's `elimination` workload give
+    their reference digests (`elimination-soundness` draws different
+    pairs at each seed)."""
+    import sys
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    refs = workloads.load_refs()
+    failed, ran = [], 0
+    for seed in range(workloads.CLI_SEED_COUNT):
+        ops = workloads.plan("elimination", seed)
+        _, outcomes = workloads.run_ops(ops, workloads.expected_digests(refs, "elimination", seed))
+        failed += [(seed, op_id, note) for op_id, ok, note in outcomes if not ok]
+        ran += len(outcomes)
+    assert failed == [] and ran == 3 * 32

@@ -394,6 +394,11 @@ class TestRealRootCounting:
         assert count_real_roots_where_positive([0, 1], [24]) == 1
         assert count_real_roots_where_positive([0, 1], [-1]) == 0
 
+    @pytest.mark.parametrize("h", [UniPoly([]), [], [0]])
+    def test_positive_count_refuses_the_zero_polynomial(self, h):
+        with pytest.raises(ValueError, match="nonzero h"):
+            count_real_roots_where_positive(h, UniPoly([1, 4, 0, 6]))
+
 
 @settings(max_examples=150, deadline=None)
 @given(
