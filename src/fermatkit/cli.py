@@ -38,7 +38,7 @@ from .curves import (
     weighted_pp_equal,
 )
 from .elimination import (
-    FamilyConfigError,
+    ExternalDataSlotError,
     load_family,
     refined_eliminate,
     standard_eliminate,
@@ -369,7 +369,6 @@ def check_unit_rank_verified(ctx) -> CheckResult:
 
 
 def check_sieve_soundness(ctx) -> CheckResult:
-    rng = random.Random(ctx.seed)
     problems = []
     # character route == exact-residue route, one prime at a time
     for q in (2, 11, 19, 23, 29, 41):
@@ -398,7 +397,6 @@ def check_sieve_soundness(ctx) -> CheckResult:
     s_more = sieve_case_bits("divisible-13", more)
     if s_more & ~s_base:
         problems.append("adding a constraint enlarged the survivor set")
-    _ = rng  # seed reserved for future randomized extensions
     ok = not problems
     return CheckResult(
         "sieve-soundness",
@@ -507,22 +505,6 @@ def check_external_elimination(ctx):
     )
 
 
-CHECK_NAMES = [
-    "euler-rm-at-3",
-    "invariant-valuations-at-2",
-    "igusa-proportionality",
-    "projective-frobenius-orders",
-    "mod7-congruence-norm-200",
-    "unit-classes-and-rank-stated",
-    "unit-rank-verified",
-    "sieve-soundness",
-    "elimination-soundness",
-    "contradiction-checkers",
-    "sieve-empty-divisible-13",
-    "sieve-empty-coprime-13",
-    "four-constituents-elimination",
-]
-
 _CHECK_FNS = {
     "euler-rm-at-3": check_euler_rm_at_3,
     "invariant-valuations-at-2": check_invariant_valuations,
@@ -538,6 +520,8 @@ _CHECK_FNS = {
     "sieve-empty-coprime-13": lambda ctx: check_external_sieve(ctx, "coprime-13"),
     "four-constituents-elimination": check_external_elimination,
 }
+
+CHECK_NAMES = list(_CHECK_FNS)
 
 
 def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport:
@@ -672,12 +656,9 @@ def cmd_eliminate(args, ctx) -> int:
     ctx.record_input(fam_path)
     try:
         fam = load_family(fam_path)
-    except FamilyConfigError as e:
-        if "external-data slot" in str(e):
-            report.checks.append(CheckResult("family", STATUS_SKIP, str(e)))
-            return _emit(args, report)
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except ExternalDataSlotError as e:
+        report.checks.append(CheckResult("family", STATUS_SKIP, str(e)))
+        return _emit(args, report)
     pk_path = ctx.path(args.packets)
     ctx.record_input(pk_path)
     packets = load_packets(pk_path)
@@ -751,7 +732,7 @@ def _load_constraints(ctx, path):
             raise ValueError(f"constraints[{i}].family: expected a file path")
         if not isinstance(c.get("targets_from_curve", ""), str):
             raise ValueError(f"constraints[{i}].targets_from_curve: expected a file path")
-        fam = load_family(ctx.path(c["family"]))  # may raise external-slot error
+        fam = load_family(ctx.path(c["family"]))  # may raise ExternalDataSlotError
         if "targets_from_curve" in c:
             curve = _load_curve(ctx, c["targets_from_curve"])
             targets = modular_targets_from_curve(curve, q)
@@ -781,11 +762,9 @@ def cmd_sieve(args, ctx) -> int:
         return 2
     try:
         constraints = _load_constraints(ctx, args.constraints)
-    except FamilyConfigError as e:
-        if "external-data slot" in str(e):
-            report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e)))
-            return _emit(args, report)
-        raise
+    except ExternalDataSlotError as e:
+        report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e)))
+        return _emit(args, report)
     t0 = time.monotonic()
     bits = sieve_case_bits(case, constraints)
     ms = _elapsed_ms(t0)

@@ -13,13 +13,14 @@ is counted over F through the norm, chi_{N^2}(z) = chi_N(N(z)): the
 norm of f(a + bt) is G(a, S b^2) for one bivariate polynomial G over F,
 and the whole (a, b) grid is evaluated in packed blocks, at split and
 inert primes alike. Characteristic 2 uses the Artin-Schreier trace.
-Euler factors come from counts over F_N and F_{N^2}. A sextic model is
-smooth when the binary sextic has no repeated root, decided by
-gcd(f, f') = 1 through a pseudo-remainder sequence over the order, both
-for the curve over K and for each reduction. Igusa-Clebsch invariants
-are computed by classical transvectants over the order, in integers,
-and projective Frobenius orders by a two-term recurrence. All functions
-are pure; inputs are immutable.
+Euler factors come from counts over F_N and F_{N^2}. Igusa-Clebsch
+invariants are computed by classical transvectants over the order, in
+integers, once per sextic model, when it is built. A sextic model is
+smooth when the binary sextic has no repeated root on P^1, which is
+I10 != 0, since I10 = 2^20 Disc(f) as integer polynomials in the
+coefficients; so at an odd prime P the reduction is smooth exactly when
+I10 is a unit at P. Projective Frobenius orders come from a two-term
+recurrence. All functions are pure; inputs are immutable.
 """
 from __future__ import annotations
 
@@ -115,8 +116,11 @@ class HyperellipticCurveNF:
         for c in self.coeffs:
             if c.order != order:
                 raise ValueError("curve coefficients live in different orders")
-        if not _squarefree_sextic(self.coeffs):
+        invariants = igusa_clebsch(self.coeffs)
+        if invariants[3].is_zero:
             raise ValueError("singular sextic (discriminant invariant vanishes)")
+        # kept on the instance, outside the fields: eq, hash and repr ignore it
+        object.__setattr__(self, "_invariants", invariants)
 
     @property
     def order(self):
@@ -508,42 +512,6 @@ def ec_trace(E: EllipticCurveNF, P: PrimeIdealData) -> int:
     return t
 
 
-def _squarefree_sextic(coeffs) -> bool:
-    """True when f = sum coeffs[i] x^i has degree at least five and
-    gcd(f, f') = 1: the binary sextic has no repeated root on P^1.
-
-    Over a field that is smoothness of y^2 = f(x) (a degree below five
-    puts a repeated root at infinity); in characteristic 0 it is I10 != 0.
-    The coefficients may lie in any integral domain with +, -, * and
-    is_zero (an order of a number field, a finite field): a
-    pseudo-remainder sequence, which multiplies by leading coefficients
-    instead of dividing, has the degrees of Euclid's remainders over the
-    fraction field.
-    """
-
-    def trim(c):
-        while c and c[-1].is_zero:
-            c.pop()
-        return c
-
-    f = trim(list(coeffs))
-    if len(f) < 6:
-        return False
-    g = trim([i * f[i] for i in range(1, len(f))])
-    while len(g) > 1:
-        r = f
-        while len(r) >= len(g):  # r <- lc(g) r - lc(r) x^d g
-            c, d = r[-1], len(r) - len(g)
-            r = [x * g[-1] for x in r]
-            for j, y in enumerate(g):
-                r[d + j] = r[d + j] - c * y
-            r = trim(r[:-1])
-        if not r:
-            return False
-        f, g = g, r
-    return bool(g)
-
-
 def _count_sextic_ext2(c, T: _PackedField) -> int:
     """Points of y^2 = sum c[n] x^n over F_{N^2} = F[t]/(t^2 - S), c the
     seven coefficients over the residue field F of order N (k-tuples, see
@@ -588,18 +556,16 @@ def _count_sextic_ext2(c, T: _PackedField) -> int:
 
 
 def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
-    """The seven coefficients of C reduced at P, checked to stay smooth."""
+    """The seven coefficients of C reduced at P, where the reduction stays
+    smooth: P is odd and I10 = 2^20 Disc(f) is a unit at P."""
     if P.q == 2:
         raise SingularReductionError("genus-2 counting in characteristic 2 is unsupported")
-    red = [reduce_element(c, P) for c in C.coeffs]
-    if not _squarefree_sextic(red):
+    if reduce_element(C._invariants[3], P).is_zero:
         raise SingularReductionError(f"singular reduction at {P.key}")
-    return red
+    return [reduce_element(c, P) for c in C.coeffs]
 
 
-def hyp_count_points(
-    C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1, reduced: list = None
-) -> int:
+def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -> int:
     """Points of the smooth projective genus-2 model over F_{N^ext}.
 
     Affine part is sum over x of 1 + chi(f(x)); points at infinity follow
@@ -608,12 +574,10 @@ def hyp_count_points(
     none if it is a non-square. F_N is counted by `_affine_count`, and
     F_{N^2} over the residue field F_N on one packed grid of norm values
     down to F_N (`_count_sextic_ext2`), at split and inert primes alike.
-    `reduced` is C's reduction at P from `_reduce_sextic`, for a caller
-    that counts over both fields.
     """
     if ext not in (1, 2):
         raise ValueError("ext must be 1 or 2")
-    red = _reduce_sextic(C, P) if reduced is None else reduced
+    red = _reduce_sextic(C, P)
     T = _field_tables(P.residue_field)
     if ext == 2:
         return _count_sextic_ext2([x.coeffs for x in red], T)
@@ -622,9 +586,8 @@ def hyp_count_points(
 
 def g2_euler_factor(C: HyperellipticCurveNF, P: PrimeIdealData) -> EulerFactorG2:
     """Euler-factor data (N, a1, a2) from counts over F_N and F_{N^2}."""
-    red = _reduce_sextic(C, P)
-    n1 = hyp_count_points(C, P, 1, red)
-    n2 = hyp_count_points(C, P, 2, red)
+    n1 = hyp_count_points(C, P, 1)
+    n2 = hyp_count_points(C, P, 2)
     N = P.norm
     a1 = N + 1 - n1
     s2 = N * N + 1 - n2  # sum of squared Frobenius eigenvalues
@@ -761,15 +724,15 @@ def igusa_clebsch(curve):
     They are integral: polynomials with integer coefficients in those
     of f.
 
-    Accepts a HyperellipticCurveNF or seven NFElement coefficients; raw
-    input may be degenerate, in which case I10 comes back zero.
+    Accepts a HyperellipticCurveNF, whose invariants were computed when
+    it was built, or seven NFElement coefficients; raw input may be
+    degenerate, in which case I10 comes back zero.
     """
     if isinstance(curve, HyperellipticCurveNF):
-        coeffs = curve.coeffs
-    else:
-        coeffs = list(curve)
-        if len(coeffs) != 7:
-            raise ValueError("need 7 sextic coefficients")
+        return curve._invariants
+    coeffs = list(curve)
+    if len(coeffs) != 7:
+        raise ValueError("need 7 sextic coefficients")
     order = coeffs[0].order
     clebsch = _clebsch_integral(coeffs)
     out = []

@@ -45,6 +45,7 @@ from .numberfield import NumberFieldOrder, get_order, known_orders, reduce_eleme
 __all__ = [
     "FreyFamily",
     "FamilyConfigError",
+    "ExternalDataSlotError",
     "EliminationReport",
     "StandardVerdict",
     "RefinedVerdict",
@@ -64,6 +65,10 @@ ALL_PRIMES = "all"
 
 class FamilyConfigError(ValueError):
     """The family config contradicts itself at runtime."""
+
+
+class ExternalDataSlotError(FamilyConfigError):
+    """The family config is a slot for data not distributed with the toolkit."""
 
 
 _COEFF_NAMES = ("a1", "a2", "a3", "a4", "a6")
@@ -116,7 +121,7 @@ def family_from_dict(data: dict) -> FreyFamily:
     if not isinstance(data, dict):
         raise FamilyConfigError("family config: expected an object")
     if data.get("status") == "external":
-        raise FamilyConfigError(
+        raise ExternalDataSlotError(
             f"family {data.get('label')!r} is an external-data slot; its "
             "coefficient polynomials are not distributed with this toolkit"
         )
@@ -201,22 +206,44 @@ def load_family(path) -> FreyFamily:
             ) from None
     try:
         fam = family_from_dict(data)
+        cons = _consistency_block(data.get("consistency"))
     except FamilyConfigError as e:
-        raise FamilyConfigError(f"{path}: {e}") from None
-    cons = data.get("consistency")
+        raise type(e)(f"{path}: {e}") from None
     if cons:
         from .curves import load_curve, same_j_invariant
 
-        rel = Path(cons["curve"])
-        cpath = rel if rel.is_absolute() else (Path(path).parent / rel)
-        curve = load_curve(cpath)
-        a, b = cons["specialization"]
-        if not same_j_invariant(fam.specialize(a, b), curve):
+        name, (a, b) = cons
+        try:
+            member = fam.specialize(a, b)
+        except ValueError as e:
+            raise FamilyConfigError(f"{path}: consistency.specialization: {e}") from None
+        rel = Path(name)
+        curve = load_curve(rel if rel.is_absolute() else (Path(path).parent / rel))
+        if not same_j_invariant(member, curve):
             raise FamilyConfigError(
                 f"{path}: the specialization at ({a}, {b}) does not match the "
-                f"consistency fixture {cons['curve']} (j-invariants differ)"
+                f"consistency fixture {name} (j-invariants differ)"
             )
     return fam
+
+
+def _consistency_block(cons):
+    """(curve path, (a, b)) of a family's consistency block, or None."""
+    if not cons:
+        return None
+    if not isinstance(cons, dict):
+        raise FamilyConfigError(
+            f"consistency: expected an object with \"curve\" and \"specialization\", got {cons!r}"
+        )
+    name, spec = cons.get("curve"), cons.get("specialization")
+    if not isinstance(name, str):
+        raise FamilyConfigError(f"consistency.curve: expected a curve file path, got {name!r}")
+    _check_nested(spec, "consistency.specialization", 1)
+    if len(spec) != 2:
+        raise FamilyConfigError(
+            f"consistency.specialization: expected two integers [a, b], got {spec!r}"
+        )
+    return name, tuple(spec)
 
 
 def residue_pairs(q: int):

@@ -66,6 +66,8 @@ class UnsupportedResiduePrimeError(ValueError):
 class MissingEigenvalueError(KeyError):
     """A checker needed an eigenvalue the packet does not carry."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's quoted repr
+
 
 @dataclass(frozen=True)
 class NewformPacket:

@@ -219,6 +219,48 @@ class TestErrors:
         assert code == 2
         assert where in err
 
+    def test_external_slot_detected_by_type_not_by_message(self, capsys, tmp_path):
+        bad = tmp_path / "external-data slot.json"
+        bad.write_text(json.dumps({"label": "x"}))
+        code, out, err = run(
+            capsys, "eliminate", "--family", str(bad),
+            "--packets", "packets/demo_self_1_3.json", "--q", "5",
+        )
+        assert code == 2 and "skipped" not in out
+        assert "missing field" in err
+
+    def test_missing_eigenvalue_prints_the_plain_message(self, capsys):
+        code, _, err = run(
+            capsys, "eliminate",
+            "--family", "families/demo_sum_rule_cubic.json",
+            "--packets", "packets/f11_fixture.json",
+            "--q", "7",
+        )
+        assert code == 2
+        assert err == "error: packet f11 has no eigenvalue at 7.0\n"
+
+    @pytest.mark.parametrize("cons,where", [
+        ([1], "consistency:"),
+        ({"curve": 5, "specialization": [1, 3]}, "consistency.curve:"),
+        ({"specialization": [1, 3]}, "consistency.curve:"),
+        ({"curve": "../curves/E_1_-1.curve"}, "consistency.specialization:"),
+        ({"curve": "../curves/E_1_-1.curve", "specialization": [1, True]},
+         "consistency.specialization:"),
+        ({"curve": str(FIXTURES / "curves" / "E_1_-1.curve"), "specialization": [0, 0]},
+         "consistency.specialization: singular"),
+    ], ids=["list", "curve-not-a-path", "no-curve", "no-specialization", "bool-coordinate",
+            "singular-member"])
+    def test_malformed_consistency_block_named(self, capsys, tmp_path, cons, where):
+        data = json.loads((FIXTURES / "families" / "demo_sum_rule_cubic.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**data, "consistency": cons}))
+        code, _, err = run(
+            capsys, "eliminate", "--family", str(bad),
+            "--packets", "packets/demo_self_1_3.json", "--q", "5",
+        )
+        assert code == 2
+        assert err.startswith(f"error: {bad}: {where}")
+
 
 class TestFullReport:
     FAST = "euler-rm-at-3,invariant-valuations-at-2,contradiction-checkers"

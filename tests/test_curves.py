@@ -33,10 +33,20 @@ from fermatkit.curves import (
 )
 from fermatkit import curves
 from fermatkit.curves import _affine_count, _count_sextic_ext2, _field_tables, _grid_count, _packed_field
-from fermatkit.exactarith import FiniteField, QuadExt, UniPoly, _pm_gcd, _pm_trim, field_nonsquare
+from fermatkit.exactarith import (
+    FiniteField,
+    QuadExt,
+    UniPoly,
+    _pm_gcd,
+    _pm_trim,
+    bareiss_det,
+    field_nonsquare,
+    is_prime,
+)
 from fermatkit.numberfield import (
     get_order,
     prime_by_key,
+    reduce_element,
     split_prime,
 )
 
@@ -692,20 +702,12 @@ class TestEulerFactors:
             s = g2_rm_split(e)
             assert rm_split_to_euler(s, e.N) == e
 
-    def test_reduces_and_checks_once(self, monkeypatch):
-        """One smoothness check per prime for both counts, with the same
-        counts as two separate calls; bad primes still raise."""
-        from fermatkit import curves
-
-        calls = []
-        check = curves._squarefree_sextic
-        monkeypatch.setattr(curves, "_squarefree_sextic",
-                            lambda *a: calls.append(1) or check(*a))
+    def test_reduces_and_checks_once(self):
+        """The Euler factor has the counts of two separate calls; bad
+        primes still raise."""
         for key in ("3.0", "5.0", "17.1"):
             P = prime_by_key(K13, key)
-            calls.clear()
             e = g2_euler_factor(C_FIX, P)
-            assert len(calls) == 1
             n1, n2 = hyp_count_points(C_FIX, P, 1), hyp_count_points(C_FIX, P, 2)
             assert (e.a1, e.a1 * e.a1 - 2 * e.a2) == (P.norm + 1 - n1, P.norm**2 + 1 - n2)
         for q in (2, 13):
@@ -810,9 +812,71 @@ def _poly_mul(f, g, zero):
     return out
 
 
+def squarefree_sextic(coeffs) -> bool:
+    """Independent smoothness oracle: True when f = sum coeffs[i] x^i has
+    degree at least five and gcd(f, f') = 1, so that the binary sextic
+    has no repeated root on P^1 (a degree below five puts a repeated root
+    at infinity).
+
+    The coefficients may lie in any integral domain with +, -, * and
+    is_zero (an order of a number field, a finite field): a
+    pseudo-remainder sequence, which multiplies by leading coefficients
+    instead of dividing, has the degrees of Euclid's remainders over the
+    fraction field.
+    """
+
+    def trim(c):
+        while c and c[-1].is_zero:
+            c.pop()
+        return c
+
+    f = trim(list(coeffs))
+    if len(f) < 6:
+        return False
+    g = trim([i * f[i] for i in range(1, len(f))])
+    while len(g) > 1:
+        r = f
+        while len(r) >= len(g):  # r <- lc(g) r - lc(r) x^d g
+            c, d = r[-1], len(r) - len(g)
+            r = [x * g[-1] for x in r]
+            for j, y in enumerate(g):
+                r[d + j] = r[d + j] - c * y
+            r = trim(r[:-1])
+        if not r:
+            return False
+        f, g = g, r
+    return bool(g)
+
+
+def sylvester(f, g):
+    """Sylvester matrix of f and g, integer coefficient lists from the
+    constant term up, of degrees len(f) - 1 and len(g) - 1."""
+    m, n = len(f) - 1, len(g) - 1
+    return [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)] + [
+        [0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
+def binary_sextic_disc(c) -> int:
+    """Discriminant of the binary sextic sum c[i] x^i z^(6-i), c integers:
+    -Res(f, f')/c6 in degree 6; c5 Res(f, f') in degree 5, where the
+    simple root at infinity contributes c5^2 times the quintic's
+    discriminant Res(f, f')/c5; zero below (a repeated root at infinity)."""
+    for n in (6, 5):
+        if c[n]:
+            f = list(c[: n + 1])
+            res = bareiss_det(sylvester(f, [i * f[i] for i in range(1, n + 1)]))
+            if n == 6:
+                assert res % c[6] == 0
+                return -res // c[6]
+            return c[5] * res
+    return 0
+
+
 class TestSmoothness:
-    """`_squarefree_sextic` (the validation of every sextic) against the
-    Igusa-Clebsch discriminant over Q(sqrt13) and gcd(f, f') mod p."""
+    """Smoothness read off I10, against the pseudo-remainder gcd oracle
+    over Q(sqrt13), over the cubic field and mod p, and against the
+    Sylvester discriminant."""
 
     def test_matches_igusa_clebsch_i10(self):
         rng = random.Random(51)
@@ -834,8 +898,13 @@ class TestSmoothness:
             ]
         smooth = 0
         for c in cases:
-            want = not igusa_clebsch(c)[3].is_zero
-            assert curves._squarefree_sextic(c) == want, c
+            want = squarefree_sextic(c)
+            assert igusa_clebsch(c)[3].is_zero is not want, c
+            if want:
+                assert igusa_clebsch(HyperellipticCurveNF(coeffs=tuple(c)))[3] == igusa_clebsch(c)[3]
+            else:
+                with pytest.raises(ValueError, match="singular sextic"):
+                    HyperellipticCurveNF(coeffs=tuple(c))
             smooth += want
         assert 0 < smooth < len(cases)
 
@@ -847,7 +916,8 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("p", (3, 5, 7, 11))
     def test_matches_gcd_mod_p(self, p):
-        F = FiniteField(p, UniPoly([0, 1]))
+        """I10 of an integer sextic vanishes mod p exactly when f mod p
+        fails the gcd test, p = 3 included (where f' loses its top term)."""
         rng = random.Random(p)
         for _ in range(150):
             c = [rng.randrange(p) for _ in range(7)]
@@ -857,7 +927,67 @@ class TestSmoothness:
             f = _pm_trim([x % p for x in c])
             df = _pm_trim([i * f[i] % p for i in range(1, len(f))])
             want = len(f) >= 6 and bool(df) and _pm_gcd(f, df, p) == (1,)
-            assert curves._squarefree_sextic([F.from_int(x) for x in c]) == want, c
+            i10 = igusa_clebsch([K13.from_int(x) for x in c])[3]
+            assert i10.coords[1] == 0
+            assert (i10.coords[0] % p != 0) == want, c
+
+    def test_i10_is_2_to_the_20_times_the_discriminant(self):
+        rng = random.Random(20)
+        nonzero = 0
+        for deg in (6, 5, 4, 3, 0):
+            for _ in range(6):
+                c = [rng.randrange(-9, 10) for _ in range(deg)] + [rng.choice((-3, -1, 1, 2))]
+                c += [0] * (6 - deg)
+                disc = binary_sextic_disc(c)
+                assert igusa_clebsch([K13.from_int(x) for x in c])[3] == K13.from_int(2**20 * disc), c
+                nonzero += disc != 0
+        assert nonzero >= 10
+
+    @pytest.mark.parametrize("label", ("Qsqrt13", "K13cubic"))
+    def test_reduction_matches_gcd_at_every_prime_to_199(self, label):
+        """`_reduce_sextic` refuses exactly the primes where the reduced
+        coefficients fail the gcd oracle, and otherwise returns them. Per
+        p, one extra curve g^2 h + p r is smooth over K but has a square
+        factor at every prime above p."""
+        K = get_order(label)
+        rng = random.Random(label)
+
+        def rand(n, bound=9):
+            return [K.element([rng.randrange(-bound, bound + 1) for _ in range(K.degree)])
+                    for _ in range(n)]
+
+        def smooth(c):
+            try:
+                return HyperellipticCurveNF(coeffs=tuple(c))
+            except ValueError:
+                return None
+
+        fixed = [C_FIX] if label == "Qsqrt13" else []
+        while len(fixed) < 3:
+            fixed += filter(None, [smooth(rand(7))])
+        outcomes = set()
+        for p in range(3, 200):
+            if not is_prime(p):
+                continue
+            forced = None
+            while forced is None:
+                g = rand(2, 3)
+                sq = _poly_mul(_poly_mul(g, g, K.zero()), rand(5, 3), K.zero())
+                forced = smooth([x + p * y for x, y in zip(sq, rand(7, 3))])
+            for P in split_prime(K, p):
+                for C in fixed + [forced]:
+                    red = [reduce_element(c, P) for c in C.coeffs]
+                    want = squarefree_sextic(red)
+                    try:
+                        got = curves._reduce_sextic(C, P)
+                    except SingularReductionError:
+                        got = None
+                    assert (got is not None) == want, (p, P.key, C)
+                    if got is not None:
+                        assert got == red
+                    assert C is not forced or not want
+                    outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestIgusaClebsch:

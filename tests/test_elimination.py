@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import gcd
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from fermatkit.elimination import (
     ALL_PRIMES,
     Aq,
     Bq,
+    ExternalDataSlotError,
     FamilyConfigError,
     family_from_dict,
     load_family,
@@ -71,6 +73,13 @@ class TestFamilyConfig:
     def test_external_slot_refused(self):
         with pytest.raises(FamilyConfigError, match="external-data slot"):
             load_family(FIXTURES / "families" / "frey_sqrt13.json")
+
+    def test_external_slot_keeps_its_class_through_the_path_prefix(self):
+        path = FIXTURES / "families" / "frey_sqrt13.json"
+        with pytest.raises(ExternalDataSlotError, match=rf"^{re.escape(str(path))}: family "):
+            load_family(path)
+        with pytest.raises(ExternalDataSlotError):
+            family_from_dict(json.loads(path.read_text()))
 
     def test_specialization(self):
         fam = demo_family()
