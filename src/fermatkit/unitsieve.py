@@ -19,6 +19,7 @@ each through the norm to F_{q^d}, d the order of q mod 7.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -45,6 +46,7 @@ __all__ = [
     "sieve_case_bits",
     "sieve_case_exhaustive",
     "sieve_case_exhaustive_bits",
+    "SurvivorSet",
     "generator_independence_rank",
     "modular_targets_from_curve",
 ]
@@ -78,8 +80,9 @@ class UnitClass:
         if not 0 <= n < UNIT_CLASS_COUNT:
             n %= UNIT_CLASS_COUNT
         u = object.__new__(cls)
-        object.__setattr__(u, "exps", (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401))
-        object.__setattr__(u, "index", n)
+        # the slots' own setters: the frozen __setattr__ is not consulted
+        _set_exps(u, (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401))
+        _set_index(u, n)
         return u
 
     def unit(self):
@@ -89,6 +92,9 @@ class UnitClass:
         for g, e in zip(gens, self.exps):
             acc = acc * g**e
         return acc
+
+
+_set_exps, _set_index = UnitClass.exps.__set__, UnitClass.index.__set__
 
 
 @dataclass(frozen=True)
@@ -222,6 +228,10 @@ def _norm_power(F, rs):
     about 2 log2(n) multiplies over one precomputed F_q-linear map per
     Frobenius power used (Itoh and Tsujii, 1988; von zur Gathen and
     Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
+
+    Each power is memoised on the exact norm y, so it is taken once per
+    distinct y and r: at each prime above 29 the 840 pairs a + b zeta
+    have 28 distinct norms.
     """
     q, f = F.p, F.k
     d = next(d for d in range(1, f + 1) if all(pow(q, d, r) == 1 for r in rs))
@@ -237,7 +247,8 @@ def _norm_power(F, rs):
     maps = {j: F.frobenius_kernel(d * j) for _, j in steps}
     steps = [(by_x, maps[j]) for by_x, j in steps]
     mul, zeros = F.mul_kernel(), (0,) * (f - 1)
-    plans = None if d == 1 else [_power_plan(F, e) for e in exps]
+    plans = [None if d == 1 else _power_plan(F, e) for e in exps]
+    memos = [{} for _ in exps]  # per exponent: norm y -> its power, made on first use
     cols = None  # (j, (e_0[j], ..., e_n[j])) wherever some e_k[j] != 0
 
     def symmetric():
@@ -272,13 +283,12 @@ def _norm_power(F, rs):
             y = x
             for by_x, frob in steps:
                 y = mul(x if by_x else y, frob(y))
-        if d == 1:
-            for e in exps:
-                yield (pow(y[0], e, q),) + zeros
-        else:
-            y = tuple(y)
-            for plan in plans:
-                yield plan(y)
+        key = y[0] if d == 1 else tuple(y)
+        for e, plan, memo in zip(exps, plans, memos):
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = (pow(key, e, q),) + zeros if plan is None else plan(key)
+            yield v
 
     return powers
 
@@ -543,13 +553,17 @@ def _pair_reduction(Q: PrimeIdealData):
     return lambda a, b: tuple([(a * u + b * z) % q for u, z in zip(one, zeta)])
 
 
-def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
-    """Survivor bits of one constraint by residues: (eps (1 - zeta)^delta)
-    to the (N-1)/7 against the same power of each admissible pair."""
+@lru_cache(maxsize=None)
+def _exhaustive_residues(constraint: SieveConstraint):
+    """What the oracle needs of one constraint in either descent case:
+    per prime above q its residue field, the masks of the values of
+    eps^((N-1)/7) and the value of (1 - zeta)^((N-1)/7); and the
+    admissible pairs' residue tuples. Memoized per constraint; the
+    descent cases share it."""
     order = get_order("Zzeta13")
     omz = order.one() - order.theta()
     primes = split_prime(order, constraint.q)
-    masks, powers, pairs = [], [], []
+    local, powers, pairs = [], [], []
     for Q in primes:
         if (Q.norm - 1) % 7:
             raise ValueError(f"7 does not divide the residue group order at {Q.key}")
@@ -562,14 +576,26 @@ def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
             for _ in range(6):
                 row.append(mul(row[-1], base))
             rows.append(row)
-        start = next(power(reduce_element(omz, Q).coeffs)) if delta else one
-        masks.append(_class_masks(rows, start, mul))
+        shift = next(power(reduce_element(omz, Q).coeffs))
+        local.append((F, _class_masks(rows, one, mul), shift))
         powers.append(power)
         pairs.append(_pair_reduction(Q))
     targets = set()
     for a, b in admissible_pairs(constraint):
         reds = [pair(a, b) for pair in pairs]
         targets.add(tuple(next(p(r)) if any(r) else None for r, p in zip(reds, powers)))
+    return tuple(local), frozenset(targets)
+
+
+def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
+    """Survivor bits of one constraint by residues: (eps (1 - zeta)^delta)
+    to the (N-1)/7 against the same power of each admissible pair. At
+    delta = 1 each value of eps^((N-1)/7) is multiplied by that of 1 - zeta."""
+    local, targets = _exhaustive_residues(constraint)
+    masks = [
+        {F.mul_kernel()(v, s): m for v, m in by_value.items()} if delta else by_value
+        for F, by_value, s in local
+    ]
     return _survivor_bits(masks, targets)
 
 
@@ -612,16 +638,53 @@ def sieve_case_exhaustive_bits(descent_case: str, constraints) -> int:
     return _sieve_bits(descent_case, constraints, _local_survivors_exhaustive)
 
 
-def sieve_case(descent_case: str, constraints) -> set:
-    """`sieve_case_bits` as a set of UnitClass."""
-    bits = sieve_case_bits(descent_case, constraints)
-    return {UnitClass.from_index(i) for i in class_indices(bits)}
+class SurvivorSet(Set):
+    """Read-only set of UnitClass over a survivor int, with no hashing.
+
+    Membership is a bit test (False for anything not a UnitClass), the
+    size is the popcount, and iteration makes each class in increasing
+    index order as it is reached. It equals any set with the same
+    classes; the set operators return plain sets.
+    """
+
+    __slots__ = ("_bits",)
+    __hash__ = None
+
+    def __init__(self, bits: int):
+        self._bits = bits
+
+    @property
+    def bits(self) -> int:
+        return self._bits
+
+    def __len__(self):
+        return self._bits.bit_count()
+
+    def __contains__(self, u):
+        return isinstance(u, UnitClass) and self._bits >> u.index & 1 == 1
+
+    def __iter__(self):
+        return map(UnitClass.from_index, class_indices(self._bits))
+
+    def __eq__(self, other):
+        if isinstance(other, SurvivorSet):
+            return self._bits == other._bits
+        return Set.__eq__(self, other)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return set(it)
 
 
-def sieve_case_exhaustive(descent_case: str, constraints) -> set:
-    """`sieve_case_exhaustive_bits` as a set of UnitClass."""
-    bits = sieve_case_exhaustive_bits(descent_case, constraints)
-    return {UnitClass.from_index(i) for i in class_indices(bits)}
+def sieve_case(descent_case: str, constraints) -> SurvivorSet:
+    """`sieve_case_bits` as a read-only set of UnitClass."""
+    return SurvivorSet(sieve_case_bits(descent_case, constraints))
+
+
+def sieve_case_exhaustive(descent_case: str, constraints) -> SurvivorSet:
+    """`sieve_case_exhaustive_bits` as a read-only set of UnitClass. The
+    oracle takes one power per distinct subfield norm of the pairs."""
+    return SurvivorSet(sieve_case_exhaustive_bits(descent_case, constraints))
 
 
 def generator_independence_rank(primes) -> int:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fermatkit.elimination import family_from_dict
+from fermatkit.elimination import family_from_dict, residue_pairs
 from fermatkit.exactarith import FFElement, FiniteField, is_nth_power_residue
 from fermatkit.numberfield import (
     cyclotomic_unit_generators,
@@ -15,6 +15,7 @@ from fermatkit.unitsieve import (
     UNIT_CLASS_COUNT,
     LocalCharacterTable,
     SieveConstraint,
+    SurvivorSet,
     UnitClass,
     _char_masks,
     _char_targets,
@@ -525,6 +526,66 @@ def test_norm_power_matches_plain_power(q):
             ], (Q.key, x)
 
 
+@pytest.mark.parametrize("q", (11, 23, 29, 41))
+def test_norm_power_memo_matches_fresh_calls(q):
+    """One `_norm_power` shared by every pair, whose powers are memoised
+    on the norm, yields what a fresh instance (empty memo) yields, for
+    every pair a + b zeta at every prime above q; the shared one takes
+    one power per distinct norm."""
+    for Q in split_prime(ZZ13, q):
+        F, pair = Q.residue_field, _pair_reduction(Q)
+        shared = _norm_power(F, (7,))
+        reds = [pair(a, b) for a, b in residue_pairs(q)]
+        for x in reds:
+            if any(x):
+                assert next(shared(x)) == next(_norm_power(F, (7,))(x)), (Q.key, x)
+
+
+@pytest.mark.parametrize("q", (23, 41))
+def test_norm_power_memo_keeps_early_stop(q, monkeypatch):
+    """The generator search still stops at the first power equal to 1:
+    it evaluates exactly the power plans that a lazy walk, candidate by
+    candidate, group by group and prime by prime, reaches before its
+    first power 1, counted once per distinct (r, norm)."""
+    from fermatkit import unitsieve
+
+    plain_plan, evaluated = unitsieve._power_plan, []
+
+    def counted_plan(F, e):
+        plan = plain_plan(F, e)
+
+        def run(y):
+            evaluated.append(e)
+            return plan(y)
+
+        return run
+
+    monkeypatch.setattr(unitsieve, "_power_plan", counted_plan)
+    for Q in split_prime(ZZ13, q):
+        F, n1 = Q.residue_field, Q.norm - 1
+        evaluated.clear()
+        g = _lex_least_generator(F)
+        groups = {}
+        for r in _group_prime_factors(q, F.k):
+            groups.setdefault(_order_mod(q, r), []).append(r)
+        seen, want = set(), 0
+        for idx in range(1, g.index() + 1):
+            x = F.from_index(idx)
+            stop = False
+            for d in sorted(groups):
+                for r in groups[d]:
+                    if d > 1:
+                        y = (x ** (n1 // (q**d - 1))).coeffs
+                        want += (r, y) not in seen
+                        seen.add((r, y))
+                    if x ** (n1 // r) == F.one():
+                        stop = True
+                        break
+                if stop:
+                    break
+        assert len(evaluated) == want, (Q.key, len(evaluated), want)
+
+
 @pytest.mark.parametrize("q", (2, 11, 19, 23, 29, 41, 547))
 def test_linear_norm_matches_itoh_tsujii(q):
     """The norm of x = c0 + c1 t to F_{q^d}, for every d | f, by the
@@ -609,11 +670,16 @@ def test_pair_reduction_by_linearity(q):
 
 
 def test_oracle_work_count(monkeypatch):
-    """A work count, not a timing: the exhaustive route at q = 23 makes
-    at most 9000 kernel multiplies and 2 `FFElement.__pow__` calls (the
-    fields' maps x -> x^q, when not yet built). With a full-field power
-    per pair and unit it made 18,616 and 1,070; the linear norms, the
-    Frobenius-Horner powers and the pairs formed on tuples make 7,958."""
+    """A work count, not a timing: the exhaustive route at q = 23, from
+    an empty per-constraint cache, makes at most 3000 kernel multiplies
+    and 2 `FFElement.__pow__` calls (the fields' maps x -> x^q, when not
+    yet built). With a full-field power per pair and unit it made 18,616
+    and 1,070; the linear norms, the Frobenius-Horner powers and the
+    pairs formed on tuples made 7,958; one power per distinct norm (143
+    of the 528 pairs' at each prime) makes about 2,540."""
+    from fermatkit import unitsieve
+
+    unitsieve._exhaustive_residues.cache_clear()
     calls, pows = [], []
     for Q in split_prime(ZZ13, 23):
         F = Q.residue_field
@@ -633,7 +699,7 @@ def test_oracle_work_count(monkeypatch):
     monkeypatch.setattr(FFElement, "__pow__", counted_pow)
     cons = [SieveConstraint(q=23, mode="unconstrained")]
     bits = sieve_case_exhaustive_bits("divisible-13", cons)
-    assert len(calls) <= 9000, len(calls)
+    assert len(calls) <= 3000, len(calls)
     assert len(pows) <= 2, len(pows)
     monkeypatch.undo()
     assert bits == sieve_case_bits("divisible-13", cons)
@@ -761,6 +827,52 @@ def test_bits_and_class_sets_agree():
     assert {u.index for u in sieve_case("coprime-13", cons)} == set(idx)
     assert {u.index for u in sieve_case_exhaustive("coprime-13", cons)} == set(idx)
     assert class_indices(0) == [] and class_indices(ALL_CLASSES) == list(range(16807))
+
+
+class TestSurvivorSet:
+    BITS = 1 | 1 << 5 | 1 << 49 | 1 << 16806
+
+    def test_set_semantics(self):
+        view = SurvivorSet(self.BITS)
+        plain = {UnitClass.from_index(i) for i in (0, 5, 49, 16806)}
+        assert view == plain and plain == view
+        assert view != plain - {UnitClass.from_index(5)}
+        assert plain - {UnitClass.from_index(5)} != view
+        assert view == SurvivorSet(self.BITS) and view != SurvivorSet(self.BITS >> 1)
+        assert SurvivorSet(0) == set() and len(SurvivorSet(0)) == 0
+        assert UnitClass((5, 0, 0, 0, 0)) in view and UnitClass.from_index(16806) in view
+        assert UnitClass((1, 0, 0, 0, 0)) not in view
+        for other in (5, "5", None, (5, 0, 0, 0, 0), 1.5):
+            assert other not in view
+        assert len(view) == self.BITS.bit_count() == 4
+        assert [u.index for u in view] == [0, 5, 49, 16806]
+        assert view.bits == self.BITS
+
+    def test_operators_return_sets(self):
+        view = SurvivorSet(self.BITS)
+        other = {UnitClass.from_index(5), UnitClass.from_index(6)}
+        for got, want in (
+            (view | other, {0, 5, 6, 49, 16806}),
+            (other | view, {0, 5, 6, 49, 16806}),
+            (view & other, {5}),
+            (other & view, {5}),
+            (view - other, {0, 49, 16806}),
+            (other - view, {6}),
+            (view & SurvivorSet(1 << 49), {49}),
+        ):
+            assert type(got) is set and {u.index for u in got} == want
+        with pytest.raises(TypeError):
+            hash(view)
+        with pytest.raises(AttributeError):
+            view.bits = 0
+
+    @pytest.mark.parametrize("q", (11, 23))
+    def test_routes_equal_as_views(self, q):
+        cons = [SieveConstraint(q=q, mode="unconstrained")]
+        for case in ("coprime-13", "divisible-13"):
+            slow, fast = sieve_case_exhaustive(case, cons), sieve_case(case, cons)
+            assert isinstance(slow, SurvivorSet) and slow == fast, case
+            assert slow.bits == sieve_case_bits(case, cons), case
 
 
 def gauss_jordan_rank(rows) -> int:
