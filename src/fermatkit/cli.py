@@ -649,9 +649,33 @@ def cmd_check_congruence(args, ctx) -> int:
     return _emit(args, report)
 
 
+# The largest auxiliary prime a constraint file or `eliminate --q` may
+# name. The shipped files stop at 41. The cost grows with q: the modular
+# mode and the family local data walk all q^2 - 1 Frey curves (about
+# 3.5 s at q = 103 on the demo family), and every mode factors q^f - 1
+# and builds residue fields of degree f <= 12.
+MAX_CONSTRAINT_Q = 200
+
+
+def _parse_q_list(text: str):
+    out = []
+    for s in text.split(","):
+        if not s:
+            continue
+        try:
+            q = int(s)
+        except ValueError:
+            raise ValueError(f"--q: expected comma-separated integers, got {s!r}") from None
+        if q > MAX_CONSTRAINT_Q:
+            raise ValueError(f"--q: expected auxiliary primes at most {MAX_CONSTRAINT_Q}, got {q}")
+        out.append(q)
+    return out
+
+
 def cmd_eliminate(args, ctx) -> int:
     report = RunReport(command="eliminate", version=__version__, seed=ctx.seed)
     ctx.report = report
+    q_list = _parse_q_list(args.q)
     fam_path = ctx.path(args.family)
     ctx.record_input(fam_path)
     try:
@@ -662,7 +686,6 @@ def cmd_eliminate(args, ctx) -> int:
     pk_path = ctx.path(args.packets)
     ctx.record_input(pk_path)
     packets = load_packets(pk_path)
-    q_list = [int(s) for s in args.q.split(",") if s]
     rep = standard_eliminate(packets, fam, q_list)
     for row in rep.standard:
         surv = "all primes" if row.surviving == "all" else sorted(row.surviving)
@@ -691,13 +714,6 @@ def cmd_eliminate(args, ctx) -> int:
                     )
                 )
     return _emit(args, report)
-
-
-# The largest auxiliary prime a constraint file may name. The shipped
-# files stop at 41. The cost grows with q: the modular mode walks all
-# q^2 - 1 Frey curves (about 3.5 s at q = 103 on the demo family), and
-# every mode factors q^f - 1 and builds residue fields of degree f <= 12.
-MAX_CONSTRAINT_Q = 200
 
 
 def _load_constraints(ctx, path):

@@ -26,6 +26,7 @@ Family config (JSON)::
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -166,29 +167,30 @@ def family_from_dict(data: dict) -> FreyFamily:
             "multiplicative_iff_zero must be a nonzero bivariate polynomial"
         )
     adm = data.get("admissibility", {})
-    try:
-        conds = tuple(
-            (int(c["mod"]), tuple(int(v) for v in c["forbidden"]))
-            for c in adm.get("residue_conditions", [])
-        )
-        excluded = tuple(int(q) for q in adm.get("excluded_primes", []))
-    except (AttributeError, KeyError, TypeError, ValueError):
+    conds_in = adm.get("residue_conditions", []) if isinstance(adm, dict) else None
+    if not isinstance(conds_in, list) or not all(
+        isinstance(c, dict) and "mod" in c and "forbidden" in c for c in conds_in
+    ):
         raise FamilyConfigError(
             "admissibility: expected {\"excluded_primes\": [int], "
             "\"residue_conditions\": [{\"mod\": int, \"forbidden\": [int]}]}"
-        ) from None
-    for i, (mod, _) in enumerate(conds):
-        if mod < 1:
-            raise FamilyConfigError(
-                f"admissibility.residue_conditions[{i}].mod: expected an integer >= 1, got {mod}"
-            )
+        )
+    excluded = adm.get("excluded_primes", [])
+    _check_nested(excluded, "admissibility.excluded_primes", 1)
+    conds = []
+    for i, c in enumerate(conds_in):
+        pos, mod = f"admissibility.residue_conditions[{i}]", c["mod"]
+        if isinstance(mod, bool) or not isinstance(mod, int) or mod < 1:
+            raise FamilyConfigError(f"{pos}.mod: expected an integer >= 1, got {mod!r}")
+        _check_nested(c["forbidden"], f"{pos}.forbidden", 1)
+        conds.append((mod, tuple(c["forbidden"])))
     return FreyFamily(
         label=label,
         order=order,
         coeffs=tuple(per_name),
         mult_rule=rule,
-        excluded_primes=excluded,
-        residue_conditions=conds,
+        excluded_primes=tuple(excluded),
+        residue_conditions=tuple(conds),
     )
 
 
@@ -258,6 +260,7 @@ class _LocalData:
     primes: tuple
     cases: dict  # pair -> "good" | "multiplicative"
     traces: dict  # pair -> {prime key -> trace}, good pairs only
+    rows: dict  # trace tuple, in prime order -> number of good pairs with it
 
 
 def _family_local_data(family: FreyFamily, q: int) -> _LocalData:
@@ -270,13 +273,15 @@ def _local_data(family: FreyFamily, q: int) -> _LocalData:
     """Reduction is a ring homomorphism, so a good pair's model mod P has
     coefficients sum_i bp_i(a, b) red(w_i), red(w_i) the image of the
     order's basis in F_P, taken once per prime; its discriminant and
-    trace come from those tuples (`curves._reduced_trace`). Pairs the
-    rule calls multiplicative (about q of them) are specialized over the
-    order, so a singular member still raises there."""
+    trace come from those tuples (`curves._reduced_trace`), counted once
+    per distinct tuple at each prime: many pairs share a reduced model.
+    Pairs the rule calls multiplicative (about q of them) are specialized
+    over the order, so a singular member still raises there."""
     order, primes = family.order, tuple(split_prime(family.order, q))
     basis = [order.element([0] * i + [1]) for i in range(order.degree)]
     # per prime, column j lists component j of the images of the basis
     images = [list(zip(*(reduce_element(w, P).coeffs for w in basis))) for P in primes]
+    counted = [{} for _ in primes]  # per prime: reduced model -> its trace
     cases = {}
     traces = {}
     for pair in residue_pairs(q):
@@ -292,16 +297,20 @@ def _local_data(family: FreyFamily, q: int) -> _LocalData:
             continue
         values = [[bp(*pair) for bp in per_basis] for per_basis in family.coeffs]
         row = traces[pair] = {}
-        for P, red in zip(primes, images):
+        for P, red, memo in zip(primes, images, counted):
             a = tuple(tuple([sum(map(mul, vs, col)) % q for col in red]) for vs in values)
-            t = _reduced_trace(a, P.residue_field)
+            t = memo.get(a)
             if t is None:
-                raise FamilyConfigError(
-                    f"family {family.label}: rule says good at q={q}, "
-                    f"pair {pair}, but the discriminant vanishes at {P.key}"
-                )
+                t = _reduced_trace(a, P.residue_field)
+                if t is None:
+                    raise FamilyConfigError(
+                        f"family {family.label}: rule says good at q={q}, "
+                        f"pair {pair}, but the discriminant vanishes at {P.key}"
+                    )
+                memo[a] = t
             row[P.key] = t
-    return _LocalData(primes=primes, cases=cases, traces=traces)
+    rows = Counter(tuple(row.values()) for row in traces.values())
+    return _LocalData(primes=primes, cases=cases, traces=traces, rows=rows)
 
 
 def _eigen_poly(packet: NewformPacket, key: str) -> UniPoly:
@@ -311,14 +320,14 @@ def _eigen_poly(packet: NewformPacket, key: str) -> UniPoly:
     return UniPoly(vec)
 
 
-def _trace_gcd(packet: NewformPacket, primes, row: dict, norms: dict) -> int:
-    """gcd over the primes P above q of |Norm(a_P(f) - t_P)|, t = row;
-    each norm is kept in `norms` under (P key, t)."""
+def _trace_gcd(packet: NewformPacket, primes, row: tuple, norms: dict) -> int:
+    """gcd over the primes P above q of |Norm(a_P(f) - t_P)|, t = row in
+    prime order; each norm is kept in `norms` under (P key, t)."""
     g = 0
-    for P in primes:
-        key = (P.key, row[P.key])
+    for P, t in zip(primes, row):
+        key = (P.key, t)
         if key not in norms:
-            diff = _eigen_poly(packet, P.key) - key[1]
+            diff = _eigen_poly(packet, P.key) - t
             norms[key] = abs(poly_norm(packet.coeff_poly, diff))
         g = gcd(g, norms[key])
     return g
@@ -333,19 +342,20 @@ def Bq(family: FreyFamily, pair, packet: NewformPacket, q: int) -> int:
     data = _family_local_data(family, q)
     if data.cases.get(tuple(pair)) != "good":
         raise ValueError(f"pair {pair} has multiplicative reduction at q={q}")
-    return _trace_gcd(packet, data.primes, data.traces[tuple(pair)], {})
+    return _trace_gcd(packet, data.primes, tuple(data.traces[tuple(pair)].values()), {})
 
 
 def Aq(packet: NewformPacket, family: FreyFamily, q: int) -> int:
     """q times the product of Bq over good pairs times the level-raising
     norms at the primes above q. Zero propagates: the auxiliary prime
     then carries no elimination power for this packet. The local data
-    are looked up once, and each |Norm(a_P(f) - t)| is taken once."""
+    are looked up once, each |Norm(a_P(f) - t)| is taken once, and each
+    distinct trace row's gcd once, raised to the number of its pairs."""
     data = _family_local_data(family, q)
     h = packet.coeff_poly
     acc, norms = q, {}
-    for row in data.traces.values():
-        acc *= _trace_gcd(packet, data.primes, row, norms)
+    for row, m in data.rows.items():
+        acc *= _trace_gcd(packet, data.primes, row, norms) ** m
     for P in data.primes:
         v = _eigen_poly(packet, P.key)
         diff = v * v - (P.norm + 1) ** 2

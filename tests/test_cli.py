@@ -239,6 +239,28 @@ class TestErrors:
         assert code == 2
         assert err == "error: packet f11 has no eigenvalue at 7.0\n"
 
+    @pytest.mark.parametrize("qs,where", [
+        ("5,211", "--q: expected auxiliary primes at most 200, got 211"),
+        ("5,x", "--q: expected comma-separated integers, got 'x'"),
+    ], ids=["above-the-cap", "not-an-integer"])
+    def test_eliminate_q_list_checked_before_any_work(self, capsys, monkeypatch, qs, where):
+        import fermatkit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination started on a rejected --q")
+
+        monkeypatch.setattr(cli, "standard_eliminate", refuse)
+        monkeypatch.setattr(cli, "load_family", refuse)
+        code, _, err = run(
+            capsys, "eliminate",
+            "--family", "families/demo_sum_rule_cubic.json",
+            "--packets", "packets/demo_self_1_3.json",
+            "--q", qs,
+        )
+        assert code == 2
+        assert err == f"error: {where}\n"
+        assert cli.MAX_CONSTRAINT_Q == 200
+
     @pytest.mark.parametrize("cons,where", [
         ([1], "consistency:"),
         ({"curve": 5, "specialization": [1, 3]}, "consistency.curve:"),

@@ -128,6 +128,25 @@ class TestFamilyConfig:
         with pytest.raises(FamilyConfigError, match=where):
             demo_family(**over)
 
+    @pytest.mark.parametrize("adm,where", [
+        ({"excluded_primes": "23"}, "admissibility.excluded_primes: expected a list, got '23'"),
+        ({"excluded_primes": [2.7, 13]}, "admissibility.excluded_primes: expected a list of integers"),
+        ({"excluded_primes": [True, 13]}, "admissibility.excluded_primes: expected a list of integers"),
+        ({"residue_conditions": [{"mod": 13, "forbidden": "12"}]},
+         "admissibility.residue_conditions[0].forbidden: expected a list, got '12'"),
+        ({"residue_conditions": [{"mod": 13, "forbidden": [1]}, {"mod": 7, "forbidden": [False]}]},
+         "admissibility.residue_conditions[1].forbidden: expected a list of integers"),
+        ({"residue_conditions": [{"mod": True, "forbidden": [0]}]},
+         "admissibility.residue_conditions[0].mod: expected an integer >= 1, got True"),
+        ({"residue_conditions": [{"mod": 13.0, "forbidden": [1]}]},
+         "admissibility.residue_conditions[0].mod: expected an integer >= 1, got 13.0"),
+    ], ids=["excluded-string", "excluded-float", "excluded-bool", "forbidden-string",
+            "forbidden-bool", "mod-bool", "mod-float"])
+    def test_admissibility_values_are_not_coerced(self, adm, where):
+        with pytest.raises(FamilyConfigError) as exc:
+            demo_family(admissibility=adm)
+        assert str(exc.value).startswith(where)
+
     def test_non_object_config_rejected(self):
         with pytest.raises(FamilyConfigError, match="expected an object"):
             family_from_dict([DEMO])
@@ -487,6 +506,60 @@ class TestLocalDataOracle:
         for q in (2, 3):
             data = _local_data(fam, q)
             assert (data.cases, data.traces) == old_route_local_data(fam, q), q
+
+    @pytest.mark.parametrize("order", ["K13cubic", "Qsqrt13"])
+    def test_injective_coefficients_match_the_order_route(self, order, monkeypatch):
+        """y^2 = x^3 + a x + b: distinct pairs give distinct models mod
+        every P, so nothing is shared and every good pair is counted."""
+        from fermatkit import elimination
+
+        calls = []
+        plain = elimination._reduced_trace
+        monkeypatch.setattr(elimination, "_reduced_trace",
+                            lambda a, field: calls.append(a) or plain(a, field))
+
+        fam = family_from_dict({
+            "label": f"short-weierstrass-{order}",
+            "order": order,
+            "coefficients": {"a4": [[[0], [1]]], "a6": [[[0]], [[1]]]},
+            "multiplicative_iff_zero": [[0, 0, 0, 4], [], [27]],  # Delta = -16 (4a^3 + 27b^2)
+            "admissibility": {"excluded_primes": [2, 13]},
+        })
+        qs = [q for q in range(2, 24) if fam.is_admissible(q)]
+        assert qs == [3, 5, 7, 11, 17, 19, 23]
+        for q in qs:
+            elimination._local_data.cache_clear()
+            calls.clear()
+            data = elimination._local_data(fam, q)
+            assert (data.cases, data.traces) == old_route_local_data(fam, q), q
+            assert len(calls) == len(data.traces) * len(data.primes), q
+        elimination._local_data.cache_clear()
+
+    def test_work_count(self, monkeypatch):
+        """A work count, not a timing: the demo family y^2 + xy = x^3 + (a + b)
+        has 3 reduced models at each of the 3 primes above 5 and 9 at the
+        inert prime 11, and each is counted once (per-pair counting made
+        45 and 99 calls)."""
+        from fermatkit import elimination
+
+        fam = load_family(FIXTURES / "families" / "demo_sum_rule_cubic.json")
+        calls = []
+        plain = elimination._reduced_trace
+
+        def counted(a, field):
+            calls.append(field.order)
+            return plain(a, field)
+
+        monkeypatch.setattr(elimination, "_reduced_trace", counted)
+        for q, want in ((5, [5] * 9), (11, [1331] * 9)):
+            elimination._local_data.cache_clear()
+            calls.clear()
+            data = elimination._local_data(fam, q)
+            assert sorted(calls) == want, q
+            assert len(data.traces) == {5: 15, 11: 99}[q]
+        monkeypatch.undo()
+        elimination._local_data.cache_clear()
+        assert (data.cases, data.traces) == old_route_local_data(fam, 11)
 
     def test_rule_that_calls_a_bad_pair_good(self):
         from fermatkit.elimination import _local_data
