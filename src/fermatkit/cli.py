@@ -672,10 +672,24 @@ def _parse_q_list(text: str):
     return out
 
 
+def _parse_refined(text: str):
+    """The exponent p of `--refined p` or `--refined p=<p>`; None when absent."""
+    if not text:
+        return None
+    try:
+        p = int(text.removeprefix("p="))
+    except ValueError:
+        raise ValueError(f"--refined: expected p=<prime>, got {text!r}") from None
+    if not is_prime(p):
+        raise ValueError(f"--refined: expected a prime exponent, got {p}")
+    return p
+
+
 def cmd_eliminate(args, ctx) -> int:
     report = RunReport(command="eliminate", version=__version__, seed=ctx.seed)
     ctx.report = report
     q_list = _parse_q_list(args.q)
+    p = _parse_refined(args.refined)
     fam_path = ctx.path(args.family)
     ctx.record_input(fam_path)
     try:
@@ -697,8 +711,7 @@ def cmd_eliminate(args, ctx) -> int:
                 f"surviving exponents: {surv}",
             )
         )
-    if args.refined:
-        p = int(args.refined.removeprefix("p="))
+    if p:
         skip = [s for s in (args.skip or "").split(",") if s]
         for pkt in packets:
             ref = refined_eliminate(

@@ -8,6 +8,11 @@ above q. The rule is data (mirroring the case split it encodes), but a
 runtime cross-check verifies the discriminant reductions agree with it
 for every pair processed.
 
+Refined elimination and the unit sieve's modular constraints ask one
+local question of a pair, answered by `compatible_pairs`: does a_P of
+the member (good reduction), or +-(N(P) + 1) (multiplicative), lie in
+a given residue set mod ell at every prime P above q?
+
 Family config (JSON)::
 
     {
@@ -57,6 +62,7 @@ __all__ = [
     "Aq",
     "standard_eliminate",
     "refined_eliminate",
+    "compatible_pairs",
     "prime_divisors_of_gcd",
     "ALL_PRIMES",
 ]
@@ -89,9 +95,11 @@ class FreyFamily:
             return False
         return all(q % m not in forb for m, forb in self.residue_conditions)
 
-    def require_admissible(self, q: int):
+    def primes_above(self, q: int):
+        """The primes of the order above q, after checking q is admissible."""
         if not self.is_admissible(q):
             raise ValueError(f"auxiliary prime {q} is not admissible for {self.label}")
+        return split_prime(self.order, q)
 
     def specialize(self, a: int, b: int) -> EllipticCurveNF:
         vals = {}
@@ -220,7 +228,10 @@ def load_family(path) -> FreyFamily:
         except ValueError as e:
             raise FamilyConfigError(f"{path}: consistency.specialization: {e}") from None
         rel = Path(name)
-        curve = load_curve(rel if rel.is_absolute() else (Path(path).parent / rel))
+        try:
+            curve = load_curve(rel if rel.is_absolute() else (Path(path).parent / rel))
+        except (OSError, ValueError) as e:
+            raise FamilyConfigError(f"{path}: consistency.curve: {e}") from None
         if not same_j_invariant(member, curve):
             raise FamilyConfigError(
                 f"{path}: the specialization at ({a}, {b}) does not match the "
@@ -263,11 +274,6 @@ class _LocalData:
     rows: dict  # trace tuple, in prime order -> number of good pairs with it
 
 
-def _family_local_data(family: FreyFamily, q: int) -> _LocalData:
-    family.require_admissible(q)
-    return _local_data(family, q)
-
-
 @lru_cache(maxsize=None)
 def _local_data(family: FreyFamily, q: int) -> _LocalData:
     """Reduction is a ring homomorphism, so a good pair's model mod P has
@@ -276,8 +282,9 @@ def _local_data(family: FreyFamily, q: int) -> _LocalData:
     trace come from those tuples (`curves._reduced_trace`), counted once
     per distinct tuple at each prime: many pairs share a reduced model.
     Pairs the rule calls multiplicative (about q of them) are specialized
-    over the order, so a singular member still raises there."""
-    order, primes = family.order, tuple(split_prime(family.order, q))
+    over the order, so a singular member still raises there. An
+    inadmissible q raises first (and, raising, is never cached)."""
+    order, primes = family.order, tuple(family.primes_above(q))
     basis = [order.element([0] * i + [1]) for i in range(order.degree)]
     # per prime, column j lists component j of the images of the basis
     images = [list(zip(*(reduce_element(w, P).coeffs for w in basis))) for P in primes]
@@ -313,22 +320,55 @@ def _local_data(family: FreyFamily, q: int) -> _LocalData:
     return _LocalData(primes=primes, cases=cases, traces=traces, rows=rows)
 
 
-def _eigen_poly(packet: NewformPacket, key: str) -> UniPoly:
-    vec = packet.eigenvalues.get(key)
-    if vec is None:
-        raise MissingEigenvalueError(f"packet {packet.label} has no eigenvalue at {key}")
-    return UniPoly(vec)
+def compatible_pairs(family: FreyFamily, q: int, ell: int, allowed: dict):
+    """Residue pairs (a, b) mod q, in `residue_pairs` order, that fit
+    `allowed` (prime key -> residues mod ell) at every prime P above q:
+    a good pair when its trace a_P is allowed, a multiplicative pair
+    when N(P) + 1 or -(N(P) + 1) is (the level-raising congruence).
+
+    Admissibility and the keys of `allowed` are checked on the call,
+    before the local data are built; the pairs are yielded lazily."""
+    primes = family.primes_above(q)
+    for P in primes:
+        if P.key not in allowed:
+            raise ValueError(f"q={q}: no allowed residues mod {ell} at {P.key}")
+    sets = [allowed[P.key] for P in primes]
+    level_raising = all(
+        (P.norm + 1) % ell in s or -(P.norm + 1) % ell in s for P, s in zip(primes, sets)
+    )
+    data = _local_data(family, q)
+    return (
+        pair
+        for pair, case in data.cases.items()
+        if (
+            level_raising
+            if case == "multiplicative"
+            else all(t % ell in s for t, s in zip(data.traces[pair].values(), sets))
+        )
+    )
 
 
-def _trace_gcd(packet: NewformPacket, primes, row: tuple, norms: dict) -> int:
-    """gcd over the primes P above q of |Norm(a_P(f) - t_P)|, t = row in
-    prime order; each norm is kept in `norms` under (P key, t)."""
+def _eigen_polys(packet: NewformPacket, family: FreyFamily, q: int) -> list:
+    """The packet's eigenvalues at the primes above an admissible q, in
+    prime order; a missing one raises `MissingEigenvalueError`."""
+    out = []
+    for P in family.primes_above(q):
+        vec = packet.eigenvalues.get(P.key)
+        if vec is None:
+            raise MissingEigenvalueError(f"packet {packet.label} has no eigenvalue at {P.key}")
+        out.append(UniPoly(vec))
+    return out
+
+
+def _trace_gcd(h: UniPoly, eigs: list, row: tuple, norms: dict) -> int:
+    """gcd over the primes P above q of |Norm(a_P(f) - t_P)|, with a_P(f)
+    and t = row both in prime order; each norm is kept in `norms` under
+    (prime index, t)."""
     g = 0
-    for P, t in zip(primes, row):
-        key = (P.key, t)
+    for i, t in enumerate(row):
+        key = (i, t)
         if key not in norms:
-            diff = _eigen_poly(packet, P.key) - t
-            norms[key] = abs(poly_norm(packet.coeff_poly, diff))
+            norms[key] = abs(poly_norm(h, eigs[i] - t))
         g = gcd(g, norms[key])
     return g
 
@@ -339,27 +379,28 @@ def Bq(family: FreyFamily, pair, packet: NewformPacket, q: int) -> int:
     Defined for pairs the reduction rule classifies as good; the gcd of
     an all-zero multiset is 0, meaning the pair gives no information.
     """
-    data = _family_local_data(family, q)
+    data = _local_data(family, q)
     if data.cases.get(tuple(pair)) != "good":
         raise ValueError(f"pair {pair} has multiplicative reduction at q={q}")
-    return _trace_gcd(packet, data.primes, tuple(data.traces[tuple(pair)].values()), {})
+    eigs = _eigen_polys(packet, family, q)
+    return _trace_gcd(packet.coeff_poly, eigs, tuple(data.traces[tuple(pair)].values()), {})
 
 
 def Aq(packet: NewformPacket, family: FreyFamily, q: int) -> int:
     """q times the product of Bq over good pairs times the level-raising
     norms at the primes above q. Zero propagates: the auxiliary prime
-    then carries no elimination power for this packet. The local data
-    are looked up once, each |Norm(a_P(f) - t)| is taken once, and each
-    distinct trace row's gcd once, raised to the number of its pairs."""
-    data = _family_local_data(family, q)
+    then carries no elimination power for this packet. The eigenvalues
+    are looked up before the local data; each |Norm(a_P(f) - t)| is
+    taken once, and each distinct trace row's gcd once, raised to the
+    number of its pairs."""
+    eigs = _eigen_polys(packet, family, q)
+    data = _local_data(family, q)
     h = packet.coeff_poly
     acc, norms = q, {}
     for row, m in data.rows.items():
-        acc *= _trace_gcd(packet, data.primes, row, norms) ** m
-    for P in data.primes:
-        v = _eigen_poly(packet, P.key)
-        diff = v * v - (P.norm + 1) ** 2
-        acc *= abs(poly_norm(h, diff))
+        acc *= _trace_gcd(h, eigs, row, norms) ** m
+    for P, v in zip(data.primes, eigs):
+        acc *= abs(poly_norm(h, v * v - (P.norm + 1) ** 2))
     return abs(acc)
 
 
@@ -461,23 +502,6 @@ def standard_eliminate(packets, family: FreyFamily, q_list) -> EliminationReport
     return EliminationReport(standard=tuple(rows))
 
 
-def _pair_congruence_holds(packet, rp: ResiduePrime, data: _LocalData, pair, case) -> bool:
-    """Does the pair satisfy the relevant trace congruence at EVERY prime
-    above q? Good pairs use the Frobenius congruence, multiplicative
-    pairs the level-raising one (either sign, per prime)."""
-    for P in data.primes:
-        red = reduce_eigenvalue(packet, P.key, rp)
-        if case == "good":
-            want = rp.field.from_int(data.traces[pair][P.key])
-            if red != want:
-                return False
-        else:
-            plus = rp.field.from_int(P.norm + 1)
-            if red != plus and red != -plus:
-                return False
-    return True
-
-
 def refined_eliminate(
     packet: NewformPacket,
     family: FreyFamily,
@@ -490,10 +514,14 @@ def refined_eliminate(
 
     A residue prime of the coefficient field is eliminated when some
     auxiliary q makes the relevant congruence fail, at some prime above
-    q, for EVERY residue pair. Reducible residue primes must be supplied
-    in `skip` (the engine never decides reducibility); `skip_ramified`
-    additionally skips ramified ones, the standard reduction when the
-    level-lowered representation forces an unramified prime.
+    q, for EVERY residue pair: `compatible_pairs` with ell = p yields
+    none. The residue allowed at P is the eigenvalue's image in the
+    residue field when that image lies in F_p, and none otherwise; each
+    eigenvalue is reduced once per prime above q. Reducible residue
+    primes must be supplied in `skip` (the engine never decides
+    reducibility); `skip_ramified` additionally skips ramified ones, the
+    standard reduction when the level-lowered representation forces an
+    unramified prime.
     """
     q_list = sorted(set(q_list))
     if not q_list:
@@ -501,45 +529,24 @@ def refined_eliminate(
     skipset = {s.key if isinstance(s, ResiduePrime) else str(s) for s in skip}
     verdicts = []
     for rp in primes_above_in_Qf(packet, p):
+        status, witness, reason = "not-eliminated", 0, ""
         if rp.key in skipset:
-            verdicts.append(
-                RefinedVerdict(
-                    label=packet.label, p=p, residue_prime=rp.key,
-                    status="skipped", reason="listed as reducible",
-                )
-            )
-            continue
-        if skip_ramified and rp.e > 1:
-            verdicts.append(
-                RefinedVerdict(
-                    label=packet.label, p=p, residue_prime=rp.key,
-                    status="skipped", reason="ramified in the coefficient field",
-                )
-            )
-            continue
-        witness = 0
-        for q in q_list:
-            data = _family_local_data(family, q)
-            some_pair_survives = False
-            for pair, case in data.cases.items():
-                if _pair_congruence_holds(packet, rp, data, pair, case):
-                    some_pair_survives = True
-                    break
-            if not some_pair_survives:
-                witness = q
-                break
-        if witness:
-            verdicts.append(
-                RefinedVerdict(
-                    label=packet.label, p=p, residue_prime=rp.key,
-                    status="eliminated", witness_q=witness,
-                )
-            )
+            status, reason = "skipped", "listed as reducible"
+        elif skip_ramified and rp.e > 1:
+            status, reason = "skipped", "ramified in the coefficient field"
         else:
-            verdicts.append(
-                RefinedVerdict(
-                    label=packet.label, p=p, residue_prime=rp.key,
-                    status="not-eliminated",
-                )
+            for q in q_list:
+                allowed = {}
+                for P in family.primes_above(q):
+                    red = reduce_eigenvalue(packet, P.key, rp).coeffs
+                    allowed[P.key] = set() if any(red[1:]) else {red[0]}
+                if next(compatible_pairs(family, q, p, allowed), None) is None:
+                    status, witness = "eliminated", q
+                    break
+        verdicts.append(
+            RefinedVerdict(
+                label=packet.label, p=p, residue_prime=rp.key,
+                status=status, witness_q=witness, reason=reason,
             )
+        )
     return EliminationReport(refined=tuple(verdicts))

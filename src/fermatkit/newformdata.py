@@ -262,11 +262,14 @@ def load_packets(path) -> list:
             raise PacketFormatError(
                 f"{path}: invalid JSON at line {e.lineno} column {e.colno}"
             ) from None
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
+    if not isinstance(data, (dict, list)):
         raise PacketFormatError(f"{path}: expected a packet or a list of packets")
-    return [packet_from_dict(d, pos=f"packets[{i}]") for i, d in enumerate(data)]
+    try:
+        if isinstance(data, dict):
+            return [packet_from_dict(data)]
+        return [packet_from_dict(d, pos=f"packets[{i}]") for i, d in enumerate(data)]
+    except PacketFormatError as e:
+        raise PacketFormatError(f"{path}: {e}") from None
 
 
 def serialize_packet(packet: NewformPacket) -> dict:

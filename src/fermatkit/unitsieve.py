@@ -23,7 +23,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .elimination import FreyFamily, _family_local_data, residue_pairs
+from .elimination import FreyFamily, compatible_pairs, residue_pairs
 from .exactarith import FFElement, chain_pow, factorize
 from .numberfield import (
     PrimeIdealData,
@@ -420,25 +420,7 @@ def admissible_pairs(constraint: SieveConstraint):
         raise ValueError(
             f"modular constraint at q={q} needs the Frey family and Euler targets"
         )
-    data = _family_local_data(family, q)
-    for P in data.primes:
-        if P.key not in targets:
-            raise ValueError(f"modular constraint at q={q}: no target for {P.key}")
-    out = set()
-    for pair in residue_pairs(q):
-        case = data.cases[pair]
-        if case == "good":
-            ok = all(
-                data.traces[pair][P.key] % 7 in targets[P.key] for P in data.primes
-            )
-        else:
-            ok = all(
-                targets[P.key] & {(P.norm + 1) % 7, (-(P.norm + 1)) % 7}
-                for P in data.primes
-            )
-        if ok:
-            out.add(pair)
-    return out
+    return set(compatible_pairs(family, q, 7, targets))
 
 
 def modular_targets_from_curve(curve, q: int):

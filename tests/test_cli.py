@@ -229,25 +229,39 @@ class TestErrors:
         assert code == 2 and "skipped" not in out
         assert "missing field" in err
 
-    def test_missing_eigenvalue_prints_the_plain_message(self, capsys):
-        code, _, err = run(
-            capsys, "eliminate",
-            "--family", "families/demo_sum_rule_cubic.json",
-            "--packets", "packets/f11_fixture.json",
-            "--q", "7",
-        )
-        assert code == 2
-        assert err == "error: packet f11 has no eigenvalue at 7.0\n"
+    def test_missing_eigenvalue_prints_the_plain_message(self, capsys, monkeypatch):
+        from fermatkit import elimination
 
-    @pytest.mark.parametrize("qs,where", [
-        ("5,211", "--q: expected auxiliary primes at most 200, got 211"),
-        ("5,x", "--q: expected comma-separated integers, got 'x'"),
-    ], ids=["above-the-cap", "not-an-integer"])
-    def test_eliminate_q_list_checked_before_any_work(self, capsys, monkeypatch, qs, where):
+        def refuse(*args):
+            raise AssertionError("a point count ran before the eigenvalue lookup")
+
+        # A_q looks up the packet's eigenvalues before it counts any model
+        monkeypatch.setattr(elimination, "_reduced_trace", refuse)
+        elimination._local_data.cache_clear()
+        for packets, q, want in (
+            ("packets/f11_fixture.json", "7", "packet f11 has no eigenvalue at 7.0"),
+            ("packets/demo_self_1_3.json", "37", "packet demo-self-1-3 has no eigenvalue at 37.0"),
+        ):
+            code, _, err = run(
+                capsys, "eliminate",
+                "--family", "families/demo_sum_rule_cubic.json",
+                "--packets", packets,
+                "--q", q,
+            )
+            assert code == 2
+            assert err == f"error: {want}\n"
+
+    @pytest.mark.parametrize("qs,extra,where", [
+        ("5,211", [], "--q: expected auxiliary primes at most 200, got 211"),
+        ("5,x", [], "--q: expected comma-separated integers, got 'x'"),
+        ("5", ["--refined", "p=abc"], "--refined: expected p=<prime>, got 'p=abc'"),
+        ("5", ["--refined", "p=9"], "--refined: expected a prime exponent, got 9"),
+    ], ids=["above-the-cap", "not-an-integer", "refined-not-an-integer", "refined-not-prime"])
+    def test_eliminate_q_list_checked_before_any_work(self, capsys, monkeypatch, qs, extra, where):
         import fermatkit.cli as cli
 
         def refuse(*args, **kwargs):
-            raise AssertionError("elimination started on a rejected --q")
+            raise AssertionError("elimination started on a rejected --q or --refined")
 
         monkeypatch.setattr(cli, "standard_eliminate", refuse)
         monkeypatch.setattr(cli, "load_family", refuse)
@@ -255,7 +269,7 @@ class TestErrors:
             capsys, "eliminate",
             "--family", "families/demo_sum_rule_cubic.json",
             "--packets", "packets/demo_self_1_3.json",
-            "--q", qs,
+            "--q", qs, *extra,
         )
         assert code == 2
         assert err == f"error: {where}\n"
@@ -270,8 +284,10 @@ class TestErrors:
          "consistency.specialization:"),
         ({"curve": str(FIXTURES / "curves" / "E_1_-1.curve"), "specialization": [0, 0]},
          "consistency.specialization: singular"),
+        ({"curve": "no_such.curve", "specialization": [1, 3]},
+         "consistency.curve: [Errno 2] No such file or directory"),
     ], ids=["list", "curve-not-a-path", "no-curve", "no-specialization", "bool-coordinate",
-            "singular-member"])
+            "singular-member", "missing-curve-file"])
     def test_malformed_consistency_block_named(self, capsys, tmp_path, cons, where):
         data = json.loads((FIXTURES / "families" / "demo_sum_rule_cubic.json").read_text())
         bad = tmp_path / "bad.json"

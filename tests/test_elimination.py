@@ -101,8 +101,10 @@ class TestFamilyConfig:
         bad = family_from_dict(
             dict(DEMO, label="bad", multiplicative_iff_zero=[[0, 1]])
         )
+        # A_q looks up every eigenvalue before it builds the local data
+        eig = {P.key: [0] for P in split_prime(bad.order, 5)}
         with pytest.raises(FamilyConfigError):
-            Aq(raw_packet("K13cubic", [0, 1], {}), bad, 5)
+            Aq(raw_packet("K13cubic", [0, 1], eig), bad, 5)
 
     def test_zero_rule_rejected(self):
         with pytest.raises(FamilyConfigError, match="nonzero"):
@@ -339,9 +341,9 @@ class TestRefinedElimination:
         both congruences for every pair, then check the engine agrees."""
         fam = demo_family()
         primes = split_prime(fam.order, 5)
-        from fermatkit.elimination import _family_local_data
+        from fermatkit.elimination import _local_data
 
-        data = _family_local_data(fam, 5)
+        data = _local_data(fam, 5)
         lr = {(P.norm + 1) % 7 for P in primes} | {(-(P.norm + 1)) % 7 for P in primes}
         found = None
         import itertools
@@ -484,6 +486,17 @@ def old_route_local_data(fam, q):
     return cases, traces
 
 
+def short_weierstrass_family(order):
+    """y^2 = x^3 + a x + b over the order."""
+    return family_from_dict({
+        "label": f"short-weierstrass-{order}",
+        "order": order,
+        "coefficients": {"a4": [[[0], [1]]], "a6": [[[0]], [[1]]]},
+        "multiplicative_iff_zero": [[0, 0, 0, 4], [], [27]],  # Delta = -16 (4a^3 + 27b^2)
+        "admissibility": {"excluded_primes": [2, 13]},
+    })
+
+
 class TestLocalDataOracle:
     @pytest.mark.parametrize("name", ["demo_sum_rule_cubic", "demo_sum_rule_sqrt13"])
     def test_reduced_tuples_match_the_order_route(self, name):
@@ -518,13 +531,7 @@ class TestLocalDataOracle:
         monkeypatch.setattr(elimination, "_reduced_trace",
                             lambda a, field: calls.append(a) or plain(a, field))
 
-        fam = family_from_dict({
-            "label": f"short-weierstrass-{order}",
-            "order": order,
-            "coefficients": {"a4": [[[0], [1]]], "a6": [[[0]], [[1]]]},
-            "multiplicative_iff_zero": [[0, 0, 0, 4], [], [27]],  # Delta = -16 (4a^3 + 27b^2)
-            "admissibility": {"excluded_primes": [2, 13]},
-        })
+        fam = short_weierstrass_family(order)
         qs = [q for q in range(2, 24) if fam.is_admissible(q)]
         assert qs == [3, 5, 7, 11, 17, 19, 23]
         for q in qs:
@@ -591,6 +598,106 @@ class TestLocalDataOracle:
         with pytest.raises(ValueError, match="singular Weierstrass model") as exc:
             _local_data(family_from_dict(d), 5)
         assert not isinstance(exc.value, FamilyConfigError)
+
+
+def compatible_pairs_oracle(fam, q, ell, allowed, local):
+    """Per pair, from the order route's local data: the trace at every P
+    for a good pair, +-(N(P) + 1) at every P for a multiplicative one."""
+    cases, traces = local
+    primes = split_prime(fam.order, q)
+    out = []
+    for pair in residue_pairs(q):
+        if cases[pair] == "good":
+            ok = all(traces[pair][P.key] % ell in allowed[P.key] for P in primes)
+        else:
+            ok = all({(P.norm + 1) % ell, -(P.norm + 1) % ell} & set(allowed[P.key])
+                     for P in primes)
+        if ok:
+            out.append(pair)
+    return out
+
+
+class TestCompatiblePairs:
+    @pytest.mark.parametrize("name,q", [
+        ("demo_sum_rule_cubic", 5), ("demo_sum_rule_cubic", 11),
+        ("demo_sum_rule_sqrt13", 5), ("demo_sum_rule_sqrt13", 11),
+        ("K13cubic", 5), ("Qsqrt13", 11),
+    ], ids=["cubic-5", "cubic-11", "sqrt13-5", "sqrt13-11", "short-cubic-5", "short-sqrt13-11"])
+    def test_matches_the_per_pair_oracle(self, name, q):
+        from fermatkit.elimination import compatible_pairs
+
+        if name.startswith("demo"):
+            fam = load_family(FIXTURES / "families" / f"{name}.json")
+        else:
+            fam = short_weierstrass_family(name)
+        local = old_route_local_data(fam, q)
+        keys = [P.key for P in split_prime(fam.order, q)]
+        good = [pair for pair, case in local[0].items() if case == "good"]
+        rng = random.Random(q)
+        sizes = {"empty": 0, "all": 0, "some": 0}
+        for ell in (7, 5 if q != 5 else 3):
+            trials = [{k: set(range(ell)) for k in keys}]
+            for _ in range(12):
+                allowed = {k: set(rng.sample(range(ell), rng.randrange(ell + 1))) for k in keys}
+                trials.append(allowed)
+                pair = rng.choice(good)  # a set that the pair's traces fit
+                trials.append({k: allowed[k] | {local[1][pair][k] % ell} for k in keys})
+            for allowed in trials:
+                got = compatible_pairs(fam, q, ell, allowed)
+                assert iter(got) is got  # lazy
+                got = list(got)
+                assert got == compatible_pairs_oracle(fam, q, ell, allowed, local), (ell, allowed)
+                sizes["empty" if not got else "all" if len(got) == q * q - 1 else "some"] += 1
+        assert all(sizes.values()), sizes
+
+    def test_inputs_checked_before_the_local_data(self, monkeypatch):
+        from fermatkit import elimination
+
+        def refuse(*args):
+            raise AssertionError("local data built before the inputs were checked")
+
+        monkeypatch.setattr(elimination, "_local_data", refuse)
+        fam = demo_family()
+        with pytest.raises(ValueError, match="not admissible"):
+            elimination.compatible_pairs(fam, 13, 7, {})
+        allowed = {P.key: {0} for P in split_prime(fam.order, 5)}
+        del allowed["5.1"]
+        with pytest.raises(ValueError, match=r"q=5: no allowed residues mod 7 at 5\.1"):
+            elimination.compatible_pairs(fam, 5, 7, allowed)
+
+    def test_refined_reduces_each_eigenvalue_once_per_prime(self, monkeypatch):
+        """A work count: one `reduce_eigenvalue` per (residue prime, q,
+        prime above q) visited, not one per pair and prime."""
+        from fermatkit import elimination
+
+        calls = []
+        plain = elimination.reduce_eigenvalue
+        monkeypatch.setattr(elimination, "reduce_eigenvalue",
+                            lambda pkt, key, rp: calls.append((rp.key, key)) or plain(pkt, key, rp))
+        fam = demo_family()
+        keys = {q: [P.key for P in split_prime(fam.order, q)] for q in (5, 11)}
+        pkt = packet_from_curve(fam.specialize(1, 3), "self", 13)
+        rep = refined_eliminate(pkt, fam, 7, [5, 11])
+        assert {r.status for r in rep.refined} == {"not-eliminated"}
+        assert calls == [(r.residue_prime, k) for r in rep.refined for k in keys[5] + keys[11]]
+        # a residue of 0 at every prime above 5 fits no pair of the demo family
+        calls.clear()
+        eig = {k: [0] for k in keys[5] + keys[11]}
+        rep = refined_eliminate(raw_packet("K13cubic", [0, 1], eig), fam, 7, [5, 11])
+        assert [(r.status, r.witness_q) for r in rep.refined] == [("eliminated", 5)]
+        assert calls == [("7:0", k) for k in keys[5]]
+
+    def test_eigenvalue_outside_F_p_fits_no_pair(self):
+        """7 is inert in Q(sqrt3): a_P = t_P + sqrt3 reduces outside F_7,
+        so no pair fits, although t_P are the traces of the pair (1, 3)."""
+        fam = demo_family()
+        self_pkt = packet_from_curve(fam.specialize(1, 3), "self", 13)
+        eig = {k: [v[0], 1] for k, v in self_pkt.eigenvalues.items()}
+        pkt = raw_packet("K13cubic", [-3, 0, 1], eig)
+        rp, = primes_above_in_Qf(pkt, 7)
+        assert rp.d == 2
+        rep = refined_eliminate(pkt, fam, 7, [5, 11])
+        assert [(r.status, r.witness_q) for r in rep.refined] == [("eliminated", 5)]
 
 
 def test_every_cli_seed_of_the_elimination_workload():

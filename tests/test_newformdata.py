@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,11 @@ class TestLoading:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([base_packet(level={"norm": 7, "primes": ["2.0"]})]))
         with pytest.raises(PacketFormatError, match=r"packets\[0\]\.level"):
+            load_packets(path)
+        # a single object is positioned as `packet`, after the file path
+        path.write_text(json.dumps({"packets": 5}))
+        with pytest.raises(PacketFormatError,
+                           match=rf"^{re.escape(str(path))}: packet\.label: missing or empty$"):
             load_packets(path)
         path.write_text("{not json")
         with pytest.raises(PacketFormatError, match="line 1"):
