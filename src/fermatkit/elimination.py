@@ -348,9 +348,17 @@ def compatible_pairs(family: FreyFamily, q: int, ell: int, allowed: dict):
     )
 
 
+def _check_base_field(packet: NewformPacket, family: FreyFamily) -> None:
+    """Refuse a packet whose "q.i" keys name the primes of another order."""
+    if packet.base_field != family.order.label:
+        raise ValueError(f"packet {packet.label}.base_field: {packet.base_field!r} is not "
+                         f"the order {family.order.label!r} of family {family.label}")
+
+
 def _eigen_polys(packet: NewformPacket, family: FreyFamily, q: int) -> list:
-    """The packet's eigenvalues at the primes above an admissible q, in
-    prime order; a missing one raises `MissingEigenvalueError`."""
+    """The packet's eigenvalues at the primes above an admissible q, in prime
+    order, after `_check_base_field`; a missing one raises `MissingEigenvalueError`."""
+    _check_base_field(packet, family)
     out = []
     for P in family.primes_above(q):
         vec = packet.eigenvalues.get(P.key)
@@ -526,6 +534,7 @@ def refined_eliminate(
     q_list = sorted(set(q_list))
     if not q_list:
         raise ValueError("q_list must be nonempty")
+    _check_base_field(packet, family)
     skipset = {s.key if isinstance(s, ResiduePrime) else str(s) for s in skip}
     verdicts = []
     for rp in primes_above_in_Qf(packet, p):

@@ -23,7 +23,6 @@ __all__ = [
     "FFElement",
     "QuadExt",
     "QuadExtElement",
-    "is_nth_power_residue",
     "poly_factor_mod_p",
     "is_prime",
     "bareiss_det",
@@ -289,13 +288,6 @@ def _pm_from(poly: UniPoly, p: int):
     return _pm_trim([c % p for c in poly.coeffs])
 
 
-def _pm_add(a, b, p):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _pm_trim([(x + y) % p for x, y in zip(a, b)])
-
-
 def _pm_sub(a, b, p):
     n = max(len(a), len(b))
     a = a + (0,) * (n - len(a))
@@ -347,12 +339,6 @@ def _pm_gcd(a, b, p):
     return _pm_monic(a, p)
 
 
-def _pm_powmod(a, e, mod, p):
-    if not e:
-        return (1,)
-    return chain_pow(lambda u, v: _pm_mod(_pm_mul(u, v, p), mod, p), _pm_mod(a, mod, p), e)
-
-
 def _pm_xgcd(a, b, p):
     """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = a, b
@@ -380,7 +366,17 @@ def _pm_pth_root(a, p):
 
 
 # ---------------------------------------------------------------------------
-# factorization mod p: squarefree split + distinct degree + Cantor-Zassenhaus
+# factorization mod p: squarefree split + distinct degree + Cantor-Zassenhaus,
+# the last two in F_p[x]/(f) on its packed multiply and p-power map, the substitution
+# of x^p (von zur Gathen and Shoup, 1992): r^(p^j) is j linear maps, not j log2(p) squarings
+
+
+def _frobenius_map(f, p):
+    """(mul, sigma) of F_p[x]/(f), f monic of degree k, not necessarily
+    irreducible: `_mul_kernel` and x -> x^p on length-k tuples."""
+    mul, x = _mul_kernel(p, f), _pm_mod((0, 1), f, p)
+    x += (0,) * (len(f) - 1 - len(x))
+    return mul, _substitution_kernel(p, mul, chain_pow(mul, x, p))
 
 
 def _squarefree_parts(f, p):
@@ -409,49 +405,47 @@ def _squarefree_parts(f, p):
 
 
 def _distinct_degree(f, p):
-    """Monic squarefree f -> list of (d, product of irreducibles of degree d)."""
-    res = []
-    h = (0, 1)  # x
-    d = 0
-    while len(f) - 1 > 0:
+    """Monic squarefree f -> list of (d, product of irreducibles of degree d).
+    h = x^(p^d) mod f is sigma(h), sigma made again when f sheds a block."""
+    res, h, d, sigma = [], (0, 1), 0, None
+    while len(f) > 1:
         d += 1
         if 2 * d > len(f) - 1:
             res.append((len(f) - 1, f))
             break
-        h = _pm_powmod(h, p, f, p)
+        if sigma is None:
+            sigma, h = _frobenius_map(f, p)[1], _pm_mod(h, f, p)
+            h += (0,) * (len(f) - 1 - len(h))
+        h = sigma(h)
         g = _pm_gcd(_pm_sub(h, (0, 1), p), f, p)
         if len(g) > 1:
             res.append((d, g))
-            f = _pm_divmod(f, g, p)[0]
-            h = _pm_mod(h, f, p)
+            f, sigma = _pm_divmod(f, g, p)[0], None
     return res
 
 
 def _equal_degree_split(f, d, p, rng):
-    """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d."""
-    if len(f) - 1 == d:
+    """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d.
+    r^((p^d-1)/2) is (r sigma(r) ... sigma^(d-1)(r))^((p-1)/2); for p = 2
+    the trace r + sigma(r) + ... + sigma^(d-1)(r) takes its place."""
+    k = len(f) - 1
+    if k == d:
         return [f]
+    mul, sigma = _frobenius_map(f, p) if d > 1 else (_mul_kernel(p, f), None)
     while True:
-        r = _pm_trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        r = _pm_trim([rng.randrange(p) for _ in range(k)])
         if len(r) < 2:
             continue
-        if p == 2:
-            # trace map over F_2
-            t = r
-            acc = r
-            for _ in range(d - 1):
-                acc = _pm_powmod(acc, 2, f, p)
-                t = _pm_add(t, acc, p)
-            g = _pm_gcd(t, f, p)
-        else:
-            e = (p**d - 1) // 2
-            h = _pm_powmod(r, e, f, p)
-            g = _pm_gcd(_pm_sub(h, (1,), p), f, p)
-        if 0 < len(g) - 1 < len(f) - 1:
+        acc = conj = r + (0,) * (k - len(r))
+        for _ in range(d - 1):
+            conj = sigma(conj)
+            acc = mul(acc, conj) if p > 2 else tuple(map(int.__xor__, acc, conj))
+        if p > 2:
+            acc = _pm_sub(chain_pow(mul, acc, (p - 1) // 2), (1,), p)
+        g = _pm_gcd(acc, f, p)
+        if 0 < len(g) - 1 < k:
             other = _pm_divmod(f, g, p)[0]
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(
-                other, d, p, rng
-            )
+            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(other, d, p, rng)
 
 
 def poly_factor_mod_p(f: UniPoly, p: int, seed: int = 1):
@@ -485,20 +479,17 @@ def poly_factor_mod_p(f: UniPoly, p: int, seed: int = 1):
 
 
 def _is_irreducible_mod_p(c, p):
-    """Rabin irreducibility test for a monic polynomial tuple mod p."""
+    """Rabin irreducibility test for a monic polynomial tuple mod p, with
+    x^(p^j) mod c as j steps of the p-power map."""
     n = len(c) - 1
     if n <= 0:
         return False
-    x = _pm_mod((0, 1), c, p)  # a constant when the modulus is linear
-    h = _pm_powmod(x, p**n, c, p)
-    if _pm_sub(h, x, p):
-        return False
-    for r in factorize(n):
-        h = _pm_powmod(x, p ** (n // r), c, p)
-        g = _pm_gcd(_pm_sub(h, x, p), c, p)
-        if len(g) > 1:
-            return False
-    return True
+    sigma, x = _frobenius_map(c, p)[1], _pm_mod((0, 1), c, p)  # x is a constant when n = 1
+    hs = [x + (0,) * (n - len(x))]
+    for _ in range(n):
+        hs.append(sigma(hs[-1]))
+    return hs[n] == hs[0] and all(
+        len(_pm_gcd(_pm_sub(hs[n // r], x, p), c, p)) == 1 for r in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +550,28 @@ def _mul_kernel(p: int, m: tuple):
     return mul
 
 
+def _substitution_kernel(p: int, mul, image):
+    """x = sum x_j t^j -> sum x_j image^j on length-k tuples of
+    F_p[t]/(m), `mul` its `_mul_kernel`: an F_p-linear map, one packed row
+    image^j per j in the layout of `_mul_kernel`, with every slot below
+    k (p-1)^2. With image = t^(p^e) it is the Frobenius power x -> x^(p^e)."""
+    k = len(image)
+    cols = [(1,) + (0,) * (k - 1)]
+    for _ in range(k - 1):
+        cols.append(mul(cols[-1], image))
+    code = _slot_code(p, k)
+    if code is None:
+        return lambda a: tuple(sum(map(int.__mul__, a, row)) % p for row in zip(*cols))
+    order, size = sys.byteorder, array(code).itemsize * k
+    rows = [int.from_bytes(array(code, col).tobytes(), order) for col in cols]
+
+    def subst(a):
+        acc = sum(map(int.__mul__, a, rows))
+        return tuple([c % p for c in array(code, acc.to_bytes(size, order))])
+
+    return subst
+
+
 class FiniteField:
     """Explicit finite field F_p[x]/(modulus); order N = p^k.
 
@@ -585,7 +598,7 @@ class FiniteField:
         self.k = len(c) - 1
         self.order = p ** self.k
         self._kernel = None  # built on the first multiply
-        self._frob = None  # x -> x^p, built on the first Frobenius map
+        self._frob = {}  # e -> the map x -> x^(p^e), each built on first use
 
     def mul_kernel(self):
         """This field's multiply on coefficient tuples (see `_mul_kernel`),
@@ -597,39 +610,19 @@ class FiniteField:
 
     def frobenius_kernel(self, e: int):
         """x -> x^(p^e) on coefficient tuples, as `_substitution_kernel` of
-        t^(p^e). That image is t pushed e times through the map for e = 1,
-        which is built from t^p on the first call and kept on the field
-        (threads that race here build equal maps), so no power beyond t^p
-        is ever taken."""
-        if self._frob is None:
-            self._frob = self._substitution_kernel((self.gen() ** self.p).coeffs)
-        if e == 1:
-            return self._frob
-        image = self.gen().coeffs
-        for _ in range(e):
-            image = self._frob(image)
-        return self._substitution_kernel(image)
-
-    def _substitution_kernel(self, image):
-        """x = sum x_j t^j -> sum x_j image^j on coefficient tuples: an
-        F_p-linear map, one packed row image^j per j in the layout of
-        `_mul_kernel`, with every slot below k (p-1)^2. With image =
-        t^(p^e) it is the Frobenius power x -> x^(p^e)."""
-        p, k, mul = self.p, self.k, self.mul_kernel()
-        cols = [self.one().coeffs]
-        for _ in range(k - 1):
-            cols.append(mul(cols[-1], image))
-        code = _slot_code(p, k)
-        if code is None:
-            return lambda a: tuple(sum(map(int.__mul__, a, row)) % p for row in zip(*cols))
-        order, size = sys.byteorder, array(code).itemsize * k
-        rows = [int.from_bytes(array(code, col).tobytes(), order) for col in cols]
-
-        def subst(a):
-            acc = sum(map(int.__mul__, a, rows))
-            return tuple([c % p for c in array(code, acc.to_bytes(size, order))])
-
-        return subst
+        t^(p^e), built on the first call for each e and kept on the field
+        (threads that race here build equal maps). That image is t pushed
+        e times through the map for e = 1, itself built from t^p, so no
+        power beyond t^p is ever taken."""
+        maps, mul = self._frob, self.mul_kernel()
+        if 1 not in maps:
+            maps[1] = _substitution_kernel(self.p, mul, (self.gen() ** self.p).coeffs)
+        if e not in maps:
+            image = self.gen().coeffs
+            for _ in range(e):
+                image = maps[1](image)
+            maps[e] = _substitution_kernel(self.p, mul, image)
+        return maps[e]
 
     @property
     def char(self) -> int:
@@ -810,23 +803,23 @@ class QuadExt:
         return self.p
 
     def embed(self, x) -> "QuadExtElement":
-        return QuadExtElement(self, x, _zero_of(self.base))
+        return QuadExtElement(self, x, self.base.zero())
 
     def element(self, a, b) -> "QuadExtElement":
         return QuadExtElement(self, a, b)
 
     def from_int(self, n: int) -> "QuadExtElement":
-        return QuadExtElement(self, self.base.from_int(n), _zero_of(self.base))
+        return QuadExtElement(self, self.base.from_int(n), self.base.zero())
 
     def zero(self) -> "QuadExtElement":
-        z = _zero_of(self.base)
+        z = self.base.zero()
         return QuadExtElement(self, z, z)
 
     def one(self) -> "QuadExtElement":
-        return QuadExtElement(self, self.base.one(), _zero_of(self.base))
+        return QuadExtElement(self, self.base.one(), self.base.zero())
 
     def gen(self) -> "QuadExtElement":
-        return QuadExtElement(self, _zero_of(self.base), self.base.one())
+        return QuadExtElement(self, self.base.zero(), self.base.one())
 
     def elements(self):
         for b in self.base.elements():
@@ -845,10 +838,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt(order={self.order})"
-
-
-def _zero_of(field):
-    return field.zero()
 
 
 class QuadExtElement:
@@ -947,16 +936,6 @@ class QuadExtElement:
 
     def __repr__(self):
         return f"QuadExtElt({self.a!r} + ({self.b!r})*t)"
-
-
-def is_nth_power_residue(x, n: int) -> bool:
-    """True iff the nonzero element x is an n-th power, via x^((N-1)/n)."""
-    if x.is_zero:
-        raise ValueError("is_nth_power_residue is undefined at zero")
-    order = x.field.order
-    if (order - 1) % n != 0:
-        raise ValueError(f"{n} does not divide the group order {order - 1}")
-    return x ** ((order - 1) // n) == x.field.one()
 
 
 def field_nonsquare(field):

@@ -334,21 +334,33 @@ def _power_plan(F, e: int):
 def _lex_least_generator(F) -> FFElement:
     """First multiplicative generator in the frozen enumeration order.
 
-    x generates when x^((N-1)/r) != 1 for every prime r | N - 1. The
-    primes are tested grouped by d = ord_r(q), smallest d first, with
-    one `_norm_power` norm per candidate and group: nearly every
-    candidate fails at some d <= 3, where the norm and power are short.
-    """
+    x generates when x^((N-1)/r) != 1 for every prime r | N - 1. With
+    x = lam x', lam in F_q^* and x' monic: for r | q - 1, x'^((N-1)/r) is in
+    F_q, kept per monic class from one norm, and lam costs one int `pow`. The
+    other r divide (N-1)/(q-1), so lam^((N-1)/r) = 1: their test runs once per
+    monic class, lazily, by d = ord_r(q) from the smallest, one `_norm_power`
+    norm per d, and stops at its first power 1."""
     q, f = F.p, F.k
-    groups = {}
+    n1, groups = F.order - 1, {}
     for r in _group_prime_factors(q, f):
-        d = next(d for d in range(1, f + 1) if pow(q, d, r) == 1)
-        groups.setdefault(d, []).append(r)
+        groups.setdefault(next(d for d in range(1, f + 1) if pow(q, d, r) == 1), []).append(r)
+    base = groups.pop(1, [])
+    exps, scalar = [n1 // r % (q - 1) for r in base], _norm_power(F, base) if base else None
     tests = [_norm_power(F, groups[d]) for d in sorted(groups)]
-    one = F.one().coeffs
+    one, classes = F.one().coeffs, {}  # x' -> [its powers in F_q, its test or None]
     for idx in range(1, F.order):
         x = F.from_index(idx).coeffs
-        if all(one not in powers(x) for powers in tests):
+        lam = next(c for c in reversed(x) if c)
+        inv = pow(lam, -1, q)
+        monic = tuple([c * inv % q for c in x])
+        if monic not in classes:
+            classes[monic] = [[v[0] for v in scalar(monic)] if scalar else [], None]
+        entry = classes[monic]
+        if any(pow(lam, e, q) * v % q == 1 for e, v in zip(exps, entry[0])):
+            continue
+        if entry[1] is None:
+            entry[1] = all(one not in powers(monic) for powers in tests)
+        if entry[1]:
             return FFElement(F, x)
     raise AssertionError("no generator found; field arithmetic is broken")
 

@@ -251,6 +251,30 @@ class TestErrors:
             assert code == 2
             assert err == f"error: {want}\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--refined", "p=7"]], ids=["standard", "refined"])
+    def test_packet_over_another_order_refused(self, capsys, monkeypatch, extra):
+        """A K13cubic packet against a Q(sqrt13) family is refused before
+        any model is counted: its "q.i" keys name primes of another order."""
+        from fermatkit import elimination
+
+        def refuse(*args):
+            raise AssertionError("a point count ran for a packet over another order")
+
+        monkeypatch.setattr(elimination, "_reduced_trace", refuse)
+        elimination._local_data.cache_clear()
+        code, out, err = run(
+            capsys, "eliminate",
+            "--family", "families/demo_sum_rule_sqrt13.json",
+            "--packets", "packets/demo_self_1_3.json",
+            "--q", "5", *extra,
+        )
+        assert code == 2
+        assert "A_q" not in out
+        assert err == (
+            "error: packet demo-self-1-3.base_field: 'K13cubic' is not the order "
+            "'Qsqrt13' of family demo-sum-rule-sqrt13\n"
+        )
+
     @pytest.mark.parametrize("qs,extra,where", [
         ("5,211", [], "--q: expected auxiliary primes at most 200, got 211"),
         ("5,x", [], "--q: expected comma-separated integers, got 'x'"),

@@ -388,6 +388,22 @@ class TestRefinedElimination:
         assert [r.status for r in rep.refined] == ["skipped"]
         assert rep.refined[0].reason.startswith("ramified")
 
+    def test_packet_over_another_order_refused(self):
+        """Aq, Bq and refined elimination refuse a packet whose base field
+        is not the family's order, naming both orders."""
+        fam = demo_family()
+        eig = {P.key: [0] for P in split_prime(get_order("Qsqrt13"), 5)}
+        pkt = raw_packet("Qsqrt13", [0, 1], eig, label="other")
+        want = "packet other.base_field: 'Qsqrt13' is not the order 'K13cubic' of family demo"
+        for call in (
+            lambda: Aq(pkt, fam, 5),
+            lambda: Bq(fam, (1, 3), pkt, 5),
+            lambda: refined_eliminate(pkt, fam, 7, [5]),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == want
+
     def test_refined_subset_of_standard(self):
         """Anything standard elimination kills at p, refined also kills."""
         fam = demo_family()

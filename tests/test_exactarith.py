@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,7 +18,6 @@ from fermatkit.exactarith import (
     factorize,
     field_nonsquare,
     integer_roots,
-    is_nth_power_residue,
     is_prime,
     poly_discriminant,
     poly_factor_mod_p,
@@ -24,10 +25,41 @@ from fermatkit.exactarith import (
     real_root_count,
     tarski_query,
 )
-from fermatkit.exactarith import _pm_mod, _pm_mul, _pm_powmod, _pm_trim
-from fermatkit.numberfield import get_order, split_prime
+from fermatkit.exactarith import (
+    _equal_degree_split,
+    _frobenius_map,
+    _is_irreducible_mod_p,
+    _pm_gcd,
+    _pm_mod,
+    _pm_mul,
+    _pm_sub,
+    _pm_trim,
+)
+from fermatkit.numberfield import get_order, known_orders, split_prime
 
 PHI13 = UniPoly([1] * 13)
+
+
+def is_nth_power_residue(x, n: int) -> bool:
+    """True iff the nonzero element x is an n-th power, via x^((N-1)/n)."""
+    if x.is_zero:
+        raise ValueError("is_nth_power_residue is undefined at zero")
+    order = x.field.order
+    if (order - 1) % n != 0:
+        raise ValueError(f"{n} does not divide the group order {order - 1}")
+    return x ** ((order - 1) // n) == x.field.one()
+
+
+def _pm_powmod(a, e, mod, p):
+    """a^e mod (mod, p) by square-and-multiply on schoolbook products and
+    long division: the oracle for the packed p-power maps of factoring."""
+    if not e:
+        return (1,)
+    return chain_pow(lambda u, v: _pm_mod(_pm_mul(u, v, p), mod, p), _pm_mod(a, mod, p), e)
+
+
+def _pad(a, k):
+    return tuple(a) + (0,) * (k - len(a))
 
 
 class TestUniPoly:
@@ -115,6 +147,72 @@ class TestFactorModP:
         a = poly_factor_mod_p(PHI13, 29, seed=5)
         b = poly_factor_mod_p(PHI13, 29, seed=5)
         assert a == b
+
+    def test_frozen_prime_keys(self):
+        """The factor lists behind every "q.i" key, for each order and
+        every prime q < 200 (184 entries), hash to the frozen digest."""
+        orders = known_orders()
+        entries = [
+            [label, q, [[list(P.factor.coeffs), P.e] for P in split_prime(orders[label], q)]]
+            for label in sorted(orders)
+            for q in range(2, 200)
+            if is_prime(q) and q not in orders[label].excluded_primes
+        ]
+        assert len(entries) == 184
+        digest = hashlib.sha256(json.dumps(entries, separators=(",", ":")).encode()).hexdigest()
+        assert digest == "9dfe51b2269c9445bf710fd827ff336da76f53838934aa1ae75d6f2a8eb143f1"
+
+    @pytest.mark.parametrize("p", [2, 3, 23, 29, 101, 2**61 - 1])
+    def test_frobenius_map_powers_match_schoolbook(self, p):
+        """In F_p[x]/(f), f monic and mostly reducible, the packed p-power
+        map is the schoolbook r^p, and for odd p
+        (r sigma(r) ... sigma^(d-1)(r))^((p-1)/2) is the schoolbook
+        r^((p^d-1)/2); past 64-bit slots both kernels fall back to schoolbook."""
+        rng = random.Random(p)
+        for k in (1, 2, 3, 6, 12):
+            f = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+            mul, sigma = _frobenius_map(f, p)
+            for _ in range(3):
+                r = _pad([rng.randrange(p) for _ in range(k)], k)
+                assert sigma(r) == _pad(_pm_powmod(r, p, f, p), k), (f, r)
+                for d in (1, 2, 3) if p > 2 else ():
+                    acc = conj = r
+                    for _ in range(d - 1):
+                        conj = sigma(conj)
+                        acc = mul(acc, conj)
+                    want = _pm_powmod(r, (p**d - 1) // 2, f, p)
+                    assert _pm_trim(chain_pow(mul, acc, (p - 1) // 2)) == want, (f, r, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 29])
+    def test_rabin_and_equal_degree_against_schoolbook(self, p):
+        """The Rabin test agrees with one on schoolbook powers, and the
+        equal-degree split of a product of distinct irreducibles of one
+        degree returns exactly those irreducibles."""
+
+        def rabin(c):
+            n, x = len(c) - 1, _pm_mod((0, 1), c, p)
+            if _pm_sub(_pm_powmod(x, p**n, c, p), x, p):
+                return False
+            return all(
+                len(_pm_gcd(_pm_sub(_pm_powmod(x, p ** (n // r), c, p), x, p), c, p)) == 1
+                for r in factorize(n)
+            )
+
+        rng = random.Random(10 + p)
+        irreducible = {}
+        for _ in range(60):
+            k = rng.randrange(1, 7)
+            c = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+            assert _is_irreducible_mod_p(c, p) == rabin(c), c
+            if rabin(c):
+                irreducible.setdefault(k, set()).add(c)
+        for d, gs in irreducible.items():
+            gs = sorted(gs)[:3]
+            f = (1,)
+            for g in gs:
+                f = _pm_mul(f, g, p)
+            got = _equal_degree_split(f, d, p, random.Random(1))
+            assert sorted(got) == gs, (d, gs)
 
 
 F25 = FiniteField(5, UniPoly([3, 0, 1]), check=False)  # x^2 + 3 irreducible mod 5

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fermatkit.elimination import family_from_dict, residue_pairs
-from fermatkit.exactarith import FFElement, FiniteField, is_nth_power_residue
+from fermatkit.exactarith import FFElement, FiniteField
 from fermatkit.numberfield import (
     cyclotomic_unit_generators,
     get_order,
@@ -415,7 +415,8 @@ class TestSieve:
             assert a == b
 
     def test_literal_seventh_power_check_at_2(self):
-        """Spot-check the survivor semantics against is_nth_power_residue."""
+        """Spot-check the survivor semantics against a literal 7th-power
+        test, z^((N-1)/7) = 1."""
         Q = split_prime(ZZ13, 2)[0]
         cons = [SieveConstraint(q=2, mode="parity-only")]
         surv = {u.index for u in sieve_case("divisible-13", cons)}
@@ -429,7 +430,7 @@ class TestSieve:
             for a, b in pairs:
                 val = reduce_element(ZZ13.element([a, b]), Q)
                 val = val * reduce_element(omz, Q).inverse()
-                ok = ok or is_nth_power_residue(val * red_eps.inverse(), 7)
+                ok = ok or (val * red_eps.inverse()) ** ((Q.norm - 1) // 7) == 1
             assert ok == (idx in surv)
 
     def test_planted_random_classes_generalized(self):
@@ -541,15 +542,41 @@ def test_norm_power_memo_matches_fresh_calls(q):
                 assert next(shared(x)) == next(_norm_power(F, (7,))(x)), (Q.key, x)
 
 
+def _lazy_walk(F, candidates, groups):
+    """What a lazy generator test does on `candidates`, group by group
+    (smallest d first) and prime by prime until the first power equal to
+    1: the groups it reaches, one norm each, and the power plans it
+    evaluates, one per distinct (r, norm to F_{q^d}) with d > 1."""
+    q, n1 = F.p, F.order - 1
+    seen, reached = set(), 0
+    for x in candidates:
+        for d in sorted(groups):
+            reached += 1
+            y = (x ** (n1 // (q**d - 1))).coeffs
+            for r in groups[d]:
+                if d > 1:
+                    seen.add((r, y))
+                if x ** (n1 // r) == F.one():
+                    break
+            else:
+                continue
+            break
+    return reached, len(seen)
+
+
 @pytest.mark.parametrize("q", (23, 41))
 def test_norm_power_memo_keeps_early_stop(q, monkeypatch):
-    """The generator search still stops at the first power equal to 1:
-    it evaluates exactly the power plans that a lazy walk, candidate by
-    candidate, group by group and prime by prime, reaches before its
-    first power 1, counted once per distinct (r, norm)."""
+    """The generator search tests the primes r | q - 1 on each candidate
+    (int powers, no plans, from one norm per monic class x' = x / lead(x))
+    and the others, which divide (N-1)/(q-1), once per monic class of the
+    candidates passing the first, stopping at the first power equal to 1:
+    it takes exactly the norms and evaluates exactly the power plans that
+    a lazy walk over those classes reaches. At 23.1 that is fewer plans
+    than the walk over every candidate and every prime evaluates (17
+    against 97)."""
     from fermatkit import unitsieve
 
-    plain_plan, evaluated = unitsieve._power_plan, []
+    plain_plan, plain_norm, evaluated, norms = unitsieve._power_plan, unitsieve._norm_power, [], []
 
     def counted_plan(F, e):
         plan = plain_plan(F, e)
@@ -560,30 +587,39 @@ def test_norm_power_memo_keeps_early_stop(q, monkeypatch):
 
         return run
 
+    def counted_norm(F, rs):
+        powers = plain_norm(F, rs)
+
+        def run(x):
+            norms.append(x)
+            return powers(x)
+
+        return run
+
     monkeypatch.setattr(unitsieve, "_power_plan", counted_plan)
+    monkeypatch.setattr(unitsieve, "_norm_power", counted_norm)
     for Q in split_prime(ZZ13, q):
         F, n1 = Q.residue_field, Q.norm - 1
         evaluated.clear()
+        norms.clear()
         g = _lex_least_generator(F)
-        groups = {}
+        every = {}
         for r in _group_prime_factors(q, F.k):
-            groups.setdefault(_order_mod(q, r), []).append(r)
-        seen, want = set(), 0
-        for idx in range(1, g.index() + 1):
-            x = F.from_index(idx)
-            stop = False
-            for d in sorted(groups):
-                for r in groups[d]:
-                    if d > 1:
-                        y = (x ** (n1 // (q**d - 1))).coeffs
-                        want += (r, y) not in seen
-                        seen.add((r, y))
-                    if x ** (n1 // r) == F.one():
-                        stop = True
-                        break
-                if stop:
-                    break
-        assert len(evaluated) == want, (Q.key, len(evaluated), want)
+            every.setdefault(_order_mod(q, r), []).append(r)
+        candidates = [F.from_index(idx) for idx in range(1, g.index() + 1)]
+        classes, tested = [], []
+        for x in candidates:
+            lead = next(c for c in reversed(x.coeffs) if c)
+            c = x * F.from_int(lead).inverse()
+            if c not in classes:
+                classes.append(c)
+            if c not in tested and all(x ** (n1 // r) != F.one() for r in every.get(1, ())):
+                tested.append(c)
+        reached, plans = _lazy_walk(F, tested, {d: rs for d, rs in every.items() if d > 1})
+        assert len(evaluated) == plans, (Q.key, len(evaluated), plans)
+        assert len(norms) == reached + (len(classes) if 1 in every else 0), Q.key
+        if Q.key == "23.1":
+            assert plans < _lazy_walk(F, candidates, every)[1] == 97
 
 
 @pytest.mark.parametrize("q", (2, 11, 19, 23, 29, 41, 547))
