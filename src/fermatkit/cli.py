@@ -656,6 +656,30 @@ def cmd_check_congruence(args, ctx) -> int:
 # and builds residue fields of degree f <= 12.
 MAX_CONSTRAINT_Q = 200
 
+# The largest residue field N(P), P above an `eliminate --q` or a modular
+# constraint's q in the family's order, that a point count may run over.
+# The cost follows N(P), not q: 199 is inert in the cubic field, and one
+# count over F_{199^3} walks about 7.9 million elements. 2^16 keeps every
+# shipped fixture and command (the largest is F_{37^3}, 50,653) and refuses
+# the cubic field's inert primes from 41 on. Unconstrained and parity-only
+# constraints count nothing (they exponentiate, in fields up to F_{41^12}),
+# so they are not capped.
+MAX_RESIDUE_FIELD = 2**16
+
+
+def _check_residue_fields(family, q: int, where: str) -> None:
+    """Refuse an admissible q with a prime above it, in the family's
+    order, whose residue field exceeds MAX_RESIDUE_FIELD; an inadmissible q
+    is refused later, by the elimination, before any count."""
+    if not family.is_admissible(q):
+        return
+    for P in family.primes_above(q):
+        if P.norm > MAX_RESIDUE_FIELD:
+            raise ValueError(
+                f"{where}: the residue field at {P.key} has {P.norm} elements, "
+                f"more than {MAX_RESIDUE_FIELD}"
+            )
+
 
 def _parse_q_list(text: str):
     out = []
@@ -697,6 +721,8 @@ def cmd_eliminate(args, ctx) -> int:
     except ExternalDataSlotError as e:
         report.checks.append(CheckResult("family", STATUS_SKIP, str(e)))
         return _emit(args, report)
+    for q in q_list:
+        _check_residue_fields(fam, q, f"--q: {q}")
     pk_path = ctx.path(args.packets)
     ctx.record_input(pk_path)
     packets = load_packets(pk_path)
@@ -762,6 +788,7 @@ def _load_constraints(ctx, path):
         if not isinstance(c.get("targets_from_curve", ""), str):
             raise ValueError(f"constraints[{i}].targets_from_curve: expected a file path")
         fam = load_family(ctx.path(c["family"]))  # may raise ExternalDataSlotError
+        _check_residue_fields(fam, q, f"constraints[{i}].q: {q}")
         if "targets_from_curve" in c:
             curve = _load_curve(ctx, c["targets_from_curve"])
             targets = modular_targets_from_curve(curve, q)

@@ -386,7 +386,10 @@ def Bq(family: FreyFamily, pair, packet: NewformPacket, q: int) -> int:
 
     Defined for pairs the reduction rule classifies as good; the gcd of
     an all-zero multiset is 0, meaning the pair gives no information.
+    A packet over another order is refused before the local data are
+    built; the eigenvalues are looked up after the pair's case.
     """
+    _check_base_field(packet, family)
     data = _local_data(family, q)
     if data.cases.get(tuple(pair)) != "good":
         raise ValueError(f"pair {pair} has multiplicative reduction at q={q}")

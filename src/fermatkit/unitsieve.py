@@ -14,7 +14,9 @@ chi_Q(eps) = unit_chars . e, and reads every pair's off chi(b) +
 chi(a/b + zeta): about q exponentiations per prime, not q^2 - 1. The
 reference route compares the exact residues x^((N-1)/7) of every pair
 and unit, with no discrete logs, characters or linear algebra mod 7,
-each through the norm to F_{q^d}, d the order of q mod 7.
+each through the norm to F_{q^d}, d the order of q mod 7: the norm of
+a + b zeta is b^n N(a/b + zeta) (n = f/d), one scalar times one of the
+q line norms taken once per prime, and each distinct norm is raised once.
 """
 
 from __future__ import annotations
@@ -211,14 +213,40 @@ def _norm_power(F, rs):
 
     With d the least exponent such that every r divides q^d - 1 (the
     order of q mod r for one r), x^((N-1)/r) is y^((q^d-1)/r) for the
-    norm y = x^((N-1)/(q^d-1)) of x to F_{q^d}: one norm per x, then a
-    power below q^d per r, an int `pow` mod q when d = 1 and otherwise
-    the cheaper of `_power_plan`'s two chains.
+    norm y = x^((N-1)/(q^d-1)) of x to F_{q^d} (`_subfield_norm`): one
+    norm per x, then one power below q^d per r (`_memo_power`), memoised
+    on the exact norm y, so it is taken once per distinct y and r. The
+    oracle's pairs do not come here one at a time: `_pair_residues`
+    norms the q line elements c + zeta with the same two parts and
+    scales each by b^n.
+    """
+    q, f = F.p, F.k
+    d = _norm_degree(q, f, rs)
+    norm = _subfield_norm(F, d)
+    raisers = [_memo_power(F, d, (q**d - 1) // r) for r in rs]
+
+    def powers(x):
+        y = norm(x)
+        for power in raisers:
+            yield power(y)
+
+    return powers
+
+
+def _norm_degree(q: int, f: int, rs) -> int:
+    """The least d such that every r in rs divides q^d - 1."""
+    return next(d for d in range(1, f + 1) if all(pow(q, d, r) == 1 for r in rs))
+
+
+def _subfield_norm(F, d: int):
+    """x -> the norm x^((N-1)/(q^d-1)) of x to F_{q^d}, for F = F_{q^f}
+    and d | f, on coefficient tuples: an int when d = 1, otherwise the
+    norm's coefficient tuple in F.
 
     The norm is the product of the n = f/d conjugates sigma^(d i)(x),
     sigma the q-power map. For x = c0 + c1 t, of degree at most 1 in
-    the field's generator t (every pair a + b zeta, where zeta maps to
-    t, and the generator candidates below index q^2), it is
+    the field's generator t (every line element c + zeta, where zeta
+    maps to t, and the generator candidates below index q^2), it is
     sum_k c0^(n-k) c1^k e_k, the e_k the elementary symmetric functions
     of the conjugates of t: at d = 1 the modulus coefficients
     (-1)^k m_(f-k), otherwise the coefficients of the product of the
@@ -228,15 +256,9 @@ def _norm_power(F, rs):
     about 2 log2(n) multiplies over one precomputed F_q-linear map per
     Frobenius power used (Itoh and Tsujii, 1988; von zur Gathen and
     Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
-
-    Each power is memoised on the exact norm y, so it is taken once per
-    distinct y and r: at each prime above 29 the 840 pairs a + b zeta
-    have 28 distinct norms.
     """
     q, f = F.p, F.k
-    d = next(d for d in range(1, f + 1) if all(pow(q, d, r) == 1 for r in rs))
     n = f // d
-    exps = [(q**d - 1) // r for r in rs]
     steps, m = [], 1
     for bit in bin(n)[3:]:
         steps.append((False, m))
@@ -246,9 +268,7 @@ def _norm_power(F, rs):
             m += 1
     maps = {j: F.frobenius_kernel(d * j) for _, j in steps}
     steps = [(by_x, maps[j]) for by_x, j in steps]
-    mul, zeros = F.mul_kernel(), (0,) * (f - 1)
-    plans = [None if d == 1 else _power_plan(F, e) for e in exps]
-    memos = [{} for _ in exps]  # per exponent: norm y -> its power, made on first use
+    mul = F.mul_kernel()
     cols = None  # (j, (e_0[j], ..., e_n[j])) wherever some e_k[j] != 0
 
     def symmetric():
@@ -266,7 +286,7 @@ def _norm_power(F, rs):
             ] + [prods[-1]]
         return [(j, col) for j, col in enumerate(zip(*es)) if any(col)]
 
-    def powers(x):
+    def norm(x):
         nonlocal cols
         if n > 1 and not any(x[2:]):
             if cols is None:
@@ -283,14 +303,31 @@ def _norm_power(F, rs):
             y = x
             for by_x, frob in steps:
                 y = mul(x if by_x else y, frob(y))
-        key = y[0] if d == 1 else tuple(y)
-        for e, plan, memo in zip(exps, plans, memos):
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = (pow(key, e, q),) + zeros if plan is None else plan(key)
-            yield v
+        return y[0] if d == 1 else tuple(y)
 
-    return powers
+    return norm
+
+
+def _memo_power(F, d: int, e: int):
+    """y -> y^e as a coefficient tuple of F = F_{q^f}, for a norm y to
+    F_{q^d} as `_subfield_norm` gives it and e below q^d: an int `pow`
+    mod q when d = 1, otherwise `_power_plan`. Memoised on y."""
+    memo = {}
+    if d == 1:
+        q, zeros = F.p, (0,) * (F.k - 1)
+
+        def make(y):
+            return (pow(y, e, q),) + zeros
+    else:
+        make = _power_plan(F, e)
+
+    def power(y):
+        v = memo.get(y)
+        if v is None:
+            v = memo[y] = make(y)
+        return v
+
+    return power
 
 
 def _power_plan(F, e: int):
@@ -343,7 +380,7 @@ def _lex_least_generator(F) -> FFElement:
     q, f = F.p, F.k
     n1, groups = F.order - 1, {}
     for r in _group_prime_factors(q, f):
-        groups.setdefault(next(d for d in range(1, f + 1) if pow(q, d, r) == 1), []).append(r)
+        groups.setdefault(_norm_degree(q, f, (r,)), []).append(r)
     base = groups.pop(1, [])
     exps, scalar = [n1 // r % (q - 1) for r in base], _norm_power(F, base) if base else None
     tests = [_norm_power(F, groups[d]) for d in sorted(groups)]
@@ -547,18 +584,53 @@ def _pair_reduction(Q: PrimeIdealData):
     return lambda a, b: tuple([(a * u + b * z) % q for u, z in zip(one, zeta)])
 
 
+def _pair_residues(Q: PrimeIdealData, pairs) -> list:
+    """(a + b zeta)^((N-1)/7) reduced at Q for each pair (a, b), in the
+    order given, None where the pair lies in Q; one pass over the pairs.
+
+    With d the order of q mod 7 and n = f/d, the norm of a + b zeta to
+    F_{q^d} is a binary form of degree n in (a, b): for b != 0 it is
+    b^n N(a/b + zeta), and N(a) = a^n. So the q line norms N(c + zeta)
+    are taken once (`_subfield_norm`), each pair's norm is one scalar
+    times one of them, and the power (N-1)/7, a power (q^d-1)/7 of the
+    norm, is taken once per distinct norm (`_memo_power`). Every pair
+    still gets its own exact residue: no dlog, character or split of
+    values into a scalar and a line part.
+    """
+    F, q = Q.residue_field, Q.q
+    d = _norm_degree(q, F.k, (7,))
+    n = F.k // d
+    norm, power = _subfield_norm(F, d), _memo_power(F, d, (q**d - 1) // 7)
+    line = _pair_reduction(Q)
+    one, zero = (1, 0) if d == 1 else (F.one().coeffs, (0,) * F.k)
+    lines = [norm(line(c, 1)) for c in range(q)]
+    scalars = [pow(b, n, q) for b in range(q)]
+    inverses = [0] + [pow(b, -1, q) for b in range(1, q)]
+    out = []
+    for a, b in pairs:
+        y, s = (lines[a * inverses[b] % q], scalars[b]) if b else (one, scalars[a])
+        if y == zero:
+            out.append(None)
+        elif d == 1:
+            out.append(power(s * y % q))
+        else:
+            out.append(power(tuple([s * u % q for u in y])))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _exhaustive_residues(constraint: SieveConstraint):
     """What the oracle needs of one constraint in either descent case:
     per prime above q its residue field, the masks of the values of
     eps^((N-1)/7) and the value of (1 - zeta)^((N-1)/7); and the
-    admissible pairs' residue tuples. Memoized per constraint; the
-    descent cases share it."""
+    admissible pairs' residue tuples, one prime at a time
+    (`_pair_residues`: each pair's norm is b^n times one of the q line
+    norms). Memoized per constraint; the descent cases share it."""
     order = get_order("Zzeta13")
     omz = order.one() - order.theta()
-    primes = split_prime(order, constraint.q)
-    local, powers, pairs = [], [], []
-    for Q in primes:
+    pairs = list(admissible_pairs(constraint))
+    local, columns = [], []
+    for Q in split_prime(order, constraint.q):
         if (Q.norm - 1) % 7:
             raise ValueError(f"7 does not divide the residue group order at {Q.key}")
         F = Q.residue_field
@@ -572,13 +644,8 @@ def _exhaustive_residues(constraint: SieveConstraint):
             rows.append(row)
         shift = next(power(reduce_element(omz, Q).coeffs))
         local.append((F, _class_masks(rows, one, mul), shift))
-        powers.append(power)
-        pairs.append(_pair_reduction(Q))
-    targets = set()
-    for a, b in admissible_pairs(constraint):
-        reds = [pair(a, b) for pair in pairs]
-        targets.add(tuple(next(p(r)) if any(r) else None for r, p in zip(reds, powers)))
-    return tuple(local), frozenset(targets)
+        columns.append(_pair_residues(Q, pairs))
+    return tuple(local), frozenset(zip(*columns))
 
 
 def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
@@ -676,8 +743,9 @@ def sieve_case(descent_case: str, constraints) -> SurvivorSet:
 
 
 def sieve_case_exhaustive(descent_case: str, constraints) -> SurvivorSet:
-    """`sieve_case_exhaustive_bits` as a read-only set of UnitClass. The
-    oracle takes one power per distinct subfield norm of the pairs."""
+    """`sieve_case_exhaustive_bits` as a read-only set of UnitClass. At
+    each prime the oracle forms every pair's subfield norm as b^n times
+    a line norm N(a/b + zeta) and takes one power per distinct norm."""
     return SurvivorSet(sieve_case_exhaustive_bits(descent_case, constraints))
 
 

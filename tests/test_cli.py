@@ -299,6 +299,63 @@ class TestErrors:
         assert err == f"error: {where}\n"
         assert cli.MAX_CONSTRAINT_Q == 200
 
+    @pytest.fixture
+    def no_count(self, monkeypatch):
+        from fermatkit import elimination
+
+        def refuse(*args):
+            raise AssertionError("a point count started over a capped residue field")
+
+        monkeypatch.setattr(elimination, "_reduced_trace", refuse)
+        elimination._local_data.cache_clear()
+
+    def test_eliminate_residue_field_above_the_cap(self, capsys, no_count):
+        """199 passes the cap on q but is inert in the cubic field: F_{199^3}
+        is refused before any count, also the one at q = 5."""
+        import fermatkit.cli as cli
+
+        code, out, err = run(
+            capsys, "eliminate",
+            "--family", "families/demo_sum_rule_cubic.json",
+            "--packets", "packets/demo_self_1_3.json",
+            "--q", "5,199", "--refined", "p=7",
+        )
+        assert code == 2 and "A_q" not in out
+        assert err == (
+            f"error: --q: 199: the residue field at 199.0 has {199**3} elements, "
+            f"more than {cli.MAX_RESIDUE_FIELD}\n"
+        )
+        assert 37**3 <= cli.MAX_RESIDUE_FIELD < 41**3
+
+    def test_modular_constraint_residue_field_above_the_cap(self, capsys, tmp_path,
+                                                            no_sieve, no_count):
+        import fermatkit.cli as cli
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"constraints": [
+            {"q": 2, "mode": "parity-only"},
+            {"q": 199, "mode": "modular", "family": "families/demo_sum_rule_cubic.json",
+             "targets": {"199.0": [1]}}]}))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert err == (
+            f"error: constraints[1].q: 199: the residue field at 199.0 has {199**3} "
+            f"elements, more than {cli.MAX_RESIDUE_FIELD}\n"
+        )
+
+    def test_unconstrained_constraints_are_not_capped(self, capsys, tmp_path, monkeypatch):
+        """Unconstrained constraints only exponentiate: 199, with residue
+        fields F_{199^6} above it, still reaches the sieve."""
+        import fermatkit.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "sieve_case_bits", lambda case, cons: seen.append(cons) or 0)
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps({"constraints": [{"q": 199, "mode": "unconstrained"}]}))
+        code, _, _ = run(capsys, "sieve", "--case", "div13", "--constraints", str(ok))
+        assert code == 0
+        assert [(c.q, c.mode) for c in seen[0]] == [(199, "unconstrained")]
+
     @pytest.mark.parametrize("cons,where", [
         ([1], "consistency:"),
         ({"curve": 5, "specialization": [1, 3]}, "consistency.curve:"),

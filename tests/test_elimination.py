@@ -22,6 +22,7 @@ from fermatkit.elimination import (
 from fermatkit.exactarith import UniPoly, poly_norm
 from fermatkit.newformdata import (
     NewformPacket,
+    load_packets,
     packet_from_curve,
     packet_from_dict,
     primes_above_in_Qf,
@@ -226,6 +227,24 @@ class TestBq:
         pkt = raw_packet("K13cubic", [0, 1], {})
         with pytest.raises(MissingEigenvalueError):
             Bq(fam, (1, 3), pkt, 5)
+
+    def test_packet_over_another_order_refused_before_counting(self, monkeypatch):
+        """A K13cubic packet against the Q(sqrt13) demo family is refused
+        on its base field, with no point count and no local data."""
+        from fermatkit import elimination
+
+        calls = []
+        plain = elimination._reduced_trace
+        monkeypatch.setattr(elimination, "_reduced_trace",
+                            lambda a, field: calls.append(a) or plain(a, field))
+        elimination._local_data.cache_clear()
+        fam = load_family(FIXTURES / "families" / "demo_sum_rule_sqrt13.json")
+        (pkt,) = load_packets(FIXTURES / "packets" / "demo_self_1_3.json")
+        assert pkt.base_field == "K13cubic"
+        with pytest.raises(ValueError, match="is not the order 'Qsqrt13'"):
+            Bq(fam, (1, 3), pkt, 5)
+        assert calls == []
+        assert elimination._local_data.cache_info().currsize == 0
 
 
 class TestAq:

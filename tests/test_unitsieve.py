@@ -1,9 +1,10 @@
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
-from fermatkit.elimination import family_from_dict, residue_pairs
+from fermatkit.elimination import family_from_dict, load_family, residue_pairs
 from fermatkit.exactarith import FFElement, FiniteField
 from fermatkit.numberfield import (
     cyclotomic_unit_generators,
@@ -26,6 +27,7 @@ from fermatkit.unitsieve import (
     _pair_char,
     _pair_element,
     _pair_reduction,
+    _pair_residues,
     _power_plan,
     _survivor_bits,
     admissible_pairs,
@@ -41,6 +43,7 @@ from fermatkit.unitsieve import (
 )
 
 ZZ13 = get_order("Zzeta13")
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
 ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
 PROOF_SET_QS = (2, 11, 19, 23, 29, 41)
 
@@ -414,6 +417,12 @@ class TestSieve:
             b = {u.index for u in sieve_case_exhaustive(case, cons)}
             assert a == b
 
+    @pytest.mark.parametrize("q", [11, 29])
+    def test_linear_vs_exhaustive_modular(self, q):
+        cons = [_demo_modular(q)]
+        for case in ("coprime-13", "divisible-13"):
+            assert sieve_case_exhaustive_bits(case, cons) == sieve_case_bits(case, cons), case
+
     def test_literal_seventh_power_check_at_2(self):
         """Spot-check the survivor semantics against a literal 7th-power
         test, z^((N-1)/7) = 1."""
@@ -540,6 +549,53 @@ def test_norm_power_memo_matches_fresh_calls(q):
         for x in reds:
             if any(x):
                 assert next(shared(x)) == next(_norm_power(F, (7,))(x)), (Q.key, x)
+
+
+def _demo_modular(q: int) -> SieveConstraint:
+    """A modular constraint in the form of the proof sieve files: the
+    demo Q(sqrt13) family against C_eq51's Euler targets at q."""
+    fam = load_family(FIXTURES / "families" / "demo_sum_rule_sqrt13.json")
+    return SieveConstraint(
+        q=q, mode="modular", family=fam, targets=modular_targets_from_curve(curve_C(), q)
+    )
+
+
+def _direct_residues(Q, pairs) -> list:
+    """The direct per-pair route: a + b zeta reduced at Q, then raised
+    through `_norm_power`; None where the pair lies in Q."""
+    pair, direct = _pair_reduction(Q), _norm_power(Q.residue_field, (7,))
+    return [next(direct(x)) if any(x) else None for x in (pair(a, b) for a, b in pairs)]
+
+
+@pytest.mark.parametrize("mode,q", [("parity-only", 2)] + [
+    ("unconstrained", q) for q in (11, 19, 23, 29, 41)
+] + [("modular", 11), ("modular", 29)])
+def test_pair_residues_match_the_direct_route(mode, q):
+    """The one-pass residues (b^n times a line norm, one power per
+    distinct norm) equal the direct per-pair route for every admissible
+    pair at every prime above q: d = 1 at 29, d = 3 at 2, 11 and 23,
+    d = 6 at 19, d = 2 at 41."""
+    c = _demo_modular(q) if mode == "modular" else SieveConstraint(q=q, mode=mode)
+    pairs = sorted(admissible_pairs(c))
+    assert pairs
+    for Q in split_prime(ZZ13, q):
+        assert _pair_residues(Q, pairs) == _direct_residues(Q, pairs), Q.key
+
+
+def test_pair_residues_none_where_the_pair_lies_in_q():
+    """Above 547 = 1 mod 91 (twelve primes of degree 1, n = 1), the pairs
+    a + b zeta with a = -b zeta_Q lie in Q: the one-pass route gives
+    None exactly there, and agrees with the direct route on them and on
+    a sample of the other pairs."""
+    rng = random.Random(547)
+    sample = [(rng.randrange(547), rng.randrange(1, 547)) for _ in range(60)]
+    for Q in split_prime(ZZ13, 547):
+        z = reduce_element(ZZ13.theta(), Q).coeffs[0]
+        inside = [(-b * z % 547, b) for b in (1, 2, 546)]
+        pairs = inside + sample + [(1, 0), (5, 0)]
+        got = _pair_residues(Q, pairs)
+        assert [v is None for v in got] == [(a + b * z) % 547 == 0 for a, b in pairs], Q.key
+        assert got == _direct_residues(Q, pairs), Q.key
 
 
 def _lazy_walk(F, candidates, groups):
@@ -712,7 +768,9 @@ def test_oracle_work_count(monkeypatch):
     yet built). With a full-field power per pair and unit it made 18,616
     and 1,070; the linear norms, the Frobenius-Horner powers and the
     pairs formed on tuples made 7,958; one power per distinct norm (143
-    of the 528 pairs' at each prime) makes about 2,540."""
+    of the 528 pairs' at each prime) made about 2,540, and forming the
+    pairs' norms from the 23 line norms, with the units' powers in a
+    memo of their own, makes about 2,580."""
     from fermatkit import unitsieve
 
     unitsieve._exhaustive_residues.cache_clear()
