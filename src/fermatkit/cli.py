@@ -39,11 +39,13 @@ from .curves import (
 )
 from .elimination import (
     ExternalDataSlotError,
+    compatible_pairs,
     load_family,
     refined_eliminate,
     standard_eliminate,
 )
 from .exactarith import FiniteField, UniPoly, is_prime
+from .jsonfile import read_json
 from .newformdata import (
     load_packets,
     packet_from_curve,
@@ -63,6 +65,7 @@ from .unitsieve import (
     UNIT_CLASS_COUNT,
     SieveConstraint,
     UnitClass,
+    _seventh_powers,
     build_character,
     class_indices,
     generator_independence_rank,
@@ -192,18 +195,34 @@ def _reference_invariants(ctx):
     same weighted projective point; with the integral alpha and mu."""
     p = ctx.path("invariants/humbert_rm8_reference.json")
     ctx.record_input(p)
-    data = json.loads(p.read_text())
-    order = get_order(data["order"])
-    fracs = [[_ratio(s) for s in data["invariants"][k]] for k in ("I2", "I4", "I6", "I10")]
+    order, fracs, alpha = read_json(p, _parse_reference)
     mu = math.lcm(*(d for inv in fracs for _, d in inv))
     inv = tuple(
         order.element([n * mu**k // d for n, d in coords])
         for k, coords in zip(_IGUSA_WEIGHTS, fracs)
     )
-    alpha = [_ratio(s) for s in data["alpha"]]
-    if any(n % d for n, d in alpha):
-        raise ValueError(f"{p}: alpha must be integral")
     return inv, order.element([n // d for n, d in alpha]), mu
+
+
+def _parse_reference(data):
+    """The order, the coordinates of I2..I10 and the integral alpha of a
+    reference file, each coordinate an (n, d) pair."""
+    try:
+        label, invariants = data["order"], data["invariants"]
+        fracs = [[_ratio(s) for s in invariants[k]] for k in ("I2", "I4", "I6", "I10")]
+        alpha = [_ratio(s) for s in data["alpha"]]
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from None
+    except TypeError:
+        raise ValueError(
+            'expected {"order": ..., "invariants": {"I2": [...], ..., "I10": [...]}, '
+            '"alpha": [...]}'
+        ) from None
+    if not isinstance(label, str) or label not in known_orders():
+        raise ValueError(f"order: expected one of {sorted(known_orders())}, got {label!r}")
+    if any(n % d for n, d in alpha):
+        raise ValueError("alpha must be integral")
+    return get_order(label), fracs, alpha
 
 
 def _reference_comparison(ctx, mine):
@@ -756,16 +775,56 @@ def cmd_eliminate(args, ctx) -> int:
 
 
 def _load_constraints(ctx, path):
+    """The SieveConstraints of a constraint file. Every error names the
+    file and the entry; an external-data family slot raises its
+    ExternalDataSlotError unchanged."""
     p = ctx.path(path)
     ctx.record_input(p)
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{p}: not valid JSON at line {e.lineno} column {e.colno}") from None
-    if not isinstance(data, dict) or not isinstance(data.get("constraints", []), list):
-        raise ValueError("constraints: expected an object with a list of constraints")
     out = []
-    for i, c in enumerate(data.get("constraints", [])):
+    for i, c in enumerate(read_json(p, _constraint_entries)):
+        if isinstance(c, dict):  # modular: its family and targets
+            q, pos = c["q"], f"{p}: constraints[{i}]"
+            try:
+                fam = load_family(ctx.path(c["family"]))
+            except ExternalDataSlotError:
+                raise
+            except (OSError, ValueError) as e:
+                raise ValueError(f"{pos}.family: {e}") from None
+            _check_residue_fields(fam, q, f"{pos}.q: {q}")
+            if "targets_from_curve" in c:
+                try:
+                    curve = _load_curve(ctx, c["targets_from_curve"])
+                    if not isinstance(curve, HyperellipticCurveNF):
+                        raise ValueError("expected a genus-2 curve file")
+                    if curve.order != fam.order:
+                        raise ValueError(f"the curve is over {curve.order.label}, "
+                                         f"family {fam.label} over {fam.order.label}")
+                    targets = modular_targets_from_curve(curve, q)
+                except (OSError, ValueError) as e:
+                    raise ValueError(f"{pos}.targets_from_curve: {e}") from None
+            else:
+                targets = tuple(sorted((k, frozenset(v)) for k, v in c["targets"].items()))
+            try:  # q admissible for the family, a target at every prime above it
+                compatible_pairs(fam, q, 7, dict(targets))
+            except ValueError as e:
+                raise ValueError(f"{pos}: {e}") from None
+            c = SieveConstraint(q=q, mode="modular", family=fam, targets=targets)
+        out.append(c)
+    return out
+
+
+def _constraint_entries(data) -> list:
+    """A constraint file's entries, checked: a SieveConstraint for each
+    parity-only or unconstrained entry, the entry itself for a modular
+    one. Each q is a prime other than 13, at most MAX_CONSTRAINT_Q, named
+    once, with 7 | N(Q) - 1 at every prime Q of Z[zeta_13] above it
+    (checked by building the sieve's cached per-prime map)."""
+    if not isinstance(data, dict) or not isinstance(data.get("constraints"), list):
+        raise ValueError("constraints: expected an object with a list of constraints")
+    if not data["constraints"]:
+        raise ValueError("constraints: the sieve needs at least one constraint")
+    out, seen = [], set()
+    for i, c in enumerate(data["constraints"]):
         if not isinstance(c, dict):
             raise ValueError(f"constraints[{i}]: expected an object, got {c!r}")
         mode = c.get("mode")
@@ -778,25 +837,31 @@ def _load_constraints(ctx, path):
                 f"constraints[{i}].q: expected a prime other than 13, at most "
                 f"{MAX_CONSTRAINT_Q}, got {q!r}"
             )
+        if q in seen:
+            raise ValueError(f"constraints[{i}].q: {q} is constrained twice")
+        seen.add(q)
+        try:
+            for Q in split_prime(get_order("Zzeta13"), q):
+                _seventh_powers(Q)
+        except ValueError as e:
+            raise ValueError(f"constraints[{i}].q: {e}") from None
         if mode in ("parity-only", "unconstrained"):
-            out.append(SieveConstraint(q=q, mode=mode))
+            try:
+                out.append(SieveConstraint(q=q, mode=mode))
+            except ValueError as e:
+                raise ValueError(f"constraints[{i}]: {e}") from None
             continue
         if mode != "modular":
             raise ValueError(f"constraints[{i}]: unknown mode {mode!r}")
         if not isinstance(c.get("family"), str):
             raise ValueError(f"constraints[{i}].family: expected a file path")
-        if not isinstance(c.get("targets_from_curve", ""), str):
-            raise ValueError(f"constraints[{i}].targets_from_curve: expected a file path")
-        fam = load_family(ctx.path(c["family"]))  # may raise ExternalDataSlotError
-        _check_residue_fields(fam, q, f"constraints[{i}].q: {q}")
         if "targets_from_curve" in c:
-            curve = _load_curve(ctx, c["targets_from_curve"])
-            targets = modular_targets_from_curve(curve, q)
+            if not isinstance(c["targets_from_curve"], str):
+                raise ValueError(f"constraints[{i}].targets_from_curve: expected a file path")
+        elif not isinstance(c.get("targets"), dict):
+            raise ValueError(f"constraints[{i}].targets: expected an object")
         else:
-            targets = c.get("targets")
-            if not isinstance(targets, dict):
-                raise ValueError(f"constraints[{i}].targets: expected an object")
-            for key, v in targets.items():
+            for key, v in c["targets"].items():
                 if not isinstance(v, list) or not all(
                     isinstance(r, int) and not isinstance(r, bool) for r in v
                 ):
@@ -804,8 +869,7 @@ def _load_constraints(ctx, path):
                         f"constraints[{i}].targets[{json.dumps(key)}]: expected a "
                         f"list of residues mod 7, got {v!r}"
                     )
-            targets = tuple(sorted((k, frozenset(v)) for k, v in targets.items()))
-        out.append(SieveConstraint(q=q, mode="modular", family=fam, targets=targets))
+        out.append(c)
     return out
 
 

@@ -31,6 +31,7 @@ from math import comb, isqrt, prod
 from operator import add, mul
 from typing import NamedTuple
 
+from .jsonfile import read_json
 from .numberfield import (
     NFElement,
     PrimeIdealData,
@@ -852,12 +853,5 @@ def curve_from_dict(data: dict):
 
 
 def load_curve(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON at line {e.lineno} column {e.colno}") from None
-    try:
-        return curve_from_dict(data)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    """The curve in a fixture file, in the `curve_from_dict` format."""
+    return read_json(path, curve_from_dict)

@@ -30,7 +30,6 @@ Family config (JSON)::
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +38,7 @@ from operator import mul
 
 from .curves import EllipticCurveNF, _reduced_trace, ec_invariants
 from .exactarith import BiPoly, UniPoly, is_prime, poly_norm
+from .jsonfile import read_json
 from .newformdata import (
     MissingEigenvalueError,
     NewformPacket,
@@ -207,18 +207,11 @@ def load_family(path) -> FreyFamily:
     the stated specialization matches the fixture curve's j-invariant."""
     from pathlib import Path
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FamilyConfigError(
-                f"{path}: invalid JSON at line {e.lineno} column {e.colno}"
-            ) from None
-    try:
-        fam = family_from_dict(data)
-        cons = _consistency_block(data.get("consistency"))
-    except FamilyConfigError as e:
-        raise type(e)(f"{path}: {e}") from None
+    fam, cons = read_json(
+        path,
+        lambda data: (family_from_dict(data), _consistency_block(data.get("consistency"))),
+        FamilyConfigError,
+    )
     if cons:
         from .curves import load_curve, same_j_invariant
 
@@ -415,8 +408,8 @@ def Aq(packet: NewformPacket, family: FreyFamily, q: int) -> int:
     return abs(acc)
 
 
-def prime_divisors_of_gcd(g: int, trial_bound: int = 10**6):
-    """Prime divisors of g (g > 0), by trial division.
+def prime_divisors_of_gcd(g: int):
+    """Prime divisors of g (g > 0), by trial division up to 10^6.
 
     Auxiliary-prime gcds are small by design; a residual composite
     cofactor beyond the trial bound is a hard error rather than a wrong
@@ -425,7 +418,7 @@ def prime_divisors_of_gcd(g: int, trial_bound: int = 10**6):
     out = []
     n = g
     p = 2
-    while p <= trial_bound and p * p <= n:
+    while p <= 10**6 and p * p <= n:
         if n % p == 0:
             out.append(p)
             while n % p == 0:

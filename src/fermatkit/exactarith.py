@@ -448,14 +448,14 @@ def _equal_degree_split(f, d, p, rng):
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(other, d, p, rng)
 
 
-def poly_factor_mod_p(f: UniPoly, p: int, seed: int = 1):
+def poly_factor_mod_p(f: UniPoly, p: int):
     """Factor f modulo the prime p.
 
     Returns a list of (irreducible monic UniPoly with coefficients in
     [0, p), multiplicity) sorted by (degree, coefficient tuple), so the
     factor order is a frozen convention. The product of the factors with
     multiplicities equals f up to the unit lc(f) mod p. The equal-degree
-    stage is randomized; `seed` pins the generator so runs reproduce.
+    stage is randomized from a fixed seed, so runs reproduce.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -466,7 +466,7 @@ def poly_factor_mod_p(f: UniPoly, p: int, seed: int = 1):
         raise ValueError(f"polynomial vanishes identically mod {p}")
     if len(c) == 1:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(1)
     monic = _pm_monic(c, p)
     found = {}
     for g, mult in _squarefree_parts(monic, p):

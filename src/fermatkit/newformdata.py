@@ -22,7 +22,6 @@ Packet schema (JSON)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from .exactarith import (
@@ -36,6 +35,7 @@ from .exactarith import (
     poly_factor_mod_p,
     real_root_count,
 )
+from .jsonfile import read_json
 from .numberfield import get_order, prime_by_key, split_prime
 
 __all__ = [
@@ -168,8 +168,10 @@ def packet_from_dict(data: dict, pos: str = "packet") -> NewformPacket:
         raise PacketFormatError(f"{pos}.base_field: unknown order {base!r}") from None
 
     level = data.get("level")
-    if not isinstance(level, dict) or "norm" not in level or "primes" not in level:
-        raise PacketFormatError(f"{pos}.level: need 'norm' and 'primes'")
+    if not isinstance(level, dict) or "norm" not in level or not isinstance(
+        level.get("primes"), list
+    ):
+        raise PacketFormatError(f"{pos}.level: need 'norm' and a list 'primes'")
     lnorm = level["norm"]
     if not isinstance(lnorm, int) or lnorm < 1:
         raise PacketFormatError(f"{pos}.level.norm: positive integer required")
@@ -255,21 +257,15 @@ def packet_from_dict(data: dict, pos: str = "packet") -> NewformPacket:
 
 def load_packets(path) -> list:
     """Load and validate a packet file (a list or a single packet)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise PacketFormatError(
-                f"{path}: invalid JSON at line {e.lineno} column {e.colno}"
-            ) from None
-    if not isinstance(data, (dict, list)):
-        raise PacketFormatError(f"{path}: expected a packet or a list of packets")
-    try:
-        if isinstance(data, dict):
-            return [packet_from_dict(data)]
+    return read_json(path, _packets_from_json, PacketFormatError)
+
+
+def _packets_from_json(data) -> list:
+    if isinstance(data, dict):
+        return [packet_from_dict(data)]
+    if isinstance(data, list):
         return [packet_from_dict(d, pos=f"packets[{i}]") for i, d in enumerate(data)]
-    except PacketFormatError as e:
-        raise PacketFormatError(f"{path}: {e}") from None
+    raise PacketFormatError("expected a packet or a list of packets")
 
 
 def serialize_packet(packet: NewformPacket) -> dict:
@@ -382,19 +378,18 @@ def trace_contradiction_check(packet: NewformPacket, rp: ResiduePrime, keys, tar
 # packets generated from curves (rational eigenvalues, h = x)
 
 
-def packet_from_curve(curve, label: str, q_max: int, level=None) -> NewformPacket:
+def packet_from_curve(curve, label: str, q_max: int) -> NewformPacket:
     """Eigenvalue packet with a_q = Frobenius traces of an elliptic curve,
     at every prime of good reduction above q <= q_max.
 
-    The coefficient field is Q (h = x). If `level` is not given, the
-    level metadata records the bad primes up to q_max with multiplicity
-    one; that is support information, not a conductor computation.
+    The coefficient field is Q (h = x). The level metadata records the
+    bad primes up to q_max with multiplicity one; that is support
+    information, not a conductor computation.
     """
     from .curves import ec_reduction_type, ec_trace  # local import, no cycle
 
     order = curve.order
-    eigenvalues = {}
-    bad = []
+    eigenvalues, level = {}, {"norm": 1, "primes": []}
     for q in range(2, q_max + 1):
         if not is_prime(q):
             continue
@@ -402,12 +397,8 @@ def packet_from_curve(curve, label: str, q_max: int, level=None) -> NewformPacke
             if ec_reduction_type(curve, P) == "good":
                 eigenvalues[P.key] = [ec_trace(curve, P)]
             else:
-                bad.append(P)
-    if level is None:
-        level = {"norm": 1, "primes": []}
-        for P in bad:
-            level["primes"].append(P.key)
-            level["norm"] *= P.norm
+                level["primes"].append(P.key)
+                level["norm"] *= P.norm
     return packet_from_dict(
         {
             "label": label,

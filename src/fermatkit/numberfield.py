@@ -295,7 +295,7 @@ def prime_by_key(order: NumberFieldOrder, key: str) -> PrimeIdealData:
     try:
         qs, idx = key.split(".")
         q, i = int(qs), int(idx)
-    except ValueError:
+    except (AttributeError, ValueError):
         raise ValueError(f"malformed prime key {key!r}") from None
     primes = split_prime(order, q)
     if not 0 <= i < len(primes):

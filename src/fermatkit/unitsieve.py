@@ -8,15 +8,19 @@ residue of one admissible pair a + b zeta; survivors of the constraints
 intersect. A survivor set is one 16807-bit int, bit i for class i, and
 at each Q the classes are grouped into one mask per value.
 
-Two independent routes supply the values; their agreement is an
-acceptance criterion. The production route compares characters in Z/7,
+Every residue x^((N-1)/7) at Q comes from one memoised per-prime map,
+`_seventh_powers(Q)`: the norm to F_{q^d}, d the order of q mod 7, then
+the power (q^d-1)/7, memoised on the exact norm, with the residues of
+u_2..u_6 and 1 - zeta taken once. The pairs' residues come from it in
+one pass (`_pair_residues`): the norm of a + b zeta is b^n N(a/b + zeta)
+(n = f/d), one scalar times one of the q line norms.
+
+Two independent routes read that map; their agreement is an acceptance
+criterion. The production route compares characters in Z/7,
 chi_Q(eps) = unit_chars . e, and reads every pair's off chi(b) +
-chi(a/b + zeta): about q exponentiations per prime, not q^2 - 1. The
-reference route compares the exact residues x^((N-1)/7) of every pair
-and unit, with no discrete logs, characters or linear algebra mod 7,
-each through the norm to F_{q^d}, d the order of q mod 7: the norm of
-a + b zeta is b^n N(a/b + zeta) (n = f/d), one scalar times one of the
-q line norms taken once per prime, and each distinct norm is raised once.
+chi(a/b + zeta), the dlogs of the q line residues and of the constants
+b^((N-1)/7). The reference route compares the exact residues of every
+pair and unit, with no discrete logs, characters or linear algebra mod 7.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ _set_exps, _set_index = UnitClass.exps.__set__, UnitClass.index.__set__
 
 @dataclass(frozen=True)
 class LocalCharacterTable:
-    """7th-power residue characters at a prime Q of Z[zeta_13].
+    """7th-power residue characters at a prime Q of Z[zeta_13]: the dlogs
+    base omega of the residues `_seventh_powers(Q)` gives.
 
     omega is the fixed primitive 7th root: the (N-1)/7 power of the
     first multiplicative generator in the frozen element enumeration
@@ -112,10 +117,9 @@ class LocalCharacterTable:
     prime: PrimeIdealData
     exponent: int  # (N - 1) // 7
     omega: FFElement
-    power: object = field(compare=False, repr=False)  # `_norm_power` for r = 7
     dlog: dict = field(compare=False, repr=False)  # omega^k coefficients -> k
     unit_chars: tuple  # chi(u_a), a = 2..6
-    chi_one_minus_zeta: object  # int, or None above 13
+    chi_one_minus_zeta: int
 
     @property
     def q(self) -> int:
@@ -124,26 +128,18 @@ class LocalCharacterTable:
     @cached_property
     def line_chars(self) -> tuple:
         """chi(c + zeta) for c = 0..q-1, None where c + zeta lies in Q."""
-        return tuple(char_value(self, _pair_element(c, 1)) for c in range(self.q))
+        pairs = [(c, 1) for c in range(self.q)]
+        return tuple(_dlog(self.dlog, v) for v in _pair_residues(self.prime, pairs))
 
     @cached_property
     def scalar_chars(self) -> tuple:
-        """chi(b) for b = 0..q-1 (None at 0), a character of F_q^*.
-
-        b^((N-1)/7) is a power of b, so its order divides q - 1 as well
-        as 7: the character is 0 unless 7 | q - 1, and otherwise the
-        value at one primitive root g gives chi(g^j) = j chi(g).
-        """
-        q = self.q
-        out = [None] + [0] * (q - 1)
-        if (q - 1) % 7 == 0:
-            g = _primitive_root(q)
-            chi_g = char_value(self, get_order("Zzeta13").from_int(g))
-            b = 1
-            for j in range(q - 1):
-                out[b] = j * chi_g % 7
-                b = b * g % q
-        return tuple(out)
+        """chi(b) for b = 0..q-1 (None at 0): b^((N-1)/7) is the constant
+        pow(b, (N-1)/7, q), 1 unless 7 | q - 1."""
+        q, zeros = self.q, (0,) * (self.prime.fdeg - 1)
+        e = self.exponent % (q - 1)
+        return (None,) + tuple(
+            _dlog(self.dlog, (pow(b, e, q),) + zeros) for b in range(1, q)
+        )
 
 
 @dataclass(frozen=True)
@@ -180,14 +176,6 @@ class SieveConstraint:
 # characters
 
 
-def _primitive_root(q: int) -> int:
-    """Least generator of (Z/q)^* for an odd prime q."""
-    factors = factorize(q - 1)
-    return next(
-        g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1 for r in factors)
-    )
-
-
 def _group_prime_factors(q: int, f: int):
     """Prime factors of q^f - 1 via the cyclotomic factorization: each
     piece Phi_d(q), d | f, is small enough for trial division."""
@@ -216,9 +204,8 @@ def _norm_power(F, rs):
     norm y = x^((N-1)/(q^d-1)) of x to F_{q^d} (`_subfield_norm`): one
     norm per x, then one power below q^d per r (`_memo_power`), memoised
     on the exact norm y, so it is taken once per distinct y and r. The
-    oracle's pairs do not come here one at a time: `_pair_residues`
-    norms the q line elements c + zeta with the same two parts and
-    scales each by b^n.
+    generator search uses it; r = 7 alone goes through `_seventh_powers`,
+    built from the same two parts.
     """
     q, f = F.p, F.k
     d = _norm_degree(q, f, rs)
@@ -402,53 +389,72 @@ def _lex_least_generator(F) -> FFElement:
     raise AssertionError("no generator found; field arithmetic is broken")
 
 
+class _SeventhPowers:
+    """x -> x^((N-1)/7) on coefficient tuples of the residue field at Q,
+    as the power (q^d-1)/7 of the norm of x to F_{q^d}, d the order of
+    q mod 7 (`_subfield_norm`, `_memo_power`: one power per distinct
+    norm). Holds d, n = f/d, and the residues of u_2..u_6 (`units`) and
+    of 1 - zeta, a unit at every Q with 7 | N(Q) - 1."""
+
+    def __init__(self, Q: PrimeIdealData):
+        if (Q.norm - 1) % 7:
+            raise ValueError(
+                f"7 does not divide the residue group order at {Q.key} (N = {Q.norm})"
+            )
+        F, q = Q.residue_field, Q.q
+        self.d = d = _norm_degree(q, F.k, (7,))
+        self.n = F.k // d
+        self.norm = _subfield_norm(F, d)
+        self.power = _memo_power(F, d, (q**d - 1) // 7)
+        order = get_order("Zzeta13")
+        self.units = tuple(self(reduce_element(u, Q).coeffs) for u in cyclotomic_unit_generators())
+        self.one_minus_zeta = self(reduce_element(order.one() - order.theta(), Q).coeffs)
+
+    def __call__(self, x):
+        return self.power(self.norm(x))
+
+
+# The per-prime map shared by both sieve routes, one per Q.
+_seventh_powers = lru_cache(maxsize=None)(_SeventhPowers)
+
+
+def _dlog(dlog: dict, residue) -> object:
+    """The k with residue = omega^k, None for None."""
+    if residue is None:
+        return None
+    k = dlog.get(residue)
+    if k is None:
+        raise AssertionError("character value outside the order-7 subgroup")
+    return k
+
+
 @lru_cache(maxsize=None)
 def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
     """Character table at Q, memoized per prime; requires 7 | N(Q) - 1."""
-    n1 = Q.norm - 1
-    if n1 % 7:
-        raise ValueError(
-            f"7 does not divide the residue group order at {Q.key} (N = {Q.norm})"
-        )
-    F = Q.residue_field
-    power = _norm_power(F, (7,))
-    omega = FFElement(F, next(power(_lex_least_generator(F).coeffs)))
+    seventh, F = _seventh_powers(Q), Q.residue_field
+    omega = FFElement(F, seventh(_lex_least_generator(F).coeffs))
     dlog, acc = {}, F.one()
     for k in range(7):
         dlog[acc.coeffs] = k
         acc = acc * omega
-    unit_chars = tuple(
-        _residue_char(power, dlog, reduce_element(u, Q))
-        for u in cyclotomic_unit_generators()
-    )
-    order = get_order("Zzeta13")
-    omz = reduce_element(order.one() - order.theta(), Q)
     return LocalCharacterTable(
         prime=Q,
-        exponent=n1 // 7,
+        exponent=(Q.norm - 1) // 7,
         omega=omega,
-        power=power,
         dlog=dlog,
-        unit_chars=unit_chars,
-        chi_one_minus_zeta=_residue_char(power, dlog, omz),
+        unit_chars=tuple(_dlog(dlog, v) for v in seventh.units),
+        chi_one_minus_zeta=_dlog(dlog, seventh.one_minus_zeta),
     )
-
-
-def _residue_char(power, dlog: dict, red: FFElement) -> object:
-    """Discrete log base omega of red^((N-1)/7), None when red is zero."""
-    if red.is_zero:
-        return None
-    k = dlog.get(next(power(red.coeffs)))
-    if k is None:
-        raise AssertionError("character value outside the order-7 subgroup")
-    return k
 
 
 def char_value(table: LocalCharacterTable, x) -> object:
     """chi_Q(x) in Z/7, or None when x reduces to zero at Q (the prime
     then imposes no condition; the 7th-power content is absorbed by the
     ideal equation)."""
-    return _residue_char(table.power, table.dlog, reduce_element(x, table.prime))
+    red = reduce_element(x, table.prime)
+    if red.is_zero:
+        return None
+    return _dlog(table.dlog, _seventh_powers(table.prime)(red.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +492,6 @@ def modular_targets_from_curve(curve, q: int):
 
 # ---------------------------------------------------------------------------
 # the sieve
-
-
-def _pair_element(a: int, b: int):
-    return get_order("Zzeta13").element([a, b])
 
 
 def _pair_char(table: LocalCharacterTable, a: int, b: int) -> object:
@@ -569,8 +571,6 @@ def _local_survivors(constraint: SieveConstraint, delta: int) -> int:
     delta chi_Q(1 - zeta) against chi_Q of each admissible pair."""
     primes = split_prime(get_order("Zzeta13"), constraint.q)
     tables = [build_character(Q) for Q in primes]
-    if delta and any(t.chi_one_minus_zeta is None for t in tables):
-        raise AssertionError("chi(1 - zeta) undefined away from 13; broken table")
     masks = [_char_masks(t, t.chi_one_minus_zeta if delta else 0) for t in tables]
     return _survivor_bits(masks, _char_targets(tables, constraint))
 
@@ -591,19 +591,16 @@ def _pair_residues(Q: PrimeIdealData, pairs) -> list:
     With d the order of q mod 7 and n = f/d, the norm of a + b zeta to
     F_{q^d} is a binary form of degree n in (a, b): for b != 0 it is
     b^n N(a/b + zeta), and N(a) = a^n. So the q line norms N(c + zeta)
-    are taken once (`_subfield_norm`), each pair's norm is one scalar
-    times one of them, and the power (N-1)/7, a power (q^d-1)/7 of the
-    norm, is taken once per distinct norm (`_memo_power`). Every pair
-    still gets its own exact residue: no dlog, character or split of
-    values into a scalar and a line part.
+    are taken once, each pair's norm is one scalar times one of them,
+    and `_seventh_powers(Q)` raises it to (q^d-1)/7 once per distinct
+    norm. Every pair still gets its own exact residue: no dlog,
+    character or split of values into a scalar and a line part.
     """
-    F, q = Q.residue_field, Q.q
-    d = _norm_degree(q, F.k, (7,))
-    n = F.k // d
-    norm, power = _subfield_norm(F, d), _memo_power(F, d, (q**d - 1) // 7)
+    seventh, F, q = _seventh_powers(Q), Q.residue_field, Q.q
+    d, n, power = seventh.d, seventh.n, seventh.power
     line = _pair_reduction(Q)
     one, zero = (1, 0) if d == 1 else (F.one().coeffs, (0,) * F.k)
-    lines = [norm(line(c, 1)) for c in range(q)]
+    lines = [seventh.norm(line(c, 1)) for c in range(q)]
     scalars = [pow(b, n, q) for b in range(q)]
     inverses = [0] + [pow(b, -1, q) for b in range(1, q)]
     out = []
@@ -622,28 +619,22 @@ def _pair_residues(Q: PrimeIdealData, pairs) -> list:
 def _exhaustive_residues(constraint: SieveConstraint):
     """What the oracle needs of one constraint in either descent case:
     per prime above q its residue field, the masks of the values of
-    eps^((N-1)/7) and the value of (1 - zeta)^((N-1)/7); and the
-    admissible pairs' residue tuples, one prime at a time
-    (`_pair_residues`: each pair's norm is b^n times one of the q line
-    norms). Memoized per constraint; the descent cases share it."""
-    order = get_order("Zzeta13")
-    omz = order.one() - order.theta()
+    eps^((N-1)/7) and the value of (1 - zeta)^((N-1)/7), from
+    `_seventh_powers`; and the admissible pairs' residue tuples, one
+    prime at a time (`_pair_residues`). Memoized per constraint; the
+    descent cases share it."""
     pairs = list(admissible_pairs(constraint))
     local, columns = [], []
-    for Q in split_prime(order, constraint.q):
-        if (Q.norm - 1) % 7:
-            raise ValueError(f"7 does not divide the residue group order at {Q.key}")
-        F = Q.residue_field
-        power = _norm_power(F, (7,))
+    for Q in split_prime(get_order("Zzeta13"), constraint.q):
+        seventh, F = _seventh_powers(Q), Q.residue_field
         mul, one = F.mul_kernel(), F.one().coeffs
         rows = []
-        for g in cyclotomic_unit_generators():
-            base, row = next(power(reduce_element(g, Q).coeffs)), [one]
+        for base in seventh.units:
+            row = [one]
             for _ in range(6):
                 row.append(mul(row[-1], base))
             rows.append(row)
-        shift = next(power(reduce_element(omz, Q).coeffs))
-        local.append((F, _class_masks(rows, one, mul), shift))
+        local.append((F, _class_masks(rows, one, mul), seventh.one_minus_zeta))
         columns.append(_pair_residues(Q, pairs))
     return tuple(local), frozenset(zip(*columns))
 

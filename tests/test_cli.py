@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fermatkit.cli import CHECK_NAMES, main, run_checks
 
@@ -114,6 +119,22 @@ class TestBasicCommands:
         assert "all randomized invariants hold" in out
 
 
+# kind -> (the input file under a temporary directory, the command reading it)
+_LOADERS = {
+    "curve": ("bad.curve", lambda tmp, f: ["trace", str(f), "3"]),
+    "family": ("bad.json", lambda tmp, f: [
+        "eliminate", "--family", str(f), "--packets", "packets/demo_self_1_3.json", "--q", "5"]),
+    "packet": ("bad.json", lambda tmp, f: [
+        "eliminate", "--family", "families/demo_sum_rule_cubic.json", "--packets", str(f),
+        "--q", "5"]),
+    "constraint": ("bad.json", lambda tmp, f: [
+        "sieve", "--case", "div13", "--constraints", str(f)]),
+    "reference": ("invariants/humbert_rm8_reference.json", lambda tmp, f: [
+        "--fixtures", str(tmp), "igusa", str(FIXTURES / "curves" / "C_eq51.curve"),
+        "--reference"]),
+}
+
+
 class TestErrors:
     def test_unknown_order(self, capsys):
         code, _, err = run(capsys, "split", "Qsqrt13", "4")
@@ -218,6 +239,82 @@ class TestErrors:
         code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
         assert code == 2
         assert where in err
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    @pytest.mark.parametrize("raw,message", [
+        (b'{"q": \xff}', "not UTF-8 text (byte 6)"),
+        (b'{"label": "x",\n', "invalid JSON at line 2 column 1"),
+    ], ids=["not-utf8", "truncated"])
+    def test_unreadable_files_name_themselves(self, capsys, tmp_path, kind, raw, message):
+        """Every loader reads through `jsonfile.read_json`: bytes that are
+        not UTF-8 and truncated JSON are refused with the file's path and
+        one wording."""
+        name, argv = _LOADERS[kind]
+        bad = tmp_path / name
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(raw)
+        code, _, err = run(capsys, *argv(tmp_path, bad))
+        assert code == 2
+        assert err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("invariants"), "missing field 'invariants'"),
+        (lambda d: d.update(invariants=[1]), 'expected {"order": ...'),
+        (lambda d: d.update(order="Q"), "order: expected one of"),
+        (lambda d: d.update(alpha=["1/2"]), "alpha must be integral"),
+    ], ids=["no-invariants", "invariants-a-list", "unknown-order", "alpha-not-integral"])
+    def test_malformed_reference_file_named(self, capsys, tmp_path, edit, message):
+        import shutil
+
+        (tmp_path / "invariants").mkdir()
+        shutil.copytree(FIXTURES / "curves", tmp_path / "curves")
+        ref = tmp_path / "invariants" / "humbert_rm8_reference.json"
+        data = json.loads((FIXTURES / "invariants" / ref.name).read_text())
+        edit(data)
+        ref.write_text(json.dumps(data))
+        code, _, err = run(capsys, "--fixtures", str(tmp_path), "igusa",
+                           "curves/C_eq51.curve", "--reference")
+        assert code == 2
+        assert err.startswith(f"error: {ref}: {message}")
+
+    @pytest.mark.parametrize("entries,message", [
+        ([{"q": 3, "mode": "unconstrained"}],
+         "constraints[0].q: 7 does not divide the residue group order at 3.0 (N = 27)"),
+        ([{"q": 2, "mode": "parity-only"}, {"q": 5, "mode": "parity-only"}],
+         "constraints[1].q: 7 does not divide the residue group order at 5.0 (N = 625)"),
+        ([{"q": 11, "mode": "parity-only"}],
+         "constraints[0]: parity-only is valid only at q = 2"),
+        ([{"q": 11, "mode": "unconstrained"}, {"q": 11, "mode": "unconstrained"}],
+         "constraints[1].q: 11 is constrained twice"),
+        ([], "constraints: the sieve needs at least one constraint"),
+        ([{"q": 11, "mode": "modular", "family": "no_such.json", "targets": {}}],
+         "constraints[0].family: [Errno 2] No such file or directory"),
+        ([{"q": 11, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
+           "targets_from_curve": "curves/E_1_-1.curve"}],
+         "constraints[0].targets_from_curve: expected a genus-2 curve file"),
+        ([{"q": 11, "mode": "modular", "family": "families/demo_sum_rule_cubic.json",
+           "targets_from_curve": "curves/C_eq51.curve"}],
+         "constraints[0].targets_from_curve: the curve is over Qsqrt13, family "
+         "demo-sum-rule-cubic over K13cubic"),
+        ([{"q": 11, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
+           "targets": {}}],
+         "constraints[0]: q=11: no allowed residues mod 7 at 11.0"),
+        ([{"q": 2, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
+           "targets": {"2.0": [1]}}],
+         "constraints[0]: auxiliary prime 2 is not admissible for demo-sum-rule-sqrt13"),
+    ], ids=["q3", "q5", "parity-at-11", "repeated-q", "empty", "missing-family",
+            "elliptic-targets", "orders-differ", "no-targets", "inadmissible-q"])
+    def test_bad_sieve_entries_refused_at_load(self, capsys, tmp_path, no_sieve, entries,
+                                               message):
+        """A sieve prime q with a prime of Z[zeta_13] above it where 7 does
+        not divide N - 1 is refused when the file loads, not by the
+        sieve, as are the other entries the sieve could not run; each
+        message names the file and the entry."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"constraints": entries}))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: {message}")
 
     def test_external_slot_detected_by_type_not_by_message(self, capsys, tmp_path):
         bad = tmp_path / "external-data slot.json"
@@ -339,7 +436,7 @@ class TestErrors:
         code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
         assert code == 2
         assert err == (
-            f"error: constraints[1].q: 199: the residue field at 199.0 has {199**3} "
+            f"error: {bad}: constraints[1].q: 199: the residue field at 199.0 has {199**3} "
             f"elements, more than {cli.MAX_RESIDUE_FIELD}\n"
         )
 
@@ -494,3 +591,121 @@ class TestFixtureOverride:
     def test_seed_changes_are_reported(self, capsys):
         code, out, _ = run(capsys, "--seed", "99", "full-report", "--only", "euler-rm-at-3")
         assert code == 0 and "seed 99" in out
+
+
+# ---------------------------------------------------------------------------
+# the four loaders under random input
+
+_FUZZ_FIXTURES = {
+    "curve": ("curves/C_eq51.curve", "curves/E_1_-1.curve"),
+    "packet": ("packets/demo_self_1_3.json", "packets/f11_fixture.json"),
+    "family": ("families/demo_sum_rule_cubic.json", "families/demo_sum_rule_sqrt13.json"),
+    "constraint": ("constraints/demo_sieve.json", "constraints/proof_sieve_small.json"),
+}
+
+
+def _words(value):
+    """The keys and strings of a fixture's JSON value."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield k
+            yield from _words(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _words(v)
+    elif isinstance(value, str):
+        yield value
+
+
+def _slots(value, at=()):
+    """Every position in a JSON value, as a path of keys and indices."""
+    yield at
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for k, v in items:
+        yield from _slots(v, at + (k,))
+
+
+def _replaced(value, at, new):
+    if not at:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[at[0]] = _replaced(value[at[0]], at[1:], new)
+    return copy
+
+
+def _fuzz_strategies():
+    """kind -> a strategy for the bytes of an input file of that kind."""
+    shipped = {kind: [json.loads((FIXTURES / rel).read_text()) for rel in rels]
+               for kind, rels in _FUZZ_FIXTURES.items()}
+    words = sorted({w for vals in shipped.values() for v in vals for w in _words(v)}
+                   | {rel for rels in _FUZZ_FIXTURES.values() for rel in rels})
+    leaves = (st.none() | st.booleans() | st.integers(-50, 50)
+              | st.floats(-50, 50, allow_nan=False) | st.text(max_size=6)
+              | st.sampled_from(words))
+    values = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(words) | st.text(max_size=6), inner, max_size=4),
+        max_leaves=12,
+    )
+
+    def mutated(kind):
+        return st.sampled_from(shipped[kind]).flatmap(
+            lambda base: st.tuples(st.sampled_from(list(_slots(base))), values).map(
+                lambda slot: _replaced(base, *slot)))
+
+    def content(kind):
+        return st.one_of(
+            st.binary(max_size=40),
+            values.map(lambda v: json.dumps(v).encode()),
+            mutated(kind).map(lambda v: json.dumps(v).encode()),
+        )
+
+    return content
+
+
+def _labels(raw: bytes) -> list:
+    """The labels a file defines, when it parses as JSON."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return []
+    objs = data if isinstance(data, list) else [data]
+    return [d.get("label") for d in objs if isinstance(d, dict)]
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_FIXTURES))
+def test_loaders_fuzz(kind):
+    """Random bytes, random JSON and shipped fixtures with one value
+    replaced, written in place of a curve, packet, family or constraint
+    file: `main` exits 0, 1 or 2 and never raises, and every exit-2
+    message names the file. A file that loads can still fail later on
+    what it defines (a family's rule at a pair, a packet missing an
+    eigenvalue): those messages name the family or packet by the label
+    the file gives it. Integers stay within 50, so no example starts a
+    long count; each example has 5 s."""
+    content, (name, argv) = _fuzz_strategies(), _LOADERS[kind]
+
+    @settings(max_examples=100, deadline=5000, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=content(kind))
+    def check(raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_bytes(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv(Path(tmp), path))
+        path = str(path)
+        assert code in (0, 1, 2)
+        if code == 2:
+            named = [path] + [f"{kind} {label}" for label in _labels(raw)
+                              if kind in ("family", "packet")]
+            assert any(n in err.getvalue() for n in named), err.getvalue()
+
+    check()

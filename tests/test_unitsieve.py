@@ -25,10 +25,10 @@ from fermatkit.unitsieve import (
     _lex_least_generator,
     _norm_power,
     _pair_char,
-    _pair_element,
     _pair_reduction,
     _pair_residues,
     _power_plan,
+    _seventh_powers,
     _survivor_bits,
     admissible_pairs,
     build_character,
@@ -46,6 +46,10 @@ ZZ13 = get_order("Zzeta13")
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
 ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
 PROOF_SET_QS = (2, 11, 19, 23, 29, 41)
+
+
+def _pair_element(a: int, b: int):
+    return ZZ13.element([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,25 @@ class TestCharacters:
         assert [len(split_prime(ZZ13, q)) for q in (2, 11, 19, 41)] == [1, 1, 1, 1]
         assert len(split_prime(ZZ13, 23)) == 2
         assert len(split_prime(ZZ13, 29)) == 4
+
+
+@pytest.mark.parametrize("q", (2, 23, 29, 41))
+def test_seventh_powers_shared_by_both_routes(q):
+    """One cached map per prime: its residues of u_2..u_6 and 1 - zeta
+    (the oracle's) are the plain full-field powers, the character
+    table's values are their dlogs, and chi(b) is the dlog of the
+    constant b^((N-1)/7) mod q."""
+    omz = ZZ13.one() - ZZ13.theta()
+    for Q in split_prime(ZZ13, q):
+        seventh, e, t = _seventh_powers(Q), (Q.norm - 1) // 7, build_character(Q)
+        assert _seventh_powers(Q) is seventh
+        want = [(reduce_element(u, Q) ** e).coeffs for u in cyclotomic_unit_generators()]
+        assert list(seventh.units) == want
+        assert seventh.one_minus_zeta == (reduce_element(omz, Q) ** e).coeffs
+        assert t.unit_chars == tuple(t.dlog[v] for v in want)
+        assert t.chi_one_minus_zeta == t.dlog[seventh.one_minus_zeta]
+        assert t.scalar_chars == (None,) + tuple(
+            char_value(t, ZZ13.from_int(b)) for b in range(1, q))
 
 
 class TestPairCharacters:
@@ -768,12 +791,15 @@ def test_oracle_work_count(monkeypatch):
     yet built). With a full-field power per pair and unit it made 18,616
     and 1,070; the linear norms, the Frobenius-Horner powers and the
     pairs formed on tuples made 7,958; one power per distinct norm (143
-    of the 528 pairs' at each prime) made about 2,540, and forming the
+    of the 528 pairs' at each prime) made about 2,540; forming the
     pairs' norms from the 23 line norms, with the units' powers in a
-    memo of their own, makes about 2,580."""
+    memo of their own, made about 2,580, and with one per-prime map
+    (`_seventh_powers`, cleared here too) holding the units' and pairs'
+    powers in one memo it makes about 2,540."""
     from fermatkit import unitsieve
 
     unitsieve._exhaustive_residues.cache_clear()
+    unitsieve._seventh_powers.cache_clear()
     calls, pows = [], []
     for Q in split_prime(ZZ13, 23):
         F = Q.residue_field
