@@ -17,7 +17,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import __version__
@@ -39,6 +38,7 @@ from .curves import (
 )
 from .elimination import (
     ExternalDataSlotError,
+    FamilyConfigError,
     compatible_pairs,
     load_family,
     refined_eliminate,
@@ -47,6 +47,9 @@ from .elimination import (
 from .exactarith import FiniteField, UniPoly, is_prime
 from .jsonfile import read_json
 from .newformdata import (
+    MissingEigenvalueError,
+    PacketFormatError,
+    UnsupportedResiduePrimeError,
     load_packets,
     packet_from_curve,
     packet_from_dict,
@@ -84,12 +87,12 @@ STATUS_FAIL = "fail"
 STATUS_SKIP = "skipped(external-data)"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    detail: str
-    ms: int = 0
+    def __init__(self, name: str, status: str, detail: str, ms: int = 0):
+        self.name = name
+        self.status = status
+        self.detail = detail
+        self.ms = ms
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -98,13 +101,13 @@ def _elapsed_ms(t0: float) -> int:
     return math.ceil((time.monotonic() - t0) * 1000)
 
 
-@dataclass
 class RunReport:
-    command: str
-    version: str
-    seed: int
-    inputs: dict = dc_field(default_factory=dict)
-    checks: list = dc_field(default_factory=list)
+    def __init__(self, command: str, version: str, seed: int):
+        self.command = command
+        self.version = version
+        self.seed = seed
+        self.inputs = {}  # input file name -> sha256 of its bytes
+        self.checks = []  # CheckResults, in run order
 
     @property
     def failed(self) -> bool:
@@ -689,7 +692,7 @@ MAX_RESIDUE_FIELD = 2**16
 def _check_residue_fields(family, q: int, where: str) -> None:
     """Refuse an admissible q with a prime above it, in the family's
     order, whose residue field exceeds MAX_RESIDUE_FIELD; an inadmissible q
-    is refused later, by the elimination, before any count."""
+    is the caller's to refuse, before any count."""
     if not family.is_admissible(q):
         return
     for P in family.primes_above(q):
@@ -741,11 +744,29 @@ def cmd_eliminate(args, ctx) -> int:
         report.checks.append(CheckResult("family", STATUS_SKIP, str(e)))
         return _emit(args, report)
     for q in q_list:
+        if not fam.is_admissible(q):
+            raise ValueError(f"--q: auxiliary prime {q} is not admissible for the family "
+                             f"in {fam_path}")
         _check_residue_fields(fam, q, f"--q: {q}")
     pk_path = ctx.path(args.packets)
     ctx.record_input(pk_path)
     packets = load_packets(pk_path)
-    rep = standard_eliminate(packets, fam, q_list)
+    for pkt in packets:  # the "q.i" keys must name primes of the family's order
+        if pkt.base_field != fam.order.label:
+            raise ValueError(f"{pk_path}: packet {pkt.label}.base_field: {pkt.base_field!r} "
+                             f"is not the order {fam.order.label!r} of the family in {fam_path}")
+    skip = [s for s in (args.skip or "").split(",") if s]
+    # what the files define can still fail here: name the file it came from
+    try:
+        rep = standard_eliminate(packets, fam, q_list)
+        refined = [
+            refined_eliminate(pkt, fam, p, q_list, skip=skip, skip_ramified=args.skip_ramified)
+            for pkt in (packets if p else ())
+        ]
+    except FamilyConfigError as e:
+        raise type(e)(f"{fam_path}: {e}") from None
+    except (PacketFormatError, UnsupportedResiduePrimeError, MissingEigenvalueError) as e:
+        raise type(e)(f"{pk_path}: {e}") from None
     for row in rep.standard:
         surv = "all primes" if row.surviving == "all" else sorted(row.surviving)
         report.checks.append(
@@ -756,21 +777,16 @@ def cmd_eliminate(args, ctx) -> int:
                 f"surviving exponents: {surv}",
             )
         )
-    if p:
-        skip = [s for s in (args.skip or "").split(",") if s]
-        for pkt in packets:
-            ref = refined_eliminate(
-                pkt, fam, p, q_list, skip=skip, skip_ramified=args.skip_ramified
-            )
-            for r in ref.refined:
-                extra = f"witness q = {r.witness_q}" if r.witness_q else r.reason
-                report.checks.append(
-                    CheckResult(
-                        f"refined-{r.label}-{r.residue_prime}",
-                        STATUS_PASS,
-                        f"{r.status}" + (f" ({extra})" if extra else ""),
-                    )
+    for ref in refined:
+        for r in ref.refined:
+            extra = f"witness q = {r.witness_q}" if r.witness_q else r.reason
+            report.checks.append(
+                CheckResult(
+                    f"refined-{r.label}-{r.residue_prime}",
+                    STATUS_PASS,
+                    f"{r.status}" + (f" ({extra})" if extra else ""),
                 )
+            )
     return _emit(args, report)
 
 

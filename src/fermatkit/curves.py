@@ -25,7 +25,6 @@ recurrence. All functions are pure; inputs are immutable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt, prod
 from operator import add, mul
@@ -33,6 +32,7 @@ from typing import NamedTuple
 
 from .jsonfile import read_json
 from .numberfield import (
+    Frozen,
     NFElement,
     PrimeIdealData,
     get_order,
@@ -78,73 +78,76 @@ class NotRMSplitError(ValueError):
     """An Euler factor does not split over Z[sqrt(2)]."""
 
 
-@dataclass(frozen=True)
-class EllipticCurveNF:
+class EllipticCurveNF(Frozen):
     """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    a1: NFElement
-    a2: NFElement
-    a3: NFElement
-    a4: NFElement
-    a6: NFElement
-
-    def __post_init__(self):
-        order = self.a1.order
-        for a in (self.a2, self.a3, self.a4, self.a6):
+    def __init__(self, a1: NFElement, a2: NFElement, a3: NFElement, a4: NFElement,
+                 a6: NFElement):
+        order = a1.order
+        for a in (a2, a3, a4, a6):
             if a.order != order:
                 raise ValueError("curve coefficients live in different orders")
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
         invariants = _covariants(self)
         if invariants[2].is_zero:
             raise ValueError("singular Weierstrass model (discriminant is zero)")
         # kept on the instance, outside the fields: eq, hash and repr ignore it
         object.__setattr__(self, "_invariants", invariants)
 
+    def __repr__(self):
+        return (f"EllipticCurveNF(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
+                f"a4={self.a4!r}, a6={self.a6!r})")
+
+    def _fields(self):
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
     @property
     def order(self):
         return self.a1.order
 
 
-@dataclass(frozen=True)
 class HyperellipticCurveNF:
     """Genus-2 model y^2 = c6 x^6 + ... + c0 over a number-field order."""
 
-    coeffs: tuple  # (c0, ..., c6), NFElements of one order
-
-    def __post_init__(self):
-        if len(self.coeffs) != 7:
+    def __init__(self, coeffs: tuple):
+        if len(coeffs) != 7:
             raise ValueError("a sextic model needs exactly 7 coefficients")
-        order = self.coeffs[0].order
-        for c in self.coeffs:
+        order = coeffs[0].order
+        for c in coeffs:
             if c.order != order:
                 raise ValueError("curve coefficients live in different orders")
-        invariants = igusa_clebsch(self.coeffs)
+        invariants = igusa_clebsch(coeffs)
         if invariants[3].is_zero:
             raise ValueError("singular sextic (discriminant invariant vanishes)")
-        # kept on the instance, outside the fields: eq, hash and repr ignore it
-        object.__setattr__(self, "_invariants", invariants)
+        self.coeffs = coeffs  # (c0, ..., c6), NFElements of one order
+        self._invariants = invariants
 
     @property
     def order(self):
         return self.coeffs[0].order
 
 
-@dataclass(frozen=True)
-class EulerFactorG2:
+class EulerFactorG2(Frozen):
     """Degree-4 local L-data at a prime of norm N:
     P(T) = 1 - a1 T + a2 T^2 - N a1 T^3 + N^2 T^4."""
 
-    N: int
-    a1: int
-    a2: int
-
-    def __post_init__(self):
-        if self.a1 * self.a1 > 16 * self.N:
-            raise ValueError(f"Weil bound violated: |a1|={abs(self.a1)} > 4*sqrt({self.N})")
-        if abs(self.a1 * self.a1 - 2 * self.a2) > 4 * self.N:
+    def __init__(self, N: int, a1: int, a2: int):
+        if a1 * a1 > 16 * N:
+            raise ValueError(f"Weil bound violated: |a1|={abs(a1)} > 4*sqrt({N})")
+        if abs(a1 * a1 - 2 * a2) > 4 * N:
             raise ValueError("Weil bound violated for the second power sum")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+
+    def _fields(self):
+        return (self.N, self.a1, self.a2)
 
 
-@dataclass(frozen=True)
 class RMSplit:
     """Unordered pair {alpha, conj(alpha)} in Z[sqrt(2)].
 
@@ -153,7 +156,8 @@ class RMSplit:
     a membership test against both reductions.
     """
 
-    pair: frozenset  # of NFElement over Zsqrt2
+    def __init__(self, pair: frozenset):
+        self.pair = pair  # of NFElement over Zsqrt2
 
     def as_coords(self):
         return sorted(tuple(x.coords) for x in self.pair)

@@ -31,7 +31,6 @@ Family config (JSON)::
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -46,7 +45,14 @@ from .newformdata import (
     primes_above_in_Qf,
     reduce_eigenvalue,
 )
-from .numberfield import NumberFieldOrder, get_order, known_orders, reduce_element, split_prime
+from .numberfield import (
+    Frozen,
+    NumberFieldOrder,
+    get_order,
+    known_orders,
+    reduce_element,
+    split_prime,
+)
 
 __all__ = [
     "FreyFamily",
@@ -81,14 +87,21 @@ class ExternalDataSlotError(FamilyConfigError):
 _COEFF_NAMES = ("a1", "a2", "a3", "a4", "a6")
 
 
-@dataclass(frozen=True)
-class FreyFamily:
-    label: str
-    order: NumberFieldOrder
-    coeffs: tuple  # 5-tuple (one per Weierstrass slot) of per-basis BiPoly tuples
-    mult_rule: BiPoly
-    excluded_primes: tuple
-    residue_conditions: tuple  # of (modulus, forbidden residue tuple)
+class FreyFamily(Frozen):
+    def __init__(self, label: str, order: NumberFieldOrder, coeffs: tuple,
+                 mult_rule: BiPoly, excluded_primes: tuple, residue_conditions: tuple):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "order", order)
+        # 5-tuple (one per Weierstrass slot) of per-basis BiPoly tuples
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "mult_rule", mult_rule)
+        object.__setattr__(self, "excluded_primes", excluded_primes)
+        # of (modulus, forbidden residue tuple)
+        object.__setattr__(self, "residue_conditions", residue_conditions)
+
+    def _fields(self):
+        return (self.label, self.order, self.coeffs, self.mult_rule,
+                self.excluded_primes, self.residue_conditions)
 
     def is_admissible(self, q: int) -> bool:
         if not is_prime(q) or q in self.excluded_primes:
@@ -257,14 +270,14 @@ def residue_pairs(q: int):
     return [(a, b) for a in range(q) for b in range(q) if a or b]
 
 
-@dataclass(frozen=True)
 class _LocalData:
     """Per-(family, q) cache: classification and traces for every pair."""
 
-    primes: tuple
-    cases: dict  # pair -> "good" | "multiplicative"
-    traces: dict  # pair -> {prime key -> trace}, good pairs only
-    rows: dict  # trace tuple, in prime order -> number of good pairs with it
+    def __init__(self, primes: tuple, cases: dict, traces: dict, rows: dict):
+        self.primes = primes
+        self.cases = cases  # pair -> "good" | "multiplicative"
+        self.traces = traces  # pair -> {prime key -> trace}, good pairs only
+        self.rows = rows  # trace tuple, in prime order -> number of good pairs with it
 
 
 @lru_cache(maxsize=None)
@@ -434,28 +447,29 @@ def prime_divisors_of_gcd(g: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class StandardVerdict:
-    label: str
-    aq: dict  # q -> A_q
-    overall_gcd: int
-    surviving: object  # tuple of primes, or ALL_PRIMES
+    def __init__(self, label: str, aq: dict, overall_gcd: int, surviving):
+        self.label = label
+        self.aq = aq  # q -> A_q
+        self.overall_gcd = overall_gcd
+        self.surviving = surviving  # tuple of primes, or ALL_PRIMES
 
 
-@dataclass(frozen=True)
 class RefinedVerdict:
-    label: str
-    p: int
-    residue_prime: str  # "p:idx"
-    status: str  # "eliminated" | "not-eliminated" | "skipped"
-    witness_q: int = 0
-    reason: str = ""
+    def __init__(self, label: str, p: int, residue_prime: str, status: str,
+                 witness_q: int = 0, reason: str = ""):
+        self.label = label
+        self.p = p
+        self.residue_prime = residue_prime  # "p:idx"
+        self.status = status  # "eliminated" | "not-eliminated" | "skipped"
+        self.witness_q = witness_q
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class EliminationReport:
-    standard: tuple = ()
-    refined: tuple = ()
+    def __init__(self, standard: tuple = (), refined: tuple = ()):
+        self.standard = standard
+        self.refined = refined
 
     def as_dict(self):
         return {

@@ -22,8 +22,6 @@ Packet schema (JSON)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .exactarith import (
     FFElement,
     FiniteField,
@@ -69,34 +67,47 @@ class MissingEigenvalueError(KeyError):
     __str__ = Exception.__str__  # the message itself, not KeyError's quoted repr
 
 
-@dataclass(frozen=True)
 class NewformPacket:
-    label: str
-    base_field: str
-    level_norm: int
-    level_primes: tuple
-    coeff_poly: UniPoly
-    eigenvalues: dict
-    residue_maps: dict
-    provenance: str
-    warnings: tuple = ()
+    def __init__(self, label: str, base_field: str, level_norm: int, level_primes: tuple,
+                 coeff_poly: UniPoly, eigenvalues: dict, residue_maps: dict,
+                 provenance: str, warnings: tuple = ()):
+        self.label = label
+        self.base_field = base_field
+        self.level_norm = level_norm
+        self.level_primes = level_primes
+        self.coeff_poly = coeff_poly
+        self.eigenvalues = eigenvalues
+        self.residue_maps = residue_maps
+        self.provenance = provenance
+        self.warnings = warnings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self):
+        return (self.label, self.base_field, self.level_norm, self.level_primes,
+                self.coeff_poly, self.eigenvalues, self.residue_maps, self.provenance,
+                self.warnings)
 
     @property
     def order(self):
         return get_order(self.base_field)
 
 
-@dataclass(frozen=True)
 class ResiduePrime:
     """A prime of the coefficient field above p, with the reduction map."""
 
-    p: int
-    index: int
-    factor: UniPoly
-    d: int
-    e: int
-    field: FiniteField = dc_field(compare=False)
-    gen_image: FFElement = dc_field(compare=False)
+    def __init__(self, p: int, index: int, factor: UniPoly, d: int, e: int,
+                 field: FiniteField, gen_image: FFElement):
+        self.p = p
+        self.index = index
+        self.factor = factor
+        self.d = d
+        self.e = e
+        self.field = field
+        self.gen_image = gen_image
 
     @property
     def key(self) -> str:

@@ -9,7 +9,6 @@ which covers every valuation this toolkit needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exactarith import (
@@ -49,17 +48,45 @@ class UnsupportedValuationError(ValueError):
     """Raised when a valuation is requested at a non-unique prime."""
 
 
-@dataclass(frozen=True)
-class NumberFieldOrder:
+class Frozen:
+    """Base of the package's hashed records. Equality and the hash are
+    those of the field tuple `_fields()` (an instance of another class is
+    never equal), and __init__ sets each field once with
+    object.__setattr__; assignment or deletion raises afterwards. (Not
+    through self.__dict__, which would turn the instance's inline
+    attribute values into a dict and make every field read slower.)"""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:  # NFElement arithmetic compares an order with itself
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class NumberFieldOrder(Frozen):
     """The order Z[theta] with theta a root of a monic integer polynomial."""
 
-    label: str
-    poly: UniPoly
-    excluded_primes: tuple = ()
-
-    def __post_init__(self):
-        if not self.poly.is_monic or self.poly.degree < 1:
+    def __init__(self, label: str, poly: UniPoly, excluded_primes: tuple = ()):
+        if not poly.is_monic or poly.degree < 1:
             raise ValueError("defining polynomial must be monic and nonconstant")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "excluded_primes", excluded_primes)
+
+    def _fields(self):
+        return (self.label, self.poly, self.excluded_primes)
 
     @property
     def degree(self) -> int:
@@ -195,22 +222,27 @@ class NFElement:
         return f"NF({self.order.label}; {list(self.coords)})"
 
 
-@dataclass(frozen=True)
-class PrimeIdealData:
+class PrimeIdealData(Frozen):
     """A prime of the order above q: residue field plus the reduction map.
 
     The index i in the key "q.i" follows the frozen factor order of
     poly_factor_mod_p (sorted by degree, then coefficient tuple).
+    Equality and the hash leave out the residue field and theta's image.
     """
 
-    order: NumberFieldOrder
-    q: int
-    index: int
-    factor: UniPoly
-    e: int
-    fdeg: int
-    residue_field: FiniteField = field(compare=False)
-    theta_image: FFElement = field(compare=False)
+    def __init__(self, order: NumberFieldOrder, q: int, index: int, factor: UniPoly,
+                 e: int, fdeg: int, residue_field: FiniteField, theta_image: FFElement):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "fdeg", fdeg)
+        object.__setattr__(self, "residue_field", residue_field)
+        object.__setattr__(self, "theta_image", theta_image)
+
+    def _fields(self):
+        return (self.order, self.q, self.index, self.factor, self.e, self.fdeg)
 
     @property
     def key(self) -> str:

@@ -26,12 +26,12 @@ pair and unit, with no discrete logs, characters or linear algebra mod 7.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .elimination import FreyFamily, compatible_pairs, residue_pairs
 from .exactarith import FFElement, chain_pow, factorize
 from .numberfield import (
+    Frozen,
     PrimeIdealData,
     cyclotomic_unit_generators,
     get_order,
@@ -62,18 +62,24 @@ _ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
 _DESCENT_CASES = ("coprime-13", "divisible-13")
 
 
-@dataclass(frozen=True, slots=True)
-class UnitClass:
-    """Exponent vector e in (Z/7)^5 over the generators u_2..u_6."""
+class UnitClass(Frozen):
+    """Exponent vector e in (Z/7)^5 over the generators u_2..u_6; `index`
+    is derived from it and takes no part in equality, hash or repr."""
 
-    exps: tuple
-    index: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("exps", "index")
 
-    def __post_init__(self):
-        if len(self.exps) != 5 or not 0 <= min(self.exps) <= max(self.exps) < 7:
+    def __init__(self, exps: tuple):
+        if len(exps) != 5 or not 0 <= min(exps) <= max(exps) < 7:
             raise ValueError("a unit class is five exponents in [0, 7)")
-        e0, e1, e2, e3, e4 = self.exps
+        e0, e1, e2, e3, e4 = exps
+        object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "index", e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4))))
+
+    def __repr__(self):
+        return f"UnitClass(exps={self.exps!r})"
+
+    def _fields(self):
+        return (self.exps,)
 
     def __reduce__(self):
         # through the validating constructor, on every Python version
@@ -103,7 +109,6 @@ class UnitClass:
 _set_exps, _set_index = UnitClass.exps.__set__, UnitClass.index.__set__
 
 
-@dataclass(frozen=True)
 class LocalCharacterTable:
     """7th-power residue characters at a prime Q of Z[zeta_13]: the dlogs
     base omega of the residues `_seventh_powers(Q)` gives.
@@ -114,12 +119,14 @@ class LocalCharacterTable:
     depend on it: omega^k in its place scales every value by 1/k mod 7.)
     """
 
-    prime: PrimeIdealData
-    exponent: int  # (N - 1) // 7
-    omega: FFElement
-    dlog: dict = field(compare=False, repr=False)  # omega^k coefficients -> k
-    unit_chars: tuple  # chi(u_a), a = 2..6
-    chi_one_minus_zeta: int
+    def __init__(self, prime: PrimeIdealData, exponent: int, omega: FFElement, dlog: dict,
+                 unit_chars: tuple, chi_one_minus_zeta: int):
+        self.prime = prime
+        self.exponent = exponent  # (N - 1) // 7
+        self.omega = omega
+        self.dlog = dlog  # omega^k coefficients -> k
+        self.unit_chars = unit_chars  # chi(u_a), a = 2..6
+        self.chi_one_minus_zeta = chi_one_minus_zeta
 
     @property
     def q(self) -> int:
@@ -142,8 +149,7 @@ class LocalCharacterTable:
         )
 
 
-@dataclass(frozen=True)
-class SieveConstraint:
+class SieveConstraint(Frozen):
     """Local condition at a rational prime q.
 
     mode "parity-only" (q = 2 only): keeps pairs with a + b odd.
@@ -155,18 +161,21 @@ class SieveConstraint:
     mode "unconstrained": all q^2 - 1 pairs.
     """
 
-    q: int
-    mode: str
-    family: FreyFamily = None
-    targets: tuple = None  # sorted tuple of (prime key, frozenset)
-
-    def __post_init__(self):
-        if self.q == 13:
+    def __init__(self, q: int, mode: str, family: FreyFamily = None, targets: tuple = None):
+        if q == 13:
             raise ValueError("the ramified prime 13 cannot constrain the sieve")
-        if self.mode not in ("parity-only", "modular", "unconstrained"):
-            raise ValueError(f"unknown sieve mode {self.mode!r}")
-        if self.mode == "parity-only" and self.q != 2:
+        if mode not in ("parity-only", "modular", "unconstrained"):
+            raise ValueError(f"unknown sieve mode {mode!r}")
+        if mode == "parity-only" and q != 2:
             raise ValueError("parity-only is valid only at q = 2")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "family", family)
+        # sorted tuple of (prime key, frozenset)
+        object.__setattr__(self, "targets", targets)
+
+    def _fields(self):
+        return (self.q, self.mode, self.family, self.targets)
 
     def targets_dict(self):
         return dict(self.targets) if self.targets else {}
