@@ -45,7 +45,7 @@ from .elimination import (
     standard_eliminate,
 )
 from .exactarith import FiniteField, UniPoly, is_prime
-from .jsonfile import read_json
+from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json, string
 from .newformdata import (
     MissingEigenvalueError,
     PacketFormatError,
@@ -183,13 +183,16 @@ def _fixture_curve_C(ctx):
 _IGUSA_WEIGHTS = (2, 4, 6, 10)
 
 
-def _ratio(text: str):
+def _ratio(value, pos: str):
     """An "n/d" or "n" string as the integers (n, d), d > 0."""
-    n, _, d = str(text).partition("/")
-    n, d = int(n), int(d or 1)
-    if d <= 0:
-        raise ValueError(f"expected a positive denominator in {text!r}")
-    return n, d
+    n, _, d = string(value, pos, ValueError).partition("/")
+    try:
+        n, d = int(n), int(d or 1)
+        if d > 0:
+            return n, d
+    except ValueError:
+        pass
+    raise fail(ValueError, pos, 'a ratio "n/d" of integers, d > 0', value)
 
 
 def _reference_invariants(ctx):
@@ -210,22 +213,18 @@ def _reference_invariants(ctx):
 def _parse_reference(data):
     """The order, the coordinates of I2..I10 and the integral alpha of a
     reference file, each coordinate an (n, d) pair."""
-    try:
-        label, invariants = data["order"], data["invariants"]
-        fracs = [[_ratio(s) for s in invariants[k]] for k in ("I2", "I4", "I6", "I10")]
-        alpha = [_ratio(s) for s in data["alpha"]]
-    except KeyError as e:
-        raise ValueError(f"missing field {e}") from None
-    except TypeError:
-        raise ValueError(
-            'expected {"order": ..., "invariants": {"I2": [...], ..., "I10": [...]}, '
-            '"alpha": [...]}'
-        ) from None
-    if not isinstance(label, str) or label not in known_orders():
-        raise ValueError(f"order: expected one of {sorted(known_orders())}, got {label!r}")
+    E = ValueError
+    label, invariants, alpha = fields(data, "reference", E, ("order", "invariants", "alpha"))
+    order = get_order(one_of(label, "order", E, known_orders()))
+    keys = ("I2", "I4", "I6", "I10")
+    fracs = [
+        [_ratio(s, f"invariants.{k}[{j}]") for j, s in enumerate(array(v, f"invariants.{k}", E))]
+        for k, v in zip(keys, fields(invariants, "invariants", E, keys))
+    ]
+    alpha = [_ratio(s, f"alpha[{j}]") for j, s in enumerate(array(alpha, "alpha", E))]
     if any(n % d for n, d in alpha):
         raise ValueError("alpha must be integral")
-    return get_order(label), fracs, alpha
+    return order, fracs, alpha
 
 
 def _reference_comparison(ctx, mine):
@@ -688,6 +687,15 @@ MAX_CONSTRAINT_Q = 200
 # so they are not capped.
 MAX_RESIDUE_FIELD = 2**16
 
+# The largest field F_{N(P)^2}, P above a modular constraint's q in the
+# order of its genus-2 `targets_from_curve`, that the Euler factor may
+# count over; MAX_RESIDUE_FIELD, on the family's order, does not bound it.
+# The cost grows with its size: 0.3 s over F_{41^4} (41 is inert in
+# Q(sqrt13)) and 2.2 s over F_{67^4} on one Xeon core, minutes over
+# F_{197^4}. 2^22 keeps F_{41^4} (2,825,761 elements) and refuses every
+# inert q from 47 on (4,879,681).
+MAX_G2_COUNT_FIELD = 2**22
+
 
 def _check_residue_fields(family, q: int, where: str) -> None:
     """Refuse an admissible q with a prime above it, in the family's
@@ -798,28 +806,32 @@ def _load_constraints(ctx, path):
     ctx.record_input(p)
     out = []
     for i, c in enumerate(read_json(p, _constraint_entries)):
-        if isinstance(c, dict):  # modular: its family and targets
-            q, pos = c["q"], f"{p}: constraints[{i}]"
+        if isinstance(c, tuple):  # modular: its family and targets
+            q, family, curve_path, targets = c
+            pos = f"{p}: constraints[{i}]"
             try:
-                fam = load_family(ctx.path(c["family"]))
+                fam = load_family(ctx.path(family))
             except ExternalDataSlotError:
                 raise
             except (OSError, ValueError) as e:
                 raise ValueError(f"{pos}.family: {e}") from None
             _check_residue_fields(fam, q, f"{pos}.q: {q}")
-            if "targets_from_curve" in c:
+            if curve_path is not None:
                 try:
-                    curve = _load_curve(ctx, c["targets_from_curve"])
+                    curve = _load_curve(ctx, curve_path)
                     if not isinstance(curve, HyperellipticCurveNF):
                         raise ValueError("expected a genus-2 curve file")
                     if curve.order != fam.order:
                         raise ValueError(f"the curve is over {curve.order.label}, "
                                          f"family {fam.label} over {fam.order.label}")
+                    for P in split_prime(curve.order, q):
+                        if P.norm**2 > MAX_G2_COUNT_FIELD:
+                            raise ValueError(
+                                f"the genus-2 point count at {P.key} runs over {P.norm**2} "
+                                f"elements, more than {MAX_G2_COUNT_FIELD}")
                     targets = modular_targets_from_curve(curve, q)
                 except (OSError, ValueError) as e:
                     raise ValueError(f"{pos}.targets_from_curve: {e}") from None
-            else:
-                targets = tuple(sorted((k, frozenset(v)) for k, v in c["targets"].items()))
             try:  # q admissible for the family, a target at every prime above it
                 compatible_pairs(fam, q, 7, dict(targets))
             except ValueError as e:
@@ -829,63 +841,61 @@ def _load_constraints(ctx, path):
     return out
 
 
+_MODES = ("modular", "parity-only", "unconstrained")
+
+
 def _constraint_entries(data) -> list:
     """A constraint file's entries, checked: a SieveConstraint for each
-    parity-only or unconstrained entry, the entry itself for a modular
-    one. Each q is a prime other than 13, at most MAX_CONSTRAINT_Q, named
+    parity-only or unconstrained entry, and (q, family path, curve path or
+    None, targets or None) for a modular one. The file (JSON)::
+
+        {"constraints": [                      # at least one
+          {"q": int, "mode": "parity-only" | "unconstrained"},
+          {"q": int, "mode": "modular", "family": path,
+           "targets_from_curve": path},        # a genus-2 curve file, or
+          {"q": int, "mode": "modular", "family": path,
+           "targets": {"q.i": [int]}}          # residues mod 7 per prime
+        ]}
+
+    Each q is a prime other than 13, at most MAX_CONSTRAINT_Q, named
     once, with 7 | N(Q) - 1 at every prime Q of Z[zeta_13] above it
-    (checked by building the sieve's cached per-prime map)."""
-    if not isinstance(data, dict) or not isinstance(data.get("constraints"), list):
-        raise ValueError("constraints: expected an object with a list of constraints")
-    if not data["constraints"]:
+    (checked by building the sieve's cached per-prime map). Paths are
+    relative to the fixtures directory."""
+    E = ValueError
+    (entries,) = fields(data, "constraints", E, ("constraints",))
+    if not array(entries, "constraints", E):
         raise ValueError("constraints: the sieve needs at least one constraint")
     out, seen = [], set()
-    for i, c in enumerate(data["constraints"]):
-        if not isinstance(c, dict):
-            raise ValueError(f"constraints[{i}]: expected an object, got {c!r}")
-        mode = c.get("mode")
-        q = c.get("q")
-        if (
-            isinstance(q, bool) or not isinstance(q, int) or q > MAX_CONSTRAINT_Q
-            or not is_prime(q) or q == 13
-        ):
-            raise ValueError(
-                f"constraints[{i}].q: expected a prime other than 13, at most "
-                f"{MAX_CONSTRAINT_Q}, got {q!r}"
-            )
+    for i, c in enumerate(entries):
+        pos = f"constraints[{i}]"
+        q, mode = fields(c, pos, E, ("q", "mode"))
+        if integer(q, f"{pos}.q", E) > MAX_CONSTRAINT_Q or not is_prime(q) or q == 13:
+            raise fail(E, f"{pos}.q", f"a prime other than 13, at most {MAX_CONSTRAINT_Q}", q)
         if q in seen:
-            raise ValueError(f"constraints[{i}].q: {q} is constrained twice")
+            raise ValueError(f"{pos}.q: {q} is constrained twice")
         seen.add(q)
         try:
             for Q in split_prime(get_order("Zzeta13"), q):
                 _seventh_powers(Q)
         except ValueError as e:
-            raise ValueError(f"constraints[{i}].q: {e}") from None
-        if mode in ("parity-only", "unconstrained"):
+            raise ValueError(f"{pos}.q: {e}") from None
+        if one_of(mode, f"{pos}.mode", E, _MODES) != "modular":
             try:
                 out.append(SieveConstraint(q=q, mode=mode))
             except ValueError as e:
-                raise ValueError(f"constraints[{i}]: {e}") from None
+                raise ValueError(f"{pos}: {e}") from None
             continue
-        if mode != "modular":
-            raise ValueError(f"constraints[{i}]: unknown mode {mode!r}")
-        if not isinstance(c.get("family"), str):
-            raise ValueError(f"constraints[{i}].family: expected a file path")
+        (family,) = fields(c, pos, E, ("family",))
+        string(family, f"{pos}.family", E)
         if "targets_from_curve" in c:
-            if not isinstance(c["targets_from_curve"], str):
-                raise ValueError(f"constraints[{i}].targets_from_curve: expected a file path")
-        elif not isinstance(c.get("targets"), dict):
-            raise ValueError(f"constraints[{i}].targets: expected an object")
-        else:
-            for key, v in c["targets"].items():
-                if not isinstance(v, list) or not all(
-                    isinstance(r, int) and not isinstance(r, bool) for r in v
-                ):
-                    raise ValueError(
-                        f"constraints[{i}].targets[{json.dumps(key)}]: expected a "
-                        f"list of residues mod 7, got {v!r}"
-                    )
-        out.append(c)
+            curve = string(c["targets_from_curve"], f"{pos}.targets_from_curve", E)
+            out.append((q, family, curve, None))
+            continue
+        (targets,) = fields(c, pos, E, ("targets",))
+        fields(targets, f"{pos}.targets", E)
+        for key, v in targets.items():
+            int_lists(v, f"{pos}.targets[{json.dumps(key)}]", E)
+        out.append((q, family, None, tuple(sorted((k, frozenset(v)) for k, v in targets.items()))))
     return out
 
 

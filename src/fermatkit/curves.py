@@ -24,13 +24,12 @@ recurrence. All functions are pure; inputs are immutable.
 """
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import comb, isqrt, prod
 from operator import add, mul
 from typing import NamedTuple
 
-from .jsonfile import read_json
+from .jsonfile import fields, int_lists, one_of, read_json
 from .numberfield import (
     Frozen,
     NFElement,
@@ -811,51 +810,36 @@ def frobenius_projective_order(a, N: int) -> int:
 # fixture files
 
 
-def _json_element(order, value, where: str) -> NFElement:
-    """A coordinate list from a curve file as an element of the order."""
-    if (
-        not isinstance(value, list)
-        or len(value) > order.degree
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise ValueError(
-            f"{where}: expected a list of at most {order.degree} integers, "
-            f"got {json.dumps(value)}"
-        )
-    return order.element(value)
+_MODELS = {
+    "weierstrass": ("a1", "a2", "a3", "a4", "a6"),
+    "sextic": tuple(f"c{i}" for i in range(7)),
+}
 
 
 def curve_from_dict(data: dict):
     """Build a curve from the fixture-file dictionary format. Malformed
     data raises a ValueError that names the offending field."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    missing = [k for k in ("order", "model", "coefficients") if k not in data]
-    if missing:
-        raise ValueError(f"curve file is missing field {missing[0]!r}")
-    label, model, coeffs = data["order"], data["model"], data["coefficients"]
-    if not isinstance(label, str) or label not in known_orders():
-        raise ValueError(
-            f"order: expected one of {sorted(known_orders())}, got {json.dumps(label)}"
-        )
-    if not isinstance(coeffs, dict):
-        raise ValueError(f"coefficients: expected an object, got {json.dumps(coeffs)}")
-    names = {
-        "weierstrass": ("a1", "a2", "a3", "a4", "a6"),
-        "sextic": tuple(f"c{i}" for i in range(7)),
-    }
-    if not isinstance(model, str) or model not in names:
-        raise ValueError(f"unknown curve model {model!r}")
-    missing = [n for n in names[model] if n not in coeffs]
-    if missing:
-        raise ValueError(f"curve file coefficients missing {missing}")
-    order = get_order(label)
-    vals = [_json_element(order, coeffs[n], f"coefficients.{n}") for n in names[model]]
+    label, model, coeffs = fields(data, "curve", ValueError, ("order", "model", "coefficients"))
+    order = get_order(one_of(label, "order", ValueError, known_orders()))
+    names = _MODELS[one_of(model, "model", ValueError, _MODELS)]
+    vals = [
+        order.element(int_lists(v, f"coefficients.{name}", ValueError, width=order.degree))
+        for name, v in zip(names, fields(coeffs, "coefficients", ValueError, names))
+    ]
     if model == "weierstrass":
         return EllipticCurveNF(*vals)
     return HyperellipticCurveNF(coeffs=tuple(vals))
 
 
 def load_curve(path):
-    """The curve in a fixture file, in the `curve_from_dict` format."""
+    """The curve in a curve file (JSON; other keys, such as a label, are
+    ignored)::
+
+        {"order": order label, "model": "weierstrass" | "sextic",
+         "coefficients": {"a1": coords, "a2": .., "a3": .., "a4": .., "a6": ..}
+                       | {"c0": coords, ..., "c6": coords}}
+
+    coords lists at most [K:Q] ints (never `true` or `false`), in the
+    order's basis; the models are those of EllipticCurveNF and
+    HyperellipticCurveNF."""
     return read_json(path, curve_from_dict)

@@ -19,13 +19,23 @@ Family config (JSON)::
       "label": str,
       "order": order label,
       "coefficients": {"a1": rows, "a2": rows, "a3": rows, "a4": rows, "a6": rows},
-          # rows[j][i] = coordinate vector of the x^i y^j coefficient
-      "multiplicative_iff_zero": rows,       # plain integer bivariate
-      "admissibility": {
-          "excluded_primes": [..],
-          "residue_conditions": [{"mod": m, "forbidden": [..]}]
-      }
+          # each optional (absent is zero); rows[j][i] = the coordinate
+          # vector, at most [K:Q] ints, of the x^i y^j coefficient
+      "multiplicative_iff_zero": [[int]],    # nonzero; rows[j][i] of x^i y^j
+      "admissibility": {                     # optional, as is each key in it
+          "excluded_primes": [int],
+          "residue_conditions": [{"mod": int >= 1, "forbidden": [int]}]
+      },
+      "consistency": {"curve": path, "specialization": [a, b]}   # optional
     }
+
+The consistency curve path is relative to the family file, and
+`load_family` checks that the member at (a, b) has that curve's
+j-invariant. A slot for data not distributed with the toolkit is
+`{"label": str, "status": "external", ...}`: loading it raises
+ExternalDataSlotError before any other key is read. Every int is a
+JSON integer, never `true` or `false`; the shape checks are those of
+`jsonfile`.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from operator import mul
 
 from .curves import EllipticCurveNF, _reduced_trace, ec_invariants
 from .exactarith import BiPoly, UniPoly, is_prime, poly_norm
-from .jsonfile import read_json
+from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json, string
 from .newformdata import (
     MissingEigenvalueError,
     NewformPacket,
@@ -124,87 +134,45 @@ class FreyFamily(Frozen):
         return "multiplicative" if self.mult_rule(a, b) % q == 0 else "good"
 
 
-def _check_nested(value, pos: str, depth: int, width: int = None):
-    """Require `depth` levels of lists with integers at the bottom; the
-    innermost lists (coordinate vectors) hold at most `width` entries."""
-    if not isinstance(value, list):
-        raise FamilyConfigError(f"{pos}: expected a list, got {value!r}")
-    if depth == 1:
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
-            raise FamilyConfigError(f"{pos}: expected a list of integers, got {value!r}")
-        if width is not None and len(value) > width:
-            raise FamilyConfigError(f"{pos}: more than {width} coordinates")
-        return
-    for i, v in enumerate(value):
-        _check_nested(v, f"{pos}[{i}]", depth - 1, width)
-
-
 def family_from_dict(data: dict) -> FreyFamily:
-    if not isinstance(data, dict):
-        raise FamilyConfigError("family config: expected an object")
-    if data.get("status") == "external":
+    E = FamilyConfigError
+    (status,) = fields(data, "family", E, (), {"status": None})
+    if status == "external":
         raise ExternalDataSlotError(
             f"family {data.get('label')!r} is an external-data slot; its "
             "coefficient polynomials are not distributed with this toolkit"
         )
-    try:
-        label, order_label, coeffs_in = data["label"], data["order"], data["coefficients"]
-    except KeyError as e:
-        raise FamilyConfigError(f"family config is missing field {e}") from None
-    if not isinstance(label, str):
-        raise FamilyConfigError(f"label: expected a string, got {label!r}")
-    if not isinstance(order_label, str) or order_label not in known_orders():
-        raise FamilyConfigError(
-            f"order: expected one of {sorted(known_orders())}, got {order_label!r}"
-        )
-    order = get_order(order_label)
+    label, order_label, coeffs_in, rule_in, adm = fields(
+        data, "family", E, ("label", "order", "coefficients", "multiplicative_iff_zero"),
+        {"admissibility": {}},
+    )
+    string(label, "label", E)
+    order = get_order(one_of(order_label, "order", E, known_orders()))
     n = order.degree
-    if not isinstance(coeffs_in, dict):
-        raise FamilyConfigError("coefficients: expected an object")
-    unknown = [name for name in coeffs_in if name not in _COEFF_NAMES]
-    if unknown:
-        raise FamilyConfigError(
-            f"coefficients.{unknown[0]}: unknown coefficient; expected one of {list(_COEFF_NAMES)}"
-        )
+    coeffs = fields(coeffs_in, "coefficients", E, (), dict.fromkeys(_COEFF_NAMES, []))
+    for name in coeffs_in:
+        one_of(name, "coefficients", E, _COEFF_NAMES)
     per_name = []
-    for name in _COEFF_NAMES:
-        rows = coeffs_in.get(name, [])
+    for name, rows in zip(_COEFF_NAMES, coeffs):
+        int_lists(rows, f"coefficients.{name}", E, 3, n)
         # rows[j][i] = coordinate vector; split into one BiPoly per coordinate
-        _check_nested(rows, f"coefficients.{name}", 3, n)
-        basis_polys = []
-        for m in range(n):
-            bp_rows = []
-            for row in rows:
-                bp_rows.append([
-                    (vec[m] if m < len(vec) else 0) for vec in row
-                ])
-            basis_polys.append(BiPoly.from_nested(bp_rows))
-        per_name.append(tuple(basis_polys))
-    rule_in = data.get("multiplicative_iff_zero", [])
-    _check_nested(rule_in, "multiplicative_iff_zero", 2)
-    rule = BiPoly.from_nested(rule_in)
+        per_name.append(tuple(
+            BiPoly.from_nested([[vec[m] if m < len(vec) else 0 for vec in row] for row in rows])
+            for m in range(n)
+        ))
+    rule = BiPoly.from_nested(int_lists(rule_in, "multiplicative_iff_zero", E, 2))
     if rule.is_zero:
-        raise FamilyConfigError(
-            "multiplicative_iff_zero must be a nonzero bivariate polynomial"
-        )
-    adm = data.get("admissibility", {})
-    conds_in = adm.get("residue_conditions", []) if isinstance(adm, dict) else None
-    if not isinstance(conds_in, list) or not all(
-        isinstance(c, dict) and "mod" in c and "forbidden" in c for c in conds_in
-    ):
-        raise FamilyConfigError(
-            "admissibility: expected {\"excluded_primes\": [int], "
-            "\"residue_conditions\": [{\"mod\": int, \"forbidden\": [int]}]}"
-        )
-    excluded = adm.get("excluded_primes", [])
-    _check_nested(excluded, "admissibility.excluded_primes", 1)
+        raise fail(E, "multiplicative_iff_zero", "a nonzero bivariate polynomial", rule_in)
+    excluded, conds_in = fields(
+        adm, "admissibility", E, (), {"excluded_primes": [], "residue_conditions": []}
+    )
+    int_lists(excluded, "admissibility.excluded_primes", E)
     conds = []
-    for i, c in enumerate(conds_in):
-        pos, mod = f"admissibility.residue_conditions[{i}]", c["mod"]
-        if isinstance(mod, bool) or not isinstance(mod, int) or mod < 1:
-            raise FamilyConfigError(f"{pos}.mod: expected an integer >= 1, got {mod!r}")
-        _check_nested(c["forbidden"], f"{pos}.forbidden", 1)
-        conds.append((mod, tuple(c["forbidden"])))
+    for i, c in enumerate(array(conds_in, "admissibility.residue_conditions", E)):
+        pos = f"admissibility.residue_conditions[{i}]"
+        mod, forbidden = fields(c, pos, E, ("mod", "forbidden"))
+        integer(mod, f"{pos}.mod", E, lo=1)
+        conds.append((mod, tuple(int_lists(forbidden, f"{pos}.forbidden", E))))
     return FreyFamily(
         label=label,
         order=order,
@@ -248,20 +216,13 @@ def load_family(path) -> FreyFamily:
 
 def _consistency_block(cons):
     """(curve path, (a, b)) of a family's consistency block, or None."""
-    if not cons:
+    if cons is None:
         return None
-    if not isinstance(cons, dict):
-        raise FamilyConfigError(
-            f"consistency: expected an object with \"curve\" and \"specialization\", got {cons!r}"
-        )
-    name, spec = cons.get("curve"), cons.get("specialization")
-    if not isinstance(name, str):
-        raise FamilyConfigError(f"consistency.curve: expected a curve file path, got {name!r}")
-    _check_nested(spec, "consistency.specialization", 1)
-    if len(spec) != 2:
-        raise FamilyConfigError(
-            f"consistency.specialization: expected two integers [a, b], got {spec!r}"
-        )
+    E = FamilyConfigError
+    name, spec = fields(cons, "consistency", E, ("curve", "specialization"))
+    string(name, "consistency.curve", E)
+    if len(int_lists(spec, "consistency.specialization", E)) != 2:
+        raise fail(E, "consistency.specialization", "two integers [a, b]", spec)
     return name, tuple(spec)
 
 

@@ -7,17 +7,20 @@ in this toolkit (the provenance string says which). Checkers reduce
 eigenvalues at residue primes of the coefficient field and test the
 congruences the elimination arguments rest on.
 
-Packet schema (JSON)::
+Packet schema (JSON; a file holds one packet or a list of them)::
 
     {
-      "label": str,
+      "label": str,                                      # non-empty
       "base_field": order label,
-      "level": {"norm": int, "primes": ["q.i", ...]},   # with multiplicity
+      "level": {"norm": int >= 1, "primes": ["q.i", ...]},  # with multiplicity
       "coeff_poly": [c0, ..., 1],                        # monic h
-      "eigenvalues": {"q.i": [v0, ...]},                 # coords in Z[x]/(h)
+      "eigenvalues": {"q.i": [v0, ...]},   # optional; at most deg h coords in Z[x]/(h)
       "residue_maps": {"p:factor_idx": [coords]},        # optional
-      "provenance": str
+      "provenance": str                                  # optional
     }
+
+Every int is a JSON integer, never `true` or `false`; the shape checks
+are those of `jsonfile`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .exactarith import (
     poly_factor_mod_p,
     real_root_count,
 )
-from .jsonfile import read_json
-from .numberfield import get_order, prime_by_key, split_prime
+from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json, string
+from .numberfield import get_order, known_orders, prime_by_key, split_prime
 
 __all__ = [
     "NewformPacket",
@@ -165,93 +168,58 @@ def _weil_violation(h: UniPoly, vec, norm: int):
 
 
 def packet_from_dict(data: dict, pos: str = "packet") -> NewformPacket:
-    if not isinstance(data, dict):
-        raise PacketFormatError(f"{pos}: expected an object")
+    E = PacketFormatError
+    label, base, level, cp, ev_in, rm_in, prov = fields(
+        data, pos, E, ("label", "base_field", "level", "coeff_poly"),
+        {"eigenvalues": {}, "residue_maps": {}, "provenance": ""},
+    )
+    if not string(label, f"{pos}.label", E):
+        raise fail(E, f"{pos}.label", "a non-empty string", label)
+    order = get_order(one_of(base, f"{pos}.base_field", E, known_orders()))
+    string(prov, f"{pos}.provenance", E)
     warnings = []
 
-    label = data.get("label")
-    if not isinstance(label, str) or not label:
-        raise PacketFormatError(f"{pos}.label: missing or empty")
-    base = data.get("base_field")
-    try:
-        order = get_order(base)
-    except (KeyError, TypeError):
-        raise PacketFormatError(f"{pos}.base_field: unknown order {base!r}") from None
-
-    level = data.get("level")
-    if not isinstance(level, dict) or "norm" not in level or not isinstance(
-        level.get("primes"), list
-    ):
-        raise PacketFormatError(f"{pos}.level: need 'norm' and a list 'primes'")
-    lnorm = level["norm"]
-    if not isinstance(lnorm, int) or lnorm < 1:
-        raise PacketFormatError(f"{pos}.level.norm: positive integer required")
-    lprimes = []
+    lnorm, lprimes = fields(level, f"{pos}.level", E, ("norm", "primes"))
+    integer(lnorm, f"{pos}.level.norm", E, lo=1)
     prod = 1
-    for j, key in enumerate(level["primes"]):
+    for j, key in enumerate(array(lprimes, f"{pos}.level.primes", E)):
         try:
             P = prime_by_key(order, key)
         except ValueError as e:
-            raise PacketFormatError(f"{pos}.level.primes[{j}]: {e}") from None
-        lprimes.append(key)
+            raise E(f"{pos}.level.primes[{j}]: {e}") from None
         prod *= P.norm
     if prod != lnorm:
-        raise PacketFormatError(
-            f"{pos}.level: norm {lnorm} does not match the prime list (product {prod})"
-        )
+        raise E(f"{pos}.level: norm {lnorm} does not match the prime list (product {prod})")
 
-    cp = data.get("coeff_poly")
-    if not isinstance(cp, list) or not all(isinstance(c, int) for c in cp):
-        raise PacketFormatError(f"{pos}.coeff_poly: integer list required")
-    h = UniPoly(cp)
+    h = UniPoly(int_lists(cp, f"{pos}.coeff_poly", E))
     w = _check_irreducible(h, f"{pos}.coeff_poly")
     if w:
         warnings.append(w)
 
-    ev_in = data.get("eigenvalues", {})
-    if not isinstance(ev_in, dict):
-        raise PacketFormatError(f"{pos}.eigenvalues: object required")
+    fields(ev_in, f"{pos}.eigenvalues", E)
     all_real = real_root_count(h) == h.degree
+    n = max(h.degree, 1)
     eigenvalues = {}
     for key, vec in ev_in.items():
         try:
             P = prime_by_key(order, key)
         except ValueError as e:
-            raise PacketFormatError(f"{pos}.eigenvalues[{key!r}]: {e}") from None
-        if not isinstance(vec, list) or not all(isinstance(c, int) for c in vec):
-            raise PacketFormatError(
-                f"{pos}.eigenvalues[{key!r}]: integer vector required"
-            )
-        if len(vec) > max(h.degree, 1):
-            raise PacketFormatError(
-                f"{pos}.eigenvalues[{key!r}]: vector longer than the field degree"
-            )
-        vec = vec + [0] * (max(h.degree, 1) - len(vec))
+            raise E(f"{pos}.eigenvalues[{key!r}]: {e}") from None
+        vec = int_lists(vec, f"{pos}.eigenvalues[{key!r}]", E, width=n)
+        vec = vec + [0] * (n - len(vec))
         if all_real and _weil_violation(h, vec, P.norm):
-            raise PacketFormatError(
-                f"{pos}.eigenvalues[{key!r}]: Weil bound violated at norm {P.norm}"
-            )
+            raise E(f"{pos}.eigenvalues[{key!r}]: Weil bound violated at norm {P.norm}")
         eigenvalues[key] = tuple(vec)
     if not eigenvalues:
         warnings.append("empty eigenvalue table; no checks possible")
 
-    rm_in = data.get("residue_maps", {}) or {}
-    if not isinstance(rm_in, dict):
-        raise PacketFormatError(f"{pos}.residue_maps: object required")
+    fields(rm_in, f"{pos}.residue_maps", E)
     residue_maps = {}
     for key, vec in rm_in.items():
         parts = key.split(":")
         if len(parts) != 2 or not all(s.isdigit() for s in parts):
-            raise PacketFormatError(f"{pos}.residue_maps[{key!r}]: malformed key")
-        if not isinstance(vec, list) or not all(isinstance(c, int) for c in vec):
-            raise PacketFormatError(
-                f"{pos}.residue_maps[{key!r}]: integer vector required"
-            )
-        residue_maps[key] = tuple(vec)
-
-    prov = data.get("provenance", "")
-    if not isinstance(prov, str):
-        raise PacketFormatError(f"{pos}.provenance: string required")
+            raise E(f"{pos}.residue_maps[{key!r}]: malformed key")
+        residue_maps[key] = tuple(int_lists(vec, f"{pos}.residue_maps[{key!r}]", E))
 
     return NewformPacket(
         label=label,
@@ -274,9 +242,9 @@ def load_packets(path) -> list:
 def _packets_from_json(data) -> list:
     if isinstance(data, dict):
         return [packet_from_dict(data)]
-    if isinstance(data, list):
-        return [packet_from_dict(d, pos=f"packets[{i}]") for i, d in enumerate(data)]
-    raise PacketFormatError("expected a packet or a list of packets")
+    if not isinstance(data, list):
+        raise fail(PacketFormatError, "packets", "a packet or a list of packets", data)
+    return [packet_from_dict(d, pos=f"packets[{i}]") for i, d in enumerate(data)]
 
 
 def serialize_packet(packet: NewformPacket) -> dict:

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import operator
 import tempfile
 from pathlib import Path
 
@@ -153,14 +155,15 @@ class TestErrors:
                                    "model": "weierstrass", "coefficients": {"a1": [0]}}))
         code, _, err = run(capsys, "trace", str(bad), "3")
         assert code == 2
-        assert "missing" in err
+        assert 'coefficients: expected an object with the key "a2", got {"a1": [0]}' in err
 
     @pytest.mark.parametrize("edit,where", [
-        (lambda d: [d], "expected a JSON object, got list"),
+        (lambda d: [d], "curve: expected an object, got [{"),
         (lambda d: d["coefficients"].update(a4=5) or d, "coefficients.a4: expected a list"),
         (lambda d: d["coefficients"].update(a4="abc") or d, "coefficients.a4: expected a list"),
         (lambda d: d.update(order=5) or d, "order: expected one of"),
-        (lambda d: d["coefficients"].update(a4=[True]) or d, "coefficients.a4: expected a list"),
+        (lambda d: d["coefficients"].update(a4=[True]) or d,
+         "coefficients.a4[0]: expected an integer, got true"),
     ], ids=["top-level-list", "int-coefficient", "string-coefficient", "int-order",
             "bool-coordinate"])
     def test_malformed_curve_files_name_their_position(self, capsys, tmp_path, edit, where):
@@ -229,7 +232,7 @@ class TestErrors:
         assert str(bad) in err and "line 1" in err
 
     @pytest.mark.parametrize("entry,where", [
-        ({"targets": {}}, "constraints[0].family:"),
+        ({"targets": {}}, 'constraints[0]: expected an object with the key "family"'),
         ({"family": "families/demo_sum_rule_sqrt13.json", "targets_from_curve": 5},
          "constraints[0].targets_from_curve:"),
     ], ids=["missing-family", "curve-not-a-path"])
@@ -257,12 +260,38 @@ class TestErrors:
         assert code == 2
         assert err == f"error: {bad}: {message}\n"
 
+    def test_deepest_loadable_nesting_exits_2(self, capsys, tmp_path):
+        """A value nested as deep as json.loads allows (the limit depends
+        on the stack) is too deep to print a few frames further down: the
+        refusal names the file and exits 2, it does not raise RecursionError."""
+        from fermatkit.numberfield import known_orders
+
+        bad = tmp_path / "bad.curve"
+        for n in range(1000, 0, -1):
+            bad.write_text('{"order": %s, "model": "sextic", "coefficients": {}}'
+                           % ("[" * n + "]" * n))
+            code, _, err = run(capsys, "trace", str(bad), "3")
+            assert code == 2 and err.startswith(f"error: {bad}: ")
+            if "invalid JSON" not in err:
+                break
+        orders = json.dumps(sorted(known_orders()))
+        assert err == f"error: {bad}: order: expected one of {orders}, got a deeply nested value\n"
+
     @pytest.mark.parametrize("edit,message", [
-        (lambda d: d.pop("invariants"), "missing field 'invariants'"),
-        (lambda d: d.update(invariants=[1]), 'expected {"order": ...'),
+        (lambda d: d.pop("invariants"), 'reference: expected an object with the key "invariants"'),
+        (lambda d: d.update(invariants=[1]), "invariants: expected an object, got [1]"),
         (lambda d: d.update(order="Q"), "order: expected one of"),
         (lambda d: d.update(alpha=["1/2"]), "alpha must be integral"),
-    ], ids=["no-invariants", "invariants-a-list", "unknown-order", "alpha-not-integral"])
+        (lambda d: d["invariants"]["I4"].__setitem__(0, 2.5),
+         "invariants.I4[0]: expected a string, got 2.5"),
+        (lambda d: d["invariants"]["I4"].__setitem__(0, True),
+         "invariants.I4[0]: expected a string, got true"),
+        (lambda d: d["invariants"]["I4"].__setitem__(0, "2.5"),
+         'invariants.I4[0]: expected a ratio "n/d" of integers, d > 0, got "2.5"'),
+        (lambda d: d["alpha"].__setitem__(1, "-60/0"),
+         'alpha[1]: expected a ratio "n/d" of integers, d > 0, got "-60/0"'),
+    ], ids=["no-invariants", "invariants-a-list", "unknown-order", "alpha-not-integral",
+            "float-coordinate", "bool-coordinate", "decimal-string", "zero-denominator"])
     def test_malformed_reference_file_named(self, capsys, tmp_path, edit, message):
         import shutil
 
@@ -324,7 +353,7 @@ class TestErrors:
             "--packets", "packets/demo_self_1_3.json", "--q", "5",
         )
         assert code == 2 and "skipped" not in out
-        assert "missing field" in err
+        assert 'family: expected an object with the key "order"' in err
 
     def test_missing_eigenvalue_prints_the_plain_message(self, capsys, monkeypatch):
         """The message itself, not KeyError's quoted repr, after the path of
@@ -495,13 +524,54 @@ class TestErrors:
         assert code == 0
         assert [(c.q, c.mode) for c in seen[0]] == [(199, "unconstrained")]
 
+    def test_genus2_count_field_above_the_cap(self, capsys, tmp_path, monkeypatch, no_sieve):
+        """197 passes the cap on q and, inert in Q(sqrt13), the family's
+        residue-field cap (N(P) = 197^2); the targets curve's Euler factor
+        would count over F_{197^4}. The file is refused before any count."""
+        import fermatkit.cli as cli
+        from fermatkit import curves
+
+        def refuse(*args):
+            raise AssertionError("a genus-2 point count started over a capped field")
+
+        monkeypatch.setattr(curves, "g2_euler_factor", refuse)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"constraints": [
+            {"q": 197, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
+             "targets_from_curve": "curves/C_eq51.curve"}]}))
+        code, _, err = run(capsys, "sieve", "--case", "div13", "--constraints", str(bad))
+        assert code == 2
+        assert err == (
+            f"error: {bad}: constraints[0].targets_from_curve: the genus-2 point count at "
+            f"197.0 runs over {197**4} elements, more than {cli.MAX_G2_COUNT_FIELD}\n"
+        )
+        assert 41**4 <= cli.MAX_G2_COUNT_FIELD < 47**4
+
+    def test_genus2_targets_at_41_still_load(self, capsys, tmp_path, monkeypatch):
+        """41 is inert in Q(sqrt13) too, and F_{41^4} is under the cap: the
+        targets are counted and the constraint reaches the sieve."""
+        import fermatkit.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "sieve_case_bits", lambda case, cons: seen.append(cons) or 0)
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps({"constraints": [
+            {"q": 41, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
+             "targets_from_curve": "curves/C_eq51.curve"}]}))
+        code, _, _ = run(capsys, "sieve", "--case", "div13", "--constraints", str(ok))
+        assert code == 0
+        [c] = seen[0]
+        assert (c.q, c.mode) == (41, "modular")
+        assert [key for key, _ in c.targets] == ["41.0"]
+
     @pytest.mark.parametrize("cons,where", [
         ([1], "consistency:"),
         ({"curve": 5, "specialization": [1, 3]}, "consistency.curve:"),
-        ({"specialization": [1, 3]}, "consistency.curve:"),
-        ({"curve": "../curves/E_1_-1.curve"}, "consistency.specialization:"),
+        ({"specialization": [1, 3]}, 'consistency: expected an object with the key "curve"'),
+        ({"curve": "../curves/E_1_-1.curve"},
+         'consistency: expected an object with the key "specialization"'),
         ({"curve": "../curves/E_1_-1.curve", "specialization": [1, True]},
-         "consistency.specialization:"),
+         "consistency.specialization[1]: expected an integer, got true"),
         ({"curve": str(FIXTURES / "curves" / "E_1_-1.curve"), "specialization": [0, 0]},
          "consistency.specialization: singular"),
         ({"curve": "no_such.curve", "specialization": [1, 3]},
@@ -678,6 +748,40 @@ def _replaced(value, at, new):
     copy = dict(value) if isinstance(value, dict) else list(value)
     copy[at[0]] = _replaced(value[at[0]], at[1:], new)
     return copy
+
+
+def _position(kind, at):
+    """A slot's position as the loader of `kind` names it."""
+    pos = "packet" if kind == "packet" else ""
+    for k in at:
+        if isinstance(k, int):
+            pos += f"[{k}]"
+        elif "." in k or ":" in k:  # a prime key of a packet table
+            pos += f"[{k!r}]"
+        else:
+            pos += f".{k}" if pos else k
+    return pos
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_FIXTURES))
+def test_every_integer_slot_refuses_a_boolean(capsys, tmp_path, kind):
+    """JSON `true` is never an integer: in each shipped fixture of each
+    kind, every integer replaced in turn by `true` exits 2, and the
+    message names the file and the slot."""
+    name, argv = _LOADERS[kind]
+    path = tmp_path / name
+    tried = 0
+    for rel in _FUZZ_FIXTURES[kind]:
+        base = json.loads((FIXTURES / rel).read_text())
+        for at in _slots(base):
+            if type(functools.reduce(operator.getitem, at, base)) is not int:
+                continue
+            path.write_text(json.dumps(_replaced(base, at, True)))
+            code, _, err = run(capsys, *argv(tmp_path, path))
+            assert code == 2, (rel, at)
+            assert err.startswith(f"error: {path}: {_position(kind, at)}: expected an integer"), err
+            tried += 1
+    assert tried >= 4
 
 
 def _fuzz_strategies():

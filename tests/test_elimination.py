@@ -119,12 +119,15 @@ class TestFamilyConfig:
     @pytest.mark.parametrize("over,where", [
         ({"coefficients": {"a1": [1]}}, r"coefficients\.a1\[0\]:"),
         ({"coefficients": {"a6": [[[0], 1]]}}, r"coefficients\.a6\[0\]\[1\]:"),
-        ({"coefficients": {"a1": [[["1"]]]}}, r"coefficients\.a1\[0\]\[0\]:"),
-        ({"coefficients": {"a1": [[[1, 0, 0, 0]]]}}, r"coefficients\.a1\[0\]\[0\]: more than 3"),
+        ({"coefficients": {"a1": [[["1"]]]}},
+         r'coefficients\.a1\[0\]\[0\]\[0\]: expected an integer, got "1"'),
+        ({"coefficients": {"a1": [[[1, 0, 0, 0]]]}},
+         r"coefficients\.a1\[0\]\[0\]: expected a list of at most 3 integers, got \[1, 0, 0, 0\]"),
         ({"coefficients": [1]}, r"coefficients:"),
         ({"multiplicative_iff_zero": [1, 2]}, r"multiplicative_iff_zero\[0\]:"),
         ({"multiplicative_iff_zero": 5}, r"multiplicative_iff_zero:"),
-        ({"admissibility": {"residue_conditions": [5]}}, r"admissibility:"),
+        ({"admissibility": {"residue_conditions": [5]}},
+         r"admissibility\.residue_conditions\[0\]: expected an object, got 5"),
         ({"admissibility": [2, 3]}, r"admissibility:"),
     ])
     def test_malformed_shapes_name_their_position(self, over, where):
@@ -132,15 +135,16 @@ class TestFamilyConfig:
             demo_family(**over)
 
     @pytest.mark.parametrize("adm,where", [
-        ({"excluded_primes": "23"}, "admissibility.excluded_primes: expected a list, got '23'"),
-        ({"excluded_primes": [2.7, 13]}, "admissibility.excluded_primes: expected a list of integers"),
-        ({"excluded_primes": [True, 13]}, "admissibility.excluded_primes: expected a list of integers"),
+        ({"excluded_primes": "23"},
+         'admissibility.excluded_primes: expected a list of integers, got "23"'),
+        ({"excluded_primes": [2.7, 13]}, "admissibility.excluded_primes[0]: expected an integer, got 2.7"),
+        ({"excluded_primes": [True, 13]}, "admissibility.excluded_primes[0]: expected an integer, got true"),
         ({"residue_conditions": [{"mod": 13, "forbidden": "12"}]},
-         "admissibility.residue_conditions[0].forbidden: expected a list, got '12'"),
+         'admissibility.residue_conditions[0].forbidden: expected a list of integers, got "12"'),
         ({"residue_conditions": [{"mod": 13, "forbidden": [1]}, {"mod": 7, "forbidden": [False]}]},
-         "admissibility.residue_conditions[1].forbidden: expected a list of integers"),
+         "admissibility.residue_conditions[1].forbidden[0]: expected an integer, got false"),
         ({"residue_conditions": [{"mod": True, "forbidden": [0]}]},
-         "admissibility.residue_conditions[0].mod: expected an integer >= 1, got True"),
+         "admissibility.residue_conditions[0].mod: expected an integer >= 1, got true"),
         ({"residue_conditions": [{"mod": 13.0, "forbidden": [1]}]},
          "admissibility.residue_conditions[0].mod: expected an integer >= 1, got 13.0"),
     ], ids=["excluded-string", "excluded-float", "excluded-bool", "forbidden-string",
@@ -169,7 +173,8 @@ class TestFamilyConfig:
          "admissibility.residue_conditions[0].mod: expected an integer >= 1, got 0"),
         ({"label": [1]}, "label: expected a string, got [1]"),
         ({"order": "nope"}, "order: expected one of ["),
-        ({"coefficients": {"a1": [[[1]]], "a5": [[[1]]]}}, "coefficients.a5: unknown coefficient"),
+        ({"coefficients": {"a1": [[[1]]], "a5": [[[1]]]}},
+         'coefficients: expected one of ["a1", "a2", "a3", "a4", "a6"], got "a5"'),
     ], ids=["mod-zero", "list-label", "unknown-order", "unknown-coefficient"])
     def test_family_files_that_crashed_exit_2(self, tmp_path, capsys, over, where):
         from fermatkit.cli import main

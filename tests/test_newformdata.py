@@ -123,7 +123,8 @@ class TestLoading:
         # a single object is positioned as `packet`, after the file path
         path.write_text(json.dumps({"packets": 5}))
         with pytest.raises(PacketFormatError,
-                           match=rf"^{re.escape(str(path))}: packet\.label: missing or empty$"):
+                           match=rf'^{re.escape(str(path))}: packet: expected an object with '
+                                 r'the key "label", got \{"packets": 5\}$'):
             load_packets(path)
         path.write_text("{not json")
         with pytest.raises(PacketFormatError, match="line 1"):
