@@ -149,24 +149,21 @@ class _Ctx:
         self.report = None  # set per command
         self.curves = {}  # path -> curve, each fixture parsed and validated once
 
-    def path(self, rel) -> Path:
+    def input(self, rel) -> Path:
+        """The path of an input file, relative ones under the fixtures
+        directory first; the report lists the sha256 of each one read."""
         p = Path(rel)
         if not p.is_absolute():
             cand = self.fixtures / p
             if cand.exists() or not p.exists():
                 p = cand
+        if self.report is not None and p.is_file():
+            self.report.inputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
         return p
-
-    def record_input(self, path: Path):
-        path = Path(path)
-        if self.report is not None and path.is_file():
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            self.report.inputs[str(path.name)] = digest
 
 
 def _load_curve(ctx: _Ctx, rel):
-    p = ctx.path(rel)
-    ctx.record_input(p)
+    p = ctx.input(rel)
     if p not in ctx.curves:
         ctx.curves[p] = load_curve(p)
     return ctx.curves[p]
@@ -199,8 +196,7 @@ def _reference_invariants(ctx):
     """The reference (I2, I4, I6, I10) as integral elements mu^k I_k
     (k = 2, 4, 6, 10), mu the lcm of their denominators, which is the
     same weighted projective point; with the integral alpha and mu."""
-    p = ctx.path("invariants/humbert_rm8_reference.json")
-    ctx.record_input(p)
+    p = ctx.input("invariants/humbert_rm8_reference.json")
     order, fracs, alpha = read_json(p, _parse_reference)
     mu = math.lcm(*(d for inv in fracs for _, d in inv))
     inv = tuple(
@@ -429,8 +425,7 @@ def check_sieve_soundness(ctx) -> CheckResult:
 
 
 def check_elimination_soundness(ctx) -> CheckResult:
-    fam = load_family(ctx.path("families/demo_sum_rule_cubic.json"))
-    ctx.record_input(ctx.path("families/demo_sum_rule_cubic.json"))
+    fam = load_family(ctx.input("families/demo_sum_rule_cubic.json"))
     rng = random.Random(ctx.seed)
     problems = []
     tried = 0
@@ -487,10 +482,8 @@ def check_elimination_soundness(ctx) -> CheckResult:
 
 
 def check_contradictions(ctx) -> CheckResult:
-    f11 = load_packets(ctx.path("packets/f11_fixture.json"))[0]
-    ctx.record_input(ctx.path("packets/f11_fixture.json"))
-    wiring = load_packets(ctx.path("packets/reducible_wiring.json"))[0]
-    ctx.record_input(ctx.path("packets/reducible_wiring.json"))
+    f11 = load_packets(ctx.input("packets/f11_fixture.json"))[0]
+    wiring = load_packets(ctx.input("packets/reducible_wiring.json"))[0]
     p0_f11 = primes_above_in_Qf(f11, 7)[0]
     keys = ["5.0", "5.1", "5.2"]
     got_f11 = trace_contradiction_check(f11, p0_f11, keys, (-3) % 7)
@@ -744,8 +737,7 @@ def cmd_eliminate(args, ctx) -> int:
     ctx.report = report
     q_list = _parse_q_list(args.q)
     p = _parse_refined(args.refined)
-    fam_path = ctx.path(args.family)
-    ctx.record_input(fam_path)
+    fam_path = ctx.input(args.family)
     try:
         fam = load_family(fam_path)
     except ExternalDataSlotError as e:
@@ -756,8 +748,7 @@ def cmd_eliminate(args, ctx) -> int:
             raise ValueError(f"--q: auxiliary prime {q} is not admissible for the family "
                              f"in {fam_path}")
         _check_residue_fields(fam, q, f"--q: {q}")
-    pk_path = ctx.path(args.packets)
-    ctx.record_input(pk_path)
+    pk_path = ctx.input(args.packets)
     packets = load_packets(pk_path)
     for pkt in packets:  # the "q.i" keys must name primes of the family's order
         if pkt.base_field != fam.order.label:
@@ -802,15 +793,14 @@ def _load_constraints(ctx, path):
     """The SieveConstraints of a constraint file. Every error names the
     file and the entry; an external-data family slot raises its
     ExternalDataSlotError unchanged."""
-    p = ctx.path(path)
-    ctx.record_input(p)
+    p = ctx.input(path)
     out = []
     for i, c in enumerate(read_json(p, _constraint_entries)):
         if isinstance(c, tuple):  # modular: its family and targets
             q, family, curve_path, targets = c
             pos = f"{p}: constraints[{i}]"
             try:
-                fam = load_family(ctx.path(family))
+                fam = load_family(ctx.input(family))
             except ExternalDataSlotError:
                 raise
             except (OSError, ValueError) as e:

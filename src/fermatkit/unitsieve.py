@@ -63,17 +63,22 @@ _DESCENT_CASES = ("coprime-13", "divisible-13")
 
 
 class UnitClass(Frozen):
-    """Exponent vector e in (Z/7)^5 over the generators u_2..u_6; `index`
-    is derived from it and takes no part in equality, hash or repr."""
+    """Exponent vector e in (Z/7)^5 over the generators u_2..u_6, stored
+    as its index e_0 + 7 e_1 + ... + 7^4 e_4; `exps` reads the exponents
+    off the index. Equality, hash and repr are those of `exps`."""
 
-    __slots__ = ("exps", "index")
+    __slots__ = ("index",)
 
     def __init__(self, exps: tuple):
         if len(exps) != 5 or not 0 <= min(exps) <= max(exps) < 7:
             raise ValueError("a unit class is five exponents in [0, 7)")
         e0, e1, e2, e3, e4 = exps
-        object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "index", e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4))))
+
+    @property
+    def exps(self) -> tuple:
+        n = self.index
+        return (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401)
 
     def __repr__(self):
         return f"UnitClass(exps={self.exps!r})"
@@ -92,9 +97,7 @@ class UnitClass(Frozen):
         if not 0 <= n < UNIT_CLASS_COUNT:
             n %= UNIT_CLASS_COUNT
         u = object.__new__(cls)
-        # the slots' own setters: the frozen __setattr__ is not consulted
-        _set_exps(u, (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401))
-        _set_index(u, n)
+        _set_index(u, n)  # the slot's own setter: the frozen __setattr__ is not consulted
         return u
 
     def unit(self):
@@ -106,7 +109,7 @@ class UnitClass(Frozen):
         return acc
 
 
-_set_exps, _set_index = UnitClass.exps.__set__, UnitClass.index.__set__
+_set_index = UnitClass.index.__set__
 
 
 class LocalCharacterTable:
@@ -725,7 +728,11 @@ class SurvivorSet(Set):
         return isinstance(u, UnitClass) and self._bits >> u.index & 1 == 1
 
     def __iter__(self):
-        return map(UnitClass.from_index, class_indices(self._bits))
+        new = object.__new__
+        for i in class_indices(self._bits):
+            u = new(UnitClass)
+            _set_index(u, i)
+            yield u
 
     def __eq__(self, other):
         if isinstance(other, SurvivorSet):

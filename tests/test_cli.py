@@ -107,6 +107,20 @@ class TestBasicCommands:
                       "[2, 0, 6, 0, 0]]",
         }]
 
+    def test_sieve_lists_a_modular_family_among_inputs(self, capsys, tmp_path):
+        import hashlib
+
+        f = tmp_path / "one.json"
+        f.write_text(json.dumps({"constraints": [{
+            "q": 11, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
+            "targets_from_curve": "curves/C_eq51.curve"}]}))
+        code, out, _ = run(capsys, "--json", "sieve", "--case", "div13", "--constraints", str(f))
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        for path in (f, FIXTURES / "families" / "demo_sum_rule_sqrt13.json",
+                     FIXTURES / "curves" / "C_eq51.curve"):
+            assert inputs[path.name] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_sieve_proof_constraints_skip(self, capsys):
         code, out, _ = run(
             capsys, "sieve", "--case", "coprime13",

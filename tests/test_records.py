@@ -1,6 +1,7 @@
 """The package's record classes: what a fresh import loads, and the
 equality, hash, repr and immutability their callers rely on."""
 
+import itertools
 import os
 import pickle
 import subprocess
@@ -68,7 +69,7 @@ def test_hashed_records(i):
     rec, fields = _hashed_records()[i]
     assert hash(rec) == hash(fields)
     assert rec != fields
-    name = next(iter(vars(rec))) if hasattr(rec, "__dict__") else "exps"
+    name = next(iter(vars(rec))) if hasattr(rec, "__dict__") else "index"
     before = getattr(rec, name)
     with pytest.raises(AttributeError):
         setattr(rec, name, None)
@@ -111,12 +112,21 @@ def test_equal_records_share_lru_cache_entries():
 
 
 def test_unit_class_index_round_trip_and_pickle():
-    for n in range(UNIT_CLASS_COUNT):
+    """A class stores only its index; the exponents read off it are the
+    base-7 digits of the index, lowest first, and hash, equality, repr
+    and pickle are those of the exponent tuple for every class."""
+    # product varies its last entry fastest: reversed, the lowest digit
+    digits = [t[::-1] for t in itertools.product(range(7), repeat=5)]
+    assert len(digits) == UNIT_CLASS_COUNT
+    for n, e in enumerate(digits):
         u = UnitClass.from_index(n)
-        assert u == UnitClass(u.exps) and u.index == n
-    for u in (UnitClass((6, 0, 3, 1, 2)), UnitClass.from_index(16806)):
+        assert u.index == n and u.exps == e
+        assert hash(u) == hash((e,)) and repr(u) == f"UnitClass(exps={e!r})"
+        w = UnitClass(u.exps)
+        assert w == u and w.index == n
         v = pickle.loads(pickle.dumps(u))
-        assert v == u and v.index == u.index and hash(v) == hash(u)
+        assert v == u and v.index == n and hash(v) == hash(u)
+    assert UnitClass((6, 0, 3, 1, 2)).index == 6 + 3 * 49 + 343 + 2 * 2401
 
 
 def test_elliptic_curve_repr_and_invariants():

@@ -988,6 +988,24 @@ class TestSurvivorSet:
         with pytest.raises(AttributeError):
             view.bits = 0
 
+    @pytest.mark.parametrize("q,route,count", [
+        (11, sieve_case_exhaustive, 14406),
+        (23, sieve_case, 4116),
+    ], ids=["oracle-q11", "linear-q23"])
+    def test_iteration_sets_only_the_index(self, monkeypatch, q, route, count):
+        """Iterating a view only sets each class's index, in ascending
+        order: neither the exponents nor `from_index` is computed per class."""
+        view = route("divisible-13", [SieveConstraint(q=q, mode="unconstrained")])
+        assert len(view) == count and UnitClass.__slots__ == ("index",)
+        with monkeypatch.context() as m:
+            m.setattr(UnitClass, "exps", property(lambda u: pytest.fail("exps read")))
+            m.setattr(UnitClass, "from_index", lambda n: pytest.fail("from_index called"))
+            items = list(view)
+        want = class_indices(view.bits)
+        assert want == sorted(want) and [u.index for u in items] == want
+        assert all(type(u) is UnitClass and u == UnitClass.from_index(i)
+                   for u, i in zip(items, want))
+
     @pytest.mark.parametrize("q", (11, 23))
     def test_routes_equal_as_views(self, q):
         cons = [SieveConstraint(q=q, mode="unconstrained")]
