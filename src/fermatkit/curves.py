@@ -15,7 +15,7 @@ and the whole (a, b) grid is evaluated in packed blocks, at split and
 inert primes alike. Characteristic 2 uses the Artin-Schreier trace.
 Euler factors come from counts over F_N and F_{N^2}. Igusa-Clebsch
 invariants are computed by classical transvectants over the order, in
-integers, once per sextic model, when it is built. A sextic model is
+integers, once per sextic coefficient tuple per process. A sextic model is
 smooth when the binary sextic has no repeated root on P^1, which is
 I10 != 0, since I10 = 2^20 Disc(f) as integer polynomials in the
 coefficients; so at an odd prime P the reduction is smooth exactly when
@@ -24,6 +24,8 @@ recurrence. All functions are pure; inputs are immutable.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from math import comb, isqrt, prod
 from operator import add, mul
@@ -110,7 +112,9 @@ class EllipticCurveNF(Frozen):
 
 
 class HyperellipticCurveNF:
-    """Genus-2 model y^2 = c6 x^6 + ... + c0 over a number-field order."""
+    """Genus-2 model y^2 = c6 x^6 + ... + c0 over a number-field order.
+    Its invariants are computed once per coefficient tuple per process
+    (`_sextic_invariants`); the I10 smoothness test runs on every build."""
 
     def __init__(self, coeffs: tuple):
         if len(coeffs) != 7:
@@ -119,7 +123,7 @@ class HyperellipticCurveNF:
         for c in coeffs:
             if c.order != order:
                 raise ValueError("curve coefficients live in different orders")
-        invariants = igusa_clebsch(coeffs)
+        invariants = _sextic_invariants(tuple(coeffs))
         if invariants[3].is_zero:
             raise ValueError("singular sextic (discriminant invariant vanishes)")
         self.coeffs = coeffs  # (c0, ..., c6), NFElements of one order
@@ -233,7 +237,6 @@ class _PackedField(NamedTuple):
     low: bytes  # one slot of the quotient mask
     table: bytes  # 1 + chi(z) at index(z)
     planes: tuple  # 1 + chi as 0, 1, 3 (its bit count), 256 indices each
-    squares: tuple  # the nonzero squares of F, as component lists
 
 
 def _fold(A, q, m) -> list:
@@ -313,9 +316,8 @@ def _packed_field(q, m) -> _PackedField:
     if N <= 1 << 16:
         encoded = bytes(table).translate(bytes([0, 1, 3]) + bytes(253)) + bytes(-N % 256)
         planes = tuple(encoded[h : h + 256] for h in range(0, N, 256))
-    squares = tuple([s // q**i % q for s in range(N) if table[s] == 2] for i in range(k))
     magic = -(-(1 << shift) // q)
-    return _PackedField(q, m, N, width, shift, magic, low, bytes(table), planes, squares)
+    return _PackedField(q, m, N, width, shift, magic, low, bytes(table), planes)
 
 
 def _field_tables(field) -> _PackedField:
@@ -351,19 +353,22 @@ def _mul_rows(A, T: _PackedField) -> list:
     return [[v for vs in zip(*(c[i] for c in cols)) for v in vs] for i in range(len(A))]
 
 
-def _power_rows(Y, J, T: _PackedField) -> list:
-    """For each y of Y and each component i, the row i of
-    M(y^0), ..., M(y^(J-1)) side by side, as a tuple."""
-    k = len(Y)
+@lru_cache(maxsize=None)
+def _power_rows(q, m) -> list:
+    """For each non-square y of F_q[w]/(m) and each component i, the row
+    i of M(y^0), ..., M(y^6) side by side, as a tuple: the rows of
+    `_count_sextic_ext2`, built once per residue field."""
+    T, k = _packed_field(q, m), len(m) - 1
+    Y = [[s // q**i % q for s in range(T.order) if not T.table[s]] for i in range(k)]
     p = [[1] * len(Y[0])] + [[0] * len(Y[0])] * (k - 1)
     lists = [[] for _ in range(k)]
-    for _ in range(J):
+    for _ in range(7):
         c = p
         for _ in range(k):
             for i in range(k):
                 lists[i].append(c[i])
-            c = _fold([[0] * len(Y[0])] + c, T.q, T.m)
-        p = _slot_mul(p, Y, T.q, T.m)
+            c = _fold([[0] * len(Y[0])] + c, q, m)
+        p = _slot_mul(p, Y, q, m)
     return [list(zip(*ls)) for ls in lists]
 
 
@@ -400,16 +405,16 @@ def _chi_sum(R, n, T: _PackedField) -> int:
     return acc.bit_count()
 
 
-def _grid_count(G, Y, T: _PackedField) -> int:
-    """Sum of 1 + chi(G(x, y)) over x in F and y in Y.
+def _grid_count(G, T: _PackedField, rows=None) -> int:
+    """Sum of 1 + chi(G(x, y)) over x in F and the y of `rows`, or of
+    1 + chi(G[0](x)) over x in F when `rows` is None.
 
     G(X, Y) = sum_j G[j](X) Y^j is given as at most 7 element lists G[j]
-    (coefficients lowest degree first, at most 13) and Y as an element
-    list. Component i of H_j = G_j(x) at every x is
+    (coefficients lowest degree first, at most 13), and `rows` as in
+    `_power_rows`. Component i of H_j = G_j(x) at every x is
     sum_e sum_l M(G[j][e])[i][l] (x^e)_l on the packed power columns,
-    reduced mod q in place when there is more than one H_j, and the row
-    of y is sum_j M(y^j) H_j: multiplies of packed integers by small
-    ones. The rows of a block of at most `_BLOCK_SLOTS` slots are
+    reduced mod q in place when there are rows, and the row of y is
+    sum_j M(y^j) H_j: multiplies of packed integers by small ones. The rows of a block of at most `_BLOCK_SLOTS` slots are
     concatenated component by component, reduced and read through the
     1 + chi table (`_chi_sum`), so memory stays O(block).
     """
@@ -421,20 +426,19 @@ def _grid_count(G, Y, T: _PackedField) -> int:
     for g in G:
         flat = [c for col in cols[: len(g[0])] for c in col]
         H.append([sum(map(mul, row, flat)) for row in _mul_rows(g, T)])
-    if len(H) == 1:  # every row is G[0](x)
-        return len(Y[0]) * _chi_sum(H[0], n, T)
+    if rows is None:
+        return _chi_sum(H[0], n, T)
     # rows sum_j M(y^j) H_j stay below 13 k (q-1)^2 only for reduced H_j
     flat = [_reduce_slots(c, n, T) for h in H for c in h]
-    coefs = _power_rows(Y, len(H), T)
     size, per = n * T.width, max(1, _BLOCK_SLOTS // n)
     count = 0
-    for s in range(0, len(Y[0]), per):
+    for s in range(0, len(rows[0]), per):
         R = []
-        for rows in coefs:
-            vals = [sum(map(mul, r, flat)) for r in rows[s : s + per]]
+        for comp in rows:
+            vals = [sum(map(mul, r, flat)) for r in comp[s : s + per]]
             R.append(vals[0] if len(vals) == 1 else int.from_bytes(
                 b"".join(v.to_bytes(size, "little") for v in vals), "little"))
-        count += _chi_sum(R, min(per, len(Y[0]) - s) * n, T)
+        count += _chi_sum(R, min(per, len(rows[0]) - s) * n, T)
     return count
 
 
@@ -442,7 +446,7 @@ def _affine_count(coeffs, field) -> int:
     """Sum over x in `field` of 1 + chi(f(x)), f = sum coeffs[i] x^i, for an
     odd-characteristic field: the one-row case of `_grid_count`."""
     T = _field_tables(field)
-    return _grid_count([[list(c) for c in zip(*(a.coeffs for a in coeffs))]], [[0]], T)
+    return _grid_count([[list(c) for c in zip(*(a.coeffs for a in coeffs))]], T)
 
 
 def _abs_trace_to_f2(x):
@@ -476,7 +480,7 @@ def _weierstrass_count(a, field):
                 (-27, mul(b6, b6)), (9, mul(mul(b2, b4), b6)))
     if p > 2:
         f = (b6, [2 * c for c in b4], b2, (4,) + (0,) * (k - 1))
-        return 1 + _grid_count([list(zip(*f))], [[0]], _field_tables(field)), not any(disc)
+        return 1 + _grid_count([list(zip(*f))], _field_tables(field)), not any(disc)
     a1, a2, a3, a4, a6 = (field.element(c) for c in a)
     count = 1  # point at infinity
     for x in field.elements():
@@ -516,47 +520,58 @@ def ec_trace(E: EllipticCurveNF, P: PrimeIdealData) -> int:
     return t
 
 
+def _norm_polynomial(c, T: _PackedField) -> list:
+    """G_0, ..., G_6 of `_count_sextic_ext2`, G_e = sum_i (-1)^i D_i D_(2e-i)
+    for f(X + u) = sum_i D_i(X) u^i, as element lists, X^0 first.
+
+    One Kronecker product: an element of F is k B-bit digits, one per
+    power of w; the coefficient D_i[a] of X^a goes to slot 13 i + a of
+    2k - 1 digits in one integer, and with the sign of odd i folded in
+    mod q to the same slot of another. Slot 13 s + n of their product
+    sums D_i[a] D_j[b] over i + j = s, a + b = n <= 12, so no two (s, n)
+    share a slot, and G_e[n] is slot 13 (2e) + n. In a slot (i, a) fixes
+    (j, b), so it sums at most 49 products, odd s included, and a digit
+    of a product is at most k (20 (q-1))^2 (comb(6, 3) = 20): B = 32 or
+    64 holds 19600 k (q-1)^2, so no digit carries into the next.
+    """
+    q, k = T.q, len(T.m) - 1
+    d = 2 * k - 1
+    code = next((t for t in "IQ" if 19600 * k * (q - 1) ** 2 < 1 << 8 * array(t).itemsize), None)
+    if code is None:
+        raise ValueError("the norm polynomial needs 19600 k (q-1)^2 < 2^64")
+    plus, minus = [[a % q for a in x] for x in c], [[-a % q for a in x] for x in c]
+    D, Dsigned = [0] * (79 * d), [0] * (79 * d)  # slots 13 i + a <= 78
+    for i in range(7):
+        for n in range(i, 7):
+            at = d * (12 * i + n)
+            D[at : at + k] = [comb(n, i) * a for a in plus[n]]
+            Dsigned[at : at + k] = [comb(n, i) * a for a in (minus if i & 1 else plus)[n]]
+    full = (int.from_bytes(array(code, D).tobytes(), sys.byteorder)
+            * int.from_bytes(array(code, Dsigned).tobytes(), sys.byteorder))
+    digits = array(code, full.to_bytes(157 * d * array(code).itemsize, sys.byteorder))
+    return [_fold([digits[d * 26 * e + t : d * (24 * e + 13) : d] for t in range(d)], q, T.m)
+            for e in range(7)]
+
+
 def _count_sextic_ext2(c, T: _PackedField) -> int:
     """Points of y^2 = sum c[n] x^n over F_{N^2} = F[t]/(t^2 - S), c the
     seven coefficients over the residue field F of order N (k-tuples, see
-    `_field_tables`) and S the first non-square of F.
+    `_field_tables`) and S a non-square of F.
 
     A nonzero z = P + Qt is a square in F_{N^2} exactly when its norm
     P^2 - S Q^2 is a square in F, so chi_{N^2}(z) = chi_N(N(z)). At
     x = a + bt the norm of f(x) is f(a + bt) f(a - bt) = G(a, S b^2) for
-    one bivariate polynomial over F, G(X, u^2) = f(X + u) f(X - u): with
-    D_i the Hasse derivatives of f (f(X + u) = sum_i D_i(X) u^i),
-    G_e = sum_i (-1)^i D_i D_(2e-i), X-degree 12 - 2e, e = 0..6. Its
-    coefficients are multiplied as integers, an element of F packed as
-    sum_t a_t 2^(B t) (one B-bit digit per power of w), with the sign
-    folded into the first factor mod q, so that a digit of G_e sums at
-    most 49 products of at most k (20 (q-1))^2, comb(6, 3) = 20 being
-    the largest binomial of the D_i. The (a, b) grid is evaluated
-    by `_grid_count`, with rows y = S z over the nonzero squares z of F:
-    b and -b give the same b^2, so each row counts twice, and row 0 (f^2)
-    once. Every element of F is a square in F_{N^2}, so a nonzero
-    leading coefficient always contributes both points at infinity.
+    one bivariate polynomial over F, G(X, u^2) = f(X + u) f(X - u), of
+    X-degree 12 - 2e in u^(2e) (`_norm_polynomial`). The (a, b) grid is
+    evaluated by `_grid_count`: S b^2 runs over the non-squares of F,
+    each from b and -b, so each row of `_power_rows` (built once per
+    residue field) counts twice, and row 0 (f^2) once. Every element of
+    F is a square in F_{N^2}, so a nonzero leading coefficient always
+    contributes both points at infinity.
     """
-    q, k = T.q, len(T.m) - 1
-    B = (19600 * k * (q - 1) ** 2).bit_length()
-    mask = (1 << B) - 1
-    plus = [sum(a % q << B * t for t, a in enumerate(x)) for x in c]
-    minus = [sum(-a % q << B * t for t, a in enumerate(x)) for x in c]
-    D = [[comb(n, i) * plus[n] for n in range(i, 7)] for i in range(7)]
-    Dsigned = [[comb(n, i) * minus[n] for n in range(i, 7)] if i & 1 else D[i] for i in range(7)]
-    G = []
-    for e in range(7):
-        g = [0] * (13 - 2 * e)
-        for i in range(max(0, 2 * e - 6), min(2 * e, 6) + 1):
-            for a, u in enumerate(Dsigned[i]):
-                for b, v in enumerate(D[2 * e - i]):
-                    g[a + b] += u * v
-        G.append(_fold([[x >> B * t & mask for x in g] for t in range(2 * k - 1)], q, T.m))
-    s = T.table.index(0)
-    S = _mul_rows([[s // q**i % q] for i in range(k)], T)
-    Y = [[sum(map(mul, r, z)) % q for z in zip(*T.squares)] for r in S]
-    lead = 2 if any(a % q for a in c[6]) else 1
-    return lead + _grid_count(G[:1], [[0]], T) + 2 * _grid_count(G, Y, T)
+    G = _norm_polynomial(c, T)
+    lead = 2 if any(a % T.q for a in c[6]) else 1
+    return lead + _grid_count(G[:1], T) + 2 * _grid_count(G, T, _power_rows(T.q, T.m))
 
 
 def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
@@ -749,6 +764,13 @@ def igusa_clebsch(curve):
             raise ArithmeticError("Igusa-Clebsch weight table is not integral")
         out.append(NFElement(order, tuple(c // den for c in num.coords)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _sextic_invariants(coeffs: tuple):
+    """`igusa_clebsch` of seven NFElements, once per tuple per process
+    (NFElement hashes on its order and coordinates)."""
+    return igusa_clebsch(coeffs)
 
 
 def weighted_pp_equal(v, w) -> bool:

@@ -48,6 +48,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite below 41^2 has a prime factor up to 37
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -406,17 +408,22 @@ def _squarefree_parts(f, p):
 
 def _distinct_degree(f, p):
     """Monic squarefree f -> list of (d, product of irreducibles of degree d).
-    h = x^(p^d) mod f is sigma(h), sigma made again when f sheds a block."""
-    res, h, d, sigma = [], (0, 1), 0, None
+    h = x^(p^d) mod f: x^p by `chain_pow`, then sigma(h), sigma the p-power
+    map made from x^p when a step d > 1 needs it, again after f sheds a block."""
+    res, d, sigma = [], 0, None
     while len(f) > 1:
         d += 1
         if 2 * d > len(f) - 1:
             res.append((len(f) - 1, f))
             break
-        if sigma is None:
-            sigma, h = _frobenius_map(f, p)[1], _pm_mod(h, f, p)
-            h += (0,) * (len(f) - 1 - len(h))
-        h = sigma(h)
+        if d == 1:  # deg f >= 2, so x is reduced
+            h = xp = chain_pow(_mul_kernel(p, f), (0, 1) + (0,) * (len(f) - 3), p)
+        else:
+            if sigma is None:  # x^p and h mod the f that is left
+                xp, h = (r + (0,) * (len(f) - 1 - len(r)) for r in (_pm_mod(xp, f, p),
+                                                                     _pm_mod(h, f, p)))
+                sigma = _substitution_kernel(p, _mul_kernel(p, f), xp)
+            h = sigma(h)
         g = _pm_gcd(_pm_sub(h, (0, 1), p), f, p)
         if len(g) > 1:
             res.append((d, g))

@@ -191,7 +191,7 @@ def _prime_nonsquare(q):
 
 def _prime_count(poly, q):
     """The packed evaluator's one-row count of an integer polynomial over F_q."""
-    return _grid_count([[list(poly)]], [[0]], _packed_field(q, (0, 1)))
+    return _grid_count([[list(poly)]], _packed_field(q, (0, 1)))
 
 
 def _count_sextic_ext2_prime(c, q):
@@ -471,7 +471,7 @@ class TestNormPolynomialCount:
 
     @pytest.mark.parametrize("q", SPLIT_EXT2_PRIMES)
     def test_nonsquare_matches_smallest(self, q):
-        # the count takes t^2 = S for the first non-square S of the table
+        # the oracle takes t^2 = s for the smallest non-square s, the table's first
         assert _prime_nonsquare(q) == _smallest_nonsquare(q)
         assert _packed_field(q, (0, 1)).table.index(0) == _smallest_nonsquare(q)
 
@@ -659,6 +659,86 @@ class TestPackedExtensionFields:
     def test_char2_refused(self):
         with pytest.raises(ValueError):
             _packed_field(2, (1, 1, 1))
+
+
+def loop_norm_polynomial(c, T):
+    """Oracle for `_norm_polynomial`: G_e = sum_i (-1)^i D_i D_(2e-i) by
+    one integer product per pair of Hasse-derivative coefficients, an
+    element of F packed as one B-bit digit per power of w."""
+    q, k = T.q, len(T.m) - 1
+    B = (19600 * k * (q - 1) ** 2).bit_length()
+    mask = (1 << B) - 1
+    plus = [sum(a % q << B * t for t, a in enumerate(x)) for x in c]
+    minus = [sum(-a % q << B * t for t, a in enumerate(x)) for x in c]
+    D = [[comb(n, i) * plus[n] for n in range(i, 7)] for i in range(7)]
+    Dsigned = [[comb(n, i) * minus[n] for n in range(i, 7)] if i & 1 else D[i] for i in range(7)]
+    G = []
+    for e in range(7):
+        g = [0] * (13 - 2 * e)
+        for i in range(max(0, 2 * e - 6), min(2 * e, 6) + 1):
+            for a, u in enumerate(Dsigned[i]):
+                for b, v in enumerate(D[2 * e - i]):
+                    g[a + b] += u * v
+        G.append(curves._fold([[x >> B * t & mask for x in g] for t in range(2 * k - 1)], q, T.m))
+    return G
+
+
+class TestNormPolynomialProduct:
+    """The one Kronecker product behind G against the product-per-pair loop."""
+
+    @pytest.mark.parametrize("q,k", [(3, 1), (5, 1), (17, 1), (199, 1), (5, 2), (11, 2), (3, 3)])
+    def test_kronecker_matches_loop(self, q, k):
+        T = _packed_field(q, (0, 1)) if k == 1 else _field_tables(_first_irreducible(q, k))
+        rng = random.Random(1000 * q + k)
+        cases = [[tuple(rng.randrange(-(10**6), 10**6) for _ in range(k)) for _ in range(7)]
+                 for _ in range(20)]
+        # every digit q - 1: each slot at its largest
+        cases += [[(q - 1,) * k] * 7, [(q - 1,) * k] * 6 + [(0,) * k]]
+        for c in cases:
+            assert curves._norm_polynomial(c, T) == loop_norm_polynomial(c, T), c
+
+
+class TestGenus2SetupCounts:
+    """Set-up that the genus-2 counts share: transvectants once per sextic,
+    ext-2 rows once per residue field, no p-power map for a quadratic."""
+
+    def test_congruence_checks_share_setup(self):
+        from fermatkit import exactarith, numberfield
+        from fermatkit.cli import run_checks
+
+        for cache in (curves._sextic_invariants, curves._power_rows, numberfield._split_prime):
+            cache.cache_clear()
+        fields = set()
+        count = curves._count_sextic_ext2
+
+        def counted(c, T):
+            fields.add((T.q, T.m))
+            return count(c, T)
+
+        with mock.patch.object(curves, "_clebsch_integral", wraps=curves._clebsch_integral) as ic, \
+                mock.patch.object(curves, "_count_sextic_ext2", counted):
+            for name in ("euler-rm-at-3", "invariant-valuations-at-2", "igusa-proportionality",
+                         "projective-frobenius-orders", "mod7-congruence-norm-200"):
+                assert run_checks(names=[name]).checks[0].status == "pass", name
+        assert ic.call_count == 1
+        # one build of the rows per residue field: the two primes above a
+        # split q share theirs, and later checks count some primes again
+        assert curves._power_rows.cache_info().misses == len(fields) > 1
+        assert curves._power_rows.cache_info().hits > len(fields)
+        numberfield._split_prime.cache_clear()
+        with mock.patch.object(exactarith, "_substitution_kernel",
+                               wraps=exactarith._substitution_kernel) as kernel:
+            for p in range(2, 200):
+                if is_prime(p) and p not in K13.excluded_primes:
+                    split_prime(K13, p)
+        assert kernel.call_count == 0
+
+    def test_singular_sextic_refused_from_a_warm_cache(self):
+        sext = tuple(K13.from_int(v) for v in _poly_mul([1, -2, 1], [1, 3, 0, 0, 1], 0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="singular sextic"):
+                HyperellipticCurveNF(coeffs=sext)
+        assert curves._sextic_invariants.cache_info().hits >= 1
 
 
 class TestEulerFactors:

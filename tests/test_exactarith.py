@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from fermatkit.exactarith import (
     tarski_query,
 )
 from fermatkit.exactarith import (
+    _distinct_degree,
     _equal_degree_split,
     _frobenius_map,
     _is_irreducible_mod_p,
@@ -97,6 +99,18 @@ class TestPrimality:
         assert not is_prime(561)
         assert not is_prime(1729)
         assert is_prime(2**31 - 1)
+
+    def test_agrees_with_a_sieve(self):
+        # below 41^2 = 1681 trial division decides; Carmichael numbers and
+        # the strong pseudoprime 2047 = 23 * 89 on both sides of it
+        n = 20000
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+        assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+        assert not any(is_prime(m) for m in (561, 1105, 1681, 1729, 2047))
 
     def test_factorize(self):
         assert factorize(4095) == {3: 2, 5: 1, 7: 1, 13: 1}
@@ -214,6 +228,30 @@ class TestFactorModP:
                 f = _pm_mul(f, g, p)
             got = _equal_degree_split(f, d, p, random.Random(1))
             assert sorted(got) == gs, (d, gs)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 29])
+    def test_distinct_degree_blocks(self, p):
+        """A product of distinct irreducibles of degrees 1 to 4 splits into
+        one block per degree, the product of that degree's factors, whichever
+        steps shed a block and so remake the p-power map (a last block is one
+        irreducible, returned whole once 2d passes its degree)."""
+        rng = random.Random(20 + p)
+        irreducible = {}
+        for _ in range(200):
+            k = rng.randrange(1, 5)
+            c = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+            if _is_irreducible_mod_p(c, p):
+                irreducible.setdefault(k, set()).add(c)
+        assert sorted(irreducible) == [1, 2, 3, 4]
+        product = lambda gs: functools.reduce(lambda u, v: _pm_mul(u, v, p), gs, (1,))
+        for _ in range(12):
+            want = []
+            for d in sorted(irreducible):
+                gs = [g for g in sorted(irreducible[d])[:3] if rng.random() < 0.5]
+                if gs:
+                    want.append((d, product(gs)))
+            if want:
+                assert _distinct_degree(product([g for _, g in want]), p) == want, want
 
 
 F25 = FiniteField(5, UniPoly([3, 0, 1]), check=False)  # x^2 + 3 irreducible mod 5
