@@ -70,6 +70,7 @@ from .unitsieve import (
     UnitClass,
     _seventh_powers,
     build_character,
+    char_value,
     class_indices,
     generator_independence_rank,
     modular_targets_from_curve,
@@ -289,15 +290,15 @@ def check_igusa_proportionality(ctx) -> CheckResult:
 def check_projective_orders(ctx) -> CheckResult:
     C = _fixture_curve_C(ctx)
     K = get_order("Qsqrt13")
-    F9 = FiniteField(3, UniPoly([-2, 0, 1]), check=False)
+    P3 = split_prime(get_order("Zsqrt2"), 3)[0]  # inert: the residue field is F_9
     orders = set()
     degenerate = False
     for q in (17, 53):
         for P in split_prime(K, q):
             split = g2_rm_split(g2_euler_factor(C, P))
             for alpha in split.pair:
-                a9 = F9.element(list(alpha.coords))
-                disc = a9 * a9 - 4 * F9.from_int(P.norm)
+                a9 = reduce_element(alpha, P3)
+                disc = a9 * a9 - 4 * P.norm
                 if disc.is_zero:
                     degenerate = True
                 orders.add(frobenius_projective_order(a9, P.norm))
@@ -973,8 +974,6 @@ def cmd_check_invariants(args, ctx) -> int:
     Zz = get_order("Zzeta13")
     Q = split_prime(Zz, 29)[0]
     t = build_character(Q)
-    from .unitsieve import char_value
-
     for _ in range(20):
         x = Zz.element([rng.randrange(-3, 4) for _ in range(12)])
         y = Zz.element([rng.randrange(-3, 4) for _ in range(12)])

@@ -38,6 +38,7 @@ from .numberfield import (
     PrimeIdealData,
     get_order,
     known_orders,
+    prime_by_key,
     reduce_element,
 )
 
@@ -56,8 +57,6 @@ __all__ = [
     "g2_euler_factor",
     "same_j_invariant",
     "g2_rm_split",
-    "rm_split_to_euler",
-    "rm_reduce_mod_p7",
     "rm_residues_mod_p7",
     "igusa_clebsch",
     "weighted_pp_equal",
@@ -493,12 +492,6 @@ def _weierstrass_count(a, field):
     return count, not any(disc)
 
 
-def count_weierstrass_points(coeffs, field) -> int:
-    """Points (with infinity) of a long Weierstrass model over `field`,
-    its coefficients given as `FFElement`s, in every characteristic."""
-    return _weierstrass_count(tuple(c.coeffs for c in coeffs), field)[0]
-
-
 def _reduced_trace(a, field):
     """Frobenius trace N + 1 - #E(F_N) of the model with coefficient
     tuples a over F_N, or None when its discriminant vanishes there."""
@@ -639,27 +632,11 @@ def g2_rm_split(e: EulerFactorG2) -> RMSplit:
     return RMSplit(pair=frozenset((alpha, conj)))
 
 
-def rm_split_to_euler(split: RMSplit, N: int) -> EulerFactorG2:
-    """Reconstruct (a1, a2) from an unordered RM pair; round-trip check."""
-    a, b = tuple(split.pair) if len(split.pair) == 2 else (next(iter(split.pair)),) * 2
-    tr = a + b
-    pr = a * b
-    if tr.coords[1] != 0 or pr.coords[1] != 0:
-        raise ValueError("pair is not conjugate-closed")
-    return EulerFactorG2(N=N, a1=tr.coords[0], a2=pr.coords[0] + 2 * N)
-
-
-def rm_reduce_mod_p7(x: NFElement) -> int:
-    """Reduction of a Z[sqrt(2)] element at the prime of norm 7 generated
-    by 3 + sqrt(2): sqrt(2) goes to 4 (since 4^2 = 16 = 2 mod 7)."""
-    if x.order.label != "Zsqrt2":
-        raise ValueError("rm_reduce_mod_p7 wants elements of Z[sqrt(2)]")
-    return (x.coords[0] + 4 * x.coords[1]) % 7
-
-
 def rm_residues_mod_p7(split: RMSplit) -> frozenset:
-    """Both mod-7 reductions of an unordered RM pair."""
-    return frozenset(rm_reduce_mod_p7(x) for x in split.pair)
+    """Both reductions of an unordered RM pair at the prime 7.0 of Z[sqrt(2)],
+    (3 + sqrt(2)), whose residue field is F_7 with sqrt(2) -> 4."""
+    P = prime_by_key(get_order("Zsqrt2"), "7.0")
+    return frozenset(reduce_element(x, P).coeffs[0] for x in split.pair)
 
 
 # ---------------------------------------------------------------------------

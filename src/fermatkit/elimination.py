@@ -44,9 +44,10 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd
 from operator import mul
+from pathlib import Path
 
-from .curves import EllipticCurveNF, _reduced_trace, ec_invariants
-from .exactarith import BiPoly, UniPoly, is_prime, poly_norm
+from .curves import EllipticCurveNF, _reduced_trace, ec_invariants, load_curve, same_j_invariant
+from .exactarith import BiPoly, UniPoly, factorize, is_prime, poly_norm
 from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json, string
 from .newformdata import (
     MissingEigenvalueError,
@@ -79,7 +80,6 @@ __all__ = [
     "standard_eliminate",
     "refined_eliminate",
     "compatible_pairs",
-    "prime_divisors_of_gcd",
     "ALL_PRIMES",
 ]
 
@@ -186,16 +186,12 @@ def family_from_dict(data: dict) -> FreyFamily:
 def load_family(path) -> FreyFamily:
     """Load a family config; if it names a consistency fixture, check that
     the stated specialization matches the fixture curve's j-invariant."""
-    from pathlib import Path
-
     fam, cons = read_json(
         path,
         lambda data: (family_from_dict(data), _consistency_block(data.get("consistency"))),
         FamilyConfigError,
     )
     if cons:
-        from .curves import load_curve, same_j_invariant
-
         name, (a, b) = cons
         try:
             member = fam.specialize(a, b)
@@ -382,32 +378,6 @@ def Aq(packet: NewformPacket, family: FreyFamily, q: int) -> int:
     return abs(acc)
 
 
-def prime_divisors_of_gcd(g: int):
-    """Prime divisors of g (g > 0), by trial division up to 10^6.
-
-    Auxiliary-prime gcds are small by design; a residual composite
-    cofactor beyond the trial bound is a hard error rather than a wrong
-    answer.
-    """
-    out = []
-    n = g
-    p = 2
-    while p <= 10**6 and p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        if is_prime(n):
-            out.append(n)
-        else:
-            raise ValueError(
-                f"survivor-set factorization exceeded the trial bound (cofactor {n})"
-            )
-    return tuple(out)
-
-
 class StandardVerdict:
     def __init__(self, label: str, aq: dict, overall_gcd: int, surviving):
         self.label = label
@@ -432,32 +402,6 @@ class EliminationReport:
         self.standard = standard
         self.refined = refined
 
-    def as_dict(self):
-        return {
-            "standard": [
-                {
-                    "label": r.label,
-                    "aq": {str(q): v for q, v in sorted(r.aq.items())},
-                    "gcd": r.overall_gcd,
-                    "surviving": (
-                        "all" if r.surviving == ALL_PRIMES else list(r.surviving)
-                    ),
-                }
-                for r in self.standard
-            ],
-            "refined": [
-                {
-                    "label": r.label,
-                    "p": r.p,
-                    "residue_prime": r.residue_prime,
-                    "status": r.status,
-                    "witness_q": r.witness_q,
-                    "reason": r.reason,
-                }
-                for r in self.refined
-            ],
-        }
-
 
 def standard_eliminate(packets, family: FreyFamily, q_list) -> EliminationReport:
     """Per packet: A_q for each q, their gcd, and the surviving exponents.
@@ -474,7 +418,7 @@ def standard_eliminate(packets, family: FreyFamily, q_list) -> EliminationReport
         g = 0
         for v in aq.values():
             g = gcd(g, v)
-        surviving = ALL_PRIMES if g == 0 else prime_divisors_of_gcd(g)
+        surviving = ALL_PRIMES if g == 0 else tuple(sorted(factorize(g)))
         rows.append(
             StandardVerdict(label=packet.label, aq=aq, overall_gcd=g, surviving=surviving)
         )

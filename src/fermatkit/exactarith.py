@@ -68,7 +68,12 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict:
-    """Trial-division factorization; only small auxiliary integers occur."""
+    """Trial-division factorization by divisors up to 10^6.
+
+    Only small auxiliary integers occur (gcds of A_q values, cyclotomic
+    pieces of q^f - 1); a composite cofactor left past the trial bound
+    is a hard error rather than a wrong answer.
+    """
     if n <= 0:
         raise ValueError("factorize wants a positive integer")
     out: dict = {}
@@ -77,13 +82,15 @@ def factorize(n: int) -> dict:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    while d <= 10**6 and d * d <= n:
         for step in (d, d + 2):
             while n % step == 0:
                 out[step] = out.get(step, 0) + 1
                 n //= step
         d += 6
     if n > 1:
+        if not is_prime(n):
+            raise ValueError(f"factorization exceeded the trial bound (cofactor {n})")
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -132,14 +139,6 @@ class UniPoly:
             c.pop()
         self.coeffs = tuple(c)
 
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: int) -> "UniPoly":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -147,12 +146,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     @property
     def is_monic(self) -> bool:

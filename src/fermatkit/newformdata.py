@@ -25,6 +25,7 @@ are those of `jsonfile`.
 
 from __future__ import annotations
 
+from .curves import ec_reduction_type, ec_trace
 from .exactarith import (
     FFElement,
     FiniteField,
@@ -47,10 +48,8 @@ __all__ = [
     "MissingEigenvalueError",
     "load_packets",
     "packet_from_dict",
-    "serialize_packet",
     "primes_above_in_Qf",
     "reduce_eigenvalue",
-    "conjugate_congruence_check",
     "trace_contradiction_check",
     "packet_from_curve",
 ]
@@ -118,11 +117,6 @@ class ResiduePrime:
 
     def __repr__(self):
         return f"ResiduePrime({self.key}, d={self.d}, e={self.e})"
-
-
-def _key_sort(key: str):
-    q, i = key.split(".")
-    return (int(q), int(i))
 
 
 def _check_irreducible(h: UniPoly, pos: str):
@@ -247,20 +241,6 @@ def _packets_from_json(data) -> list:
     return [packet_from_dict(d, pos=f"packets[{i}]") for i, d in enumerate(data)]
 
 
-def serialize_packet(packet: NewformPacket) -> dict:
-    return {
-        "label": packet.label,
-        "base_field": packet.base_field,
-        "level": {"norm": packet.level_norm, "primes": list(packet.level_primes)},
-        "coeff_poly": list(packet.coeff_poly.coeffs),
-        "eigenvalues": {
-            k: list(v) for k, v in sorted(packet.eigenvalues.items(), key=lambda t: _key_sort(t[0]))
-        },
-        "residue_maps": {k: list(v) for k, v in sorted(packet.residue_maps.items())},
-        "provenance": packet.provenance,
-    }
-
-
 # ---------------------------------------------------------------------------
 # residue primes of the coefficient field
 
@@ -319,26 +299,6 @@ def reduce_eigenvalue(packet: NewformPacket, key: str, rp: ResiduePrime) -> FFEl
     return acc
 
 
-def conjugate_congruence_check(packet: NewformPacket, sigma_map: dict, p0: ResiduePrime):
-    """Keys where a_{sigma(q)} and a_q disagree modulo p0.
-
-    An empty list is consistent with the eigenvalue system descending
-    through the Galois action; any listed key refutes it.
-    """
-    failures = []
-    for key in sorted(packet.eigenvalues, key=_key_sort):
-        img = sigma_map.get(key)
-        if img is None:
-            raise MissingEigenvalueError(f"sigma_map has no entry for {key}")
-        if img not in packet.eigenvalues:
-            raise MissingEigenvalueError(
-                f"packet {packet.label} has no eigenvalue at {img} = sigma({key})"
-            )
-        if reduce_eigenvalue(packet, img, p0) != reduce_eigenvalue(packet, key, p0):
-            failures.append(key)
-    return failures
-
-
 def trace_contradiction_check(packet: NewformPacket, rp: ResiduePrime, keys, target: int) -> bool:
     """True iff some eigenvalue among `keys` does NOT reduce to `target`.
 
@@ -365,8 +325,6 @@ def packet_from_curve(curve, label: str, q_max: int) -> NewformPacket:
     bad primes up to q_max with multiplicity one; that is support
     information, not a conductor computation.
     """
-    from .curves import ec_reduction_type, ec_trace  # local import, no cycle
-
     order = curve.order
     eigenvalues, level = {}, {"norm": 1, "primes": []}
     for q in range(2, q_max + 1):

@@ -36,7 +36,6 @@ __all__ = [
     "element_norm",
     "valuation_at",
     "cyclotomic_unit_generators",
-    "prime_key_action",
 ]
 
 
@@ -387,32 +386,3 @@ def cyclotomic_unit_generators():
     """
     order = get_order("Zzeta13")
     return [order.element([1] * a) for a in range(2, 7)]
-
-
-def prime_key_action(order: NumberFieldOrder, q: int, sigma_poly: UniPoly) -> dict:
-    """Permutation of prime keys above q induced by theta -> sigma_poly(theta).
-
-    sigma_poly must define an automorphism of the field (the order is
-    assumed Galois-stable under it). For each prime P, the image key is
-    the one whose factor vanishes on sigma_poly evaluated at P's root.
-    """
-    primes = split_prime(order, q)
-    mapping = {}
-    for P in primes:
-        y = P.residue_field.zero()
-        for c in reversed(sigma_poly.coeffs):
-            y = y * P.theta_image + c
-        hits = []
-        for Q in primes:
-            acc = P.residue_field.zero()
-            for c in reversed(Q.factor.coeffs):
-                acc = acc * y + c
-            if acc.is_zero:
-                hits.append(Q.key)
-        if len(hits) != 1:
-            raise ValueError(
-                "sigma_poly does not induce a permutation of the primes above "
-                f"{q} (prime {P.key} maps to {hits})"
-            )
-        mapping[P.key] = hits[0]
-    return mapping

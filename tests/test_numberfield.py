@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fermatkit.exactarith import UniPoly, _pm_mod, _pm_trim
+from fermatkit.exactarith import FiniteField, UniPoly, _pm_mod, _pm_trim
 from fermatkit.numberfield import (
     NumberFieldOrder,
     UnsupportedPrimeError,
@@ -12,7 +12,6 @@ from fermatkit.numberfield import (
     get_order,
     known_orders,
     prime_by_key,
-    prime_key_action,
     reduce_element,
     split_prime,
     valuation_at,
@@ -116,6 +115,16 @@ class TestReduction:
             assert reduce_element(a + b, P) == reduce_element(a, P) + reduce_element(b, P)
             assert reduce_element(a * b, P) == reduce_element(a, P) * reduce_element(b, P)
 
+    def test_inert_3_in_zsqrt2_is_f9(self):
+        """The F_9 of the projective-order check: the residue field at 3 of
+        Z[sqrt(2)] is F_3[x]/(x^2 - 2), and a + b sqrt(2) goes to a + b x."""
+        (P,) = split_prime(Z2, 3)
+        F9 = FiniteField(3, UniPoly([-2, 0, 1]))
+        assert P.residue_field == F9
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                assert reduce_element(Z2.element([a, b]), P) == F9.element([a, b])
+
 
     @pytest.mark.parametrize("q", [2, 3, 5, 23, 29, 53])
     def test_matches_horner_at_the_root(self, q):
@@ -217,6 +226,35 @@ class TestCyclotomicUnits:
             for P in split_prime(ZZ13, q):
                 for u in cyclotomic_unit_generators():
                     assert not reduce_element(u, P).is_zero
+
+
+def prime_key_action(order, q: int, sigma_poly: UniPoly) -> dict:
+    """Permutation of prime keys above q induced by theta -> sigma_poly(theta).
+
+    sigma_poly must define an automorphism of the field (the order is
+    assumed Galois-stable under it). For each prime P, the image key is
+    the one whose factor vanishes on sigma_poly evaluated at P's root.
+    """
+    primes = split_prime(order, q)
+    mapping = {}
+    for P in primes:
+        y = P.residue_field.zero()
+        for c in reversed(sigma_poly.coeffs):
+            y = y * P.theta_image + c
+        hits = []
+        for Q in primes:
+            acc = P.residue_field.zero()
+            for c in reversed(Q.factor.coeffs):
+                acc = acc * y + c
+            if acc.is_zero:
+                hits.append(Q.key)
+        if len(hits) != 1:
+            raise ValueError(
+                "sigma_poly does not induce a permutation of the primes above "
+                f"{q} (prime {P.key} maps to {hits})"
+            )
+        mapping[P.key] = hits[0]
+    return mapping
 
 
 class TestGaloisAction:

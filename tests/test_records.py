@@ -1,9 +1,13 @@
 """The package's record classes: what a fresh import loads, and the
-equality, hash, repr and immutability their callers rely on."""
+equality, hash, repr and immutability their callers rely on; and that
+every public name has a caller outside the tests."""
 
+import ast
+import importlib
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -19,6 +23,7 @@ from fermatkit.unitsieve import UNIT_CLASS_COUNT, SieveConstraint, UnitClass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAMILY = SRC / "fermatkit" / "fixtures" / "families" / "demo_sum_rule_sqrt13.json"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -138,3 +143,30 @@ def test_elliptic_curve_repr_and_invariants():
         "a3=NF(Qsqrt13; [0, 0]), a4=NF(Qsqrt13; [-25, 9]), a6=NF(Qsqrt13; [49, -17]))"
     )
     assert E == _qsqrt13_curve() and E is not _qsqrt13_curve()
+
+
+def _used_in_own_module(tree, name: str) -> bool:
+    """A load of `name` anywhere in the module but its own def or class."""
+    inside = {id(n) for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name == name
+              for n in ast.walk(d)}
+    return any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+               and id(n) not in inside for n in ast.walk(tree))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each name in a module's __all__ is used by another module of the
+    package, by its own module outside its definition, or by perfbench/
+    (which names some of them only in strings, such as traced layers).
+    A name only the tests call belongs in the tests, as a helper."""
+    texts = {p.stem: p.read_text() for p in sorted((SRC / "fermatkit").glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+    unused = []
+    for stem, text in texts.items():
+        others = "\n".join(t for s, t in texts.items() if s != stem)
+        tree = ast.parse(text)
+        for name in getattr(importlib.import_module(f"fermatkit.{stem}"), "__all__", ()):
+            word = re.compile(rf"\b{name}\b")
+            if not (word.search(others) or word.search(bench) or _used_in_own_module(tree, name)):
+                unused.append(f"{stem}.{name}")
+    assert unused == []
