@@ -113,7 +113,8 @@ class EllipticCurveNF(Frozen):
 class HyperellipticCurveNF:
     """Genus-2 model y^2 = c6 x^6 + ... + c0 over a number-field order.
     Its invariants are computed once per coefficient tuple per process
-    (`_sextic_invariants`); the I10 smoothness test runs on every build."""
+    (`_sextic_invariants`); the I10 smoothness test runs on every build.
+    Its reductions are kept per prime (`_reduce_sextic`)."""
 
     def __init__(self, coeffs: tuple):
         if len(coeffs) != 7:
@@ -127,6 +128,7 @@ class HyperellipticCurveNF:
             raise ValueError("singular sextic (discriminant invariant vanishes)")
         self.coeffs = coeffs  # (c0, ..., c6), NFElements of one order
         self._invariants = invariants
+        self._reductions = {}  # prime -> reduced coefficients, smooth there
 
     @property
     def order(self):
@@ -569,12 +571,17 @@ def _count_sextic_ext2(c, T: _PackedField) -> int:
 
 def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
     """The seven coefficients of C reduced at P, where the reduction stays
-    smooth: P is odd and I10 = 2^20 Disc(f) is a unit at P."""
-    if P.q == 2:
-        raise SingularReductionError("genus-2 counting in characteristic 2 is unsupported")
-    if reduce_element(C._invariants[3], P).is_zero:
-        raise SingularReductionError(f"singular reduction at {P.key}")
-    return [reduce_element(c, P) for c in C.coeffs]
+    smooth: P is odd and I10 = 2^20 Disc(f) is a unit at P. Memoized on
+    the curve, so the counts at both extension degrees of one Euler
+    factor share one reduction; a singular P raises on every call."""
+    red = C._reductions.get(P)
+    if red is None:
+        if P.q == 2:
+            raise SingularReductionError("genus-2 counting in characteristic 2 is unsupported")
+        if reduce_element(C._invariants[3], P).is_zero:
+            raise SingularReductionError(f"singular reduction at {P.key}")
+        red = C._reductions[P] = [reduce_element(c, P) for c in C.coeffs]
+    return red
 
 
 def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -> int:

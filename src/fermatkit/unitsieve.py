@@ -21,12 +21,20 @@ chi_Q(eps) = unit_chars . e, and reads every pair's off chi(b) +
 chi(a/b + zeta), the dlogs of the q line residues and of the constants
 b^((N-1)/7). The reference route compares the exact residues of every
 pair and unit, with no discrete logs, characters or linear algebra mod 7.
+
+The dlog base omega is frozen only where values are output: the tables
+of `build_character` and `char_value` take the residue of the lex-least
+multiplicative generator. The sieve and the rank check take theirs from
+`_sieve_character`, the residue of the first non-7th-power, found with
+no generator search; another base only relabels the values at a prime,
+so the survivor bits and ranks are the same.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .curves import g2_euler_factor, g2_rm_split, rm_residues_mod_p7
 from .elimination import FreyFamily, compatible_pairs, residue_pairs
@@ -117,10 +125,14 @@ class LocalCharacterTable:
     """7th-power residue characters at a prime Q of Z[zeta_13]: the dlogs
     base omega of the residues `_seventh_powers(Q)` gives.
 
-    omega is the fixed primitive 7th root: the (N-1)/7 power of the
-    first multiplicative generator in the frozen element enumeration
-    order, which freezes the character values. (Survivor sets do not
-    depend on it: omega^k in its place scales every value by 1/k mod 7.)
+    omega is a primitive 7th root of unity in the residue field. In the
+    tables of `build_character` it is the frozen one, the (N-1)/7 power
+    of the first multiplicative generator in the frozen element
+    enumeration order, which freezes the values `char_value` returns.
+    The sieve and the rank check build theirs with `_sieve_character`,
+    whose omega is the residue of the first non-7th-power in that order:
+    omega^k in place of omega scales every value at Q by 1/k mod 7, which
+    moves no survivor bit and no rank, so no output shows that base.
     """
 
     def __init__(self, prime: PrimeIdealData, exponent: int, omega: FFElement, dlog: dict,
@@ -151,6 +163,12 @@ class LocalCharacterTable:
         return (None,) + tuple(
             _dlog(self.dlog, (pow(b, e, q),) + zeros) for b in range(1, q)
         )
+
+    @cached_property
+    def masks(self) -> dict:
+        """`_class_masks` of the characters chi_Q(eps), built once per table."""
+        rows = [[c * e % 7 for e in range(7)] for c in self.unit_chars]
+        return _class_masks(rows, 0, lambda x, y: (x + y) % 7)
 
 
 class SieveConstraint(Frozen):
@@ -441,11 +459,10 @@ def _dlog(dlog: dict, residue) -> object:
     return k
 
 
-@lru_cache(maxsize=None)
-def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
-    """Character table at Q, memoized per prime; requires 7 | N(Q) - 1."""
+def _character_table(Q: PrimeIdealData, omega: FFElement) -> LocalCharacterTable:
+    """The character table at Q with dlog base omega, a primitive 7th
+    root of unity in the residue field."""
     seventh, F = _seventh_powers(Q), Q.residue_field
-    omega = FFElement(F, seventh(_lex_least_generator(F).coeffs))
     dlog, acc = {}, F.one()
     for k in range(7):
         dlog[acc.coeffs] = k
@@ -458,6 +475,31 @@ def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
         unit_chars=tuple(_dlog(dlog, v) for v in seventh.units),
         chi_one_minus_zeta=_dlog(dlog, seventh.one_minus_zeta),
     )
+
+
+@lru_cache(maxsize=None)
+def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
+    """Character table at Q with the frozen omega, memoized per prime;
+    requires 7 | N(Q) - 1."""
+    F = Q.residue_field
+    return _character_table(Q, FFElement(F, _seventh_powers(Q)(_lex_least_generator(F).coeffs)))
+
+
+@lru_cache(maxsize=None)
+def _sieve_character(Q: PrimeIdealData) -> LocalCharacterTable:
+    """Character table at Q for the sieve and the rank check, memoized per
+    prime: its omega is the residue x^((N-1)/7) of the first x in the
+    frozen enumeration order that is not a 7th power, with no generator
+    search. A constant c (index below q) costs one int `pow` mod q; when
+    7 does not divide q - 1 every constant is a 7th power, and the walk
+    goes on to the line elements c + t, one `_seventh_powers` call each."""
+    seventh, F, q = _seventh_powers(Q), Q.residue_field, Q.q
+    e, zeros = (Q.norm - 1) // 7 % (q - 1), (0,) * (F.k - 1)
+    residues = ((pow(c, e, q),) + zeros for c in range(1, q))
+    lines = (seventh(F.from_index(idx).coeffs) for idx in range(q, F.order))
+    one = F.one().coeffs
+    omega = next(r for r in chain(residues, lines) if r != one)
+    return _character_table(Q, FFElement(F, omega))
 
 
 def char_value(table: LocalCharacterTable, x) -> object:
@@ -537,9 +579,9 @@ def _class_masks(powers, start, combine) -> dict:
 
 
 def _char_masks(table: LocalCharacterTable, start: int) -> dict:
-    """`_class_masks` of the characters chi_Q(eps) + start at one prime."""
-    rows = [[c * e % 7 for e in range(7)] for c in table.unit_chars]
-    return _class_masks(rows, start, lambda x, y: (x + y) % 7)
+    """`_class_masks` of the characters chi_Q(eps) + start at one prime:
+    the table's own masks, relabelled."""
+    return {(v + start) % 7: m for v, m in table.masks.items()}
 
 
 def _survivor_bits(masks, targets) -> int:
@@ -581,7 +623,7 @@ def _local_survivors(constraint: SieveConstraint, delta: int) -> int:
     """Survivor bits of one constraint by characters: chi_Q(eps) plus
     delta chi_Q(1 - zeta) against chi_Q of each admissible pair."""
     primes = split_prime(get_order("Zzeta13"), constraint.q)
-    tables = [build_character(Q) for Q in primes]
+    tables = [_sieve_character(Q) for Q in primes]
     masks = [_char_masks(t, t.chi_one_minus_zeta if delta else 0) for t in tables]
     return _survivor_bits(masks, _char_targets(tables, constraint))
 
@@ -761,5 +803,5 @@ def generator_independence_rank(primes) -> int:
     The classes with every character 0 are its kernel, 7^(5 - rank) of them."""
     kernel = _ALL_CLASSES
     for Q in primes:
-        kernel &= _char_masks(build_character(Q), 0)[0]
+        kernel &= _sieve_character(Q).masks[0]
     return 5 - [7**j for j in range(6)].index(kernel.bit_count())

@@ -808,6 +808,22 @@ class TestEulerFactors:
             with pytest.raises(SingularReductionError):
                 g2_euler_factor(C_FIX, split_prime(K13, q)[0])
 
+    def test_one_reduction_per_prime(self):
+        """One Euler factor reduces I10 and the seven coefficients once for
+        both counts, and a curve keeps its reductions; a bad prime raises
+        on every call."""
+        C = HyperellipticCurveNF(coeffs=C_FIX.coeffs)
+        P = prime_by_key(K13, "17.1")
+        with mock.patch.object(curves, "reduce_element", wraps=curves.reduce_element) as red:
+            e = g2_euler_factor(C, P)
+            assert red.call_count == 8
+            assert g2_euler_factor(C, P) == e
+            assert hyp_count_points(C, P, 2) == P.norm**2 + 1 - (e.a1 * e.a1 - 2 * e.a2)
+            assert red.call_count == 8
+        for _ in range(2):
+            with pytest.raises(SingularReductionError):
+                g2_euler_factor(C, split_prime(K13, 13)[0])
+
     def test_weil_bound_on_fixture_primes(self):
         for key in ("3.0", "5.0", "17.0", "23.0", "29.0"):
             P = prime_by_key(K13, key)

@@ -23,12 +23,14 @@ from fermatkit.unitsieve import (
     _class_masks,
     _group_prime_factors,
     _lex_least_generator,
+    _local_survivors,
     _norm_power,
     _pair_char,
     _pair_reduction,
     _pair_residues,
     _power_plan,
     _seventh_powers,
+    _sieve_character,
     _survivor_bits,
     admissible_pairs,
     build_character,
@@ -499,6 +501,7 @@ def test_oracle_needs_no_character_tables(monkeypatch):
 
     monkeypatch.setattr(unitsieve, "char_value", forbidden)
     monkeypatch.setattr(unitsieve, "build_character", forbidden)
+    monkeypatch.setattr(unitsieve, "_sieve_character", forbidden)
     assert sieve_case_exhaustive("divisible-13", cons) == linear
 
 
@@ -876,6 +879,59 @@ def test_frozen_omega_literals():
 
 
 @pytest.mark.parametrize("q", PROOF_SET_QS + (547,))
+def test_sieve_base_matches_naive_walk(q):
+    """The sieve tables' omega is x^((N-1)/7) for the first x in index
+    order with that power not 1, the power taken in the full field."""
+    for Q in split_prime(ZZ13, q):
+        F, E = Q.residue_field, (Q.norm - 1) // 7
+        want = next(y for y in (F.from_index(i) ** E for i in range(1, F.order)) if y != F.one())
+        assert _sieve_character(Q).omega == want, Q.key
+
+
+def _proof_constraint(q):
+    return SieveConstraint(q=q, mode="parity-only" if q == 2 else "unconstrained")
+
+
+@pytest.mark.parametrize("q", PROOF_SET_QS)
+def test_local_survivors_do_not_depend_on_the_base(q, monkeypatch):
+    """The sieve's own tables and the frozen-omega tables give the same
+    survivor bits, in both descent cases, although their bases differ
+    at some prime above every q."""
+    from fermatkit import unitsieve
+
+    c = _proof_constraint(q)
+    bits = [_local_survivors(c, delta) for delta in (0, 1)]
+    monkeypatch.setattr(unitsieve, "_sieve_character", build_character)
+    assert [_local_survivors(c, delta) for delta in (0, 1)] == bits
+    assert any(_sieve_character(Q).omega != build_character(Q).omega
+               for Q in split_prime(ZZ13, q))
+
+
+def test_sieve_and_rank_skip_the_generator_search(monkeypatch):
+    """From empty table caches, the proof-set sieve and both rank checks
+    run with no generator search and give the same results."""
+    from fermatkit import unitsieve
+    from fermatkit.cli import run_checks
+
+    cons = [_proof_constraint(q) for q in PROOF_SET_QS]
+    names = ["unit-rank-verified", "unit-classes-and-rank-stated"]
+    want_bits = {case: sieve_case_bits(case, cons) for case in ("coprime-13", "divisible-13")}
+    want_report = run_checks(names=names).to_dict(with_timings=False)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sieve must not search for a generator")
+
+    monkeypatch.setattr(unitsieve, "_lex_least_generator", forbidden)
+    unitsieve.build_character.cache_clear()
+    unitsieve._sieve_character.cache_clear()
+    for case, bits in want_bits.items():
+        assert sieve_case(case, cons).bits == bits
+    report = run_checks(names=names)
+    assert report.to_dict(with_timings=False) == want_report
+    assert [c.status for c in report.checks] == ["pass", "fail"]  # the stated rank 5 is a known defect
+
+
+@pytest.mark.parametrize("q", PROOF_SET_QS + (547,))
 def test_char_value_is_dlog_of_plain_power(q):
     """chi_Q(x) is the k with reduce(x)^((N-1)/7) = omega^k, the power
     taken in the full field, on random elements at every prime above q."""
@@ -892,13 +948,15 @@ def test_char_value_is_dlog_of_plain_power(q):
 
 
 def test_character_work_count(monkeypatch):
-    """A work count, not a timing: `unit-rank-verified` from an empty
-    table cache makes at most 20 `FFElement.__pow__` calls. It made 1237
+    """A work count, not a timing: `unit-rank-verified` from empty table
+    caches makes at most 20 `FFElement.__pow__` calls. It made 1237
     when the generator test and every character were full-field powers,
-    and 369 through subfield norms with int powers in F_q. Now it makes
-    10 in a fresh process, all of them t^q in `frobenius_kernel`: one per
-    residue field above 2, 11, 19, 23, 29 and 41, when its first
-    Frobenius map is built (fewer once the fields hold their maps)."""
+    and 369 through subfield norms with int powers in F_q. It makes 10
+    in a fresh process, with the generator search or with the sieve's
+    own base (`_sieve_character`) alike, all of them t^q in
+    `frobenius_kernel`: one per residue field above 2, 11, 19, 23, 29
+    and 41, when its first Frobenius map is built (fewer once the
+    fields hold their maps)."""
     from fermatkit import unitsieve
     from fermatkit.cli import run_checks
     calls = []
@@ -910,6 +968,7 @@ def test_character_work_count(monkeypatch):
 
     monkeypatch.setattr(FFElement, "__pow__", counted)
     unitsieve.build_character.cache_clear()
+    unitsieve._sieve_character.cache_clear()
     report = run_checks(names=["unit-rank-verified"])
     assert report.checks[0].status == "pass"
     assert len(calls) <= 20, len(calls)
