@@ -57,6 +57,7 @@ from .newformdata import (
     trace_contradiction_check,
 )
 from .numberfield import (
+    cyclotomic_unit_generators,
     element_norm,
     get_order,
     known_orders,
@@ -355,8 +356,10 @@ def check_unit_classes_and_rank(ctx) -> CheckResult:
     the primes above {2, 11, 23, 29}. The recomputed rank over that set
     is 4, by two independent routes (the count of classes with every
     character 0, and plain row reduction in the test suite); rank 5
-    needs the six-prime set including 19. See the companion check."""
-    count_ok = UnitClass.from_index(UNIT_CLASS_COUNT - 1).index == UNIT_CLASS_COUNT - 1
+    needs the six-prime set including 19. See the companion check. The
+    class count is 7 to the number of unit generators, counted apart
+    from UNIT_CLASS_COUNT."""
+    count_ok = 7 ** len(cyclotomic_unit_generators()) == UNIT_CLASS_COUNT
     Zz = get_order("Zzeta13")
     primes = [P for q in (2, 11, 23, 29) for P in split_prime(Zz, q)]
     rank = generator_independence_rank(primes)

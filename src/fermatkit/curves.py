@@ -3,8 +3,10 @@
 Point counting sums 1 + chi(f(x)) over the counting field, chi the
 quadratic character. Every odd residue field F = F_q[w]/(m) of degree
 k is counted by one packed evaluator: f is evaluated at every x of F at
-once on packed integers, one slot per x and one integer per component
-over F_q, a coefficient acting by its k x k multiplication matrix; every
+once on packed integers, one slot per x in log order and one integer
+per component over F_q, a coefficient acting by its k x k
+multiplication matrix, and every table is a slice of one walk through
+the powers of a generator of F^* (`_log_table`); every
 slot is reduced mod q in place with one multiply, shift and mask
 (division by an invariant integer), the components are folded into the
 element index, and the index is read through a 1 + chi table, so no
@@ -28,9 +30,10 @@ import sys
 from array import array
 from functools import lru_cache
 from math import comb, isqrt, prod
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
+from .exactarith import _mul_kernel, chain_pow, factorize
 from .jsonfile import fields, int_lists, one_of, read_json
 from .numberfield import (
     Frozen,
@@ -225,19 +228,24 @@ _BLOCK_SLOTS = 1 << 12  # slots reduced and classified at once; bounds memory
 
 class _PackedField(NamedTuple):
     """Packed evaluation data of an odd residue field F = F_q[w]/(m) of
-    degree k, from `_field_tables`. Slot s of a packed integer holds a
-    value at the element of index s (`FFElement.index`). Lists of
-    elements are kept as k lists of components, one per power of w."""
+    degree k and order N, from `_log_table`. The slots of a packed
+    integer run in log order: slot 0 holds a value at 0 and slot 1 + t
+    a value at g^t, g the generator of F^* that `_log_table` picks; every
+    count sums over all slots, so the order never shows. Values are read
+    by element index (`FFElement.index`). Lists of elements are kept as
+    k lists of components, one per power of w."""
 
     q: int
     m: tuple  # the monic modulus, lowest degree first; (0, 1) when k = 1
-    order: int  # q^k
+    order: int  # N = q^k
     width: int  # bytes per slot
     shift: int
     magic: int  # ceil(2^shift / q)
     low: bytes  # one slot of the quotient mask
     table: bytes  # 1 + chi(z) at index(z)
     planes: tuple  # 1 + chi as 0, 1, 3 (its bit count), 256 indices each
+    walk: tuple  # component i of g^t at slot t < N - 1: k byte strings
+    wlogs: tuple  # dlog(w^l) for l < k
 
 
 def _fold(A, q, m) -> list:
@@ -253,32 +261,35 @@ def _fold(A, q, m) -> list:
     return [[u % q for u in a] for a in A]
 
 
-def _slot_mul(A, X, q, m) -> list:
-    """Element-wise products of two equally long element lists."""
-    conv = [None] * (2 * len(A) - 1)
-    for i, u in enumerate(A):
-        for j, v in enumerate(X):
-            p = list(map(mul, u, v))
-            conv[i + j] = p if conv[i + j] is None else list(map(add, conv[i + j], p))
-    return _fold(conv, q, m)
+def _slot_ints(raw, width, top) -> array:
+    """The slots of `raw` (little-endian, `width` bytes each, every value
+    at most `top`) as an array of ints: the bytes that carry a value are
+    moved into the items of the smallest array type that holds `top`."""
+    code = next(c for c in "BHIQ" if top < 1 << 8 * array(c).itemsize)
+    size = array(code).itemsize
+    buf = bytearray(len(raw) // width * size)
+    for b in range(top.bit_length() + 7 >> 3):
+        buf[b::size] = raw[b::width]
+    out = array(code, bytes(buf))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 @lru_cache(maxsize=None)
-def _power_values(q, m, e) -> list:
-    """x^e for every x of F_q[w]/(m) in index order, as k lists of
-    components."""
-    k = len(m) - 1
-    if e == 0:
-        return [[1] * q**k] + [[0] * q**k] * (k - 1)
-    if e == 1:
-        return [[d for d in range(q) for _ in range(q**i)] * q ** (k - 1 - i) for i in range(k)]
-    return _slot_mul(_power_values(q, m, e - 1), _power_values(q, m, 1), q, m)
+def _log_table(q, m) -> _PackedField:
+    """The packed tables of F = F_q[w]/(m), in log order (an index table,
+    Lidl and Niederreiter, *Finite Fields*, ch. 9), from one walk through
+    the powers of a generator.
 
-
-@lru_cache(maxsize=None)
-def _packed_field(q, m) -> _PackedField:
-    """Constants that reduce every slot of a packed integer mod q at once,
-    and the 1 + chi table of the field, marked from the x^2 column.
+    g is the first element in index order with g^((N-1)/r) != 1 for every
+    prime r dividing N - 1. The walk g^0, ..., g^(N-2) doubles on k packed
+    component integers: from the first L powers, the next ones are g^L
+    times them, one product with the matrix M(g^L) and one slot reduction
+    per component. The 1 + chi table is 2 at the elements of even log;
+    the power columns and ext-2 rows are slices of the walk
+    (`_power_column`, `_power_rows`), so no field arithmetic runs per
+    element.
 
     Every packed component the evaluator reduces has slots below
     13 k (q-1)^2 < 2^bound: sum over e <= 12 and l < k of
@@ -301,43 +312,65 @@ def _packed_field(q, m) -> _PackedField:
     if q == 2:
         raise ValueError("packed counting needs odd characteristic")
     N = q**k
+    n = N - 1
     bound = (13 * k * (q - 1) ** 2).bit_length()
     shift = bound + q.bit_length()
-    width = max((2 * bound + 1 + 7) // 8, ((N - 1).bit_length() + 7) // 8)
+    width = max((2 * bound + 1 + 7) // 8, (n.bit_length() + 7) // 8)
     low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")
-    sq = _power_values(q, m, 2)
-    index = list(sq[0])
-    for i in range(1, k):
-        index = [s + q**i * v for s, v in zip(index, sq[i])]
+    magic = -(-(1 << shift) // q)
+    T = _PackedField(q, m, N, width, shift, magic, low, b"", (), (), ())
+    fmul, one = _mul_kernel(q, m), (1,) + (0,) * (k - 1)
+    exps = [n // r for r in factorize(n)]
+    # past k = 1 the constants, indices 1 to q - 1, have orders dividing q - 1 < n
+    candidates = (tuple(s // q**i % q for i in range(k)) for s in range(1 if k == 1 else q, N))
+    g = next(x for x in candidates if all(chain_pow(fmul, x, e) != one for e in exps))
+    # the walk: W holds g^0, ..., g^(L-1) and h = g^L; a slot sum of
+    # M(h)[i][l] W_l stays below k (q-1)^2
+    W, L, h, bits = [1] + [0] * (k - 1), 1, g, 8 * width
+    while L < n:
+        t = min(L, n - L)
+        cut = [v & (1 << bits * t) - 1 for v in W]
+        W = [v | _reduce_slots(sum(map(mul, row, cut)), t, T) << bits * L
+             for v, row in zip(W, _mul_rows([[c] for c in h], T))]
+        L, h = L + t, fmul(h, h)
+    walk = tuple(v.to_bytes(n * width, "little") for v in W)
+    index = sum(q**i * v for i, v in enumerate(W)).to_bytes(n * width, "little")
+    logs = _slot_ints(index, width, n)  # index(g^t) at t
     table = bytearray(N)
-    for s in index:
-        table[s] = 2
     table[0] = 1
+    for s in logs[::2]:
+        table[s] = 2
     planes = ()
     if N <= 1 << 16:
         encoded = bytes(table).translate(bytes([0, 1, 3]) + bytes(253)) + bytes(-N % 256)
-        planes = tuple(encoded[h : h + 256] for h in range(0, N, 256))
-    magic = -(-(1 << shift) // q)
-    return _PackedField(q, m, N, width, shift, magic, low, bytes(table), planes)
+        planes = tuple(encoded[i : i + 256] for i in range(0, N, 256))
+    return T._replace(table=bytes(table), planes=planes, walk=walk,
+                      wlogs=tuple(logs.index(q**l) for l in range(k)))
 
 
 def _field_tables(field) -> _PackedField:
-    """`_packed_field` of a residue field; every prime field shares the
+    """`_log_table` of a residue field; every prime field shares the
     tables of F_q[w]/(w), since its elements are their constant terms."""
-    return _packed_field(field.p, field.modulus.coeffs if field.k > 1 else (0, 1))
+    return _log_table(field.p, field.modulus.coeffs if field.k > 1 else (0, 1))
 
 
 @lru_cache(maxsize=None)
 def _power_column(q, m, e) -> tuple:
-    """x^e at every x of F_q[w]/(m), packed into the slots of
-    `_packed_field(q, m)`: one int per component."""
-    width = _packed_field(q, m).width
+    """x^e at every x of F_q[w]/(m), packed into the log-order slots of
+    `_log_table(q, m)`: one int per component. x^0 is 1 at every slot;
+    for e > 0 the slot of 0 holds 0 and the slot of g^t holds g^(et), the
+    walk taken every e-th step around its cycle."""
+    T = _log_table(q, m)
+    w, n = T.width, T.order - 1
+    if e == 0:
+        ones = int.from_bytes((1).to_bytes(w, "little") * T.order, "little")
+        return (ones,) + (0,) * (len(m) - 2)
     out = []
-    for v in _power_values(q, m, e):
-        buf = bytearray(len(v) * width)
-        for i in range((q - 1).bit_length() + 7 >> 3):
-            buf[i::width] = bytes([x >> 8 * i & 255 for x in v])
-        out.append(int.from_bytes(buf, "little"))
+    for comp in T.walk:
+        buf, cycle = bytearray(n * w), comp * e
+        for b in range((q - 1).bit_length() + 7 >> 3):
+            buf[b::w] = cycle[b :: e * w]
+        out.append(int.from_bytes(buf, "little") << 8 * w)
     return tuple(out)
 
 
@@ -358,24 +391,24 @@ def _mul_rows(A, T: _PackedField) -> list:
 def _power_rows(q, m) -> list:
     """For each non-square y of F_q[w]/(m) and each component i, the row
     i of M(y^0), ..., M(y^6) side by side, as a tuple: the rows of
-    `_count_sextic_ext2`, built once per residue field."""
-    T, k = _packed_field(q, m), len(m) - 1
-    Y = [[s // q**i % q for s in range(T.order) if not T.table[s]] for i in range(k)]
-    p = [[1] * len(Y[0])] + [[0] * len(Y[0])] * (k - 1)
-    lists = [[] for _ in range(k)]
-    for _ in range(7):
-        c = p
-        for _ in range(k):
-            for i in range(k):
-                lists[i].append(c[i])
-            c = _fold([[0] * len(Y[0])] + c, q, m)
-        p = _slot_mul(p, Y, q, m)
-    return [list(zip(*ls)) for ls in lists]
+    `_count_sextic_ext2`, built once per residue field. The non-squares
+    are y = g^(2s+1) for s < (N-1)/2, so the entry of y^j w^l,
+    g^(j + dlog(w^l) + 2js), runs over s as the walk of `_log_table`
+    rotated by j + dlog(w^l) and taken every 2j-th step."""
+    T = _log_table(q, m)
+    n = T.order - 1
+    rows = []
+    for comp in T.walk:
+        cycle = _slot_ints(comp, T.width, q - 1).tolist() * 7
+        cols = [cycle[r : r + j * n : 2 * j] if j else cycle[r : r + 1] * (n // 2)
+                for j in range(7) for r in ((j + wl) % n for wl in T.wlogs)]
+        rows.append(list(zip(*cols)))
+    return rows
 
 
 def _reduce_slots(V, n, T: _PackedField) -> int:
     """V with each of its n slots v replaced by v mod q: one multiply,
-    shift and mask give every quotient (see `_packed_field`)."""
+    shift and mask give every quotient (see `_log_table`)."""
     return V - T.q * ((V * T.magic >> T.shift) & int.from_bytes(T.low * n, "little"))
 
 
@@ -393,7 +426,7 @@ def _chi_sum(R, n, T: _PackedField) -> int:
     w = T.width
     raw = V.to_bytes(n * w, "little")
     if not T.planes:
-        return sum(T.table[int.from_bytes(raw[s : s + w], "little")] for s in range(0, n * w, w))
+        return sum(map(T.table.__getitem__, _slot_ints(raw, w, T.order - 1)))
     lo = raw[::w]
     if len(T.planes) == 1:
         return int.from_bytes(lo.translate(T.planes[0]), "little").bit_count()
@@ -414,10 +447,13 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
     (coefficients lowest degree first, at most 13), and `rows` as in
     `_power_rows`. Component i of H_j = G_j(x) at every x is
     sum_e sum_l M(G[j][e])[i][l] (x^e)_l on the packed power columns,
+    whose slots run over the x of F in log order (`_log_table`); it is
     reduced mod q in place when there are rows, and the row of y is
-    sum_j M(y^j) H_j: multiplies of packed integers by small ones. The rows of a block of at most `_BLOCK_SLOTS` slots are
-    concatenated component by component, reduced and read through the
-    1 + chi table (`_chi_sum`), so memory stays O(block).
+    sum_j M(y^j) H_j: multiplies of packed integers by small ones. The
+    rows of a block of at most `_BLOCK_SLOTS` slots are concatenated
+    component by component, reduced and read through the 1 + chi table
+    (`_chi_sum`), so memory stays O(block). The sum covers every slot,
+    so the slot order never shows in a count.
     """
     if len(G) > 7 or any(len(g[0]) > 13 for g in G):
         raise ValueError("packed evaluation takes X-degree at most 12 and Y-degree at most 6")

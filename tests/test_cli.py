@@ -39,6 +39,29 @@ class TestBasicCommands:
         assert "RM pair {-rt , rt}" in out
         assert "RM pair {2-rt , 2+rt}" in out
 
+    def test_trace_genus2_in_characteristic_2(self, capsys):
+        code, out, _ = run(capsys, "trace", "curves/C_eq51.curve", "2")
+        assert code == 0
+        assert ("trace-2.0: bad reduction: "
+                "genus-2 counting in characteristic 2 is unsupported") in out
+
+    def test_trace_genus2_without_rm_split(self, capsys, tmp_path):
+        # y^2 = x^6 + x + 1 has a1 = -3, a2 = 6 at both primes above 3:
+        # a1^2 - 4 (a2 - 2N) = 9 is not twice a square
+        path = tmp_path / "plain.curve"
+        coeffs = {f"c{i}": [1 if i in (0, 1, 6) else 0] for i in range(7)}
+        path.write_text(json.dumps({"order": "Qsqrt13", "model": "sextic", "coefficients": coeffs}))
+        code, out, _ = run(capsys, "trace", str(path), "3")
+        assert code == 0
+        for key in ("3.0", "3.1"):
+            assert (f"trace-{key}: N=3, a1=-3, a2=6; no RM split: "
+                    "discriminant 9 is not twice a perfect square") in out
+
+    def test_igusa_refuses_an_elliptic_curve(self, capsys):
+        code, out, err = run(capsys, "igusa", "curves/E_1_-1.curve")
+        assert code == 2
+        assert "igusa needs a sextic curve file" in err
+
     def test_igusa_reference(self, capsys):
         code, out, _ = run(capsys, "igusa", "curves/C_eq51.curve", "--reference")
         assert code == 0
@@ -634,6 +657,20 @@ class TestFullReport:
         code, out, _ = run(capsys, "full-report", "--only", "unit-classes-and-rank-stated")
         assert code == 1
         assert "not reproducible" in out
+
+    def test_class_count_term_can_fail(self, monkeypatch):
+        # with the stated rank granted, the check passes on 7^5 classes and
+        # fails when the generators give another count
+        import fermatkit.cli as cli
+
+        def status():
+            return run_checks(names=["unit-classes-and-rank-stated"]).checks[0].status
+
+        monkeypatch.setattr(cli, "generator_independence_rank", lambda primes: 5)
+        assert status() == "pass"
+        gens = cli.cyclotomic_unit_generators()
+        monkeypatch.setattr(cli, "cyclotomic_unit_generators", lambda: gens[:4])
+        assert status() == "fail"
 
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "full-report", "--only", "bogus-check")

@@ -30,7 +30,13 @@ from fermatkit.curves import (
     weighted_pp_equal,
 )
 from fermatkit import curves
-from fermatkit.curves import _affine_count, _count_sextic_ext2, _field_tables, _grid_count, _packed_field
+from fermatkit.curves import (
+    _affine_count,
+    _count_sextic_ext2,
+    _field_tables,
+    _grid_count,
+    _log_table,
+)
 from fermatkit.exactarith import (
     FiniteField,
     QuadExt,
@@ -38,6 +44,7 @@ from fermatkit.exactarith import (
     _pm_gcd,
     _pm_trim,
     bareiss_det,
+    factorize,
     field_nonsquare,
     is_prime,
 )
@@ -205,12 +212,12 @@ def _prime_nonsquare(q):
 
 def _prime_count(poly, q):
     """The packed evaluator's one-row count of an integer polynomial over F_q."""
-    return _grid_count([[list(poly)]], _packed_field(q, (0, 1)))
+    return _grid_count([[list(poly)]], _log_table(q, (0, 1)))
 
 
 def _count_sextic_ext2_prime(c, q):
     """The packed F_{q^2} count of an integer sextic over F_q."""
-    return _count_sextic_ext2([(x,) for x in c], _packed_field(q, (0, 1)))
+    return _count_sextic_ext2([(x,) for x in c], _log_table(q, (0, 1)))
 
 
 class TestInvariants:
@@ -487,7 +494,7 @@ class TestNormPolynomialCount:
     def test_nonsquare_matches_smallest(self, q):
         # the oracle takes t^2 = s for the smallest non-square s, the table's first
         assert _prime_nonsquare(q) == _smallest_nonsquare(q)
-        assert _packed_field(q, (0, 1)).table.index(0) == _smallest_nonsquare(q)
+        assert _log_table(q, (0, 1)).table.index(0) == _smallest_nonsquare(q)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -545,7 +552,7 @@ class TestNormPolynomialCount:
     def test_slot_reduction_at_the_bound(self, q):
         # slots up to the largest value the evaluator reduces, 13 (q-1)^2,
         # multiples of q among them, reduce to v mod q
-        check_slot_reduction(_packed_field(q, (0, 1)), 13 * (q - 1) ** 2)
+        check_slot_reduction(_log_table(q, (0, 1)), 13 * (q - 1) ** 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -672,7 +679,80 @@ class TestPackedExtensionFields:
 
     def test_char2_refused(self):
         with pytest.raises(ValueError):
-            _packed_field(2, (1, 1, 1))
+            _log_table(2, (1, 1, 1))
+
+
+# (q, k) for the log tables: every k up to 4, q = 257 with residues past
+# one byte, and F_{257^2} with N > 2^16
+LOG_TABLE_FIELDS = [(3, 1), (7, 1), (257, 1), (3, 2), (5, 2), (13, 2), (257, 2), (3, 3),
+                    (7, 3), (3, 4), (5, 4)]
+
+
+def _walk_elements(T, F):
+    """The elements of the walk of T, slot by slot, as FFElements of F."""
+    n = T.order - 1
+    comps = [_slots(int.from_bytes(c, "little"), n, T) for c in T.walk]
+    return [F.element(c) for c in zip(*comps)]
+
+
+class TestLogTable:
+    """`_log_table` against FFElement arithmetic: the walk, the power
+    columns, the 1 + chi table and the ext-2 rows of the non-squares."""
+
+    @pytest.mark.parametrize("q,k", LOG_TABLE_FIELDS)
+    def test_walk_is_a_bijection_onto_the_units(self, q, k):
+        F = _first_irreducible(q, k)
+        T = _field_tables(F)
+        walk = _walk_elements(T, F)
+        g = walk[1]
+        assert walk[0] == F.one()
+        assert all(b == a * g for a, b in zip(walk, walk[1:]))
+        assert sorted(x.index() for x in walk) == list(range(1, F.order))
+        # g is the first generator in index order
+        n = F.order - 1
+        for s in range(1, g.index()):
+            x = F.from_index(s)
+            assert any(x ** (n // r) == F.one() for r in factorize(n)), s
+        # w^l sits at its logged slot
+        assert [walk[t] for t in T.wlogs] == [F.element([0] * l + [1]) for l in range(k)]
+
+    @pytest.mark.parametrize("q,k", LOG_TABLE_FIELDS)
+    def test_every_column_slot_is_the_power(self, q, k):
+        F = _first_irreducible(q, k)
+        T = _field_tables(F)
+        x = [F.zero()] + _walk_elements(T, F)
+        rng = random.Random(10 * q + k)
+        picks = range(T.order)
+        if T.order > 1024:  # every slot of the small fields, a sample of the large
+            picks = [0, 1, T.order - 1] + rng.sample(range(T.order), 300)
+        for e in range(13):
+            col = [_slots(c, T.order, T) for c in curves._power_column(T.q, T.m, e)]
+            for s in picks:
+                want = F.one() if e == 0 else x[s] ** e
+                assert F.element([c[s] for c in col]) == want, (e, s)
+
+    @pytest.mark.parametrize("q,k", LOG_TABLE_FIELDS)
+    def test_table_marks_the_squares(self, q, k):
+        F = _first_irreducible(q, k)
+        T = _field_tables(F)
+        squares = _naive_squares(F)
+        assert T.table == bytes(1 if s == 0 else 2 if s in squares else 0 for s in range(F.order))
+
+    @pytest.mark.parametrize("q,k", LOG_TABLE_FIELDS)
+    def test_each_nonsquare_heads_one_row(self, q, k):
+        F = _first_irreducible(q, k)
+        T = _field_tables(F)
+        rows = curves._power_rows(T.q, T.m)
+        squares = _naive_squares(F)
+        heads = [F.element([comp[s][k] for comp in rows]) for s in range(len(rows[0]))]
+        assert sorted(y.index() for y in heads) == [
+            s for s in range(1, F.order) if s not in squares]
+        rng = random.Random(q + k)
+        picks = range(len(heads)) if len(heads) <= 512 else rng.sample(range(len(heads)), 200)
+        for s in picks:
+            powers = [heads[s] ** j for j in range(7)]
+            want = curves._mul_rows([[p.coeffs[i] for p in powers] for i in range(k)], T)
+            assert [list(comp[s]) for comp in rows] == want, s
 
 
 def loop_norm_polynomial(c, T):
@@ -702,7 +782,7 @@ class TestNormPolynomialProduct:
 
     @pytest.mark.parametrize("q,k", [(3, 1), (5, 1), (17, 1), (199, 1), (5, 2), (11, 2), (3, 3)])
     def test_kronecker_matches_loop(self, q, k):
-        T = _packed_field(q, (0, 1)) if k == 1 else _field_tables(_first_irreducible(q, k))
+        T = _log_table(q, (0, 1)) if k == 1 else _field_tables(_first_irreducible(q, k))
         rng = random.Random(1000 * q + k)
         cases = [[tuple(rng.randrange(-(10**6), 10**6) for _ in range(k)) for _ in range(7)]
                  for _ in range(20)]
@@ -720,17 +800,23 @@ class TestGenus2SetupCounts:
         from fermatkit import exactarith, numberfield
         from fermatkit.cli import run_checks
 
-        for cache in (curves._sextic_invariants, curves._power_rows, numberfield._split_prime):
+        for cache in (curves._sextic_invariants, curves._log_table, curves._power_column,
+                      curves._power_rows, numberfield._split_prime):
             cache.cache_clear()
-        fields = set()
-        count = curves._count_sextic_ext2
+        fields, counted_fields = set(), set()
+        count, grid = curves._count_sextic_ext2, curves._grid_count
 
         def counted(c, T):
             fields.add((T.q, T.m))
             return count(c, T)
 
+        def gridded(G, T, rows=None):
+            counted_fields.add((T.q, T.m))
+            return grid(G, T, rows)
+
         with mock.patch.object(curves, "_clebsch_integral", wraps=curves._clebsch_integral) as ic, \
-                mock.patch.object(curves, "_count_sextic_ext2", counted):
+                mock.patch.object(curves, "_count_sextic_ext2", counted), \
+                mock.patch.object(curves, "_grid_count", gridded):
             for name in ("euler-rm-at-3", "invariant-valuations-at-2", "igusa-proportionality",
                          "projective-frobenius-orders", "mod7-congruence-norm-200"):
                 assert run_checks(names=[name]).checks[0].status == "pass", name
@@ -739,6 +825,10 @@ class TestGenus2SetupCounts:
         # split q share theirs, and later checks count some primes again
         assert curves._power_rows.cache_info().misses == len(fields) > 1
         assert curves._power_rows.cache_info().hits > len(fields)
+        # one walk per residue field counted in, whatever counts it
+        assert fields <= counted_fields
+        assert curves._log_table.cache_info().misses == len(counted_fields)
+        assert curves._log_table.cache_info().hits > len(counted_fields)
         numberfield._split_prime.cache_clear()
         with mock.patch.object(exactarith, "_substitution_kernel",
                                wraps=exactarith._substitution_kernel) as kernel:
