@@ -272,7 +272,7 @@ def _slot_ints(raw, width, top) -> array:
         buf[b::size] = raw[b::width]
     out = array(code, bytes(buf))
     if sys.byteorder == "big":
-        out.byteswap()
+        out.byteswap()  # untested: runs only on a big-endian host
     return out
 
 

@@ -84,18 +84,12 @@ class NewformPacket:
         self.warnings = warnings
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+        return other.__class__ is self.__class__ and self._fields() == other._fields()
 
     def _fields(self):
         return (self.label, self.base_field, self.level_norm, self.level_primes,
                 self.coeff_poly, self.eigenvalues, self.residue_maps, self.provenance,
                 self.warnings)
-
-    @property
-    def order(self):
-        return get_order(self.base_field)
 
 
 class ResiduePrime:
@@ -114,9 +108,6 @@ class ResiduePrime:
     @property
     def key(self) -> str:
         return f"{self.p}:{self.index}"
-
-    def __repr__(self):
-        return f"ResiduePrime({self.key}, d={self.d}, e={self.e})"
 
 
 def _check_irreducible(h: UniPoly, pos: str):

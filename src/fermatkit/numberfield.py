@@ -117,9 +117,6 @@ class NumberFieldOrder(Frozen):
     def theta(self) -> "NFElement":
         return self.element([0, 1])
 
-    def __repr__(self):
-        return f"NumberFieldOrder({self.label!r}, {self.poly!r})"
-
 
 def _reduce_mul(order: NumberFieldOrder, a, b):
     """Schoolbook product of two integer coordinate tuples reduced mod
@@ -163,12 +160,10 @@ class NFElement:
             return other
         if isinstance(other, int):
             return self.order.from_int(other)
-        return None
+        raise TypeError(f"cannot combine an order element with {type(other).__name__}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return NFElement(self.order, tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     __radd__ = __add__
@@ -177,23 +172,12 @@ class NFElement:
         return NFElement(self.order, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return NFElement(self.order, tuple(a * other for a in self.coords))
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return NFElement(
             self.order, _reduce_mul(self.order, self.coords, o.coords)
         )
@@ -206,8 +190,6 @@ class NFElement:
         return chain_pow(NFElement.__mul__, self, e) if e else self.order.one()
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.order.from_int(other)
         return (
             isinstance(other, NFElement)
             and self.order == other.order
@@ -250,12 +232,6 @@ class PrimeIdealData(Frozen):
     @property
     def norm(self) -> int:
         return self.q**self.fdeg
-
-    def __repr__(self):
-        return (
-            f"PrimeIdealData({self.order.label}, key={self.key}, "
-            f"e={self.e}, f={self.fdeg})"
-        )
 
 
 # Fixture orders. All four have Z[theta] equal to the maximal order

@@ -5,12 +5,14 @@ import json
 import operator
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fermatkit.cli import CHECK_NAMES, main, run_checks
+from fermatkit.unitsieve import UNIT_CLASS_COUNT
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
 
@@ -38,6 +40,9 @@ class TestBasicCommands:
         assert code == 0
         assert "RM pair {-rt , rt}" in out
         assert "RM pair {2-rt , 2+rt}" in out
+        code, out, _ = run(capsys, "trace", "curves/C_eq51.curve", "19")
+        assert code == 0
+        assert "RM pair {-10}," in out  # 19 is inert: one rational element
 
     def test_trace_genus2_in_characteristic_2(self, capsys):
         code, out, _ = run(capsys, "trace", "curves/C_eq51.curve", "2")
@@ -82,6 +87,11 @@ class TestBasicCommands:
         assert code == 0
         assert "surviving exponents: all primes" in out
         assert "not-eliminated" in out
+
+    def test_q_list_skips_empty_items(self):
+        from fermatkit.cli import _parse_q_list
+
+        assert _parse_q_list("5,,11,") == [5, 11]
 
     def test_eliminate_external_family_skips(self, capsys):
         code, out, _ = run(
@@ -715,6 +725,181 @@ class TestFullReport:
                 digest = hashlib.sha256((FIXTURES / "curves" / name).read_bytes()).hexdigest()
                 assert rep.inputs[name] == digest
         assert sorted(loaded) == ["C_eq51.curve", "C_eq51.curve", "E_1_-1.curve", "E_1_-1.curve"]
+
+
+def _skew_f25(monkeypatch, method):
+    """FFElement.<method> returns its result plus one on elements of F_25,
+    the field of check-invariants' axiom loop, and is unchanged elsewhere."""
+    from fermatkit.exactarith import FFElement
+
+    real, add = getattr(FFElement, method), FFElement.__add__
+
+    def skewed(self, *args):
+        out = real(self, *args)
+        return add(out, 1) if self.field.order == 25 else out
+
+    monkeypatch.setattr(FFElement, method, skewed)
+
+
+class TestChecksCanFail:
+    """Every failure branch of a check, reached by breaking one layer: a
+    check that cannot fail shows nothing."""
+
+    @staticmethod
+    def failed(name):
+        (res,) = run_checks(names=[name]).checks
+        assert res.status == "fail"
+        return res.detail
+
+    def test_a_crashing_check_is_a_failed_check(self, monkeypatch):
+        import fermatkit.cli as cli
+
+        def crash(ctx):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._CHECK_FNS, "euler-rm-at-3", crash)
+        assert self.failed("euler-rm-at-3") == "RuntimeError: boom"
+
+    def test_sieve_routes_disagree(self, monkeypatch):
+        import fermatkit.cli as cli
+
+        monkeypatch.setattr(cli, "sieve_case_exhaustive_bits", lambda case, cons: 0)
+        assert "routes disagree at q=2 (coprime-13)" in self.failed("sieve-soundness")
+
+    def test_sieve_planted_class_dies(self, monkeypatch):
+        import fermatkit.cli as cli
+
+        for name in ("sieve_case_bits", "sieve_case_exhaustive_bits"):
+            monkeypatch.setattr(cli, name, lambda case, cons: 0)
+        assert self.failed("sieve-soundness") == "; ".join(
+            f"planted class {exps} died ({case})" for case, exps in (
+                ("coprime-13", (0, 0, 0, 0, 0)), ("divisible-13", (0, 0, 0, 0, 0)),
+                ("coprime-13", (1, 0, 0, 0, 0))))
+
+    def test_sieve_not_monotone(self, monkeypatch):
+        import fermatkit.cli as cli
+
+        def bits(case, cons):  # q = 11 alone keeps nothing, with q = 2 added all
+            return 0 if [c.q for c in cons] == [11] else (1 << UNIT_CLASS_COUNT) - 1
+
+        for name in ("sieve_case_bits", "sieve_case_exhaustive_bits"):
+            monkeypatch.setattr(cli, name, bits)
+        assert self.failed("sieve-soundness") == "adding a constraint enlarged the survivor set"
+
+    def test_self_packet_not_surviving_standard(self, monkeypatch):
+        import fermatkit.cli as cli
+
+        none_left = SimpleNamespace(standard=[SimpleNamespace(surviving=[])])
+        monkeypatch.setattr(cli, "standard_eliminate", lambda *args: none_left)
+        assert "did not survive standard" in self.failed("elimination-soundness")
+
+    @pytest.mark.parametrize("broken,message", [
+        (lambda pkt, kw: pkt.label.startswith("self-"), "was refinedly eliminated"),
+        (lambda pkt, kw: pkt.label == "eisenstein-like" and "skip" not in kw,
+         "Eisenstein-like packet was eliminated without a skip"),
+        (lambda pkt, kw: "skip" in kw, "skip list was not honored"),
+    ], ids=["self-packet", "eisenstein-like", "skip-list"])
+    def test_refined_elimination_branches(self, monkeypatch, broken, message):
+        import fermatkit.cli as cli
+
+        real = cli.refined_eliminate
+        eliminated = SimpleNamespace(refined=[SimpleNamespace(status="eliminated")])
+
+        def refined(pkt, *args, **kwargs):
+            return eliminated if broken(pkt, kwargs) else real(pkt, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "refined_eliminate", refined)
+        detail = self.failed("elimination-soundness")
+        assert all(message in part for part in detail.split("; "))
+
+    def test_congruence_failure_rows(self, monkeypatch, capsys):
+        import fermatkit.cli as cli
+
+        real = cli.ec_trace
+        monkeypatch.setattr(cli, "ec_trace", lambda E, P: real(E, P) + 1)
+        assert "failures: [(" in self.failed("mod7-congruence-norm-200")
+        code, out, _ = run(capsys, "check-congruence", "--bound", "30")
+        assert code == 1
+        assert "a mod 7 =" in out and "not in [" in out
+
+    def test_congruence_skips_singular_reductions(self, monkeypatch, capsys):
+        import fermatkit.cli as cli
+        from fermatkit.curves import SingularReductionError
+
+        def singular(C, P):
+            raise SingularReductionError("singular")
+
+        monkeypatch.setattr(cli, "g2_euler_factor", singular)
+        code, out, _ = run(capsys, "check-congruence", "--bound", "30")
+        assert code == 0
+        assert "0 good primes of norm <= 30 checked; 0 failures" in out
+
+    def test_projective_orders_degenerate_note(self, monkeypatch):
+        # theta = sqrt2 in F_9 squares to 2 = 4 N mod 3 at N = 17 and 53
+        import fermatkit.cli as cli
+
+        monkeypatch.setattr(cli, "reduce_element", lambda x, P: P.theta_image)
+        assert "(degenerate repeated-root case hit)" in self.failed("projective-frobenius-orders")
+
+    @staticmethod
+    def invariants(capsys):
+        code, out, _ = run(capsys, "check-invariants")
+        return code, out
+
+    @pytest.mark.parametrize("method,message", [
+        ("__add__", "field axioms"),
+        ("inverse", "inverse"),
+        ("__pow__", "Frobenius fixed point"),
+    ])
+    def test_invariants_field_branches(self, monkeypatch, capsys, method, message):
+        _skew_f25(monkeypatch, method)
+        code, out = self.invariants(capsys)
+        assert code == 1 and f"randomized-invariants: {message} (" in out
+
+    @pytest.mark.parametrize("name,wrap,message", [
+        ("element_norm", lambda real: lambda x: real(x) + 1, "norm multiplicativity"),
+        ("reduce_element", lambda real: lambda x, P: real(x, P) * 2,
+         "reduction multiplicativity"),
+        ("reduce_element", lambda real: lambda x, P: real(x, P) ** 2, "reduction additivity"),
+        ("ec_invariants", lambda real: lambda E: real(E)[:2] + (real(E)[2] + 1,),
+         "c4^3 - c6^2 = 1728 Delta"),
+    ], ids=["norm", "reduction-mul", "reduction-add", "covariants"])
+    def test_invariants_layer_branches(self, monkeypatch, capsys, name, wrap, message):
+        import fermatkit.cli as cli
+
+        monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+        code, out = self.invariants(capsys)
+        assert code == 1 and f"randomized-invariants: {message} (" in out
+
+    def test_invariants_character_branch(self, monkeypatch, capsys):
+        import itertools
+
+        import fermatkit.cli as cli
+
+        values = itertools.count()
+        monkeypatch.setattr(cli, "char_value", lambda t, x: next(values) % 7)
+        code, out = self.invariants(capsys)
+        assert code == 1
+        assert "randomized-invariants: character invariance under 7th powers (" in out
+
+    def test_invariants_skip_what_they_cannot_check(self, monkeypatch, capsys):
+        """A curve the constructor refuses and an element with no character
+        value are skipped, not checked."""
+        import fermatkit.cli as cli
+
+        def refuse(*args):
+            raise ValueError("singular")
+
+        def unreachable(*args):
+            raise AssertionError("a skipped input was checked")
+
+        calls = []
+        monkeypatch.setattr(cli, "EllipticCurveNF", refuse)
+        monkeypatch.setattr(cli, "ec_invariants", unreachable)
+        monkeypatch.setattr(cli, "char_value", lambda t, x: calls.append(x))
+        code, out = self.invariants(capsys)
+        assert code == 0 and "all randomized invariants hold" in out
+        assert len(calls) == 20
 
 
 class TestFixtureOverride:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -69,6 +70,8 @@ class TestUniPoly:
         assert UniPoly([1, 2, 0, 0]).degree == 1
         assert UniPoly([]).is_zero
         assert UniPoly([0]).degree == -1
+        assert repr(UniPoly([0])) == "UniPoly(0)"
+        assert repr(UniPoly([-1, 0, 1])) == "UniPoly(-1 + x^2)"
 
     def test_arithmetic(self):
         f = UniPoly([1, 1])
@@ -148,8 +151,10 @@ class TestFactorModP:
     @pytest.mark.parametrize("p", [2, 3, 5, 13, 29])
     def test_refactor_multiplies_back(self, p):
         rng = random.Random(p)
-        for _ in range(8):
-            f = UniPoly([rng.randrange(p) for _ in range(rng.randrange(2, 9))] + [1])
+        polys = [UniPoly([p + 1])]  # a unit constant: no factors
+        polys += [UniPoly([rng.randrange(p) for _ in range(rng.randrange(2, 9))] + [1])
+                  for _ in range(8)]
+        for f in polys:
             fs = poly_factor_mod_p(f, p)
             prod = UniPoly([1])
             for g, m in fs:
@@ -458,6 +463,7 @@ class TestQuadExt:
             x = E.element(F25.from_index(rng.randrange(25)), F25.from_index(rng.randrange(25)))
             if not x.is_zero:
                 assert x * x.inverse() == E.one()
+                assert x**-3 == (x * x * x).inverse()
 
     def test_base_elements_become_squares(self):
         s = field_nonsquare(F25)
@@ -471,12 +477,31 @@ class TestQuadExt:
             QuadExt(F4, F4.one())
 
 
+@pytest.mark.parametrize("kind", ["UniPoly", "FFElement", "NFElement", "QuadExtElement"])
+def test_foreign_operands_raise_type_error(kind):
+    """An element combines with its own kind (and ints, except in QuadExt):
+    any other operand, on either side, and int - element are a TypeError."""
+    x = {
+        "UniPoly": UniPoly([1, 2]),
+        "FFElement": F25.gen(),
+        "NFElement": get_order("Qsqrt13").theta(),
+        "QuadExtElement": QuadExt(F25, field_nonsquare(F25)).gen(),
+    }[kind]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args in ((x, 1.5), (1.5, x)):
+            with pytest.raises(TypeError):
+                op(*args)
+    with pytest.raises(TypeError):
+        1 - x
+
+
 class TestIntegerLinearAlgebra:
     def test_bareiss(self):
         assert bareiss_det([[1, 2], [3, 4]]) == -2
         assert bareiss_det([[0, 1], [1, 0]]) == -1
         assert bareiss_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
         assert bareiss_det([[1, 2], [2, 4]]) == 0
+        assert bareiss_det([]) == 1
 
     def test_resultant_common_root(self):
         # for monic f the resultant Res(f, g) is the norm of g mod f

@@ -133,6 +133,15 @@ class TestLoading:
         with pytest.raises(PacketFormatError, match="rational root"):
             packet_from_dict(base_packet(coeff_poly=[-2, 1, 1]))  # (x-1)(x+2)
 
+    @pytest.mark.parametrize("coeffs,warned", [
+        ([-1, -1, 0, 0, 1], False),  # x^4 - x - 1: irreducible mod 2, certified
+        ([1, 0, 0, 0, 1], True),  # x^4 + 1: irreducible, but reducible mod every prime
+    ], ids=["certified", "flagged"])
+    def test_degree_four_irreducibility(self, coeffs, warned):
+        p = packet_from_dict(base_packet(coeff_poly=coeffs, eigenvalues={}))
+        want = "could not certify irreducibility of degree-4 coeff_poly"
+        assert (want in p.warnings) == warned
+
     def test_large_constant_term_validates_quickly(self):
         import time
 

@@ -149,6 +149,8 @@ class TestUnitClass:
         assert UNIT_CLASS_COUNT == 16807
         for n in (0, 1, 7, 16806, 1234):
             assert UnitClass.from_index(n).index == n
+        for n, want in ((UNIT_CLASS_COUNT + 5, 5), (-1, 16806)):  # taken mod 16807
+            assert UnitClass.from_index(n).index == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -408,6 +410,19 @@ class TestSieve:
                 "divisible-13",
                 [SieveConstraint(q=11, mode="unconstrained")] * 2,
             )
+
+    def test_stops_once_no_class_survives(self, monkeypatch):
+        import fermatkit.unitsieve as us
+
+        seen = []
+
+        def local(constraint, delta):
+            seen.append(constraint.q)
+            return 0
+
+        monkeypatch.setattr(us, "_local_survivors", local)
+        assert sieve_case_bits("coprime-13", UNCONSTRAINED_11_19) == 0
+        assert seen == [11]
 
     def test_planted_trivial_solutions(self):
         # 1 = 1 * 1^7 at (1, 0); zeta = (zeta^2)^7 at (0, 1);
