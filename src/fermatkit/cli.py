@@ -670,8 +670,9 @@ def cmd_check_congruence(args, ctx) -> int:
 # The largest auxiliary prime a constraint file or `eliminate --q` may
 # name. The shipped files stop at 41. The cost grows with q: the modular
 # mode and the family local data walk all q^2 - 1 Frey curves (about
-# 3.5 s at q = 103 on the demo family), and every mode factors q^f - 1
-# and builds residue fields of degree f <= 12.
+# 3.5 s at q = 103 on the demo family), and every mode builds the residue
+# fields of Z[zeta_13] above q, of degree f <= 12. No mode factors q^f - 1:
+# only `build_character` does, at the one prime `check-invariants` reads.
 MAX_CONSTRAINT_Q = 200
 
 # The largest residue field N(P), P above an `eliminate --q` or a modular

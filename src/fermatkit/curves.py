@@ -33,7 +33,7 @@ from math import comb, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
-from .exactarith import _mul_kernel, chain_pow, factorize
+from .exactarith import _mul_kernel, first_generator
 from .jsonfile import fields, int_lists, one_of, read_json
 from .numberfield import (
     Frozen,
@@ -282,14 +282,15 @@ def _log_table(q, m) -> _PackedField:
     Lidl and Niederreiter, *Finite Fields*, ch. 9), from one walk through
     the powers of a generator.
 
-    g is the first element in index order with g^((N-1)/r) != 1 for every
-    prime r dividing N - 1. The walk g^0, ..., g^(N-2) doubles on k packed
-    component integers: from the first L powers, the next ones are g^L
-    times them, one product with the matrix M(g^L) and one slot reduction
-    per component. The 1 + chi table is 2 at the elements of even log;
-    the power columns and ext-2 rows are slices of the walk
-    (`_power_column`, `_power_rows`), so no field arithmetic runs per
-    element.
+    g is `first_generator`, the first element in index order with
+    g^((N-1)/r) != 1 for every prime r dividing N - 1; the frozen omega
+    of the unit sieve is a power of the same g. The walk g^0, ..., g^(N-2)
+    doubles on k packed component integers: from the first L powers, the
+    next ones are g^L times them, one product with the matrix M(g^L) and
+    one slot reduction per component. The 1 + chi table is 2 at the
+    elements of even log; the power columns and ext-2 rows are slices of
+    the walk (`_power_column`, `_power_rows`), so no field arithmetic
+    runs per element.
 
     Every packed component the evaluator reduces has slots below
     13 k (q-1)^2 < 2^bound: sum over e <= 12 and l < k of
@@ -319,11 +320,8 @@ def _log_table(q, m) -> _PackedField:
     low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")
     magic = -(-(1 << shift) // q)
     T = _PackedField(q, m, N, width, shift, magic, low, b"", (), (), ())
-    fmul, one = _mul_kernel(q, m), (1,) + (0,) * (k - 1)
-    exps = [n // r for r in factorize(n)]
-    # past k = 1 the constants, indices 1 to q - 1, have orders dividing q - 1 < n
-    candidates = (tuple(s // q**i % q for i in range(k)) for s in range(1 if k == 1 else q, N))
-    g = next(x for x in candidates if all(chain_pow(fmul, x, e) != one for e in exps))
+    fmul = _mul_kernel(q, m)
+    g = first_generator(q, k, fmul)
     # the walk: W holds g^0, ..., g^(L-1) and h = g^L; a slot sum of
     # M(h)[i][l] W_l stays below k (q-1)^2
     W, L, h, bits = [1] + [0] * (k - 1), 1, g, 8 * width

@@ -70,9 +70,10 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict:
     """Trial-division factorization by divisors up to 10^6.
 
-    Only small auxiliary integers occur (gcds of A_q values, cyclotomic
-    pieces of q^f - 1); a composite cofactor left past the trial bound
-    is a hard error rather than a wrong answer.
+    Only auxiliary integers occur (gcds of A_q values, group orders
+    q^f - 1 of residue fields), whose prime factors below the largest
+    lie under the trial bound; a composite cofactor left past it is a
+    hard error rather than a wrong answer.
     """
     if n <= 0:
         raise ValueError("factorize wants a positive integer")
@@ -115,6 +116,18 @@ def chain_pow(mul, x, e: int, memo=None):
             m += 1
             acc = memo[m] if m in memo else memo.setdefault(m, mul(acc, x))
     return acc
+
+
+def first_generator(p: int, k: int, mul) -> tuple:
+    """The first generator of F^*, F = F_{p^k}, in the frozen enumeration
+    order of `FiniteField`, as a coefficient tuple, with `mul` the field's
+    multiply on coefficient tuples: the first x with x^((N-1)/r) != 1 for
+    every prime r dividing N - 1, each power by `chain_pow`."""
+    N, one = p**k, (1,) + (0,) * (k - 1)
+    exps = [(N - 1) // r for r in factorize(N - 1)]
+    # past k = 1 the constants, indices 1 to p - 1, have orders dividing p - 1 < N - 1
+    candidates = (tuple(s // p**i % p for i in range(k)) for s in range(1 if k == 1 else p, N))
+    return next(x for x in candidates if all(chain_pow(mul, x, e) != one for e in exps))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +576,9 @@ class FiniteField:
 
     Element enumeration order is frozen: index n corresponds to the
     base-p digits of n read as the coefficient vector, least degree
-    first. Conventions elsewhere (generator choice in the unit sieve)
-    rely on this order being stable.
+    first. Conventions elsewhere rely on this order being stable:
+    `first_generator` walks it, and both the packed point counts and the
+    unit sieve's frozen omega use the generator it picks.
     """
 
     __slots__ = ("p", "modulus", "k", "order", "_mod_c", "_kernel", "_frob")

@@ -24,10 +24,12 @@ pair and unit, with no discrete logs, characters or linear algebra mod 7.
 
 The dlog base omega is frozen only where values are output: the tables
 of `build_character` and `char_value` take the residue of the lex-least
-multiplicative generator. The sieve and the rank check take theirs from
-`_sieve_character`, the residue of the first non-7th-power, found with
-no generator search; another base only relabels the values at a prime,
-so the survivor bits and ranks are the same.
+multiplicative generator, from `exactarith.first_generator`, the plain
+index-order walk that also picks the generator of `curves._log_table`.
+The sieve and the rank check take theirs from `_sieve_character`, the
+residue of the first non-7th-power, found with no generator search;
+another base only relabels the values at a prime, so the survivor bits
+and ranks are the same.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from itertools import chain
 
 from .curves import g2_euler_factor, g2_rm_split, rm_residues_mod_p7
 from .elimination import FreyFamily, compatible_pairs, residue_pairs
-from .exactarith import FFElement, chain_pow, factorize
+from .exactarith import FFElement, chain_pow, first_generator
 from .numberfield import (
     Frozen,
     PrimeIdealData,
@@ -207,55 +209,6 @@ class SieveConstraint(Frozen):
 # characters
 
 
-def _group_prime_factors(q: int, f: int):
-    """Prime factors of q^f - 1 via the cyclotomic factorization: each
-    piece Phi_d(q), d | f, is small enough for trial division."""
-    pieces = {}
-    for d in range(1, f + 1):
-        if f % d:
-            continue
-        val = q**d - 1
-        for e, ev in pieces.items():
-            if d % e == 0:
-                val //= ev
-        pieces[d] = val
-    primes = set()
-    for val in pieces.values():
-        primes.update(factorize(val))
-    return sorted(primes)
-
-
-def _norm_power(F, rs):
-    """x -> the powers x^((N-1)/r), r in rs, on coefficient tuples of
-    F = F_{q^f}, N = q^f, yielded one at a time so that a test can stop
-    at the first it needs; every r divides N - 1.
-
-    With d the least exponent such that every r divides q^d - 1 (the
-    order of q mod r for one r), x^((N-1)/r) is y^((q^d-1)/r) for the
-    norm y = x^((N-1)/(q^d-1)) of x to F_{q^d} (`_subfield_norm`): one
-    norm per x, then one power below q^d per r (`_memo_power`), memoised
-    on the exact norm y, so it is taken once per distinct y and r. The
-    generator search uses it; r = 7 alone goes through `_seventh_powers`,
-    built from the same two parts.
-    """
-    q, f = F.p, F.k
-    d = _norm_degree(q, f, rs)
-    norm = _subfield_norm(F, d)
-    raisers = [_memo_power(F, d, (q**d - 1) // r) for r in rs]
-
-    def powers(x):
-        y = norm(x)
-        for power in raisers:
-            yield power(y)
-
-    return powers
-
-
-def _norm_degree(q: int, f: int, rs) -> int:
-    """The least d such that every r in rs divides q^d - 1."""
-    return next(d for d in range(1, f + 1) if all(pow(q, d, r) == 1 for r in rs))
-
-
 def _subfield_norm(F, d: int):
     """x -> the norm x^((N-1)/(q^d-1)) of x to F_{q^d}, for F = F_{q^f}
     and d | f, on coefficient tuples: an int when d = 1, otherwise the
@@ -264,7 +217,7 @@ def _subfield_norm(F, d: int):
     The norm is the product of the n = f/d conjugates sigma^(d i)(x),
     sigma the q-power map. For x = c0 + c1 t, of degree at most 1 in
     the field's generator t (every line element c + zeta, where zeta
-    maps to t, and the generator candidates below index q^2), it is
+    maps to t), it is
     sum_k c0^(n-k) c1^k e_k, the e_k the elementary symmetric functions
     of the conjugates of t: at d = 1 the modulus coefficients
     (-1)^k m_(f-k), otherwise the coefficients of the product of the
@@ -386,40 +339,6 @@ def _power_plan(F, e: int):
     return power
 
 
-def _lex_least_generator(F) -> FFElement:
-    """First multiplicative generator in the frozen enumeration order.
-
-    x generates when x^((N-1)/r) != 1 for every prime r | N - 1. With
-    x = lam x', lam in F_q^* and x' monic: for r | q - 1, x'^((N-1)/r) is in
-    F_q, kept per monic class from one norm, and lam costs one int `pow`. The
-    other r divide (N-1)/(q-1), so lam^((N-1)/r) = 1: their test runs once per
-    monic class, lazily, by d = ord_r(q) from the smallest, one `_norm_power`
-    norm per d, and stops at its first power 1."""
-    q, f = F.p, F.k
-    n1, groups = F.order - 1, {}
-    for r in _group_prime_factors(q, f):
-        groups.setdefault(_norm_degree(q, f, (r,)), []).append(r)
-    base = groups.pop(1, [])
-    exps, scalar = [n1 // r % (q - 1) for r in base], _norm_power(F, base) if base else None
-    tests = [_norm_power(F, groups[d]) for d in sorted(groups)]
-    one, classes = F.one().coeffs, {}  # x' -> [its powers in F_q, its test or None]
-    for idx in range(1, F.order):
-        x = F.from_index(idx).coeffs
-        lam = next(c for c in reversed(x) if c)
-        inv = pow(lam, -1, q)
-        monic = tuple([c * inv % q for c in x])
-        if monic not in classes:
-            classes[monic] = [[v[0] for v in scalar(monic)] if scalar else [], None]
-        entry = classes[monic]
-        if any(pow(lam, e, q) * v % q == 1 for e, v in zip(exps, entry[0])):
-            continue
-        if entry[1] is None:
-            entry[1] = all(one not in powers(monic) for powers in tests)
-        if entry[1]:
-            return FFElement(F, x)
-    raise AssertionError("no generator found; field arithmetic is broken")
-
-
 class _SeventhPowers:
     """x -> x^((N-1)/7) on coefficient tuples of the residue field at Q,
     as the power (q^d-1)/7 of the norm of x to F_{q^d}, d the order of
@@ -433,7 +352,7 @@ class _SeventhPowers:
                 f"7 does not divide the residue group order at {Q.key} (N = {Q.norm})"
             )
         F, q = Q.residue_field, Q.q
-        self.d = d = _norm_degree(q, F.k, (7,))
+        self.d = d = next(d for d in range(1, 7) if pow(q, d, 7) == 1)
         self.n = F.k // d
         self.norm = _subfield_norm(F, d)
         self.power = _memo_power(F, d, (q**d - 1) // 7)
@@ -482,7 +401,8 @@ def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
     """Character table at Q with the frozen omega, memoized per prime;
     requires 7 | N(Q) - 1."""
     F = Q.residue_field
-    return _character_table(Q, FFElement(F, _seventh_powers(Q)(_lex_least_generator(F).coeffs)))
+    g = first_generator(F.p, F.k, F.mul_kernel())
+    return _character_table(Q, FFElement(F, _seventh_powers(Q)(g)))
 
 
 @lru_cache(maxsize=None)

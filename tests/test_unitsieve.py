@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from fermatkit.elimination import family_from_dict, load_family, residue_pairs
-from fermatkit.exactarith import FFElement, FiniteField
+from fermatkit.curves import _field_tables
+from fermatkit.exactarith import FFElement, FiniteField, factorize, first_generator
 from fermatkit.numberfield import (
     cyclotomic_unit_generators,
     get_order,
@@ -21,16 +22,15 @@ from fermatkit.unitsieve import (
     _char_masks,
     _char_targets,
     _class_masks,
-    _group_prime_factors,
-    _lex_least_generator,
     _local_survivors,
-    _norm_power,
+    _memo_power,
     _pair_char,
     _pair_reduction,
     _pair_residues,
     _power_plan,
     _seventh_powers,
     _sieve_character,
+    _subfield_norm,
     _survivor_bits,
     admissible_pairs,
     build_character,
@@ -123,7 +123,7 @@ def naive_lex_least_generator(F):
     index order with x^((N-1)/r) != 1, a full-field power, for every
     prime r | N - 1."""
     n1 = F.order - 1
-    primes = _group_prime_factors(F.p, F.k)
+    primes = factorize(n1)
     one = F.one()
     for idx in range(1, F.order):
         x = F.from_index(idx)
@@ -549,47 +549,55 @@ def _order_mod(q: int, r: int) -> int:
     return next(d for d in range(1, r) if pow(q, d, r) == 1)
 
 
+def _via_norm(F, d: int, e: int):
+    """x -> y^e for the norm y of x to F_{q^d}, on coefficient tuples of
+    F = F_{q^f}: `_subfield_norm`, then `_memo_power`; e below q^d."""
+    norm, power = _subfield_norm(F, d), _memo_power(F, d, e)
+    return lambda x: power(norm(x))
+
+
+def _power_via_norm(F, r: int):
+    """x -> x^((N-1)/r) through the norm to F_{q^d}, d = ord_r(q)."""
+    q = F.p
+    d = _order_mod(q, r)
+    return _via_norm(F, d, (q**d - 1) // r)
+
+
 @pytest.mark.parametrize("q", [11, 19, 23, 29, 41, 547])
 def test_norm_power_matches_plain_power(q):
     """x^((N-1)/r) through the norm to F_{q^d}, d = ord_r(q), equals the
     plain power for every prime factor r of N - 1, on 1, on random
     elements, on random c0 + c1 t (the resultant norm when d = 1) and on
-    elements of the subfield F_{q^d}; a group of primes yields its
-    powers in order."""
+    elements of the subfield F_{q^d}."""
     rng = random.Random(q)
     for Q in split_prime(ZZ13, q):
         F, n1 = Q.residue_field, Q.norm - 1
         xs = [F.one()] + [F.from_index(rng.randrange(1, F.order)) for _ in range(8)]
         xs += [F.from_index(rng.randrange(1, min(q * q, F.order))) for _ in range(4)]
-        primes = _group_prime_factors(q, Q.fdeg)
+        primes = factorize(n1)
         assert 7 in primes
         for r in primes:
             d = _order_mod(q, r)
             # y^((N-1)/(q^d-1)) lies in F_{q^d}, and 1 + it usually is not 0
             sub = [F.from_index(rng.randrange(1, F.order)) ** (n1 // (q**d - 1))
                    for _ in range(4)]
-            power = _norm_power(F, [r])
+            power = _power_via_norm(F, r)
             for x in xs + sub + [x + 1 for x in sub if not (x + 1).is_zero]:
-                assert list(power(x.coeffs)) == [(x ** (n1 // r)).coeffs], (Q.key, r, x)
-        for x in xs:
-            assert list(_norm_power(F, primes)(x.coeffs)) == [
-                (x ** (n1 // r)).coeffs for r in primes
-            ], (Q.key, x)
+                assert power(x.coeffs) == (x ** (n1 // r)).coeffs, (Q.key, r, x)
 
 
 @pytest.mark.parametrize("q", (11, 23, 29, 41))
 def test_norm_power_memo_matches_fresh_calls(q):
-    """One `_norm_power` shared by every pair, whose powers are memoised
-    on the norm, yields what a fresh instance (empty memo) yields, for
-    every pair a + b zeta at every prime above q; the shared one takes
-    one power per distinct norm."""
+    """One norm-and-power map shared by every pair, whose powers are
+    memoised on the norm, gives what a fresh map (empty memo) gives, for
+    every pair a + b zeta at every prime above q."""
     for Q in split_prime(ZZ13, q):
         F, pair = Q.residue_field, _pair_reduction(Q)
-        shared = _norm_power(F, (7,))
+        shared = _power_via_norm(F, 7)
         reds = [pair(a, b) for a, b in residue_pairs(q)]
         for x in reds:
             if any(x):
-                assert next(shared(x)) == next(_norm_power(F, (7,))(x)), (Q.key, x)
+                assert shared(x) == _power_via_norm(F, 7)(x), (Q.key, x)
 
 
 def _demo_modular(q: int) -> SieveConstraint:
@@ -602,10 +610,11 @@ def _demo_modular(q: int) -> SieveConstraint:
 
 
 def _direct_residues(Q, pairs) -> list:
-    """The direct per-pair route: a + b zeta reduced at Q, then raised
-    through `_norm_power`; None where the pair lies in Q."""
-    pair, direct = _pair_reduction(Q), _norm_power(Q.residue_field, (7,))
-    return [next(direct(x)) if any(x) else None for x in (pair(a, b) for a, b in pairs)]
+    """The direct per-pair route: a + b zeta reduced at Q, then raised to
+    the power (N-1)/7 in the full field; None where the pair lies in Q."""
+    pair, F, e = _pair_reduction(Q), Q.residue_field, (Q.norm - 1) // 7
+    return [(FFElement(F, x) ** e).coeffs if any(x) else None
+            for x in (pair(a, b) for a, b in pairs)]
 
 
 @pytest.mark.parametrize("mode,q", [("parity-only", 2)] + [
@@ -639,94 +648,14 @@ def test_pair_residues_none_where_the_pair_lies_in_q():
         assert got == _direct_residues(Q, pairs), Q.key
 
 
-def _lazy_walk(F, candidates, groups):
-    """What a lazy generator test does on `candidates`, group by group
-    (smallest d first) and prime by prime until the first power equal to
-    1: the groups it reaches, one norm each, and the power plans it
-    evaluates, one per distinct (r, norm to F_{q^d}) with d > 1."""
-    q, n1 = F.p, F.order - 1
-    seen, reached = set(), 0
-    for x in candidates:
-        for d in sorted(groups):
-            reached += 1
-            y = (x ** (n1 // (q**d - 1))).coeffs
-            for r in groups[d]:
-                if d > 1:
-                    seen.add((r, y))
-                if x ** (n1 // r) == F.one():
-                    break
-            else:
-                continue
-            break
-    return reached, len(seen)
-
-
-@pytest.mark.parametrize("q", (23, 41))
-def test_norm_power_memo_keeps_early_stop(q, monkeypatch):
-    """The generator search tests the primes r | q - 1 on each candidate
-    (int powers, no plans, from one norm per monic class x' = x / lead(x))
-    and the others, which divide (N-1)/(q-1), once per monic class of the
-    candidates passing the first, stopping at the first power equal to 1:
-    it takes exactly the norms and evaluates exactly the power plans that
-    a lazy walk over those classes reaches. At 23.1 that is fewer plans
-    than the walk over every candidate and every prime evaluates (17
-    against 97)."""
-    from fermatkit import unitsieve
-
-    plain_plan, plain_norm, evaluated, norms = unitsieve._power_plan, unitsieve._norm_power, [], []
-
-    def counted_plan(F, e):
-        plan = plain_plan(F, e)
-
-        def run(y):
-            evaluated.append(e)
-            return plan(y)
-
-        return run
-
-    def counted_norm(F, rs):
-        powers = plain_norm(F, rs)
-
-        def run(x):
-            norms.append(x)
-            return powers(x)
-
-        return run
-
-    monkeypatch.setattr(unitsieve, "_power_plan", counted_plan)
-    monkeypatch.setattr(unitsieve, "_norm_power", counted_norm)
-    for Q in split_prime(ZZ13, q):
-        F, n1 = Q.residue_field, Q.norm - 1
-        evaluated.clear()
-        norms.clear()
-        g = _lex_least_generator(F)
-        every = {}
-        for r in _group_prime_factors(q, F.k):
-            every.setdefault(_order_mod(q, r), []).append(r)
-        candidates = [F.from_index(idx) for idx in range(1, g.index() + 1)]
-        classes, tested = [], []
-        for x in candidates:
-            lead = next(c for c in reversed(x.coeffs) if c)
-            c = x * F.from_int(lead).inverse()
-            if c not in classes:
-                classes.append(c)
-            if c not in tested and all(x ** (n1 // r) != F.one() for r in every.get(1, ())):
-                tested.append(c)
-        reached, plans = _lazy_walk(F, tested, {d: rs for d, rs in every.items() if d > 1})
-        assert len(evaluated) == plans, (Q.key, len(evaluated), plans)
-        assert len(norms) == reached + (len(classes) if 1 in every else 0), Q.key
-        if Q.key == "23.1":
-            assert plans < _lazy_walk(F, candidates, every)[1] == 97
-
-
 @pytest.mark.parametrize("q", (2, 11, 19, 23, 29, 41, 547))
 def test_linear_norm_matches_itoh_tsujii(q):
     """The norm of x = c0 + c1 t to F_{q^d}, for every d | f, by the
     conjugates' symmetric functions (at d = 1 the modulus coefficients,
     at d = f x itself) equals the full-field power x^((N-1)/(q^d-1)),
     and N(x) N(w) equals the Itoh-Tsujii norm of the nonlinear x w.
-    `_norm_power(F, [q^d - 1])` yields the norm itself (its exponent
-    below q^d is 1); d = 1 is left out at q = 2, where F_2^* is trivial."""
+    `_via_norm(F, d, 1)` gives the norm itself as a coefficient tuple;
+    d = 1 is left out at q = 2, where F_2^* is trivial."""
     rng = random.Random(200 + q)
     for Q in split_prime(ZZ13, q):
         F, n1, f = Q.residue_field, Q.norm - 1, Q.fdeg
@@ -735,17 +664,17 @@ def test_linear_norm_matches_itoh_tsujii(q):
         xs = [F.element(list(c)) for c in pairs]
         pool = [F.from_index(rng.randrange(q * q, F.order)) for _ in range(6)] if f > 2 else []
         for d in (d for d in range(1, f + 1) if f % d == 0 and q**d > 2):
-            norm = _norm_power(F, [q**d - 1])
+            norm = _via_norm(F, d, 1)
             for x in xs:
-                nx = next(norm(x.coeffs))
+                nx = norm(x.coeffs)
                 assert nx == (x ** (n1 // (q**d - 1))).coeffs, (Q.key, d, x)
                 # w and x w nonlinear: both norms take the Itoh-Tsujii path
                 ws = [w for w in pool if any((x * w).coeffs[2:])][:2]
                 assert len(ws) == len(pool[:2])
                 for w in ws:
                     xw = x * w
-                    assert next(norm(xw.coeffs)) == (FFElement(F, nx) * FFElement(
-                        F, next(norm(w.coeffs)))).coeffs, (Q.key, d, x, w)
+                    assert norm(xw.coeffs) == (FFElement(F, nx) * FFElement(
+                        F, norm(w.coeffs))).coeffs, (Q.key, d, x, w)
 
 
 @pytest.mark.parametrize("q", (2, 11, 19, 23, 29, 41))
@@ -756,7 +685,7 @@ def test_power_plan_matches_plain_power(q):
     F = split_prime(ZZ13, q)[0].residue_field
     f, rng = F.k, random.Random(300 + q)
     exps = {(q**d - 1) // r for d in range(1, f + 1) if f % d == 0
-            for r in _group_prime_factors(q, d)}
+            for r in factorize(q**d - 1)}
     exps |= {1, q - 1, q**2, 5 * q**2 + 3, q ** (f - 1) + 1}
     exps |= {rng.randrange(1, q**d) for d in (2, 3, f) for _ in range(2)}
     xs = [F.one(), F.gen()] + [F.from_index(rng.randrange(1, F.order)) for _ in range(3)]
@@ -875,13 +804,18 @@ FROZEN_OMEGA = {
 }
 
 
+def _generator(F) -> FFElement:
+    return FFElement(F, first_generator(F.p, F.k, F.mul_kernel()))
+
+
 @pytest.mark.parametrize("q", PROOF_SET_QS + (547,))
 def test_generator_matches_naive_search(q):
-    """The norm-grouped generator test picks the same generator as the
-    plain index-order search with full-field powers."""
+    """`first_generator`, powers by `chain_pow` on coefficient tuples,
+    picks the same generator as the index-order search with FFElement
+    powers."""
     for Q in split_prime(ZZ13, q):
         F = Q.residue_field
-        assert _lex_least_generator(F) == naive_lex_least_generator(F), Q.key
+        assert _generator(F) == naive_lex_least_generator(F), Q.key
 
 
 def test_frozen_omega_literals():
@@ -889,8 +823,19 @@ def test_frozen_omega_literals():
     assert sorted(Q.key for Q in primes) == sorted(FROZEN_OMEGA)
     for Q in primes:
         index, omega = FROZEN_OMEGA[Q.key]
-        assert _lex_least_generator(Q.residue_field).index() == index, Q.key
+        assert _generator(Q.residue_field).index() == index, Q.key
         assert build_character(Q).omega.coeffs == omega, Q.key
+
+
+def test_log_table_and_omega_share_one_generator():
+    """At 29.0 (F_{29^3}) slot 1 of the walk of `_log_table`, g^1, is the
+    generator behind the frozen omega, index 30, and its (N-1)/7 power is
+    the omega of `build_character`."""
+    Q = next(Q for Q in split_prime(ZZ13, 29) if Q.key == "29.0")
+    F, T = Q.residue_field, _field_tables(Q.residue_field)
+    g = F.element([int.from_bytes(c[T.width : 2 * T.width], "little") for c in T.walk])
+    assert g.index() == FROZEN_OMEGA[Q.key][0] == 30
+    assert g ** ((Q.norm - 1) // 7) == build_character(Q).omega
 
 
 @pytest.mark.parametrize("q", PROOF_SET_QS + (547,))
@@ -936,7 +881,7 @@ def test_sieve_and_rank_skip_the_generator_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sieve must not search for a generator")
 
-    monkeypatch.setattr(unitsieve, "_lex_least_generator", forbidden)
+    monkeypatch.setattr(unitsieve, "first_generator", forbidden)
     unitsieve.build_character.cache_clear()
     unitsieve._sieve_character.cache_clear()
     for case, bits in want_bits.items():
@@ -967,11 +912,12 @@ def test_character_work_count(monkeypatch):
     caches makes at most 20 `FFElement.__pow__` calls. It made 1237
     when the generator test and every character were full-field powers,
     and 369 through subfield norms with int powers in F_q. It makes 10
-    in a fresh process, with the generator search or with the sieve's
-    own base (`_sieve_character`) alike, all of them t^q in
-    `frobenius_kernel`: one per residue field above 2, 11, 19, 23, 29
-    and 41, when its first Frobenius map is built (fewer once the
-    fields hold their maps)."""
+    in a fresh process, all of them t^q in `frobenius_kernel`: one per
+    residue field above 2, 11, 19, 23, 29 and 41, when its first
+    Frobenius map is built (fewer once the fields hold their maps). The
+    check reads the sieve's own base (`_sieve_character`) and searches
+    no generator; `first_generator`, behind the frozen omega, takes its
+    powers by `chain_pow` on coefficient tuples, not by `__pow__`."""
     from fermatkit import unitsieve
     from fermatkit.cli import run_checks
     calls = []
