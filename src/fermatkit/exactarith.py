@@ -186,15 +186,7 @@ class UniPoly:
         return self + (-_coerce_poly(other))
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(_zmul(self.coeffs, _coerce_poly(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -234,6 +226,32 @@ def _coerce_poly(v) -> UniPoly:
     if isinstance(v, int):
         return UniPoly((v,))
     raise TypeError(f"cannot coerce {v!r} to UniPoly")
+
+
+def _zmul(a, b) -> list:
+    """Schoolbook product of two integer coefficient sequences, ascending;
+    empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zmulmod(a, b, fc) -> tuple:
+    """The product of two integer coefficient sequences reduced mod the
+    monic polynomial with coefficients fc, as a tuple of length deg fc."""
+    n = len(fc) - 1
+    prod = _zmul(a, b)
+    for i in range(len(prod) - 1, n - 1, -1):
+        top = prod.pop()
+        if top:
+            for j in range(n):
+                prod[i - n + j] -= top * fc[j]
+    return tuple(prod) + (0,) * (n - len(prod))
 
 
 class BiPoly:
@@ -295,14 +313,7 @@ def _pm_sub(a, b, p):
 
 
 def _pm_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _pm_trim([v % p for v in out])
+    return _pm_trim([v % p for v in _zmul(a, b)])
 
 
 def _pm_divmod(a, b, p):
@@ -363,16 +374,11 @@ def _pm_pth_root(a, p):
 
 # ---------------------------------------------------------------------------
 # factorization mod p: squarefree split + distinct degree + Cantor-Zassenhaus,
-# the last two in F_p[x]/(f) on its packed multiply and p-power map, the substitution
-# of x^p (von zur Gathen and Shoup, 1992): r^(p^j) is j linear maps, not j log2(p) squarings
-
-
-def _frobenius_map(f, p):
-    """(mul, sigma) of F_p[x]/(f), f monic of degree k, not necessarily
-    irreducible: `_mul_kernel` and x -> x^p on length-k tuples."""
-    mul, x = _mul_kernel(p, f), _pm_mod((0, 1), f, p)
-    x += (0,) * (len(f) - 1 - len(x))
-    return mul, _substitution_kernel(p, mul, chain_pow(mul, x, p))
+# the last two in the quotient ring R = F_p[x]/(g) of a squarefree part g, a
+# `FiniteField` built unchecked, on its packed multiply and p-power map, the
+# substitution of x^p (von zur Gathen and Shoup, 1992): r^(p^j) is j linear maps,
+# not j log2(p) squarings. Reduction mod a divisor f of g commutes with both, so
+# a gcd with f reads f's blocks off values taken mod g, and nothing is rebuilt.
 
 
 def _squarefree_parts(f, p):
@@ -400,44 +406,42 @@ def _squarefree_parts(f, p):
     return out
 
 
-def _distinct_degree(f, p):
-    """Monic squarefree f -> list of (d, product of irreducibles of degree d).
-    h = x^(p^d) mod f: x^p by `chain_pow`, then sigma(h), sigma the p-power
-    map made from x^p when a step d > 1 needs it, again after f sheds a block."""
-    res, d, sigma = [], 0, None
+def _distinct_degree(R):
+    """R = F_p[x]/(g), g monic and squarefree (or a field's modulus under
+    check) -> list of (d, product of the irreducibles of degree d dividing
+    g). h = x^(p^d) mod g: x^p by `chain_pow`, or past degree 3, where a
+    step d > 1 may run, as sigma(x) with sigma R's p-power map, then
+    sigma(h). When f, what is left of g, sheds a block, h stays mod g."""
+    p, f, h = R.p, R._mod_c, R.gen().coeffs
+    step = R.frobenius_kernel(1) if R.k >= 4 else lambda x: chain_pow(R.mul_kernel(), x, p)
+    res, d = [], 0
     while len(f) > 1:
         d += 1
         if 2 * d > len(f) - 1:
             res.append((len(f) - 1, f))
             break
-        if d == 1:  # deg f >= 2, so x is reduced
-            h = xp = chain_pow(_mul_kernel(p, f), (0, 1) + (0,) * (len(f) - 3), p)
-        else:
-            if sigma is None:  # x^p and h mod the f that is left
-                xp, h = (r + (0,) * (len(f) - 1 - len(r)) for r in (_pm_mod(xp, f, p),
-                                                                     _pm_mod(h, f, p)))
-                sigma = _substitution_kernel(p, _mul_kernel(p, f), xp)
-            h = sigma(h)
+        h = step(h)
         g = _pm_gcd(_pm_sub(h, (0, 1), p), f, p)
         if len(g) > 1:
             res.append((d, g))
-            f, sigma = _pm_divmod(f, g, p)[0], None
+            f = _pm_divmod(f, g, p)[0]
     return res
 
 
-def _equal_degree_split(f, d, p, rng):
-    """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d.
+def _equal_degree_split(R, f, d, rng):
+    """Cantor-Zassenhaus: split f, a monic divisor of R's modulus whose
+    irreducible factors all have degree d, by gcds with f of values in R.
     r^((p^d-1)/2) is (r sigma(r) ... sigma^(d-1)(r))^((p-1)/2); for p = 2
     the trace r + sigma(r) + ... + sigma^(d-1)(r) takes its place."""
-    k = len(f) - 1
+    p, k = R.p, len(f) - 1
     if k == d:
         return [f]
-    mul, sigma = _frobenius_map(f, p) if d > 1 else (_mul_kernel(p, f), None)
+    mul, sigma = R.mul_kernel(), R.frobenius_kernel(1) if d > 1 else None
     while True:
         r = _pm_trim([rng.randrange(p) for _ in range(k)])
         if len(r) < 2:
             continue
-        acc = conj = r + (0,) * (k - len(r))
+        acc = conj = r + (0,) * (R.k - len(r))
         for _ in range(d - 1):
             conj = sigma(conj)
             acc = mul(acc, conj) if p > 2 else tuple(map(int.__xor__, acc, conj))
@@ -446,7 +450,7 @@ def _equal_degree_split(f, d, p, rng):
         g = _pm_gcd(acc, f, p)
         if 0 < len(g) - 1 < k:
             other = _pm_divmod(f, g, p)[0]
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(other, d, p, rng)
+            return _equal_degree_split(R, g, d, rng) + _equal_degree_split(R, other, d, rng)
 
 
 def poly_factor_mod_p(f: UniPoly, p: int):
@@ -471,24 +475,13 @@ def poly_factor_mod_p(f: UniPoly, p: int):
     monic = _pm_monic(c, p)
     found = {}
     for g, mult in _squarefree_parts(monic, p):
-        for d, block in _distinct_degree(g, p):
-            for irr in _equal_degree_split(block, d, p, rng):
+        R = FiniteField(p, UniPoly(g), check=False)
+        for d, block in _distinct_degree(R):
+            for irr in _equal_degree_split(R, block, d, rng):
                 found[irr] = found.get(irr, 0) + mult
     out = [(UniPoly(k), m) for k, m in found.items()]
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
-
-
-def _is_irreducible_mod_p(c, p):
-    """Rabin irreducibility test for a monic nonconstant polynomial tuple
-    mod p, with x^(p^j) mod c as j steps of the p-power map."""
-    n = len(c) - 1
-    sigma, x = _frobenius_map(c, p)[1], _pm_mod((0, 1), c, p)  # x is a constant when n = 1
-    hs = [x + (0,) * (n - len(x))]
-    for _ in range(n):
-        hs.append(sigma(hs[-1]))
-    return hs[n] == hs[0] and all(
-        len(_pm_gcd(_pm_sub(hs[n // r], x, p), c, p)) == 1 for r in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +583,23 @@ class FiniteField:
         if len(c) < 2:
             raise ValueError("modulus must be nonconstant")
         c = _pm_monic(c, p)
-        if check and not _is_irreducible_mod_p(c, p):
-            raise ValueError(f"modulus {modulus!r} is reducible mod {p}")
         self.p = p
         self._mod_c = c
         self.modulus = UniPoly(c)
         self.k = len(c) - 1
         self.order = p ** self.k
-        self._kernel = None  # built on the first multiply
+        self._kernel = None  # the multiply, built on first use
         self._frob = {}  # e -> the map x -> x^(p^e), each built on first use
+        # a reducible modulus has a factor of degree d <= k/2, and the distinct-degree
+        # step d finds it (von zur Gathen and Gerhard, Modern Computer Algebra, 14.2)
+        if check and _distinct_degree(self) != [(self.k, c)]:
+            raise ValueError(f"modulus {modulus!r} is reducible mod {p}")
 
     def mul_kernel(self):
         """This field's multiply on coefficient tuples (see `_mul_kernel`),
-        built on the first call and kept on the field. Threads that race
-        here build equal kernels, and either one may be kept."""
+        built on first use (a checked field uses it in its check) and kept
+        on the field. Threads that race here build equal kernels, and
+        either one may be kept."""
         if self._kernel is None:
             self._kernel = _mul_kernel(self.p, self._mod_c)
         return self._kernel
@@ -927,42 +923,13 @@ def poly_norm(f: UniPoly, g: UniPoly) -> int:
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("poly_norm wants a monic nonconstant modulus")
-    n = f.degree
-    gred = _zred(g, f)
-    if all(c == 0 for c in gred):
+    cols = [_zmulmod(g.coeffs, (1,), f.coeffs)]
+    if not any(cols[0]):
         return 0
-    cols = []
-    cur = list(gred)
-    for _ in range(n):
-        cols.append(list(cur))
-        cur = _zshift_mod(cur, f)
+    for _ in range(f.degree - 1):
+        cols.append(_zmulmod((0, 1), cols[-1], f.coeffs))
     # cols[j] = coords of x^j * g; determinant of the matrix with those columns
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return bareiss_det(rows)
-
-
-def _zred(g: UniPoly, f: UniPoly):
-    """Reduce integer polynomial g mod monic f; fixed-length coord list."""
-    n = f.degree
-    c = list(g.coeffs)
-    for i in range(len(c) - 1, n - 1, -1):
-        top = c[i]
-        if top:
-            for j in range(n):
-                c[i - n + j] -= top * f.coeffs[j]
-        c.pop()
-    return c + [0] * (n - len(c))
-
-
-def _zshift_mod(coords, f: UniPoly):
-    """coords of v -> coords of x*v mod monic f."""
-    n = f.degree
-    top = coords[n - 1]
-    out = [0] + coords[: n - 1]
-    if top:
-        for j in range(n):
-            out[j] -= top * f.coeffs[j]
-    return out
+    return bareiss_det(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,7 +993,7 @@ def _squarefree(poly):
 
 def _sturm_chain(f, g):
     """The Sturm-Tarski chain of squarefree f and f' * g."""
-    chain = [f, (UniPoly(_zderivative(f)) * UniPoly(g)).coeffs]
+    chain = [f, tuple(_zmul(_zderivative(f), g))]
     while chain[-1]:
         chain.append(tuple(-c for c in _zprimitive(_zsprem(chain[-2], chain[-1]))))
     chain.pop()

@@ -15,6 +15,7 @@ from .exactarith import (
     FFElement,
     FiniteField,
     UniPoly,
+    _zmulmod,
     chain_pow,
     is_prime,
     poly_discriminant,
@@ -118,25 +119,6 @@ class NumberFieldOrder(Frozen):
         return self.element([0, 1])
 
 
-def _reduce_mul(order: NumberFieldOrder, a, b):
-    """Schoolbook product of two integer coordinate tuples reduced mod
-    the defining polynomial."""
-    n = order.degree
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    fc = order.poly.coeffs
-    for i in range(len(prod) - 1, n - 1, -1):
-        top = prod[i]
-        if top:
-            for j in range(n):
-                prod[i - n + j] -= top * fc[j]
-        prod.pop()
-    return tuple(prod[:n])
-
-
 class NFElement:
     """Element of a NumberFieldOrder; exact integer coordinates."""
 
@@ -178,9 +160,7 @@ class NFElement:
         if isinstance(other, int):
             return NFElement(self.order, tuple(a * other for a in self.coords))
         o = self._coerce(other)
-        return NFElement(
-            self.order, _reduce_mul(self.order, self.coords, o.coords)
-        )
+        return NFElement(self.order, _zmulmod(self.coords, o.coords, self.order.poly.coeffs))
 
     __rmul__ = __mul__
 
@@ -290,7 +270,7 @@ def _split_prime(order: NumberFieldOrder, q: int):
                 e=mult,
                 fdeg=g.degree,
                 residue_field=rf,
-                theta_image=rf.gen() if g.degree > 1 else rf.from_int(-g.coeffs[0]),
+                theta_image=rf.gen(),
             )
         )
     assert sum(p.e * p.fdeg for p in primes) == order.degree

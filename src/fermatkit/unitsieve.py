@@ -111,14 +111,6 @@ class UnitClass(Frozen):
         _set_index(u, n)  # the slot's own setter: the frozen __setattr__ is not consulted
         return u
 
-    def unit(self):
-        """The actual unit of Z[zeta_13] this class represents."""
-        gens = cyclotomic_unit_generators()
-        acc = get_order("Zzeta13").one()
-        for g, e in zip(gens, self.exps):
-            acc = acc * g**e
-        return acc
-
 
 _set_index = UnitClass.index.__set__
 

@@ -30,8 +30,6 @@ from fermatkit.exactarith import (
 from fermatkit.exactarith import (
     _distinct_degree,
     _equal_degree_split,
-    _frobenius_map,
-    _is_irreducible_mod_p,
     _pm_gcd,
     _pm_mod,
     _pm_mul,
@@ -63,6 +61,33 @@ def _pm_powmod(a, e, mod, p):
 
 def _pad(a, k):
     return tuple(a) + (0,) * (k - len(a))
+
+
+def _rabin(c, p):
+    """Rabin's irreducibility test for the monic tuple c mod p, on
+    schoolbook powers: x^(p^n) = x mod c, and x^(p^(n/r)) - x is prime to
+    c for each prime r dividing n = deg c."""
+    n, x = len(c) - 1, _pm_mod((0, 1), c, p)
+    if _pm_sub(_pm_powmod(x, p**n, c, p), x, p):
+        return False
+    return all(
+        len(_pm_gcd(_pm_sub(_pm_powmod(x, p ** (n // r), c, p), x, p), c, p)) == 1
+        for r in factorize(n)
+    )
+
+
+def _accepts(p, c):
+    """Whether FiniteField takes the monic tuple c as a checked modulus."""
+    try:
+        FiniteField(p, UniPoly(c))
+    except ValueError:
+        return False
+    return True
+
+
+def _ring(p, c):
+    """F_p[x]/(c) for a monic tuple c, not necessarily irreducible."""
+    return FiniteField(p, UniPoly(c), check=False)
 
 
 class TestUniPoly:
@@ -191,14 +216,15 @@ class TestFactorModP:
 
     @pytest.mark.parametrize("p", [2, 3, 23, 29, 101, 2**61 - 1])
     def test_frobenius_map_powers_match_schoolbook(self, p):
-        """In F_p[x]/(f), f monic and mostly reducible, the packed p-power
-        map is the schoolbook r^p, and for odd p
+        """In the ring F_p[x]/(f), f monic and mostly reducible, the field
+        class's packed p-power map is the schoolbook r^p, and for odd p
         (r sigma(r) ... sigma^(d-1)(r))^((p-1)/2) is the schoolbook
         r^((p^d-1)/2); past 64-bit slots both kernels fall back to schoolbook."""
         rng = random.Random(p)
         for k in (1, 2, 3, 6, 12):
             f = tuple(rng.randrange(p) for _ in range(k)) + (1,)
-            mul, sigma = _frobenius_map(f, p)
+            R = _ring(p, f)
+            mul, sigma = R.mul_kernel(), R.frobenius_kernel(1)
             for _ in range(3):
                 r = _pad([rng.randrange(p) for _ in range(k)], k)
                 assert sigma(r) == _pad(_pm_powmod(r, p, f, p), k), (f, r)
@@ -212,47 +238,52 @@ class TestFactorModP:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 29])
     def test_rabin_and_equal_degree_against_schoolbook(self, p):
-        """The Rabin test agrees with one on schoolbook powers, and the
-        equal-degree split of a product of distinct irreducibles of one
-        degree returns exactly those irreducibles."""
-
-        def rabin(c):
-            n, x = len(c) - 1, _pm_mod((0, 1), c, p)
-            if _pm_sub(_pm_powmod(x, p**n, c, p), x, p):
-                return False
-            return all(
-                len(_pm_gcd(_pm_sub(_pm_powmod(x, p ** (n // r), c, p), x, p), c, p)) == 1
-                for r in factorize(n)
-            )
-
+        """The checked field accepts a modulus exactly when the Rabin test on
+        schoolbook powers calls it irreducible, and the equal-degree split
+        of a product of distinct irreducibles of one degree returns exactly
+        those irreducibles, in the ring of that product and in a ring whose
+        modulus is that product times an irreducible of another degree."""
         rng = random.Random(10 + p)
         irreducible = {}
         for _ in range(60):
             k = rng.randrange(1, 7)
             c = tuple(rng.randrange(p) for _ in range(k)) + (1,)
-            assert _is_irreducible_mod_p(c, p) == rabin(c), c
-            if rabin(c):
+            assert _accepts(p, c) == _rabin(c, p), c
+            if _rabin(c, p):
                 irreducible.setdefault(k, set()).add(c)
         for d, gs in irreducible.items():
             gs = sorted(gs)[:3]
             f = (1,)
             for g in gs:
                 f = _pm_mul(f, g, p)
-            got = _equal_degree_split(f, d, p, random.Random(1))
-            assert sorted(got) == gs, (d, gs)
+            extra = min(c for e in irreducible if e != d for c in irreducible[e])
+            for modulus in (f, _pm_mul(f, extra, p)):
+                got = _equal_degree_split(_ring(p, modulus), f, d, random.Random(1))
+                assert sorted(got) == gs, (d, gs, modulus)
+
+    @pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 3)])
+    def test_checked_modulus_is_rabin_irreducible(self, p, top):
+        """Over every monic modulus of degree 1 to `top`, squarefree or not
+        (say (x^2 + 1)^2 mod 3), the checked field accepts exactly the ones
+        the Rabin test on schoolbook powers calls irreducible."""
+        for n in range(1, top + 1):
+            for i in range(p**n):
+                c = tuple(i // p**j % p for j in range(n)) + (1,)
+                assert _accepts(p, c) == _rabin(c, p), c
 
     @pytest.mark.parametrize("p", [2, 3, 5, 29])
     def test_distinct_degree_blocks(self, p):
         """A product of distinct irreducibles of degrees 1 to 4 splits into
         one block per degree, the product of that degree's factors, whichever
-        steps shed a block and so remake the p-power map (a last block is one
-        irreducible, returned whole once 2d passes its degree)."""
+        steps shed a block while x^(p^d) stays reduced mod the whole product
+        (a last block is one irreducible, returned whole once 2d passes its
+        degree)."""
         rng = random.Random(20 + p)
         irreducible = {}
         for _ in range(200):
             k = rng.randrange(1, 5)
             c = tuple(rng.randrange(p) for _ in range(k)) + (1,)
-            if _is_irreducible_mod_p(c, p):
+            if _accepts(p, c):
                 irreducible.setdefault(k, set()).add(c)
         assert sorted(irreducible) == [1, 2, 3, 4]
         product = lambda gs: functools.reduce(lambda u, v: _pm_mul(u, v, p), gs, (1,))
@@ -263,7 +294,7 @@ class TestFactorModP:
                 if gs:
                     want.append((d, product(gs)))
             if want:
-                assert _distinct_degree(product([g for _, g in want]), p) == want, want
+                assert _distinct_degree(_ring(p, product([g for _, g in want]))) == want, want
 
 
 F25 = FiniteField(5, UniPoly([3, 0, 1]), check=False)  # x^2 + 3 irreducible mod 5
@@ -417,7 +448,7 @@ class TestMulKernel:
         from fermatkit.exactarith import FFElement
 
         cached = _kernel_field(name)
-        F = FiniteField(cached.p, cached.modulus)
+        F = FiniteField(cached.p, cached.modulus, check=False)  # a check builds the maps
         exps = []
         plain = FFElement.__pow__
 
@@ -431,7 +462,8 @@ class TestMulKernel:
         assert exps == [F.p]
 
     def test_built_on_first_multiply(self):
-        F = FiniteField(29, split_prime(get_order("Zzeta13"), 29)[0].residue_field.modulus)
+        modulus = split_prime(get_order("Zzeta13"), 29)[0].residue_field.modulus
+        F = FiniteField(29, modulus, check=False)  # a check multiplies
         assert F._kernel is None
         F.gen() * F.gen()
         assert F._kernel is F.mul_kernel()

@@ -54,6 +54,15 @@ def _pair_element(a: int, b: int):
     return ZZ13.element([a, b])
 
 
+def _unit(cls: UnitClass):
+    """The unit of Z[zeta_13] the class stands for: the product of the
+    cyclotomic generators to its exponents."""
+    acc = ZZ13.one()
+    for g, e in zip(cyclotomic_unit_generators(), cls.exps):
+        acc = acc * g**e
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # naive oracle: walk all 16807 classes, one field multiply per class and prime
 
@@ -183,9 +192,9 @@ class TestUnitClass:
             assert v == u and v.index == u.index and hash(v) == hash(u)
 
     def test_unit_value(self):
-        u = UnitClass((1, 0, 0, 0, 0)).unit()
+        u = _unit(UnitClass((1, 0, 0, 0, 0)))
         assert u == cyclotomic_unit_generators()[0]
-        assert UnitClass((0,) * 5).unit() == ZZ13.one()
+        assert _unit(UnitClass((0,) * 5)) == ZZ13.one()
 
 
 class TestCharacters:
@@ -473,7 +482,7 @@ class TestSieve:
         rng = random.Random(12)
         pairs = [(0, 1), (1, 0)]
         for idx in rng.sample(range(UNIT_CLASS_COUNT), 40):
-            eps = UnitClass.from_index(idx).unit()
+            eps = _unit(UnitClass.from_index(idx))
             red_eps = reduce_element(eps, Q)
             ok = False
             for a, b in pairs:
@@ -495,7 +504,7 @@ class TestSieve:
                     for _ in range(5):
                         cls = UnitClass.from_index(rng.randrange(UNIT_CLASS_COUNT))
                         beta = ZZ13.element([rng.randrange(-2, 3) for _ in range(12)])
-                        w = cls.unit() * omz**delta * beta**7
+                        w = _unit(cls) * omz**delta * beta**7
                         cw = char_value(t, w)
                         if cw is None:
                             continue  # beta hit the prime; no condition
@@ -529,7 +538,7 @@ def test_class_residues_match_direct_powers(q):
     tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
     rng = random.Random(q)
     for idx in [0, UNIT_CLASS_COUNT - 1] + rng.sample(range(1, UNIT_CLASS_COUNT - 1), 38):
-        unit = UnitClass.from_index(idx).unit()
+        unit = _unit(UnitClass.from_index(idx))
         want = tuple((reduce_element(unit, Q) ** E).coeffs for Q, E in zip(primes, exps))
         assert _class_residues(tables, idx) == want
 
@@ -911,10 +920,12 @@ def test_character_work_count(monkeypatch):
     """A work count, not a timing: `unit-rank-verified` from empty table
     caches makes at most 20 `FFElement.__pow__` calls. It made 1237
     when the generator test and every character were full-field powers,
-    and 369 through subfield norms with int powers in F_q. It makes 10
+    and 369 through subfield norms with int powers in F_q. It makes 16
     in a fresh process, all of them t^q in `frobenius_kernel`: one per
     residue field above 2, 11, 19, 23, 29 and 41, when its first
-    Frobenius map is built (fewer once the fields hold their maps). The
+    Frobenius map is built (fewer once the fields hold their maps), and
+    one per ring F_q[x]/(Phi_13) that factoring Phi_13 mod those six q
+    builds for its distinct-degree steps. The
     check reads the sieve's own base (`_sieve_character`) and searches
     no generator; `first_generator`, behind the frozen omega, takes its
     powers by `chain_pow` on coefficient tuples, not by `__pow__`."""
