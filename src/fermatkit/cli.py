@@ -577,14 +577,15 @@ def cmd_split(args, ctx) -> int:
     ctx.report = report
     order = get_order(args.order)
     for q in args.q:
+        t0 = time.monotonic()
         primes = split_prime(order, q)
         lines = ", ".join(
             f"{P.key} (e={P.e}, f={P.fdeg}, theta->{list(P.theta_image.coeffs)})"
             for P in primes
         )
-        report.checks.append(
-            CheckResult(f"split-{q}", STATUS_PASS, f"{len(primes)} primes: {lines}")
-        )
+        report.checks.append(CheckResult(
+            f"split-{q}", STATUS_PASS, f"{len(primes)} primes: {lines}", ms=_elapsed_ms(t0)
+        ))
     return _emit(args, report)
 
 
@@ -592,39 +593,36 @@ def cmd_trace(args, ctx) -> int:
     report = RunReport(command="trace", version=__version__, seed=ctx.seed)
     ctx.report = report
     curve = _load_curve(ctx, args.curve)
-    for q in args.q:
-        for P in split_prime(curve.order, q):
-            name = f"trace-{P.key}"
-            if isinstance(curve, EllipticCurveNF):
-                rtype = ec_reduction_type(curve, P)
-                if rtype != "good":
-                    report.checks.append(
-                        CheckResult(name, STATUS_PASS, f"bad reduction ({rtype}); not computed")
-                    )
-                    continue
-                a = ec_trace(curve, P)
-                report.checks.append(
-                    CheckResult(
-                        name, STATUS_PASS,
-                        f"a = {a}, N = {P.norm} (|a| <= 2*sqrt(N): {a*a <= 4*P.norm})",
-                    )
-                )
-            else:
-                try:
-                    e = g2_euler_factor(curve, P)
-                except SingularReductionError as exc:
-                    report.checks.append(CheckResult(name, STATUS_PASS, f"bad reduction: {exc}"))
-                    continue
-                try:
-                    split = g2_rm_split(e)
-                    pair = " , ".join(_fmt_nf(x) for x in sorted(split.pair, key=lambda v: v.coords))
-                    extra = f"RM pair {{{pair}}}, mod-7 residues {sorted(rm_residues_mod_p7(split))}"
-                except NotRMSplitError as exc:
-                    extra = f"no RM split: {exc}"
-                report.checks.append(
-                    CheckResult(name, STATUS_PASS, f"N={e.N}, a1={e.a1}, a2={e.a2}; {extra}")
-                )
+    primes = [P for q in args.q for P in split_prime(curve.order, q)]
+    for P in primes:
+        _check_count_field(curve, P)
+    for P in primes:
+        t0 = time.monotonic()
+        detail = _trace_detail(curve, P)
+        report.checks.append(CheckResult(f"trace-{P.key}", STATUS_PASS, detail, ms=_elapsed_ms(t0)))
     return _emit(args, report)
+
+
+def _trace_detail(curve, P) -> str:
+    """The row of `trace` at P: the Frobenius trace of an elliptic curve,
+    the Euler factor and its RM split for a genus-2 one."""
+    if isinstance(curve, EllipticCurveNF):
+        rtype = ec_reduction_type(curve, P)
+        if rtype != "good":
+            return f"bad reduction ({rtype}); not computed"
+        a = ec_trace(curve, P)
+        return f"a = {a}, N = {P.norm} (|a| <= 2*sqrt(N): {a*a <= 4*P.norm})"
+    try:
+        e = g2_euler_factor(curve, P)
+    except SingularReductionError as exc:
+        return f"bad reduction: {exc}"
+    try:
+        split = g2_rm_split(e)
+        pair = " , ".join(_fmt_nf(x) for x in sorted(split.pair, key=lambda v: v.coords))
+        extra = f"RM pair {{{pair}}}, mod-7 residues {sorted(rm_residues_mod_p7(split))}"
+    except NotRMSplitError as exc:
+        extra = f"no RM split: {exc}"
+    return f"N={e.N}, a1={e.a1}, a2={e.a2}; {extra}"
 
 
 def cmd_igusa(args, ctx) -> int:
@@ -654,12 +652,16 @@ def cmd_igusa(args, ctx) -> int:
 def cmd_check_congruence(args, ctx) -> int:
     report = RunReport(command="check-congruence", version=__version__, seed=ctx.seed)
     ctx.report = report
+    cap = math.isqrt(MAX_G2_COUNT_FIELD)  # a genus-2 count at norm N runs over F_{N^2}
+    if args.bound > cap:
+        raise ValueError(f"--bound: expected a norm bound at most {cap}, got {args.bound}")
     E = _load_curve(ctx, args.curve_e)
     C = _load_curve(ctx, args.curve_c)
+    t0 = time.monotonic()
     checked, failures = congruence_failures(E, C, args.bound)
     status = STATUS_PASS if not failures else STATUS_FAIL
     detail = f"{checked} good primes of norm <= {args.bound} checked; {len(failures)} failures"
-    report.checks.append(CheckResult("mod7-congruence", status, detail))
+    report.checks.append(CheckResult("mod7-congruence", status, detail, ms=_elapsed_ms(t0)))
     for key, t, res in failures:
         report.checks.append(
             CheckResult(f"failure-{key}", STATUS_FAIL, f"a={t}, a mod 7 = {t%7} not in {res}")
@@ -685,14 +687,31 @@ MAX_CONSTRAINT_Q = 200
 # so they are not capped.
 MAX_RESIDUE_FIELD = 2**16
 
-# The largest field F_{N(P)^2}, P above a modular constraint's q in the
-# order of its genus-2 `targets_from_curve`, that the Euler factor may
-# count over; MAX_RESIDUE_FIELD, on the family's order, does not bound it.
-# The cost grows with its size: 0.3 s over F_{41^4} (41 is inert in
-# Q(sqrt13)) and 2.2 s over F_{67^4} on one Xeon core, minutes over
-# F_{197^4}. 2^22 keeps F_{41^4} (2,825,761 elements) and refuses every
-# inert q from 47 on (4,879,681).
+# The largest field a point count may walk: F_{N(P)^2} for a genus-2
+# Euler factor, F_{N(P)} for an elliptic trace. It caps the counts of
+# `trace`/`euler` (every prime is checked before the first count), the
+# norm bound of `check-congruence` (at most sqrt(2^22) = 2048, default
+# 200; 2048 checks 312 primes in about 24 s and 55 MB) and the genus-2
+# `targets_from_curve` of a modular constraint, which MAX_RESIDUE_FIELD,
+# on the family's order, does not bound. The cost grows with the field:
+# 0.3 s over F_{41^4} (41 is inert in Q(sqrt13)) and about 2.2 s over
+# F_{67^4} on one Xeon core, minutes over F_{197^4}. 2^22 keeps F_{41^4}
+# (2,825,761 elements) and refuses every inert q from 47 on (4,879,681),
+# so `trace C_eq51.curve 67` is refused; the elliptic
+# `trace E_1_-1.curve 1000003` (split, 1.9 s per process) still runs, and
+# the inert 100003 (N(P) about 10^10) is refused.
 MAX_G2_COUNT_FIELD = 2**22
+
+
+def _check_count_field(curve, P) -> None:
+    """Refuse a prime P at which a point count on `curve` would walk a
+    field of more than MAX_G2_COUNT_FIELD elements."""
+    genus2 = isinstance(curve, HyperellipticCurveNF)
+    size = P.norm**2 if genus2 else P.norm
+    if size > MAX_G2_COUNT_FIELD:
+        raise ValueError(
+            f"the {'genus-2' if genus2 else 'elliptic'} point count at {P.key} runs over "
+            f"{size} elements, more than {MAX_G2_COUNT_FIELD}")
 
 
 def _check_residue_fields(family, q: int, where: str) -> None:
@@ -820,10 +839,7 @@ def _load_constraints(ctx, path):
                         raise ValueError(f"the curve is over {curve.order.label}, "
                                          f"family {fam.label} over {fam.order.label}")
                     for P in split_prime(curve.order, q):
-                        if P.norm**2 > MAX_G2_COUNT_FIELD:
-                            raise ValueError(
-                                f"the genus-2 point count at {P.key} runs over {P.norm**2} "
-                                f"elements, more than {MAX_G2_COUNT_FIELD}")
+                        _check_count_field(curve, P)
                     targets = modular_targets_from_curve(curve, q)
                 except (OSError, ValueError) as e:
                     raise ValueError(f"{pos}.targets_from_curve: {e}") from None

@@ -404,10 +404,17 @@ def _power_rows(q, m) -> list:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _slot_mask(low: bytes, n: int) -> int:
+    """The quotient mask of n slots: `low` repeated n times, built once
+    per (field, slot count)."""
+    return int.from_bytes(low * n, "little")
+
+
 def _reduce_slots(V, n, T: _PackedField) -> int:
     """V with each of its n slots v replaced by v mod q: one multiply,
     shift and mask give every quotient (see `_log_table`)."""
-    return V - T.q * ((V * T.magic >> T.shift) & int.from_bytes(T.low * n, "little"))
+    return V - T.q * ((V * T.magic >> T.shift) & _slot_mask(T.low, n))
 
 
 def _chi_sum(R, n, T: _PackedField) -> int:

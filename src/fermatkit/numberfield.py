@@ -241,8 +241,12 @@ def known_orders():
 
 
 def split_prime(order: NumberFieldOrder, q: int):
-    """Primes of the order above q, one per irreducible factor mod q.
+    """Primes of the order above q, one per irreducible factor mod q, in
+    the frozen factor order of `poly_factor_mod_p`.
 
+    A quadratic order at an odd q is split in closed form, by one square
+    root mod q (`_split_prime`); every other order and q = 2 go through
+    `poly_factor_mod_p`, which stays the reference for the closed form.
     Results are memoized per (order, q); PrimeIdealData values are
     immutable, so the cached list is shared freely.
     """
@@ -255,9 +259,50 @@ def split_prime(order: NumberFieldOrder, q: int):
     return _split_prime(order, q)
 
 
+def _sqrt_mod(a: int, q: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime q:
+    a^((q+1)/4) when q = 3 mod 4, Tonelli-Shanks otherwise (Cohen, *A
+    Course in Computational Algebraic Number Theory*, Algorithm 1.5.1)."""
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    c, x, b = pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:  # x^2 = a b, with b of order 2^i for some i < s
+        i, b2 = 1, b * b % q
+        while b2 != 1:
+            i, b2 = i + 1, b2 * b2 % q
+        d = pow(c, 1 << (s - i - 1), q)
+        s, c = i, d * d % q
+        x, b = x * d % q, b * c % q
+    return x
+
+
+def _quadratic_factors(g0: int, g1: int, q: int):
+    """The factor list of `poly_factor_mod_p` for x^2 + g1 x + g0 modulo
+    the odd prime q, from D = g1^2 - 4 g0: (x + g1/2)^2 when D = 0 mod q,
+    the polynomial itself when D is not a square (Euler's criterion), and
+    x - (-g1 +- r)/2 with r^2 = D otherwise, sorted by coefficients."""
+    D, half = (g1 * g1 - 4 * g0) % q, (q + 1) // 2
+    if D == 0:
+        return [(UniPoly([g1 * half % q, 1]), 2)]
+    if pow(D, (q - 1) // 2, q) != 1:
+        return [(UniPoly([g0 % q, g1 % q, 1]), 1)]
+    r = _sqrt_mod(D, q)
+    return [(UniPoly([c, 1]), 1) for c in sorted(((g1 + r) * half % q, (g1 - r) * half % q))]
+
+
 @lru_cache(maxsize=None)
 def _split_prime(order: NumberFieldOrder, q: int):
-    factors = poly_factor_mod_p(order.poly, q)
+    """`split_prime` past its checks. The factors of a quadratic order's
+    polynomial at an odd q come from `_quadratic_factors`, equal to those
+    of `poly_factor_mod_p`, which factors every other case."""
+    if order.degree == 2 and q != 2:
+        factors = _quadratic_factors(*order.poly.coeffs[:2], q)
+    else:
+        factors = poly_factor_mod_p(order.poly, q)
     primes = []
     for i, (g, mult) in enumerate(factors):
         rf = FiniteField(q, g, check=False)

@@ -140,6 +140,22 @@ class TestBasicCommands:
                       "[2, 0, 6, 0, 0]]",
         }]
 
+    @pytest.mark.parametrize("argv,names", [
+        (["split", "Qsqrt13", "3", "13"], ["split-3", "split-13"]),
+        (["trace", "curves/E_1_-1.curve", "5", "2"], ["trace-5.0", "trace-2.0"]),
+        (["euler", "curves/C_eq51.curve", "3"], ["trace-3.0", "trace-3.1"]),
+        (["check-congruence", "--bound", "30"], ["mod7-congruence"]),
+    ], ids=["split", "trace", "euler", "check-congruence"])
+    def test_rows_report_their_time(self, capsys, monkeypatch, argv, names):
+        import fermatkit.cli as cli
+
+        stamps = iter(range(101, 200))
+        monkeypatch.setattr(cli, "_elapsed_ms", lambda t0: next(stamps))
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0
+        rows = json.loads(out)["checks"]
+        assert [(c["name"], c["ms"]) for c in rows] == list(zip(names, range(101, 200)))
+
     def test_sieve_lists_a_modular_family_among_inputs(self, capsys, tmp_path):
         import hashlib
 
@@ -610,6 +626,56 @@ class TestErrors:
         [c] = seen[0]
         assert (c.q, c.mode) == (41, "modular")
         assert [key for key, _ in c.targets] == ["41.0"]
+
+    @pytest.mark.parametrize("argv,kind,key,size", [
+        (["trace", "curves/C_eq51.curve", "3", "197"], "genus-2", "197.0", 197**4),
+        (["euler", "curves/C_eq51.curve", "67"], "genus-2", "67.0", 67**4),
+        (["trace", "curves/E_1_-1.curve", "5", "100003"], "elliptic", "100003.0", 100003**2),
+    ], ids=["genus2-inert-197", "euler-inert-67", "elliptic-inert-100003"])
+    def test_trace_count_field_above_the_cap(self, capsys, monkeypatch, argv, kind, key, size):
+        """Each of these primes is inert in Q(sqrt13): the count would walk
+        F_{N(P)^2} (genus 2) or F_{N(P)} (elliptic) past the cap. The
+        command is refused before any count, also the one at the first q."""
+        import fermatkit.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("a point count started over a capped field")
+
+        monkeypatch.setattr(cli, "g2_euler_factor", refuse)
+        monkeypatch.setattr(cli, "ec_trace", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: the {kind} point count at {key} runs over {size} elements, "
+                       f"more than {cli.MAX_G2_COUNT_FIELD}\n")
+
+    def test_trace_split_prime_under_the_cap_is_admitted(self):
+        """1000003 splits in Q(sqrt13): each elliptic count walks F_1000003,
+        under the cap (the count itself, about 1 s, is not run here)."""
+        import fermatkit.cli as cli
+        from fermatkit.curves import load_curve
+        from fermatkit.numberfield import split_prime
+
+        E = load_curve(FIXTURES / "curves" / "E_1_-1.curve")
+        for P in split_prime(E.order, 1000003):
+            cli._check_count_field(E, P)  # N(P) = 1000003 is under the cap
+        assert 1000003 <= cli.MAX_G2_COUNT_FIELD
+
+    def test_check_congruence_bound_above_the_cap(self, capsys, monkeypatch):
+        """A prime of norm N costs a genus-2 count over F_{N^2}, so the norm
+        bound stops at sqrt(MAX_G2_COUNT_FIELD) = 2048."""
+        import fermatkit.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the congruence check started past the cap")
+
+        monkeypatch.setattr(cli, "congruence_failures", refuse)
+        code, out, err = run(capsys, "check-congruence", "--bound", "2049")
+        assert code == 2 and out == ""
+        assert err == "error: --bound: expected a norm bound at most 2048, got 2049\n"
+        assert 2048**2 == cli.MAX_G2_COUNT_FIELD
+        monkeypatch.setattr(cli, "congruence_failures", lambda E, C, bound: (0, []))
+        code, out, _ = run(capsys, "check-congruence", "--bound", "2048")
+        assert code == 0 and "norm <= 2048" in out
 
     @pytest.mark.parametrize("cons,where", [
         ([1], "consistency:"),

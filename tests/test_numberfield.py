@@ -2,11 +2,20 @@ import random
 
 import pytest
 
-from fermatkit.exactarith import FiniteField, UniPoly, _pm_mod, _pm_trim
+from fermatkit import numberfield
+from fermatkit.exactarith import (
+    FiniteField,
+    UniPoly,
+    _pm_mod,
+    _pm_trim,
+    is_prime,
+    poly_factor_mod_p,
+)
 from fermatkit.numberfield import (
     NumberFieldOrder,
     UnsupportedPrimeError,
     UnsupportedValuationError,
+    _sqrt_mod,
     cyclotomic_unit_generators,
     element_norm,
     get_order,
@@ -334,3 +343,39 @@ def test_split_cache_shared_by_equal_orders_and_checked_first():
         split_prime(guarded, 3)
     with pytest.raises(ValueError, match="not prime"):
         split_prime(K13, 15)
+
+
+class TestQuadraticSplit:
+    """The closed form of `_split_prime` for the two quadratic orders, with
+    `poly_factor_mod_p` as its reference."""
+
+    PRIMES = [q for q in range(2, 2000) if is_prime(q)]
+
+    @pytest.mark.parametrize("order", [K13, Z2], ids=lambda o: o.label)
+    def test_matches_the_generic_factorizer(self, order):
+        numberfield._split_prime.cache_clear()
+        for q in self.PRIMES:
+            primes = split_prime(order, q)
+            assert [(P.factor, P.e) for P in primes] == poly_factor_mod_p(order.poly, q), q
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 97, 193, 257])
+    def test_square_roots_against_brute_force(self, p):
+        """p = 3 mod 4 and 2-adic valuations of p - 1 from 1 to 8, so
+        every branch of Tonelli-Shanks runs."""
+        roots = {}
+        for x in range(1, p):
+            roots.setdefault(x * x % p, set()).add(x)
+        for a, xs in roots.items():
+            assert _sqrt_mod(a, p) in xs, (p, a)
+
+    def test_quadratic_orders_split_without_the_generic_factorizer(self, monkeypatch):
+        want = {(order, q): poly_factor_mod_p(order.poly, q)
+                for order in (K13, Z2) for q in self.PRIMES if 2 < q < 200}
+
+        def refuse(*args):
+            raise AssertionError("a quadratic order reached poly_factor_mod_p")
+
+        monkeypatch.setattr(numberfield, "poly_factor_mod_p", refuse)
+        numberfield._split_prime.cache_clear()
+        for (order, q), factors in want.items():
+            assert [(P.factor, P.e) for P in split_prime(order, q)] == factors, (order.label, q)
