@@ -103,6 +103,12 @@ def _elapsed_ms(t0: float) -> int:
     return math.ceil((time.monotonic() - t0) * 1000)
 
 
+def _timed(fn, *args, **kw):
+    """fn(*args, **kw) and its `_elapsed_ms`."""
+    t0 = time.monotonic()
+    return fn(*args, **kw), _elapsed_ms(t0)
+
+
 class RunReport:
     def __init__(self, command: str, version: str, seed: int):
         self.command = command
@@ -150,6 +156,11 @@ class _Ctx:
         self.seed = seed
         self.report = None  # set per command
         self.curves = {}  # path -> curve, each fixture parsed and validated once
+
+    def new_report(self, command: str) -> "RunReport":
+        """A report of `command`, the one that lists the inputs read from now on."""
+        self.report = RunReport(command=command, version=__version__, seed=self.seed)
+        return self.report
 
     def input(self, rel) -> Path:
         """The path of an input file, relative ones under the fixtures
@@ -544,8 +555,7 @@ CHECK_NAMES = list(_CHECK_FNS)
 
 def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport:
     ctx = _Ctx(fixtures or _FIXTURES_DIR, seed)
-    report = RunReport(command="full-report", version=__version__, seed=seed)
-    ctx.report = report
+    report = ctx.new_report("full-report")
     for name in names or CHECK_NAMES:
         fn = _CHECK_FNS.get(name)
         if fn is None:
@@ -573,33 +583,28 @@ def _emit(args, report: RunReport) -> int:
 
 
 def cmd_split(args, ctx) -> int:
-    report = RunReport(command="split", version=__version__, seed=ctx.seed)
-    ctx.report = report
+    report = ctx.new_report("split")
     order = get_order(args.order)
     for q in args.q:
-        t0 = time.monotonic()
-        primes = split_prime(order, q)
+        primes, ms = _timed(split_prime, order, q)
         lines = ", ".join(
             f"{P.key} (e={P.e}, f={P.fdeg}, theta->{list(P.theta_image.coeffs)})"
             for P in primes
         )
-        report.checks.append(CheckResult(
-            f"split-{q}", STATUS_PASS, f"{len(primes)} primes: {lines}", ms=_elapsed_ms(t0)
-        ))
+        detail = f"{len(primes)} primes: {lines}"
+        report.checks.append(CheckResult(f"split-{q}", STATUS_PASS, detail, ms=ms))
     return _emit(args, report)
 
 
 def cmd_trace(args, ctx) -> int:
-    report = RunReport(command="trace", version=__version__, seed=ctx.seed)
-    ctx.report = report
+    report = ctx.new_report("trace")
     curve = _load_curve(ctx, args.curve)
     primes = [P for q in args.q for P in split_prime(curve.order, q)]
     for P in primes:
         _check_count_field(curve, P)
     for P in primes:
-        t0 = time.monotonic()
-        detail = _trace_detail(curve, P)
-        report.checks.append(CheckResult(f"trace-{P.key}", STATUS_PASS, detail, ms=_elapsed_ms(t0)))
+        detail, ms = _timed(_trace_detail, curve, P)
+        report.checks.append(CheckResult(f"trace-{P.key}", STATUS_PASS, detail, ms=ms))
     return _emit(args, report)
 
 
@@ -626,42 +631,40 @@ def _trace_detail(curve, P) -> str:
 
 
 def cmd_igusa(args, ctx) -> int:
-    report = RunReport(command="igusa", version=__version__, seed=ctx.seed)
-    ctx.report = report
-    curve = _load_curve(ctx, args.curve)
+    report = ctx.new_report("igusa")
+    curve, ms = _timed(_load_curve, ctx, args.curve)  # a sextic's invariants come with it
     if not isinstance(curve, HyperellipticCurveNF):
         print("igusa needs a sextic curve file", file=sys.stderr)
         return 2
     inv = igusa_clebsch(curve)
     for name, v in zip(("I2", "I4", "I6", "I10"), inv):
         report.checks.append(
-            CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]")
+            CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]", ms=ms)
         )
     if args.reference:
-        proj, exact = _reference_comparison(ctx, inv)
+        (proj, exact), ms = _timed(_reference_comparison, ctx, inv)
         report.checks.append(
             CheckResult(
                 "reference-comparison",
                 STATUS_PASS if (proj and exact) else STATUS_FAIL,
                 f"weighted-projective equal: {proj}; exact with alpha: {exact}",
+                ms=ms,
             )
         )
     return _emit(args, report)
 
 
 def cmd_check_congruence(args, ctx) -> int:
-    report = RunReport(command="check-congruence", version=__version__, seed=ctx.seed)
-    ctx.report = report
+    report = ctx.new_report("check-congruence")
     cap = math.isqrt(MAX_G2_COUNT_FIELD)  # a genus-2 count at norm N runs over F_{N^2}
     if args.bound > cap:
         raise ValueError(f"--bound: expected a norm bound at most {cap}, got {args.bound}")
     E = _load_curve(ctx, args.curve_e)
     C = _load_curve(ctx, args.curve_c)
-    t0 = time.monotonic()
-    checked, failures = congruence_failures(E, C, args.bound)
+    (checked, failures), ms = _timed(congruence_failures, E, C, args.bound)
     status = STATUS_PASS if not failures else STATUS_FAIL
     detail = f"{checked} good primes of norm <= {args.bound} checked; {len(failures)} failures"
-    report.checks.append(CheckResult("mod7-congruence", status, detail, ms=_elapsed_ms(t0)))
+    report.checks.append(CheckResult("mod7-congruence", status, detail, ms=ms))
     for key, t, res in failures:
         report.checks.append(
             CheckResult(f"failure-{key}", STATUS_FAIL, f"a={t}, a mod 7 = {t%7} not in {res}")
@@ -757,15 +760,15 @@ def _parse_refined(text: str):
 
 
 def cmd_eliminate(args, ctx) -> int:
-    report = RunReport(command="eliminate", version=__version__, seed=ctx.seed)
-    ctx.report = report
+    report = ctx.new_report("eliminate")
     q_list = _parse_q_list(args.q)
     p = _parse_refined(args.refined)
     fam_path = ctx.input(args.family)
+    t0 = time.monotonic()
     try:
         fam = load_family(fam_path)
     except ExternalDataSlotError as e:
-        report.checks.append(CheckResult("family", STATUS_SKIP, str(e)))
+        report.checks.append(CheckResult("family", STATUS_SKIP, str(e), ms=_elapsed_ms(t0)))
         return _emit(args, report)
     for q in q_list:
         if not fam.is_admissible(q):
@@ -779,18 +782,22 @@ def cmd_eliminate(args, ctx) -> int:
             raise ValueError(f"{pk_path}: packet {pkt.label}.base_field: {pkt.base_field!r} "
                              f"is not the order {fam.order.label!r} of the family in {fam_path}")
     skip = [s for s in (args.skip or "").split(",") if s]
-    # what the files define can still fail here: name the file it came from
+    # what the files define can still fail here: name the file it came from.
+    # One run per packet, in standard_eliminate's label order, times each row.
     try:
-        rep = standard_eliminate(packets, fam, q_list)
+        standard = [_timed(standard_eliminate, [pkt], fam, q_list)
+                    for pkt in sorted(packets, key=lambda pkt: pkt.label)]
         refined = [
-            refined_eliminate(pkt, fam, p, q_list, skip=skip, skip_ramified=args.skip_ramified)
+            _timed(refined_eliminate, pkt, fam, p, q_list, skip=skip,
+                   skip_ramified=args.skip_ramified)
             for pkt in (packets if p else ())
         ]
     except FamilyConfigError as e:
         raise type(e)(f"{fam_path}: {e}") from None
     except (PacketFormatError, UnsupportedResiduePrimeError, MissingEigenvalueError) as e:
         raise type(e)(f"{pk_path}: {e}") from None
-    for row in rep.standard:
+    for rep, ms in standard:
+        (row,) = rep.standard
         surv = "all primes" if row.surviving == "all" else sorted(row.surviving)
         report.checks.append(
             CheckResult(
@@ -798,9 +805,10 @@ def cmd_eliminate(args, ctx) -> int:
                 STATUS_PASS,
                 f"A_q = { {q: v for q, v in sorted(row.aq.items())} }, gcd = {row.overall_gcd}, "
                 f"surviving exponents: {surv}",
+                ms=ms,
             )
         )
-    for ref in refined:
+    for ref, ms in refined:
         for r in ref.refined:
             extra = f"witness q = {r.witness_q}" if r.witness_q else r.reason
             report.checks.append(
@@ -808,6 +816,7 @@ def cmd_eliminate(args, ctx) -> int:
                     f"refined-{r.label}-{r.residue_prime}",
                     STATUS_PASS,
                     f"{r.status}" + (f" ({extra})" if extra else ""),
+                    ms=ms,
                 )
             )
     return _emit(args, report)
@@ -911,8 +920,7 @@ def _constraint_entries(data) -> list:
 
 
 def cmd_sieve(args, ctx) -> int:
-    report = RunReport(command="sieve", version=__version__, seed=ctx.seed)
-    ctx.report = report
+    report = ctx.new_report("sieve")
     case = {"div13": "divisible-13", "coprime13": "coprime-13"}.get(args.case)
     if case is None:
         print("--case must be div13 or coprime13", file=sys.stderr)
@@ -922,9 +930,7 @@ def cmd_sieve(args, ctx) -> int:
     except ExternalDataSlotError as e:
         report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e)))
         return _emit(args, report)
-    t0 = time.monotonic()
-    bits = sieve_case_bits(case, constraints)
-    ms = _elapsed_ms(t0)
+    bits, ms = _timed(sieve_case_bits, case, constraints)
     count = bits.bit_count()
     first = [list(UnitClass.from_index(i).exps) for i in class_indices(bits)[:10]]
     report.checks.append(
@@ -953,8 +959,8 @@ def cmd_sieve(args, ctx) -> int:
 
 def cmd_check_invariants(args, ctx) -> int:
     """Randomized spot checks of arithmetic invariants (seeded)."""
-    report = RunReport(command="check-invariants", version=__version__, seed=ctx.seed)
-    ctx.report = report
+    report = ctx.new_report("check-invariants")
+    t0 = time.monotonic()
     rng = random.Random(ctx.seed)
     problems = []
 
@@ -1007,7 +1013,7 @@ def cmd_check_invariants(args, ctx) -> int:
 
     status = STATUS_PASS if not problems else STATUS_FAIL
     detail = "all randomized invariants hold" if not problems else "; ".join(sorted(set(problems)))
-    report.checks.append(CheckResult("randomized-invariants", status, detail))
+    report.checks.append(CheckResult("randomized-invariants", status, detail, ms=_elapsed_ms(t0)))
     return _emit(args, report)
 
 

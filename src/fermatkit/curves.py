@@ -33,7 +33,7 @@ from math import comb, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
-from .exactarith import _mul_kernel, first_generator
+from .exactarith import _mul_kernel, _zmulmod, first_generator
 from .jsonfile import fields, int_lists, one_of, read_json
 from .numberfield import (
     Frozen,
@@ -86,20 +86,14 @@ class EllipticCurveNF(Frozen):
 
     def __init__(self, a1: NFElement, a2: NFElement, a3: NFElement, a4: NFElement,
                  a6: NFElement):
-        order = a1.order
-        for a in (a2, a3, a4, a6):
-            if a.order != order:
-                raise ValueError("curve coefficients live in different orders")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "a4", a4)
-        object.__setattr__(self, "a6", a6)
+        if any(a.order != a1.order for a in (a2, a3, a4, a6)):
+            raise ValueError("curve coefficients live in different orders")
+        self._set(a1=a1, a2=a2, a3=a3, a4=a4, a6=a6)
         invariants = _covariants(self)
         if invariants[2].is_zero:
             raise ValueError("singular Weierstrass model (discriminant is zero)")
         # kept on the instance, outside the fields: eq, hash and repr ignore it
-        object.__setattr__(self, "_invariants", invariants)
+        self._set(_invariants=invariants)
 
     def __repr__(self):
         return (f"EllipticCurveNF(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
@@ -122,10 +116,8 @@ class HyperellipticCurveNF:
     def __init__(self, coeffs: tuple):
         if len(coeffs) != 7:
             raise ValueError("a sextic model needs exactly 7 coefficients")
-        order = coeffs[0].order
-        for c in coeffs:
-            if c.order != order:
-                raise ValueError("curve coefficients live in different orders")
+        if any(c.order != coeffs[0].order for c in coeffs):
+            raise ValueError("curve coefficients live in different orders")
         invariants = _sextic_invariants(tuple(coeffs))
         if invariants[3].is_zero:
             raise ValueError("singular sextic (discriminant invariant vanishes)")
@@ -147,9 +139,7 @@ class EulerFactorG2(Frozen):
             raise ValueError(f"Weil bound violated: |a1|={abs(a1)} > 4*sqrt({N})")
         if abs(a1 * a1 - 2 * a2) > 4 * N:
             raise ValueError("Weil bound violated for the second power sum")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
+        self._set(N=N, a1=a1, a2=a2)
 
     def _fields(self):
         return (self.N, self.a1, self.a2)
@@ -181,15 +171,32 @@ def ec_invariants(E: EllipticCurveNF):
 
 
 def _covariants(E: EllipticCurveNF):
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
-    disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-    return c4, c6, disc
+    mul, comb = _order_ring(E.order)
+    b2, b4, b6, disc = _b_invariants([x.coords for x in E._fields()], mul, comb)
+    b22 = mul(b2, b2)
+    c4, c6 = comb((1, b22), (-24, b4)), comb((-1, mul(b22, b2)), (36, mul(b2, b4)), (-216, b6))
+    return tuple(NFElement(E.order, c) for c in (c4, c6, disc))
+
+
+def _order_ring(order):
+    """(mul, comb) of `_b_invariants` on coordinate tuples of the order."""
+    fc, n = order.poly.coeffs, order.degree
+    return (lambda x, y: _zmulmod(x, y, fc),
+            lambda *terms: tuple([sum(c * x[j] for c, x in terms) for j in range(n)]))
+
+
+def _b_invariants(a, mul, comb):
+    """b2, b4, b6 and Delta of the model a = (a1, a2, a3, a4, a6) over a
+    ring given by its product `mul` and `comb(*terms)`, the sum of c x over
+    pairs (c, x) of an integer and an element. These are the integer
+    formulas, so they hold in every characteristic."""
+    a1, a2, a3, a4, a6 = a
+    a13, a33 = mul(a1, a3), mul(a3, a3)
+    b2, b4, b6 = comb((1, mul(a1, a1)), (4, a2)), comb((2, a4), (1, a13)), comb((1, a33), (4, a6))
+    b8 = comb((1, mul(b2, a6)), (-1, mul(a13, a4)), (1, mul(a2, a33)), (-1, mul(a4, a4)))
+    disc = comb((-1, mul(mul(b2, b2), b8)), (-8, mul(mul(b4, b4), b4)),
+                (-27, mul(b6, b6)), (9, mul(mul(b2, b4), b6)))
+    return b2, b4, b6, disc
 
 
 def same_j_invariant(E1: EllipticCurveNF, E2: EllipticCurveNF) -> bool:
@@ -504,22 +511,15 @@ def _abs_trace_to_f2(x):
 def _weierstrass_count(a, field):
     """Points (with infinity) over `field` of y^2 + a1 xy + a3 y = x^3 +
     a2 x^2 + a4 x + a6, the a_i given as coefficient tuples, and whether
-    its discriminant vanishes. The b_i and Delta are the integer formulas
-    (b8 = b2 a6 - a1 a3 a4 + a2 a3^2 - a4^2) taken mod p, so they hold in
-    every characteristic. p = 2 counts by the Artin-Schreier trace; odd p
-    counts (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 by summing
-    1 + chi over x."""
+    its discriminant vanishes (`_b_invariants` mod p). p = 2 counts by
+    the Artin-Schreier trace; odd p counts (2y + a1 x + a3)^2 = 4x^3 +
+    b2 x^2 + 2 b4 x + b6 by summing 1 + chi over x."""
     p, k, mul = field.p, field.k, field.mul_kernel()
 
     def comb(*terms):  # sum of c x over the (c, x) pairs
         return tuple([sum(c * x[j] for c, x in terms) % p for j in range(k)])
 
-    a1, a2, a3, a4, a6 = a
-    a13, a33 = mul(a1, a3), mul(a3, a3)
-    b2, b4, b6 = comb((1, mul(a1, a1)), (4, a2)), comb((2, a4), (1, a13)), comb((1, a33), (4, a6))
-    b8 = comb((1, mul(b2, a6)), (-1, mul(a13, a4)), (1, mul(a2, a33)), (-1, mul(a4, a4)))
-    disc = comb((-1, mul(mul(b2, b2), b8)), (-8, mul(mul(b4, b4), b4)),
-                (-27, mul(b6, b6)), (9, mul(mul(b2, b4), b6)))
+    b2, b4, b6, disc = _b_invariants(a, mul, comb)
     if p > 2:
         f = (b6, [2 * c for c in b4], b2, (4,) + (0,) * (k - 1))
         return 1 + _grid_count([list(zip(*f))], _field_tables(field)), not any(disc)
@@ -549,8 +549,7 @@ def _reduced_trace(a, field):
 
 def ec_trace(E: EllipticCurveNF, P: PrimeIdealData) -> int:
     """Frobenius trace a_P = N + 1 - #E(F_N) at a prime of good reduction."""
-    coeffs = (E.a1, E.a2, E.a3, E.a4, E.a6)
-    t = _reduced_trace(tuple(reduce_element(c, P).coeffs for c in coeffs), P.residue_field)
+    t = _reduced_trace(tuple(reduce_element(c, P).coeffs for c in E._fields()), P.residue_field)
     if t is None:
         raise BadReductionError(f"{E!r} has bad reduction at {P.key}")
     return t

@@ -46,7 +46,8 @@ from math import gcd
 from operator import mul
 from pathlib import Path
 
-from .curves import EllipticCurveNF, _reduced_trace, ec_invariants, load_curve, same_j_invariant
+from .curves import (EllipticCurveNF, _b_invariants, _order_ring, _reduced_trace, load_curve,
+                     same_j_invariant)
 from .exactarith import BiPoly, UniPoly, factorize, is_prime, poly_norm
 from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json, string
 from .newformdata import (
@@ -100,14 +101,10 @@ _COEFF_NAMES = ("a1", "a2", "a3", "a4", "a6")
 class FreyFamily(Frozen):
     def __init__(self, label: str, order: NumberFieldOrder, coeffs: tuple,
                  mult_rule: BiPoly, excluded_primes: tuple, residue_conditions: tuple):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "order", order)
-        # 5-tuple (one per Weierstrass slot) of per-basis BiPoly tuples
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "mult_rule", mult_rule)
-        object.__setattr__(self, "excluded_primes", excluded_primes)
-        # of (modulus, forbidden residue tuple)
-        object.__setattr__(self, "residue_conditions", residue_conditions)
+        # coeffs: 5-tuple (one per Weierstrass slot) of per-basis BiPoly tuples;
+        # residue_conditions: of (modulus, forbidden residue tuple)
+        self._set(label=label, order=order, coeffs=coeffs, mult_rule=mult_rule,
+                  excluded_primes=excluded_primes, residue_conditions=residue_conditions)
 
     def _fields(self):
         return (self.label, self.order, self.coeffs, self.mult_rule,
@@ -239,33 +236,37 @@ class _LocalData:
 
 @lru_cache(maxsize=None)
 def _local_data(family: FreyFamily, q: int) -> _LocalData:
-    """Reduction is a ring homomorphism, so a good pair's model mod P has
+    """Reduction is a ring homomorphism, so a pair's model mod P has
     coefficients sum_i bp_i(a, b) red(w_i), red(w_i) the image of the
-    order's basis in F_P, taken once per prime; its discriminant and
-    trace come from those tuples (`curves._reduced_trace`), counted once
-    per distinct tuple at each prime: many pairs share a reduced model.
-    Pairs the rule calls multiplicative (about q of them) are specialized
-    over the order, so a singular member still raises there. An
-    inadmissible q raises first (and, raising, is never cached)."""
+    order's basis in F_P, taken once per prime; a good pair's discriminant
+    and trace come from those tuples (`curves._reduced_trace`), counted
+    once per distinct tuple at each prime. A pair the rule calls
+    multiplicative (about q of them) takes its exact Delta over the order
+    (`curves._b_invariants`), so a singular member still raises, then its
+    images; no member curve is built. An inadmissible q raises first
+    (and, raising, is never cached)."""
     order, primes = family.order, tuple(family.primes_above(q))
     basis = [order.element([0] * i + [1]) for i in range(order.degree)]
     # per prime, column j lists component j of the images of the basis
     images = [list(zip(*(reduce_element(w, P).coeffs for w in basis))) for P in primes]
+    ring = _order_ring(order)
     counted = [{} for _ in primes]  # per prime: reduced model -> its trace
     cases = {}
     traces = {}
     for pair in residue_pairs(q):
         case = cases[pair] = family.reduction_case(q, *pair)
+        values = [[bp(*pair) for bp in per_basis] for per_basis in family.coeffs]
         if case == "multiplicative":
-            disc = ec_invariants(family.specialize(*pair))[2]
-            for P in primes:
-                if not reduce_element(disc, P).is_zero:
+            disc = _b_invariants(values, *ring)[3]
+            if not any(disc):
+                raise ValueError("singular Weierstrass model (discriminant is zero)")
+            for P, red in zip(primes, images):
+                if any(sum(map(mul, disc, col)) % q for col in red):
                     raise FamilyConfigError(
                         f"family {family.label}: rule says multiplicative at q={q}, "
                         f"pair {pair}, but the discriminant is a unit at {P.key}"
                     )
             continue
-        values = [[bp(*pair) for bp in per_basis] for per_basis in family.coeffs]
         row = traces[pair] = {}
         for P, red, memo in zip(primes, images, counted):
             a = tuple(tuple([sum(map(mul, vs, col)) % q for col in red]) for vs in values)

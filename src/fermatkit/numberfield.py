@@ -51,12 +51,16 @@ class UnsupportedValuationError(ValueError):
 class Frozen:
     """Base of the package's hashed records. Equality and the hash are
     those of the field tuple `_fields()` (an instance of another class is
-    never equal), and __init__ sets each field once with
-    object.__setattr__; assignment or deletion raises afterwards. (Not
-    through self.__dict__, which would turn the instance's inline
-    attribute values into a dict and make every field read slower.)"""
+    never equal), and __init__ sets each field once with `_set`;
+    assignment or deletion raises afterwards."""
 
     __slots__ = ()
+
+    def _set(self, **values):
+        # object.__setattr__, not self.__dict__, which would turn the inline
+        # attribute values into a dict and make every field read slower
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if self is other:  # NFElement arithmetic compares an order with itself
@@ -81,9 +85,7 @@ class NumberFieldOrder(Frozen):
     def __init__(self, label: str, poly: UniPoly, excluded_primes: tuple = ()):
         if not poly.is_monic or poly.degree < 1:
             raise ValueError("defining polynomial must be monic and nonconstant")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "excluded_primes", excluded_primes)
+        self._set(label=label, poly=poly, excluded_primes=excluded_primes)
 
     def _fields(self):
         return (self.label, self.poly, self.excluded_primes)
@@ -193,14 +195,8 @@ class PrimeIdealData(Frozen):
 
     def __init__(self, order: NumberFieldOrder, q: int, index: int, factor: UniPoly,
                  e: int, fdeg: int, residue_field: FiniteField, theta_image: FFElement):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "fdeg", fdeg)
-        object.__setattr__(self, "residue_field", residue_field)
-        object.__setattr__(self, "theta_image", theta_image)
+        self._set(order=order, q=q, index=index, factor=factor, e=e, fdeg=fdeg,
+                  residue_field=residue_field, theta_image=theta_image)
 
     def _fields(self):
         return (self.order, self.q, self.index, self.factor, self.e, self.fdeg)

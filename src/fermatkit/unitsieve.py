@@ -184,11 +184,8 @@ class SieveConstraint(Frozen):
             raise ValueError(f"unknown sieve mode {mode!r}")
         if mode == "parity-only" and q != 2:
             raise ValueError("parity-only is valid only at q = 2")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "family", family)
-        # sorted tuple of (prime key, frozenset)
-        object.__setattr__(self, "targets", targets)
+        # targets: sorted tuple of (prime key, frozenset)
+        self._set(q=q, mode=mode, family=family, targets=targets)
 
     def _fields(self):
         return (self.q, self.mode, self.family, self.targets)

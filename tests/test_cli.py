@@ -145,7 +145,8 @@ class TestBasicCommands:
         (["trace", "curves/E_1_-1.curve", "5", "2"], ["trace-5.0", "trace-2.0"]),
         (["euler", "curves/C_eq51.curve", "3"], ["trace-3.0", "trace-3.1"]),
         (["check-congruence", "--bound", "30"], ["mod7-congruence"]),
-    ], ids=["split", "trace", "euler", "check-congruence"])
+        (["check-invariants"], ["randomized-invariants"]),
+    ], ids=["split", "trace", "euler", "check-congruence", "check-invariants"])
     def test_rows_report_their_time(self, capsys, monkeypatch, argv, names):
         import fermatkit.cli as cli
 
@@ -155,6 +156,40 @@ class TestBasicCommands:
         assert code == 0
         rows = json.loads(out)["checks"]
         assert [(c["name"], c["ms"]) for c in rows] == list(zip(names, range(101, 200)))
+
+    @pytest.mark.parametrize("argv", [
+        ["eliminate", "--family", "families/demo_sum_rule_cubic.json",
+         "--packets", "packets/demo_self_1_3.json", "--q", "5,11", "--refined", "p=7"],
+        ["eliminate", "--family", "families/frey_cubic.json",
+         "--packets", "packets/demo_self_1_3.json", "--q", "5"],
+        ["igusa", "curves/C_eq51.curve", "--reference"],
+        ["check-invariants"],
+    ], ids=["eliminate", "eliminate-external", "igusa", "check-invariants"])
+    def test_no_row_reads_zero_ms(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("  [")]
+        assert rows and not [r for r in rows if r.endswith("(0 ms)")], out
+
+    def test_eliminate_rows_time_their_packet(self, capsys, monkeypatch, tmp_path):
+        """Standard rows in label order, refined rows in file order; each
+        row reads the time of its own packet's run."""
+        import fermatkit.cli as cli
+
+        pkt = json.loads((FIXTURES / "packets" / "demo_self_1_3.json").read_text())
+        f = tmp_path / "two.json"
+        f.write_text(json.dumps([dict(pkt, label="zz"), pkt]))
+        stamps = iter(range(101, 200))
+        monkeypatch.setattr(cli, "_elapsed_ms", lambda t0: next(stamps))
+        code, out, _ = run(capsys, "--json", "eliminate",
+                           "--family", "families/demo_sum_rule_cubic.json",
+                           "--packets", str(f), "--q", "5,11", "--refined", "p=7")
+        assert code == 0
+        rows = json.loads(out)["checks"]
+        assert [(c["name"], c["ms"]) for c in rows] == [
+            ("standard-demo-self-1-3", 101), ("standard-zz", 102),
+            ("refined-zz-7:0", 103), ("refined-demo-self-1-3-7:0", 104),
+        ]
 
     def test_sieve_lists_a_modular_family_among_inputs(self, capsys, tmp_path):
         import hashlib

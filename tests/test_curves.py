@@ -273,6 +273,62 @@ class TestInvariants:
                 a1=K13.zero(), a2=K13.zero(), a3=K13.zero(), a4=K13.zero(), a6=K13.zero()
             )
 
+    @pytest.mark.parametrize("name", ["Qsqrt13", "K13cubic", "Zzeta13"])
+    def test_covariants_match_the_element_formulas(self, name):
+        order = get_order(name)
+        for E in _random_models(order, 6 if name == "Zzeta13" else 20, seed=1):
+            assert ec_invariants(E) == naive_covariants(E)
+
+    @pytest.mark.parametrize("name,qs", [
+        ("Qsqrt13", (2, 3, 5, 17)), ("K13cubic", (2, 3, 5, 11)), ("Zzeta13", (2, 3, 53)),
+    ])
+    def test_b_invariants_mod_P_match_the_reduced_discriminant(self, name, qs):
+        """The field kernel route of `_weierstrass_count` at split and inert
+        primes, in characteristic 2 and 3 too."""
+        order = get_order(name)
+        degrees = set()
+        for q in qs:
+            for P in split_prime(order, q):
+                degrees.add(P.fdeg)
+                F = P.residue_field
+                for E in _random_models(order, 4, seed=q):
+                    a = [reduce_element(c, P).coeffs for c in (E.a1, E.a2, E.a3, E.a4, E.a6)]
+                    disc = curves._b_invariants(a, F.mul_kernel(), _comb_mod(F.p, F.k))[3]
+                    assert disc == reduce_element(naive_covariants(E)[2], P).coeffs, P.key
+        assert {1} < degrees  # split (degree 1) and inert or partly split primes
+
+
+def naive_covariants(E):
+    """(c4, c6, Delta) in NFElement arithmetic, the textbook formulas."""
+    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
+    disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+    return c4, c6, disc
+
+
+def _comb_mod(p, k):
+    """The `comb` of `curves._b_invariants` on coefficient tuples of F_(p^k)."""
+    return lambda *terms: tuple(sum(c * x[j] for c, x in terms) % p for j in range(k))
+
+
+def _random_models(order, n, seed):
+    """n nonsingular models with small random coordinates over the order."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        try:
+            out.append(EllipticCurveNF(*(
+                order.element([rng.randrange(-9, 10) for _ in range(order.degree)])
+                for _ in range(5))))
+        except ValueError:
+            continue
+    return out
+
 
 class TestReductionType:
     def test_fixture_cases(self):

@@ -535,6 +535,17 @@ def short_weierstrass_family(order):
     })
 
 
+def refuse_member_curves(monkeypatch):
+    """Make specializing a family member, or building any EllipticCurveNF, raise."""
+    from fermatkit import curves, elimination
+
+    def refuse(*args, **kw):
+        raise AssertionError("a member curve was built")
+
+    monkeypatch.setattr(elimination.FreyFamily, "specialize", refuse)
+    monkeypatch.setattr(curves.EllipticCurveNF, "__init__", refuse)
+
+
 class TestLocalDataOracle:
     @pytest.mark.parametrize("name", ["demo_sum_rule_cubic", "demo_sum_rule_sqrt13"])
     def test_reduced_tuples_match_the_order_route(self, name):
@@ -575,7 +586,9 @@ class TestLocalDataOracle:
         for q in qs:
             elimination._local_data.cache_clear()
             calls.clear()
-            data = elimination._local_data(fam, q)
+            with monkeypatch.context() as m:
+                refuse_member_curves(m)
+                data = elimination._local_data(fam, q)
             assert (data.cases, data.traces) == old_route_local_data(fam, q), q
             assert len(calls) == len(data.traces) * len(data.primes), q
         elimination._local_data.cache_clear()
@@ -605,6 +618,24 @@ class TestLocalDataOracle:
         monkeypatch.undo()
         elimination._local_data.cache_clear()
         assert (data.cases, data.traces) == old_route_local_data(fam, 11)
+
+    def test_no_member_curve_is_built(self, monkeypatch):
+        """A work count: no pair, good or multiplicative, is specialized
+        over the order or builds an EllipticCurveNF (the injective cubic
+        family is checked the same way above)."""
+        from fermatkit import elimination
+
+        short = short_weierstrass_family("Qsqrt13")
+        cases = [(load_family(FIXTURES / "families" / "demo_sum_rule_cubic.json"), (5, 11)),
+                 (short, [q for q in range(3, 24) if short.is_admissible(q)])]
+        want = {(fam.label, q): old_route_local_data(fam, q) for fam, qs in cases for q in qs}
+        refuse_member_curves(monkeypatch)
+        for fam, qs in cases:
+            for q in qs:
+                elimination._local_data.cache_clear()
+                data = elimination._local_data(fam, q)
+                assert (data.cases, data.traces) == want[fam.label, q], (fam.label, q)
+        elimination._local_data.cache_clear()
 
     def test_rule_that_calls_a_bad_pair_good(self):
         from fermatkit.elimination import _local_data
@@ -741,9 +772,12 @@ class TestCompatiblePairs:
 def test_every_cli_seed_of_the_elimination_workload():
     """All 32 frozen CLI seeds of perfbench's `elimination` workload give
     their reference digests (`elimination-soundness` draws different
-    pairs at each seed)."""
+    pairs at each seed), from cold local data."""
     import sys
 
+    from fermatkit import elimination
+
+    elimination._local_data.cache_clear()
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, bench)
     try:
