@@ -326,7 +326,8 @@ def check_projective_orders(ctx) -> CheckResult:
 def congruence_failures(E, C, bound: int):
     """Good primes of norm <= bound where a(E) mod 7 misses the RM residue
     set of C; primes above 7 (the residual characteristic) and bad primes
-    are excluded, following the source quantifier."""
+    are excluded, following the source quantifier. Each failure is
+    (key, a, residues, the ms of its Euler factor and trace)."""
     K = get_order("Qsqrt13")
     failures = []
     checked = 0
@@ -338,6 +339,7 @@ def congruence_failures(E, C, bound: int):
                 continue
             if ec_reduction_type(E, P) != "good":
                 continue
+            t0 = time.monotonic()
             try:
                 res = rm_residues_mod_p7(g2_rm_split(g2_euler_factor(C, P)))
             except SingularReductionError:
@@ -345,7 +347,7 @@ def congruence_failures(E, C, bound: int):
             t = ec_trace(E, P)
             checked += 1
             if t % 7 not in res:
-                failures.append((P.key, t, sorted(res)))
+                failures.append((P.key, t, sorted(res), _elapsed_ms(t0)))
     return checked, failures
 
 
@@ -358,7 +360,7 @@ def check_mod7_congruence(ctx) -> CheckResult:
         "mod7-congruence-norm-200",
         STATUS_PASS if ok else STATUS_FAIL,
         f"{checked} good primes checked, {len(failures)} failures"
-        + (f": {failures[:4]}" if failures else ""),
+        + (f": {[f[:3] for f in failures[:4]]}" if failures else ""),
     )
 
 
@@ -665,9 +667,10 @@ def cmd_check_congruence(args, ctx) -> int:
     status = STATUS_PASS if not failures else STATUS_FAIL
     detail = f"{checked} good primes of norm <= {args.bound} checked; {len(failures)} failures"
     report.checks.append(CheckResult("mod7-congruence", status, detail, ms=ms))
-    for key, t, res in failures:
+    for key, t, res, ms in failures:
         report.checks.append(
-            CheckResult(f"failure-{key}", STATUS_FAIL, f"a={t}, a mod 7 = {t%7} not in {res}")
+            CheckResult(f"failure-{key}", STATUS_FAIL, f"a={t}, a mod 7 = {t%7} not in {res}",
+                        ms=ms)
         )
     return _emit(args, report)
 
@@ -925,10 +928,11 @@ def cmd_sieve(args, ctx) -> int:
     if case is None:
         print("--case must be div13 or coprime13", file=sys.stderr)
         return 2
+    t0 = time.monotonic()
     try:
         constraints = _load_constraints(ctx, args.constraints)
     except ExternalDataSlotError as e:
-        report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e)))
+        report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e), ms=_elapsed_ms(t0)))
         return _emit(args, report)
     bits, ms = _timed(sieve_case_bits, case, constraints)
     count = bits.bit_count()
@@ -942,6 +946,7 @@ def cmd_sieve(args, ctx) -> int:
         )
     )
     if args.out:
+        t0 = time.monotonic()
         data = bits.to_bytes((UNIT_CLASS_COUNT + 7) // 8, "little")
         Path(args.out).write_bytes(data)
         summary = {
@@ -952,7 +957,8 @@ def cmd_sieve(args, ctx) -> int:
         }
         Path(str(args.out) + ".json").write_text(json.dumps(summary, indent=2) + "\n")
         report.checks.append(
-            CheckResult("sieve-out", STATUS_PASS, f"bitset written to {args.out}")
+            CheckResult("sieve-out", STATUS_PASS, f"bitset written to {args.out}",
+                        ms=_elapsed_ms(t0))
         )
     return _emit(args, report)
 

@@ -488,30 +488,35 @@ def poly_factor_mod_p(f: UniPoly, p: int):
 # finite fields F_{p^k} = F_p[x]/(m)
 
 
-def _slot_code(p: int, k: int):
-    """Smallest array type code whose items hold (2k-1)(p-1)^2, the
-    largest slot of a packed product in F_{p^k}; None past 64 bits."""
-    bound = (2 * k - 1) * (p - 1) ** 2
+def _slot_code(bound: int):
+    """Smallest array type code whose items hold `bound`, the largest
+    slot of a packed value; None past 64 bits."""
     return next((c for c in "HILQ" if bound < 1 << 8 * array(c).itemsize), None)
 
 
 def _mul_kernel(p: int, m: tuple):
     """Multiplication of coefficient tuples in F_p[x]/(m), m monic of
     degree k, by Kronecker substitution (von zur Gathen and Gerhard,
-    Modern Computer Algebra, section 8.4).
+    Modern Computer Algebra, section 8.4) and a polynomial Barrett
+    reduction (Barrett, CRYPTO '86; ibid., chapter 9) on packed ints.
 
-    Each tuple is packed into one int, `w` bits per coefficient, and the
-    two ints are multiplied once. The product's slots k..2k-2, each
-    reduced mod p, fold back in through the packed rows x^j mod m; no
-    slot ever carries, because every slot stays at most
-    k(p-1)^2 + (k-1)(p-1)^2 < 2^w. w is the smallest array item size
-    that holds that bound (16 bits for every field of the unit sieve);
-    past 64 bits the schoolbook product and division take over.
+    Each tuple is packed into one int, w bytes per coefficient, and the
+    two ints are multiplied once: C = H x^k + L, every slot at most
+    B1 = k(p-1)^2. With mu = x^(2k-2) div m (coefficients mod p) and
+    -m_0, ..., -m_(k-1) packed once, the quotient C div m is the slots
+    k-2.. of H mu, and the remainder is L plus the low k slots of that
+    quotient times -m; one % p per slot on unpacking. Both products are
+    linear over Z, so nothing is reduced before them. No slot carries:
+    H mu's slots are at most (k-1) B1 (p-1), the remainder's at most
+    B1 + k(k-1) B1 (p-1)^2, and w is the smallest array item size that
+    holds the latter (32 bits for the unit sieve's fields, 16 for
+    F_{2^12}); past 64 bits the schoolbook product and division take over.
     """
     k = len(m) - 1
     if k == 1:
         return lambda a, b: (a[0] * b[0] % p,)
-    code = _slot_code(p, k)
+    b1 = k * (p - 1) ** 2
+    code = _slot_code(b1 + k * (k - 1) * b1 * (p - 1) ** 2)
     if code is None:
         def schoolbook(a, b):
             r = _pm_mod(_pm_mul(_pm_trim(a), _pm_trim(b), p), m, p)
@@ -521,23 +526,17 @@ def _mul_kernel(p: int, m: tuple):
     w = array(code).itemsize
     order = sys.byteorder
     from_bytes = int.from_bytes
-    rows = []  # x^j mod m for j = k..2k-2, by companion-matrix steps
-    col = [0] * (k - 1) + [1]
-    for _ in range(k - 1):
-        top = col[-1]
-        col = [(c - top * mc) % p for c, mc in zip([0] + col[:-1], m)]
-        rows.append(from_bytes(array(code, col).tobytes(), order))
-    shift = 8 * w * k
+    mu = _pm_divmod((0,) * (2 * k - 2) + (1,), m, p)[0]
+    mu, neg_m = (from_bytes(array(code, c).tobytes(), order)
+                 for c in (mu, [-c % p for c in m[:-1]]))
+    shift, qshift = 8 * w * k, 8 * w * (k - 2)
     low = (1 << shift) - 1
 
     def mul(a, b):
         prod = (from_bytes(array(code, a).tobytes(), order)
                 * from_bytes(array(code, b).tobytes(), order))
-        acc = prod & low
-        for h, row in zip(array(code, (prod >> shift).to_bytes(w * (k - 1), order)), rows):
-            if h:
-                acc += h % p * row
-        return tuple([c % p for c in array(code, acc.to_bytes(w * k, order))])
+        rem = ((prod & low) + ((prod >> shift) * mu >> qshift) * neg_m) & low
+        return tuple([c % p for c in array(code, rem.to_bytes(w * k, order))])
 
     return mul
 
@@ -545,13 +544,13 @@ def _mul_kernel(p: int, m: tuple):
 def _substitution_kernel(p: int, mul, image):
     """x = sum x_j t^j -> sum x_j image^j on length-k tuples of
     F_p[t]/(m), `mul` its `_mul_kernel`: an F_p-linear map, one packed row
-    image^j per j in the layout of `_mul_kernel`, with every slot below
+    image^j per j, in items that hold the largest slot of the sum,
     k (p-1)^2. With image = t^(p^e) it is the Frobenius power x -> x^(p^e)."""
     k = len(image)
     cols = [(1,) + (0,) * (k - 1)]
     for _ in range(k - 1):
         cols.append(mul(cols[-1], image))
-    code = _slot_code(p, k)
+    code = _slot_code(k * (p - 1) ** 2)
     if code is None:
         return lambda a: tuple(sum(map(int.__mul__, a, row)) % p for row in zip(*cols))
     order, size = sys.byteorder, array(code).itemsize * k

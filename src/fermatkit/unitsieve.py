@@ -580,23 +580,28 @@ def _pair_residues(Q: PrimeIdealData, pairs) -> list:
 @lru_cache(maxsize=None)
 def _exhaustive_residues(constraint: SieveConstraint):
     """What the oracle needs of one constraint in either descent case:
-    per prime above q its residue field, the masks of the values of
-    eps^((N-1)/7) and the value of (1 - zeta)^((N-1)/7), from
+    per prime above q its residue field's product, the masks of the
+    values of eps^((N-1)/7) and the value of (1 - zeta)^((N-1)/7), from
     `_seventh_powers`; and the admissible pairs' residue tuples, one
     prime at a time (`_pair_residues`). Memoized per constraint; the
-    descent cases share it."""
+    descent cases share it.
+
+    Every value multiplied here, and at delta = 1 in
+    `_local_survivors_exhaustive`, is an exact residue x^((N-1)/7), so
+    it lies in mu_7: the product is memoised on its exact coefficient
+    tuples, at most 49 distinct products per prime."""
     pairs = list(admissible_pairs(constraint))
     local, columns = [], []
     for Q in split_prime(get_order("Zzeta13"), constraint.q):
         seventh, F = _seventh_powers(Q), Q.residue_field
-        mul, one = F.mul_kernel(), F.one().coeffs
+        mul, one = lru_cache(maxsize=None)(F.mul_kernel()), F.one().coeffs
         rows = []
         for base in seventh.units:
             row = [one]
             for _ in range(6):
                 row.append(mul(row[-1], base))
             rows.append(row)
-        local.append((F, _class_masks(rows, one, mul), seventh.one_minus_zeta))
+        local.append((mul, _class_masks(rows, one, mul), seventh.one_minus_zeta))
         columns.append(_pair_residues(Q, pairs))
     return tuple(local), frozenset(zip(*columns))
 
@@ -607,8 +612,8 @@ def _local_survivors_exhaustive(constraint: SieveConstraint, delta: int) -> int:
     delta = 1 each value of eps^((N-1)/7) is multiplied by that of 1 - zeta."""
     local, targets = _exhaustive_residues(constraint)
     masks = [
-        {F.mul_kernel()(v, s): m for v, m in by_value.items()} if delta else by_value
-        for F, by_value, s in local
+        {mul(v, s): m for v, m in by_value.items()} if delta else by_value
+        for mul, by_value, s in local
     ]
     return _survivor_bits(masks, targets)
 

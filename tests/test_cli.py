@@ -123,6 +123,30 @@ class TestBasicCommands:
             "--constraints", "constraints/demo_sieve.json", "--out", str(out_file))
         assert out_file.read_bytes() == first
 
+    def test_survivor_bitsets_are_pinned(self, capsys, tmp_path):
+        """The demo bitsets of `sieve --out` in both cases, and the oracle's
+        unconstrained divisible-13 bitsets at q = 11, 23, 29 against the
+        frozen digests of the benchmark's references (read, never written)."""
+        import hashlib
+
+        from fermatkit.unitsieve import SieveConstraint, sieve_case_exhaustive_bits
+
+        out_file = tmp_path / "survivors.bin"
+        for case, digest in [
+            ("div13", "2d0ae828d970bab44aff22dee5f057906fcbdb49be29edd8261a0024cd10bc13"),
+            ("coprime13", "ac55807f5875ab87a10793732e88d4c3769cb22bd3615cf6ef101c4619bca3ee"),
+        ]:
+            code, _, _ = run(capsys, "sieve", "--case", case, "--constraints",
+                             "constraints/demo_sieve.json", "--out", str(out_file))
+            assert code == 0
+            assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, case
+        refs = json.loads((FIXTURES.parents[2] / "perfbench" / "refs.json").read_text())
+        for q in (11, 23, 29):
+            bits = sieve_case_exhaustive_bits(
+                "divisible-13", [SieveConstraint(q=q, mode="unconstrained")])
+            data = bits.to_bytes((UNIT_CLASS_COUNT + 7) // 8, "little")  # 2,101 bytes
+            assert hashlib.sha256(data).hexdigest() == refs["sieve-oracle"]["default"][f"oracle:q{q}"]
+
     def test_sieve_reports_its_time(self, capsys):
         code, out, _ = run(capsys, "--json", "sieve", "--case", "div13",
                            "--constraints", "constraints/demo_sieve.json")
@@ -164,12 +188,30 @@ class TestBasicCommands:
          "--packets", "packets/demo_self_1_3.json", "--q", "5"],
         ["igusa", "curves/C_eq51.curve", "--reference"],
         ["check-invariants"],
-    ], ids=["eliminate", "eliminate-external", "igusa", "check-invariants"])
-    def test_no_row_reads_zero_ms(self, capsys, argv):
+        ["sieve", "--case", "div13", "--constraints", "constraints/demo_sieve.json", "--out"],
+        ["sieve", "--case", "div13", "--constraints", "constraints/proof_sieve_small.json"],
+        ["check-congruence", "--bound", "30"],
+    ], ids=["eliminate", "eliminate-external", "igusa", "check-invariants", "sieve-out",
+            "sieve-external", "check-congruence-failing"])
+    def test_no_row_reads_zero_ms(self, capsys, monkeypatch, tmp_path, argv):
+        """Every row carries a time; `sieve --out` writes to a temporary
+        file, and check-congruence fails with a trace off by one."""
+        import fermatkit.cli as cli
+
+        if argv[-1] == "--out":
+            argv = argv + [str(tmp_path / "bits.bin")]
+        failing = argv[0] == "check-congruence"
+        if failing:
+            real = cli.ec_trace
+            monkeypatch.setattr(cli, "ec_trace", lambda E, P: real(E, P) + 1)
         code, out, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == (1 if failing else 0)
         rows = [line for line in out.splitlines() if line.startswith("  [")]
         assert rows and not [r for r in rows if r.endswith("(0 ms)")], out
+        if failing:
+            assert any("] failure-" in r for r in rows), out
+        if "--out" in argv:
+            assert any("] sieve-out:" in r for r in rows), out
 
     def test_eliminate_rows_time_their_packet(self, capsys, monkeypatch, tmp_path):
         """Standard rows in label order, refined rows in file order; each

@@ -381,8 +381,11 @@ def _first_irreducible(p, k):
 
 
 M61 = 2**61 - 1  # a prime
-# The kernel's slots hold (2k - 1)(p - 1)^2: below 2^16 for every sieve
-# field (23 * 40^2 for F_{41^12}), 70000 for F_{101^4}, past 2^64 for F_{M61^2}.
+# The kernel's largest slot is B1 + k(k - 1) B1 (p - 1)^2, B1 = k (p - 1)^2,
+# and the smallest array item that holds it is the slot size: 16 bits for
+# F_{2^12}, 32 bits for the other sieve fields, up to F_{41^12} (4,055,059,200
+# < 2^32), 64 bits from F_{43^12}, and the schoolbook fallback past 2^64. The
+# pairs marked "edge" sit on each side of one item-size step.
 KERNEL_FIELDS = {
     # the sieve's residue fields, with the moduli the sieve uses
     "F2^12": lambda: split_prime(get_order("Zzeta13"), 2)[0].residue_field,
@@ -390,9 +393,17 @@ KERNEL_FIELDS = {
     "F23^6": lambda: split_prime(get_order("Zzeta13"), 23)[0].residue_field,
     "F11^12": lambda: split_prime(get_order("Zzeta13"), 11)[0].residue_field,
     "F19^12": lambda: split_prime(get_order("Zzeta13"), 19)[0].residue_field,
-    "F41^12": lambda: split_prime(get_order("Zzeta13"), 41)[0].residue_field,
+    "F41^12": lambda: split_prime(get_order("Zzeta13"), 41)[0].residue_field,  # edge: 32 bits
+    "F43^12": lambda: _first_irreducible(43, 12),  # edge: 64 bits
     "F29": lambda: F29,
-    "F101^4": lambda: _first_irreducible(101, 4),  # 32-bit slots
+    "F11^2": lambda: _first_irreducible(11, 2),  # edge: 16 bits
+    "F13^2": lambda: _first_irreducible(13, 2),  # edge: 32 bits
+    "F181^2": lambda: _first_irreducible(181, 2),  # edge: 32 bits
+    "F191^2": lambda: _first_irreducible(191, 2),  # edge: 64 bits
+    "F97^4": lambda: _first_irreducible(97, 4),  # edge: 32 bits
+    "F101^4": lambda: _first_irreducible(101, 4),  # edge: 64 bits
+    "F46337^2": lambda: _first_irreducible(46337, 2),  # edge: 64 bits
+    "F46349^2": lambda: _first_irreducible(46349, 2),  # edge: schoolbook fallback
     "FM61^2": lambda: FiniteField(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback
 }
 

@@ -740,9 +740,35 @@ def test_pair_reduction_by_linearity(q):
                 assert pair(a, b) == reduce_element(_pair_element(a, b), Q).coeffs
 
 
+def _count_oracle_work(monkeypatch, q):
+    """Empty the oracle's caches at q and count, per prime key, the calls
+    of each residue field's kernel; also the `FFElement.__pow__` calls."""
+    from fermatkit import unitsieve
+
+    unitsieve._exhaustive_residues.cache_clear()
+    unitsieve._seventh_powers.cache_clear()
+    calls, pows = {}, []
+    for Q in split_prime(ZZ13, q):
+        kernel, calls[Q.key] = Q.residue_field.mul_kernel(), 0
+
+        def counted(a, b, kernel=kernel, key=Q.key):
+            calls[key] += 1
+            return kernel(a, b)
+
+        monkeypatch.setattr(Q.residue_field, "_kernel", counted)
+    plain = FFElement.__pow__
+
+    def counted_pow(x, e):
+        pows.append(e)
+        return plain(x, e)
+
+    monkeypatch.setattr(FFElement, "__pow__", counted_pow)
+    return calls, pows
+
+
 def test_oracle_work_count(monkeypatch):
     """A work count, not a timing: the exhaustive route at q = 23, from
-    an empty per-constraint cache, makes at most 3000 kernel multiplies
+    an empty per-constraint cache, makes at most 2300 kernel multiplies
     and 2 `FFElement.__pow__` calls (the fields' maps x -> x^q, when not
     yet built). With a full-field power per pair and unit it made 18,616
     and 1,070; the linear norms, the Frobenius-Horner powers and the
@@ -751,34 +777,38 @@ def test_oracle_work_count(monkeypatch):
     pairs' norms from the 23 line norms, with the units' powers in a
     memo of their own, made about 2,580, and with one per-prime map
     (`_seventh_powers`, cleared here too) holding the units' and pairs'
-    powers in one memo it makes about 2,540."""
-    from fermatkit import unitsieve
-
-    unitsieve._exhaustive_residues.cache_clear()
-    unitsieve._seventh_powers.cache_clear()
-    calls, pows = [], []
-    for Q in split_prime(ZZ13, 23):
-        F = Q.residue_field
-        kernel = F.mul_kernel()
-
-        def counted(a, b, kernel=kernel):
-            calls.append(1)
-            return kernel(a, b)
-
-        monkeypatch.setattr(F, "_kernel", counted)
-    plain = FFElement.__pow__
-
-    def counted_pow(x, e):
-        pows.append(e)
-        return plain(x, e)
-
-    monkeypatch.setattr(FFElement, "__pow__", counted_pow)
+    powers in one memo it made about 2,540; with the products of 7th
+    roots of unity memoised per prime it makes about 2,204."""
+    calls, pows = _count_oracle_work(monkeypatch, 23)
     cons = [SieveConstraint(q=23, mode="unconstrained")]
     bits = sieve_case_exhaustive_bits("divisible-13", cons)
-    assert len(calls) <= 3000, len(calls)
+    assert sum(calls.values()) <= 2300, calls
     assert len(pows) <= 2, len(pows)
     monkeypatch.undo()
     assert bits == sieve_case_bits("divisible-13", cons)
+
+
+def test_oracle_work_count_q29(monkeypatch):
+    """At q = 29 (four primes of degree 3, d = 1) the oracle makes at most
+    300 kernel multiplies over both descent cases, from empty caches: it
+    made 1,028 before its products of 7th roots of unity were memoised,
+    and makes about 264. Past the `_seventh_powers` set-up, the pairs'
+    residues take none at d = 1, and the unit rows, the class masks and
+    the (1 - zeta) relabel at most 49 per prime, one per ordered pair of
+    7th roots of unity."""
+    from fermatkit import unitsieve
+
+    calls, _ = _count_oracle_work(monkeypatch, 29)
+    for Q in split_prime(ZZ13, 29):
+        unitsieve._seventh_powers(Q)
+    setup = dict(calls)
+    cons = [SieveConstraint(q=29, mode="unconstrained")]
+    bits = {case: sieve_case_exhaustive_bits(case, cons) for case in ("coprime-13", "divisible-13")}
+    assert len(calls) == 4
+    assert sum(calls.values()) <= 300, calls
+    assert all(calls[key] - setup[key] <= 49 for key in calls), (setup, calls)
+    monkeypatch.undo()
+    assert bits == {case: sieve_case_bits(case, cons) for case in ("coprime-13", "divisible-13")}
 
 
 @pytest.mark.parametrize("q", PROOF_SET_QS)
