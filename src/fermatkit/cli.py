@@ -90,11 +90,11 @@ STATUS_SKIP = "skipped(external-data)"
 
 
 class CheckResult:
-    def __init__(self, name: str, status: str, detail: str, ms: int = 0):
+    def __init__(self, name: str, status: str, detail: str):
         self.name = name
         self.status = status
         self.detail = detail
-        self.ms = ms
+        self.ms = 0  # set by RunReport.add
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -103,19 +103,23 @@ def _elapsed_ms(t0: float) -> int:
     return math.ceil((time.monotonic() - t0) * 1000)
 
 
-def _timed(fn, *args, **kw):
-    """fn(*args, **kw) and its `_elapsed_ms`."""
-    t0 = time.monotonic()
-    return fn(*args, **kw), _elapsed_ms(t0)
-
-
 class RunReport:
+    """The rows of one command and the inputs they read. `add` times each
+    row from the one before it, or from the report's making, so the rows
+    add up to the run, loads included."""
+
     def __init__(self, command: str, version: str, seed: int):
         self.command = command
         self.version = version
         self.seed = seed
         self.inputs = {}  # input file name -> sha256 of its bytes
         self.checks = []  # CheckResults, in run order
+        self._lap = time.monotonic()  # when the report was made or its last row added
+
+    def add(self, row: CheckResult) -> None:
+        row.ms = _elapsed_ms(self._lap)
+        self._lap = time.monotonic()
+        self.checks.append(row)
 
     @property
     def failed(self) -> bool:
@@ -327,7 +331,8 @@ def congruence_failures(E, C, bound: int):
     """Good primes of norm <= bound where a(E) mod 7 misses the RM residue
     set of C; primes above 7 (the residual characteristic) and bad primes
     are excluded, following the source quantifier. Each failure is
-    (key, a, residues, the ms of its Euler factor and trace)."""
+    (key, a, residues). No clock is read here: the report row that the
+    count feeds carries the time."""
     K = get_order("Qsqrt13")
     failures = []
     checked = 0
@@ -339,7 +344,6 @@ def congruence_failures(E, C, bound: int):
                 continue
             if ec_reduction_type(E, P) != "good":
                 continue
-            t0 = time.monotonic()
             try:
                 res = rm_residues_mod_p7(g2_rm_split(g2_euler_factor(C, P)))
             except SingularReductionError:
@@ -347,7 +351,7 @@ def congruence_failures(E, C, bound: int):
             t = ec_trace(E, P)
             checked += 1
             if t % 7 not in res:
-                failures.append((P.key, t, sorted(res), _elapsed_ms(t0)))
+                failures.append((P.key, t, sorted(res)))
     return checked, failures
 
 
@@ -360,7 +364,7 @@ def check_mod7_congruence(ctx) -> CheckResult:
         "mod7-congruence-norm-200",
         STATUS_PASS if ok else STATUS_FAIL,
         f"{checked} good primes checked, {len(failures)} failures"
-        + (f": {[f[:3] for f in failures[:4]]}" if failures else ""),
+        + (f": {failures[:4]}" if failures else ""),
     )
 
 
@@ -562,13 +566,11 @@ def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport
         fn = _CHECK_FNS.get(name)
         if fn is None:
             raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
-        t0 = time.monotonic()
         try:
             res = fn(ctx)
         except Exception as e:  # a crash is a failed check, not a crashed report
             res = CheckResult(name, STATUS_FAIL, f"{type(e).__name__}: {e}")
-        res.ms = _elapsed_ms(t0)
-        report.checks.append(res)
+        report.add(res)
     return report
 
 
@@ -588,13 +590,13 @@ def cmd_split(args, ctx) -> int:
     report = ctx.new_report("split")
     order = get_order(args.order)
     for q in args.q:
-        primes, ms = _timed(split_prime, order, q)
+        primes = split_prime(order, q)
         lines = ", ".join(
             f"{P.key} (e={P.e}, f={P.fdeg}, theta->{list(P.theta_image.coeffs)})"
             for P in primes
         )
         detail = f"{len(primes)} primes: {lines}"
-        report.checks.append(CheckResult(f"split-{q}", STATUS_PASS, detail, ms=ms))
+        report.add(CheckResult(f"split-{q}", STATUS_PASS, detail))
     return _emit(args, report)
 
 
@@ -605,8 +607,7 @@ def cmd_trace(args, ctx) -> int:
     for P in primes:
         _check_count_field(curve, P)
     for P in primes:
-        detail, ms = _timed(_trace_detail, curve, P)
-        report.checks.append(CheckResult(f"trace-{P.key}", STATUS_PASS, detail, ms=ms))
+        report.add(CheckResult(f"trace-{P.key}", STATUS_PASS, _trace_detail(curve, P)))
     return _emit(args, report)
 
 
@@ -634,25 +635,18 @@ def _trace_detail(curve, P) -> str:
 
 def cmd_igusa(args, ctx) -> int:
     report = ctx.new_report("igusa")
-    curve, ms = _timed(_load_curve, ctx, args.curve)  # a sextic's invariants come with it
+    curve = _load_curve(ctx, args.curve)
     if not isinstance(curve, HyperellipticCurveNF):
         print("igusa needs a sextic curve file", file=sys.stderr)
         return 2
     inv = igusa_clebsch(curve)
     for name, v in zip(("I2", "I4", "I6", "I10"), inv):
-        report.checks.append(
-            CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]", ms=ms)
-        )
+        report.add(CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]"))
     if args.reference:
-        (proj, exact), ms = _timed(_reference_comparison, ctx, inv)
-        report.checks.append(
-            CheckResult(
-                "reference-comparison",
-                STATUS_PASS if (proj and exact) else STATUS_FAIL,
-                f"weighted-projective equal: {proj}; exact with alpha: {exact}",
-                ms=ms,
-            )
-        )
+        proj, exact = _reference_comparison(ctx, inv)
+        status = STATUS_PASS if (proj and exact) else STATUS_FAIL
+        detail = f"weighted-projective equal: {proj}; exact with alpha: {exact}"
+        report.add(CheckResult("reference-comparison", status, detail))
     return _emit(args, report)
 
 
@@ -663,15 +657,13 @@ def cmd_check_congruence(args, ctx) -> int:
         raise ValueError(f"--bound: expected a norm bound at most {cap}, got {args.bound}")
     E = _load_curve(ctx, args.curve_e)
     C = _load_curve(ctx, args.curve_c)
-    (checked, failures), ms = _timed(congruence_failures, E, C, args.bound)
+    checked, failures = congruence_failures(E, C, args.bound)
     status = STATUS_PASS if not failures else STATUS_FAIL
     detail = f"{checked} good primes of norm <= {args.bound} checked; {len(failures)} failures"
-    report.checks.append(CheckResult("mod7-congruence", status, detail, ms=ms))
-    for key, t, res, ms in failures:
-        report.checks.append(
-            CheckResult(f"failure-{key}", STATUS_FAIL, f"a={t}, a mod 7 = {t%7} not in {res}",
-                        ms=ms)
-        )
+    report.add(CheckResult("mod7-congruence", status, detail))
+    for key, t, res in failures:
+        detail = f"a={t}, a mod 7 = {t%7} not in {res}"
+        report.add(CheckResult(f"failure-{key}", STATUS_FAIL, detail))
     return _emit(args, report)
 
 
@@ -767,11 +759,10 @@ def cmd_eliminate(args, ctx) -> int:
     q_list = _parse_q_list(args.q)
     p = _parse_refined(args.refined)
     fam_path = ctx.input(args.family)
-    t0 = time.monotonic()
     try:
         fam = load_family(fam_path)
     except ExternalDataSlotError as e:
-        report.checks.append(CheckResult("family", STATUS_SKIP, str(e), ms=_elapsed_ms(t0)))
+        report.add(CheckResult("family", STATUS_SKIP, str(e)))
         return _emit(args, report)
     for q in q_list:
         if not fam.is_admissible(q):
@@ -786,42 +777,26 @@ def cmd_eliminate(args, ctx) -> int:
                              f"is not the order {fam.order.label!r} of the family in {fam_path}")
     skip = [s for s in (args.skip or "").split(",") if s]
     # what the files define can still fail here: name the file it came from.
-    # One run per packet, in standard_eliminate's label order, times each row.
+    # One run per packet, in standard_eliminate's label order, its rows
+    # added right after it.
     try:
-        standard = [_timed(standard_eliminate, [pkt], fam, q_list)
-                    for pkt in sorted(packets, key=lambda pkt: pkt.label)]
-        refined = [
-            _timed(refined_eliminate, pkt, fam, p, q_list, skip=skip,
-                   skip_ramified=args.skip_ramified)
-            for pkt in (packets if p else ())
-        ]
+        for pkt in sorted(packets, key=lambda pkt: pkt.label):
+            (row,) = standard_eliminate([pkt], fam, q_list).standard
+            aq = dict(sorted(row.aq.items()))
+            surv = "all primes" if row.surviving == "all" else sorted(row.surviving)
+            detail = f"A_q = {aq}, gcd = {row.overall_gcd}, surviving exponents: {surv}"
+            report.add(CheckResult(f"standard-{row.label}", STATUS_PASS, detail))
+        for pkt in packets if p else ():
+            ref = refined_eliminate(pkt, fam, p, q_list, skip=skip,
+                                    skip_ramified=args.skip_ramified)
+            for r in ref.refined:
+                extra = f"witness q = {r.witness_q}" if r.witness_q else r.reason
+                detail = r.status + (f" ({extra})" if extra else "")
+                report.add(CheckResult(f"refined-{r.label}-{r.residue_prime}", STATUS_PASS, detail))
     except FamilyConfigError as e:
         raise type(e)(f"{fam_path}: {e}") from None
     except (PacketFormatError, UnsupportedResiduePrimeError, MissingEigenvalueError) as e:
         raise type(e)(f"{pk_path}: {e}") from None
-    for rep, ms in standard:
-        (row,) = rep.standard
-        surv = "all primes" if row.surviving == "all" else sorted(row.surviving)
-        report.checks.append(
-            CheckResult(
-                f"standard-{row.label}",
-                STATUS_PASS,
-                f"A_q = { {q: v for q, v in sorted(row.aq.items())} }, gcd = {row.overall_gcd}, "
-                f"surviving exponents: {surv}",
-                ms=ms,
-            )
-        )
-    for ref, ms in refined:
-        for r in ref.refined:
-            extra = f"witness q = {r.witness_q}" if r.witness_q else r.reason
-            report.checks.append(
-                CheckResult(
-                    f"refined-{r.label}-{r.residue_prime}",
-                    STATUS_PASS,
-                    f"{r.status}" + (f" ({extra})" if extra else ""),
-                    ms=ms,
-                )
-            )
     return _emit(args, report)
 
 
@@ -928,25 +903,17 @@ def cmd_sieve(args, ctx) -> int:
     if case is None:
         print("--case must be div13 or coprime13", file=sys.stderr)
         return 2
-    t0 = time.monotonic()
     try:
         constraints = _load_constraints(ctx, args.constraints)
     except ExternalDataSlotError as e:
-        report.checks.append(CheckResult("sieve", STATUS_SKIP, str(e), ms=_elapsed_ms(t0)))
+        report.add(CheckResult("sieve", STATUS_SKIP, str(e)))
         return _emit(args, report)
-    bits, ms = _timed(sieve_case_bits, case, constraints)
+    bits = sieve_case_bits(case, constraints)
     count = bits.bit_count()
     first = [list(UnitClass.from_index(i).exps) for i in class_indices(bits)[:10]]
-    report.checks.append(
-        CheckResult(
-            "sieve",
-            STATUS_PASS,
-            f"case {case}: {count} of {UNIT_CLASS_COUNT} classes survive; first {first}",
-            ms=ms,
-        )
-    )
+    detail = f"case {case}: {count} of {UNIT_CLASS_COUNT} classes survive; first {first}"
+    report.add(CheckResult("sieve", STATUS_PASS, detail))
     if args.out:
-        t0 = time.monotonic()
         data = bits.to_bytes((UNIT_CLASS_COUNT + 7) // 8, "little")
         Path(args.out).write_bytes(data)
         summary = {
@@ -956,17 +923,13 @@ def cmd_sieve(args, ctx) -> int:
             "bitset_sha256": hashlib.sha256(data).hexdigest(),
         }
         Path(str(args.out) + ".json").write_text(json.dumps(summary, indent=2) + "\n")
-        report.checks.append(
-            CheckResult("sieve-out", STATUS_PASS, f"bitset written to {args.out}",
-                        ms=_elapsed_ms(t0))
-        )
+        report.add(CheckResult("sieve-out", STATUS_PASS, f"bitset written to {args.out}"))
     return _emit(args, report)
 
 
 def cmd_check_invariants(args, ctx) -> int:
     """Randomized spot checks of arithmetic invariants (seeded)."""
     report = ctx.new_report("check-invariants")
-    t0 = time.monotonic()
     rng = random.Random(ctx.seed)
     problems = []
 
@@ -1019,7 +982,7 @@ def cmd_check_invariants(args, ctx) -> int:
 
     status = STATUS_PASS if not problems else STATUS_FAIL
     detail = "all randomized invariants hold" if not problems else "; ".join(sorted(set(problems)))
-    report.checks.append(CheckResult("randomized-invariants", status, detail, ms=_elapsed_ms(t0)))
+    report.add(CheckResult("randomized-invariants", status, detail))
     return _emit(args, report)
 
 

@@ -437,10 +437,12 @@ def _equal_degree_split(R, f, d, rng):
     if k == d:
         return [f]
     mul, sigma = R.mul_kernel(), R.frobenius_kernel(1) if d > 1 else None
-    while True:
+    draws = 0
+    while draws < 64:  # each non-constant draw splits f with probability >= 1/2
         r = _pm_trim([rng.randrange(p) for _ in range(k)])
         if len(r) < 2:
             continue
+        draws += 1
         acc = conj = r + (0,) * (R.k - len(r))
         for _ in range(d - 1):
             conj = sigma(conj)
@@ -451,6 +453,7 @@ def _equal_degree_split(R, f, d, rng):
         if 0 < len(g) - 1 < k:
             other = _pm_divmod(f, g, p)[0]
             return _equal_degree_split(R, g, d, rng) + _equal_degree_split(R, other, d, rng)
+    raise ArithmeticError(f"64 draws left f unsplit mod {p}: is the product of F_{p}[x]/(m) wrong?")
 
 
 def poly_factor_mod_p(f: UniPoly, p: int):

@@ -23,6 +23,27 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+class _FakeClock:
+    """A stand-in for `cli.time` whose monotonic clock moves only while a
+    function wrapped by `taking` runs."""
+
+    def __init__(self):
+        self.now = self.start = 1000.0
+
+    def monotonic(self):
+        return self.now
+
+    @property
+    def spent(self):
+        return self.now - self.start
+
+    def taking(self, seconds, fn):
+        def wrapped(*args, **kw):
+            self.now += seconds
+            return fn(*args, **kw)
+        return wrapped
+
+
 class TestBasicCommands:
     def test_split(self, capsys):
         code, out, _ = run(capsys, "split", "Qsqrt13", "3")
@@ -232,6 +253,39 @@ class TestBasicCommands:
             ("standard-demo-self-1-3", 101), ("standard-zz", 102),
             ("refined-zz-7:0", 103), ("refined-demo-self-1-3-7:0", 104),
         ]
+
+    def test_sieve_row_covers_its_loads(self, capsys, monkeypatch):
+        """The constraint file's load (families, curves, targets) is part of
+        the `sieve` row: a clock that moves only inside `_load_constraints`
+        shows up in that row."""
+        import fermatkit.cli as cli
+
+        clock = _FakeClock()
+        monkeypatch.setattr(cli, "time", clock)
+        monkeypatch.setattr(cli, "_load_constraints", clock.taking(0.25, cli._load_constraints))
+        code, out, _ = run(capsys, "--json", "sieve", "--case", "div13",
+                           "--constraints", "constraints/demo_sieve.json")
+        assert code == 0
+        assert [(c["name"], c["ms"]) for c in json.loads(out)["checks"]] == [("sieve", 250)]
+
+    def test_eliminate_rows_add_up_to_the_run(self, capsys, monkeypatch):
+        """Loads and runs each take time on a fake clock; the rows' times
+        add up to all of it, rounded up by under 1 ms a row."""
+        import fermatkit.cli as cli
+
+        clock = _FakeClock()
+        monkeypatch.setattr(cli, "time", clock)
+        for name, seconds in (("load_family", 0.0311), ("load_packets", 0.0207),
+                              ("standard_eliminate", 0.0123), ("refined_eliminate", 0.0042)):
+            monkeypatch.setattr(cli, name, clock.taking(seconds, getattr(cli, name)))
+        code, out, _ = run(capsys, "--json", "eliminate",
+                           "--family", "families/demo_sum_rule_cubic.json",
+                           "--packets", "packets/demo_self_1_3.json", "--q", "5,11",
+                           "--refined", "p=7")
+        assert code == 0
+        rows = json.loads(out)["checks"]
+        total = sum(c["ms"] for c in rows)
+        assert clock.spent * 1000 <= total < clock.spent * 1000 + len(rows), rows
 
     def test_sieve_lists_a_modular_family_among_inputs(self, capsys, tmp_path):
         import hashlib

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,26 @@ class TestFactorModP:
             for modulus in (f, _pm_mul(f, extra, p)):
                 got = _equal_degree_split(_ring(p, modulus), f, d, random.Random(1))
                 assert sorted(got) == gs, (d, gs, modulus)
+
+    def test_equal_degree_split_of_a_wrong_product_raises(self):
+        """With a product that sends everything to 0, no draw splits
+        (x-1)(x-2)(x-3) mod 7; the split gives up within a second, long
+        before the broken kernel's call budget, instead of looping."""
+        f = _pm_mul(_pm_mul((6, 1), (5, 1), 7), (4, 1), 7)
+        R = _ring(7, f)
+        calls = []
+
+        def broken(a, b):
+            calls.append(1)
+            if len(calls) > 5000:
+                raise RuntimeError("the split kept drawing")
+            return (0,) * R.k
+
+        R._kernel = broken
+        t0 = time.monotonic()
+        with pytest.raises(ArithmeticError, match="64 draws left f unsplit mod 7"):
+            _equal_degree_split(R, f, 1, random.Random(1))
+        assert time.monotonic() - t0 < 1
 
     @pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 3)])
     def test_checked_modulus_is_rabin_irreducible(self, p, top):
