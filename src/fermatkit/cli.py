@@ -762,7 +762,7 @@ def cmd_eliminate(args, ctx) -> int:
     try:
         fam = load_family(fam_path)
     except ExternalDataSlotError as e:
-        report.add(CheckResult("family", STATUS_SKIP, str(e)))
+        report.add(CheckResult("family", STATUS_SKIP, _as_given(e, fam_path, args.family)))
         return _emit(args, report)
     for q in q_list:
         if not fam.is_admissible(q):
@@ -800,20 +800,28 @@ def cmd_eliminate(args, ctx) -> int:
     return _emit(args, report)
 
 
+def _as_given(e, path, given) -> str:
+    """The message of an error that `read_json` raised for the file at
+    `path`, naming the file as `given` on the command line or in a
+    constraint file, so a skip row reads the same in every checkout."""
+    return f"{given}: {str(e).removeprefix(f'{path}: ')}"
+
+
 def _load_constraints(ctx, path):
     """The SieveConstraints of a constraint file. Every error names the
     file and the entry; an external-data family slot raises its
-    ExternalDataSlotError unchanged."""
+    ExternalDataSlotError, naming the family file as the entry does."""
     p = ctx.input(path)
     out = []
     for i, c in enumerate(read_json(p, _constraint_entries)):
         if isinstance(c, tuple):  # modular: its family and targets
             q, family, curve_path, targets = c
             pos = f"{p}: constraints[{i}]"
+            fam_path = ctx.input(family)
             try:
-                fam = load_family(ctx.input(family))
-            except ExternalDataSlotError:
-                raise
+                fam = load_family(fam_path)
+            except ExternalDataSlotError as e:
+                raise ExternalDataSlotError(_as_given(e, fam_path, family)) from None
             except (OSError, ValueError) as e:
                 raise ValueError(f"{pos}.family: {e}") from None
             _check_residue_fields(fam, q, f"{pos}.q: {q}")

@@ -246,6 +246,7 @@ class _PackedField(NamedTuple):
     m: tuple  # the monic modulus, lowest degree first; (0, 1) when k = 1
     order: int  # N = q^k
     width: int  # bytes per slot
+    bound: int  # every slot value the evaluator reduces is below 2^bound
     shift: int
     magic: int  # ceil(2^shift / q)
     low: bytes  # one slot of the quotient mask
@@ -326,7 +327,7 @@ def _log_table(q, m) -> _PackedField:
     width = max((2 * bound + 1 + 7) // 8, (n.bit_length() + 7) // 8)
     low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")
     magic = -(-(1 << shift) // q)
-    T = _PackedField(q, m, N, width, shift, magic, low, b"", (), (), ())
+    T = _PackedField(q, m, N, width, bound, shift, magic, low, b"", (), (), ())
     fmul = _mul_kernel(q, m)
     g = first_generator(q, k, fmul)
     # the walk: W holds g^0, ..., g^(L-1) and h = g^L; a slot sum of
@@ -395,11 +396,20 @@ def _mul_rows(A, T: _PackedField) -> list:
 @lru_cache(maxsize=None)
 def _power_rows(q, m) -> list:
     """For each non-square y of F_q[w]/(m) and each component i, the row
-    i of M(y^0), ..., M(y^6) side by side, as a tuple: the rows of
+    i of M(y^0), ..., M(y^6) side by side: the rows of
     `_count_sextic_ext2`, built once per residue field. The non-squares
     are y = g^(2s+1) for s < (N-1)/2, so the entry of y^j w^l,
     g^(j + dlog(w^l) + 2js), runs over s as the walk of `_log_table`
-    rotated by j + dlog(w^l) and taken every 2j-th step."""
+    rotated by j + dlog(w^l) and taken every 2j-th step.
+
+    The rows come two to a tuple, the rows x and y of s = 2r and 2r + 1
+    as x + (y << bound); when (N-1)/2 is odd (N = 3 mod 4) the last row
+    stays single, that is, paired with the zero row. One product with a
+    tuple gives both rows (`_grid_count`): a row value sums 7k products
+    of an entry and a component in [0, q), so it is below
+    7k (q-1)^2 < 2^bound, and the two halves of a slot stay below
+    2^(2 bound) < 2^(8 width), with no carry between them or into the
+    next slot."""
     T = _log_table(q, m)
     n = T.order - 1
     rows = []
@@ -407,7 +417,9 @@ def _power_rows(q, m) -> list:
         cycle = _slot_ints(comp, T.width, q - 1).tolist() * 7
         cols = [cycle[r : r + j * n : 2 * j] if j else cycle[r : r + 1] * (n // 2)
                 for j in range(7) for r in ((j + wl) % n for wl in T.wlogs)]
-        rows.append(list(zip(*cols)))
+        single = list(zip(*cols))
+        rows.append([tuple(x + (y << T.bound) for x, y in zip(a, b))
+                     for a, b in zip(single[::2], single[1::2])] + single[len(single) & ~1 :])
     return rows
 
 
@@ -457,15 +469,21 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
 
     G(X, Y) = sum_j G[j](X) Y^j is given as at most 7 element lists G[j]
     (coefficients lowest degree first, at most 13), and `rows` as in
-    `_power_rows`. Component i of H_j = G_j(x) at every x is
-    sum_e sum_l M(G[j][e])[i][l] (x^e)_l on the packed power columns,
-    whose slots run over the x of F in log order (`_log_table`); it is
-    reduced mod q in place when there are rows, and the row of y is
-    sum_j M(y^j) H_j: multiplies of packed integers by small ones. The
-    rows of a block of at most `_BLOCK_SLOTS` slots are concatenated
-    component by component, reduced and read through the 1 + chi table
-    (`_chi_sum`), so memory stays O(block). The sum covers every slot,
-    so the slot order never shows in a count.
+    `_power_rows`, two rows to a tuple. Component i of H_j = G_j(x) at
+    every x is sum_e sum_l M(G[j][e])[i][l] (x^e)_l on the packed power
+    columns, whose slots run over the x of F in log order (`_log_table`);
+    it is reduced mod q in place when there are rows, and the rows of y
+    and y' are sum_j (M(y^j) + 2^bound M(y'^j)) H_j: one multiply of
+    packed integers by small ones per pair. The pairs of a block of at
+    most `_BLOCK_SLOTS` slots are concatenated component by component;
+    each slot holds the row of y in its low bound bits and that of y'
+    in the next bound bits (see `_power_rows`), so B & mask and
+    (B >> bound) & mask, mask the low bound bits of every slot, split
+    them. Each half is reduced and read through the 1 + chi table
+    (`_chi_sum`), so memory stays O(block). The zero row that pairs a
+    single last row adds 1 + chi(0) = 1 at each of its N slots, which
+    comes off the sum. The sum covers every slot, so the slot order
+    never shows in a count.
     """
     if len(G) > 7 or any(len(g[0]) > 13 for g in G):
         raise ValueError("packed evaluation takes X-degree at most 12 and Y-degree at most 6")
@@ -477,9 +495,10 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
         H.append([sum(map(mul, row, flat)) for row in _mul_rows(g, T)])
     if rows is None:
         return _chi_sum(H[0], n, T)
-    # rows sum_j M(y^j) H_j stay below 13 k (q-1)^2 only for reduced H_j
+    # a row sum_j M(y^j) H_j stays below 7k (q-1)^2 only for reduced H_j
     flat = [_reduce_slots(c, n, T) for h in H for c in h]
     size, per = n * T.width, max(1, _BLOCK_SLOTS // n)
+    half = ((1 << T.bound) - 1).to_bytes(T.width, "little")
     count = 0
     for s in range(0, len(rows[0]), per):
         R = []
@@ -487,8 +506,11 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
             vals = [sum(map(mul, r, flat)) for r in comp[s : s + per]]
             R.append(vals[0] if len(vals) == 1 else int.from_bytes(
                 b"".join(v.to_bytes(size, "little") for v in vals), "little"))
-        count += _chi_sum(R, min(per, len(rows[0]) - s) * n, T)
-    return count
+        slots = min(per, len(rows[0]) - s) * n
+        mask = _slot_mask(half, slots)
+        count += _chi_sum([B & mask for B in R], slots, T)
+        count += _chi_sum([B >> T.bound & mask for B in R], slots, T)
+    return count - n * ((n - 1) // 2 & 1)
 
 
 def _affine_count(coeffs, field) -> int:

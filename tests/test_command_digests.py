@@ -1,7 +1,8 @@
 """Every command's output, pinned: argv -> exit code and the sha256 of its
 `--json` body with every row's `ms` dropped, hashed compact and key-sorted
-as perfbench's `_main_op` does (the fixtures directory, which a skip row
-names, reads "<fixtures>"); and the exit code and stderr of two refusals.
+as perfbench's `_main_op` does; and the exit code and stderr of two
+refusals. No body names where the package sits on disk, so the digests
+hold in every checkout.
 A change to any row's name, status or detail, or to the inputs a command
 lists, must update its digest here on purpose.
 
@@ -11,12 +12,14 @@ runs the same table without pytest and exits 1 on a mismatch.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ELIMINATE = ("eliminate", "--family", "families/demo_sum_rule_cubic.json",
              "--packets", "packets/demo_self_1_3.json", "--q", "5,11")
@@ -51,7 +54,10 @@ BODIES = [  # (argv, exit code, sha256 of the body without timings)
     (("sieve", "--case", "coprime13", "--constraints", "constraints/demo_sieve.json"), 0,
      "6d8c24fe1ad4a05c7a2a57ec8303df25ee1a0715976c973987507e5d17a7951a"),
     (("sieve", "--case", "div13", "--constraints", "constraints/proof_sieve_small.json"), 0,
-     "f27a0845af5871d0cdec8c795c5bb59974263d7f7d11ce8c8a9a89a7df4e5104"),
+     "a50c7ca5675cb1c5c30f8958a45b4f666df1dd4f1312aae78e3fba753a24ee0f"),
+    (("eliminate", "--family", "families/frey_sqrt13.json",
+      "--packets", "packets/demo_self_1_3.json", "--q", "5"), 0,
+     "153486f6333a425765f39d776b391d680bd6a4d3bdca31704e420c68d7265b98"),
     (("check-invariants",), 0,
      "b4e68489f440b6d84a06ac169c5012300857f70181d5579184d16ffcf666e5c3"),
     (("--seed", "7", "check-invariants"), 0,
@@ -78,9 +84,7 @@ def run_main(argv):
 
 
 def body_digest(stdout: str) -> str:
-    from fermatkit.cli import _FIXTURES_DIR
-
-    body = json.loads(stdout.replace(str(_FIXTURES_DIR), "<fixtures>"))
+    body = json.loads(stdout)
     for row in body["checks"]:
         row.pop("ms")
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -107,12 +111,34 @@ def refusal_mismatches():
     return bad
 
 
+def workload_outcomes(seed=0):
+    """[(workload, op id, ok, note)] for every operation of every perfbench
+    workload at one seed, each gated on perfbench/refs.json (read only);
+    perfbench/workloads.py is imported by its path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    refs = wl.load_refs()
+    out = []
+    for name in wl.WORKLOADS:
+        _, outcomes = wl.run_ops(wl.plan(name, seed), wl.expected_digests(refs, name, seed))
+        out += [(name,) + o for o in outcomes]
+    return out
+
+
 def test_command_bodies_are_pinned():
     assert body_mismatches() == []
 
 
 def test_refusals_are_pinned():
     assert refusal_mismatches() == []
+
+
+def test_every_workload_plan_matches_its_references():
+    outcomes = workload_outcomes()
+    assert {o[0] for o in outcomes} == {"congruence", "elimination", "sieve", "sieve-oracle"}
+    assert len(outcomes) == 14  # 5 + 3 + 3 + 3 operations
+    assert [o for o in outcomes if not o[2]] == []
 
 
 if __name__ == "__main__":

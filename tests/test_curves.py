@@ -591,16 +591,18 @@ class TestNormPolynomialCount:
         spare=st.integers(0, 6),
     )
     def test_rows_across_blocks(self, q, c, per, spare):
-        # blocks of `per` rows (spare slots short of a row do not add one),
-        # fewer than the (q-1)/2 >= 3 rows of every prime here
+        # blocks of `per` tuples of two rows (spare slots short of a tuple
+        # do not add one), fewer than the ceil((q-1)/4) >= 2 tuples of
+        # every prime here but 7 at per = 2
         with mock.patch.object(curves, "_BLOCK_SLOTS", per * q + spare):
             got = _count_sextic_ext2_prime(c, q)
         assert got == enum_count_sextic_ext2_prime(c, q)
 
     def test_rows_across_default_blocks(self):
-        # 50 rows of 101 slots do not fit in one block of 2^12 slots
-        q = 101
-        assert (q - 1) // 2 > curves._BLOCK_SLOTS // q
+        # 33 tuples of 131 slots (65 rows, the last one single) do not fit
+        # in one block of 2^12 slots
+        q = 131
+        assert ((q - 1) // 2 + 1) // 2 > curves._BLOCK_SLOTS // q
         c = [q - 1, 5, 0, 17, q - 2, 1, 3]
         assert _count_sextic_ext2_prime(c, q) == enum_count_sextic_ext2_prime(c, q)
 
@@ -707,7 +709,8 @@ class TestPackedExtensionFields:
 
     @pytest.mark.parametrize("q,per,spare", [(3, 1, 0), (3, 2, 5), (5, 1, 7), (5, 3, 0)])
     def test_rows_across_blocks(self, q, per, spare):
-        # blocks of `per` rows of q^2 slots, fewer than the (q^2-1)/2 rows
+        # blocks of `per` tuples of q^2 slots, two rows each, fewer than
+        # the (q^2-1)/4 tuples but at q = 3, per = 2
         F = _first_irreducible(q, 2)
         rng = random.Random(q * per + spare)
         for _ in range(2):
@@ -798,7 +801,7 @@ class TestLogTable:
     def test_each_nonsquare_heads_one_row(self, q, k):
         F = _first_irreducible(q, k)
         T = _field_tables(F)
-        rows = curves._power_rows(T.q, T.m)
+        rows = _unpaired_rows(curves._power_rows(T.q, T.m), T)
         squares = _naive_squares(F)
         heads = [F.element([comp[s][k] for comp in rows]) for s in range(len(rows[0]))]
         assert sorted(y.index() for y in heads) == [
@@ -809,6 +812,84 @@ class TestLogTable:
             powers = [heads[s] ** j for j in range(7)]
             want = curves._mul_rows([[p.coeffs[i] for p in powers] for i in range(k)], T)
             assert [list(comp[s]) for comp in rows] == want, s
+
+
+def _unpaired_rows(rows, T):
+    """The rows of `_power_rows` one to a tuple: each tuple x + (y << bound)
+    split into the rows x and y, and the zero row that pairs a single last
+    row dropped (it must be zero)."""
+    mask, count = (1 << T.bound) - 1, (T.order - 1) // 2
+    out = []
+    for comp in rows:
+        single = [tuple(v >> shift & mask for v in t) for t in comp for shift in (0, T.bound)]
+        assert all(v == 0 for t in single[count:] for v in t)
+        out.append(single[:count])
+    return out
+
+
+# (q, k) with (N-1)/2 odd (the last row single) and even, k = 2 among them
+PAIRED_ROW_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
+
+
+class TestPairedRows:
+    """Two ext-2 rows per tuple of `_power_rows`, one product per pair in
+    `_grid_count`: the parity of the row count, pairs split across
+    blocks, and both halves of every slot at their largest."""
+
+    @pytest.mark.parametrize("q,k", PAIRED_ROW_FIELDS)
+    def test_row_counts_of_both_parities(self, q, k):
+        F = _first_irreducible(q, k)
+        T = _field_tables(F)
+        count = (F.order - 1) // 2
+        rows = curves._power_rows(T.q, T.m)
+        assert [len(comp) for comp in rows] == [(count + 1) // 2] * k
+        # a single last row has nothing in its upper half
+        single = count % 2 == 1
+        assert single == (F.order % 4 == 3)
+        assert all(v >> T.bound == 0 for comp in rows for v in comp[-1]) == single
+        rng = random.Random(7 * q + k)
+        top = F.from_index(F.order - 1)
+        for coeffs in ([F.from_index(rng.randrange(F.order)) for _ in range(7)], [top] * 7):
+            assert _packed_ext2(coeffs, F) == naive_count_sextic_ext2(coeffs, F)
+
+    @pytest.mark.parametrize("q,k,per,spare", [
+        (7, 1, 1, 0),  # a pair, then the single row in a block of its own
+        (11, 1, 2, 3),  # two pairs, then the single row
+        (11, 1, 1, 10),
+        (13, 1, 2, 0),  # three pairs: two, then one
+        (3, 3, 5, 26),  # seven tuples: five, then a pair and the single row
+        (3, 2, 1, 8),  # two pairs, one a block
+    ])
+    def test_pairs_across_blocks(self, q, k, per, spare):
+        # blocks of `per` tuples of N slots (spare slots short of a tuple
+        # do not add one)
+        F = _first_irreducible(q, k)
+        rng = random.Random(q * per + spare)
+        for _ in range(2):
+            coeffs = [F.from_index(rng.randrange(F.order)) for _ in range(7)]
+            with mock.patch.object(curves, "_BLOCK_SLOTS", per * F.order + spare):
+                got = _packed_ext2(coeffs, F)
+            assert got == naive_count_sextic_ext2(coeffs, F)
+
+    @pytest.mark.parametrize("q,k", [(3, 1), (7, 1), (71, 1), (101, 1), (199, 1), (5, 2),
+                                     (13, 2), (11, 3)])
+    def test_both_halves_at_their_largest(self, q, k):
+        # every row entry is q - 1 and every component of H_j is c, so each
+        # half of every slot holds 7k (q-1) c: at c = q - 1 the most a row
+        # sums to, which at 71, 101, 199 and 11^3 is at least 2^(bound-1)
+        F = _first_irreducible(q, k)
+        T = _field_tables(F)
+        squares = _naive_squares(F)
+        count = (F.order - 1) // 2
+        pair, single = (q - 1) * (1 + (1 << T.bound)), q - 1
+        rows = [[(pair,) * 7 * k] * (count // 2) + [(single,) * 7 * k] * (count % 2)] * k
+        for c in range(q - 1, max(0, q - 5), -1):
+            G = [[[c]] * k] * 7  # G_j = the constant with every component c
+            value = F.element([7 * k * (q - 1) * c] * k)
+            want = count * F.order * _naive_one_plus_chi(value, squares)
+            assert _grid_count(G, T, rows) == want, c
+            with mock.patch.object(curves, "_BLOCK_SLOTS", 2 * F.order):
+                assert _grid_count(G, T, rows) == want, c
 
 
 def loop_norm_polynomial(c, T):

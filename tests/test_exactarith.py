@@ -423,6 +423,10 @@ KERNEL_FIELDS = {
     "F191^2": lambda: _first_irreducible(191, 2),  # edge: 64 bits
     "F97^4": lambda: _first_irreducible(97, 4),  # edge: 32 bits
     "F101^4": lambda: _first_irreducible(101, 4),  # edge: 64 bits
+    "F113^3": lambda: _first_irreducible(113, 3),  # edge: 32 bits
+    "F127^3": lambda: _first_irreducible(127, 3),  # edge: 64 bits
+    "F31817^3": lambda: _first_irreducible(31817, 3),  # edge: 64 bits
+    "F31847^3": lambda: _first_irreducible(31847, 3),  # edge: schoolbook fallback
     "F46337^2": lambda: _first_irreducible(46337, 2),  # edge: 64 bits
     "F46349^2": lambda: _first_irreducible(46349, 2),  # edge: schoolbook fallback
     "FM61^2": lambda: FiniteField(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback
