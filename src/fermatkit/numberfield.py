@@ -9,12 +9,14 @@ which covers every valuation this toolkit needs.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from .exactarith import (
     FFElement,
     FiniteField,
     UniPoly,
+    _equal_degree_split,
     _zmulmod,
     chain_pow,
     is_prime,
@@ -240,9 +242,11 @@ def split_prime(order: NumberFieldOrder, q: int):
     """Primes of the order above q, one per irreducible factor mod q, in
     the frozen factor order of `poly_factor_mod_p`.
 
-    A quadratic order at an odd q is split in closed form, by one square
-    root mod q (`_split_prime`); every other order and q = 2 go through
-    `poly_factor_mod_p`, which stays the reference for the closed form.
+    Two closed forms split a prime (`_split_prime`): a quadratic order at
+    an odd q by one square root mod q, and Zzeta13 at q != 13 by the
+    residue degree ord_13(q) and at most one equal-degree split. Every
+    other case goes through `poly_factor_mod_p`, which stays the
+    reference for both closed forms in the tests.
     Results are memoized per (order, q); PrimeIdealData values are
     immutable, so the cached list is shared freely.
     """
@@ -290,13 +294,31 @@ def _quadratic_factors(g0: int, g1: int, q: int):
     return [(UniPoly([c, 1]), 1) for c in sorted(((g1 + r) * half % q, (g1 - r) * half % q))]
 
 
+def _cyclotomic13_factors(q: int):
+    """The factor list of `poly_factor_mod_p` for Phi_13 modulo a prime
+    q != 13. Every irreducible factor has degree f = ord_13(q) (Lidl and
+    Niederreiter, *Finite Fields*, Theorem 2.47): at f = 12, Phi_13 is
+    its own factor; otherwise one Cantor-Zassenhaus split of
+    F_q[x]/(Phi_13) at degree f, drawn from the seed `poly_factor_mod_p`
+    uses, gives its factors without the squarefree and distinct-degree
+    steps, sorted by coefficients (all have degree f)."""
+    f = next(f for f in (1, 2, 3, 4, 6, 12) if pow(q, f, 13) == 1)
+    if f == 12:
+        return [(_PHI13, 1)]
+    R = FiniteField(q, _PHI13, check=False)
+    return [(UniPoly(g), 1) for g in sorted(_equal_degree_split(R, R._mod_c, f, random.Random(1)))]
+
+
 @lru_cache(maxsize=None)
 def _split_prime(order: NumberFieldOrder, q: int):
     """`split_prime` past its checks. The factors of a quadratic order's
-    polynomial at an odd q come from `_quadratic_factors`, equal to those
+    polynomial at an odd q come from `_quadratic_factors`, and those of
+    Phi_13 at q != 13 from `_cyclotomic13_factors`, both equal to those
     of `poly_factor_mod_p`, which factors every other case."""
     if order.degree == 2 and q != 2:
         factors = _quadratic_factors(*order.poly.coeffs[:2], q)
+    elif order.poly == _PHI13 and q != 13:
+        factors = _cyclotomic13_factors(q)
     else:
         factors = poly_factor_mod_p(order.poly, q)
     primes = []

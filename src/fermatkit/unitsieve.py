@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 
 from .curves import g2_euler_factor, g2_rm_split, rm_residues_mod_p7
 from .elimination import FreyFamily, compatible_pairs, residue_pairs
@@ -633,9 +633,15 @@ def _sieve_bits(descent_case: str, constraints, local) -> int:
     return surv
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def class_indices(bits: int) -> list:
-    """Indices of the classes in a survivor int, in increasing order."""
-    return [i for i, c in enumerate(reversed(f"{bits:b}")) if c == "1"]
+    """Indices of the classes in a survivor int, in increasing order: the
+    binary digits, least significant first, as 0/1 bytes that select from
+    the class indices, all in C loops."""
+    flags = f"{bits:0{UNIT_CLASS_COUNT}b}"[::-1].encode().translate(_BIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def sieve_case_bits(descent_case: str, constraints) -> int:

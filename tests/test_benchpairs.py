@@ -1,0 +1,47 @@
+"""tools/benchpairs.py's pairing and summary, on a stand-in for perfbench."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("benchpairs", ROOT / "tools" / "benchpairs.py")
+benchpairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(benchpairs)
+
+
+def test_directions_are_the_benchmarks():
+    assert benchpairs.metric_directions() == {
+        "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+
+def test_pairs_alternate_and_take_new_seeds():
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed))
+        wall = 1.0 if tree == "P" else 0.9 + 0.2 * (seed == 12)  # the change loses at seed 12
+        return {"attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": wall}}}
+
+    out, failed = benchpairs.bench({"parent": "P", "change": "C"}, ["a", "b"], 3, 10, 1.0,
+                                   {"wall_s": "lower"}, run=fake)
+    assert failed == 0
+    assert [c[2] for c in calls] == [10, 10, 11, 11, 12, 12, 13, 13, 14, 14, 15, 15]
+    assert [c[0] for c in calls[:6]] == ["P", "C", "C", "P", "P", "C"]
+    a = out["a"]
+    assert a["seeds"] == [10, 11, 12] and a["first_side"] == ["parent", "change", "parent"]
+    assert a["operations"]["change"] == {"attempted": 9, "failed": 0}
+    assert a["wall_s"]["change_wins"] == "2 of 3"
+    assert a["wall_s"]["change"] == {"median": 0.9, "q1": 0.9, "q3": 1.0, "runs": [0.9, 0.9, 1.1]}
+    assert out["b"]["wall_s"]["change_wins"] == "3 of 3"
+
+
+def test_failed_operations_and_missing_results_count():
+    def fake(tree, workload, seed, seconds):
+        if tree == "C" and seed == 1:
+            return None
+        return {"attempted": 2, "failed": int(tree == "P"), "metrics": {"wall_s": {"value": 1}}}
+
+    out, failed = benchpairs.bench({"parent": "P", "change": "C"}, ["a"], 2, 0, 1.0,
+                                   {"wall_s": "lower"}, run=fake)
+    assert failed == 3  # two failed parent operations and one run without a result
+    assert "wall_s" not in out["a"]  # the sides no longer pair run by run

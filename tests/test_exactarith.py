@@ -427,6 +427,13 @@ KERNEL_FIELDS = {
     "F127^3": lambda: _first_irreducible(127, 3),  # edge: 64 bits
     "F31817^3": lambda: _first_irreducible(31817, 3),  # edge: 64 bits
     "F31847^3": lambda: _first_irreducible(31847, 3),  # edge: schoolbook fallback
+    "F5^6": lambda: _first_irreducible(5, 6),  # edge: 16 bits
+    # no x^6 + x + c is irreducible mod 7; 3 is a primitive root mod 7, so x^6 - 3 is
+    "F7^6": lambda: FiniteField(7, UniPoly([-3, 0, 0, 0, 0, 0, 1])),  # edge: 32 bits
+    "F67^6": lambda: _first_irreducible(67, 6),  # edge: 32 bits
+    "F71^6": lambda: _first_irreducible(71, 6),  # edge: 64 bits
+    "F17891^6": lambda: _first_irreducible(17891, 6),  # edge: 64 bits
+    "F17903^6": lambda: _first_irreducible(17903, 6),  # edge: schoolbook fallback
     "F46337^2": lambda: _first_irreducible(46337, 2),  # edge: 64 bits
     "F46349^2": lambda: _first_irreducible(46349, 2),  # edge: schoolbook fallback
     "FM61^2": lambda: FiniteField(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback

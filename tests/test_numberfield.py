@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fermatkit import numberfield
+from fermatkit import exactarith, numberfield
 from fermatkit.exactarith import (
     FiniteField,
     UniPoly,
@@ -346,12 +346,12 @@ def test_split_cache_shared_by_equal_orders_and_checked_first():
 
 
 class TestQuadraticSplit:
-    """The closed form of `_split_prime` for the two quadratic orders, with
-    `poly_factor_mod_p` as its reference."""
+    """The closed forms of `_split_prime`, for the two quadratic orders and
+    for Zzeta13, with `poly_factor_mod_p` as their reference."""
 
     PRIMES = [q for q in range(2, 2000) if is_prime(q)]
 
-    @pytest.mark.parametrize("order", [K13, Z2], ids=lambda o: o.label)
+    @pytest.mark.parametrize("order", [K13, Z2, ZZ13], ids=lambda o: o.label)
     def test_matches_the_generic_factorizer(self, order):
         numberfield._split_prime.cache_clear()
         for q in self.PRIMES:
@@ -379,3 +379,23 @@ class TestQuadraticSplit:
         numberfield._split_prime.cache_clear()
         for (order, q), factors in want.items():
             assert [(P.factor, P.e) for P in split_prime(order, q)] == factors, (order.label, q)
+
+    def test_cyclotomic_primes_split_without_the_generic_factorizer(self, monkeypatch):
+        """Zzeta13 at every q != 13 below 200: neither the generic
+        factorizer nor its distinct-degree step runs, and both closed-form
+        branches do (Phi_13 inert at f = ord_13(q) = 12, one equal-degree
+        split below)."""
+        want = {q: poly_factor_mod_p(ZZ13.poly, q) for q in self.PRIMES if q < 200 and q != 13}
+        assert {len(fs) == 1 for fs in want.values()} == {True, False}
+
+        def refuse(*args):
+            raise AssertionError("Zzeta13 reached the generic factorizer")
+
+        monkeypatch.setattr(numberfield, "poly_factor_mod_p", refuse)
+        monkeypatch.setattr(exactarith, "_distinct_degree", refuse)
+        numberfield._split_prime.cache_clear()
+        for q, factors in want.items():
+            primes = split_prime(ZZ13, q)
+            assert [(P.factor, P.e) for P in primes] == factors, q
+            f = min(f for f in range(1, 13) if pow(q, f, 13) == 1)
+            assert {P.fdeg for P in primes} == {f} and len(primes) == 12 // f, q

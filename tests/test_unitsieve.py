@@ -1012,6 +1012,23 @@ def test_bits_and_class_sets_agree():
     assert class_indices(0) == [] and class_indices(ALL_CLASSES) == list(range(16807))
 
 
+def test_class_indices_match_the_digit_comprehension():
+    """The 0/1-byte selection against the plain walk over the binary
+    digits, least significant first."""
+    def by_digits(bits):
+        return [i for i, c in enumerate(reversed(f"{bits:b}")) if c == "1"]
+
+    rng = random.Random(16807)
+    cases = [0, ALL_CLASSES, 1, 1 << 16806, 1 | 1 << 16806]
+    cases += [rng.getrandbits(UNIT_CLASS_COUNT) for _ in range(8)]
+    cases += [rng.getrandbits(UNIT_CLASS_COUNT) & rng.getrandbits(UNIT_CLASS_COUNT)
+              for _ in range(8)]
+    cases += [rng.getrandbits(n) for n in (1, 7, 64, 1000)]
+    for bits in cases:
+        assert class_indices(bits) == by_digits(bits), bits.bit_length()
+    assert class_indices(1 << 16806) == [16806]
+
+
 class TestSurvivorSet:
     BITS = 1 | 1 << 5 | 1 << 49 | 1 << 16806
 
