@@ -6,15 +6,16 @@ k is counted by one packed evaluator: f is evaluated at every x of F at
 once on packed integers, one slot per x in log order and one integer
 per component over F_q, a coefficient acting by its k x k
 multiplication matrix, and every table is a slice of one walk through
-the powers of a generator of F^* (`_log_table`); every
-slot is reduced mod q in place with one multiply, shift and mask
-(division by an invariant integer), the components are folded into the
-element index, and the index is read through a 1 + chi table, so no
-Python loop runs per point. F_{N^2} over a residue field F of order N
-is counted over F through the norm, chi_{N^2}(z) = chi_N(N(z)): the
-norm of f(a + bt) is G(a, S b^2) for one bivariate polynomial G over F,
-and the whole (a, b) grid is evaluated in packed blocks, at split and
-inert primes alike. Characteristic 2 uses the Artin-Schreier trace.
+the powers of a generator of F^*; one `_PackedField` per field, built
+once by `_log_table`, owns the walk, its power columns, the F_{N^2}
+rows and the slot masks. Every slot is reduced mod q in place with one
+multiply, shift and mask (division by an invariant integer), the
+components are folded into the element index, and the index is read
+through a 1 + chi table, so no Python loop runs per point. F_{N^2}
+over a residue field F of order N is counted over F through the norm,
+chi_{N^2}(z) = chi_N(N(z)): the norm of f(a + bt) is G(a, S b^2) for
+one bivariate polynomial G over F, and the whole (a, b) grid is
+evaluated in packed blocks, at split and inert primes alike. Characteristic 2 uses the Artin-Schreier trace.
 Euler factors come from counts over F_N and F_{N^2}. Igusa-Clebsch
 invariants are computed by classical transvectants over the order, in
 integers, once per sextic coefficient tuple per process. A sextic model is
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, isqrt, prod
 from operator import mul
-from typing import NamedTuple
 
 from .exactarith import _mul_kernel, _zmulmod, first_generator
 from .jsonfile import fields, int_lists, one_of, read_json
@@ -233,27 +233,141 @@ def ec_reduction_type(E: EllipticCurveNF, P: PrimeIdealData) -> str:
 _BLOCK_SLOTS = 1 << 12  # slots reduced and classified at once; bounds memory
 
 
-class _PackedField(NamedTuple):
-    """Packed evaluation data of an odd residue field F = F_q[w]/(m) of
-    degree k and order N, from `_log_table`. The slots of a packed
+class _PackedField:
+    """The packed tables of an odd residue field F = F_q[w]/(m) of
+    degree k and order N, in log order (an index table, Lidl and
+    Niederreiter, *Finite Fields*, ch. 9), from one walk through the
+    powers of a generator: the one owner of everything derived from F.
+    `_log_table` builds it once per (q, m). The slots of a packed
     integer run in log order: slot 0 holds a value at 0 and slot 1 + t
-    a value at g^t, g the generator of F^* that `_log_table` picks; every
-    count sums over all slots, so the order never shows. Values are read
-    by element index (`FFElement.index`). Lists of elements are kept as
-    k lists of components, one per power of w."""
+    a value at g^t; every count sums over all slots, so the order never
+    shows. Values are read by element index (`FFElement.index`). Lists
+    of elements are kept as k lists of components, one per power of w.
 
-    q: int
-    m: tuple  # the monic modulus, lowest degree first; (0, 1) when k = 1
-    order: int  # N = q^k
-    width: int  # bytes per slot
-    bound: int  # every slot value the evaluator reduces is below 2^bound
-    shift: int
-    magic: int  # ceil(2^shift / q)
-    low: bytes  # one slot of the quotient mask
-    table: bytes  # 1 + chi(z) at index(z)
-    planes: tuple  # 1 + chi as 0, 1, 3 (its bit count), 256 indices each
-    walk: tuple  # component i of g^t at slot t < N - 1: k byte strings
-    wlogs: tuple  # dlog(w^l) for l < k
+    g is `first_generator`, the first element in index order with
+    g^((N-1)/r) != 1 for every prime r dividing N - 1; the frozen omega
+    of the unit sieve is a power of the same g. The walk g^0, ..., g^(N-2)
+    doubles on k packed component integers: from the first L powers, the
+    next ones are g^L times them, one product with the matrix M(g^L) and
+    one slot reduction per component. The 1 + chi table is 2 at the
+    elements of even log; the power columns and ext-2 rows are slices of
+    the walk (`column`, `rows`), so no field arithmetic runs per element.
+
+    Every packed component the evaluator reduces has slots below
+    13 k (q-1)^2 < 2^bound: sum over e <= 12 and l < k of
+    M(g_e)[i][l] (x^e)_l, with M(g) the matrix of multiplication by g
+    over F_q and every entry and component in [0, q), or a row
+    sum_j M(y^j) H_j with j <= 6 and the components of H_j in [0, q).
+    Division by the constant q (Granlund and Montgomery, "Division by
+    invariant integers using multiplication", 1994): with
+    shift = bound + bitlen(q) and magic = ceil(2^shift / q),
+    floor(v / q) = (v magic) >> shift for every v < 2^bound. Since
+    magic <= 2^(bound + 1), v magic < 2^(2 bound + 1), so slots of
+    2 bound + 1 bits, rounded up to whole bytes, never carry into the
+    next slot. After the shift the low bits of the next slot's product
+    start at bit 8 width - shift >= bound - bitlen(q) + 1 of each slot,
+    and the quotient below them is less than 2^(bound - bitlen(q) + 1),
+    so a mask of the low 8 width - shift bits separates the two. A slot
+    also holds an element index sum_i R_i q^i < q^k.
+    """
+
+    def __init__(self, q, m):
+        k = len(m) - 1
+        if q == 2:
+            raise ValueError("packed counting needs odd characteristic")
+        self.q, self.m = q, m  # m the monic modulus, lowest degree first; (0, 1) when k = 1
+        self.order = N = q**k
+        n = N - 1
+        self.bound = bound = (13 * k * (q - 1) ** 2).bit_length()
+        self.shift = shift = bound + q.bit_length()
+        self.width = width = max((2 * bound + 1 + 7) // 8, (n.bit_length() + 7) // 8)
+        self.magic = -(-(1 << shift) // q)
+        self.low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")  # quotient mask slot
+        self.half = ((1 << bound) - 1).to_bytes(width, "little")  # low row of a paired slot
+        self.masks = {}  # slot pattern -> (slots, mask): `low` and `half` only
+        ones = int.from_bytes((1).to_bytes(width, "little") * N, "little")
+        self._columns = {0: (ones,) + (0,) * (k - 1)}  # e -> `column(e)`
+        self.mask(self.low, N)  # every count reduces N slots; the walk fewer
+        fmul = _mul_kernel(q, m)
+        g = first_generator(q, k, fmul)
+        # the walk: W holds g^0, ..., g^(L-1) and h = g^L; a slot sum of
+        # M(h)[i][l] W_l stays below k (q-1)^2
+        W, L, h, bits = [1] + [0] * (k - 1), 1, g, 8 * width
+        while L < n:
+            t = min(L, n - L)
+            cut = [v & (1 << bits * t) - 1 for v in W]
+            W = [v | _reduce_slots(sum(map(mul, row, cut)), t, self) << bits * L
+                 for v, row in zip(W, _mul_rows([[c] for c in h], self))]
+            L, h = L + t, fmul(h, h)
+        self.walk = tuple(v.to_bytes(n * width, "little") for v in W)  # component i of g^t at slot t
+        index = sum(q**i * v for i, v in enumerate(W)).to_bytes(n * width, "little")
+        logs = _slot_ints(index, width, n)  # index(g^t) at t
+        table = bytearray(N)
+        table[0] = 1
+        for s in logs[::2]:
+            table[s] = 2
+        self.table = bytes(table)  # 1 + chi(z) at index(z)
+        self.planes = ()  # 1 + chi as 0, 1, 3 (its bit count), 256 indices each
+        if N <= 1 << 16:
+            encoded = self.table.translate(bytes([0, 1, 3]) + bytes(253)) + bytes(-N % 256)
+            self.planes = tuple(encoded[i : i + 256] for i in range(0, N, 256))
+        self.wlogs = tuple(logs.index(q**l) for l in range(k))  # dlog(w^l) for l < k
+
+    def mask(self, one: bytes, n: int) -> int:
+        """The slot `one` (`low` or `half`) over at least n slots: F keeps
+        one mask per pattern, rebuilt only to grow to the most slots used.
+        A value of fewer slots ANDs with it exactly: each slot's
+        v magic < 2^(2 bound + 1) <= 2^(8 width) stays inside its slot, as
+        do paired rows, below 2^(2 bound), so the value masked has no bit
+        above its own slots, and & of two non-negative ints only reads the
+        shorter operand."""
+        slots, mask = self.masks.get(one, (0, 0))
+        if slots < n:
+            slots, mask = self.masks[one] = n, int.from_bytes(one * n, "little")
+        return mask
+
+    def column(self, e) -> tuple:
+        """x^e at every x of F, packed into the log-order slots: one int
+        per component, built once per e. x^0 is 1 at every slot; for
+        e > 0 the slot of 0 holds 0 and the slot of g^t holds g^(et), the
+        walk taken every e-th step around its cycle."""
+        if e not in self._columns:
+            w, n, out = self.width, self.order - 1, []
+            for comp in self.walk:
+                buf, cycle = bytearray(n * w), comp * e
+                for b in range((self.q - 1).bit_length() + 7 >> 3):
+                    buf[b::w] = cycle[b :: e * w]
+                out.append(int.from_bytes(buf, "little") << 8 * w)
+            self._columns[e] = tuple(out)
+        return self._columns[e]
+
+    @cached_property
+    def rows(self) -> list:
+        """For each non-square y of F and each component i, the row i of
+        M(y^0), ..., M(y^6) side by side: the rows of
+        `_count_sextic_ext2`. The non-squares are y = g^(2s+1) for
+        s < (N-1)/2, so the entry of y^j w^l, g^(j + dlog(w^l) + 2js),
+        runs over s as the walk rotated by j + dlog(w^l) and taken every
+        2j-th step.
+
+        The rows come two to a tuple, the rows x and y of s = 2r and
+        2r + 1 as x + (y << bound); when (N-1)/2 is odd (N = 3 mod 4) the
+        last row stays single, that is, paired with the zero row. One
+        product with a tuple gives both rows (`_grid_count`): a row value
+        sums 7k products of an entry and a component in [0, q), so it is
+        below 7k (q-1)^2 < 2^bound, and the two halves of a slot stay
+        below 2^(2 bound) < 2^(8 width), with no carry between them or
+        into the next slot."""
+        n = self.order - 1
+        rows = []
+        for comp in self.walk:
+            cycle = _slot_ints(comp, self.width, self.q - 1).tolist() * 7
+            cols = [cycle[r : r + j * n : 2 * j] if j else cycle[r : r + 1] * (n // 2)
+                    for j in range(7) for r in ((j + wl) % n for wl in self.wlogs)]
+            single = list(zip(*cols))
+            rows.append([tuple(x + (y << self.bound) for x, y in zip(a, b))
+                         for a, b in zip(single[::2], single[1::2])] + single[len(single) & ~1 :])
+        return rows
 
 
 def _fold(A, q, m) -> list:
@@ -284,100 +398,14 @@ def _slot_ints(raw, width, top) -> array:
     return out
 
 
-@lru_cache(maxsize=None)
-def _log_table(q, m) -> _PackedField:
-    """The packed tables of F = F_q[w]/(m), in log order (an index table,
-    Lidl and Niederreiter, *Finite Fields*, ch. 9), from one walk through
-    the powers of a generator.
-
-    g is `first_generator`, the first element in index order with
-    g^((N-1)/r) != 1 for every prime r dividing N - 1; the frozen omega
-    of the unit sieve is a power of the same g. The walk g^0, ..., g^(N-2)
-    doubles on k packed component integers: from the first L powers, the
-    next ones are g^L times them, one product with the matrix M(g^L) and
-    one slot reduction per component. The 1 + chi table is 2 at the
-    elements of even log; the power columns and ext-2 rows are slices of
-    the walk (`_power_column`, `_power_rows`), so no field arithmetic
-    runs per element.
-
-    Every packed component the evaluator reduces has slots below
-    13 k (q-1)^2 < 2^bound: sum over e <= 12 and l < k of
-    M(g_e)[i][l] (x^e)_l, with M(g) the matrix of multiplication by g
-    over F_q and every entry and component in [0, q), or a row
-    sum_j M(y^j) H_j with j <= 6 and the components of H_j in [0, q).
-    Division by the constant q (Granlund and Montgomery, "Division by
-    invariant integers using multiplication", 1994): with
-    shift = bound + bitlen(q) and magic = ceil(2^shift / q),
-    floor(v / q) = (v magic) >> shift for every v < 2^bound. Since
-    magic <= 2^(bound + 1), v magic < 2^(2 bound + 1), so slots of
-    2 bound + 1 bits, rounded up to whole bytes, never carry into the
-    next slot. After the shift the low bits of the next slot's product
-    start at bit 8 width - shift >= bound - bitlen(q) + 1 of each slot,
-    and the quotient below them is less than 2^(bound - bitlen(q) + 1),
-    so a mask of the low 8 width - shift bits separates the two. A slot
-    also holds an element index sum_i R_i q^i < q^k.
-    """
-    k = len(m) - 1
-    if q == 2:
-        raise ValueError("packed counting needs odd characteristic")
-    N = q**k
-    n = N - 1
-    bound = (13 * k * (q - 1) ** 2).bit_length()
-    shift = bound + q.bit_length()
-    width = max((2 * bound + 1 + 7) // 8, (n.bit_length() + 7) // 8)
-    low = ((1 << (8 * width - shift)) - 1).to_bytes(width, "little")
-    magic = -(-(1 << shift) // q)
-    T = _PackedField(q, m, N, width, bound, shift, magic, low, b"", (), (), ())
-    fmul = _mul_kernel(q, m)
-    g = first_generator(q, k, fmul)
-    # the walk: W holds g^0, ..., g^(L-1) and h = g^L; a slot sum of
-    # M(h)[i][l] W_l stays below k (q-1)^2
-    W, L, h, bits = [1] + [0] * (k - 1), 1, g, 8 * width
-    while L < n:
-        t = min(L, n - L)
-        cut = [v & (1 << bits * t) - 1 for v in W]
-        W = [v | _reduce_slots(sum(map(mul, row, cut)), t, T) << bits * L
-             for v, row in zip(W, _mul_rows([[c] for c in h], T))]
-        L, h = L + t, fmul(h, h)
-    walk = tuple(v.to_bytes(n * width, "little") for v in W)
-    index = sum(q**i * v for i, v in enumerate(W)).to_bytes(n * width, "little")
-    logs = _slot_ints(index, width, n)  # index(g^t) at t
-    table = bytearray(N)
-    table[0] = 1
-    for s in logs[::2]:
-        table[s] = 2
-    planes = ()
-    if N <= 1 << 16:
-        encoded = bytes(table).translate(bytes([0, 1, 3]) + bytes(253)) + bytes(-N % 256)
-        planes = tuple(encoded[i : i + 256] for i in range(0, N, 256))
-    return T._replace(table=bytes(table), planes=planes, walk=walk,
-                      wlogs=tuple(logs.index(q**l) for l in range(k)))
+# The packed tables of F_q[w]/(m), one per field; the only cache keyed on (q, m).
+_log_table = lru_cache(maxsize=None)(_PackedField)
 
 
 def _field_tables(field) -> _PackedField:
     """`_log_table` of a residue field; every prime field shares the
     tables of F_q[w]/(w), since its elements are their constant terms."""
     return _log_table(field.p, field.modulus.coeffs if field.k > 1 else (0, 1))
-
-
-@lru_cache(maxsize=None)
-def _power_column(q, m, e) -> tuple:
-    """x^e at every x of F_q[w]/(m), packed into the log-order slots of
-    `_log_table(q, m)`: one int per component. x^0 is 1 at every slot;
-    for e > 0 the slot of 0 holds 0 and the slot of g^t holds g^(et), the
-    walk taken every e-th step around its cycle."""
-    T = _log_table(q, m)
-    w, n = T.width, T.order - 1
-    if e == 0:
-        ones = int.from_bytes((1).to_bytes(w, "little") * T.order, "little")
-        return (ones,) + (0,) * (len(m) - 2)
-    out = []
-    for comp in T.walk:
-        buf, cycle = bytearray(n * w), comp * e
-        for b in range((q - 1).bit_length() + 7 >> 3):
-            buf[b::w] = cycle[b :: e * w]
-        out.append(int.from_bytes(buf, "little") << 8 * w)
-    return tuple(out)
 
 
 def _mul_rows(A, T: _PackedField) -> list:
@@ -393,47 +421,10 @@ def _mul_rows(A, T: _PackedField) -> list:
     return [[v for vs in zip(*(c[i] for c in cols)) for v in vs] for i in range(len(A))]
 
 
-@lru_cache(maxsize=None)
-def _power_rows(q, m) -> list:
-    """For each non-square y of F_q[w]/(m) and each component i, the row
-    i of M(y^0), ..., M(y^6) side by side: the rows of
-    `_count_sextic_ext2`, built once per residue field. The non-squares
-    are y = g^(2s+1) for s < (N-1)/2, so the entry of y^j w^l,
-    g^(j + dlog(w^l) + 2js), runs over s as the walk of `_log_table`
-    rotated by j + dlog(w^l) and taken every 2j-th step.
-
-    The rows come two to a tuple, the rows x and y of s = 2r and 2r + 1
-    as x + (y << bound); when (N-1)/2 is odd (N = 3 mod 4) the last row
-    stays single, that is, paired with the zero row. One product with a
-    tuple gives both rows (`_grid_count`): a row value sums 7k products
-    of an entry and a component in [0, q), so it is below
-    7k (q-1)^2 < 2^bound, and the two halves of a slot stay below
-    2^(2 bound) < 2^(8 width), with no carry between them or into the
-    next slot."""
-    T = _log_table(q, m)
-    n = T.order - 1
-    rows = []
-    for comp in T.walk:
-        cycle = _slot_ints(comp, T.width, q - 1).tolist() * 7
-        cols = [cycle[r : r + j * n : 2 * j] if j else cycle[r : r + 1] * (n // 2)
-                for j in range(7) for r in ((j + wl) % n for wl in T.wlogs)]
-        single = list(zip(*cols))
-        rows.append([tuple(x + (y << T.bound) for x, y in zip(a, b))
-                     for a, b in zip(single[::2], single[1::2])] + single[len(single) & ~1 :])
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _slot_mask(low: bytes, n: int) -> int:
-    """The quotient mask of n slots: `low` repeated n times, built once
-    per (field, slot count)."""
-    return int.from_bytes(low * n, "little")
-
-
 def _reduce_slots(V, n, T: _PackedField) -> int:
     """V with each of its n slots v replaced by v mod q: one multiply,
-    shift and mask give every quotient (see `_log_table`)."""
-    return V - T.q * ((V * T.magic >> T.shift) & _slot_mask(T.low, n))
+    shift and mask give every quotient (see `_PackedField`)."""
+    return V - T.q * ((V * T.magic >> T.shift) & T.mask(T.low, n))
 
 
 def _chi_sum(R, n, T: _PackedField) -> int:
@@ -469,15 +460,15 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
 
     G(X, Y) = sum_j G[j](X) Y^j is given as at most 7 element lists G[j]
     (coefficients lowest degree first, at most 13), and `rows` as in
-    `_power_rows`, two rows to a tuple. Component i of H_j = G_j(x) at
+    `_PackedField.rows`, two rows to a tuple. Component i of H_j = G_j(x) at
     every x is sum_e sum_l M(G[j][e])[i][l] (x^e)_l on the packed power
-    columns, whose slots run over the x of F in log order (`_log_table`);
+    columns, whose slots run over the x of F in log order (`_PackedField`);
     it is reduced mod q in place when there are rows, and the rows of y
     and y' are sum_j (M(y^j) + 2^bound M(y'^j)) H_j: one multiply of
     packed integers by small ones per pair. The pairs of a block of at
     most `_BLOCK_SLOTS` slots are concatenated component by component;
     each slot holds the row of y in its low bound bits and that of y'
-    in the next bound bits (see `_power_rows`), so B & mask and
+    in the next bound bits (see `_PackedField.rows`), so B & mask and
     (B >> bound) & mask, mask the low bound bits of every slot, split
     them. Each half is reduced and read through the 1 + chi table
     (`_chi_sum`), so memory stays O(block). The zero row that pairs a
@@ -488,7 +479,7 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
     if len(G) > 7 or any(len(g[0]) > 13 for g in G):
         raise ValueError("packed evaluation takes X-degree at most 12 and Y-degree at most 6")
     n = T.order
-    cols = [_power_column(T.q, T.m, e) for e in range(max(len(g[0]) for g in G))]
+    cols = [T.column(e) for e in range(max(len(g[0]) for g in G))]
     H = []
     for g in G:
         flat = [c for col in cols[: len(g[0])] for c in col]
@@ -498,7 +489,6 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
     # a row sum_j M(y^j) H_j stays below 7k (q-1)^2 only for reduced H_j
     flat = [_reduce_slots(c, n, T) for h in H for c in h]
     size, per = n * T.width, max(1, _BLOCK_SLOTS // n)
-    half = ((1 << T.bound) - 1).to_bytes(T.width, "little")
     count = 0
     for s in range(0, len(rows[0]), per):
         R = []
@@ -507,17 +497,10 @@ def _grid_count(G, T: _PackedField, rows=None) -> int:
             R.append(vals[0] if len(vals) == 1 else int.from_bytes(
                 b"".join(v.to_bytes(size, "little") for v in vals), "little"))
         slots = min(per, len(rows[0]) - s) * n
-        mask = _slot_mask(half, slots)
+        mask = T.mask(T.half, slots)
         count += _chi_sum([B & mask for B in R], slots, T)
         count += _chi_sum([B >> T.bound & mask for B in R], slots, T)
     return count - n * ((n - 1) // 2 & 1)
-
-
-def _affine_count(coeffs, field) -> int:
-    """Sum over x in `field` of 1 + chi(f(x)), f = sum coeffs[i] x^i, for an
-    odd-characteristic field: the one-row case of `_grid_count`."""
-    T = _field_tables(field)
-    return _grid_count([[list(c) for c in zip(*(a.coeffs for a in coeffs))]], T)
 
 
 def _abs_trace_to_f2(x):
@@ -621,14 +604,14 @@ def _count_sextic_ext2(c, T: _PackedField) -> int:
     one bivariate polynomial over F, G(X, u^2) = f(X + u) f(X - u), of
     X-degree 12 - 2e in u^(2e) (`_norm_polynomial`). The (a, b) grid is
     evaluated by `_grid_count`: S b^2 runs over the non-squares of F,
-    each from b and -b, so each row of `_power_rows` (built once per
+    each from b and -b, so each row of `_PackedField.rows` (built once per
     residue field) counts twice, and row 0 (f^2) once. Every element of
     F is a square in F_{N^2}, so a nonzero leading coefficient always
     contributes both points at infinity.
     """
     G = _norm_polynomial(c, T)
     lead = 2 if any(a % T.q for a in c[6]) else 1
-    return lead + _grid_count(G[:1], T) + 2 * _grid_count(G, T, _power_rows(T.q, T.m))
+    return lead + _grid_count(G[:1], T) + 2 * _grid_count(G, T, T.rows)
 
 
 def _reduce_sextic(C: HyperellipticCurveNF, P: PrimeIdealData) -> list:
@@ -652,17 +635,18 @@ def hyp_count_points(C: HyperellipticCurveNF, P: PrimeIdealData, ext: int = 1) -
     Affine part is sum over x of 1 + chi(f(x)); points at infinity follow
     the image of the leading coefficient: two if it is a nonzero square
     in the counting field, one if it vanishes (degree drops to five),
-    none if it is a non-square. F_N is counted by `_affine_count`, and
-    F_{N^2} over the residue field F_N on one packed grid of norm values
-    down to F_N (`_count_sextic_ext2`), at split and inert primes alike.
+    none if it is a non-square. F_N is counted by one row of
+    `_grid_count`, and F_{N^2} over the residue field F_N on one packed
+    grid of norm values down to F_N (`_count_sextic_ext2`), at split and
+    inert primes alike.
     """
     if ext not in (1, 2):
         raise ValueError("ext must be 1 or 2")
     red = _reduce_sextic(C, P)
-    T = _field_tables(P.residue_field)
+    c, T = [x.coeffs for x in red], _field_tables(P.residue_field)
     if ext == 2:
-        return _count_sextic_ext2([x.coeffs for x in red], T)
-    return _affine_count(red, P.residue_field) + T.table[red[6].index()]
+        return _count_sextic_ext2(c, T)
+    return _grid_count([list(zip(*c))], T) + T.table[red[6].index()]
 
 
 def g2_euler_factor(C: HyperellipticCurveNF, P: PrimeIdealData) -> EulerFactorG2:

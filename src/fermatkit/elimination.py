@@ -46,8 +46,8 @@ from math import gcd
 from operator import mul
 from pathlib import Path
 
-from .curves import (EllipticCurveNF, _b_invariants, _order_ring, _reduced_trace, load_curve,
-                     same_j_invariant)
+from .curves import (EllipticCurveNF, _b_invariants, _order_ring, _reduced_trace, ec_reduction_type,
+                     ec_trace, load_curve, same_j_invariant)
 from .exactarith import BiPoly, UniPoly, factorize, is_prime, poly_norm
 from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json, string
 from .newformdata import (
@@ -182,7 +182,11 @@ def family_from_dict(data: dict) -> FreyFamily:
 
 def load_family(path) -> FreyFamily:
     """Load a family config; if it names a consistency fixture, check that
-    the stated specialization matches the fixture curve's j-invariant."""
+    the stated specialization matches the fixture curve's j-invariant and
+    its Frobenius traces at every prime of norm at most 100 where both
+    models have good reduction. Equal j leaves a quadratic twist open (a
+    twist by d negates a_P where d is not a square mod P); the traces are
+    a finite check, which a twist by d square at every such P still passes."""
     fam, cons = read_json(
         path,
         lambda data: (family_from_dict(data), _consistency_block(data.get("consistency"))),
@@ -199,11 +203,21 @@ def load_family(path) -> FreyFamily:
             curve = load_curve(rel if rel.is_absolute() else (Path(path).parent / rel))
         except (OSError, ValueError) as e:
             raise FamilyConfigError(f"{path}: consistency.curve: {e}") from None
+        if not isinstance(curve, EllipticCurveNF) or curve.order != fam.order:
+            raise FamilyConfigError(f"{path}: consistency.curve: expected a Weierstrass "
+                                    f"model over {fam.order.label}")
         if not same_j_invariant(member, curve):
             raise FamilyConfigError(
                 f"{path}: the specialization at ({a}, {b}) does not match the "
                 f"consistency fixture {name} (j-invariants differ)"
             )
+        good = (P for q in filter(is_prime, range(2, 101)) if q not in fam.order.excluded_primes
+                for P in split_prime(fam.order, q) if P.norm <= 100
+                and ec_reduction_type(member, P) == ec_reduction_type(curve, P) == "good")
+        bad = next((P.key for P in good if ec_trace(member, P) != ec_trace(curve, P)), None)
+        if bad:
+            raise FamilyConfigError(f"{path}: the specialization at ({a}, {b}) is a twist of "
+                                    f"the consistency fixture {name} (traces differ at {bad})")
     return fam
 
 

@@ -44,4 +44,32 @@ def test_failed_operations_and_missing_results_count():
     out, failed = benchpairs.bench({"parent": "P", "change": "C"}, ["a"], 2, 0, 1.0,
                                    {"wall_s": "lower"}, run=fake)
     assert failed == 3  # two failed parent operations and one run without a result
-    assert "wall_s" not in out["a"]  # the sides no longer pair run by run
+    # pair 1 has no change run, so only pair 0 compares
+    assert out["a"]["wall_s"]["change_wins"] == "0 of 1"
+    assert out["a"]["wall_s"]["dropped_pairs"] == [1]
+
+
+def test_pairs_keep_their_seeds_when_each_side_fails_once():
+    # the parent fails pair 0 and the change pair 1: both sides have one
+    # run missing, and only pair 2 has both; at seed 3 the change's run
+    # lacks setup_s, so that metric compares pair 2 alone
+    wall = {("P", 1): 0.1, ("P", 2): 1.0, ("P", 3): 1.0, ("C", 0): 0.5, ("C", 2): 0.9,
+            ("C", 3): 1.2}
+
+    def fake(tree, workload, seed, seconds):
+        if (tree, seed) not in wall:
+            return None
+        metrics = {"wall_s": {"value": wall[tree, seed]}}
+        if (tree, seed) != ("C", 3):
+            metrics["setup_s"] = {"value": 2.0 if tree == "P" else 1.0}
+        return {"attempted": 1, "failed": 0, "metrics": metrics}
+
+    out, failed = benchpairs.bench({"parent": "P", "change": "C"}, ["a"], 4, 0, 1.0,
+                                   {"wall_s": "lower", "setup_s": "lower"}, run=fake)
+    assert failed == 2
+    wall_s, setup_s = out["a"]["wall_s"], out["a"]["setup_s"]
+    # zipping each side's results in turn would pair seed 1 with seed 0
+    assert wall_s["parent"]["runs"] == [1.0, 1.0] and wall_s["change"]["runs"] == [0.9, 1.2]
+    assert wall_s["change_wins"] == "1 of 2" and wall_s["dropped_pairs"] == [0, 1]
+    assert setup_s["parent"]["runs"] == [2.0] and setup_s["change"]["runs"] == [1.0]
+    assert setup_s["change_wins"] == "1 of 1" and setup_s["dropped_pairs"] == [0, 1, 3]

@@ -1,9 +1,11 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, isqrt
 from unittest import mock
 
 import pytest
@@ -31,7 +33,6 @@ from fermatkit.curves import (
 )
 from fermatkit import curves
 from fermatkit.curves import (
-    _affine_count,
     _count_sextic_ext2,
     _field_tables,
     _grid_count,
@@ -705,7 +706,8 @@ class TestPackedExtensionFields:
             [F.zero()],
         ]
         for coeffs in polys:
-            assert _affine_count(coeffs, F) == naive_affine_count(coeffs, F)
+            got = _grid_count([list(zip(*(c.coeffs for c in coeffs)))], _field_tables(F))
+            assert got == naive_affine_count(coeffs, F)
 
     @pytest.mark.parametrize("q,per,spare", [(3, 1, 0), (3, 2, 5), (5, 1, 7), (5, 3, 0)])
     def test_rows_across_blocks(self, q, per, spare):
@@ -785,7 +787,7 @@ class TestLogTable:
         if T.order > 1024:  # every slot of the small fields, a sample of the large
             picks = [0, 1, T.order - 1] + rng.sample(range(T.order), 300)
         for e in range(13):
-            col = [_slots(c, T.order, T) for c in curves._power_column(T.q, T.m, e)]
+            col = [_slots(c, T.order, T) for c in T.column(e)]
             for s in picks:
                 want = F.one() if e == 0 else x[s] ** e
                 assert F.element([c[s] for c in col]) == want, (e, s)
@@ -801,7 +803,7 @@ class TestLogTable:
     def test_each_nonsquare_heads_one_row(self, q, k):
         F = _first_irreducible(q, k)
         T = _field_tables(F)
-        rows = _unpaired_rows(curves._power_rows(T.q, T.m), T)
+        rows = _unpaired_rows(T.rows, T)
         squares = _naive_squares(F)
         heads = [F.element([comp[s][k] for comp in rows]) for s in range(len(rows[0]))]
         assert sorted(y.index() for y in heads) == [
@@ -815,7 +817,7 @@ class TestLogTable:
 
 
 def _unpaired_rows(rows, T):
-    """The rows of `_power_rows` one to a tuple: each tuple x + (y << bound)
+    """The rows of `_PackedField.rows` one to a tuple: each tuple x + (y << bound)
     split into the rows x and y, and the zero row that pairs a single last
     row dropped (it must be zero)."""
     mask, count = (1 << T.bound) - 1, (T.order - 1) // 2
@@ -832,7 +834,7 @@ PAIRED_ROW_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
 
 
 class TestPairedRows:
-    """Two ext-2 rows per tuple of `_power_rows`, one product per pair in
+    """Two ext-2 rows per tuple of `_PackedField.rows`, one product per pair in
     `_grid_count`: the parity of the row count, pairs split across
     blocks, and both halves of every slot at their largest."""
 
@@ -841,7 +843,7 @@ class TestPairedRows:
         F = _first_irreducible(q, k)
         T = _field_tables(F)
         count = (F.order - 1) // 2
-        rows = curves._power_rows(T.q, T.m)
+        rows = T.rows
         assert [len(comp) for comp in rows] == [(count + 1) // 2] * k
         # a single last row has nothing in its upper half
         single = count % 2 == 1
@@ -937,14 +939,14 @@ class TestGenus2SetupCounts:
         from fermatkit import exactarith, numberfield
         from fermatkit.cli import run_checks
 
-        for cache in (curves._sextic_invariants, curves._log_table, curves._power_column,
-                      curves._power_rows, numberfield._split_prime):
+        for cache in (curves._sextic_invariants, curves._log_table, numberfield._split_prime):
             cache.cache_clear()
-        fields, counted_fields = set(), set()
+        ext2_counts, counted_fields = [], set()
         count, grid = curves._count_sextic_ext2, curves._grid_count
+        rows_property = curves._PackedField.rows
 
         def counted(c, T):
-            fields.add((T.q, T.m))
+            ext2_counts.append((T.q, T.m))
             return count(c, T)
 
         def gridded(G, T, rows=None):
@@ -953,15 +955,17 @@ class TestGenus2SetupCounts:
 
         with mock.patch.object(curves, "_clebsch_integral", wraps=curves._clebsch_integral) as ic, \
                 mock.patch.object(curves, "_count_sextic_ext2", counted), \
-                mock.patch.object(curves, "_grid_count", gridded):
+                mock.patch.object(curves, "_grid_count", gridded), \
+                mock.patch.object(rows_property, "func", wraps=rows_property.func) as built:
             for name in ("euler-rm-at-3", "invariant-valuations-at-2", "igusa-proportionality",
                          "projective-frobenius-orders", "mod7-congruence-norm-200"):
                 assert run_checks(names=[name]).checks[0].status == "pass", name
         assert ic.call_count == 1
         # one build of the rows per residue field: the two primes above a
         # split q share theirs, and later checks count some primes again
-        assert curves._power_rows.cache_info().misses == len(fields) > 1
-        assert curves._power_rows.cache_info().hits > len(fields)
+        fields = set(ext2_counts)
+        assert sorted((T.q, T.m) for (T,), _ in built.call_args_list) == sorted(fields)
+        assert len(ext2_counts) > len(fields) > 1
         # one walk per residue field counted in, whatever counts it
         assert fields <= counted_fields
         assert curves._log_table.cache_info().misses == len(counted_fields)
@@ -980,6 +984,42 @@ class TestGenus2SetupCounts:
             with pytest.raises(ValueError, match="singular sextic"):
                 HyperellipticCurveNF(coeffs=sext)
         assert curves._sextic_invariants.cache_info().hits >= 1
+
+
+# What one cold `run_checks()` leaves behind by tracemalloc, caches
+# included, in bytes: 2.25 MB when every field kept one mask per slot
+# count, 2.09 MB with at most two masks per field (Python 3.11, in this
+# test). The margin, 0.31 MB (15%), leaves room for other interpreters.
+RETAINED_BOUND = 2_400_000
+
+
+class TestRetainedMemory:
+    def test_one_run_of_the_checks(self):
+        from fermatkit import cli, elimination, numberfield, unitsieve
+        from fermatkit.cli import run_checks
+
+        caches = {id(v): v for mod in (cli, curves, elimination, numberfield, unitsieve)
+                  for v in vars(mod).values() if hasattr(v, "cache_clear")}
+        for cache in caches.values():
+            cache.cache_clear()
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert len(run_checks().checks) == len(cli.CHECK_NAMES)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert retained < RETAINED_BOUND, retained
+        # each field keeps its quotient mask and its paired-row mask, one
+        # per pattern however many slot counts its blocks used
+        fields = [o for o in gc.get_objects() if type(o) is curves._PackedField]
+        assert len(fields) >= curves._log_table.cache_info().currsize > 20
+        assert all(len(T.masks) <= 2 for T in fields)
 
 
 class TestEulerFactors:
@@ -1056,6 +1096,125 @@ class TestEulerFactors:
             P = prime_by_key(K13, key)
             e = g2_euler_factor(C_FIX, P)
             assert e.a1 * e.a1 <= 16 * e.N
+
+
+def _ends_nonzero(f, p):
+    """An isomorphic model of y^2 = f(x) over F_p with f_0 f_6 != 0: a
+    shift x -> x + c that makes f_0 != 0, after x -> 1/x (f reversed)
+    when f_6 = 0. Each changes the Cartier-Manin matrix by a similarity,
+    so its trace and determinant stay."""
+    def shift(f):
+        for c in range(p):
+            g = [sum(comb(i, j) * f[i] * c ** (i - j) for i in range(j, 7)) % p for j in range(7)]
+            if g[0]:
+                return g
+        raise AssertionError(f"f vanishes on F_{p}")
+
+    f = [x % p for x in f]
+    if f[6] == 0:
+        f = shift(f)[::-1]
+    return f if f[0] else shift(f)
+
+
+def cartier_manin(f, p):
+    """The Cartier-Manin matrix W = (h_(ip-j))_(i,j = 1,2) of y^2 = f(x) over
+    F_p, p odd, f the seven integer coefficients c0..c6 (Yui, "On the
+    Jacobian varieties of hyperelliptic curves over fields of
+    characteristic p > 2", 1978), with h = f^n, n = (p-1)/2.
+
+    h comes from f h' = n f' h: at x^k, sum_i f_i h_(k+1-i) (k+1-i - n i)
+    = 0, which gives h_(k+1) from the lower ones while k + 1 < p. The
+    indices p - 2 and p - 1 come from f; 2p - 2 and 2p - 1 from the
+    reversed polynomial, whose n-th power is h reversed (degree 6n), at
+    6n - (2p - 1) = p - 2 and 6n - (2p - 2) = p - 1. No product over
+    F_{p^2} and no point count is involved."""
+    n = (p - 1) // 2
+
+    def low(f):  # h_0, ..., h_(p-1) of f^n
+        h, inv0 = [pow(f[0], n, p)], pow(f[0], -1, p)
+        for k in range(p - 1):
+            acc = sum(f[i] * h[k + 1 - i] * (k + 1 - i - n * i) for i in range(1, min(6, k + 1) + 1))
+            h.append(-acc * inv0 * pow(k + 1, -1, p) % p)
+        return h
+
+    f = _ends_nonzero(f, p)
+    lo, hi = low(f), low(f[::-1])
+    return [[lo[p - 1], lo[p - 2]], [hi[p - 2], hi[p - 1]]]
+
+
+def _trace_det(W, p):
+    return (W[0][0] + W[1][1]) % p, (W[0][0] * W[1][1] - W[0][1] * W[1][0]) % p
+
+
+def rm_candidates(W, p):
+    """The (a1, a2) with a1 = tr W and a2 = det W mod p that split over
+    Z[sqrt(2)] (`g2_rm_split`: a1^2 - 4 (a2 - 2p) = 2 s^2, a1 and s
+    even) with both real roots a1/2 +- (s/2) sqrt(2) in the Weil
+    interval [-2 sqrt(p), 2 sqrt(p)]: u + v sqrt(2) <= 2 sqrt(p) for
+    u = |a1|/2, v = |s|/2, decided in integers."""
+    tr, det = _trace_det(W, p)
+    out = set()
+    for u in range(isqrt(4 * p) + 1):
+        for v in range(isqrt(2 * p) + 1):
+            room = 4 * p - u * u - 2 * v * v
+            if room < 0 or 8 * u * u * v * v > room * room:
+                continue
+            for a1 in {2 * u, -2 * u}:
+                a2 = u * u - 2 * v * v + 2 * p
+                if a1 % p == tr and a2 % p == det:
+                    out.add((a1, a2))
+    return out
+
+
+# split primes of Q(sqrt13) of norm at most 200 where the RM congruences
+# and the Weil interval leave more than one (a1, a2): enumeration decides
+CARTIER_MANIN_AMBIGUOUS = {"3.0", "3.1"}
+
+
+class TestCartierManinOracle:
+    """`C_eq51`'s Euler factors against the Cartier-Manin matrix, which
+    shares no code with the packed counts: a1 = tr W and a2 = det W mod p
+    (Manin, "The Hasse-Witt matrix of an algebraic curve", 1961), pinned
+    by the RM split over Z[sqrt(2)] and the Weil bound."""
+
+    def test_recurrence_matches_the_power(self):
+        # W read off f^((p-1)/2) itself; with a zero end coefficient the
+        # model is moved first, so only the trace and determinant compare
+        rng = random.Random(51)
+        for p in (3, 5, 7, 11, 13, 31):
+            for trial in range(8):
+                f = [rng.randrange(1, p) for _ in range(7)]
+                if p > 5 and trial >= 4:  # f_0 = 0, f_6 = 0, or both
+                    f[0], f[6] = (0, f[6]) if trial == 4 else (f[0], 0) if trial == 5 else (0, 0)
+                h = [1]
+                for _ in range((p - 1) // 2):
+                    h = _poly_mul(h, f, 0)
+                h = [x % p for x in h] + [0] * (2 * p)
+                want = [[h[p - 1], h[p - 2]], [h[2 * p - 1], h[2 * p - 2]]]
+                got = cartier_manin(f, p)
+                if f[0] and f[6]:
+                    assert got == want, (p, f)
+                assert _trace_det(got, p) == _trace_det(want, p), (p, f)
+
+    def test_split_primes_to_200(self):
+        ambiguous = set()
+        split = [P for q in range(3, 200) if is_prime(q) and q != 13
+                 for P in split_prime(K13, q) if P.fdeg == 1]
+        assert len(split) == 2 * 21
+        for P in split:
+            p = P.q
+            f = [reduce_element(c, P).coeffs[0] for c in C_FIX.coeffs]
+            e = g2_euler_factor(C_FIX, P)
+            found = rm_candidates(cartier_manin(f, p), p)
+            assert (e.a1, e.a2) in found, P.key  # so pinned when found has one pair
+            if len(found) > 1:
+                ambiguous.add(P.key)
+                # the points at infinity: 1 + chi(c6)
+                n1 = horner_prime_count(f, p) + horner_prime_count([f[6]], p) // p
+                n2 = enum_count_sextic_ext2_prime(f, p)
+                a1 = p + 1 - n1
+                assert (e.a1, e.a2) == (a1, (a1 * a1 - (p * p + 1 - n2)) // 2), P.key
+        assert ambiguous == CARTIER_MANIN_AMBIGUOUS
 
 
 class TestRMReduction:

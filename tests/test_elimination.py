@@ -468,43 +468,72 @@ class TestAqDivisibility:
         assert (5 * b) % p == 0
 
 
+def _write_family(tmp_path, d, E, spec):
+    """d with a consistency block naming the curve E (written beside it)
+    at the specialization `spec`; returns the family file."""
+    curve_file = tmp_path / "member.curve"
+    curve_file.write_text(json.dumps({
+        "label": "member", "order": E.order.label, "model": "weierstrass",
+        "coefficients": {name: list(getattr(E, name).coords)
+                         for name in ("a1", "a2", "a3", "a4", "a6")},
+    }))
+    fam_file = tmp_path / "fam.json"
+    fam_file.write_text(json.dumps({**d, "consistency": {"specialization": spec,
+                                                         "curve": str(curve_file)}}))
+    return fam_file
+
+
+# y^2 = x^3 - x + (a + b): short, so a quadratic twist is (a4 d^2, a6 d^3)
+SHORT = {**DEMO, "label": "short",
+         "coefficients": {"a4": [[[-1]]], "a6": DEMO["coefficients"]["a6"]}}
+
+
 class TestConsistencyFixture:
     def test_matching_specialization_accepted(self, tmp_path):
-        d = json.loads(json.dumps(DEMO))
-        fam = family_from_dict(d)
-        member = fam.specialize(1, 3)
-        curve_file = tmp_path / "member.curve"
-        curve_file.write_text(json.dumps({
-            "label": "member", "order": "K13cubic", "model": "weierstrass",
-            "coefficients": {
-                "a1": list(member.a1.coords), "a2": list(member.a2.coords),
-                "a3": list(member.a3.coords), "a4": list(member.a4.coords),
-                "a6": list(member.a6.coords),
-            },
-        }))
-        d["consistency"] = {"specialization": [1, 3], "curve": str(curve_file)}
-        fam_file = tmp_path / "fam.json"
-        fam_file.write_text(json.dumps(d))
-        assert load_family(fam_file).label == "demo"
+        member = family_from_dict(DEMO).specialize(1, 3)
+        assert load_family(_write_family(tmp_path, DEMO, member, [1, 3])).label == "demo"
 
     def test_mismatch_rejected(self, tmp_path):
-        d = json.loads(json.dumps(DEMO))
-        fam = family_from_dict(d)
-        other = fam.specialize(2, 5)  # different member, different j
-        curve_file = tmp_path / "other.curve"
-        curve_file.write_text(json.dumps({
-            "label": "other", "order": "K13cubic", "model": "weierstrass",
-            "coefficients": {
-                "a1": list(other.a1.coords), "a2": list(other.a2.coords),
-                "a3": list(other.a3.coords), "a4": list(other.a4.coords),
-                "a6": list(other.a6.coords),
-            },
-        }))
-        d["consistency"] = {"specialization": [1, 3], "curve": str(curve_file)}
-        fam_file = tmp_path / "fam.json"
-        fam_file.write_text(json.dumps(d))
+        other = family_from_dict(DEMO).specialize(2, 5)  # different member, different j
         with pytest.raises(FamilyConfigError, match="j-invariants differ"):
+            load_family(_write_family(tmp_path, DEMO, other, [1, 3]))
+
+    @pytest.mark.parametrize("fixture", ["C_eq51.curve", "E_1_-1.curve"])
+    def test_curve_of_another_kind_or_order_refused(self, tmp_path, fixture):
+        # a sextic model, and a Weierstrass model over Q(sqrt13), for a
+        # family over the cubic field
+        curve_file = tmp_path / fixture
+        curve_file.write_text((FIXTURES / "curves" / fixture).read_text())
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps({**DEMO, "consistency": {"specialization": [1, 3],
+                                                                "curve": fixture}}))
+        with pytest.raises(FamilyConfigError, match="consistency.curve: expected a Weierstrass "
+                                                    "model over K13cubic"):
             load_family(fam_file)
+
+    def test_untwisted_short_member_loads(self, tmp_path):
+        member = family_from_dict(SHORT).specialize(1, 3)
+        assert load_family(_write_family(tmp_path, SHORT, member, [1, 3])).label == "short"
+
+    @pytest.mark.parametrize("d", [2, 5, -1])
+    def test_quadratic_twist_refused_at_a_named_prime(self, tmp_path, d):
+        # d is not a square in the cubic field (an odd-degree extension of Q)
+        from fermatkit.curves import EllipticCurveNF, ec_trace, same_j_invariant
+        from fermatkit.numberfield import prime_by_key
+
+        member = family_from_dict(SHORT).specialize(1, 3)
+        twist = EllipticCurveNF(member.a1, member.a2, member.a3, member.a4 * d**2,
+                                member.a6 * d**3)
+        assert same_j_invariant(member, twist)
+        with pytest.raises(FamilyConfigError, match="is a twist") as err:
+            load_family(_write_family(tmp_path, SHORT, twist, [1, 3]))
+        key = re.search(r"traces differ at (\d+\.\d+)\)", str(err.value)).group(1)
+        P = prime_by_key(member.order, key)
+        assert P.norm <= 100
+        # the twist by d negates a_P exactly where d is not a square mod P
+        F = P.residue_field
+        assert F.from_int(d) ** ((F.order - 1) // 2) == -F.one()
+        assert ec_trace(twist, P) == -ec_trace(member, P) != 0
 
 
 def old_route_local_data(fam, q):

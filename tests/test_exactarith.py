@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -405,8 +406,7 @@ M61 = 2**61 - 1  # a prime
 # The kernel's largest slot is B1 + k(k - 1) B1 (p - 1)^2, B1 = k (p - 1)^2,
 # and the smallest array item that holds it is the slot size: 16 bits for
 # F_{2^12}, 32 bits for the other sieve fields, up to F_{41^12} (4,055,059,200
-# < 2^32), 64 bits from F_{43^12}, and the schoolbook fallback past 2^64. The
-# pairs marked "edge" sit on each side of one item-size step.
+# < 2^32), 64 bits from F_{43^12}, and the schoolbook fallback past 2^64.
 KERNEL_FIELDS = {
     # the sieve's residue fields, with the moduli the sieve uses
     "F2^12": lambda: split_prime(get_order("Zzeta13"), 2)[0].residue_field,
@@ -414,30 +414,60 @@ KERNEL_FIELDS = {
     "F23^6": lambda: split_prime(get_order("Zzeta13"), 23)[0].residue_field,
     "F11^12": lambda: split_prime(get_order("Zzeta13"), 11)[0].residue_field,
     "F19^12": lambda: split_prime(get_order("Zzeta13"), 19)[0].residue_field,
-    "F41^12": lambda: split_prime(get_order("Zzeta13"), 41)[0].residue_field,  # edge: 32 bits
-    "F43^12": lambda: _first_irreducible(43, 12),  # edge: 64 bits
+    "F41^12": lambda: split_prime(get_order("Zzeta13"), 41)[0].residue_field,
+    "F43^12": lambda: _first_irreducible(43, 12),
+    # no x^12 + x + c is irreducible mod 3; x^12 + x^2 - 1 is
+    "F3^12": lambda: FiniteField(3, UniPoly([-1, 0, 1] + [0] * 9 + [1])),
+    "F5^12": lambda: _first_irreducible(5, 12),
+    "F10369^12": lambda: _first_irreducible(10369, 12),
+    "F10391^12": lambda: _first_irreducible(10391, 12),
     "F29": lambda: F29,
-    "F11^2": lambda: _first_irreducible(11, 2),  # edge: 16 bits
-    "F13^2": lambda: _first_irreducible(13, 2),  # edge: 32 bits
-    "F181^2": lambda: _first_irreducible(181, 2),  # edge: 32 bits
-    "F191^2": lambda: _first_irreducible(191, 2),  # edge: 64 bits
-    "F97^4": lambda: _first_irreducible(97, 4),  # edge: 32 bits
-    "F101^4": lambda: _first_irreducible(101, 4),  # edge: 64 bits
-    "F113^3": lambda: _first_irreducible(113, 3),  # edge: 32 bits
-    "F127^3": lambda: _first_irreducible(127, 3),  # edge: 64 bits
-    "F31817^3": lambda: _first_irreducible(31817, 3),  # edge: 64 bits
-    "F31847^3": lambda: _first_irreducible(31847, 3),  # edge: schoolbook fallback
-    "F5^6": lambda: _first_irreducible(5, 6),  # edge: 16 bits
+    "F11^2": lambda: _first_irreducible(11, 2),
+    "F13^2": lambda: _first_irreducible(13, 2),
+    "F181^2": lambda: _first_irreducible(181, 2),
+    "F191^2": lambda: _first_irreducible(191, 2),
+    "F7^3": lambda: _first_irreducible(7, 3),
+    "F11^3": lambda: _first_irreducible(11, 3),
+    "F7^4": lambda: _first_irreducible(7, 4),
+    "F11^4": lambda: _first_irreducible(11, 4),
+    "F97^4": lambda: _first_irreducible(97, 4),
+    "F101^4": lambda: _first_irreducible(101, 4),
+    "F24889^4": lambda: _first_irreducible(24889, 4),
+    "F24907^4": lambda: _first_irreducible(24907, 4),
+    "F113^3": lambda: _first_irreducible(113, 3),
+    "F127^3": lambda: _first_irreducible(127, 3),
+    "F31817^3": lambda: _first_irreducible(31817, 3),
+    "F31847^3": lambda: _first_irreducible(31847, 3),
+    "F5^6": lambda: _first_irreducible(5, 6),
     # no x^6 + x + c is irreducible mod 7; 3 is a primitive root mod 7, so x^6 - 3 is
-    "F7^6": lambda: FiniteField(7, UniPoly([-3, 0, 0, 0, 0, 0, 1])),  # edge: 32 bits
-    "F67^6": lambda: _first_irreducible(67, 6),  # edge: 32 bits
-    "F71^6": lambda: _first_irreducible(71, 6),  # edge: 64 bits
-    "F17891^6": lambda: _first_irreducible(17891, 6),  # edge: 64 bits
-    "F17903^6": lambda: _first_irreducible(17903, 6),  # edge: schoolbook fallback
-    "F46337^2": lambda: _first_irreducible(46337, 2),  # edge: 64 bits
-    "F46349^2": lambda: _first_irreducible(46349, 2),  # edge: schoolbook fallback
+    "F7^6": lambda: FiniteField(7, UniPoly([-3, 0, 0, 0, 0, 0, 1])),
+    "F67^6": lambda: _first_irreducible(67, 6),
+    "F71^6": lambda: _first_irreducible(71, 6),
+    "F17891^6": lambda: _first_irreducible(17891, 6),
+    "F17903^6": lambda: _first_irreducible(17903, 6),
+    "F46337^2": lambda: _first_irreducible(46337, 2),
+    "F46349^2": lambda: _first_irreducible(46349, 2),
     "FM61^2": lambda: FiniteField(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback
 }
+# Each item-size step of `_mul_kernel` at degrees 2, 3, 4, 6 and 12: the
+# fields of two consecutive primes and the item size in bits of each side's
+# slots; None is the schoolbook fallback past 64 bits.
+KERNEL_EDGES = [
+    ("F11^2", 16, "F13^2", 32), ("F181^2", 32, "F191^2", 64), ("F46337^2", 64, "F46349^2", None),
+    ("F7^3", 16, "F11^3", 32), ("F113^3", 32, "F127^3", 64), ("F31817^3", 64, "F31847^3", None),
+    ("F7^4", 16, "F11^4", 32), ("F97^4", 32, "F101^4", 64), ("F24889^4", 64, "F24907^4", None),
+    ("F5^6", 16, "F7^6", 32), ("F67^6", 32, "F71^6", 64), ("F17891^6", 64, "F17903^6", None),
+    ("F3^12", 16, "F5^12", 32), ("F41^12", 32, "F43^12", 64), ("F10369^12", 64, "F10391^12", None),
+]
+
+
+def _item_bits(F):
+    """The item size in bits of F's multiply, None for the schoolbook."""
+    kernel = F.mul_kernel()
+    if kernel.__name__ == "schoolbook":
+        return None
+    cells = dict(zip(kernel.__code__.co_freevars, (c.cell_contents for c in kernel.__closure__)))
+    return 8 * array(cells["code"]).itemsize
 
 
 @functools.cache
@@ -462,6 +492,13 @@ class TestMulKernel:
         x, y = F.from_index(data.draw(index)), F.from_index(data.draw(index))
         assert (x * y).coeffs == _schoolbook(x, y)
         assert F.mul_kernel()(x.coeffs, y.coeffs) == (y * x).coeffs
+
+    @pytest.mark.parametrize("below,low_bits,above,high_bits", KERNEL_EDGES)
+    def test_item_size_steps_between_consecutive_primes(self, below, low_bits, above, high_bits):
+        F, G = _kernel_field(below), _kernel_field(above)
+        assert F.k == G.k and F.p < G.p
+        assert not any(is_prime(q) for q in range(F.p + 1, G.p))
+        assert (_item_bits(F), _item_bits(G)) == (low_bits, high_bits)
 
     @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
     def test_extreme_coefficients(self, name):

@@ -17,7 +17,10 @@ S, S + 1, ... across all workloads in order.
 The output file holds, for each workload and each end-to-end metric of
 BENCHMARK.json: every run's value on both sides, the medians, the
 inclusive quartiles, and the number of pairs where the change is better
-(strictly, in the metric's direction). It also names the interpreter.
+(strictly, in the metric's direction). Runs are paired by seed: a pair
+where either side gave no result, or no value of the metric, is left
+out of that metric, and its index is listed. It also names the
+interpreter.
 The script exits 1, after writing the file, if any operation failed or a
 run gave no result. Standard library only.
 """
@@ -85,10 +88,14 @@ def summarise(runs: list) -> dict:
 
 
 def compare(parent: list, change: list, better: str) -> dict:
-    """Both sides of one metric, paired run by run, and the change's wins."""
-    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
-    return {"parent": summarise(parent), "change": summarise(change),
-            "better": better, "change_wins": f"{wins} of {len(parent)}"}
+    """Both sides of one metric, one value per pair (None where a side has
+    none), and the change's wins over the pairs that have both."""
+    pairs = list(zip(parent, change))
+    kept = [pc for pc in pairs if None not in pc]
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in kept)
+    return {"parent": summarise([p for p, _ in kept]), "change": summarise([c for _, c in kept]),
+            "better": better, "change_wins": f"{wins} of {len(kept)}",
+            "dropped_pairs": [i for i, pc in enumerate(pairs) if None in pc]}
 
 
 def bench(trees: dict, workloads: list, pairs: int, seed: int, seconds: float,
@@ -109,22 +116,22 @@ def bench(trees: dict, workloads: list, pairs: int, seed: int, seconds: float,
                 print(f"{w} pair {i} seed {seed} {side}: "
                       + (json.dumps({m: v["value"] for m, v in res["metrics"].items()})
                          if res else "no result"), file=sys.stderr)
+                metrics = res["metrics"] if res else {}
+                for m in directions:
+                    values[side][m].append(metrics[m]["value"] if m in metrics else None)
                 if res is None:
                     failed += 1
                     continue
                 ops[side][0] += res["attempted"]
                 ops[side][1] += res["failed"]
                 failed += res["failed"]
-                for m in directions:
-                    if m in res["metrics"]:
-                        values[side][m].append(res["metrics"][m]["value"])
             seed += 1
         entry = {"seeds": seeds, "pairs": pairs, "first_side": first,
                  "operations": {side: {"attempted": a, "failed": f}
                                 for side, (a, f) in ops.items()}}
         for m, better in directions.items():
             p, c = values["parent"][m], values["change"][m]
-            if p and len(p) == len(c):
+            if any(None not in pc for pc in zip(p, c)):
                 entry[m] = compare(p, c, better)
         out[w] = entry
     return out, failed
@@ -160,7 +167,8 @@ def main(argv=None) -> int:
         "method": f"tools/benchpairs.py: parent {parent} (git archive) against the working "
                   "tree's tracked files, each in its own temporary directory, "
                   "PYTHONDONTWRITEBYTECODE=1; the parent runs first in even pairs; one seed "
-                  "per pair; quartiles by the inclusive method.",
+                  "per pair; a pair missing a side's value is dropped from that metric; "
+                  "quartiles by the inclusive method.",
         "python": f"{platform.python_version()} ({platform.python_implementation()})",
         "nproc": os.cpu_count(),
         "failed_ops": failed,
