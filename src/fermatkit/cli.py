@@ -261,10 +261,13 @@ def _fmt_nf(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# acceptance-grade checks (shared by `full-report` and the test suite)
+# acceptance-grade checks (shared by `full-report` and the test suite).
+# Each returns its verdict and detail, (ok, detail): ok is True to pass,
+# False to fail and None for a check that waits on external data.
+# `run_checks` names the row after the check's `_CHECK_FNS` key.
 
 
-def check_euler_rm_at_3(ctx) -> CheckResult:
+def check_euler_rm_at_3(ctx) -> tuple:
     C = _fixture_curve_C(ctx)
     K = get_order("Qsqrt13")
     got = {}
@@ -275,35 +278,25 @@ def check_euler_rm_at_3(ctx) -> CheckResult:
     want_u = [(0, -1), (0, 1)]          # {sqrt2, -sqrt2}
     want_u1 = [(2, -1), (2, 1)]         # {2 - sqrt2, 2 + sqrt2}
     ok = got.get((0,)) == want_u and got.get((1,)) == want_u1
-    detail = f"(u): {got.get((0,))}, (u-1): {got.get((1,))}"
-    return CheckResult("euler-rm-at-3", STATUS_PASS if ok else STATUS_FAIL, detail)
+    return ok, f"(u): {got.get((0,))}, (u-1): {got.get((1,))}"
 
 
-def check_invariant_valuations(ctx) -> CheckResult:
+def check_invariant_valuations(ctx) -> tuple:
     E = _fixture_curve_E(ctx)
     P2 = split_prime(get_order("Qsqrt13"), 2)[0]
     c4, c6, disc = ec_invariants(E)
     vals = (valuation_at(c4, P2), valuation_at(c6, P2), valuation_at(disc, P2))
-    ok = vals == (5, 5, 4)
-    return CheckResult(
-        "invariant-valuations-at-2",
-        STATUS_PASS if ok else STATUS_FAIL,
-        f"(v(c4), v(c6), v(Delta)) = {vals}",
-    )
+    return vals == (5, 5, 4), f"(v(c4), v(c6), v(Delta)) = {vals}"
 
 
-def check_igusa_proportionality(ctx) -> CheckResult:
+def check_igusa_proportionality(ctx) -> tuple:
     C = _fixture_curve_C(ctx)
     proj, exact = _reference_comparison(ctx, igusa_clebsch(C))
-    ok = proj and exact
-    return CheckResult(
-        "igusa-proportionality",
-        STATUS_PASS if ok else STATUS_FAIL,
-        f"weighted-projective equal: {proj}; exact with the reference alpha: {exact}",
-    )
+    return proj and exact, (
+        f"weighted-projective equal: {proj}; exact with the reference alpha: {exact}")
 
 
-def check_projective_orders(ctx) -> CheckResult:
+def check_projective_orders(ctx) -> tuple:
     C = _fixture_curve_C(ctx)
     K = get_order("Qsqrt13")
     P3 = split_prime(get_order("Zsqrt2"), 3)[0]  # inert: the residue field is F_9
@@ -318,13 +311,8 @@ def check_projective_orders(ctx) -> CheckResult:
                 if disc.is_zero:
                     degenerate = True
                 orders.add(frobenius_projective_order(a9, P.norm))
-    ok = {2, 4, 5} <= orders
     note = " (degenerate repeated-root case hit)" if degenerate else ""
-    return CheckResult(
-        "projective-frobenius-orders",
-        STATUS_PASS if ok else STATUS_FAIL,
-        f"orders at primes above 17, 53: {sorted(orders)}{note}",
-    )
+    return {2, 4, 5} <= orders, f"orders at primes above 17, 53: {sorted(orders)}{note}"
 
 
 def congruence_failures(E, C, bound: int):
@@ -355,20 +343,22 @@ def congruence_failures(E, C, bound: int):
     return checked, failures
 
 
-def check_mod7_congruence(ctx) -> CheckResult:
+def check_mod7_congruence(ctx) -> tuple:
     E = _fixture_curve_E(ctx)
     C = _fixture_curve_C(ctx)
     checked, failures = congruence_failures(E, C, 200)
-    ok = not failures
-    return CheckResult(
-        "mod7-congruence-norm-200",
-        STATUS_PASS if ok else STATUS_FAIL,
+    return not failures, (
         f"{checked} good primes checked, {len(failures)} failures"
-        + (f": {failures[:4]}" if failures else ""),
-    )
+        + (f": {failures[:4]}" if failures else ""))
 
 
-def check_unit_classes_and_rank(ctx) -> CheckResult:
+def _rank_above(*qs) -> int:
+    """The rank of the unit characters over the primes of Z[zeta_13] above qs."""
+    Zz = get_order("Zzeta13")
+    return generator_independence_rank([P for q in qs for P in split_prime(Zz, q)])
+
+
+def check_unit_classes_and_rank(ctx) -> tuple:
     """As stated in the acceptance list: 16807 classes and rank 5 over
     the primes above {2, 11, 23, 29}. The recomputed rank over that set
     is 4, by two independent routes (the count of classes with every
@@ -377,36 +367,21 @@ def check_unit_classes_and_rank(ctx) -> CheckResult:
     class count is 7 to the number of unit generators, counted apart
     from UNIT_CLASS_COUNT."""
     count_ok = 7 ** len(cyclotomic_unit_generators()) == UNIT_CLASS_COUNT
-    Zz = get_order("Zzeta13")
-    primes = [P for q in (2, 11, 23, 29) for P in split_prime(Zz, q)]
-    rank = generator_independence_rank(primes)
-    ok = count_ok and rank == 5
-    return CheckResult(
-        "unit-classes-and-rank-stated",
-        STATUS_PASS if ok else STATUS_FAIL,
+    rank = _rank_above(2, 11, 23, 29)
+    return count_ok and rank == 5, (
         f"classes {UNIT_CLASS_COUNT}; rank over primes above (2,11,23,29) = {rank}, "
-        "stated value 5 is not reproducible: two independent recomputations give 4",
-    )
+        "stated value 5 is not reproducible: two independent recomputations give 4")
 
 
-def check_unit_rank_verified(ctx) -> CheckResult:
-    Zz = get_order("Zzeta13")
-    r_stated = generator_independence_rank(
-        [P for q in (2, 11, 23, 29) for P in split_prime(Zz, q)]
-    )
-    r_proof = generator_independence_rank(
-        [P for q in (2, 11, 19, 23, 29, 41) for P in split_prime(Zz, q)]
-    )
-    ok = r_stated == 4 and r_proof == 5
-    return CheckResult(
-        "unit-rank-verified",
-        STATUS_PASS if ok else STATUS_FAIL,
+def check_unit_rank_verified(ctx) -> tuple:
+    r_stated = _rank_above(2, 11, 23, 29)
+    r_proof = _rank_above(2, 11, 19, 23, 29, 41)
+    return r_stated == 4 and r_proof == 5, (
         f"rank(2,11,23,29) = {r_stated} (expected 4); "
-        f"rank(2,11,19,23,29,41) = {r_proof} (expected 5: classes separated)",
-    )
+        f"rank(2,11,19,23,29,41) = {r_proof} (expected 5: classes separated)")
 
 
-def check_sieve_soundness(ctx) -> CheckResult:
+def check_sieve_soundness(ctx) -> tuple:
     problems = []
     # character route == exact-residue route, one prime at a time
     for q in (2, 11, 19, 23, 29, 41):
@@ -435,17 +410,11 @@ def check_sieve_soundness(ctx) -> CheckResult:
     s_more = sieve_case_bits("divisible-13", more)
     if s_more & ~s_base:
         problems.append("adding a constraint enlarged the survivor set")
-    ok = not problems
-    return CheckResult(
-        "sieve-soundness",
-        STATUS_PASS if ok else STATUS_FAIL,
-        "routes agree on all six primes; planted classes survive; monotone"
-        if ok
-        else "; ".join(problems),
-    )
+    return not problems, (
+        "; ".join(problems) or "routes agree on all six primes; planted classes survive; monotone")
 
 
-def check_elimination_soundness(ctx) -> CheckResult:
+def check_elimination_soundness(ctx) -> tuple:
     fam = load_family(ctx.input("families/demo_sum_rule_cubic.json"))
     rng = random.Random(ctx.seed)
     problems = []
@@ -492,17 +461,11 @@ def check_elimination_soundness(ctx) -> CheckResult:
     ref2 = refined_eliminate(eis, fam, 7, [5, 11], skip=["7:0"])
     if not all(r.status == "skipped" for r in ref2.refined):
         problems.append("skip list was not honored")
-    ok = not problems
-    return CheckResult(
-        "elimination-soundness",
-        STATUS_PASS if ok else STATUS_FAIL,
-        "self-packets survive; level-raising packets unhurt unless skipped"
-        if ok
-        else "; ".join(problems),
-    )
+    return not problems, (
+        "; ".join(problems) or "self-packets survive; level-raising packets unhurt unless skipped")
 
 
-def check_contradictions(ctx) -> CheckResult:
+def check_contradictions(ctx) -> tuple:
     f11 = load_packets(ctx.input("packets/f11_fixture.json"))[0]
     wiring = load_packets(ctx.input("packets/reducible_wiring.json"))[0]
     p0_f11 = primes_above_in_Qf(f11, 7)[0]
@@ -512,32 +475,23 @@ def check_contradictions(ctx) -> CheckResult:
     got_w = trace_contradiction_check(wiring, p0_w, keys, 2)
     neg = not trace_contradiction_check(f11, p0_f11, keys, 6)
     ok = got_f11 and got_w and neg and p0_f11.e == 3 and p0_f11.d == 1
-    return CheckResult(
-        "contradiction-checkers",
-        STATUS_PASS if ok else STATUS_FAIL,
+    return ok, (
         f"f11 vs -3 mod 7: {got_f11}; reducible-constituent vs 2 mod 7: {got_w}; "
-        f"f11 vs its own residue 6: contradiction={not neg}",
-    )
+        f"f11 vs its own residue 6: contradiction={not neg}")
 
 
-def check_external_sieve(ctx, case_name):
-    return CheckResult(
-        f"sieve-empty-{case_name}",
-        STATUS_SKIP,
+def check_external_sieve(ctx) -> tuple:
+    return None, (
         "needs the transcribed Frey family (families/frey_sqrt13.json is an "
-        "external-data slot); with it supplied the expected survivor set is empty",
-    )
+        "external-data slot); with it supplied the expected survivor set is empty")
 
 
-def check_external_elimination(ctx):
-    return CheckResult(
-        "four-constituents-elimination",
-        STATUS_SKIP,
+def check_external_elimination(ctx) -> tuple:
+    return None, (
         "needs the transcribed Frey family over the cubic field and external "
         "eigenvalue packets; with them supplied the expected outcome is "
         "elimination of every constituent except via the documented "
-        "reducible/skipped routes",
-    )
+        "reducible/skipped routes")
 
 
 _CHECK_FNS = {
@@ -551,8 +505,8 @@ _CHECK_FNS = {
     "sieve-soundness": check_sieve_soundness,
     "elimination-soundness": check_elimination_soundness,
     "contradiction-checkers": check_contradictions,
-    "sieve-empty-divisible-13": lambda ctx: check_external_sieve(ctx, "divisible-13"),
-    "sieve-empty-coprime-13": lambda ctx: check_external_sieve(ctx, "coprime-13"),
+    "sieve-empty-divisible-13": check_external_sieve,
+    "sieve-empty-coprime-13": check_external_sieve,
     "four-constituents-elimination": check_external_elimination,
 }
 
@@ -567,10 +521,11 @@ def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport
         if fn is None:
             raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
         try:
-            res = fn(ctx)
+            ok, detail = fn(ctx)
         except Exception as e:  # a crash is a failed check, not a crashed report
-            res = CheckResult(name, STATUS_FAIL, f"{type(e).__name__}: {e}")
-        report.add(res)
+            ok, detail = False, f"{type(e).__name__}: {e}"
+        status = STATUS_SKIP if ok is None else STATUS_PASS if ok else STATUS_FAIL
+        report.add(CheckResult(name, status, detail))
     return report
 
 
@@ -637,8 +592,7 @@ def cmd_igusa(args, ctx) -> int:
     report = ctx.new_report("igusa")
     curve = _load_curve(ctx, args.curve)
     if not isinstance(curve, HyperellipticCurveNF):
-        print("igusa needs a sextic curve file", file=sys.stderr)
-        return 2
+        raise ValueError("igusa needs a sextic curve file")
     inv = igusa_clebsch(curve)
     for name, v in zip(("I2", "I4", "I6", "I10"), inv):
         report.add(CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]"))
@@ -909,8 +863,7 @@ def cmd_sieve(args, ctx) -> int:
     report = ctx.new_report("sieve")
     case = {"div13": "divisible-13", "coprime13": "coprime-13"}.get(args.case)
     if case is None:
-        print("--case must be div13 or coprime13", file=sys.stderr)
-        return 2
+        raise ValueError("--case must be div13 or coprime13")
     try:
         constraints = _load_constraints(ctx, args.constraints)
     except ExternalDataSlotError as e:
@@ -941,7 +894,7 @@ def cmd_check_invariants(args, ctx) -> int:
     rng = random.Random(ctx.seed)
     problems = []
 
-    F = FiniteField(5, UniPoly([3, 0, 1]), check=False)  # F_25
+    F = FiniteField(5, UniPoly([3, 0, 1]))  # F_25
     for _ in range(60):
         x, y, z = (F.from_index(rng.randrange(F.order)) for _ in range(3))
         if (x + y) * z != x * z + y * z or (x * y) * z != x * (y * z):

@@ -211,7 +211,7 @@ def load_family(path) -> FreyFamily:
                 f"{path}: the specialization at ({a}, {b}) does not match the "
                 f"consistency fixture {name} (j-invariants differ)"
             )
-        good = (P for q in filter(is_prime, range(2, 101)) if q not in fam.order.excluded_primes
+        good = (P for q in filter(is_prime, range(2, 101))
                 for P in split_prime(fam.order, q) if P.norm <= 100
                 and ec_reduction_type(member, P) == ec_reduction_type(curve, P) == "good")
         bad = next((P.key for P in good if ec_trace(member, P) != ec_trace(curve, P)), None)

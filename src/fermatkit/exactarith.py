@@ -375,7 +375,7 @@ def _pm_pth_root(a, p):
 # ---------------------------------------------------------------------------
 # factorization mod p: squarefree split + distinct degree + Cantor-Zassenhaus,
 # the last two in the quotient ring R = F_p[x]/(g) of a squarefree part g, a
-# `FiniteField` built unchecked, on its packed multiply and p-power map, the
+# `FiniteField`, on its packed multiply and p-power map, the
 # substitution of x^p (von zur Gathen and Shoup, 1992): r^(p^j) is j linear maps,
 # not j log2(p) squarings. Reduction mod a divisor f of g commutes with both, so
 # a gcd with f reads f's blocks off values taken mod g, and nothing is rebuilt.
@@ -408,7 +408,7 @@ def _squarefree_parts(f, p):
 
 def _distinct_degree(R):
     """R = F_p[x]/(g), g monic and squarefree (or a field's modulus under
-    check) -> list of (d, product of the irreducibles of degree d dividing
+    test) -> list of (d, product of the irreducibles of degree d dividing
     g). h = x^(p^d) mod g: x^p by `chain_pow`, or past degree 3, where a
     step d > 1 may run, as sigma(x) with sigma R's p-power map, then
     sigma(h). When f, what is left of g, sheds a block, h stays mod g."""
@@ -478,7 +478,7 @@ def poly_factor_mod_p(f: UniPoly, p: int):
     monic = _pm_monic(c, p)
     found = {}
     for g, mult in _squarefree_parts(monic, p):
-        R = FiniteField(p, UniPoly(g), check=False)
+        R = FiniteField(p, UniPoly(g))
         for d, block in _distinct_degree(R):
             for irr in _equal_degree_split(R, block, d, rng):
                 found[irr] = found.get(irr, 0) + mult
@@ -574,11 +574,15 @@ class FiniteField:
     first. Conventions elsewhere rely on this order being stable:
     `first_generator` walks it, and both the packed point counts and the
     unit sieve's frozen omega use the generator it picks.
+
+    The modulus is not tested for irreducibility: the factorisation mod p
+    works in the ring F_p[x]/(g) of a squarefree g, and the residue fields
+    are built on the factors it returns.
     """
 
     __slots__ = ("p", "modulus", "k", "order", "_mod_c", "_kernel", "_frob")
 
-    def __init__(self, p: int, modulus: UniPoly, check: bool = True):
+    def __init__(self, p: int, modulus: UniPoly):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         c = _pm_from(modulus, p)
@@ -592,16 +596,11 @@ class FiniteField:
         self.order = p ** self.k
         self._kernel = None  # the multiply, built on first use
         self._frob = {}  # e -> the map x -> x^(p^e), each built on first use
-        # a reducible modulus has a factor of degree d <= k/2, and the distinct-degree
-        # step d finds it (von zur Gathen and Gerhard, Modern Computer Algebra, 14.2)
-        if check and _distinct_degree(self) != [(self.k, c)]:
-            raise ValueError(f"modulus {modulus!r} is reducible mod {p}")
 
     def mul_kernel(self):
         """This field's multiply on coefficient tuples (see `_mul_kernel`),
-        built on first use (a checked field uses it in its check) and kept
-        on the field. Threads that race here build equal kernels, and
-        either one may be kept."""
+        built on first use and kept on the field. Threads that race here
+        build equal kernels, and either one may be kept."""
         if self._kernel is None:
             self._kernel = _mul_kernel(self.p, self._mod_c)
         return self._kernel

@@ -258,7 +258,7 @@ def primes_above_in_Qf(packet: NewformPacket, p: int):
             )
     out = []
     for i, (g, mult) in enumerate(factors):
-        f = FiniteField(p, g, check=False)
+        f = FiniteField(p, g)
         key = f"{p}:{i}"
         if key in packet.residue_maps:
             img = f.element(list(packet.residue_maps[key]))

@@ -29,7 +29,6 @@ __all__ = [
     "NumberFieldOrder",
     "NFElement",
     "PrimeIdealData",
-    "UnsupportedPrimeError",
     "UnsupportedValuationError",
     "get_order",
     "known_orders",
@@ -40,10 +39,6 @@ __all__ = [
     "valuation_at",
     "cyclotomic_unit_generators",
 ]
-
-
-class UnsupportedPrimeError(ValueError):
-    """Raised for primes on an order's excluded-index list."""
 
 
 class UnsupportedValuationError(ValueError):
@@ -84,13 +79,13 @@ class Frozen:
 class NumberFieldOrder(Frozen):
     """The order Z[theta] with theta a root of a monic integer polynomial."""
 
-    def __init__(self, label: str, poly: UniPoly, excluded_primes: tuple = ()):
+    def __init__(self, label: str, poly: UniPoly):
         if not poly.is_monic or poly.degree < 1:
             raise ValueError("defining polynomial must be monic and nonconstant")
-        self._set(label=label, poly=poly, excluded_primes=excluded_primes)
+        self._set(label=label, poly=poly)
 
     def _fields(self):
-        return (self.label, self.poly, self.excluded_primes)
+        return (self.label, self.poly)
 
     @property
     def degree(self) -> int:
@@ -214,7 +209,8 @@ class PrimeIdealData(Frozen):
 
 # Fixture orders. All four have Z[theta] equal to the maximal order
 # (the polynomial discriminants 13, 169, 13^11, 8 are the field
-# discriminants), so no primes are excluded.
+# discriminants), so every prime splits as its polynomial factors mod q
+# (Dedekind), with no index divisor to exclude.
 _PHI13 = UniPoly([1] * 13)
 
 _ORDERS = {
@@ -252,10 +248,6 @@ def split_prime(order: NumberFieldOrder, q: int):
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    if q in order.excluded_primes:
-        raise UnsupportedPrimeError(
-            f"unsupported prime {q} for order {order.label} (index divisor risk)"
-        )
     return _split_prime(order, q)
 
 
@@ -305,7 +297,7 @@ def _cyclotomic13_factors(q: int):
     f = next(f for f in (1, 2, 3, 4, 6, 12) if pow(q, f, 13) == 1)
     if f == 12:
         return [(_PHI13, 1)]
-    R = FiniteField(q, _PHI13, check=False)
+    R = FiniteField(q, _PHI13)
     return [(UniPoly(g), 1) for g in sorted(_equal_degree_split(R, R._mod_c, f, random.Random(1)))]
 
 
@@ -323,7 +315,7 @@ def _split_prime(order: NumberFieldOrder, q: int):
         factors = poly_factor_mod_p(order.poly, q)
     primes = []
     for i, (g, mult) in enumerate(factors):
-        rf = FiniteField(q, g, check=False)
+        rf = FiniteField(q, g)
         primes.append(
             PrimeIdealData(
                 order=order,

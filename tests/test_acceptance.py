@@ -32,7 +32,7 @@ from fermatkit.elimination import (
     refined_eliminate,
     standard_eliminate,
 )
-from fermatkit.exactarith import FiniteField, UniPoly
+from fermatkit.exactarith import UniPoly
 from fermatkit.newformdata import (
     NewformPacket,
     load_packets,
@@ -58,6 +58,8 @@ from fermatkit.unitsieve import (
 
 from pathlib import Path
 import random
+
+from test_exactarith import checked_field
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
 K13 = get_order("Qsqrt13")
@@ -132,7 +134,7 @@ def test_03_igusa_clebsch_proportionality():
 
 
 def test_04_projective_frobenius_orders():
-    F9 = FiniteField(3, UniPoly([-2, 0, 1]), check=False)
+    F9 = checked_field(3, UniPoly([-2, 0, 1]))
     orders = set()
     for q in (17, 53):
         for P in split_prime(K13, q):

@@ -1,6 +1,6 @@
 """Every command's output, pinned: argv -> exit code and the sha256 of its
 `--json` body with every row's `ms` dropped, hashed compact and key-sorted
-as perfbench's `_main_op` does; and the exit code and stderr of two
+as perfbench's `_main_op` does; and the exit code and stderr of four
 refusals. No body names where the package sits on disk, so the digests
 hold in every checkout.
 A change to any row's name, status or detail, or to the inputs a command
@@ -70,6 +70,9 @@ REFUSALS = [  # (argv, exit code, stderr); nothing is printed on stdout
      "more than 4194304\n"),
     (("check-congruence", "--bound", "2049"), 2,
      "error: --bound: expected a norm bound at most 2048, got 2049\n"),
+    (("igusa", "curves/E_1_-1.curve"), 2, "error: igusa needs a sextic curve file\n"),
+    (("sieve", "--case", "div7", "--constraints", "constraints/demo_sieve.json"), 2,
+     "error: --case must be div13 or coprime13\n"),
 ]
 
 

@@ -55,6 +55,7 @@ from fermatkit.numberfield import (
     reduce_element,
     split_prime,
 )
+from test_exactarith import checked_field, is_irreducible
 
 K13 = get_order("Qsqrt13")
 Z2 = get_order("Zsqrt2")
@@ -208,7 +209,7 @@ def horner_prime_count(poly, q):
 
 
 def _prime_nonsquare(q):
-    return field_nonsquare(FiniteField(q, UniPoly([0, 1]))).coeffs[0]
+    return field_nonsquare(checked_field(q, UniPoly([0, 1]))).coeffs[0]
 
 
 def _prime_count(poly, q):
@@ -354,7 +355,7 @@ class TestReductionType:
 
 class TestPointCounting:
     def test_supersingular_example(self):
-        F5 = FiniteField(5, UniPoly([0, 1]))
+        F5 = checked_field(5, UniPoly([0, 1]))
         coeffs = [F5.zero(), F5.zero(), F5.zero(), F5.zero(), F5.one()]
         assert count_weierstrass_points(coeffs, F5) == 6  # a = 0
 
@@ -377,7 +378,7 @@ class TestPointCounting:
     def test_counting_vs_oracle(self, p, k):
         rng = random.Random(100 * p + k)
         if k == 1:
-            field = FiniteField(p, UniPoly([0, 1]))
+            field = checked_field(p, UniPoly([0, 1]))
         else:
             from fermatkit.exactarith import poly_factor_mod_p
 
@@ -388,7 +389,7 @@ class TestPointCounting:
                 fs = poly_factor_mod_p(cand, p)
                 if len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == k:
                     mod = cand
-            field = FiniteField(p, mod, check=False)
+            field = FiniteField(p, mod)
         for _ in range(4):
             coeffs = [field.from_index(rng.randrange(field.order)) for _ in range(5)]
             assert count_weierstrass_points(coeffs, field) == brute_count_weierstrass(
@@ -397,7 +398,7 @@ class TestPointCounting:
 
     @pytest.mark.parametrize("p,modulus", [(5, [3, 3, 0, 1]), (11, [4, 1, 0, 1])])
     def test_cubic_extension_vs_naive_oracle(self, p, modulus):
-        field = FiniteField(p, UniPoly(modulus))  # F_{5^3}, F_{11^3}
+        field = checked_field(p, UniPoly(modulus))  # F_{5^3}, F_{11^3}
         rng = random.Random(p)
         for _ in range(5):
             coeffs = [field.from_index(rng.randrange(field.order)) for _ in range(5)]
@@ -636,10 +637,9 @@ class TestNormPolynomialCount:
 def _first_irreducible(q, k):
     """F_q[w]/(m) for the lex-least irreducible monic m of degree k."""
     for n in range(q**k):
-        try:
-            return FiniteField(q, UniPoly([n // q**i % q for i in range(k)] + [1]))
-        except ValueError:
-            continue
+        F = FiniteField(q, UniPoly([n // q**i % q for i in range(k)] + [1]))
+        if is_irreducible(F):
+            return F
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -729,8 +729,8 @@ class TestPackedExtensionFields:
         # F_{257^2} has 66049 > 2^16 elements, so every index is looked up:
         # #E(F_{q^2}) = q^2 + 1 - (a^2 - 2q) for E over F_q with trace a
         q = 257
-        Fq = FiniteField(q, UniPoly([0, 1]))
-        F = FiniteField(q, UniPoly([-3, 0, 1]))  # 3 is a non-square mod 257
+        Fq = checked_field(q, UniPoly([0, 1]))
+        F = checked_field(q, UniPoly([-3, 0, 1]))  # 3 is a non-square mod 257
         assert not _field_tables(F).planes
         for a4, a6 in ((1, 3), (0, 5), (7, 0)):
             coeffs = [0, 0, 0, a4, a6]
@@ -974,7 +974,7 @@ class TestGenus2SetupCounts:
         with mock.patch.object(exactarith, "_substitution_kernel",
                                wraps=exactarith._substitution_kernel) as kernel:
             for p in range(2, 200):
-                if is_prime(p) and p not in K13.excluded_primes:
+                if is_prime(p):
                     split_prime(K13, p)
         assert kernel.call_count == 0
 
@@ -1098,22 +1098,39 @@ class TestEulerFactors:
             assert e.a1 * e.a1 <= 16 * e.N
 
 
+def _shift(f, p):
+    """f(x + c) mod p for the least c with f(c) != 0 mod p, f given by
+    its coefficients c0, c1, ...: an isomorphic model of y^2 = f(x)."""
+    n = len(f)
+    for c in range(p):
+        g = [sum(comb(i, j) * f[i] * c ** (i - j) for i in range(j, n)) % p for j in range(n)]
+        if g[0]:
+            return g
+    raise AssertionError(f"f vanishes on F_{p}")
+
+
 def _ends_nonzero(f, p):
     """An isomorphic model of y^2 = f(x) over F_p with f_0 f_6 != 0: a
     shift x -> x + c that makes f_0 != 0, after x -> 1/x (f reversed)
     when f_6 = 0. Each changes the Cartier-Manin matrix by a similarity,
     so its trace and determinant stay."""
-    def shift(f):
-        for c in range(p):
-            g = [sum(comb(i, j) * f[i] * c ** (i - j) for i in range(j, 7)) % p for j in range(7)]
-            if g[0]:
-                return g
-        raise AssertionError(f"f vanishes on F_{p}")
-
     f = [x % p for x in f]
     if f[6] == 0:
-        f = shift(f)[::-1]
-    return f if f[0] else shift(f)
+        f = _shift(f, p)[::-1]
+    return f if f[0] else _shift(f, p)
+
+
+def _half_power_low(f, p):
+    """h_0, ..., h_(p-1) of h = f^n mod p, n = (p-1)/2, for f with f_0 != 0
+    mod p, from f h' = n f' h: at x^k, sum_i f_i h_(k+1-i) (k+1-i - n i)
+    = 0, which gives h_(k+1) from the lower ones while k + 1 < p. O(p deg f)
+    products, and no point count."""
+    n, d = (p - 1) // 2, len(f) - 1
+    h, inv0 = [pow(f[0], n, p)], pow(f[0], -1, p)
+    for k in range(p - 1):
+        acc = sum(f[i] * h[k + 1 - i] * (k + 1 - i - n * i) for i in range(1, min(d, k + 1) + 1))
+        h.append(-acc * inv0 * pow(k + 1, -1, p) % p)
+    return h
 
 
 def cartier_manin(f, p):
@@ -1122,23 +1139,12 @@ def cartier_manin(f, p):
     Jacobian varieties of hyperelliptic curves over fields of
     characteristic p > 2", 1978), with h = f^n, n = (p-1)/2.
 
-    h comes from f h' = n f' h: at x^k, sum_i f_i h_(k+1-i) (k+1-i - n i)
-    = 0, which gives h_(k+1) from the lower ones while k + 1 < p. The
-    indices p - 2 and p - 1 come from f; 2p - 2 and 2p - 1 from the
-    reversed polynomial, whose n-th power is h reversed (degree 6n), at
-    6n - (2p - 1) = p - 2 and 6n - (2p - 2) = p - 1. No product over
-    F_{p^2} and no point count is involved."""
-    n = (p - 1) // 2
-
-    def low(f):  # h_0, ..., h_(p-1) of f^n
-        h, inv0 = [pow(f[0], n, p)], pow(f[0], -1, p)
-        for k in range(p - 1):
-            acc = sum(f[i] * h[k + 1 - i] * (k + 1 - i - n * i) for i in range(1, min(6, k + 1) + 1))
-            h.append(-acc * inv0 * pow(k + 1, -1, p) % p)
-        return h
-
+    h comes from `_half_power_low`. The indices p - 2 and p - 1 come from
+    f; 2p - 2 and 2p - 1 from the reversed polynomial, whose n-th power is
+    h reversed (degree 6n), at 6n - (2p - 1) = p - 2 and 6n - (2p - 2) =
+    p - 1. No product over F_{p^2} and no point count is involved."""
     f = _ends_nonzero(f, p)
-    lo, hi = low(f), low(f[::-1])
+    lo, hi = _half_power_low(f, p), _half_power_low(f[::-1], p)
     return [[lo[p - 1], lo[p - 2]], [hi[p - 2], hi[p - 1]]]
 
 
@@ -1215,6 +1221,30 @@ class TestCartierManinOracle:
                 a1 = p + 1 - n1
                 assert (e.a1, e.a2) == (a1, (a1 * a1 - (p * p + 1 - n2)) // 2), P.key
         assert ambiguous == CARTIER_MANIN_AMBIGUOUS
+
+
+def hasse_trace(E, P):
+    """a_P of E at a split prime P of good reduction, p = N(P) > 16, by
+    the Hasse invariant: with (2y + a1 x + a3)^2 = f(x) = 4x^3 + b2 x^2 +
+    2 b4 x + b6, #E(F_p) = 1 - h_(p-1) mod p for h = f^((p-1)/2)
+    (Silverman, *The Arithmetic of Elliptic Curves*, V.4.1), so a_P = h_(p-1)
+    mod p, and |a_P| <= 2 sqrt(p) < p/2 picks the representative. It
+    shares no code with the point counts."""
+    p = P.q
+    a1, a2, a3, a4, a6 = (reduce_element(c, P).coeffs[0] for c in E._fields())
+    f = [(a3 * a3 + 4 * a6) % p, 2 * (a1 * a3 + 2 * a4) % p, (a1 * a1 + 4 * a2) % p, 4]
+    h = _half_power_low(f if f[0] else _shift(f, p), p)[p - 1]
+    return h if h < p // 2 else h - p
+
+
+class TestHasseInvariantOracle:
+    def test_elliptic_trace_at_split_primes_to_1999(self):
+        """`ec_trace(E_1_-1, P)` at every good split prime of norm 17 to 1999."""
+        good = [P for q in range(17, 2000) if is_prime(q) for P in split_prime(K13, q)
+                if P.fdeg == 1 and ec_reduction_type(E_FIX, P) == "good"]
+        assert len(good) == 296
+        for P in good:
+            assert ec_trace(E_FIX, P) == hasse_trace(E_FIX, P), P.key
 
 
 class TestRMReduction:
@@ -1660,20 +1690,20 @@ def quadext_projective_order(a, N):
 
 class TestFrobeniusProjectiveOrder:
     def test_a_zero_gives_order_2(self):
-        F7 = FiniteField(7, UniPoly([0, 1]))
+        F7 = checked_field(7, UniPoly([0, 1]))
         assert frobenius_projective_order(F7.zero(), 3) == 2
 
     def test_repeated_root_convention(self):
-        F7 = FiniteField(7, UniPoly([0, 1]))
+        F7 = checked_field(7, UniPoly([0, 1]))
         assert frobenius_projective_order(F7.from_int(2), 1) == 7
 
     def test_char_divides_det_rejected(self):
-        F7 = FiniteField(7, UniPoly([0, 1]))
+        F7 = checked_field(7, UniPoly([0, 1]))
         with pytest.raises(ValueError):
             frobenius_projective_order(F7.one(), 14)
 
     def test_acceptance_orders(self):
-        F9 = FiniteField(3, UniPoly([-2, 0, 1]), check=False)
+        F9 = checked_field(3, UniPoly([-2, 0, 1]))
         orders = set()
         for q in (17, 53):
             for P in split_prime(K13, q):
@@ -1688,8 +1718,8 @@ class TestFrobeniusProjectiveOrder:
 
     @pytest.mark.parametrize(
         "field",
-        [FiniteField(p, UniPoly([0, 1])) for p in (3, 5, 7, 11, 13)]
-        + [FiniteField(3, UniPoly([1, 0, 1]))],  # F_9
+        [checked_field(p, UniPoly([0, 1])) for p in (3, 5, 7, 11, 13)]
+        + [checked_field(3, UniPoly([1, 0, 1]))],  # F_9
         ids=lambda F: f"F{F.order}",
     )
     def test_recurrence_vs_quadext_search(self, field):

@@ -18,7 +18,7 @@ from fermatkit.elimination import (
     residue_pairs,
     standard_eliminate,
 )
-from fermatkit.exactarith import UniPoly, factorize, poly_norm
+from fermatkit.exactarith import FiniteField, UniPoly, factorize, is_prime, poly_norm
 from fermatkit.newformdata import (
     NewformPacket,
     load_packets,
@@ -27,6 +27,7 @@ from fermatkit.newformdata import (
     primes_above_in_Qf,
 )
 from fermatkit.numberfield import get_order, reduce_element, split_prime
+from test_curves import E_FIX, brute_count_weierstrass, naive_count_weierstrass
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
 
@@ -536,10 +537,29 @@ class TestConsistencyFixture:
         assert ec_trace(twist, P) == -ec_trace(member, P) != 0
 
 
+def naive_trace(E, P):
+    """a_P of E at a prime P of good reduction, from a count that shares
+    no code with the packed evaluator: 1 + chi at each x for odd p
+    (`naive_count_weierstrass`), every (x, y) in characteristic 2
+    (`brute_count_weierstrass`). A model that reduces into F_q is counted
+    over F_q, and its trace t lifted to F_(q^f) by s_j = t s_(j-1) -
+    q s_(j-2), s_0 = 2, s_1 = t (the zeta function of E over F_q)."""
+    a = [reduce_element(c, P) for c in E._fields()]
+    F, f = P.residue_field, 1
+    if not any(x for c in a for x in c.coeffs[1:]):
+        F, f = FiniteField(P.q, UniPoly([0, 1])), P.fdeg
+        a = [F.from_int(c.coeffs[0]) for c in a]
+    t = F.order + 1 - (brute_count_weierstrass if F.p == 2 else naive_count_weierstrass)(a, F)
+    s0, s1 = 2, t
+    for _ in range(f - 1):
+        s0, s1 = s1, t * s1 - F.order * s0
+    return s1
+
+
 def old_route_local_data(fam, q):
     """The per-pair route over the order: specialize, then ec_invariants,
-    then ec_trace at each prime above q."""
-    from fermatkit.curves import ec_invariants, ec_trace
+    then `naive_trace` at each prime above q."""
+    from fermatkit.curves import ec_invariants
 
     primes = split_prime(fam.order, q)
     cases, traces = {}, {}
@@ -549,7 +569,7 @@ def old_route_local_data(fam, q):
         zero = [reduce_element(ec_invariants(E)[2], P).is_zero for P in primes]
         assert all(zero) if cases[pair] == "multiplicative" else not any(zero)
         if cases[pair] == "good":
-            traces[pair] = {P.key: ec_trace(E, P) for P in primes}
+            traces[pair] = {P.key: naive_trace(E, P) for P in primes}
     return cases, traces
 
 
@@ -576,6 +596,24 @@ def refuse_member_curves(monkeypatch):
 
 
 class TestLocalDataOracle:
+    def test_naive_trace_counts_the_whole_residue_field(self):
+        """Where the model does not reduce into F_q, the whole residue field is
+        counted: E_1_-1, and y^2 + xy = x^3 + u, at every good prime of
+        Q(sqrt13) of norm up to 400, the inert 2, 5, 7, 11 and 19 among them."""
+        from fermatkit.curves import EllipticCurveNF, ec_reduction_type, ec_trace
+
+        K = get_order("Qsqrt13")
+        zero = K.zero()
+        inert = set()
+        for E in (E_FIX, EllipticCurveNF(K.one(), zero, zero, zero, K.theta())):
+            for q in filter(is_prime, range(2, 400)):
+                for P in split_prime(K, q):
+                    if P.norm <= 400 and ec_reduction_type(E, P) == "good":
+                        assert naive_trace(E, P) == ec_trace(E, P), P.key
+                        if P.fdeg == 2:
+                            inert.add(P.key)
+        assert inert == {"2.0", "5.0", "7.0", "11.0", "19.0"}
+
     @pytest.mark.parametrize("name", ["demo_sum_rule_cubic", "demo_sum_rule_sqrt13"])
     def test_reduced_tuples_match_the_order_route(self, name):
         from fermatkit.elimination import _local_data

@@ -78,18 +78,25 @@ def _rabin(c, p):
     )
 
 
-def _accepts(p, c):
-    """Whether FiniteField takes the monic tuple c as a checked modulus."""
-    try:
-        FiniteField(p, UniPoly(c))
-    except ValueError:
-        return False
-    return True
+def is_irreducible(F):
+    """Whether the modulus of F = F_p[x]/(m) is irreducible: a reducible m
+    has a factor of degree d <= k/2, and the distinct-degree step d finds
+    it (von zur Gathen and Gerhard, Modern Computer Algebra, 14.2)."""
+    return _distinct_degree(F) == [(F.k, F._mod_c)]
+
+
+def checked_field(p, modulus):
+    """FiniteField(p, modulus), its modulus asserted irreducible: the
+    field takes any monic modulus, so every field a test builds comes
+    through here."""
+    F = FiniteField(p, modulus)
+    assert is_irreducible(F), f"modulus {modulus!r} is reducible mod {p}"
+    return F
 
 
 def _ring(p, c):
     """F_p[x]/(c) for a monic tuple c, not necessarily irreducible."""
-    return FiniteField(p, UniPoly(c), check=False)
+    return FiniteField(p, UniPoly(c))
 
 
 class TestUniPoly:
@@ -99,6 +106,8 @@ class TestUniPoly:
         assert UniPoly([0]).degree == -1
         assert repr(UniPoly([0])) == "UniPoly(0)"
         assert repr(UniPoly([-1, 0, 1])) == "UniPoly(-1 + x^2)"
+        assert repr(UniPoly([2, 1, 0, 5])) == "UniPoly(2 + x + 5*x^3)"
+        assert repr(UniPoly([0, -3])) == "UniPoly(-3*x)"
 
     def test_arithmetic(self):
         f = UniPoly([1, 1])
@@ -210,7 +219,7 @@ class TestFactorModP:
             [label, q, [[list(P.factor.coeffs), P.e] for P in split_prime(orders[label], q)]]
             for label in sorted(orders)
             for q in range(2, 200)
-            if is_prime(q) and q not in orders[label].excluded_primes
+            if is_prime(q)
         ]
         assert len(entries) == 184
         digest = hashlib.sha256(json.dumps(entries, separators=(",", ":")).encode()).hexdigest()
@@ -240,7 +249,7 @@ class TestFactorModP:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 29])
     def test_rabin_and_equal_degree_against_schoolbook(self, p):
-        """The checked field accepts a modulus exactly when the Rabin test on
+        """`is_irreducible` accepts a modulus exactly when the Rabin test on
         schoolbook powers calls it irreducible, and the equal-degree split
         of a product of distinct irreducibles of one degree returns exactly
         those irreducibles, in the ring of that product and in a ring whose
@@ -250,7 +259,7 @@ class TestFactorModP:
         for _ in range(60):
             k = rng.randrange(1, 7)
             c = tuple(rng.randrange(p) for _ in range(k)) + (1,)
-            assert _accepts(p, c) == _rabin(c, p), c
+            assert is_irreducible(_ring(p, c)) == _rabin(c, p), c
             if _rabin(c, p):
                 irreducible.setdefault(k, set()).add(c)
         for d, gs in irreducible.items():
@@ -286,12 +295,12 @@ class TestFactorModP:
     @pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 3)])
     def test_checked_modulus_is_rabin_irreducible(self, p, top):
         """Over every monic modulus of degree 1 to `top`, squarefree or not
-        (say (x^2 + 1)^2 mod 3), the checked field accepts exactly the ones
+        (say (x^2 + 1)^2 mod 3), `is_irreducible` accepts exactly the ones
         the Rabin test on schoolbook powers calls irreducible."""
         for n in range(1, top + 1):
             for i in range(p**n):
                 c = tuple(i // p**j % p for j in range(n)) + (1,)
-                assert _accepts(p, c) == _rabin(c, p), c
+                assert is_irreducible(_ring(p, c)) == _rabin(c, p), c
 
     @pytest.mark.parametrize("p", [2, 3, 5, 29])
     def test_distinct_degree_blocks(self, p):
@@ -305,7 +314,7 @@ class TestFactorModP:
         for _ in range(200):
             k = rng.randrange(1, 5)
             c = tuple(rng.randrange(p) for _ in range(k)) + (1,)
-            if _accepts(p, c):
+            if is_irreducible(_ring(p, c)):
                 irreducible.setdefault(k, set()).add(c)
         assert sorted(irreducible) == [1, 2, 3, 4]
         product = lambda gs: functools.reduce(lambda u, v: _pm_mul(u, v, p), gs, (1,))
@@ -319,16 +328,18 @@ class TestFactorModP:
                 assert _distinct_degree(_ring(p, product([g for _, g in want]))) == want, want
 
 
-F25 = FiniteField(5, UniPoly([3, 0, 1]), check=False)  # x^2 + 3 irreducible mod 5
-F29 = FiniteField(29, UniPoly([0, 1]))
+F25 = checked_field(5, UniPoly([3, 0, 1]))
+F29 = checked_field(29, UniPoly([0, 1]))
 
 
 class TestFiniteField:
     def test_construction_checks(self):
         with pytest.raises(ValueError):
             FiniteField(4, UniPoly([1, 1]))
-        with pytest.raises(ValueError):
-            FiniteField(5, UniPoly([4, 0, 1]))  # x^2 + 4 = (x+1)(x+4) mod 5
+        with pytest.raises(ValueError, match="nonconstant"):
+            FiniteField(5, UniPoly([3]))
+        with pytest.raises(AssertionError):
+            checked_field(5, UniPoly([4, 0, 1]))  # x^2 + 4 = (x+1)(x+4) mod 5
 
     def test_indexing_roundtrip(self):
         for n in range(F25.order):
@@ -351,7 +362,7 @@ class TestFiniteField:
     def test_order7_element_in_F4096(self):
         f2 = poly_factor_mod_p(PHI13, 2)
         assert len(f2) == 1 and f2[0][0].degree == 12
-        F = FiniteField(2, f2[0][0], check=False)
+        F = FiniteField(2, f2[0][0])
         z = F.gen()
         w = z ** ((2**12 - 1) // 7)
         acc = w
@@ -378,14 +389,14 @@ class TestFiniteField:
     @pytest.mark.parametrize("p", [2, 3, 5, 11, 29, 101])
     def test_linear_moduli_accepted(self, p):
         for c in range(min(p, 6)):
-            F = FiniteField(p, UniPoly([c, 1]))
+            F = checked_field(p, UniPoly([c, 1]))
             assert (F.k, F.order) == (1, p)
             assert F.gen() == F.from_int(-c)
-        assert FiniteField(7, UniPoly([3, 5])).gen() == FiniteField(7, UniPoly([2, 1])).gen()
+        assert checked_field(7, UniPoly([3, 5])).gen() == checked_field(7, UniPoly([2, 1])).gen()
 
     def test_reducible_and_bad_characteristic_rejected(self):
-        with pytest.raises(ValueError, match="reducible"):
-            FiniteField(5, UniPoly([4, 0, 1]))
+        with pytest.raises(AssertionError, match="reducible"):
+            checked_field(5, UniPoly([4, 0, 1]))
         with pytest.raises(ValueError, match="not prime"):
             FiniteField(4, UniPoly([1, 1]))
         with pytest.raises(ValueError, match="not prime"):
@@ -398,7 +409,7 @@ def _first_irreducible(p, k):
         f = UniPoly([c, 1] + [0] * (k - 2) + [1])
         fs = poly_factor_mod_p(f, p)
         if len(fs) == 1 and fs[0][0].degree == k:
-            return FiniteField(p, f)
+            return checked_field(p, f)
     raise AssertionError("no irreducible trinomial")
 
 
@@ -417,7 +428,7 @@ KERNEL_FIELDS = {
     "F41^12": lambda: split_prime(get_order("Zzeta13"), 41)[0].residue_field,
     "F43^12": lambda: _first_irreducible(43, 12),
     # no x^12 + x + c is irreducible mod 3; x^12 + x^2 - 1 is
-    "F3^12": lambda: FiniteField(3, UniPoly([-1, 0, 1] + [0] * 9 + [1])),
+    "F3^12": lambda: checked_field(3, UniPoly([-1, 0, 1] + [0] * 9 + [1])),
     "F5^12": lambda: _first_irreducible(5, 12),
     "F10369^12": lambda: _first_irreducible(10369, 12),
     "F10391^12": lambda: _first_irreducible(10391, 12),
@@ -440,14 +451,14 @@ KERNEL_FIELDS = {
     "F31847^3": lambda: _first_irreducible(31847, 3),
     "F5^6": lambda: _first_irreducible(5, 6),
     # no x^6 + x + c is irreducible mod 7; 3 is a primitive root mod 7, so x^6 - 3 is
-    "F7^6": lambda: FiniteField(7, UniPoly([-3, 0, 0, 0, 0, 0, 1])),
+    "F7^6": lambda: checked_field(7, UniPoly([-3, 0, 0, 0, 0, 0, 1])),
     "F67^6": lambda: _first_irreducible(67, 6),
     "F71^6": lambda: _first_irreducible(71, 6),
     "F17891^6": lambda: _first_irreducible(17891, 6),
     "F17903^6": lambda: _first_irreducible(17903, 6),
     "F46337^2": lambda: _first_irreducible(46337, 2),
     "F46349^2": lambda: _first_irreducible(46349, 2),
-    "FM61^2": lambda: FiniteField(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback
+    "FM61^2": lambda: checked_field(M61, UniPoly([-3, 0, 1])),  # schoolbook fallback
 }
 # Each item-size step of `_mul_kernel` at degrees 2, 3, 4, 6 and 12: the
 # fields of two consecutive primes and the item size in bits of each side's
@@ -528,7 +539,7 @@ class TestMulKernel:
         from fermatkit.exactarith import FFElement
 
         cached = _kernel_field(name)
-        F = FiniteField(cached.p, cached.modulus, check=False)  # a check builds the maps
+        F = FiniteField(cached.p, cached.modulus)
         exps = []
         plain = FFElement.__pow__
 
@@ -543,7 +554,7 @@ class TestMulKernel:
 
     def test_built_on_first_multiply(self):
         modulus = split_prime(get_order("Zzeta13"), 29)[0].residue_field.modulus
-        F = FiniteField(29, modulus, check=False)  # a check multiplies
+        F = FiniteField(29, modulus)
         assert F._kernel is None
         F.gen() * F.gen()
         assert F._kernel is F.mul_kernel()
@@ -584,7 +595,7 @@ class TestQuadExt:
         assert any(y * y == emb for y in E.elements())
 
     def test_char2_rejected(self):
-        F4 = FiniteField(2, UniPoly([1, 1, 1]), check=False)
+        F4 = checked_field(2, UniPoly([1, 1, 1]))
         with pytest.raises(ValueError):
             QuadExt(F4, F4.one())
 
@@ -789,7 +800,7 @@ class TestChainPow:
         """x^e takes e.bit_length() + e.bit_count() - 2 kernel multiplies:
         no product with 1 to start the chain."""
         cached = split_prime(get_order("Zzeta13"), 23)[0].residue_field
-        F = FiniteField(cached.p, cached.modulus)
+        F = checked_field(cached.p, cached.modulus)
         kernel, calls = F.mul_kernel(), []
 
         def counted(a, b):

@@ -4,7 +4,6 @@ import pytest
 
 from fermatkit import exactarith, numberfield
 from fermatkit.exactarith import (
-    FiniteField,
     UniPoly,
     _pm_mod,
     _pm_trim,
@@ -13,7 +12,6 @@ from fermatkit.exactarith import (
 )
 from fermatkit.numberfield import (
     NumberFieldOrder,
-    UnsupportedPrimeError,
     UnsupportedValuationError,
     _sqrt_mod,
     cyclotomic_unit_generators,
@@ -25,6 +23,7 @@ from fermatkit.numberfield import (
     split_prime,
     valuation_at,
 )
+from test_exactarith import checked_field
 
 K13 = get_order("Qsqrt13")
 KC = get_order("K13cubic")
@@ -88,11 +87,6 @@ class TestSplitting:
                     c % q for c in order.poly.coeffs
                 )
 
-    def test_excluded_prime_errors(self):
-        toy = NumberFieldOrder("toy", UniPoly([-3, -1, 1]), excluded_primes=(5,))
-        with pytest.raises(UnsupportedPrimeError):
-            split_prime(toy, 5)
-
     def test_prime_by_key(self):
         P = prime_by_key(K13, "3.1")
         assert P.theta_image.coeffs == (1,)
@@ -128,7 +122,7 @@ class TestReduction:
         """The F_9 of the projective-order check: the residue field at 3 of
         Z[sqrt(2)] is F_3[x]/(x^2 - 2), and a + b sqrt(2) goes to a + b x."""
         (P,) = split_prime(Z2, 3)
-        F9 = FiniteField(3, UniPoly([-2, 0, 1]))
+        F9 = checked_field(3, UniPoly([-2, 0, 1]))
         assert P.residue_field == F9
         for a in range(-20, 21):
             for b in range(-20, 21):
@@ -337,10 +331,6 @@ def test_split_cache_shared_by_equal_orders_and_checked_first():
     twin = NumberFieldOrder("Qsqrt13", UniPoly([-3, -1, 1]))
     assert twin == K13
     assert split_prime(twin, 17) is split_prime(K13, 17)
-    guarded = NumberFieldOrder("Qsqrt13", UniPoly([-3, -1, 1]), excluded_primes=(3,))
-    split_prime(K13, 3)  # cached for the unguarded order first
-    with pytest.raises(UnsupportedPrimeError):
-        split_prime(guarded, 3)
     with pytest.raises(ValueError, match="not prime"):
         split_prime(K13, 15)
 

@@ -53,7 +53,7 @@ def _hashed_records():
     fam = load_family(FAMILY)
     c = SieveConstraint(q=11, mode="unconstrained")
     return [
-        (K, (K.label, K.poly, K.excluded_primes)),
+        (K, (K.label, K.poly)),
         (P, (P.order, P.q, P.index, P.factor, P.e, P.fdeg)),
         (E, (E.a1, E.a2, E.a3, E.a4, E.a6)),
         (EulerFactorG2(N=9, a1=2, a2=7), (9, 2, 7)),

@@ -6,7 +6,7 @@ import pytest
 
 from fermatkit.elimination import family_from_dict, load_family, residue_pairs
 from fermatkit.curves import _field_tables
-from fermatkit.exactarith import FFElement, FiniteField, factorize, first_generator
+from fermatkit.exactarith import FFElement, factorize, first_generator
 from fermatkit.numberfield import (
     cyclotomic_unit_generators,
     get_order,
@@ -43,6 +43,7 @@ from fermatkit.unitsieve import (
     sieve_case_exhaustive,
     sieve_case_exhaustive_bits,
 )
+from test_exactarith import checked_field
 
 ZZ13 = get_order("Zzeta13")
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
@@ -709,7 +710,7 @@ def test_power_plan_shares_one_digit_chain():
     5 multiplies for their powers (y^2, y^3, y^6, y^12, y^13), then two
     Frobenius maps and two multiplies, where the plain chain takes 15."""
     cached = split_prime(ZZ13, 23)[0].residue_field
-    F = FiniteField(cached.p, cached.modulus)
+    F = checked_field(cached.p, cached.modulus)
     kernel = F.mul_kernel()
     F.frobenius_kernel(1)
     calls = []

@@ -16,11 +16,12 @@ S, S + 1, ... across all workloads in order.
 
 The output file holds, for each workload and each end-to-end metric of
 BENCHMARK.json: every run's value on both sides, the medians, the
-inclusive quartiles, and the number of pairs where the change is better
-(strictly, in the metric's direction). Runs are paired by seed: a pair
-where either side gave no result, or no value of the metric, is left
-out of that metric, and its index is listed. It also names the
-interpreter.
+inclusive quartiles, the number of pairs where the change is better
+(strictly, in the metric's direction), the relative change of the
+medians and the no-regression verdict against the metric's bound (see
+`verdict`). Runs are paired by seed: a pair where either side gave no
+result, or no value of the metric, is left out of that metric, and its
+index is listed. It also names the interpreter.
 The script exits 1, after writing the file, if any operation failed or a
 run gave no result. Standard library only.
 """
@@ -42,10 +43,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 
-def metric_directions(root=ROOT):
-    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
+def end_to_end_metrics(root=ROOT):
+    """End-to-end metric name -> (better, bound), from BENCHMARK.json:
+    better is "lower" or "higher", bound the largest allowed loss as a
+    share of the parent's median."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def export_parent(rev: str, dest: Path):
@@ -87,25 +90,51 @@ def summarise(runs: list) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
-def compare(parent: list, change: list, better: str) -> dict:
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+    """The no-regression verdict of one metric, from both sides' summaries:
+    - "better" when every change run beats every parent run, or when the
+      change wins at least nine tenths of the pairs and its median is
+      better by more than the parent's quartile spread;
+    - otherwise "unresolved" when that spread is wider than the bound
+      (a share of the parent's median), since the runs cannot tell a loss
+      of the bound from noise;
+    - otherwise "worse" when the median is worse by more than the bound,
+      and "within bound" when it is not."""
+    sign = 1 if better == "lower" else -1
+    gain = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    if all(sign * (p - c) > 0 for p in parent["runs"] for c in change["runs"]):
+        return "better"
+    if 10 * wins >= 9 * pairs and gain > spread:
+        return "better"
+    if spread > bound * parent["median"]:
+        return "unresolved"
+    return "worse" if -gain > bound * parent["median"] else "within bound"
+
+
+def compare(parent: list, change: list, better: str, bound: float) -> dict:
     """Both sides of one metric, one value per pair (None where a side has
-    none), and the change's wins over the pairs that have both."""
+    none), the change's wins over the pairs that have both, the relative
+    change of the medians and the verdict."""
     pairs = list(zip(parent, change))
     kept = [pc for pc in pairs if None not in pc]
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in kept)
-    return {"parent": summarise([p for p, _ in kept]), "change": summarise([c for _, c in kept]),
-            "better": better, "change_wins": f"{wins} of {len(kept)}",
-            "dropped_pairs": [i for i, pc in enumerate(pairs) if None in pc]}
+    p, c = summarise([p for p, _ in kept]), summarise([c for _, c in kept])
+    return {"parent": p, "change": c, "better": better, "change_wins": f"{wins} of {len(kept)}",
+            "dropped_pairs": [i for i, pc in enumerate(pairs) if None in pc],
+            "median_change": (c["median"] - p["median"]) / p["median"], "bound": bound,
+            "verdict": verdict(p, c, wins, len(kept), better, bound)}
 
 
 def bench(trees: dict, workloads: list, pairs: int, seed: int, seconds: float,
-          directions: dict, run=run_once):
-    """Alternate the two trees over `pairs` pairs per workload; returns the
+          metrics: dict, run=run_once):
+    """Alternate the two trees over `pairs` pairs per workload, comparing
+    each metric of `metrics` (name -> (better, bound)); returns the
     report's "workloads" section and the number of failed operations (a
     run with no result counts as one)."""
     out, failed = {}, 0
     for w in workloads:
-        values = {side: {m: [] for m in directions} for side in SIDES}
+        values = {side: {m: [] for m in metrics} for side in SIDES}
         seeds, first, ops = [], [], {side: [0, 0] for side in SIDES}
         for i in range(pairs):
             seeds.append(seed)
@@ -116,9 +145,9 @@ def bench(trees: dict, workloads: list, pairs: int, seed: int, seconds: float,
                 print(f"{w} pair {i} seed {seed} {side}: "
                       + (json.dumps({m: v["value"] for m, v in res["metrics"].items()})
                          if res else "no result"), file=sys.stderr)
-                metrics = res["metrics"] if res else {}
-                for m in directions:
-                    values[side][m].append(metrics[m]["value"] if m in metrics else None)
+                got = res["metrics"] if res else {}
+                for m in metrics:
+                    values[side][m].append(got[m]["value"] if m in got else None)
                 if res is None:
                     failed += 1
                     continue
@@ -129,10 +158,10 @@ def bench(trees: dict, workloads: list, pairs: int, seed: int, seconds: float,
         entry = {"seeds": seeds, "pairs": pairs, "first_side": first,
                  "operations": {side: {"attempted": a, "failed": f}
                                 for side, (a, f) in ops.items()}}
-        for m, better in directions.items():
+        for m, (better, bound) in metrics.items():
             p, c = values["parent"][m], values["change"][m]
             if any(None not in pc for pc in zip(p, c)):
-                entry[m] = compare(p, c, better)
+                entry[m] = compare(p, c, better, bound)
         out[w] = entry
     return out, failed
 
@@ -160,7 +189,7 @@ def main(argv=None) -> int:
         export_parent(parent, trees["parent"])
         export_working_tree(trees["change"])
         results, failed = bench(trees, workloads, args.pairs, args.seed, args.seconds,
-                                metric_directions(trees["change"]))
+                                end_to_end_metrics(trees["change"]))
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0",
@@ -168,7 +197,8 @@ def main(argv=None) -> int:
                   "tree's tracked files, each in its own temporary directory, "
                   "PYTHONDONTWRITEBYTECODE=1; the parent runs first in even pairs; one seed "
                   "per pair; a pair missing a side's value is dropped from that metric; "
-                  "quartiles by the inclusive method.",
+                  "quartiles by the inclusive method; verdicts against each metric's bound "
+                  "as in benchpairs.verdict.",
         "python": f"{platform.python_version()} ({platform.python_implementation()})",
         "nproc": os.cpu_count(),
         "failed_ops": failed,
