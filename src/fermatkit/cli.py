@@ -104,19 +104,45 @@ def _elapsed_ms(t0: float) -> int:
 
 
 class RunReport:
-    """The rows of one command and the inputs they read. `add` times each
-    row from the one before it, or from the report's making, so the rows
-    add up to the run, loads included."""
+    """One run of a command: its rows, the inputs they read and the curves
+    parsed from them. `add` is the one place a verdict becomes a row's
+    status, and it times each row from the one before it, or from the
+    report's making, so the rows add up to the run, loads included."""
 
-    def __init__(self, command: str, version: str, seed: int):
+    def __init__(self, command: str, fixtures, seed: int):
         self.command = command
-        self.version = version
+        self.fixtures = Path(fixtures)
         self.seed = seed
+        self.version = __version__
         self.inputs = {}  # input file name -> sha256 of its bytes
         self.checks = []  # CheckResults, in run order
+        self._curves = {}  # path -> curve, each file parsed and validated once
         self._lap = time.monotonic()  # when the report was made or its last row added
 
-    def add(self, row: CheckResult) -> None:
+    def input(self, rel) -> Path:
+        """The path of an input file, relative ones under the fixtures
+        directory first; the report lists the sha256 of each one read."""
+        p = Path(rel)
+        if not p.is_absolute():
+            cand = self.fixtures / p
+            if cand.exists() or not p.exists():
+                p = cand
+        if p.is_file():
+            self.inputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+        return p
+
+    def curve(self, rel):
+        """The curve in an input file, loaded once per run."""
+        p = self.input(rel)
+        if p not in self._curves:
+            self._curves[p] = load_curve(p)
+        return self._curves[p]
+
+    def add(self, name: str, ok, detail: str) -> None:
+        """A row for a verdict: True passes, False fails, and None is a
+        check that waits on external data."""
+        status = STATUS_SKIP if ok is None else STATUS_PASS if ok else STATUS_FAIL
+        row = CheckResult(name, status, detail)
         row.ms = _elapsed_ms(self._lap)
         self._lap = time.monotonic()
         self.checks.append(row)
@@ -154,44 +180,12 @@ class RunReport:
         return "\n".join(lines)
 
 
-class _Ctx:
-    def __init__(self, fixtures: Path, seed: int):
-        self.fixtures = Path(fixtures)
-        self.seed = seed
-        self.report = None  # set per command
-        self.curves = {}  # path -> curve, each fixture parsed and validated once
-
-    def new_report(self, command: str) -> "RunReport":
-        """A report of `command`, the one that lists the inputs read from now on."""
-        self.report = RunReport(command=command, version=__version__, seed=self.seed)
-        return self.report
-
-    def input(self, rel) -> Path:
-        """The path of an input file, relative ones under the fixtures
-        directory first; the report lists the sha256 of each one read."""
-        p = Path(rel)
-        if not p.is_absolute():
-            cand = self.fixtures / p
-            if cand.exists() or not p.exists():
-                p = cand
-        if self.report is not None and p.is_file():
-            self.report.inputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-        return p
+def _fixture_curve_E(report):
+    return report.curve("curves/E_1_-1.curve")
 
 
-def _load_curve(ctx: _Ctx, rel):
-    p = ctx.input(rel)
-    if p not in ctx.curves:
-        ctx.curves[p] = load_curve(p)
-    return ctx.curves[p]
-
-
-def _fixture_curve_E(ctx):
-    return _load_curve(ctx, "curves/E_1_-1.curve")
-
-
-def _fixture_curve_C(ctx):
-    return _load_curve(ctx, "curves/C_eq51.curve")
+def _fixture_curve_C(report):
+    return report.curve("curves/C_eq51.curve")
 
 
 _IGUSA_WEIGHTS = (2, 4, 6, 10)
@@ -209,11 +203,11 @@ def _ratio(value, pos: str):
     raise fail(ValueError, pos, 'a ratio "n/d" of integers, d > 0', value)
 
 
-def _reference_invariants(ctx):
+def _reference_invariants(report):
     """The reference (I2, I4, I6, I10) as integral elements mu^k I_k
     (k = 2, 4, 6, 10), mu the lcm of their denominators, which is the
     same weighted projective point; with the integral alpha and mu."""
-    p = ctx.input("invariants/humbert_rm8_reference.json")
+    p = report.input("invariants/humbert_rm8_reference.json")
     order, fracs, alpha = read_json(p, _parse_reference)
     mu = math.lcm(*(d for inv in fracs for _, d in inv))
     inv = tuple(
@@ -240,10 +234,10 @@ def _parse_reference(data):
     return order, fracs, alpha
 
 
-def _reference_comparison(ctx, mine):
+def _reference_comparison(report, mine):
     """(weighted-projective equality with the reference, exact equality
     mine_k == I_k alpha^k with the reference alpha)."""
-    ref, alpha, mu = _reference_invariants(ctx)
+    ref, alpha, mu = _reference_invariants(report)
     exact = all(m * mu**k == r * alpha**k for m, r, k in zip(mine, ref, _IGUSA_WEIGHTS))
     return weighted_pp_equal(mine, ref), exact
 
@@ -262,13 +256,13 @@ def _fmt_nf(x) -> str:
 
 # ---------------------------------------------------------------------------
 # acceptance-grade checks (shared by `full-report` and the test suite).
-# Each returns its verdict and detail, (ok, detail): ok is True to pass,
-# False to fail and None for a check that waits on external data.
-# `run_checks` names the row after the check's `_CHECK_FNS` key.
+# Each reads its inputs through the run's report and returns its verdict
+# and detail, (ok, detail), for `RunReport.add`; `run_checks` names the
+# row after the check's `_CHECK_FNS` key.
 
 
-def check_euler_rm_at_3(ctx) -> tuple:
-    C = _fixture_curve_C(ctx)
+def check_euler_rm_at_3(report) -> tuple:
+    C = _fixture_curve_C(report)
     K = get_order("Qsqrt13")
     got = {}
     for P in split_prime(K, 3):
@@ -281,23 +275,23 @@ def check_euler_rm_at_3(ctx) -> tuple:
     return ok, f"(u): {got.get((0,))}, (u-1): {got.get((1,))}"
 
 
-def check_invariant_valuations(ctx) -> tuple:
-    E = _fixture_curve_E(ctx)
+def check_invariant_valuations(report) -> tuple:
+    E = _fixture_curve_E(report)
     P2 = split_prime(get_order("Qsqrt13"), 2)[0]
     c4, c6, disc = ec_invariants(E)
     vals = (valuation_at(c4, P2), valuation_at(c6, P2), valuation_at(disc, P2))
     return vals == (5, 5, 4), f"(v(c4), v(c6), v(Delta)) = {vals}"
 
 
-def check_igusa_proportionality(ctx) -> tuple:
-    C = _fixture_curve_C(ctx)
-    proj, exact = _reference_comparison(ctx, igusa_clebsch(C))
+def check_igusa_proportionality(report) -> tuple:
+    C = _fixture_curve_C(report)
+    proj, exact = _reference_comparison(report, igusa_clebsch(C))
     return proj and exact, (
         f"weighted-projective equal: {proj}; exact with the reference alpha: {exact}")
 
 
-def check_projective_orders(ctx) -> tuple:
-    C = _fixture_curve_C(ctx)
+def check_projective_orders(report) -> tuple:
+    C = _fixture_curve_C(report)
     K = get_order("Qsqrt13")
     P3 = split_prime(get_order("Zsqrt2"), 3)[0]  # inert: the residue field is F_9
     orders = set()
@@ -343,9 +337,9 @@ def congruence_failures(E, C, bound: int):
     return checked, failures
 
 
-def check_mod7_congruence(ctx) -> tuple:
-    E = _fixture_curve_E(ctx)
-    C = _fixture_curve_C(ctx)
+def check_mod7_congruence(report) -> tuple:
+    E = _fixture_curve_E(report)
+    C = _fixture_curve_C(report)
     checked, failures = congruence_failures(E, C, 200)
     return not failures, (
         f"{checked} good primes checked, {len(failures)} failures"
@@ -358,7 +352,7 @@ def _rank_above(*qs) -> int:
     return generator_independence_rank([P for q in qs for P in split_prime(Zz, q)])
 
 
-def check_unit_classes_and_rank(ctx) -> tuple:
+def check_unit_classes_and_rank(report) -> tuple:
     """As stated in the acceptance list: 16807 classes and rank 5 over
     the primes above {2, 11, 23, 29}. The recomputed rank over that set
     is 4, by two independent routes (the count of classes with every
@@ -373,7 +367,7 @@ def check_unit_classes_and_rank(ctx) -> tuple:
         "stated value 5 is not reproducible: two independent recomputations give 4")
 
 
-def check_unit_rank_verified(ctx) -> tuple:
+def check_unit_rank_verified(report) -> tuple:
     r_stated = _rank_above(2, 11, 23, 29)
     r_proof = _rank_above(2, 11, 19, 23, 29, 41)
     return r_stated == 4 and r_proof == 5, (
@@ -381,7 +375,7 @@ def check_unit_rank_verified(ctx) -> tuple:
         f"rank(2,11,19,23,29,41) = {r_proof} (expected 5: classes separated)")
 
 
-def check_sieve_soundness(ctx) -> tuple:
+def check_sieve_soundness(report) -> tuple:
     problems = []
     # character route == exact-residue route, one prime at a time
     for q in (2, 11, 19, 23, 29, 41):
@@ -414,9 +408,9 @@ def check_sieve_soundness(ctx) -> tuple:
         "; ".join(problems) or "routes agree on all six primes; planted classes survive; monotone")
 
 
-def check_elimination_soundness(ctx) -> tuple:
-    fam = load_family(ctx.input("families/demo_sum_rule_cubic.json"))
-    rng = random.Random(ctx.seed)
+def check_elimination_soundness(report) -> tuple:
+    fam = load_family(report.input("families/demo_sum_rule_cubic.json"))
+    rng = random.Random(report.seed)
     problems = []
     tried = 0
     while tried < 3:
@@ -429,11 +423,9 @@ def check_elimination_soundness(ctx) -> tuple:
         tried += 1
         member = fam.specialize(a0, b0)
         pkt = packet_from_curve(member, f"self-{a0}-{b0}", 13)
-        rep = standard_eliminate([pkt], fam, [5, 11])
-        if rep.standard[0].surviving != "all":
+        if standard_eliminate(pkt, fam, [5, 11]).surviving != "all":
             problems.append(f"self-packet ({a0},{b0}) did not survive standard")
-        ref = refined_eliminate(pkt, fam, 7, [5, 11])
-        if any(r.status == "eliminated" for r in ref.refined):
+        if any(r.status == "eliminated" for r in refined_eliminate(pkt, fam, 7, [5, 11])):
             problems.append(f"self-packet ({a0},{b0}) was refinedly eliminated")
     # Eisenstein-like packet: reductions equal N(q)+1 mod 7 everywhere,
     # so the level-raising congruence always holds and nothing at p=7 is
@@ -455,19 +447,18 @@ def check_elimination_soundness(ctx) -> tuple:
             "provenance": "synthetic: reductions match the level-raising value",
         }
     )
-    ref = refined_eliminate(eis, fam, 7, [5, 11])
-    if any(r.status == "eliminated" for r in ref.refined):
+    if any(r.status == "eliminated" for r in refined_eliminate(eis, fam, 7, [5, 11])):
         problems.append("Eisenstein-like packet was eliminated without a skip")
-    ref2 = refined_eliminate(eis, fam, 7, [5, 11], skip=["7:0"])
-    if not all(r.status == "skipped" for r in ref2.refined):
+    if not all(r.status == "skipped"
+               for r in refined_eliminate(eis, fam, 7, [5, 11], skip=["7:0"])):
         problems.append("skip list was not honored")
     return not problems, (
         "; ".join(problems) or "self-packets survive; level-raising packets unhurt unless skipped")
 
 
-def check_contradictions(ctx) -> tuple:
-    f11 = load_packets(ctx.input("packets/f11_fixture.json"))[0]
-    wiring = load_packets(ctx.input("packets/reducible_wiring.json"))[0]
+def check_contradictions(report) -> tuple:
+    f11 = load_packets(report.input("packets/f11_fixture.json"))[0]
+    wiring = load_packets(report.input("packets/reducible_wiring.json"))[0]
     p0_f11 = primes_above_in_Qf(f11, 7)[0]
     keys = ["5.0", "5.1", "5.2"]
     got_f11 = trace_contradiction_check(f11, p0_f11, keys, (-3) % 7)
@@ -480,13 +471,13 @@ def check_contradictions(ctx) -> tuple:
         f"f11 vs its own residue 6: contradiction={not neg}")
 
 
-def check_external_sieve(ctx) -> tuple:
+def check_external_sieve(report) -> tuple:
     return None, (
         "needs the transcribed Frey family (families/frey_sqrt13.json is an "
         "external-data slot); with it supplied the expected survivor set is empty")
 
 
-def check_external_elimination(ctx) -> tuple:
+def check_external_elimination(report) -> tuple:
     return None, (
         "needs the transcribed Frey family over the cubic field and external "
         "eigenvalue packets; with them supplied the expected outcome is "
@@ -514,18 +505,16 @@ CHECK_NAMES = list(_CHECK_FNS)
 
 
 def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport:
-    ctx = _Ctx(fixtures or _FIXTURES_DIR, seed)
-    report = ctx.new_report("full-report")
+    report = RunReport("full-report", fixtures or _FIXTURES_DIR, seed)
     for name in names or CHECK_NAMES:
         fn = _CHECK_FNS.get(name)
         if fn is None:
             raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
         try:
-            ok, detail = fn(ctx)
+            ok, detail = fn(report)
         except Exception as e:  # a crash is a failed check, not a crashed report
             ok, detail = False, f"{type(e).__name__}: {e}"
-        status = STATUS_SKIP if ok is None else STATUS_PASS if ok else STATUS_FAIL
-        report.add(CheckResult(name, status, detail))
+        report.add(name, ok, detail)
     return report
 
 
@@ -533,16 +522,8 @@ def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport
 # commands
 
 
-def _emit(args, report: RunReport) -> int:
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.to_text())
-    return 1 if report.failed else 0
-
-
-def cmd_split(args, ctx) -> int:
-    report = ctx.new_report("split")
+def cmd_split(args) -> RunReport:
+    report = RunReport("split", args.fixtures, args.seed)
     order = get_order(args.order)
     for q in args.q:
         primes = split_prime(order, q)
@@ -550,20 +531,19 @@ def cmd_split(args, ctx) -> int:
             f"{P.key} (e={P.e}, f={P.fdeg}, theta->{list(P.theta_image.coeffs)})"
             for P in primes
         )
-        detail = f"{len(primes)} primes: {lines}"
-        report.add(CheckResult(f"split-{q}", STATUS_PASS, detail))
-    return _emit(args, report)
+        report.add(f"split-{q}", True, f"{len(primes)} primes: {lines}")
+    return report
 
 
-def cmd_trace(args, ctx) -> int:
-    report = ctx.new_report("trace")
-    curve = _load_curve(ctx, args.curve)
+def cmd_trace(args) -> RunReport:
+    report = RunReport("trace", args.fixtures, args.seed)
+    curve = report.curve(args.curve)
     primes = [P for q in args.q for P in split_prime(curve.order, q)]
     for P in primes:
         _check_count_field(curve, P)
     for P in primes:
-        report.add(CheckResult(f"trace-{P.key}", STATUS_PASS, _trace_detail(curve, P)))
-    return _emit(args, report)
+        report.add(f"trace-{P.key}", True, _trace_detail(curve, P))
+    return report
 
 
 def _trace_detail(curve, P) -> str:
@@ -588,37 +568,34 @@ def _trace_detail(curve, P) -> str:
     return f"N={e.N}, a1={e.a1}, a2={e.a2}; {extra}"
 
 
-def cmd_igusa(args, ctx) -> int:
-    report = ctx.new_report("igusa")
-    curve = _load_curve(ctx, args.curve)
+def cmd_igusa(args) -> RunReport:
+    report = RunReport("igusa", args.fixtures, args.seed)
+    curve = report.curve(args.curve)
     if not isinstance(curve, HyperellipticCurveNF):
         raise ValueError("igusa needs a sextic curve file")
     inv = igusa_clebsch(curve)
     for name, v in zip(("I2", "I4", "I6", "I10"), inv):
-        report.add(CheckResult(name, STATUS_PASS, f"[{', '.join(str(c) for c in v.coords)}]"))
+        report.add(name, True, f"[{', '.join(str(c) for c in v.coords)}]")
     if args.reference:
-        proj, exact = _reference_comparison(ctx, inv)
-        status = STATUS_PASS if (proj and exact) else STATUS_FAIL
+        proj, exact = _reference_comparison(report, inv)
         detail = f"weighted-projective equal: {proj}; exact with alpha: {exact}"
-        report.add(CheckResult("reference-comparison", status, detail))
-    return _emit(args, report)
+        report.add("reference-comparison", proj and exact, detail)
+    return report
 
 
-def cmd_check_congruence(args, ctx) -> int:
-    report = ctx.new_report("check-congruence")
+def cmd_check_congruence(args) -> RunReport:
+    report = RunReport("check-congruence", args.fixtures, args.seed)
     cap = math.isqrt(MAX_G2_COUNT_FIELD)  # a genus-2 count at norm N runs over F_{N^2}
     if args.bound > cap:
         raise ValueError(f"--bound: expected a norm bound at most {cap}, got {args.bound}")
-    E = _load_curve(ctx, args.curve_e)
-    C = _load_curve(ctx, args.curve_c)
+    E = report.curve(args.curve_e)
+    C = report.curve(args.curve_c)
     checked, failures = congruence_failures(E, C, args.bound)
-    status = STATUS_PASS if not failures else STATUS_FAIL
     detail = f"{checked} good primes of norm <= {args.bound} checked; {len(failures)} failures"
-    report.add(CheckResult("mod7-congruence", status, detail))
+    report.add("mod7-congruence", not failures, detail)
     for key, t, res in failures:
-        detail = f"a={t}, a mod 7 = {t%7} not in {res}"
-        report.add(CheckResult(f"failure-{key}", STATUS_FAIL, detail))
-    return _emit(args, report)
+        report.add(f"failure-{key}", False, f"a={t}, a mod 7 = {t%7} not in {res}")
+    return report
 
 
 # The largest auxiliary prime a constraint file or `eliminate --q` may
@@ -708,22 +685,25 @@ def _parse_refined(text: str):
     return p
 
 
-def cmd_eliminate(args, ctx) -> int:
-    report = ctx.new_report("eliminate")
+def cmd_eliminate(args) -> RunReport:
+    report = RunReport("eliminate", args.fixtures, args.seed)
     q_list = _parse_q_list(args.q)
     p = _parse_refined(args.refined)
-    fam_path = ctx.input(args.family)
+    if p is None and (args.skip is not None or args.skip_ramified):
+        flag = "--skip" if args.skip is not None else "--skip-ramified"
+        raise ValueError(f"{flag}: skips residue primes of refined elimination; give --refined")
+    fam_path = report.input(args.family)
     try:
         fam = load_family(fam_path)
     except ExternalDataSlotError as e:
-        report.add(CheckResult("family", STATUS_SKIP, _as_given(e, fam_path, args.family)))
-        return _emit(args, report)
+        report.add("family", None, _as_given(e, fam_path, args.family))
+        return report
     for q in q_list:
         if not fam.is_admissible(q):
             raise ValueError(f"--q: auxiliary prime {q} is not admissible for the family "
                              f"in {fam_path}")
         _check_residue_fields(fam, q, f"--q: {q}")
-    pk_path = ctx.input(args.packets)
+    pk_path = report.input(args.packets)
     packets = load_packets(pk_path)
     for pkt in packets:  # the "q.i" keys must name primes of the family's order
         if pkt.base_field != fam.order.label:
@@ -731,27 +711,31 @@ def cmd_eliminate(args, ctx) -> int:
                              f"is not the order {fam.order.label!r} of the family in {fam_path}")
     skip = [s for s in (args.skip or "").split(",") if s]
     # what the files define can still fail here: name the file it came from.
-    # One run per packet, in standard_eliminate's label order, its rows
-    # added right after it.
+    # One run per packet, in label order, its rows added right after it.
     try:
+        if skip:  # each key names a residue prime above p of some packet
+            keys = {rp.key for pkt in packets for rp in primes_above_in_Qf(pkt, p)}
+            bad = next((k for k in skip if k not in keys), None)
+            if bad is not None:
+                raise ValueError(f"--skip: {bad!r} is not a residue prime above {p} of any "
+                                 f"packet; the keys are {sorted(keys)}")
         for pkt in sorted(packets, key=lambda pkt: pkt.label):
-            (row,) = standard_eliminate([pkt], fam, q_list).standard
+            row = standard_eliminate(pkt, fam, q_list)
             aq = dict(sorted(row.aq.items()))
             surv = "all primes" if row.surviving == "all" else sorted(row.surviving)
             detail = f"A_q = {aq}, gcd = {row.overall_gcd}, surviving exponents: {surv}"
-            report.add(CheckResult(f"standard-{row.label}", STATUS_PASS, detail))
+            report.add(f"standard-{row.label}", True, detail)
         for pkt in packets if p else ():
-            ref = refined_eliminate(pkt, fam, p, q_list, skip=skip,
-                                    skip_ramified=args.skip_ramified)
-            for r in ref.refined:
+            for r in refined_eliminate(pkt, fam, p, q_list, skip=skip,
+                                       skip_ramified=args.skip_ramified):
                 extra = f"witness q = {r.witness_q}" if r.witness_q else r.reason
                 detail = r.status + (f" ({extra})" if extra else "")
-                report.add(CheckResult(f"refined-{r.label}-{r.residue_prime}", STATUS_PASS, detail))
+                report.add(f"refined-{r.label}-{r.residue_prime}", True, detail)
     except FamilyConfigError as e:
         raise type(e)(f"{fam_path}: {e}") from None
     except (PacketFormatError, UnsupportedResiduePrimeError, MissingEigenvalueError) as e:
         raise type(e)(f"{pk_path}: {e}") from None
-    return _emit(args, report)
+    return report
 
 
 def _as_given(e, path, given) -> str:
@@ -761,17 +745,17 @@ def _as_given(e, path, given) -> str:
     return f"{given}: {str(e).removeprefix(f'{path}: ')}"
 
 
-def _load_constraints(ctx, path):
+def _load_constraints(report, path):
     """The SieveConstraints of a constraint file. Every error names the
     file and the entry; an external-data family slot raises its
     ExternalDataSlotError, naming the family file as the entry does."""
-    p = ctx.input(path)
+    p = report.input(path)
     out = []
     for i, c in enumerate(read_json(p, _constraint_entries)):
         if isinstance(c, tuple):  # modular: its family and targets
             q, family, curve_path, targets = c
             pos = f"{p}: constraints[{i}]"
-            fam_path = ctx.input(family)
+            fam_path = report.input(family)
             try:
                 fam = load_family(fam_path)
             except ExternalDataSlotError as e:
@@ -781,7 +765,7 @@ def _load_constraints(ctx, path):
             _check_residue_fields(fam, q, f"{pos}.q: {q}")
             if curve_path is not None:
                 try:
-                    curve = _load_curve(ctx, curve_path)
+                    curve = report.curve(curve_path)
                     if not isinstance(curve, HyperellipticCurveNF):
                         raise ValueError("expected a genus-2 curve file")
                     if curve.order != fam.order:
@@ -859,21 +843,21 @@ def _constraint_entries(data) -> list:
     return out
 
 
-def cmd_sieve(args, ctx) -> int:
-    report = ctx.new_report("sieve")
+def cmd_sieve(args) -> RunReport:
+    report = RunReport("sieve", args.fixtures, args.seed)
     case = {"div13": "divisible-13", "coprime13": "coprime-13"}.get(args.case)
     if case is None:
         raise ValueError("--case must be div13 or coprime13")
     try:
-        constraints = _load_constraints(ctx, args.constraints)
+        constraints = _load_constraints(report, args.constraints)
     except ExternalDataSlotError as e:
-        report.add(CheckResult("sieve", STATUS_SKIP, str(e)))
-        return _emit(args, report)
+        report.add("sieve", None, str(e))
+        return report
     bits = sieve_case_bits(case, constraints)
     count = bits.bit_count()
     first = [list(UnitClass.from_index(i).exps) for i in class_indices(bits)[:10]]
     detail = f"case {case}: {count} of {UNIT_CLASS_COUNT} classes survive; first {first}"
-    report.add(CheckResult("sieve", STATUS_PASS, detail))
+    report.add("sieve", True, detail)
     if args.out:
         data = bits.to_bytes((UNIT_CLASS_COUNT + 7) // 8, "little")
         Path(args.out).write_bytes(data)
@@ -884,14 +868,14 @@ def cmd_sieve(args, ctx) -> int:
             "bitset_sha256": hashlib.sha256(data).hexdigest(),
         }
         Path(str(args.out) + ".json").write_text(json.dumps(summary, indent=2) + "\n")
-        report.add(CheckResult("sieve-out", STATUS_PASS, f"bitset written to {args.out}"))
-    return _emit(args, report)
+        report.add("sieve-out", True, f"bitset written to {args.out}")
+    return report
 
 
-def cmd_check_invariants(args, ctx) -> int:
+def cmd_check_invariants(args) -> RunReport:
     """Randomized spot checks of arithmetic invariants (seeded)."""
-    report = ctx.new_report("check-invariants")
-    rng = random.Random(ctx.seed)
+    report = RunReport("check-invariants", args.fixtures, args.seed)
+    rng = random.Random(args.seed)
     problems = []
 
     F = FiniteField(5, UniPoly([3, 0, 1]))  # F_25
@@ -941,18 +925,18 @@ def cmd_check_invariants(args, ctx) -> int:
         if cy is not None and c7 != cx:
             problems.append("character invariance under 7th powers")
 
-    status = STATUS_PASS if not problems else STATUS_FAIL
     detail = "all randomized invariants hold" if not problems else "; ".join(sorted(set(problems)))
-    report.add(CheckResult("randomized-invariants", status, detail))
-    return _emit(args, report)
+    report.add("randomized-invariants", not problems, detail)
+    return report
 
 
-def cmd_full_report(args, ctx) -> int:
+def cmd_full_report(args) -> RunReport:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [s for s in args.only.split(",") if s]
-    report = run_checks(names=names, fixtures=ctx.fixtures, seed=ctx.seed)
-    return _emit(args, report)
+        if not names:
+            raise ValueError(f"--only: expected comma-separated check names, got {args.only!r}")
+    return run_checks(names=names, fixtures=args.fixtures, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1016,12 +1000,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ctx = _Ctx(Path(args.fixtures), args.seed)
     try:
-        return args.fn(args, ctx)
+        report = args.fn(args)
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    print(json.dumps(report.to_dict(), indent=2) if args.json else report.to_text())
+    return 1 if report.failed else 0
 
 
 if __name__ == "__main__":

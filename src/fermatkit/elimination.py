@@ -70,7 +70,6 @@ __all__ = [
     "FreyFamily",
     "FamilyConfigError",
     "ExternalDataSlotError",
-    "EliminationReport",
     "StandardVerdict",
     "RefinedVerdict",
     "load_family",
@@ -412,14 +411,8 @@ class RefinedVerdict:
         self.reason = reason
 
 
-class EliminationReport:
-    def __init__(self, standard: tuple = (), refined: tuple = ()):
-        self.standard = standard
-        self.refined = refined
-
-
-def standard_eliminate(packets, family: FreyFamily, q_list) -> EliminationReport:
-    """Per packet: A_q for each q, their gcd, and the surviving exponents.
+def standard_eliminate(packet: NewformPacket, family: FreyFamily, q_list) -> StandardVerdict:
+    """The packet's A_q for each q, their gcd, and the surviving exponents.
 
     The gcd of nonzero values is taken; if every A_q is zero the verdict
     is "all primes survive" (the auxiliary primes said nothing).
@@ -427,17 +420,10 @@ def standard_eliminate(packets, family: FreyFamily, q_list) -> EliminationReport
     q_list = sorted(set(q_list))
     if not q_list:
         raise ValueError("q_list must be nonempty")
-    rows = []
-    for packet in sorted(packets, key=lambda p: p.label):
-        aq = {q: Aq(packet, family, q) for q in q_list}
-        g = 0
-        for v in aq.values():
-            g = gcd(g, v)
-        surviving = ALL_PRIMES if g == 0 else tuple(sorted(factorize(g)))
-        rows.append(
-            StandardVerdict(label=packet.label, aq=aq, overall_gcd=g, surviving=surviving)
-        )
-    return EliminationReport(standard=tuple(rows))
+    aq = {q: Aq(packet, family, q) for q in q_list}
+    g = gcd(*aq.values())
+    surviving = ALL_PRIMES if g == 0 else tuple(sorted(factorize(g)))
+    return StandardVerdict(label=packet.label, aq=aq, overall_gcd=g, surviving=surviving)
 
 
 def refined_eliminate(
@@ -447,8 +433,10 @@ def refined_eliminate(
     q_list,
     skip=(),
     skip_ramified: bool = False,
-) -> EliminationReport:
-    """Refined per-residue-prime elimination.
+) -> tuple:
+    """Refined per-residue-prime elimination: a RefinedVerdict for each
+    residue prime above p in the coefficient field, in the order of
+    `primes_above_in_Qf`.
 
     A residue prime of the coefficient field is eliminated when some
     auxiliary q makes the relevant congruence fail, at some prime above
@@ -488,4 +476,4 @@ def refined_eliminate(
                 status=status, witness_q=witness, reason=reason,
             )
         )
-    return EliminationReport(refined=tuple(verdicts))
+    return tuple(verdicts)

@@ -186,17 +186,19 @@ class PrimeIdealData(Frozen):
     """A prime of the order above q: residue field plus the reduction map.
 
     The index i in the key "q.i" follows the frozen factor order of
-    poly_factor_mod_p (sorted by degree, then coefficient tuple).
-    Equality and the hash leave out the residue field and theta's image.
+    poly_factor_mod_p (sorted by degree, then coefficient tuple). The
+    residue field F_q[x]/(factor), its degree fdeg and theta's image (the
+    class of x) are derived from the factor; equality and the hash are
+    those of the five constructor arguments.
     """
 
-    def __init__(self, order: NumberFieldOrder, q: int, index: int, factor: UniPoly,
-                 e: int, fdeg: int, residue_field: FiniteField, theta_image: FFElement):
-        self._set(order=order, q=q, index=index, factor=factor, e=e, fdeg=fdeg,
-                  residue_field=residue_field, theta_image=theta_image)
+    def __init__(self, order: NumberFieldOrder, q: int, index: int, factor: UniPoly, e: int):
+        residue_field = FiniteField(q, factor)
+        self._set(order=order, q=q, index=index, factor=factor, e=e, fdeg=factor.degree,
+                  residue_field=residue_field, theta_image=residue_field.gen())
 
     def _fields(self):
-        return (self.order, self.q, self.index, self.factor, self.e, self.fdeg)
+        return (self.order, self.q, self.index, self.factor, self.e)
 
     @property
     def key(self) -> str:
@@ -313,21 +315,7 @@ def _split_prime(order: NumberFieldOrder, q: int):
         factors = _cyclotomic13_factors(q)
     else:
         factors = poly_factor_mod_p(order.poly, q)
-    primes = []
-    for i, (g, mult) in enumerate(factors):
-        rf = FiniteField(q, g)
-        primes.append(
-            PrimeIdealData(
-                order=order,
-                q=q,
-                index=i,
-                factor=g,
-                e=mult,
-                fdeg=g.degree,
-                residue_field=rf,
-                theta_image=rf.gen(),
-            )
-        )
+    primes = [PrimeIdealData(order, q, i, g, mult) for i, (g, mult) in enumerate(factors)]
     assert sum(p.e * p.fdeg for p in primes) == order.degree
     return primes
 

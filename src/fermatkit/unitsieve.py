@@ -129,14 +129,17 @@ class LocalCharacterTable:
     moves no survivor bit and no rank, so no output shows that base.
     """
 
-    def __init__(self, prime: PrimeIdealData, exponent: int, omega: FFElement, dlog: dict,
-                 unit_chars: tuple, chi_one_minus_zeta: int):
+    def __init__(self, prime: PrimeIdealData, omega: FFElement):
+        seventh = _seventh_powers(prime)
+        dlog, acc = {}, prime.residue_field.one()
+        for k in range(7):
+            dlog[acc.coeffs] = k
+            acc = acc * omega
         self.prime = prime
-        self.exponent = exponent  # (N - 1) // 7
         self.omega = omega
         self.dlog = dlog  # omega^k coefficients -> k
-        self.unit_chars = unit_chars  # chi(u_a), a = 2..6
-        self.chi_one_minus_zeta = chi_one_minus_zeta
+        self.unit_chars = tuple(_dlog(dlog, v) for v in seventh.units)  # chi(u_a), a = 2..6
+        self.chi_one_minus_zeta = _dlog(dlog, seventh.one_minus_zeta)
 
     @property
     def q(self) -> int:
@@ -153,7 +156,7 @@ class LocalCharacterTable:
         """chi(b) for b = 0..q-1 (None at 0): b^((N-1)/7) is the constant
         pow(b, (N-1)/7, q), 1 unless 7 | q - 1."""
         q, zeros = self.q, (0,) * (self.prime.fdeg - 1)
-        e = self.exponent % (q - 1)
+        e = (self.prime.norm - 1) // 7 % (q - 1)
         return (None,) + tuple(
             _dlog(self.dlog, (pow(b, e, q),) + zeros) for b in range(1, q)
         )
@@ -367,31 +370,13 @@ def _dlog(dlog: dict, residue) -> object:
     return k
 
 
-def _character_table(Q: PrimeIdealData, omega: FFElement) -> LocalCharacterTable:
-    """The character table at Q with dlog base omega, a primitive 7th
-    root of unity in the residue field."""
-    seventh, F = _seventh_powers(Q), Q.residue_field
-    dlog, acc = {}, F.one()
-    for k in range(7):
-        dlog[acc.coeffs] = k
-        acc = acc * omega
-    return LocalCharacterTable(
-        prime=Q,
-        exponent=(Q.norm - 1) // 7,
-        omega=omega,
-        dlog=dlog,
-        unit_chars=tuple(_dlog(dlog, v) for v in seventh.units),
-        chi_one_minus_zeta=_dlog(dlog, seventh.one_minus_zeta),
-    )
-
-
 @lru_cache(maxsize=None)
 def build_character(Q: PrimeIdealData) -> LocalCharacterTable:
     """Character table at Q with the frozen omega, memoized per prime;
     requires 7 | N(Q) - 1."""
     F = Q.residue_field
     g = first_generator(F.p, F.k, F.mul_kernel())
-    return _character_table(Q, FFElement(F, _seventh_powers(Q)(g)))
+    return LocalCharacterTable(Q, FFElement(F, _seventh_powers(Q)(g)))
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +393,7 @@ def _sieve_character(Q: PrimeIdealData) -> LocalCharacterTable:
     lines = (seventh(F.from_index(idx).coeffs) for idx in range(q, F.order))
     one = F.one().coeffs
     omega = next(r for r in chain(residues, lines) if r != one)
-    return _character_table(Q, FFElement(F, omega))
+    return LocalCharacterTable(Q, FFElement(F, omega))
 
 
 def char_value(table: LocalCharacterTable, x) -> object:

@@ -243,10 +243,10 @@ def test_08_elimination_soundness():
         tried += 1
         pkt = packet_from_curve(fam.specialize(a0, b0), f"self-{a0}-{b0}", 13)
         for q_list in ([5], [11], [5, 11]):
-            std = standard_eliminate([pkt], fam, q_list)
-            assert std.standard[0].surviving == ALL_PRIMES, (a0, b0, q_list)
+            std = standard_eliminate(pkt, fam, q_list)
+            assert std.surviving == ALL_PRIMES, (a0, b0, q_list)
             ref = refined_eliminate(pkt, fam, 7, q_list)
-            assert all(r.status == "not-eliminated" for r in ref.refined), (a0, b0)
+            assert all(r.status == "not-eliminated" for r in ref), (a0, b0)
     # Eisenstein-like packet: residues equal N(q) + 1 everywhere, so the
     # level-raising congruence always holds and only an explicit skip
     # removes the residue prime
@@ -261,9 +261,9 @@ def test_08_elimination_soundness():
         residue_maps={}, provenance="synthetic level-raising packet",
     )
     ref = refined_eliminate(eis, fam, 7, [5, 11])
-    survived = all(r.status == "not-eliminated" for r in ref.refined)
+    survived = all(r.status == "not-eliminated" for r in ref)
     ref_skip = refined_eliminate(eis, fam, 7, [5, 11], skip=["7:0"])
-    skipped = all(r.status == "skipped" for r in ref_skip.refined)
+    skipped = all(r.status == "skipped" for r in ref_skip)
     ok = survived and skipped
     report(
         8, ok,

@@ -108,6 +108,14 @@ class TestBasicCommands:
         assert code == 0
         assert "surviving exponents: all primes" in out
         assert "not-eliminated" in out
+        code, out, _ = run(
+            capsys, "eliminate",
+            "--family", "families/demo_sum_rule_cubic.json",
+            "--packets", "packets/demo_self_1_3.json",
+            "--q", "5,11", "--refined", "7", "--skip", "7:0",
+        )
+        assert code == 0
+        assert "refined-demo-self-1-3-7:0: skipped (listed as reducible)" in out
 
     def test_q_list_skips_empty_items(self):
         from fermatkit.cli import _parse_q_list
@@ -642,7 +650,12 @@ class TestErrors:
         ("5,x", [], "--q: expected comma-separated integers, got 'x'"),
         ("5", ["--refined", "p=abc"], "--refined: expected p=<prime>, got 'p=abc'"),
         ("5", ["--refined", "p=9"], "--refined: expected a prime exponent, got 9"),
-    ], ids=["above-the-cap", "not-an-integer", "refined-not-an-integer", "refined-not-prime"])
+        ("5", ["--skip", "7:0"],
+         "--skip: skips residue primes of refined elimination; give --refined"),
+        ("5", ["--skip-ramified"],
+         "--skip-ramified: skips residue primes of refined elimination; give --refined"),
+    ], ids=["above-the-cap", "not-an-integer", "refined-not-an-integer", "refined-not-prime",
+            "skip-without-refined", "skip-ramified-without-refined"])
     def test_eliminate_q_list_checked_before_any_work(self, capsys, monkeypatch, qs, extra, where):
         import fermatkit.cli as cli
 
@@ -660,6 +673,28 @@ class TestErrors:
         assert code == 2
         assert err == f"error: {where}\n"
         assert cli.MAX_CONSTRAINT_Q == 200
+
+    @pytest.mark.parametrize("skip,bad", [("7.0,9:9", "7.0"), ("7:0,9:9", "9:9")],
+                             ids=["not-a-key", "one-key-of-two"])
+    def test_eliminate_skip_names_residue_primes(self, capsys, monkeypatch, skip, bad):
+        """A --skip key is the key of a residue prime above p of some
+        packet; otherwise nothing is eliminated and the first other key
+        is named."""
+        import fermatkit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination started on a refused --skip")
+
+        monkeypatch.setattr(cli, "standard_eliminate", refuse)
+        code, out, err = run(
+            capsys, "eliminate",
+            "--family", "families/demo_sum_rule_cubic.json",
+            "--packets", "packets/demo_self_1_3.json", "--q", "5,11",
+            "--refined", "p=7", "--skip", skip,
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: --skip: {bad!r} is not a residue prime above 7 of any packet; "
+                       "the keys are ['7:0']\n")
 
     @pytest.fixture
     def no_count(self, monkeypatch):
@@ -879,6 +914,18 @@ class TestFullReport:
         monkeypatch.setattr(cli, "cyclotomic_unit_generators", lambda: gens[:4])
         assert status() == "fail"
 
+    @pytest.mark.parametrize("only", [",", ""])
+    def test_only_naming_no_check_refused(self, capsys, monkeypatch, only):
+        import fermatkit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checks ran for an --only that names none")
+
+        monkeypatch.setattr(cli, "run_checks", refuse)
+        code, out, err = run(capsys, "full-report", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == f"error: --only: expected comma-separated check names, got {only!r}\n"
+
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "full-report", "--only", "bogus-check")
         assert code == 2
@@ -986,7 +1033,7 @@ class TestChecksCanFail:
     def test_self_packet_not_surviving_standard(self, monkeypatch):
         import fermatkit.cli as cli
 
-        none_left = SimpleNamespace(standard=[SimpleNamespace(surviving=[])])
+        none_left = SimpleNamespace(surviving=[])
         monkeypatch.setattr(cli, "standard_eliminate", lambda *args: none_left)
         assert "did not survive standard" in self.failed("elimination-soundness")
 
@@ -1000,7 +1047,7 @@ class TestChecksCanFail:
         import fermatkit.cli as cli
 
         real = cli.refined_eliminate
-        eliminated = SimpleNamespace(refined=[SimpleNamespace(status="eliminated")])
+        eliminated = (SimpleNamespace(status="eliminated"),)
 
         def refined(pkt, *args, **kwargs):
             return eliminated if broken(pkt, kwargs) else real(pkt, *args, **kwargs)

@@ -1,13 +1,15 @@
 """Every command's output, pinned: argv -> exit code and the sha256 of its
 `--json` body with every row's `ms` dropped, hashed compact and key-sorted
-as perfbench's `_main_op` does; and the exit code and stderr of four
+as perfbench's `_main_op` does; and the exit code and stderr of six
 refusals. No body names where the package sits on disk, so the digests
 hold in every checkout.
 A change to any row's name, status or detail, or to the inputs a command
 lists, must update its digest here on purpose.
 
 Needs only the standard library: `python tests/test_command_digests.py`
-runs the same table without pytest and exits 1 on a mismatch.
+runs the same table without pytest, then every perfbench operation
+against perfbench/refs.json (`workload_outcomes`), and exits 1 on a
+mismatch or a failed operation.
 """
 
 import contextlib
@@ -73,6 +75,11 @@ REFUSALS = [  # (argv, exit code, stderr); nothing is printed on stdout
     (("igusa", "curves/E_1_-1.curve"), 2, "error: igusa needs a sextic curve file\n"),
     (("sieve", "--case", "div7", "--constraints", "constraints/demo_sieve.json"), 2,
      "error: --case must be div13 or coprime13\n"),
+    (ELIMINATE + ("--refined", "p=7", "--skip", "7.0"), 2,
+     "error: --skip: '7.0' is not a residue prime above 7 of any packet; "
+     "the keys are ['7:0']\n"),
+    (("full-report", "--only", ","), 2,
+     "error: --only: expected comma-separated check names, got ','\n"),
 ]
 
 
@@ -151,4 +158,9 @@ if __name__ == "__main__":
         print(f"MISMATCH fermatkit {' '.join(argv)}: expected {want}, got {got}")
     print(f"{len(BODIES) + len(REFUSALS) - len(bad)} of {len(BODIES) + len(REFUSALS)} "
           "pinned outputs match")
-    sys.exit(1 if bad else 0)
+    ops = workload_outcomes()
+    failed = [o for o in ops if not o[2]]
+    for workload, op_id, _, note in failed:
+        print(f"FAILED perfbench {workload} {op_id}: {note}")
+    print(f"{len(ops) - len(failed)} of {len(ops)} perfbench operations match their references")
+    sys.exit(1 if bad or failed else 0)

@@ -1202,6 +1202,17 @@ class TestCartierManinOracle:
                     assert got == want, (p, f)
                 assert _trace_det(got, p) == _trace_det(want, p), (p, f)
 
+    @staticmethod
+    def checked(P):
+        """`C_eq51`'s (a1, a2) at the split prime P, asserted among the
+        Cartier-Manin candidates, and the number of candidates."""
+        p = P.q
+        f = [reduce_element(c, P).coeffs[0] for c in C_FIX.coeffs]
+        e = g2_euler_factor(C_FIX, P)
+        found = rm_candidates(cartier_manin(f, p), p)
+        assert (e.a1, e.a2) in found, P.key  # so pinned when found has one pair
+        return e, len(found)
+
     def test_split_primes_to_200(self):
         ambiguous = set()
         split = [P for q in range(3, 200) if is_prime(q) and q != 13
@@ -1210,10 +1221,8 @@ class TestCartierManinOracle:
         for P in split:
             p = P.q
             f = [reduce_element(c, P).coeffs[0] for c in C_FIX.coeffs]
-            e = g2_euler_factor(C_FIX, P)
-            found = rm_candidates(cartier_manin(f, p), p)
-            assert (e.a1, e.a2) in found, P.key  # so pinned when found has one pair
-            if len(found) > 1:
+            e, found = self.checked(P)
+            if found > 1:
                 ambiguous.add(P.key)
                 # the points at infinity: 1 + chi(c6)
                 n1 = horner_prime_count(f, p) + horner_prime_count([f[6]], p) // p
@@ -1221,6 +1230,19 @@ class TestCartierManinOracle:
                 a1 = p + 1 - n1
                 assert (e.a1, e.a2) == (a1, (a1 * a1 - (p * p + 1 - n2)) // 2), P.key
         assert ambiguous == CARTIER_MANIN_AMBIGUOUS
+
+    def test_sampled_split_primes_to_2048(self):
+        """Every 20th split prime of norm 211 to 2048, and the last two,
+        2029.0 and 2029.1: 16 primes, past the enumeration oracles' reach
+        (2048 is the largest norm `check-congruence --bound` accepts). At
+        each one the candidates are a single (a1, a2); a prime with more
+        would leave a2 unpinned, and the test names it."""
+        split = [P for q in range(201, 2049) if is_prime(q)
+                 for P in split_prime(K13, q) if P.fdeg == 1]
+        assert len(split) == 264
+        sample = split[::20] + split[-2:]
+        ambiguous = [P.key for P in sample if self.checked(P)[1] > 1]
+        assert ambiguous == [], f"more than one (a1, a2) remains at {ambiguous}"
 
 
 def hasse_trace(E, P):

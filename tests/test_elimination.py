@@ -310,16 +310,16 @@ class TestStandardElimination:
     def test_self_packet_survives_all(self):
         fam = demo_family()
         pkt = packet_from_curve(fam.specialize(1, 3), "self-1-3", 13)
-        rep = standard_eliminate([pkt], fam, [5, 11])
-        assert rep.standard[0].surviving == ALL_PRIMES
-        assert rep.standard[0].overall_gcd == 0
+        verdict = standard_eliminate(pkt, fam, [5, 11])
+        assert verdict.surviving == ALL_PRIMES
+        assert verdict.overall_gcd == 0
 
     def test_monotone_in_q_list(self):
         fam = demo_family()
         eig = {"5.0": [1], "5.1": [0], "5.2": [-2], "11.0": [4]}
         pkt = raw_packet("K13cubic", [0, 1], eig)
-        one = standard_eliminate([pkt], fam, [5]).standard[0]
-        both = standard_eliminate([pkt], fam, [5, 11]).standard[0]
+        one = standard_eliminate(pkt, fam, [5])
+        both = standard_eliminate(pkt, fam, [5, 11])
         surv_one = set(one.surviving) if one.surviving != ALL_PRIMES else None
         surv_both = set(both.surviving) if both.surviving != ALL_PRIMES else None
         if surv_one is None:
@@ -329,15 +329,9 @@ class TestStandardElimination:
 
     def test_empty_q_list(self):
         fam = demo_family()
-        with pytest.raises(ValueError):
-            standard_eliminate([], fam, [])
-
-    def test_report_sorted_by_label(self):
-        fam = demo_family()
-        p1 = packet_from_curve(fam.specialize(1, 3), "zz", 13)
-        p2 = packet_from_curve(fam.specialize(2, 2), "aa", 13)
-        rep = standard_eliminate([p1, p2], fam, [5])
-        assert [r.label for r in rep.standard] == ["aa", "zz"]
+        pkt = packet_from_curve(fam.specialize(1, 3), "self-1-3", 13)
+        with pytest.raises(ValueError, match="q_list must be nonempty"):
+            standard_eliminate(pkt, fam, [])
 
 
 class TestRefinedElimination:
@@ -345,7 +339,7 @@ class TestRefinedElimination:
         fam = demo_family()
         pkt = packet_from_curve(fam.specialize(1, 3), "self", 13)
         rep = refined_eliminate(pkt, fam, 7, [5, 11])
-        assert all(r.status == "not-eliminated" for r in rep.refined)
+        assert all(r.status == "not-eliminated" for r in rep)
 
     def test_eisenstein_survives_unless_skipped(self):
         fam = demo_family()
@@ -355,9 +349,9 @@ class TestRefinedElimination:
                 eig[P.key] = [(P.norm + 1) % 7]
         pkt = raw_packet("K13cubic", [0, 1], eig, label="eisenstein")
         rep = refined_eliminate(pkt, fam, 7, [5, 11])
-        assert all(r.status == "not-eliminated" for r in rep.refined)
+        assert all(r.status == "not-eliminated" for r in rep)
         rep2 = refined_eliminate(pkt, fam, 7, [5, 11], skip=["7:0"])
-        assert all(r.status == "skipped" for r in rep2.refined)
+        assert all(r.status == "skipped" for r in rep2)
 
     def test_perturbed_packet_eliminated_with_witness_5(self):
         """Search a residue assignment at the primes above 5 that breaks
@@ -392,7 +386,7 @@ class TestRefinedElimination:
                for i, P in enumerate(primes)}
         pkt = raw_packet("K13cubic", [0, 1], eig, label="perturbed")
         rep = refined_eliminate(pkt, fam, 7, [5])
-        assert [ (r.status, r.witness_q) for r in rep.refined ] == [("eliminated", 5)]
+        assert [ (r.status, r.witness_q) for r in rep ] == [("eliminated", 5)]
 
     def test_skip_ramified(self):
         fam = demo_family()
@@ -408,8 +402,8 @@ class TestRefinedElimination:
             provenance="test",
         )
         rep = refined_eliminate(pkt, fam, 7, [5], skip_ramified=True)
-        assert [r.status for r in rep.refined] == ["skipped"]
-        assert rep.refined[0].reason.startswith("ramified")
+        assert [r.status for r in rep] == ["skipped"]
+        assert rep[0].reason.startswith("ramified")
 
     def test_packet_over_another_order_refused(self):
         """Aq, Bq and refined elimination refuse a packet whose base field
@@ -438,14 +432,14 @@ class TestRefinedElimination:
                 for P in split_prime(fam.order, q):
                     eig[P.key] = [rng.randrange(-3, 4)]
             pkt = raw_packet("K13cubic", [0, 1], eig, label="rnd")
-            std = standard_eliminate([pkt], fam, [5, 11]).standard[0]
+            std = standard_eliminate(pkt, fam, [5, 11])
             eliminated_std = (
                 std.surviving != ALL_PRIMES and 7 not in std.surviving
             )
             if eliminated_std:
                 exercised += 1
                 ref = refined_eliminate(pkt, fam, 7, [5, 11])
-                assert all(r.status == "eliminated" for r in ref.refined)
+                assert all(r.status == "eliminated" for r in ref)
         assert exercised >= 1
 
 
@@ -814,13 +808,13 @@ class TestCompatiblePairs:
         keys = {q: [P.key for P in split_prime(fam.order, q)] for q in (5, 11)}
         pkt = packet_from_curve(fam.specialize(1, 3), "self", 13)
         rep = refined_eliminate(pkt, fam, 7, [5, 11])
-        assert {r.status for r in rep.refined} == {"not-eliminated"}
-        assert calls == [(r.residue_prime, k) for r in rep.refined for k in keys[5] + keys[11]]
+        assert {r.status for r in rep} == {"not-eliminated"}
+        assert calls == [(r.residue_prime, k) for r in rep for k in keys[5] + keys[11]]
         # a residue of 0 at every prime above 5 fits no pair of the demo family
         calls.clear()
         eig = {k: [0] for k in keys[5] + keys[11]}
         rep = refined_eliminate(raw_packet("K13cubic", [0, 1], eig), fam, 7, [5, 11])
-        assert [(r.status, r.witness_q) for r in rep.refined] == [("eliminated", 5)]
+        assert [(r.status, r.witness_q) for r in rep] == [("eliminated", 5)]
         assert calls == [("7:0", k) for k in keys[5]]
 
     def test_eigenvalue_outside_F_p_fits_no_pair(self):
@@ -833,7 +827,7 @@ class TestCompatiblePairs:
         rp, = primes_above_in_Qf(pkt, 7)
         assert rp.d == 2
         rep = refined_eliminate(pkt, fam, 7, [5, 11])
-        assert [(r.status, r.witness_q) for r in rep.refined] == [("eliminated", 5)]
+        assert [(r.status, r.witness_q) for r in rep] == [("eliminated", 5)]
 
 
 def test_every_cli_seed_of_the_elimination_workload():

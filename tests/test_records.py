@@ -54,7 +54,7 @@ def _hashed_records():
     c = SieveConstraint(q=11, mode="unconstrained")
     return [
         (K, (K.label, K.poly)),
-        (P, (P.order, P.q, P.index, P.factor, P.e, P.fdeg)),
+        (P, (P.order, P.q, P.index, P.factor, P.e)),
         (E, (E.a1, E.a2, E.a3, E.a4, E.a6)),
         (EulerFactorG2(N=9, a1=2, a2=7), (9, 2, 7)),
         (fam, (fam.label, fam.order, fam.coeffs, fam.mult_rule, fam.excluded_primes,
@@ -87,9 +87,9 @@ def test_hashed_records(i):
 
 def test_prime_equality_ignores_the_residue_field():
     P = split_prime(get_order("Zzeta13"), 29)[1]
-    bare = PrimeIdealData(order=P.order, q=P.q, index=P.index, factor=P.factor, e=P.e,
-                          fdeg=P.fdeg, residue_field=None, theta_image=None)
-    assert bare == P and hash(bare) == hash(P)
+    twin = PrimeIdealData(P.order, P.q, P.index, P.factor, P.e)
+    assert twin.residue_field is not P.residue_field
+    assert twin == P and hash(twin) == hash(P)
     other = split_prime(get_order("Zzeta13"), 29)[2]
     assert other != P
 
