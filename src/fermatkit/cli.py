@@ -115,6 +115,7 @@ class RunReport:
         self.seed = seed
         self.version = __version__
         self.inputs = {}  # input file name -> sha256 of its bytes
+        self._input_paths = {}  # input file name -> the path read under it
         self.checks = []  # CheckResults, in run order
         self._curves = {}  # path -> curve, each file parsed and validated once
         self._lap = time.monotonic()  # when the report was made or its last row added
@@ -128,7 +129,11 @@ class RunReport:
             if cand.exists() or not p.exists():
                 p = cand
         if p.is_file():
-            self.inputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+            digest = hashlib.sha256(p.read_bytes()).hexdigest()
+            first = self._input_paths.setdefault(p.name, p)
+            if self.inputs.setdefault(p.name, digest) != digest:
+                raise ValueError(f"inputs {first} and {p} share the file name {p.name} but "
+                                 "not their bytes; the report lists one digest per file name")
         return p
 
     def curve(self, rel):
@@ -504,12 +509,23 @@ _CHECK_FNS = {
 CHECK_NAMES = list(_CHECK_FNS)
 
 
+def _resolve_checks(names) -> list:
+    """(name, check) for each name, None naming every check; an empty list
+    or an unknown name raises before any check runs."""
+    if names is None:
+        return list(_CHECK_FNS.items())
+    if not names:
+        raise ValueError("expected at least one check name")
+    unknown = [name for name in names if name not in _CHECK_FNS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}; known: {CHECK_NAMES}")
+    return [(name, _CHECK_FNS[name]) for name in names]
+
+
 def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport:
+    checks = _resolve_checks(names)
     report = RunReport("full-report", fixtures or _FIXTURES_DIR, seed)
-    for name in names or CHECK_NAMES:
-        fn = _CHECK_FNS.get(name)
-        if fn is None:
-            raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
+    for name, fn in checks:
         try:
             ok, detail = fn(report)
         except Exception as e:  # a crash is a failed check, not a crashed report
@@ -588,14 +604,26 @@ def cmd_check_congruence(args) -> RunReport:
     cap = math.isqrt(MAX_G2_COUNT_FIELD)  # a genus-2 count at norm N runs over F_{N^2}
     if args.bound > cap:
         raise ValueError(f"--bound: expected a norm bound at most {cap}, got {args.bound}")
-    E = report.curve(args.curve_e)
-    C = report.curve(args.curve_c)
+    E = _congruence_curve(report, "--curve-e", args.curve_e, EllipticCurveNF)
+    C = _congruence_curve(report, "--curve-c", args.curve_c, HyperellipticCurveNF)
     checked, failures = congruence_failures(E, C, args.bound)
     detail = f"{checked} good primes of norm <= {args.bound} checked; {len(failures)} failures"
     report.add("mod7-congruence", not failures, detail)
     for key, t, res in failures:
         report.add(f"failure-{key}", False, f"a={t}, a mod 7 = {t%7} not in {res}")
     return report
+
+
+_MODEL_NAMES = {EllipticCurveNF: "a Weierstrass model", HyperellipticCurveNF: "a sextic"}
+
+
+def _congruence_curve(report, flag: str, path, kind):
+    """The curve in `path`, refused unless it is of `kind` over Qsqrt13."""
+    curve = report.curve(path)
+    if type(curve) is not kind or curve.order.label != "Qsqrt13":
+        raise ValueError(f"{flag}: expected {_MODEL_NAMES[kind]} over Qsqrt13, got "
+                         f"{_MODEL_NAMES[type(curve)]} over {curve.order.label} in {path}")
+    return curve
 
 
 # The largest auxiliary prime a constraint file or `eliminate --q` may
@@ -669,6 +697,8 @@ def _parse_q_list(text: str):
         if q > MAX_CONSTRAINT_Q:
             raise ValueError(f"--q: expected auxiliary primes at most {MAX_CONSTRAINT_Q}, got {q}")
         out.append(q)
+    if not out:
+        raise ValueError(f"--q: expected at least one auxiliary prime, got {text!r}")
     return out
 
 
@@ -936,6 +966,10 @@ def cmd_full_report(args) -> RunReport:
         names = [s for s in args.only.split(",") if s]
         if not names:
             raise ValueError(f"--only: expected comma-separated check names, got {args.only!r}")
+        try:
+            _resolve_checks(names)
+        except ValueError as e:
+            raise ValueError(f"--only: {e}") from None
     return run_checks(names=names, fixtures=args.fixtures, seed=args.seed)
 
 

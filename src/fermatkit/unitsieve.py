@@ -34,7 +34,6 @@ and ranks are the same.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 
@@ -63,7 +62,6 @@ __all__ = [
     "sieve_case_bits",
     "sieve_case_exhaustive",
     "sieve_case_exhaustive_bits",
-    "SurvivorSet",
     "generator_independence_rank",
     "modular_targets_from_curve",
 ]
@@ -648,58 +646,29 @@ def sieve_case_exhaustive_bits(descent_case: str, constraints) -> int:
     return _sieve_bits(descent_case, constraints, _local_survivors_exhaustive)
 
 
-class SurvivorSet(Set):
-    """Read-only set of UnitClass over a survivor int, with no hashing.
-
-    Membership is a bit test (False for anything not a UnitClass), the
-    size is the popcount, and iteration makes each class in increasing
-    index order as it is reached. It equals any set with the same
-    classes; the set operators return plain sets.
-    """
-
-    __slots__ = ("_bits",)
-    __hash__ = None
-
-    def __init__(self, bits: int):
-        self._bits = bits
-
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    def __len__(self):
-        return self._bits.bit_count()
-
-    def __contains__(self, u):
-        return isinstance(u, UnitClass) and self._bits >> u.index & 1 == 1
-
-    def __iter__(self):
-        new = object.__new__
-        for i in class_indices(self._bits):
-            u = new(UnitClass)
-            _set_index(u, i)
-            yield u
-
-    def __eq__(self, other):
-        if isinstance(other, SurvivorSet):
-            return self._bits == other._bits
-        return Set.__eq__(self, other)
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return set(it)
+def _classes(bits: int) -> tuple:
+    """The classes of a survivor int as UnitClass, in increasing index
+    order; each is made with `object.__new__` and the index slot's
+    setter, with no exponents and no per-class `from_index`."""
+    new, out = object.__new__, []
+    for i in class_indices(bits):
+        u = new(UnitClass)
+        _set_index(u, i)
+        out.append(u)
+    return tuple(out)
 
 
-def sieve_case(descent_case: str, constraints) -> SurvivorSet:
-    """`sieve_case_bits` as a read-only set of UnitClass."""
-    return SurvivorSet(sieve_case_bits(descent_case, constraints))
+def sieve_case(descent_case: str, constraints) -> tuple:
+    """`sieve_case_bits` as a tuple of UnitClass, in increasing index order."""
+    return _classes(sieve_case_bits(descent_case, constraints))
 
 
-def sieve_case_exhaustive(descent_case: str, constraints) -> SurvivorSet:
-    """`sieve_case_exhaustive_bits` as a read-only set of UnitClass. At
-    each prime the oracle forms every pair's subfield norm as b^n times
-    a line norm N(a/b + zeta) and takes one power per distinct norm."""
-    return SurvivorSet(sieve_case_exhaustive_bits(descent_case, constraints))
+def sieve_case_exhaustive(descent_case: str, constraints) -> tuple:
+    """`sieve_case_exhaustive_bits` as a tuple of UnitClass, in increasing
+    index order. At each prime the oracle forms every pair's subfield norm
+    as b^n times a line norm N(a/b + zeta) and takes one power per
+    distinct norm."""
+    return _classes(sieve_case_exhaustive_bits(descent_case, constraints))
 
 
 def generator_independence_rank(primes) -> int:

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fermatkit.cli import CHECK_NAMES, main, run_checks
+from fermatkit.cli import CHECK_NAMES, RunReport, main, run_checks
 from fermatkit.unitsieve import UNIT_CLASS_COUNT
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "fermatkit" / "fixtures"
@@ -156,8 +157,6 @@ class TestBasicCommands:
         """The demo bitsets of `sieve --out` in both cases, and the oracle's
         unconstrained divisible-13 bitsets at q = 11, 23, 29 against the
         frozen digests of the benchmark's references (read, never written)."""
-        import hashlib
-
         from fermatkit.unitsieve import SieveConstraint, sieve_case_exhaustive_bits
 
         out_file = tmp_path / "survivors.bin"
@@ -296,8 +295,6 @@ class TestBasicCommands:
         assert clock.spent * 1000 <= total < clock.spent * 1000 + len(rows), rows
 
     def test_sieve_lists_a_modular_family_among_inputs(self, capsys, tmp_path):
-        import hashlib
-
         f = tmp_path / "one.json"
         f.write_text(json.dumps({"constraints": [{
             "q": 11, "mode": "modular", "family": "families/demo_sum_rule_sqrt13.json",
@@ -648,13 +645,14 @@ class TestErrors:
     @pytest.mark.parametrize("qs,extra,where", [
         ("5,211", [], "--q: expected auxiliary primes at most 200, got 211"),
         ("5,x", [], "--q: expected comma-separated integers, got 'x'"),
+        (",", [], "--q: expected at least one auxiliary prime, got ','"),
         ("5", ["--refined", "p=abc"], "--refined: expected p=<prime>, got 'p=abc'"),
         ("5", ["--refined", "p=9"], "--refined: expected a prime exponent, got 9"),
         ("5", ["--skip", "7:0"],
          "--skip: skips residue primes of refined elimination; give --refined"),
         ("5", ["--skip-ramified"],
          "--skip-ramified: skips residue primes of refined elimination; give --refined"),
-    ], ids=["above-the-cap", "not-an-integer", "refined-not-an-integer", "refined-not-prime",
+    ], ids=["above-the-cap", "not-an-integer", "empty", "refined-not-an-integer", "refined-not-prime",
             "skip-without-refined", "skip-ramified-without-refined"])
     def test_eliminate_q_list_checked_before_any_work(self, capsys, monkeypatch, qs, extra, where):
         import fermatkit.cli as cli
@@ -664,6 +662,7 @@ class TestErrors:
 
         monkeypatch.setattr(cli, "standard_eliminate", refuse)
         monkeypatch.setattr(cli, "load_family", refuse)
+        monkeypatch.setattr(cli.RunReport, "input", refuse)
         code, _, err = run(
             capsys, "eliminate",
             "--family", "families/demo_sum_rule_cubic.json",
@@ -843,6 +842,48 @@ class TestErrors:
         code, out, _ = run(capsys, "check-congruence", "--bound", "2048")
         assert code == 0 and "norm <= 2048" in out
 
+    @pytest.mark.parametrize("flag,path,want,got", [
+        ("--curve-e", "curves/C_eq51.curve", "a Weierstrass model", "a sextic over Qsqrt13"),
+        ("--curve-c", "curves/E_1_-1.curve", "a sextic", "a Weierstrass model over Qsqrt13"),
+        ("--curve-e", "cubic.curve", "a Weierstrass model", "a Weierstrass model over K13cubic"),
+    ], ids=["sextic-as-e", "weierstrass-as-c", "other-order"])
+    def test_check_congruence_curve_kinds(self, capsys, monkeypatch, tmp_path,
+                                          flag, path, want, got):
+        """--curve-e takes a Weierstrass model and --curve-c a sextic, both
+        over Qsqrt13; any other is refused before any count."""
+        import fermatkit.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the congruence check started on a refused curve")
+
+        monkeypatch.setattr(cli, "congruence_failures", refuse)
+        if path == "cubic.curve":  # y^2 = x^3 + 1 over the cubic field
+            cubic = {"order": "K13cubic", "model": "weierstrass", "coefficients":
+                     {"a1": [0], "a2": [0], "a3": [0], "a4": [0], "a6": [1]}}
+            path = str(tmp_path / path)
+            Path(path).write_text(json.dumps(cubic))
+        code, out, err = run(capsys, "check-congruence", flag, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: expected {want} over Qsqrt13, got {got} in {path}\n"
+
+    def test_inputs_sharing_a_file_name(self, capsys, tmp_path):
+        """Two inputs with one file name and other bytes are refused, naming
+        both paths; with the same bytes their one digest is listed."""
+        curves = FIXTURES / "curves"
+        for d, name in (("d1", "E_1_-1.curve"), ("d2", "C_eq51.curve"), ("d3", "C_eq51.curve")):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "x.curve").write_bytes((curves / name).read_bytes())
+        e, c, c2 = (str(tmp_path / d / "x.curve") for d in ("d1", "d2", "d3"))
+        code, out, err = run(capsys, "check-congruence", "--bound", "5",
+                             "--curve-e", e, "--curve-c", c)
+        assert (code, out) == (2, "")
+        assert err == (f"error: inputs {e} and {c} share the file name x.curve but not their "
+                       "bytes; the report lists one digest per file name\n")
+        report = RunReport("igusa", FIXTURES, 0)
+        assert (report.input(c), report.input(c2)) == (Path(c), Path(c2))
+        digest = hashlib.sha256((curves / "C_eq51.curve").read_bytes()).hexdigest()
+        assert report.inputs == {"x.curve": digest}
+
     @pytest.mark.parametrize("cons,where", [
         ([1], "consistency:"),
         ({"curve": 5, "specialization": [1, 3]}, "consistency.curve:"),
@@ -930,12 +971,26 @@ class TestFullReport:
         code, _, err = run(capsys, "full-report", "--only", "bogus-check")
         assert code == 2
 
+    def test_check_names_resolved_before_any_check_runs(self, capsys, monkeypatch):
+        """An unknown name after a known one, or an empty list, raises
+        before the first check runs."""
+        import fermatkit.cli as cli
+
+        def refuse(report):
+            raise AssertionError("a check ran before every name was resolved")
+
+        monkeypatch.setitem(cli._CHECK_FNS, "euler-rm-at-3", refuse)
+        with pytest.raises(ValueError, match="unknown check 'bogus-check'"):
+            run_checks(names=["euler-rm-at-3", "bogus-check"])
+        with pytest.raises(ValueError, match="expected at least one check name"):
+            run_checks(names=[])
+        code, out, err = run(capsys, "full-report", "--only", "euler-rm-at-3,bogus-check")
+        assert (code, out) == (2, "") and err.startswith("error: --only: unknown check")
+
     def test_report_body_is_pinned(self):
         # the deterministic body of a default full report, compact and
         # key-sorted as perfbench hashes it; a change to any check's
         # status or detail must update this digest on purpose
-        import hashlib
-
         body = run_checks().to_dict(with_timings=False)
         blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == (
@@ -948,8 +1003,6 @@ class TestFullReport:
         assert set(CHECK_NAMES) >= {"euler-rm-at-3", "sieve-soundness"}
 
     def test_fixture_curves_loaded_once_per_run(self, monkeypatch):
-        import hashlib
-
         import fermatkit.cli as cli
 
         loaded = []

@@ -1,6 +1,6 @@
 """Every command's output, pinned: argv -> exit code and the sha256 of its
 `--json` body with every row's `ms` dropped, hashed compact and key-sorted
-as perfbench's `_main_op` does; and the exit code and stderr of six
+as perfbench's `_main_op` does; and the exit code and stderr of ten
 refusals. No body names where the package sits on disk, so the digests
 hold in every checkout.
 A change to any row's name, status or detail, or to the inputs a command
@@ -80,6 +80,20 @@ REFUSALS = [  # (argv, exit code, stderr); nothing is printed on stdout
      "the keys are ['7:0']\n"),
     (("full-report", "--only", ","), 2,
      "error: --only: expected comma-separated check names, got ','\n"),
+    (("full-report", "--only", "euler-rm-at-3,bogus-check"), 2,
+     "error: --only: unknown check 'bogus-check'; known: ['euler-rm-at-3', "
+     "'invariant-valuations-at-2', 'igusa-proportionality', 'projective-frobenius-orders', "
+     "'mod7-congruence-norm-200', 'unit-classes-and-rank-stated', 'unit-rank-verified', "
+     "'sieve-soundness', 'elimination-soundness', 'contradiction-checkers', "
+     "'sieve-empty-divisible-13', 'sieve-empty-coprime-13', "
+     "'four-constituents-elimination']\n"),
+    (ELIMINATE[:-1] + (",",), 2, "error: --q: expected at least one auxiliary prime, got ','\n"),
+    (("check-congruence", "--curve-e", "curves/C_eq51.curve"), 2,
+     "error: --curve-e: expected a Weierstrass model over Qsqrt13, got a sextic over "
+     "Qsqrt13 in curves/C_eq51.curve\n"),
+    (("check-congruence", "--curve-c", "curves/E_1_-1.curve"), 2,
+     "error: --curve-c: expected a sextic over Qsqrt13, got a Weierstrass model over "
+     "Qsqrt13 in curves/E_1_-1.curve\n"),
 ]
 
 

@@ -17,7 +17,6 @@ from fermatkit.unitsieve import (
     UNIT_CLASS_COUNT,
     LocalCharacterTable,
     SieveConstraint,
-    SurvivorSet,
     UnitClass,
     _char_masks,
     _char_targets,
@@ -925,7 +924,7 @@ def test_sieve_and_rank_skip_the_generator_search(monkeypatch):
     unitsieve.build_character.cache_clear()
     unitsieve._sieve_character.cache_clear()
     for case, bits in want_bits.items():
-        assert sieve_case(case, cons).bits == bits
+        assert sieve_case_bits(case, cons) == bits
     report = run_checks(names=names)
     assert report.to_dict(with_timings=False) == want_report
     assert [c.status for c in report.checks] == ["pass", "fail"]  # the stated rank 5 is a known defect
@@ -1031,56 +1030,24 @@ def test_class_indices_match_the_digit_comprehension():
 
 
 class TestSurvivorSet:
-    BITS = 1 | 1 << 5 | 1 << 49 | 1 << 16806
-
-    def test_set_semantics(self):
-        view = SurvivorSet(self.BITS)
-        plain = {UnitClass.from_index(i) for i in (0, 5, 49, 16806)}
-        assert view == plain and plain == view
-        assert view != plain - {UnitClass.from_index(5)}
-        assert plain - {UnitClass.from_index(5)} != view
-        assert view == SurvivorSet(self.BITS) and view != SurvivorSet(self.BITS >> 1)
-        assert SurvivorSet(0) == set() and len(SurvivorSet(0)) == 0
-        assert UnitClass((5, 0, 0, 0, 0)) in view and UnitClass.from_index(16806) in view
-        assert UnitClass((1, 0, 0, 0, 0)) not in view
-        for other in (5, "5", None, (5, 0, 0, 0, 0), 1.5):
-            assert other not in view
-        assert len(view) == self.BITS.bit_count() == 4
-        assert [u.index for u in view] == [0, 5, 49, 16806]
-        assert view.bits == self.BITS
-
-    def test_operators_return_sets(self):
-        view = SurvivorSet(self.BITS)
-        other = {UnitClass.from_index(5), UnitClass.from_index(6)}
-        for got, want in (
-            (view | other, {0, 5, 6, 49, 16806}),
-            (other | view, {0, 5, 6, 49, 16806}),
-            (view & other, {5}),
-            (other & view, {5}),
-            (view - other, {0, 49, 16806}),
-            (other - view, {6}),
-            (view & SurvivorSet(1 << 49), {49}),
-        ):
-            assert type(got) is set and {u.index for u in got} == want
-        with pytest.raises(TypeError):
-            hash(view)
-        with pytest.raises(AttributeError):
-            view.bits = 0
+    """`sieve_case` and `sieve_case_exhaustive` return the survivors as a
+    tuple of UnitClass, in increasing index order."""
 
     @pytest.mark.parametrize("q,route,count", [
         (11, sieve_case_exhaustive, 14406),
         (23, sieve_case, 4116),
     ], ids=["oracle-q11", "linear-q23"])
     def test_iteration_sets_only_the_index(self, monkeypatch, q, route, count):
-        """Iterating a view only sets each class's index, in ascending
+        """Building the tuple only sets each class's index, in ascending
         order: neither the exponents nor `from_index` is computed per class."""
-        view = route("divisible-13", [SieveConstraint(q=q, mode="unconstrained")])
-        assert len(view) == count and UnitClass.__slots__ == ("index",)
+        cons = [SieveConstraint(q=q, mode="unconstrained")]
+        assert UnitClass.__slots__ == ("index",)
         with monkeypatch.context() as m:
             m.setattr(UnitClass, "exps", property(lambda u: pytest.fail("exps read")))
             m.setattr(UnitClass, "from_index", lambda n: pytest.fail("from_index called"))
-            items = list(view)
-        want = class_indices(view.bits)
+            items = route("divisible-13", cons)
+        want = class_indices(sieve_case_bits("divisible-13", cons))
+        assert type(items) is tuple and len(items) == count
         assert want == sorted(want) and [u.index for u in items] == want
         assert all(type(u) is UnitClass and u == UnitClass.from_index(i)
                    for u, i in zip(items, want))
@@ -1090,8 +1057,9 @@ class TestSurvivorSet:
         cons = [SieveConstraint(q=q, mode="unconstrained")]
         for case in ("coprime-13", "divisible-13"):
             slow, fast = sieve_case_exhaustive(case, cons), sieve_case(case, cons)
-            assert isinstance(slow, SurvivorSet) and slow == fast, case
-            assert slow.bits == sieve_case_bits(case, cons), case
+            assert type(slow) is tuple and slow == fast, case
+            bits = sieve_case_bits(case, cons)
+            assert [u.index for u in slow] == class_indices(bits), case
 
 
 def gauss_jordan_rank(rows) -> int:
