@@ -68,10 +68,11 @@ from .numberfield import (
 from .unitsieve import (
     UNIT_CLASS_COUNT,
     SieveConstraint,
-    UnitClass,
     _seventh_powers,
     build_character,
     char_value,
+    class_exps,
+    class_index,
     class_indices,
     generator_independence_rank,
     modular_targets_from_curve,
@@ -395,13 +396,13 @@ def check_sieve_soundness(report) -> tuple:
         SieveConstraint(q=11, mode="unconstrained"),
         SieveConstraint(q=19, mode="unconstrained"),
     ]
-    for case, cls in (
-        ("coprime-13", UnitClass((0, 0, 0, 0, 0))),   # 1 = 1 * 1^7
-        ("divisible-13", UnitClass((0, 0, 0, 0, 0))), # 1 - zeta = 1 * (1-zeta) * 1^7
-        ("coprime-13", UnitClass((1, 0, 0, 0, 0))),   # 1 + zeta = u2 * 1^7
+    for case, exps in (
+        ("coprime-13", (0, 0, 0, 0, 0)),   # 1 = 1 * 1^7
+        ("divisible-13", (0, 0, 0, 0, 0)), # 1 - zeta = 1 * (1-zeta) * 1^7
+        ("coprime-13", (1, 0, 0, 0, 0)),   # 1 + zeta = u2 * 1^7
     ):
-        if not sieve_case_bits(case, cons_u) >> cls.index & 1:
-            problems.append(f"planted class {cls.exps} died ({case})")
+        if not sieve_case_bits(case, cons_u) >> class_index(exps) & 1:
+            problems.append(f"planted class {exps} died ({case})")
     # monotonicity under an added constraint
     base = [SieveConstraint(q=11, mode="unconstrained")]
     more = base + [SieveConstraint(q=2, mode="parity-only")]
@@ -509,13 +510,22 @@ _CHECK_FNS = {
 CHECK_NAMES = list(_CHECK_FNS)
 
 
+def _refuse_repeats(values, what: str):
+    """Raise on the first value that repeats an earlier one, naming it
+    after `what`, as in "--q: 5 is named twice"."""
+    twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if twice is not None:
+        raise ValueError(f"{what}{twice!r} is named twice")
+
+
 def _resolve_checks(names) -> list:
-    """(name, check) for each name, None naming every check; an empty list
-    or an unknown name raises before any check runs."""
+    """(name, check) for each name, None naming every check; an empty list,
+    a repeated name or an unknown one raises before any check runs."""
     if names is None:
         return list(_CHECK_FNS.items())
     if not names:
         raise ValueError("expected at least one check name")
+    _refuse_repeats(names, "check ")
     unknown = [name for name in names if name not in _CHECK_FNS]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; known: {CHECK_NAMES}")
@@ -539,6 +549,7 @@ def run_checks(names=None, fixtures=None, seed: int = DEFAULT_SEED) -> RunReport
 
 
 def cmd_split(args) -> RunReport:
+    _refuse_repeats(args.q, "q: ")
     report = RunReport("split", args.fixtures, args.seed)
     order = get_order(args.order)
     for q in args.q:
@@ -552,6 +563,7 @@ def cmd_split(args) -> RunReport:
 
 
 def cmd_trace(args) -> RunReport:
+    _refuse_repeats(args.q, "q: ")
     report = RunReport("trace", args.fixtures, args.seed)
     curve = report.curve(args.curve)
     primes = [P for q in args.q for P in split_prime(curve.order, q)]
@@ -699,6 +711,7 @@ def _parse_q_list(text: str):
         out.append(q)
     if not out:
         raise ValueError(f"--q: expected at least one auxiliary prime, got {text!r}")
+    _refuse_repeats(out, "--q: ")
     return out
 
 
@@ -722,6 +735,8 @@ def cmd_eliminate(args) -> RunReport:
     if p is None and (args.skip is not None or args.skip_ramified):
         flag = "--skip" if args.skip is not None else "--skip-ramified"
         raise ValueError(f"{flag}: skips residue primes of refined elimination; give --refined")
+    skip = [s for s in (args.skip or "").split(",") if s]
+    _refuse_repeats(skip, "--skip: ")
     fam_path = report.input(args.family)
     try:
         fam = load_family(fam_path)
@@ -739,7 +754,6 @@ def cmd_eliminate(args) -> RunReport:
         if pkt.base_field != fam.order.label:
             raise ValueError(f"{pk_path}: packet {pkt.label}.base_field: {pkt.base_field!r} "
                              f"is not the order {fam.order.label!r} of the family in {fam_path}")
-    skip = [s for s in (args.skip or "").split(",") if s]
     # what the files define can still fail here: name the file it came from.
     # One run per packet, in label order, its rows added right after it.
     try:
@@ -885,7 +899,7 @@ def cmd_sieve(args) -> RunReport:
         return report
     bits = sieve_case_bits(case, constraints)
     count = bits.bit_count()
-    first = [list(UnitClass.from_index(i).exps) for i in class_indices(bits)[:10]]
+    first = [list(class_exps(i)) for i in class_indices(bits)[:10]]
     detail = f"case {case}: {count} of {UNIT_CLASS_COUNT} classes survive; first {first}"
     report.add("sieve", True, detail)
     if args.out:

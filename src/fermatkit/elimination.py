@@ -53,7 +53,6 @@ from .jsonfile import array, fail, fields, int_lists, integer, one_of, read_json
 from .newformdata import (
     MissingEigenvalueError,
     NewformPacket,
-    ResiduePrime,
     primes_above_in_Qf,
     reduce_eigenvalue,
 )
@@ -444,16 +443,16 @@ def refined_eliminate(
     none. The residue allowed at P is the eigenvalue's image in the
     residue field when that image lies in F_p, and none otherwise; each
     eigenvalue is reduced once per prime above q. Reducible residue
-    primes must be supplied in `skip` (the engine never decides
-    reducibility); `skip_ramified` additionally skips ramified ones, the
-    standard reduction when the level-lowered representation forces an
-    unramified prime.
+    primes must be supplied in `skip`, by their "p:i" keys (the engine
+    never decides reducibility); `skip_ramified` additionally skips
+    ramified ones, the standard reduction when the level-lowered
+    representation forces an unramified prime.
     """
     q_list = sorted(set(q_list))
     if not q_list:
         raise ValueError("q_list must be nonempty")
     _check_base_field(packet, family)
-    skipset = {s.key if isinstance(s, ResiduePrime) else str(s) for s in skip}
+    skipset = set(skip)
     verdicts = []
     for rp in primes_above_in_Qf(packet, p):
         status, witness, reason = "not-eliminated", 0, ""

@@ -95,14 +95,13 @@ class NewformPacket:
 class ResiduePrime:
     """A prime of the coefficient field above p, with the reduction map."""
 
-    def __init__(self, p: int, index: int, factor: UniPoly, d: int, e: int,
-                 field: FiniteField, gen_image: FFElement):
+    def __init__(self, p: int, index: int, factor: UniPoly, e: int, gen_image: FFElement):
         self.p = p
         self.index = index
         self.factor = factor
-        self.d = d
+        self.d = factor.degree
         self.e = e
-        self.field = field
+        self.field = gen_image.field
         self.gen_image = gen_image
 
     @property
@@ -271,9 +270,7 @@ def primes_above_in_Qf(packet: NewformPacket, p: int):
                 )
         else:
             img = f.gen()
-        out.append(
-            ResiduePrime(p=p, index=i, factor=g, d=g.degree, e=mult, field=f, gen_image=img)
-        )
+        out.append(ResiduePrime(p=p, index=i, factor=g, e=mult, gen_image=img))
     return out
 
 

@@ -5,8 +5,9 @@ generators u_a = 1 + zeta + ... + zeta^(a-1), a = 2..6 (16807 classes in
 all). A class eps survives a constraint at q when, at every prime Q
 above q (7 must divide N(Q) - 1), eps (1 - zeta)^delta has the 7th-power
 residue of one admissible pair a + b zeta; survivors of the constraints
-intersect. A survivor set is one 16807-bit int, bit i for class i, and
-at each Q the classes are grouped into one mask per value.
+intersect. A class is its index e_0 + 7 e_1 + ... + 7^4 e_4
+(`class_index`, `class_exps`), a survivor set one 16807-bit int, bit i
+for class i, and at each Q the classes are grouped into one mask per value.
 
 Every residue x^((N-1)/7) at Q comes from one memoised per-prime map,
 `_seventh_powers(Q)`: the norm to F_{q^d}, d the order of q mod 7, then
@@ -57,6 +58,8 @@ __all__ = [
     "build_character",
     "char_value",
     "admissible_pairs",
+    "class_index",
+    "class_exps",
     "class_indices",
     "sieve_case",
     "sieve_case_bits",
@@ -71,46 +74,29 @@ _ALL_CLASSES = (1 << UNIT_CLASS_COUNT) - 1
 _DESCENT_CASES = ("coprime-13", "divisible-13")
 
 
-class UnitClass(Frozen):
-    """Exponent vector e in (Z/7)^5 over the generators u_2..u_6, stored
-    as its index e_0 + 7 e_1 + ... + 7^4 e_4; `exps` reads the exponents
-    off the index. Equality, hash and repr are those of `exps`."""
+def class_index(exps) -> int:
+    """The index e_0 + 7 e_1 + ... + 7^4 e_4 of the unit class with
+    exponents e in (Z/7)^5 over the generators u_2..u_6."""
+    if len(exps) != 5 or not 0 <= min(exps) <= max(exps) < 7:
+        raise ValueError("a unit class is five exponents in [0, 7)")
+    e0, e1, e2, e3, e4 = exps
+    return e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4)))
+
+
+def class_exps(n: int) -> tuple:
+    """The exponents of the unit class of index n, 0 <= n < 16807: its
+    base-7 digits, lowest first."""
+    return (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401)
+
+
+class UnitClass:
+    """A survivor as `sieve_case` and `sieve_case_exhaustive` return it:
+    the class index alone."""
 
     __slots__ = ("index",)
 
-    def __init__(self, exps: tuple):
-        if len(exps) != 5 or not 0 <= min(exps) <= max(exps) < 7:
-            raise ValueError("a unit class is five exponents in [0, 7)")
-        e0, e1, e2, e3, e4 = exps
-        object.__setattr__(self, "index", e0 + 7 * (e1 + 7 * (e2 + 7 * (e3 + 7 * e4))))
-
-    @property
-    def exps(self) -> tuple:
-        n = self.index
-        return (n % 7, n // 7 % 7, n // 49 % 7, n // 343 % 7, n // 2401)
-
-    def __repr__(self):
-        return f"UnitClass(exps={self.exps!r})"
-
-    def _fields(self):
-        return (self.exps,)
-
-    def __reduce__(self):
-        # through the validating constructor, on every Python version
-        return UnitClass, (self.exps,)
-
-    @classmethod
-    def from_index(cls, n: int) -> "UnitClass":
-        """The class of index n mod 16807, built without re-validating; an
-        index in range is stored as the caller's own int object."""
-        if not 0 <= n < UNIT_CLASS_COUNT:
-            n %= UNIT_CLASS_COUNT
-        u = object.__new__(cls)
-        _set_index(u, n)  # the slot's own setter: the frozen __setattr__ is not consulted
-        return u
-
-
-_set_index = UnitClass.index.__set__
+    def __init__(self, index: int):
+        self.index = index
 
 
 class LocalCharacterTable:
@@ -646,21 +632,9 @@ def sieve_case_exhaustive_bits(descent_case: str, constraints) -> int:
     return _sieve_bits(descent_case, constraints, _local_survivors_exhaustive)
 
 
-def _classes(bits: int) -> tuple:
-    """The classes of a survivor int as UnitClass, in increasing index
-    order; each is made with `object.__new__` and the index slot's
-    setter, with no exponents and no per-class `from_index`."""
-    new, out = object.__new__, []
-    for i in class_indices(bits):
-        u = new(UnitClass)
-        _set_index(u, i)
-        out.append(u)
-    return tuple(out)
-
-
 def sieve_case(descent_case: str, constraints) -> tuple:
     """`sieve_case_bits` as a tuple of UnitClass, in increasing index order."""
-    return _classes(sieve_case_bits(descent_case, constraints))
+    return tuple(map(UnitClass, class_indices(sieve_case_bits(descent_case, constraints))))
 
 
 def sieve_case_exhaustive(descent_case: str, constraints) -> tuple:
@@ -668,7 +642,8 @@ def sieve_case_exhaustive(descent_case: str, constraints) -> tuple:
     index order. At each prime the oracle forms every pair's subfield norm
     as b^n times a line norm N(a/b + zeta) and takes one power per
     distinct norm."""
-    return _classes(sieve_case_exhaustive_bits(descent_case, constraints))
+    bits = sieve_case_exhaustive_bits(descent_case, constraints)
+    return tuple(map(UnitClass, class_indices(bits)))
 
 
 def generator_independence_rank(primes) -> int:

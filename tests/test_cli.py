@@ -652,8 +652,10 @@ class TestErrors:
          "--skip: skips residue primes of refined elimination; give --refined"),
         ("5", ["--skip-ramified"],
          "--skip-ramified: skips residue primes of refined elimination; give --refined"),
+        ("5,11,5", [], "--q: 5 is named twice"),
+        ("5", ["--refined", "p=7", "--skip", "7:0,7:0"], "--skip: '7:0' is named twice"),
     ], ids=["above-the-cap", "not-an-integer", "empty", "refined-not-an-integer", "refined-not-prime",
-            "skip-without-refined", "skip-ramified-without-refined"])
+            "skip-without-refined", "skip-ramified-without-refined", "repeated", "skip-repeated"])
     def test_eliminate_q_list_checked_before_any_work(self, capsys, monkeypatch, qs, extra, where):
         import fermatkit.cli as cli
 
@@ -812,6 +814,23 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == (f"error: the {kind} point count at {key} runs over {size} elements, "
                        f"more than {cli.MAX_G2_COUNT_FIELD}\n")
+
+    @pytest.mark.parametrize("argv,q", [
+        (["split", "Qsqrt13", "3", "2", "3"], 3),
+        (["trace", "curves/E_1_-1.curve", "5", "5"], 5),
+        (["euler", "curves/C_eq51.curve", "3", "5", "3"], 3),
+    ], ids=["split", "trace", "euler"])
+    def test_repeated_q_refused_before_any_work(self, capsys, monkeypatch, argv, q):
+        """A q named twice is refused before any prime is split or any
+        file read, as `sieve` refuses a repeated constraint prime."""
+        import fermatkit.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("work started on a repeated q")
+
+        monkeypatch.setattr(cli, "split_prime", refuse)
+        monkeypatch.setattr(cli.RunReport, "curve", refuse)
+        assert run(capsys, *argv) == (2, "", f"error: q: {q} is named twice\n")
 
     def test_trace_split_prime_under_the_cap_is_admitted(self):
         """1000003 splits in Q(sqrt13): each elliptic count walks F_1000003,
@@ -972,8 +991,8 @@ class TestFullReport:
         assert code == 2
 
     def test_check_names_resolved_before_any_check_runs(self, capsys, monkeypatch):
-        """An unknown name after a known one, or an empty list, raises
-        before the first check runs."""
+        """An unknown name after a known one, a repeated name, or an empty
+        list raises before the first check runs."""
         import fermatkit.cli as cli
 
         def refuse(report):
@@ -984,8 +1003,12 @@ class TestFullReport:
             run_checks(names=["euler-rm-at-3", "bogus-check"])
         with pytest.raises(ValueError, match="expected at least one check name"):
             run_checks(names=[])
+        with pytest.raises(ValueError, match="check 'euler-rm-at-3' is named twice"):
+            run_checks(names=["euler-rm-at-3", "unit-rank-verified", "euler-rm-at-3"])
         code, out, err = run(capsys, "full-report", "--only", "euler-rm-at-3,bogus-check")
         assert (code, out) == (2, "") and err.startswith("error: --only: unknown check")
+        code, out, err = run(capsys, "full-report", "--only", "euler-rm-at-3,euler-rm-at-3")
+        assert (code, out, err) == (2, "", "error: --only: check 'euler-rm-at-3' is named twice\n")
 
     def test_report_body_is_pinned(self):
         # the deterministic body of a default full report, compact and

@@ -1,7 +1,7 @@
 """Every command's output, pinned: argv -> exit code and the sha256 of its
 `--json` body with every row's `ms` dropped, hashed compact and key-sorted
-as perfbench's `_main_op` does; and the exit code and stderr of ten
-refusals. No body names where the package sits on disk, so the digests
+as perfbench's `_main_op` does; and the exit code and stderr of each
+refusal. No body names where the package sits on disk, so the digests
 hold in every checkout.
 A change to any row's name, status or detail, or to the inputs a command
 lists, must update its digest here on purpose.
@@ -94,6 +94,12 @@ REFUSALS = [  # (argv, exit code, stderr); nothing is printed on stdout
     (("check-congruence", "--curve-c", "curves/E_1_-1.curve"), 2,
      "error: --curve-c: expected a sextic over Qsqrt13, got a Weierstrass model over "
      "Qsqrt13 in curves/E_1_-1.curve\n"),
+    (("full-report", "--only", "euler-rm-at-3,euler-rm-at-3"), 2,
+     "error: --only: check 'euler-rm-at-3' is named twice\n"),
+    (("split", "Qsqrt13", "3", "3"), 2, "error: q: 3 is named twice\n"),
+    (("trace", "curves/E_1_-1.curve", "5", "5"), 2, "error: q: 5 is named twice\n"),
+    (("euler", "curves/C_eq51.curve", "3", "5", "3"), 2, "error: q: 3 is named twice\n"),
+    (ELIMINATE[:-1] + ("5,5",), 2, "error: --q: 5 is named twice\n"),
 ]
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fermatkit.curves import EllipticCurveNF
+from fermatkit.elimination import load_family
 from fermatkit.exactarith import UniPoly
 from fermatkit.newformdata import (
     MissingEigenvalueError,
@@ -98,6 +99,20 @@ class TestLoading:
         assert pkt.coeff_poly == UniPoly([0, 1])
         assert "3.0" in pkt.eigenvalues and "3.1" in pkt.eigenvalues
         assert not pkt.warnings
+
+    def test_demo_self_packet_is_rebuilt(self):
+        """The shipped demo_self_1_3.json is what `packet_from_curve` derives
+        from the demo family's member at (a, b) = (1, 3): every field of
+        the file but its provenance string."""
+        fam = load_family(FIXTURES / "families" / "demo_sum_rule_cubic.json")
+        built = packet_from_curve(fam.specialize(1, 3), "demo-self-1-3", 13)
+        path = FIXTURES / "packets" / "demo_self_1_3.json"
+        (shipped,) = load_packets(path)
+        assert built.eigenvalues == shipped.eigenvalues and built.eigenvalues["11.0"] == (-72,)
+        assert (built.level_norm, built.level_primes) == (shipped.level_norm, shipped.level_primes)
+        assert shipped.level_primes == ("2.0", "7.0", "13.0") and shipped.level_norm == 35672
+        data = json.loads(path.read_text())
+        assert serialize_packet(built) | {"provenance": data["provenance"]} == data
 
     def test_weil_bound_rejection(self):
         # value 6 at a norm-3 prime: 6 > 2*sqrt(3)

@@ -6,7 +6,6 @@ import ast
 import importlib
 import itertools
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from fermatkit.curves import EllipticCurveNF, EulerFactorG2
 from fermatkit.elimination import load_family
 from fermatkit.exactarith import UniPoly
 from fermatkit.numberfield import NumberFieldOrder, PrimeIdealData, get_order, split_prime
-from fermatkit.unitsieve import UNIT_CLASS_COUNT, SieveConstraint, UnitClass
+from fermatkit.unitsieve import UNIT_CLASS_COUNT, SieveConstraint, class_exps, class_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAMILY = SRC / "fermatkit" / "fixtures" / "families" / "demo_sum_rule_sqrt13.json"
@@ -59,14 +58,13 @@ def _hashed_records():
         (EulerFactorG2(N=9, a1=2, a2=7), (9, 2, 7)),
         (fam, (fam.label, fam.order, fam.coeffs, fam.mult_rule, fam.excluded_primes,
                fam.residue_conditions)),
-        (UnitClass((1, 2, 3, 4, 5)), ((1, 2, 3, 4, 5),)),
         (c, (11, "unconstrained", None, None)),
     ]
 
 
-@pytest.mark.parametrize("i", range(7), ids=[
+@pytest.mark.parametrize("i", range(6), ids=[
     "NumberFieldOrder", "PrimeIdealData", "EllipticCurveNF", "EulerFactorG2",
-    "FreyFamily", "UnitClass", "SieveConstraint"])
+    "FreyFamily", "SieveConstraint"])
 def test_hashed_records(i):
     """Hashes of the same field tuples as before, so no set or dict
     iterates in another order; never equal to a plain tuple; and no
@@ -74,7 +72,7 @@ def test_hashed_records(i):
     rec, fields = _hashed_records()[i]
     assert hash(rec) == hash(fields)
     assert rec != fields
-    name = next(iter(vars(rec))) if hasattr(rec, "__dict__") else "index"
+    name = next(iter(vars(rec)))
     before = getattr(rec, name)
     with pytest.raises(AttributeError):
         setattr(rec, name, None)
@@ -116,22 +114,15 @@ def test_equal_records_share_lru_cache_entries():
     assert key(SieveConstraint(19, "unconstrained")) is not key(pairs[2][0])
 
 
-def test_unit_class_index_round_trip_and_pickle():
-    """A class stores only its index; the exponents read off it are the
-    base-7 digits of the index, lowest first, and hash, equality, repr
-    and pickle are those of the exponent tuple for every class."""
+def test_unit_class_index_round_trip():
+    """A class is its index; its exponents are the base-7 digits of the
+    index, lowest first, for every class."""
     # product varies its last entry fastest: reversed, the lowest digit
     digits = [t[::-1] for t in itertools.product(range(7), repeat=5)]
     assert len(digits) == UNIT_CLASS_COUNT
     for n, e in enumerate(digits):
-        u = UnitClass.from_index(n)
-        assert u.index == n and u.exps == e
-        assert hash(u) == hash((e,)) and repr(u) == f"UnitClass(exps={e!r})"
-        w = UnitClass(u.exps)
-        assert w == u and w.index == n
-        v = pickle.loads(pickle.dumps(u))
-        assert v == u and v.index == n and hash(v) == hash(u)
-    assert UnitClass((6, 0, 3, 1, 2)).index == 6 + 3 * 49 + 343 + 2 * 2401
+        assert class_exps(n) == e and class_index(e) == n
+    assert class_index((6, 0, 3, 1, 2)) == 6 + 3 * 49 + 343 + 2 * 2401
 
 
 def test_elliptic_curve_repr_and_invariants():

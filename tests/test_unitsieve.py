@@ -1,4 +1,3 @@
-import pickle
 import random
 from pathlib import Path
 
@@ -34,6 +33,8 @@ from fermatkit.unitsieve import (
     admissible_pairs,
     build_character,
     char_value,
+    class_exps,
+    class_index,
     class_indices,
     generator_independence_rank,
     modular_targets_from_curve,
@@ -54,11 +55,11 @@ def _pair_element(a: int, b: int):
     return ZZ13.element([a, b])
 
 
-def _unit(cls: UnitClass):
-    """The unit of Z[zeta_13] the class stands for: the product of the
-    cyclotomic generators to its exponents."""
+def _unit(n: int):
+    """The unit of Z[zeta_13] the class of index n stands for: the product
+    of the cyclotomic generators to its exponents."""
     acc = ZZ13.one()
-    for g, e in zip(cyclotomic_unit_generators(), cls.exps):
+    for g, e in zip(cyclotomic_unit_generators(), class_exps(n)):
         acc = acc * g**e
     return acc
 
@@ -156,45 +157,26 @@ def curve_C():
 class TestUnitClass:
     def test_count_and_roundtrip(self):
         assert UNIT_CLASS_COUNT == 16807
-        for n in (0, 1, 7, 16806, 1234):
-            assert UnitClass.from_index(n).index == n
-        for n, want in ((UNIT_CLASS_COUNT + 5, 5), (-1, 16806)):  # taken mod 16807
-            assert UnitClass.from_index(n).index == want
+        for n in range(UNIT_CLASS_COUNT):
+            assert class_index(class_exps(n)) == n
+        for e in ((0,) * 5, (1, 0, 0, 0, 0), (6,) * 5, (6, 0, 3, 1, 2)):
+            assert class_exps(class_index(e)) == e
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            UnitClass((7, 0, 0, 0, 0))
+            class_index((7, 0, 0, 0, 0))
         with pytest.raises(ValueError):
-            UnitClass((0, 0, 0, 0))
+            class_index((0, 0, 0, 0))
 
     def test_bad_exponents_rejected(self):
         for exps in [(0, 0, 0, 0, -1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 9)]:
             with pytest.raises(ValueError, match="five exponents"):
-                UnitClass(exps)
-
-    def test_slotted_and_cheap_from_index(self):
-        u = UnitClass((1, 0, 0, 0, 0))
-        assert not hasattr(u, "__dict__")
-        assert repr(u) == "UnitClass(exps=(1, 0, 0, 0, 0))"
-        rng = random.Random(5)
-        for n in [0, 1, 48, 16806] + rng.sample(range(UNIT_CLASS_COUNT), 40):
-            v = UnitClass.from_index(n)
-            w = UnitClass(v.exps)
-            assert v == w and hash(v) == hash(w) and w.index == n
-            assert repr(v) == repr(w)
-        # the index neither takes part in equality nor is set by hand
-        with pytest.raises(TypeError):
-            UnitClass((0,) * 5, index=3)
-
-    def test_pickle_round_trip(self):
-        for u in (UnitClass((1, 2, 3, 4, 5)), UnitClass.from_index(16806)):
-            v = pickle.loads(pickle.dumps(u))
-            assert v == u and v.index == u.index and hash(v) == hash(u)
+                class_index(exps)
 
     def test_unit_value(self):
-        u = _unit(UnitClass((1, 0, 0, 0, 0)))
+        u = _unit(class_index((1, 0, 0, 0, 0)))
         assert u == cyclotomic_unit_generators()[0]
-        assert _unit(UnitClass((0,) * 5)) == ZZ13.one()
+        assert _unit(0) == ZZ13.one()
 
 
 class TestCharacters:
@@ -436,11 +418,11 @@ class TestSieve:
     def test_planted_trivial_solutions(self):
         # 1 = 1 * 1^7 at (1, 0); zeta = (zeta^2)^7 at (0, 1);
         # 1 + zeta = u2 * 1^7 at (1, 1); 1 - zeta = 1 * (1-zeta) * 1^7 at (1, -1)
-        surv_cop = sieve_case("coprime-13", UNCONSTRAINED_11_19)
-        assert UnitClass((0, 0, 0, 0, 0)) in surv_cop
-        assert UnitClass((1, 0, 0, 0, 0)) in surv_cop
-        surv_div = sieve_case("divisible-13", UNCONSTRAINED_11_19)
-        assert UnitClass((0, 0, 0, 0, 0)) in surv_div
+        surv_cop = sieve_case_bits("coprime-13", UNCONSTRAINED_11_19)
+        assert surv_cop >> class_index((0, 0, 0, 0, 0)) & 1
+        assert surv_cop >> class_index((1, 0, 0, 0, 0)) & 1
+        surv_div = sieve_case_bits("divisible-13", UNCONSTRAINED_11_19)
+        assert surv_div >> class_index((0, 0, 0, 0, 0)) & 1
 
     def test_monotonicity(self):
         base = [SieveConstraint(q=11, mode="unconstrained")]
@@ -482,7 +464,7 @@ class TestSieve:
         rng = random.Random(12)
         pairs = [(0, 1), (1, 0)]
         for idx in rng.sample(range(UNIT_CLASS_COUNT), 40):
-            eps = _unit(UnitClass.from_index(idx))
+            eps = _unit(idx)
             red_eps = reduce_element(eps, Q)
             ok = False
             for a, b in pairs:
@@ -502,13 +484,13 @@ class TestSieve:
                 t = build_character(Q)
                 for delta in (0, 1):
                     for _ in range(5):
-                        cls = UnitClass.from_index(rng.randrange(UNIT_CLASS_COUNT))
+                        n = rng.randrange(UNIT_CLASS_COUNT)
                         beta = ZZ13.element([rng.randrange(-2, 3) for _ in range(12)])
-                        w = _unit(cls) * omz**delta * beta**7
+                        w = _unit(n) * omz**delta * beta**7
                         cw = char_value(t, w)
                         if cw is None:
                             continue  # beta hit the prime; no condition
-                        lhs = sum(e * c for e, c in zip(cls.exps, t.unit_chars)) % 7
+                        lhs = sum(e * c for e, c in zip(class_exps(n), t.unit_chars)) % 7
                         assert cw == (lhs + delta * t.chi_one_minus_zeta) % 7
 
 
@@ -518,7 +500,7 @@ def test_oracle_needs_no_character_tables(monkeypatch):
     from fermatkit import unitsieve
 
     cons = [SieveConstraint(q=11, mode="unconstrained")]
-    linear = sieve_case("divisible-13", cons)
+    linear = sieve_case_bits("divisible-13", cons)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use character tables")
@@ -526,7 +508,7 @@ def test_oracle_needs_no_character_tables(monkeypatch):
     monkeypatch.setattr(unitsieve, "char_value", forbidden)
     monkeypatch.setattr(unitsieve, "build_character", forbidden)
     monkeypatch.setattr(unitsieve, "_sieve_character", forbidden)
-    assert sieve_case_exhaustive("divisible-13", cons) == linear
+    assert sieve_case_exhaustive_bits("divisible-13", cons) == linear
 
 
 @pytest.mark.parametrize("q", [11, 29])
@@ -538,7 +520,7 @@ def test_class_residues_match_direct_powers(q):
     tables = [_class_tables(Q, E) for Q, E in zip(primes, exps)]
     rng = random.Random(q)
     for idx in [0, UNIT_CLASS_COUNT - 1] + rng.sample(range(1, UNIT_CLASS_COUNT - 1), 38):
-        unit = _unit(UnitClass.from_index(idx))
+        unit = _unit(idx)
         want = tuple((reduce_element(unit, Q) ** E).coeffs for Q, E in zip(primes, exps))
         assert _class_residues(tables, idx) == want
 
@@ -987,7 +969,7 @@ def test_survivor_bits_match_per_class_loop():
     ]
 
     def values(i):
-        e = UnitClass.from_index(i).exps
+        e = class_exps(i)
         return [(sum(map(int.__mul__, e, t.unit_chars)) + t.chi_one_minus_zeta) % 7
                 for t in tables]
 
@@ -1038,28 +1020,29 @@ class TestSurvivorSet:
         (23, sieve_case, 4116),
     ], ids=["oracle-q11", "linear-q23"])
     def test_iteration_sets_only_the_index(self, monkeypatch, q, route, count):
-        """Building the tuple only sets each class's index, in ascending
-        order: neither the exponents nor `from_index` is computed per class."""
+        """A record is its index and nothing else, set in ascending order;
+        no class's exponents are computed."""
+        import fermatkit.unitsieve as us
+
         cons = [SieveConstraint(q=q, mode="unconstrained")]
-        assert UnitClass.__slots__ == ("index",)
+        assert UnitClass.__bases__ == (object,) and UnitClass.__slots__ == ("index",)
+        assert [k for k, v in vars(UnitClass).items() if callable(v)] == ["__init__"]
         with monkeypatch.context() as m:
-            m.setattr(UnitClass, "exps", property(lambda u: pytest.fail("exps read")))
-            m.setattr(UnitClass, "from_index", lambda n: pytest.fail("from_index called"))
+            m.setattr(us, "class_exps", lambda n: pytest.fail("class_exps called"))
             items = route("divisible-13", cons)
         want = class_indices(sieve_case_bits("divisible-13", cons))
         assert type(items) is tuple and len(items) == count
         assert want == sorted(want) and [u.index for u in items] == want
-        assert all(type(u) is UnitClass and u == UnitClass.from_index(i)
-                   for u, i in zip(items, want))
+        assert all(type(u) is UnitClass for u in items)
 
     @pytest.mark.parametrize("q", (11, 23))
     def test_routes_equal_as_views(self, q):
         cons = [SieveConstraint(q=q, mode="unconstrained")]
         for case in ("coprime-13", "divisible-13"):
             slow, fast = sieve_case_exhaustive(case, cons), sieve_case(case, cons)
-            assert type(slow) is tuple and slow == fast, case
+            assert type(slow) is tuple and type(fast) is tuple, case
             bits = sieve_case_bits(case, cons)
-            assert [u.index for u in slow] == class_indices(bits), case
+            assert [u.index for u in slow] == [u.index for u in fast] == class_indices(bits), case
 
 
 def gauss_jordan_rank(rows) -> int:
@@ -1150,9 +1133,9 @@ class TestBasisIndependence:
         }
         transformed = set()
         for idx in class_indices(_survivor_bits(masks, targets)):
-            f = UnitClass.from_index(idx).exps
+            f = class_exps(idx)
             e = tuple(sum(M[a][j] * f[j] for j in range(5)) % 7 for a in range(5))
-            transformed.add(UnitClass(e).index)
+            transformed.add(class_index(e))
         assert transformed == standard
 
 
